@@ -6,13 +6,12 @@ Thermodynamic-limit ground states reduce to a quartic stationarity problem
 on the collective-spin circle (meanfield), cross-checked by brute-force
 scans, finite-N sparse diagonalization (exact), phase classification and
 transition detection (phases), deterministic sweep datasets (sweep), and a
-command-line interface (cli).  Hot scalar kernels run from a compiled
-extension when built, with a pure-Python twin as fallback.
+command-line interface (cli).  The scalar kernels behind the mean-field
+solver live in _kernels_py.
 """
 
 __version__ = "0.1.0"
 
-from ._backend import COMPILED, backend_name
 from .model import (
     ModelParams,
     ParameterError,
@@ -72,8 +71,6 @@ from .sweep import (
 
 __all__ = [
     "__version__",
-    "COMPILED",
-    "backend_name",
     "ModelParams",
     "ParameterError",
     "TrapEstimate",

@@ -1,10 +1,6 @@
 """Scalar hot-path kernels: stationarity-quartic roots, single-point ground
 states on the Bloch circle, and the brute-force grid/golden-section oracle.
 
-Pure-Python twin of the compiled module ``extdicke._kernels``.  The two are
-interchangeable and kept in lockstep (same algorithms, same operation order);
-``extdicke._backend`` picks the compiled one when it has been built.
-
 Everything here works in the reduced coupling set (u, v, delta, rabi) with
 u = lambda**2 / omega.  Energies are per atom in the thermodynamic limit; the
 photon observables are reconstructed by the callers from (s_x, lambda, omega).

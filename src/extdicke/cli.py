@@ -11,8 +11,9 @@ fig2         energy and population curves vs detuning for several drives
 fig3         phase-diagram grid over (delta, v) with critical-line overlays
 fig4         population curves vs detuning across the first-order region
 
-Exit codes: 0 success, 2 bad configuration or parameters, 3 degenerate
-ground-state manifold, 4 I/O failure.
+Exit codes: 0 success, 1 finite-N convergence failure, 2 bad
+configuration or parameters, 3 degenerate ground-state manifold, 4 I/O
+failure.  JSON output is strict RFC 8259: non-finite floats are null.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._backend import backend_name
 from .exact import ConvergenceError, converge_cutoff, product_state_energy
 from .meanfield import DegenerateManifoldError, ground_state
 from .model import (
@@ -41,9 +41,17 @@ from .phases import (
     mott_boundary_delta,
     v_critical,
 )
-from .sweep import AxisSpec, SweepConfig, run_sweep, serialize_csv, serialize_json
+from .sweep import (
+    AxisSpec,
+    SweepConfig,
+    dumps_json,
+    run_sweep,
+    serialize_csv,
+    serialize_json,
+)
 
 EXIT_OK = 0
+EXIT_CONVERGENCE = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
@@ -91,7 +99,7 @@ def _params_from_args(args) -> ModelParams:
 
 def _format_payload(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return dumps_json(payload, indent=2, sort_keys=True) + "\n"
     width = max(len(k) for k in payload)
     lines = []
     for key, value in payload.items():
@@ -170,7 +178,7 @@ def cmd_exact_check(args) -> int:
             "gap": sol.gap,
         })
     if args.format == "json":
-        text = json.dumps({"mean_field_energy_per_atom": mf.energy_per_atom,
+        text = dumps_json({"mean_field_energy_per_atom": mf.energy_per_atom,
                            "rows": rows}, indent=2, sort_keys=True) + "\n"
     else:
         lines = [f"mean-field energy per atom: {mf.energy_per_atom:.12g}"]
@@ -214,7 +222,7 @@ def cmd_boundaries(args) -> int:
 
 def cmd_scan(args) -> int:
     config = SweepConfig.from_json(Path(args.config).read_text())
-    dataset = run_sweep(config, workers=args.workers)
+    dataset = run_sweep(config)
     text = serialize_json(dataset) if args.format == "json" else serialize_csv(dataset)
     _write_text(args.out, text)
     return EXIT_OK
@@ -242,7 +250,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _detuning_sweeps(base: ModelParams, u: float, v: float, fracs: list[float],
-                     span: float, points: int, workers: int,
+                     span: float, points: int,
                      out_dir: Path, stem: str) -> list[tuple[float, Path]]:
     """One detuning sweep per drive strength; returns (rabi, path) pairs."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -252,7 +260,7 @@ def _detuning_sweeps(base: ModelParams, u: float, v: float, fracs: list[float],
             base=base.replace(v=v * u, omega_rabi=frac * u),
             axes=(AxisSpec("delta", -span * u, span * u, points),),
         )
-        dataset = run_sweep(config, workers=workers)
+        dataset = run_sweep(config)
         path = out_dir / f"{stem}_curve{i}.csv"
         path.write_text(serialize_csv(dataset))
         written.append((frac * u, path))
@@ -271,7 +279,7 @@ def cmd_fig2(args) -> int:
     fracs = _parse_float_list(args.rabi_fracs, "--rabi-fracs")
     out_dir = Path(args.out_dir)
     written = _detuning_sweeps(base, u, args.v, fracs, args.delta_span,
-                               args.points, args.workers, out_dir, "fig2")
+                               args.points, out_dir, "fig2")
     plots_e = ", \\\n     ".join(
         f'"{p.name}" using 1:9 with lines title "drive = {r:.6g}"'
         for r, p in written)
@@ -311,7 +319,7 @@ def cmd_fig3(args) -> int:
         axes=(AxisSpec("delta", -d_span, d_span, nd),
               AxisSpec("v", v_lo, v_hi, nv)),
     )
-    dataset = run_sweep(config, workers=args.workers)
+    dataset = run_sweep(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid_path = out_dir / "fig3_grid.csv"
@@ -347,7 +355,7 @@ def cmd_fig4(args) -> int:
     fracs = _parse_float_list(args.rabi_fracs, "--rabi-fracs")
     out_dir = Path(args.out_dir)
     written = _detuning_sweeps(base, u, args.v, fracs, args.delta_span,
-                               args.points, args.workers, out_dir, "fig4")
+                               args.points, out_dir, "fig4")
     plots = ", \\\n     ".join(
         f'"{p.name}" using 1:7 with lines title "drive = {r:.6g}"'
         for r, p in written)
@@ -369,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ground states and phase diagrams of a driven, interacting "
                     "Dicke model in the thermodynamic limit.")
     parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__} ({backend_name()} kernels)")
+                        version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate", help="couplings from a trap/cavity spec")
@@ -408,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, required=True, help="JSON sweep config")
     p.add_argument("--out", default=None, help="output file ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("fig2", help="energy/population curves vs detuning")
@@ -421,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=401)
     p.add_argument("--units", choices=("dimensionless", "mhz"), default="dimensionless")
     p.add_argument("--out-dir", default="fig2_out")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("fig3", help="phase-diagram grid over (delta, v)")
@@ -435,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", default="61x41", help="grid points, DxV")
     p.add_argument("--units", choices=("dimensionless", "mhz"), default="dimensionless")
     p.add_argument("--out-dir", default="fig3_out")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("fig4", help="population curves across the first-order region")
@@ -448,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=401)
     p.add_argument("--units", choices=("dimensionless", "mhz"), default="dimensionless")
     p.add_argument("--out-dir", default="fig4_out")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_fig4)
 
     return parser
@@ -467,7 +471,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_CONVERGENCE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

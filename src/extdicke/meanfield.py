@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .model import ModelParams, ParameterError, validate
 
 

@@ -17,9 +17,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
-from scipy.constants import hbar
+# Exact SI value (h = 6.62607015e-34 J s since 2019), in J s.
+hbar = 6.62607015e-34 / (2.0 * math.pi)
+
+# Couplings a sweep or a transition scan may move, by ModelParams field.
+AXES = ("omega", "lam", "delta", "omega_rabi", "v")
 
 
 class ParameterError(ValueError):
@@ -46,10 +51,7 @@ class ModelParams:
         return self.lam * self.lam / self.omega
 
     def replace(self, **kw) -> "ModelParams":
-        data = self.to_dict()
-        for key, val in kw.items():
-            data["lambda" if key == "lam" else key] = val
-        return ModelParams.from_dict(data)
+        return ModelParams.from_dict({**vars(self), **kw})
 
     def to_dict(self) -> dict:
         return {
@@ -63,35 +65,44 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelParams":
-        known = {"omega", "lambda", "lam", "delta", "omega_rabi", "v", "n_atoms"}
-        unknown = set(data) - known
+        """Build from a dict keyed by field or JSON name; if both "lam" and
+        "lambda" are given, the later one wins."""
+        kw = {field_name(k): v for k, v in data.items()}
+        unknown = set(kw) - {*AXES, "n_atoms"}
         if unknown:
             raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
-        kw = {k: v for k, v in data.items() if k not in ("lambda", "lam")}
-        if "lambda" in data:
-            kw["lam"] = data["lambda"]
-        elif "lam" in data:
-            kw["lam"] = data["lam"]
         return cls(**kw)
+
+
+def field_name(key: str) -> str:
+    """ModelParams field behind a parameter name: the JSON and CLI name
+    "lambda" is the field lam; every other name is its own field."""
+    return "lam" if key == "lambda" else key
 
 
 def validate(params: ModelParams) -> ModelParams:
     """Check parameter domains; returns params unchanged or raises
     ParameterError naming the first violated constraint."""
-    for name in ("omega", "lam", "delta", "omega_rabi", "v"):
+    for name in AXES:
         x = getattr(params, name)
-        if not isinstance(x, (int, float)) or not math.isfinite(x):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ParameterError(f"parameter {name!r} is not a number")
+        if not math.isfinite(x):
             raise ParameterError(f"non-finite parameter {name!r}")
     if params.omega <= 0.0:
         raise ParameterError("nonpositive cavity frequency")
     if params.lam < 0.0:
         raise ParameterError("negative collective coupling")
+    if not math.isfinite(params.u):
+        raise ParameterError("non-finite coupling u = lambda**2/omega")
     if params.omega_rabi < 0.0:
         # The sign of omega_rabi is a gauge choice (J_x -> -J_x flips it);
         # the nonnegative representative is enforced for uniqueness.
         raise ParameterError("negative Rabi frequency")
-    if int(params.n_atoms) != params.n_atoms or params.n_atoms < 1:
-        raise ParameterError("no atoms")
+    n = params.n_atoms
+    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+            or not math.isfinite(n) or int(n) != n or n < 1):
+        raise ParameterError("the number of atoms must be a positive integer")
     return params
 
 

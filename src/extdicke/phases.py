@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .meanfield import MeanFieldSolution, ground_state
-from .model import ModelParams, ParameterError, validate
+from .model import AXES, ModelParams, ParameterError, field_name, validate
 
 
 class PhaseLabel(str, Enum):
@@ -136,15 +136,10 @@ class TransitionRecord:
     kink: float
 
 
-_AXES = ("omega", "lam", "lambda", "delta", "omega_rabi", "v")
-
-_SLOPE_AXES = {"delta", "omega", "lam", "omega_rabi", "v"}
-
-
 def _axis_setter(params: ModelParams, axis: str):
-    if axis not in _AXES:
+    name = field_name(axis)
+    if name not in AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}")
-    name = "lam" if axis == "lambda" else axis
 
     def family(t: float) -> ModelParams:
         return validate(params.replace(**{name: t}))

@@ -3,9 +3,9 @@ finite-N) solvers.
 
 Datasets are plain tables: one row per grid node (axis-major, first axis
 outermost), float cells printed with 17 significant digits so identical
-configurations produce byte-identical files, independent of worker count.
-Per-node failures are data: the error column carries the message and the
-remaining cells stay empty.
+configurations produce byte-identical files.  Per-node failures are data:
+the error column carries the message and the remaining cells stay empty.
+JSON output is strict RFC 8259: non-finite floats are written as null.
 """
 
 from __future__ import annotations
@@ -13,16 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
 from .exact import converge_cutoff
 from .meanfield import ground_state
-from .model import ModelParams, ParameterError, validate
+from .model import AXES, ModelParams, ParameterError, field_name, validate
 from .phases import classify
-
-_AXIS_NAMES = ("omega", "lambda", "lam", "delta", "omega_rabi", "v")
 
 
 @dataclass(frozen=True)
@@ -76,20 +74,30 @@ class SweepConfig:
             raise ParameterError("sweep config needs 'base' and 'axes'")
         base = ModelParams.from_dict(data["base"])
         axes = tuple(
-            AxisSpec(a["name"], float(a["min"]), float(a["max"]), int(a["count"]))
+            AxisSpec(a["name"], float(a["min"]), float(a["max"]),
+                     _integer(a["count"], "axis count"))
             for a in data["axes"]
         )
         return cls(
             base=base,
             axes=axes,
-            exact_n=tuple(int(n) for n in data.get("exact_n", ())),
+            exact_n=tuple(_integer(n, "exact_n entry") for n in data.get("exact_n", ())),
             exact_eps=float(data.get("exact_eps", 1e-8)),
-            exact_n_max_start=int(data.get("exact_n_max_start", 8)),
+            exact_n_max_start=_integer(data.get("exact_n_max_start", 8),
+                                       "exact_n_max_start"),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
         return cls.from_dict(json.loads(text))
+
+
+def _integer(x, what: str) -> int:
+    """int(x), except that a bool or a float with a fractional part (or no
+    finite value) is an error rather than something to truncate."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ParameterError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def _validate_config(config: SweepConfig) -> None:
@@ -98,9 +106,9 @@ def _validate_config(config: SweepConfig) -> None:
         raise ParameterError("sweeps take one or two axes")
     seen = set()
     for axis in config.axes:
-        if axis.name not in _AXIS_NAMES:
+        key = field_name(axis.name)
+        if key not in AXES:
             raise ParameterError(f"unknown sweep axis {axis.name!r}")
-        key = "lam" if axis.name == "lambda" else axis.name
         if key in seen:
             raise ParameterError(f"axis {axis.name!r} repeated")
         seen.add(key)
@@ -156,9 +164,7 @@ def _columns(config: SweepConfig) -> tuple[str, ...]:
 def _solve_node(config: SweepConfig, values: tuple[float, ...]) -> tuple:
     row: list = list(values)
     errors = []
-    kw = {}
-    for axis, val in zip(config.axes, values):
-        kw["lam" if axis.name == "lambda" else axis.name] = val
+    kw = {axis.name: val for axis, val in zip(config.axes, values)}
     try:
         params = validate(config.base.replace(**kw))
         sol = ground_state(params)
@@ -201,21 +207,15 @@ def _solve_node(config: SweepConfig, values: tuple[float, ...]) -> tuple:
     return tuple(row)
 
 
-def run_sweep(config: SweepConfig, workers: int = 1) -> SweepDataset:
-    """Evaluate the sweep grid; identical output for any worker count."""
+def run_sweep(config: SweepConfig) -> SweepDataset:
+    """Evaluate the sweep grid node by node, first axis outermost."""
     _validate_config(config)
-    if workers < 1:
-        raise ParameterError("workers must be positive")
     grids = [axis.values() for axis in config.axes]
     if len(grids) == 1:
         nodes = [(x,) for x in grids[0]]
     else:
         nodes = [(x, y) for x in grids[0] for y in grids[1]]
-    if workers == 1:
-        rows = [_solve_node(config, node) for node in nodes]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda nd: _solve_node(config, nd), nodes))
+    rows = [_solve_node(config, node) for node in nodes]
     provenance = (
         f"extdicke sweep format 1, version {__version__}",
         "config " + json.dumps(config.to_dict(), separators=(",", ":")),
@@ -244,14 +244,30 @@ def serialize_csv(dataset: SweepDataset) -> str:
     return buf.getvalue()
 
 
+def _finite_or_none(x):
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _finite_or_none(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_none(v) for v in x]
+    return x
+
+
+def dumps_json(obj, **kw) -> str:
+    """json.dumps with every non-finite float written as null, so the
+    output is strict RFC 8259 (which has no NaN or Infinity)."""
+    return json.dumps(_finite_or_none(obj), allow_nan=False, **kw)
+
+
 def serialize_json(dataset: SweepDataset) -> str:
     """JSON document with the same provenance, columns, and rows."""
     doc = {
         "provenance": list(dataset.provenance),
         "columns": list(dataset.columns),
-        "rows": [list(row) for row in dataset.rows],
+        "rows": dataset.rows,
     }
-    return json.dumps(doc, indent=1)
+    return dumps_json(doc, indent=1)
 
 
 def _parse_cell(text: str):

@@ -177,7 +177,7 @@ def test_trap_parameter_estimates():
 
 def test_figure_datasets_are_deterministic(tmp_path, capsys):
     # Every dataset writer must produce byte-identical files across repeat
-    # runs and across serial vs concurrent execution.
+    # runs.
     cases = [
         (["fig2", "--points", "21", "--delta-span", "1.5",
           "--rabi-fracs", "0,0.02,0.05"],
@@ -190,10 +190,9 @@ def test_figure_datasets_are_deterministic(tmp_path, capsys):
     ]
     for args, names in cases:
         runs = {}
-        for tag, extra in (("a", []), ("b", []), ("c", ["--workers", "4"])):
+        for tag in ("a", "b"):
             out_dir = tmp_path / (args[0] + tag)
-            assert cli.main(args + ["--out-dir", str(out_dir), *extra]) == 0
+            assert cli.main(args + ["--out-dir", str(out_dir)]) == 0
             runs[tag] = [(out_dir / name).read_bytes() for name in names]
         capsys.readouterr()
         assert runs["a"] == runs["b"]
-        assert runs["a"] == runs["c"]

@@ -1,5 +1,5 @@
 """Scalar kernel tests: quartic root finding against the numpy companion
-matrix, solver/scan agreement, and compiled/pure-Python backend parity."""
+matrix, and solver/scan agreement."""
 
 from __future__ import annotations
 
@@ -9,16 +9,11 @@ import random
 import numpy as np
 import pytest
 
-from extdicke import _kernels_py
+from extdicke.meanfield import kernels
 
-try:
-    from extdicke import _kernels
-except ImportError:
-    _kernels = None
-
-BACKENDS = [pytest.param(_kernels_py, id="python")]
-if _kernels is not None:
-    BACKENDS.append(pytest.param(_kernels, id="compiled"))
+# Every test takes the solver's kernel module as `k`; the "python" id keeps
+# the test ids stable.
+pytestmark = pytest.mark.parametrize("k", [pytest.param(kernels, id="python")])
 
 
 def companion_real_roots(coeffs, imag_tol=1e-7):
@@ -33,7 +28,6 @@ def random_params(rng):
             rng.uniform(-3.0, 3.0), rng.uniform(0.0, 3.0))
 
 
-@pytest.mark.parametrize("k", BACKENDS)
 def test_roots_of_constructed_separated_quartics(k):
     rng = random.Random(11)
     for _ in range(400):
@@ -48,7 +42,6 @@ def test_roots_of_constructed_separated_quartics(k):
             assert abs(want - got) < 5e-9
 
 
-@pytest.mark.parametrize("k", BACKENDS)
 def test_roots_match_companion_matrix_on_generic_coefficients(k):
     rng = random.Random(12)
     checked = 0
@@ -66,7 +59,6 @@ def test_roots_match_companion_matrix_on_generic_coefficients(k):
     assert checked > 400
 
 
-@pytest.mark.parametrize("k", BACKENDS)
 def test_roots_known_sets(k):
     # 3*(x+3)(x+1)(x+1/3)(x-1) has roots -3, -1, -1/3, 1
     coeffs = 3.0 * np.poly([-3.0, -1.0, -1.0 / 3.0, 1.0])
@@ -84,7 +76,6 @@ def test_roots_known_sets(k):
     assert k.real_roots(0.0, 0.0, 0.0, 0.0, 0.0) == ()
 
 
-@pytest.mark.parametrize("k", BACKENDS)
 def test_roots_scale_invariance(k):
     rng = random.Random(13)
     for _ in range(100):
@@ -98,7 +89,6 @@ def test_roots_scale_invariance(k):
             assert abs(x - z) < 1e-9 * (1.0 + abs(x))
 
 
-@pytest.mark.parametrize("k", BACKENDS)
 def test_bloch_eta_roundtrip(k):
     for eta in (-25.0, -3.0, -1.0, -0.2, 0.0, 0.4, 1.0, 7.5):
         s_x, s_z = k.bloch_from_eta(eta)
@@ -109,7 +99,6 @@ def test_bloch_eta_roundtrip(k):
     assert k.bloch_from_eta(0.0) == (-0.5, 0.0)
 
 
-@pytest.mark.parametrize("k", BACKENDS)
 def test_energy_parametrizations_agree(k):
     rng = random.Random(14)
     for _ in range(200):
@@ -121,7 +110,6 @@ def test_energy_parametrizations_agree(k):
         assert abs(e1 - e2) < 1e-13 * (1.0 + abs(e1))
 
 
-@pytest.mark.parametrize("k", BACKENDS)
 def test_solve_point_closed_forms(k):
     # symmetry-broken pair below the lobe edge: s_z = -delta/(2(u+v))
     s_x, s_z, e, eta, res, deg, flat, nmin = k.solve_point(1.0, 0.0, 0.5, 0.0)
@@ -156,7 +144,6 @@ def test_solve_point_closed_forms(k):
     assert flat and (s_x, s_z) == (-0.5, 0.0)
 
 
-@pytest.mark.parametrize("k", BACKENDS)
 def test_solver_matches_grid_scan(k):
     rng = random.Random(15)
     for _ in range(250):
@@ -168,7 +155,6 @@ def test_solver_matches_grid_scan(k):
         assert sol[4] < 1e-9 * scale  # stationarity residual
 
 
-@pytest.mark.parametrize("k", BACKENDS)
 def test_solver_is_deterministic(k):
     rng = random.Random(16)
     for _ in range(50):
@@ -178,36 +164,6 @@ def test_solver_is_deterministic(k):
             k.real_roots(args[0], args[1], 0.0, args[2], args[3])
 
 
-@pytest.mark.skipif(_kernels is None, reason="compiled extension not built")
-def test_backend_parity():
-    rng = random.Random(17)
-    for _ in range(800):
-        u, v, d, r = random_params(rng)
-        a = _kernels_py.solve_point(u, v, d, r)
-        b = _kernels.solve_point(u, v, d, r)
-        for i in (0, 1, 2):
-            assert abs(a[i] - b[i]) < 1e-12
-        assert a[5:] == b[5:]  # degenerate / flat / minima-count flags
-        ca = _kernels_py.real_roots(d, 2.0 * (u + v - r), 0.0,
-                                    -2.0 * (u + v + r), -d)
-        cb = _kernels.real_roots(d, 2.0 * (u + v - r), 0.0,
-                                 -2.0 * (u + v + r), -d)
-        assert len(ca) == len(cb)
-        for x, y in zip(ca, cb):
-            assert abs(x - y) < 1e-12 * (1.0 + abs(x))
-    for _ in range(60):
-        u, v, d, r = random_params(rng)
-        a = _kernels_py.oracle_minimum(u, v, d, r, 4096)
-        b = _kernels.oracle_minimum(u, v, d, r, 4096)
-        # the golden-section location carries ~1e-8 comparison noise, but the
-        # energy is flat to second order there, so it must agree tightly
-        assert abs(a[0] - b[0]) < 5e-8
-        assert abs(a[1] - b[1]) < 5e-8
-        assert abs(a[2] - b[2]) < 1e-12 * max(1.0, u + abs(v) + r + abs(d))
-        assert a[4:] == b[4:]
-
-
-@pytest.mark.parametrize("k", BACKENDS)
 def test_residual_zero_only_at_stationary_points(k):
     # at a generic non-stationary angle the normalized gradient is order one
     u, v, d, r = 1.0, 0.3, 0.4, 0.2

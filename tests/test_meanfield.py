@@ -98,7 +98,7 @@ def test_stationarity_coefficients():
 
 
 def test_solve_stationarity_roots_are_stationary():
-    from extdicke._backend import kernels
+    from extdicke.meanfield import kernels
     rng = random.Random(6)
     for _ in range(100):
         p = ModelParams(omega=1.0, lam=rng.uniform(0.0, 2.0),

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import extdicke
 from extdicke.model import (
     ModelParams,
     ParameterError,
@@ -78,6 +83,10 @@ def test_replace_accepts_both_spellings():
     (dict(n_atoms=0), "atoms"),
     (dict(delta=math.nan), "non-finite"),
     (dict(v=math.inf), "non-finite"),
+    (dict(lam=1e160), "non-finite coupling u"),
+    (dict(lam=True), "not a number"),
+    (dict(n_atoms=True), "positive integer"),
+    (dict(n_atoms=math.inf), "positive integer"),
 ])
 def test_validate_rejections(kw, msg):
     with pytest.raises(ParameterError, match=msg):
@@ -88,6 +97,17 @@ def test_validate_passthrough_and_coupling():
     p = ModelParams(omega=4.0, lam=2.0, delta=-1.0, omega_rabi=0.0, v=3.0)
     assert validate(p) is p
     assert coupling_u(p) == 1.0
+
+
+def test_hbar_is_exact_and_scipy_constants_is_not_imported():
+    from scipy.constants import hbar
+
+    assert extdicke.model.hbar == hbar
+    code = "import sys, extdicke; print('scipy.constants' in sys.modules)"
+    src = str(Path(extdicke.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_lambda_critical():

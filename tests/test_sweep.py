@@ -1,4 +1,4 @@
-"""Sweep grids, dataset serialization, and worker-count invariance."""
+"""Sweep grids, dataset serialization, and config validation."""
 
 from __future__ import annotations
 
@@ -163,20 +163,11 @@ def test_parse_csv_rejects_empty_input():
         parse_csv("")
 
 
-# --- determinism and workers --------------------------------------------
+# --- determinism ---------------------------------------------------------
 
 def test_repeat_runs_are_byte_identical():
     config = small_config()
     assert serialize_csv(run_sweep(config)) == serialize_csv(run_sweep(config))
-
-
-def test_worker_count_does_not_change_output():
-    config = SweepConfig(base=BASE,
-                         axes=(AxisSpec("delta", -1.2, 1.2, 7),
-                               AxisSpec("v", -1.0, 0.5, 4)))
-    serial = serialize_csv(run_sweep(config, workers=1))
-    threaded = serialize_csv(run_sweep(config, workers=4))
-    assert threaded == serial
 
 
 # --- config validation --------------------------------------------------
@@ -209,8 +200,9 @@ def test_bad_axes_rejected(axes, message):
         run_sweep(SweepConfig(base=BASE, axes=axes))
 
 
-def test_bad_worker_and_exact_counts_rejected():
-    with pytest.raises(ParameterError, match="workers"):
-        run_sweep(small_config(), workers=0)
+def test_bad_exact_counts_rejected():
     with pytest.raises(ParameterError, match="exact_n"):
         run_sweep(small_config(exact_n=(0,)))
+    for bad in (2.5, True):  # neither is truncated to an atom number
+        with pytest.raises(ParameterError, match="exact_n entry must be an integer"):
+            SweepConfig.from_dict({**small_config().to_dict(), "exact_n": [bad]})
