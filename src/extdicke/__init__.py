@@ -17,7 +17,6 @@ from .model import (
     ParameterError,
     TrapEstimate,
     TrapSpec,
-    coupling_u,
     estimate_from_trap,
     lambda_critical,
     omega_critical,
@@ -75,7 +74,6 @@ __all__ = [
     "ParameterError",
     "TrapEstimate",
     "TrapSpec",
-    "coupling_u",
     "estimate_from_trap",
     "lambda_critical",
     "omega_critical",

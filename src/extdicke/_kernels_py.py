@@ -44,10 +44,12 @@ _REL_COEFF_EPS = 1e-14
 _ROOT_ACCEPT = 1e-11
 # Roots closer than this (relative) are merged.
 _DEDUPE_EPS = 1e-9
-# Energy window for reporting degenerate (tied) minima, scaled by max(1, S).
+# Energy window for reporting degenerate (tied) minima, relative to the
+# coupling scale S: energies and their evaluation error are homogeneous of
+# degree 1 in the couplings.
 _TIE_EPS = 1e-10
-# Much tighter window for *selecting* the reported point.  Coordinate
-# ranking may only override the energy ordering between candidates whose
+# Much tighter window (also relative to S) for *selecting* the reported
+# point.  Coordinate ranking may only override the energy ordering between candidates whose
 # energies agree to evaluation precision; near-critical couplings produce
 # distinct stationary points split by ~1e-11 (far above roundoff, far below
 # _TIE_EPS), and the lowest of those must win or the solver returns a
@@ -289,20 +291,29 @@ def solve_point(u, v, delta, rabi):
     * eta is the representative coordinate of the reported point (+-inf for
       the (1/2, 0) pole), residual its on-circle gradient defect;
     * degenerate is True when a second, distinct stationary point ties the
-      minimum within 1e-10 * max(1, S); the reported point is the energy
+      minimum within 1e-10 * S; the reported point is the energy
       minimum, with exact ties (equal to evaluation precision) broken by
       the largest s_z, then the largest s_x;
     * flat is True when delta, rabi and u+v all vanish (relative to the
       coupling scale S) and the energy is constant on the circle -- the
       conventional point (-1/2, 0) is returned;
     * n_minima counts local minima of the energy on the circle.
+
+    The problem is homogeneous of degree 1 in the couplings, so it is solved
+    for the couplings divided by 2**k, the power of two at S, where the
+    quartic coefficients can neither overflow nor underflow; the division
+    is exact, and energy and residual are scaled back by 2**k.
     """
+    k = math.frexp(max(u, abs(v), rabi, abs(delta)))[1]
+    u, v, delta, rabi = (math.ldexp(x, -k) for x in (u, v, delta, rabi))
     w = u + v
     scale = max(u, abs(v), rabi, abs(delta))
     if scale == 0.0 or max(abs(delta), rabi, abs(w)) <= _FLAT_EPS * scale:
         s_x, s_z = -0.5, 0.0
         e = reduced_energy(u, v, delta, rabi, s_x, s_z)
-        return (s_x, s_z, e, 0.0, grad_residual(u, v, delta, rabi, 0.0), True, True, 0)
+        residual = grad_residual(u, v, delta, rabi, 0.0)
+        return (s_x, s_z, math.ldexp(e, k), 0.0, math.ldexp(residual, k),
+                True, True, 0)
 
     roots = real_roots(delta, 2.0 * (w - rabi), 0.0, -2.0 * (w + rabi), -delta)
     cands = []  # (theta, s_x, s_z, energy, eta)
@@ -312,10 +323,10 @@ def solve_point(u, v, delta, rabi):
     if abs(delta) <= _FLAT_EPS * scale:
         # The (1/2, 0) pole is stationary only on the delta = 0 axis.
         cands.append((0.0, 0.5, 0.0, reduced_energy(u, v, delta, rabi, 0.5, 0.0), math.inf))
-    if not cands:  # unreachable for validated couplings; defensive
-        s_x, s_z = -0.5, 0.0
-        e = reduced_energy(u, v, delta, rabi, s_x, s_z)
-        return (s_x, s_z, e, 0.0, grad_residual(u, v, delta, rabi, 0.0), True, True, 0)
+    if not cands:
+        # A non-flat landscape has a minimum; reaching here is a solver bug.
+        raise RuntimeError(
+            f"no stationary point found for couplings {(u, v, delta, rabi)!r}")
 
     cands.sort()
     n = len(cands)
@@ -329,7 +340,7 @@ def solve_point(u, v, delta, rabi):
                 n_minima += 1
 
     e_min = min(c[3] for c in cands)
-    sel_tol = _SELECT_EPS * max(1.0, scale)
+    sel_tol = _SELECT_EPS * scale
     sel = [c for c in cands if c[3] <= e_min + sel_tol]
     rep = sel[0]
     for c in sel[1:]:
@@ -337,13 +348,14 @@ def solve_point(u, v, delta, rabi):
             rep = c
         elif abs(c[2] - rep[2]) <= _RANK_EPS and c[1] > rep[1] + _RANK_EPS:
             rep = c
-    tie_tol = _TIE_EPS * max(1.0, scale)
+    tie_tol = _TIE_EPS * scale
     degenerate = any(
         c[3] <= e_min + tie_tol and _cyclic_dist(c[0], rep[0]) > _DISTINCT_ANGLE
         for c in cands
     )
     residual = grad_residual(u, v, delta, rabi, rep[4])
-    return (rep[1], rep[2], rep[3], rep[4], residual, degenerate, False, n_minima)
+    return (rep[1], rep[2], math.ldexp(rep[3], k), rep[4],
+            math.ldexp(residual, k), degenerate, False, n_minima)
 
 
 def _golden_min(u, v, delta, rabi, lo, hi):
@@ -381,7 +393,7 @@ def oracle_minimum(u, v, delta, rabi, n_points):
     energies = [energy_theta(u, v, delta, rabi, -math.pi + h * i) for i in range(n)]
     scale = max(u, abs(v), rabi, abs(delta))
     i_lo = min(range(n), key=lambda i: energies[i])
-    if max(energies) - energies[i_lo] <= 1e-12 * max(1.0, scale):
+    if max(energies) - energies[i_lo] <= 1e-12 * scale:
         s_x, s_z = -0.5, 0.0
         e = reduced_energy(u, v, delta, rabi, s_x, s_z)
         return (s_x, s_z, e, math.pi, True, True, 0)
@@ -414,7 +426,7 @@ def oracle_minimum(u, v, delta, rabi, n_points):
             clusters.append((t, e))
 
     e_min = min(e for _, e in clusters)
-    sel_tol = _SELECT_EPS * max(1.0, scale)
+    sel_tol = _SELECT_EPS * scale
     sel = [(t, e) for t, e in clusters if e <= e_min + sel_tol]
     rep = sel[0]
     for c in sel[1:]:
@@ -425,7 +437,7 @@ def oracle_minimum(u, v, delta, rabi, n_points):
             and math.cos(c[0]) > math.cos(rep[0]) + _RANK_EPS
         ):
             rep = c
-    tie_tol = _TIE_EPS * max(1.0, scale)
+    tie_tol = _TIE_EPS * scale
     degenerate = any(
         e <= e_min + tie_tol and _cyclic_dist(t, rep[0]) > _DISTINCT_ANGLE
         for t, e in clusters

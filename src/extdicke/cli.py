@@ -26,12 +26,13 @@ from pathlib import Path
 
 from . import __version__
 from .exact import ConvergenceError, converge_cutoff, product_state_energy
-from .meanfield import DegenerateManifoldError, ground_state
+from .meanfield import ground_state
 from .model import (
     ModelParams,
     ParameterError,
     TrapSpec,
     estimate_from_trap,
+    field_name,
     omega_critical,
 )
 from .phases import (
@@ -61,6 +62,11 @@ _MHZ_OMEGA = 2.51e9
 _MHZ_LAMBDA = 2.81e4
 _MHZ_N_ATOMS = 50_000
 
+# model parameters a command runs with when neither a flag nor --config sets
+# them, by ModelParams field (the defaults --help documents)
+_PARAM_DEFAULTS = {"omega": 1.0, "lam": 1.0, "delta": 0.0, "omega_rabi": 0.0,
+                   "v": 0.0, "n_atoms": 1}
+
 
 def _write_text(out, text: str) -> None:
     if out is None or str(out) == "-":
@@ -82,19 +88,18 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> ModelParams:
-    data = {"omega": 1.0, "lambda": 1.0, "delta": 0.0, "omega_rabi": 0.0,
-            "v": 0.0, "n_atoms": 1}
+    """Each parameter from its flag, else from --config, else its default;
+    the merged values are validated once, as one ModelParams."""
+    values = dict(_PARAM_DEFAULTS)
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise ParameterError("parameter config must be a JSON object")
-        data.update(ModelParams.from_dict(loaded).to_dict())
-    for key, value in (("omega", args.omega), ("lambda", args.lam),
-                       ("delta", args.delta), ("omega_rabi", args.rabi),
-                       ("v", args.v), ("n_atoms", args.n_atoms)):
-        if value is not None:
-            data[key] = value
-    return ModelParams.from_dict(data)
+        values.update({field_name(k): v for k, v in loaded.items()})
+    flags = {"omega": args.omega, "lam": args.lam, "delta": args.delta,
+             "omega_rabi": args.rabi, "v": args.v, "n_atoms": args.n_atoms}
+    values.update({k: v for k, v in flags.items() if v is not None})
+    return ModelParams.from_dict(values)
 
 
 def _format_payload(payload: dict, fmt: str) -> str:
@@ -302,14 +307,7 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_fig3(args) -> int:
-    if args.units == "mhz":
-        base = ModelParams(omega=_MHZ_OMEGA, lam=_MHZ_LAMBDA, n_atoms=_MHZ_N_ATOMS)
-        u = base.u
-    else:
-        if args.u < 0.0:
-            raise ParameterError("negative coupling u")
-        base = ModelParams(omega=1.0, lam=math.sqrt(args.u), n_atoms=1)
-        u = args.u
+    base, u = _fig_base(args)
     rabi = args.rabi_frac * u
     d_span = args.delta_span * u
     v_lo, v_hi = args.v_min * u, args.v_max * u
@@ -463,9 +461,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateManifoldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (ParameterError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

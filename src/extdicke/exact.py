@@ -13,7 +13,7 @@ v*(1/4 - s_z**2)/N (see product_state_energy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from .meanfield import MeanFieldSolution
-from .model import ModelParams, ParameterError, validate
+from .model import ModelParams, ParameterError
 
 DENSE_CUTOFF = 2000
 DIMENSION_BUDGET = 400_000
@@ -67,7 +67,6 @@ def build_hamiltonian(params: ModelParams, basis: FockSpinBasis,
     Built as D + U + U.T with U strictly upper triangular, so the matrix is
     exactly symmetric.  Refuses dimensions above budget.
     """
-    validate(params)
     if basis.n_atoms != params.n_atoms:
         raise ParameterError("basis and params disagree on the atom number")
     dim = basis.dimension
@@ -233,7 +232,6 @@ def converge_cutoff(params: ModelParams, eps: float = 1e-8,
     Returns the observables at the final cutoff; converged is False when the
     dimension budget stops the doubling first.
     """
-    validate(params)
     if eps <= 0.0:
         raise ParameterError("nonpositive convergence tolerance")
     if n_max_start < 1:
@@ -248,18 +246,7 @@ def converge_cutoff(params: ModelParams, eps: float = 1e-8,
         stable = abs(nxt.energy - sol.energy) <= eps * max(1.0, abs(nxt.energy))
         headroom = nxt.photon_number < 0.8 * n_next
         if stable and headroom:
-            return ExactSolution(
-                energy=nxt.energy,
-                energy_per_atom=nxt.energy_per_atom,
-                photon_number=nxt.photon_number,
-                jz=nxt.jz,
-                jx=nxt.jx,
-                parity=nxt.parity,
-                gap=nxt.gap,
-                n_max_used=n_next,
-                n_atoms=params.n_atoms,
-                converged=True,
-            )
+            return replace(nxt, converged=True)
         sol = nxt
         n_max = n_next
 
@@ -268,6 +255,5 @@ def product_state_energy(params: ModelParams, mf: MeanFieldSolution) -> float:
     """Finite-N product-state energy per atom at the mean-field point: the
     thermodynamic value plus v*(1/4 - s_z**2)/N.  A rigorous variational
     upper bound on E0/N for every v and N."""
-    validate(params)
     s_z = mf.point.s_z
     return mf.energy_per_atom + params.v * (0.25 - s_z * s_z) / params.n_atoms

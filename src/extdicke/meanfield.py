@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels_py as kernels
-from .model import ModelParams, ParameterError, validate
+from .model import ModelParams, ParameterError
 
 
 class DegenerateManifoldError(ValueError):
@@ -93,7 +93,6 @@ class MeanFieldSolution:
 def energy_landscape(params: ModelParams, alpha: float, h: float) -> float:
     """Variational energy per atom at scaled displacement alpha and atomic
     variable h, where s_x = h**2 - 1/2 and s_z = h*sqrt(1 - h**2)."""
-    validate(params)
     if not -1.0 <= h <= 1.0:
         raise ParameterError("atomic variable h outside [-1, 1]")
     s_x = h * h - 0.5
@@ -109,7 +108,6 @@ def energy_landscape(params: ModelParams, alpha: float, h: float) -> float:
 
 def reduced_energy(params: ModelParams, point: BlochPoint) -> float:
     """Energy per atom on the circle after the photon minimization."""
-    validate(params)
     return kernels.reduced_energy(
         params.u, params.v, params.delta, params.omega_rabi, point.s_x, point.s_z
     )
@@ -118,14 +116,12 @@ def reduced_energy(params: ModelParams, point: BlochPoint) -> float:
 def alpha_star(params: ModelParams, eta: float) -> float:
     """Optimal scaled photon displacement for the point eta:
     alpha = lambda*(eta**2 - 1) / (2*omega*(eta**2 + 1))."""
-    validate(params)
     s_x, _ = kernels.bloch_from_eta(eta)
     return params.lam * s_x / params.omega
 
 
 def stationarity_coeffs(params: ModelParams) -> QuarticCoeffs:
     """Quartic whose real roots are the finite-eta stationary points."""
-    validate(params)
     w = params.u + params.v
     rabi = params.omega_rabi
     return QuarticCoeffs(
@@ -174,7 +170,6 @@ def ground_state(params: ModelParams) -> MeanFieldSolution:
     coupling scale) the conventional point (-1/2, 0) is returned with
     flat_manifold set.
     """
-    validate(params)
     out = kernels.solve_point(params.u, params.v, params.delta, params.omega_rabi)
     return _solution_from_kernel(params, *out)
 
@@ -186,7 +181,6 @@ def oracle_grid_minimum(params: ModelParams, n_points: int = 4096) -> MeanFieldS
     The reported residual reflects the refinement limit of a comparison
     search (~1e-8 in angle), not the quartic-root polish.
     """
-    validate(params)
     if n_points < 1000:
         raise ParameterError("oracle grid needs at least 1000 points")
     s_x, s_z, e, theta, degenerate, flat, n_minima = kernels.oracle_minimum(

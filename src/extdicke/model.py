@@ -36,7 +36,8 @@ class ModelParams:
     """Couplings of the extended Dicke Hamiltonian, in angular MHz.
 
     lam is the collective atom-field coupling (lambda in the Hamiltonian;
-    serialized under the JSON key "lambda").
+    serialized under the JSON key "lambda").  Building one validates it, so
+    every ModelParams in existence lies in the model's domain.
     """
 
     omega: float = 1.0
@@ -45,6 +46,9 @@ class ModelParams:
     omega_rabi: float = 0.0
     v: float = 0.0
     n_atoms: int = 1
+
+    def __post_init__(self):
+        validate(self)
 
     @property
     def u(self) -> float:
@@ -82,7 +86,8 @@ def field_name(key: str) -> str:
 
 def validate(params: ModelParams) -> ModelParams:
     """Check parameter domains; returns params unchanged or raises
-    ParameterError naming the first violated constraint."""
+    ParameterError naming the first violated constraint.  ModelParams
+    calls it when built."""
     for name in AXES:
         x = getattr(params, name)
         if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -104,12 +109,6 @@ def validate(params: ModelParams) -> ModelParams:
             or not math.isfinite(n) or int(n) != n or n < 1):
         raise ParameterError("the number of atoms must be a positive integer")
     return params
-
-
-def coupling_u(params: ModelParams) -> float:
-    """Photon-mediated coupling u = lambda**2/omega."""
-    validate(params)
-    return params.u
 
 
 def lambda_critical(omega: float, omega0: float) -> float:

@@ -32,7 +32,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .meanfield import MeanFieldSolution, ground_state
-from .model import AXES, ModelParams, ParameterError, field_name, validate
+from .model import AXES, ModelParams, ParameterError, field_name
+
+# Round-off guard of the classifier on m/N and on the photon density.
+_CLASSIFY_TOL = 1e-6
+# Smallest extrapolated jump (observable units) that makes a transition
+# first order, and smallest limiting slope mismatch, relative to the
+# scan's mean slope, that makes it second order.
+_JUMP_TOL = 1e-6
+_KINK_TOL = 1e-3
+# Points per critical-line polyline.
+_OVERLAY_POINTS = 201
 
 
 class PhaseLabel(str, Enum):
@@ -57,6 +67,8 @@ def mott_boundary_delta(u: float, v: float, omega_rabi: float):
     never forms.  For v < -u this edge bounds the Mott lobe; for v > -u it
     bounds the hysteresis (swallowtail) region inside the superradiant
     lobe."""
+    if omega_rabi < 0.0:
+        raise ParameterError("negative Rabi frequency")
     w = abs(u + v)
     if w < omega_rabi:
         return None
@@ -66,11 +78,13 @@ def mott_boundary_delta(u: float, v: float, omega_rabi: float):
 def v_critical(u: float, delta: float, omega_rabi: float) -> float:
     """Atom-atom coupling on the astroid at given detuning:
     v_c = -u - (rabi**(2/3) + |delta|**(2/3))**(3/2)."""
+    if omega_rabi < 0.0:
+        raise ParameterError("negative Rabi frequency")
     return -u - (omega_rabi ** (2.0 / 3.0) + abs(delta) ** (2.0 / 3.0)) ** 1.5
 
 
-def classify(params: ModelParams, solution: MeanFieldSolution | None = None,
-             tol: float = 1e-6) -> PhaseLabel:
+def classify(params: ModelParams,
+             solution: MeanFieldSolution | None = None) -> PhaseLabel:
     """Phase label for a mean-field solution (recomputed when omitted).
 
     Rules, in order: Degenerate on a flat manifold; Mott when m vanishes at
@@ -80,19 +94,19 @@ def classify(params: ModelParams, solution: MeanFieldSolution | None = None,
     Thresholds guard round-off only -- mean-field observables are exact to
     solver precision.
     """
-    validate(params)
     if solution is None:
         solution = ground_state(params)
     if solution.flat_manifold:
         return PhaseLabel.DEGENERATE
     u = params.u
     m = abs(solution.m_over_n)
-    if m <= tol and solution.n_local_minima == 1 and params.v < -u:
+    if m <= _CLASSIFY_TOL and solution.n_local_minima == 1 and params.v < -u:
         return PhaseLabel.MOTT
     if params.v < -u and solution.n_local_minima == 2:
         return PhaseLabel.SUPERFLUID
-    photon_floor = (tol * params.lam / params.omega) ** 2
-    if m < 1.0 - tol and solution.photon_density > photon_floor and params.v >= -u:
+    photon_floor = (_CLASSIFY_TOL * params.lam / params.omega) ** 2
+    if (m < 1.0 - _CLASSIFY_TOL and solution.photon_density > photon_floor
+            and params.v >= -u):
         return PhaseLabel.SUPERRADIANT
     return PhaseLabel.NORMAL
 
@@ -104,7 +118,6 @@ def susceptibility_v(params: ModelParams, dv: float | None = None) -> float:
     appears to straddle a first-order line (large jump in m or a flat
     manifold at either stencil point); the value is still returned.
     """
-    validate(params)
     if dv is None:
         dv = 1e-4 * max(1.0, abs(params.v))
     if dv <= 0.0:
@@ -142,7 +155,7 @@ def _axis_setter(params: ModelParams, axis: str):
         raise ParameterError(f"unknown sweep axis {axis!r}")
 
     def family(t: float) -> ModelParams:
-        return validate(params.replace(**{name: t}))
+        return params.replace(**{name: t})
 
     return family, name
 
@@ -318,20 +331,18 @@ def _refine_kink(f, center, delta0, span, f_scale):
 
 def detect_transitions(params: ModelParams, axis: str, t_min: float,
                        t_max: float, *, observable: str = "m_over_n",
-                       n_scan: int = 201, jump_tol: float = 1e-6,
-                       kink_tol: float = 1e-3) -> list[TransitionRecord]:
+                       n_scan: int = 201) -> list[TransitionRecord]:
     """Locate phase boundaries of an observable along one parameter axis.
 
     Scans n_scan points on [t_min, t_max], flags outliers of the second
     difference, and refines each flag: first-order when the extrapolated
-    symmetric-difference jump exceeds jump_tol (absolute, in observable
-    units), second-order when the limiting slope mismatch exceeds kink_tol
+    symmetric-difference jump exceeds _JUMP_TOL (absolute, in observable
+    units), second-order when the limiting slope mismatch exceeds _KINK_TOL
     times the scan's mean slope scale.  Candidates that refine to neither
     (smooth wiggles) are dropped; nearby records merge.  The result is
     sorted by location.  Refinement may evaluate slightly beyond the range
     ends; parameter validation still applies there.
     """
-    validate(params)
     if not t_max > t_min:
         raise ParameterError("empty sweep range")
     if n_scan < 8:
@@ -365,13 +376,13 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
         if len(picked) >= 12:
             break
 
-    kink_floor = kink_tol * max(f_range / span, 1e-300)
+    kink_floor = _KINK_TOL * max(f_range / span, 1e-300)
     records = []
     for i in sorted(picked):
         a = ts[max(0, i - 1)]
         b = ts[min(n_scan - 1, i + 3)]
         loc_j, jump = _refine_jump(f, a, b, span)
-        if jump > jump_tol:
+        if jump > _JUMP_TOL:
             records.append(TransitionRecord(loc_j, "first", observable, jump, 0.0))
             continue
         loc_k, kink = _refine_kink(f, ts[i + 1], 2.0 * spacing, span, f_range)
@@ -418,11 +429,11 @@ class PhaseGrid:
 
 def critical_overlays(u: float, omega_rabi: float,
                       delta_range: tuple[float, float],
-                      v_range: tuple[float, float],
-                      n: int = 201) -> list[tuple[str, list[tuple[float, float]]]]:
+                      v_range: tuple[float, float]) -> list[tuple[str, list[tuple[float, float]]]]:
     """Critical-line polylines clipped to the given window."""
     d_lo, d_hi = delta_range
     v_lo, v_hi = v_range
+    n = _OVERLAY_POINTS
     lines = []
 
     if v_hi >= -u:  # lobe edge exists for v >= -u
@@ -460,15 +471,15 @@ def critical_overlays(u: float, omega_rabi: float,
 def phase_grid(u: float, omega_rabi: float,
                delta_range: tuple[float, float] = (-3.0, 3.0),
                v_range: tuple[float, float] = (-3.0, 1.0),
-               resolution: tuple[int, int] = (61, 41),
-               omega: float = 1.0) -> PhaseGrid:
-    """Classify the ground state over a rectangular (delta, v) grid."""
+               resolution: tuple[int, int] = (61, 41)) -> PhaseGrid:
+    """Classify the ground state over a rectangular (delta, v) grid (at
+    omega = 1; the labels depend on omega and lambda only through u)."""
     if u < 0.0:
         raise ParameterError("negative coupling u")
     nd, nv = resolution
     if nd < 2 or nv < 2:
         raise ParameterError("grid resolution must be at least 2 per axis")
-    lam = math.sqrt(u * omega)
+    lam = math.sqrt(u)
     deltas = [delta_range[0] + (delta_range[1] - delta_range[0]) * i / (nd - 1)
               for i in range(nd)]
     vs = [v_range[0] + (v_range[1] - v_range[0]) * j / (nv - 1)
@@ -477,8 +488,7 @@ def phase_grid(u: float, omega_rabi: float,
     for d in deltas:
         row = []
         for v in vs:
-            p = ModelParams(omega=omega, lam=lam, delta=d, omega_rabi=omega_rabi,
-                            v=v, n_atoms=1)
+            p = ModelParams(lam=lam, delta=d, omega_rabi=omega_rabi, v=v)
             row.append(classify(p).value)
         labels.append(row)
     overlays = critical_overlays(u, omega_rabi, delta_range, v_range)

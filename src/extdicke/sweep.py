@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .exact import converge_cutoff
 from .meanfield import ground_state
-from .model import AXES, ModelParams, ParameterError, field_name, validate
+from .model import AXES, ModelParams, ParameterError, field_name
 from .phases import classify
 
 
@@ -42,13 +42,33 @@ class AxisSpec:
 @dataclass(frozen=True)
 class SweepConfig:
     """Base parameters plus one or two axes, with optional finite-N columns
-    (one block per atom number in exact_n)."""
+    (one block per atom number in exact_n).  Building one validates the
+    axes and atom numbers; the base validated itself when it was built."""
 
     base: ModelParams
     axes: tuple[AxisSpec, ...]
     exact_n: tuple[int, ...] = ()
     exact_eps: float = 1e-8
     exact_n_max_start: int = 8
+
+    def __post_init__(self):
+        if not 1 <= len(self.axes) <= 2:
+            raise ParameterError("sweeps take one or two axes")
+        seen = set()
+        for axis in self.axes:
+            key = field_name(axis.name)
+            if key not in AXES:
+                raise ParameterError(f"unknown sweep axis {axis.name!r}")
+            if key in seen:
+                raise ParameterError(f"axis {axis.name!r} repeated")
+            seen.add(key)
+            if axis.count < 2:
+                raise ParameterError("axis count must be at least 2")
+            if not axis.max >= axis.min:
+                raise ParameterError("axis max below min")
+        for n in self.exact_n:
+            if n < 1:
+                raise ParameterError("exact_n entries must be positive")
 
     def to_dict(self) -> dict:
         out = {
@@ -100,27 +120,6 @@ def _integer(x, what: str) -> int:
     return int(x)
 
 
-def _validate_config(config: SweepConfig) -> None:
-    validate(config.base)
-    if not 1 <= len(config.axes) <= 2:
-        raise ParameterError("sweeps take one or two axes")
-    seen = set()
-    for axis in config.axes:
-        key = field_name(axis.name)
-        if key not in AXES:
-            raise ParameterError(f"unknown sweep axis {axis.name!r}")
-        if key in seen:
-            raise ParameterError(f"axis {axis.name!r} repeated")
-        seen.add(key)
-        if axis.count < 2:
-            raise ParameterError("axis count must be at least 2")
-        if not axis.max >= axis.min:
-            raise ParameterError("axis max below min")
-    for n in config.exact_n:
-        if n < 1:
-            raise ParameterError("exact_n entries must be positive")
-
-
 @dataclass(frozen=True)
 class SweepDataset:
     """Column-named rows plus provenance comment lines."""
@@ -166,7 +165,7 @@ def _solve_node(config: SweepConfig, values: tuple[float, ...]) -> tuple:
     errors = []
     kw = {axis.name: val for axis, val in zip(config.axes, values)}
     try:
-        params = validate(config.base.replace(**kw))
+        params = config.base.replace(**kw)
         sol = ground_state(params)
         label = classify(params, sol)
         row.extend(
@@ -209,7 +208,6 @@ def _solve_node(config: SweepConfig, values: tuple[float, ...]) -> tuple:
 
 def run_sweep(config: SweepConfig) -> SweepDataset:
     """Evaluate the sweep grid node by node, first axis outermost."""
-    _validate_config(config)
     grids = [axis.values() for axis in config.axes]
     if len(grids) == 1:
         nodes = [(x,) for x in grids[0]]

@@ -18,7 +18,7 @@ import pytest
 from extdicke import cli
 from extdicke.exact import converge_cutoff
 from extdicke.meanfield import ground_state, oracle_grid_minimum
-from extdicke.model import ModelParams, TrapSpec, coupling_u, estimate_from_trap
+from extdicke.model import ModelParams, TrapSpec, estimate_from_trap
 from extdicke.phases import (
     PhaseLabel,
     classify,
@@ -153,7 +153,7 @@ def test_exact_diagonalization_variational_bound():
         mf = ground_state(params).energy_per_atom
         res = converge_cutoff(params, eps=1e-10)
         assert res.converged
-        scale = max(1.0, coupling_u(params) + abs(params.v)
+        scale = max(1.0, params.u + abs(params.v)
                     + params.omega_rabi + abs(params.delta))
         assert mf >= res.energy_per_atom - 1e-9 * scale
         assert abs(res.parity) > 1.0 - 1e-6

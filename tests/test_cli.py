@@ -117,10 +117,32 @@ def test_solve_config_file_with_flag_override(tmp_path):
     ["solve", "--omega", "-1"],
     ["solve", "--lambda", "-0.5"],
     ["solve", "--lambda", "1e160"],  # u = lambda**2/omega overflows
+    ["boundaries", "--omega", "0"],
+    ["boundaries", "--omega=-1"],
+    ["boundaries", "--rabi=-1"],
 ])
-def test_solve_bad_parameters_exit_2(argv, capsys):
+def test_bad_parameters_exit_2(argv, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_flag_overrides_invalid_config_value(tmp_path, capsys):
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"omega": 0}))
+    assert cli.main(["solve", "--config", str(config), "--omega", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_config_without_lambda_takes_cli_default(tmp_path):
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"omega": 2.0, "v": -0.25}))
+    out = tmp_path / "b.json"
+    assert cli.main(["boundaries", "--config", str(config), "--format", "json",
+                     "--out", str(out)]) == 0
+    # lambda = 1 (the --help default), so u = 1/2 and w = u + v = 1/4
+    payload = json.loads(out.read_text())
+    assert payload["u"] == 0.5
+    assert payload["w"] == 0.25
 
 
 def test_solve_unknown_config_key_exit_2(tmp_path, capsys):
@@ -135,6 +157,17 @@ def test_solve_invalid_json_exit_2(tmp_path, capsys):
     config.write_text("{not json")
     assert cli.main(["solve", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_solve_overflowing_quartic_is_not_flat(capsys):
+    # delta*s_z alone makes the energy non-constant; the quartic's
+    # coefficients overflow unless the kernel rescales the couplings
+    assert cli.main(["solve", "--omega", "1", "--lambda", "1", "--v=-1e308",
+                     "--delta", "1e308", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flat_manifold"] is False
+    assert payload["m_over_n"] == -1.0
+    assert payload["residual"] == 0.0
 
 
 # --- exact-check and boundaries -----------------------------------------

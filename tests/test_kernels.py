@@ -155,6 +155,37 @@ def test_solver_matches_grid_scan(k):
         assert sol[4] < 1e-9 * scale  # stationarity residual
 
 
+def test_overflow_and_underflow_are_not_flat(k):
+    # the quartic coefficients overflow (2*(u+v) = -inf) or underflow (the
+    # discriminant of the reduced quadratic) for these unscaled couplings
+    for args in ((1.0, -1e308, 1e308, 0.0), (1e-300, -3e-300, 1e-300, 0.0)):
+        sol = k.solve_point(*args)
+        assert not sol[6]  # flat
+        assert sol[2] < 0.0 and math.isfinite(sol[2])
+        assert sol[4] == 0.0  # residual
+    sol = k.solve_point(1.0, -1e308, 1e308, 0.0)
+    ora = k.oracle_minimum(1.0, -1e308, 1e308, 0.0, 4096)
+    assert abs(sol[2] - ora[2]) <= 1e-12 * abs(ora[2])
+    assert (sol[0], sol[1]) == (0.0, -0.5)
+    # e = v/4 + delta*s_z at s_z = -1/2
+    assert k.solve_point(1e-300, -3e-300, 1e-300, 0.0)[1:3] == (
+        -0.5, -0.75e-300 - 0.5e-300)
+
+
+def test_solve_point_scale_invariance(k):
+    # the problem is homogeneous of degree 1: scaling the couplings by a
+    # power of two scales energy and residual and keeps everything else
+    rng = random.Random(17)
+    for _ in range(20):
+        args = random_params(rng)
+        want = k.solve_point(*args)
+        for p in (900, -900):
+            got = k.solve_point(*(math.ldexp(x, p) for x in args))
+            assert got[2] == math.ldexp(want[2], p)
+            assert got[4] == math.ldexp(want[4], p)
+            assert got[:2] + got[3:4] + got[5:] == want[:2] + want[3:4] + want[5:]
+
+
 def test_solver_is_deterministic(k):
     rng = random.Random(16)
     for _ in range(50):

@@ -16,7 +16,6 @@ from extdicke.model import (
     ModelParams,
     ParameterError,
     TrapSpec,
-    coupling_u,
     estimate_from_trap,
     lambda_critical,
     omega_critical,
@@ -89,14 +88,15 @@ def test_replace_accepts_both_spellings():
     (dict(n_atoms=math.inf), "positive integer"),
 ])
 def test_validate_rejections(kw, msg):
+    # building the parameters is enough: no call of validate is needed
     with pytest.raises(ParameterError, match=msg):
-        validate(ModelParams(omega=1.0, lam=1.0).replace(**kw))
+        ModelParams(**{"omega": 1.0, "lam": 1.0, **kw})
 
 
 def test_validate_passthrough_and_coupling():
     p = ModelParams(omega=4.0, lam=2.0, delta=-1.0, omega_rabi=0.0, v=3.0)
     assert validate(p) is p
-    assert coupling_u(p) == 1.0
+    assert p.u == 1.0
 
 
 def test_hbar_is_exact_and_scipy_constants_is_not_imported():

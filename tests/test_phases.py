@@ -46,6 +46,9 @@ def test_mott_boundary_values():
     # for w > 0 the same astroid bounds the swallowtail inside the lobe
     assert mott_boundary_delta(1.0, 0.5, 0.2) == pytest.approx(
         0.9529403029099687, abs=1e-14)
+    # a negative drive has no real edge (the formula turns complex)
+    with pytest.raises(ParameterError, match="negative Rabi frequency"):
+        mott_boundary_delta(1.0, -3.0, -0.5)
 
 
 def test_astroid_matches_observed_minimum_count():
@@ -74,6 +77,8 @@ def test_v_critical_values():
     u, v, r = 1.0, -2.0, 0.5
     d = mott_boundary_delta(u, v, r)
     assert v_critical(u, d, r) == pytest.approx(v, abs=1e-12)
+    with pytest.raises(ParameterError, match="negative Rabi frequency"):
+        v_critical(1.0, 0.2, -0.5)
 
 
 # --- classification ------------------------------------------------------

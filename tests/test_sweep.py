@@ -196,13 +196,14 @@ def test_config_rejects_unknown_keys_and_missing_fields():
     ((AxisSpec("delta", 1, 0, 2),), "max below min"),
 ])
 def test_bad_axes_rejected(axes, message):
+    # building the config is enough: no sweep needs to run
     with pytest.raises(ParameterError, match=message):
-        run_sweep(SweepConfig(base=BASE, axes=axes))
+        SweepConfig(base=BASE, axes=axes)
 
 
 def test_bad_exact_counts_rejected():
     with pytest.raises(ParameterError, match="exact_n"):
-        run_sweep(small_config(exact_n=(0,)))
+        small_config(exact_n=(0,))
     for bad in (2.5, True):  # neither is truncated to an atom number
         with pytest.raises(ParameterError, match="exact_n entry must be an integer"):
             SweepConfig.from_dict({**small_config().to_dict(), "exact_n": [bad]})
