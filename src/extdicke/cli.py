@@ -45,6 +45,7 @@ from .phases import (
 from .sweep import (
     AxisSpec,
     SweepConfig,
+    _integer,
     dumps_json,
     run_sweep,
     serialize_csv,
@@ -161,9 +162,7 @@ def cmd_solve(args) -> int:
 
 def cmd_exact_check(args) -> int:
     params = _params_from_args(args)
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
-    if not n_list:
-        raise ParameterError("empty --n-list")
+    n_list = _parse_int_list(args.n_list, "--n-list")
     mf = ground_state(params.replace(n_atoms=1))
     rows = []
     for n in n_list:
@@ -252,6 +251,12 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     if not values:
         raise ParameterError(f"empty {flag}")
     return values
+
+
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers; a fractional entry is an error, not
+    something to truncate."""
+    return [_integer(x, f"{flag} entry") for x in _parse_float_list(text, flag)]
 
 
 def _detuning_sweeps(base: ModelParams, u: float, v: float, fracs: list[float],

@@ -9,19 +9,23 @@ The mean-field energy per atom is a variational bound for E0/N as N grows;
 at finite N the bound that is rigorous for every v is the product-state
 expectation, which exceeds the thermodynamic-limit value by
 v*(1/4 - s_z**2)/N (see product_state_energy).
+
+numpy and scipy are imported inside the functions that use them, so that
+importing the package (and every mean-field command) does not load them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-
-import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
+from typing import TYPE_CHECKING
 
 from .meanfield import MeanFieldSolution
 from .model import ModelParams, ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
+    import scipy.sparse as sp
 
 DENSE_CUTOFF = 2000
 DIMENSION_BUDGET = 400_000
@@ -67,6 +71,9 @@ def build_hamiltonian(params: ModelParams, basis: FockSpinBasis,
     Built as D + U + U.T with U strictly upper triangular, so the matrix is
     exactly symmetric.  Refuses dimensions above budget.
     """
+    import numpy as np
+    import scipy.sparse as sp
+
     if basis.n_atoms != params.n_atoms:
         raise ParameterError("basis and params disagree on the atom number")
     dim = basis.dimension
@@ -129,6 +136,10 @@ def build_hamiltonian(params: ModelParams, basis: FockSpinBasis,
 def _lowest_pair(h: sp.csr_matrix) -> tuple[float, float, np.ndarray]:
     """Two lowest eigenvalues and the ground vector; dense below
     DENSE_CUTOFF, Lanczos (fixed start vector, deterministic) above."""
+    import numpy as np
+    import scipy.sparse.linalg as spla
+    from scipy.linalg import eigh
+
     dim = h.shape[0]
     if dim <= DENSE_CUTOFF:
         w, vecs = eigh(h.toarray(), subset_by_index=(0, min(1, dim - 1)))
@@ -151,6 +162,8 @@ def ground_eigenpair(h: sp.csr_matrix) -> tuple[float, np.ndarray]:
     The eigenvalue residual ||H x - E x|| is checked against
     1e-9 * ||H||_inf.
     """
+    import numpy as np
+
     e0, _, vec = _lowest_pair(h)
     hnorm = float(abs(h).sum(axis=1).max())
     defect = float(np.linalg.norm(h @ vec - e0 * vec))
@@ -187,6 +200,8 @@ class ExactSolution:
 
 
 def _observables(basis: FockSpinBasis, vec: np.ndarray) -> tuple[float, float, float, float]:
+    import numpy as np
+
     na = basis.n_atoms
     j = basis.j
     psi = vec.reshape(basis.n_max + 1, na + 1)
@@ -232,8 +247,9 @@ def converge_cutoff(params: ModelParams, eps: float = 1e-8,
     Returns the observables at the final cutoff; converged is False when the
     dimension budget stops the doubling first.
     """
-    if eps <= 0.0:
-        raise ParameterError("nonpositive convergence tolerance")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ParameterError(
+            f"convergence tolerance must be finite and positive, got {eps!r}")
     if n_max_start < 1:
         raise ParameterError("photon cutoff start must be at least 1")
     sol = solve_at_cutoff(params, n_max_start, budget=budget)

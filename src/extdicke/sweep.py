@@ -43,7 +43,8 @@ class AxisSpec:
 class SweepConfig:
     """Base parameters plus one or two axes, with optional finite-N columns
     (one block per atom number in exact_n).  Building one validates the
-    axes and atom numbers; the base validated itself when it was built."""
+    axes, the atom numbers and the cutoff-ladder settings; the base
+    validated itself when it was built."""
 
     base: ModelParams
     axes: tuple[AxisSpec, ...]
@@ -69,6 +70,11 @@ class SweepConfig:
         for n in self.exact_n:
             if n < 1:
                 raise ParameterError("exact_n entries must be positive")
+        if not (math.isfinite(self.exact_eps) and self.exact_eps > 0.0):
+            raise ParameterError(
+                f"exact_eps must be finite and positive, got {self.exact_eps!r}")
+        if self.exact_n_max_start < 1:
+            raise ParameterError("exact_n_max_start must be at least 1")
 
     def to_dict(self) -> dict:
         out = {
@@ -274,9 +280,12 @@ def _parse_cell(text: str):
     if text == "false":
         return False
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         pass
+    else:
+        if str(value) == text:  # "-0" is the float -0.0, not the int 0
+            return value
     try:
         return float(text)
     except ValueError:

@@ -120,6 +120,7 @@ def test_solve_config_file_with_flag_override(tmp_path):
     ["boundaries", "--omega", "0"],
     ["boundaries", "--omega=-1"],
     ["boundaries", "--rabi=-1"],
+    ["exact-check", "--eps", "nan", "--n-list", "2"],
 ])
 def test_bad_parameters_exit_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -185,6 +186,14 @@ def test_exact_check_small_systems(tmp_path, capsys):
         assert row["bound_holds"] is True
         assert row["exact_energy_per_atom"] <= row["bound_energy_per_atom"] + 1e-9
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n_list", ["8,x", "8.5", "4,nan", ","])
+def test_exact_check_bad_n_list_names_the_flag(n_list, capsys):
+    assert cli.main(["exact-check", "--n-list", n_list]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "--n-list" in err
 
 
 def test_boundaries_closed_forms(tmp_path):
@@ -264,6 +273,17 @@ def test_scan_bad_axis_exit_2(tmp_path, capsys):
     }))
     assert cli.main(["scan", "--config", str(config)]) == 2
     assert "unknown sweep axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"exact_eps": 0}, {"exact_eps": -1e-8},
+                                 {"exact_n_max_start": 0}])
+def test_scan_bad_exact_settings_exit_2_before_any_node(bad, tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({**SWEEP_JSON, "exact_n": [4], **bad}))
+    out = tmp_path / "data.csv"
+    assert cli.main(["scan", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: exact_")
+    assert not out.exists()
 
 
 # --- figure commands ----------------------------------------------------

@@ -67,6 +67,16 @@ def test_build_rejects_bad_inputs():
         build_hamiltonian(p.replace(n_atoms=6), FockSpinBasis(10, 6), budget=50)
 
 
+def test_converge_cutoff_rejects_bad_ladder_settings():
+    p = ModelParams(omega=1.0, lam=1.0, n_atoms=2)
+    # a NaN tolerance never reads as stable and an infinite one always does
+    for eps in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="tolerance"):
+            converge_cutoff(p, eps=eps)
+    with pytest.raises(ParameterError, match="cutoff start"):
+        converge_cutoff(p, n_max_start=0)
+
+
 def test_decoupled_limit_is_a_spin_fock_state():
     # lam = 0: the photon stays in vacuum and the spin part is diagonal,
     # E0/N = min_m (delta*m + v*m^2/N)/N

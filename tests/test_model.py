@@ -110,6 +110,60 @@ def test_hbar_is_exact_and_scipy_constants_is_not_imported():
     assert out.stdout.strip() == "False"
 
 
+_HEAVY_MODULE_PROBE = """
+import json, sys
+
+def heavy():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+
+import extdicke
+seen = [heavy()]
+from extdicke import cli
+seen.append(heavy())
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    seen.append(heavy())
+print(json.dumps(seen))
+"""
+
+
+def _heavy_modules_after(commands: list[list[str]]) -> list[list[str]]:
+    """In a fresh interpreter: which of numpy and scipy are loaded after
+    import extdicke, after import extdicke.cli, and after each command."""
+    src = str(Path(extdicke.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _HEAVY_MODULE_PROBE,
+                          json.dumps(commands)], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout)
+
+
+def test_numpy_and_scipy_load_only_on_the_finite_n_path(tmp_path):
+    from extdicke import cli
+
+    sweep = {"base": {"omega": 1.0, "lambda": 1.0, "omega_rabi": 0.3, "v": -0.2},
+             "axes": [{"name": "delta", "min": -1.0, "max": 1.0, "count": 3}]}
+    (tmp_path / "mf.json").write_text(json.dumps(sweep))
+    (tmp_path / "fn.json").write_text(json.dumps({**sweep, "exact_n": [2]}))
+
+    def run(argv, out):
+        return [*argv, "--out", str(tmp_path / out)]
+
+    mean_field = [run(["solve", "--delta", "0.3"], "solve.txt"),
+                  run(["boundaries", "--v=-0.5", "--rabi", "0.2"], "b.txt"),
+                  run(["scan", "--config", str(tmp_path / "mf.json")], "mf.csv")]
+    finite_n_scan = ["scan", "--config", str(tmp_path / "fn.json")]
+    check = ["exact-check", "--n-list", "2,4", "--format", "json"]
+    both = ["numpy", "scipy"]
+    assert _heavy_modules_after(mean_field + [run(finite_n_scan, "fn.csv")]) \
+        == [[], [], [], [], [], both]
+    assert _heavy_modules_after([run(check, "check.json")]) == [[], [], both]
+    # the lazily loaded finite-N path writes what this process writes
+    for argv, out in ((finite_n_scan, "fn.csv"), (check, "check.json")):
+        assert cli.main(run(argv, "again_" + out)) == 0
+        assert (tmp_path / ("again_" + out)).read_bytes() \
+            == (tmp_path / out).read_bytes()
+
+
 def test_lambda_critical():
     assert lambda_critical(1.0, 0.25) == 0.5
     assert abs(lambda_critical(2.0, 3.0) - math.sqrt(6.0)) < 1e-15

@@ -6,6 +6,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extdicke.meanfield import ground_state
 from extdicke.model import ModelParams, ParameterError
@@ -158,6 +160,49 @@ def test_provenance_embeds_reloadable_config():
     assert reloaded == config
 
 
+_MAGNITUDE = st.floats(math.log(1e-6), math.log(1e6)).map(math.exp)  # log-uniform
+_SIGNED = st.tuples(st.sampled_from((-1.0, 1.0)), _MAGNITUDE).map(lambda t: t[0] * t[1])
+
+
+@st.composite
+def _sweep_configs(draw):
+    """Small 1- and 2-axis sweeps; axes that reach a negative lambda or
+    drive give error rows, which must round-trip too."""
+    base = ModelParams(omega=draw(_MAGNITUDE), lam=draw(_MAGNITUDE),
+                       delta=draw(_SIGNED), omega_rabi=draw(_MAGNITUDE),
+                       v=draw(_SIGNED), n_atoms=1)
+    names = draw(st.permutations(("delta", "v", "omega_rabi", "lambda")))
+    axes = []
+    for name in names[:draw(st.integers(1, 2))]:
+        lo = draw(_SIGNED)
+        axes.append(AxisSpec(name, lo, lo + draw(_MAGNITUDE), draw(st.integers(2, 4))))
+    return SweepConfig(base=base, axes=tuple(axes))
+
+
+_ROUND_TRIP = settings(max_examples=30, deadline=None, derandomize=True,
+                       database=None)
+# lambda = 0 gives alpha = -0.0, printed "-0", which must not come back as 0
+_NEGATIVE_ZERO = SweepConfig(base=BASE, axes=(AxisSpec("lambda", 0.0, 0.0, 2),))
+
+
+@_ROUND_TRIP
+@given(_sweep_configs())
+@example(_NEGATIVE_ZERO)
+def test_csv_round_trip_property(config):
+    text = serialize_csv(run_sweep(config))
+    assert serialize_csv(parse_csv(text)) == text
+
+
+@_ROUND_TRIP
+@given(_sweep_configs())
+def test_json_is_strict_property(config):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(serialize_json(run_sweep(config)), parse_constant=reject)
+    assert len(doc["rows"]) == math.prod(a.count for a in config.axes)
+
+
 def test_parse_csv_rejects_empty_input():
     with pytest.raises(ParameterError, match="empty dataset"):
         parse_csv("")
@@ -207,3 +252,14 @@ def test_bad_exact_counts_rejected():
     for bad in (2.5, True):  # neither is truncated to an atom number
         with pytest.raises(ParameterError, match="exact_n entry must be an integer"):
             SweepConfig.from_dict({**small_config().to_dict(), "exact_n": [bad]})
+    # cutoff-ladder settings are checked when the config is built, so a bad
+    # one stops a scan before any node runs
+    for eps in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="exact_eps"):
+            small_config(exact_n=(4,), exact_eps=eps)
+    for start in (0, -1):
+        with pytest.raises(ParameterError, match="exact_n_max_start"):
+            small_config(exact_n=(4,), exact_n_max_start=start)
+    text = json.dumps({**small_config(exact_n=(4,)).to_dict(), "exact_eps": "NaN"})
+    with pytest.raises(ParameterError, match="exact_eps"):
+        SweepConfig.from_json(text.replace('"NaN"', "NaN"))  # json.loads takes NaN
