@@ -91,22 +91,39 @@ def _quadratic_roots(a, b, c):
     return [r1, r2] if r1 <= r2 else [r2, r1]
 
 
-def _bisect(coeffs, a, b, fa):
-    # fa and f(b) have opposite signs; plain bisection to fp exhaustion.
+def _bracketed_newton(coeffs, deriv, a, b, fa):
+    """Root of the polynomial coeffs in [a, b], on which it is monotone and
+    changes sign (fa = p(a)); deriv holds the coefficients of p'.
+
+    Safeguarded Newton (rtsafe; Press et al., Numerical Recipes, sec. 9.4):
+    start at the midpoint, narrow the sign bracket at every evaluation, and
+    bisect whenever a Newton step leaves the bracket or p' = 0.  Every step
+    is at least half the stopping width, so a Newton iterate that creeps up
+    on the root from one side still steps across it and closes the bracket.
+    Returns the midpoint of the final bracket.
+    """
     neg = fa < 0.0
+    x = 0.5 * (a + b)
     for _ in range(200):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        fm = poly_eval(coeffs, m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == neg:
-            a = m
+        fx = poly_eval(coeffs, x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == neg:
+            a = x
         else:
-            b = m
-        if (b - a) <= 1e-15 * max(1.0, abs(a), abs(b)):
+            b = x
+        tol = 1e-15 * max(1.0, abs(a), abs(b))
+        if (b - a) <= tol:
             break
+        dfx = poly_eval(deriv, x)
+        if dfx == 0.0:
+            x = 0.5 * (a + b)
+            continue
+        step = fx / dfx
+        if abs(step) < 0.5 * tol:
+            step = math.copysign(0.5 * tol, step)
+        x_new = x - step
+        x = x_new if a < x_new < b else 0.5 * (a + b)
     return 0.5 * (a + b)
 
 
@@ -115,8 +132,9 @@ def _real_roots_desc(coeffs):
 
     Degree >= 3 is handled by splitting the axis at the (recursively found)
     critical points, which bounds one sign change per monotone interval, then
-    bisecting.  Near-multiple roots show up as critical points with |p| at
-    the evaluation noise floor and are accepted directly.
+    solving each such interval by bracketed Newton.  Near-multiple roots show
+    up as critical points with |p| at the evaluation noise floor and are
+    accepted directly.
     """
     n = len(coeffs) - 1
     if n == 1:
@@ -152,7 +170,7 @@ def _real_roots_desc(coeffs):
         if fa == 0.0:
             roots.append(pts[i])
         elif fa * fb < 0.0:
-            roots.append(_bisect(coeffs, pts[i], pts[i + 1], fa))
+            roots.append(_bracketed_newton(coeffs, deriv, pts[i], pts[i + 1], fa))
     if vals[-1] == 0.0:
         roots.append(pts[-1])
     return roots

@@ -259,6 +259,16 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return [_integer(x, f"{flag} entry") for x in _parse_float_list(text, flag)]
 
 
+def _parse_resolution(text: str) -> tuple[int, int]:
+    """`DxV` for --resolution: two integers joined by `x`."""
+    try:
+        nd, nv = (float(tok) for tok in text.split("x"))
+    except ValueError:
+        raise ParameterError(f"bad --resolution {text!r}: expected two "
+                             "integers joined by 'x', like 61x41") from None
+    return _integer(nd, "--resolution entry"), _integer(nv, "--resolution entry")
+
+
 def _detuning_sweeps(base: ModelParams, u: float, v: float, fracs: list[float],
                      span: float, points: int,
                      out_dir: Path, stem: str) -> list[tuple[float, Path]]:
@@ -316,7 +326,7 @@ def cmd_fig3(args) -> int:
     rabi = args.rabi_frac * u
     d_span = args.delta_span * u
     v_lo, v_hi = args.v_min * u, args.v_max * u
-    nd, nv = (int(tok) for tok in args.resolution.split("x"))
+    nd, nv = _parse_resolution(args.resolution)
     config = SweepConfig(
         base=base.replace(omega_rabi=rabi),
         axes=(AxisSpec("delta", -d_span, d_span, nd),
@@ -378,7 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extdicke",
         description="Ground states and phase diagrams of a driven, interacting "
-                    "Dicke model in the thermodynamic limit.")
+                    "Dicke model in the thermodynamic limit.",
+        epilog="A negative number in exponent form needs the --flag=value "
+               "form, as in --v=-5e-05: after --v, argparse reads -5e-05 "
+               "as an option, not a value.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,8 +2,12 @@
 
 States are indexed photon-major: |n, m> -> n*(N+1) + (m + j) with photon
 number n <= n_max and magnetic quantum number m = -j..j for j = N/2.  The
-Hamiltonian commutes with the parity exp(i*pi*(a^dag a + J_z + j)), which is
-diagonal in this basis with eigenvalue (-1)**(n + m + j).
+parity exp(i*pi*(a^dag a + J_z + j)) is diagonal in this basis with
+eigenvalue (-1)**(n + m + j).  It maps a -> -a and J_x -> -J_x, so the
+Hamiltonian commutes with it only without a drive (omega_rabi = 0): the drive
+term omega_rabi*J_x anticommutes with it and mixes the two sectors.  The
+reported `parity` is the ground state's expectation value of this operator:
+a definite +-1 only at omega_rabi = 0 with a nondegenerate ground state.
 
 The mean-field energy per atom is a variational bound for E0/N as N grows;
 at finite N the bound that is rigorous for every v is the product-state

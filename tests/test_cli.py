@@ -38,6 +38,13 @@ def test_version_prints_package_version(capsys):
     assert capsys.readouterr().out == f"extdicke {__version__}\n"
 
 
+def test_help_documents_the_equals_form_for_negative_exponents(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--help"])
+    assert err.value.code == 0
+    assert "--v=" in capsys.readouterr().out
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         cli.main([])
@@ -349,7 +356,13 @@ def test_fig2_mhz_units_smoke(tmp_path, capsys):
     ["fig2", "--rabi-fracs", ""],
     ["fig2", "--u", "-1"],
     ["fig3", "--resolution", "9"],
+    ["fig3", "--resolution", "10xq"],
+    ["fig3", "--resolution", "10x"],
+    ["fig3", "--resolution", "9.5x7"],
 ])
 def test_fig_bad_options_exit_2(argv, capsys, tmp_path):
     assert cli.main(argv + ["--out-dir", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if "--resolution" in argv:
+        assert "--resolution" in err

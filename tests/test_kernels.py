@@ -8,6 +8,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extdicke.meanfield import kernels
 
@@ -74,6 +76,28 @@ def test_roots_known_sets(k):
     assert k.real_roots(0.0, 0.0, 1.0, 0.0, -4.0) == (-2.0, 2.0)
     assert k.real_roots(0.0, 0.0, 0.0, 2.0, -1.0) == (0.5,)
     assert k.real_roots(0.0, 0.0, 0.0, 0.0, 0.0) == ()
+
+
+def test_root_finding_work_count(k, monkeypatch):
+    # Newton inside each monotone bracket needs ~100 polynomial evaluations
+    # per stationarity quartic on these points; bisecting every bracket to
+    # fp exhaustion needed ~270.  A call count, not a time, so it cannot flake.
+    calls = 0
+    evaluate = k.poly_eval
+
+    def counted(coeffs, x):
+        nonlocal calls
+        calls += 1
+        return evaluate(coeffs, x)
+
+    monkeypatch.setattr(k, "poly_eval", counted)
+    rng = random.Random(18)
+    n = 500
+    for _ in range(n):
+        u, v, d, r = random_params(rng)
+        w = u + v
+        k.real_roots(d, 2.0 * (w - r), 0.0, -2.0 * (w + r), -d)
+    assert calls / n < 150
 
 
 def test_roots_scale_invariance(k):
@@ -153,6 +177,22 @@ def test_solver_matches_grid_scan(k):
         ora = k.oracle_minimum(u, v, d, r, 4096)
         assert abs(sol[2] - ora[2]) < 1e-8 * scale
         assert sol[4] < 1e-9 * scale  # stationarity residual
+
+
+_MAGNITUDE = st.floats(math.log(1e-12), math.log(1e12)).map(math.exp)  # log-uniform
+_SIGNED = st.tuples(st.sampled_from((-1.0, 1.0)), _MAGNITUDE).map(lambda t: t[0] * t[1])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(u=_MAGNITUDE, v=_SIGNED, d=_SIGNED, r=st.one_of(st.just(0.0), _MAGNITUDE))
+def test_solver_matches_oracle_over_full_float_range(k, u, v, d, r):
+    # n_minima is not compared: the 4096-point grid can miss a shallow minimum
+    scale = max(u, abs(v), abs(d), r)
+    sol = k.solve_point(u, v, d, r)
+    ora = k.oracle_minimum(u, v, d, r, 4096)
+    assert abs(sol[2] - ora[2]) <= 1e-8 * scale
+    assert sol[4] <= 1e-9 * scale  # stationarity residual
+    assert sol[5] == ora[4]  # degenerate
 
 
 def test_overflow_and_underflow_are_not_flat(k):
