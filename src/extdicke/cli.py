@@ -266,20 +266,29 @@ def _parse_resolution(text: str) -> tuple[int, int]:
     except ValueError:
         raise ParameterError(f"bad --resolution {text!r}: expected two "
                              "integers joined by 'x', like 61x41") from None
-    return _integer(nd, "--resolution entry"), _integer(nv, "--resolution entry")
+    return (_grid_count(_integer(nd, "--resolution entry"), "--resolution"),
+            _grid_count(_integer(nv, "--resolution entry"), "--resolution"))
+
+
+def _grid_count(count: int, flag: str) -> int:
+    """A grid axis count from `flag`; an axis needs two points."""
+    if count < 2:
+        raise ParameterError(f"{flag} must give at least 2 points per axis, got {count}")
+    return count
 
 
 def _detuning_sweeps(base: ModelParams, u: float, v: float, fracs: list[float],
                      span: float, points: int,
                      out_dir: Path, stem: str) -> list[tuple[float, Path]]:
-    """One detuning sweep per drive strength; returns (rabi, path) pairs."""
+    """One detuning sweep per drive strength; returns (rabi, path) pairs.
+    Every config is built, and so checked, before out_dir is made."""
+    axis = AxisSpec("delta", -span * u, span * u, _grid_count(points, "--points"))
+    configs = [SweepConfig(base=base.replace(v=v * u, omega_rabi=frac * u),
+                           axes=(axis,))
+               for frac in fracs]
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for i, frac in enumerate(fracs):
-        config = SweepConfig(
-            base=base.replace(v=v * u, omega_rabi=frac * u),
-            axes=(AxisSpec("delta", -span * u, span * u, points),),
-        )
+    for i, (frac, config) in enumerate(zip(fracs, configs)):
         dataset = run_sweep(config)
         path = out_dir / f"{stem}_curve{i}.csv"
         path.write_text(serialize_csv(dataset))

@@ -359,10 +359,16 @@ def test_fig2_mhz_units_smoke(tmp_path, capsys):
     ["fig3", "--resolution", "10xq"],
     ["fig3", "--resolution", "10x"],
     ["fig3", "--resolution", "9.5x7"],
+    ["fig2", "--points", "1"],
+    ["fig4", "--points", "0"],
+    ["fig3", "--resolution", "1x5"],
 ])
 def test_fig_bad_options_exit_2(argv, capsys, tmp_path):
-    assert cli.main(argv + ["--out-dir", str(tmp_path / "x")]) == 2
+    out_dir = tmp_path / "x"
+    assert cli.main(argv + ["--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    if "--resolution" in argv:
-        assert "--resolution" in err
+    for flag in ("--resolution", "--points"):
+        if flag in argv:
+            assert flag in err
+    assert not out_dir.exists()

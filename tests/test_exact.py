@@ -132,6 +132,58 @@ def test_ground_pair_residual_guard():
     assert np.linalg.norm(h @ vec - e0 * vec) < 1e-8
 
 
+def test_sector_solves_match_dense_reference():
+    # at omega_rabi = 0 the solve runs per parity sector; E0 and E1 are the
+    # two lowest levels of H whichever sectors they come from.  In the first
+    # case both lie in the even sector (gap 8.9e-4), so one level per sector
+    # would report the odd ground state as E1.
+    rng = random.Random(31)
+    cases = [ModelParams(omega=1.0, lam=0.3, delta=0.0, v=-1.0, n_atoms=4)]
+    for i in range(29):
+        cases.append(ModelParams(
+            omega=1.0, lam=rng.uniform(0.0, 1.5),
+            delta=(-1.0) ** i * rng.uniform(0.0, 1.5),
+            v=(-1.0) ** (i // 2) * rng.uniform(0.0, 2.0),
+            n_atoms=1 + i % 7))
+    for p in cases:
+        want = np.linalg.eigvalsh(dense_reference(p, 12))[:2]
+        sol = solve_at_cutoff(p, n_max=12)
+        assert sol.energy == pytest.approx(want[0], abs=1e-10)
+        assert sol.gap == pytest.approx(want[1] - want[0], abs=1e-10)
+    # n_max = 0 and N = 1: two one-state sectors, one level each
+    p = ModelParams(omega=1.0, lam=0.5, delta=0.3, v=0.2, n_atoms=1)
+    want = np.linalg.eigvalsh(dense_reference(p, 0))
+    sol = solve_at_cutoff(p, n_max=0)
+    assert sol.energy == pytest.approx(want[0], abs=1e-12)
+    assert sol.gap == pytest.approx(want[1] - want[0], abs=1e-12)
+
+
+def test_parity_is_definite_and_deterministic():
+    # a superradiant tunnelling doublet, and an exact cross-sector tie (odd
+    # N at delta = 0: the spin flip m -> -m changes the parity), where the
+    # even sector is reported
+    doublet = converge_cutoff(ModelParams(
+        omega=10.0, lam=1.5 * math.sqrt(10.0), delta=0.5, n_atoms=64))
+    tie = converge_cutoff(ModelParams(omega=1.0, lam=0.3, delta=0.0, v=-1.0,
+                                      n_atoms=5))
+    for sol in (doublet, tie):
+        assert sol.converged
+        assert abs(abs(sol.parity) - 1.0) < 1e-12
+        assert sol.gap >= 0.0
+    assert tie.parity == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("omega_rabi", [0.0, 0.3])
+def test_warm_ladder_matches_cold_solve(omega_rabi):
+    # converge_cutoff warm-starts each cutoff from the previous one; a plain
+    # solve_at_cutoff at the final cutoff starts cold
+    p = ModelParams(omega=10.0, lam=1.02 * math.sqrt(10.0), delta=0.5,
+                    omega_rabi=omega_rabi, n_atoms=64)
+    warm = converge_cutoff(p)
+    cold = solve_at_cutoff(p, warm.n_max_used)
+    assert warm.energy == pytest.approx(cold.energy, rel=1e-12)
+
+
 def test_parity_is_definite_for_unique_ground_state():
     p = ModelParams(omega=10.0, lam=math.sqrt(10.0), delta=0.5, n_atoms=12)
     sol = converge_cutoff(p)

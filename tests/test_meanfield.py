@@ -7,6 +7,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extdicke.meanfield import (
     BlochPoint,
@@ -180,6 +182,27 @@ def test_detuning_mirror_symmetry():
         if not (a.degenerate or b.degenerate):
             assert a.point.s_z == pytest.approx(-b.point.s_z, abs=1e-12)
             assert a.point.s_x == pytest.approx(b.point.s_x, abs=1e-12)
+
+
+_MAGNITUDE = st.floats(math.log(1e-12), math.log(1e12)).map(math.exp)  # log-uniform
+_SIGNED = st.tuples(st.sampled_from((-1.0, 1.0)), _MAGNITUDE).map(lambda t: t[0] * t[1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(u=_MAGNITUDE, v=_SIGNED, d=_SIGNED, r=st.one_of(st.just(0.0), _MAGNITUDE))
+def test_detuning_mirror_over_full_float_range(u, v, d, r):
+    # delta -> -delta maps s_z -> -s_z and leaves the landscape otherwise
+    # unchanged; a degenerate pair of minima may pick either representative
+    p = params_u(u, delta=d, omega_rabi=r, v=v)
+    a = ground_state(p)
+    b = ground_state(p.replace(delta=-d))
+    if a.degenerate or b.degenerate:
+        return
+    scale = max(u, abs(v), abs(d), r)
+    assert abs(a.energy_per_atom - b.energy_per_atom) <= 1e-12 * scale
+    assert abs(a.point.s_z + b.point.s_z) <= 1e-12
+    assert abs(a.point.s_x - b.point.s_x) <= 1e-12
+    assert a.n_local_minima == b.n_local_minima
 
 
 # --- solver vs brute-force scan -----------------------------------------
