@@ -24,16 +24,10 @@ from .model import (
 )
 from .meanfield import (
     BlochPoint,
-    DegenerateManifoldError,
     MeanFieldSolution,
-    QuarticCoeffs,
-    alpha_star,
     energy_landscape,
     ground_state,
     oracle_grid_minimum,
-    reduced_energy,
-    solve_stationarity,
-    stationarity_coeffs,
 )
 from .exact import (
     ConvergenceError,
@@ -46,7 +40,6 @@ from .exact import (
     solve_at_cutoff,
 )
 from .phases import (
-    PhaseGrid,
     PhaseLabel,
     TransitionRecord,
     classify,
@@ -54,7 +47,6 @@ from .phases import (
     delta_critical,
     detect_transitions,
     mott_boundary_delta,
-    phase_grid,
     susceptibility_v,
     v_critical,
 )
@@ -79,16 +71,10 @@ __all__ = [
     "omega_critical",
     "validate",
     "BlochPoint",
-    "DegenerateManifoldError",
     "MeanFieldSolution",
-    "QuarticCoeffs",
-    "alpha_star",
     "energy_landscape",
     "ground_state",
     "oracle_grid_minimum",
-    "reduced_energy",
-    "solve_stationarity",
-    "stationarity_coeffs",
     "ConvergenceError",
     "ExactSolution",
     "FockSpinBasis",
@@ -97,7 +83,6 @@ __all__ = [
     "ground_eigenpair",
     "product_state_energy",
     "solve_at_cutoff",
-    "PhaseGrid",
     "PhaseLabel",
     "TransitionRecord",
     "classify",
@@ -105,7 +90,6 @@ __all__ = [
     "delta_critical",
     "detect_transitions",
     "mott_boundary_delta",
-    "phase_grid",
     "susceptibility_v",
     "v_critical",
     "AxisSpec",

@@ -277,25 +277,6 @@ def _grid_count(count: int, flag: str) -> int:
     return count
 
 
-def _detuning_sweeps(base: ModelParams, u: float, v: float, fracs: list[float],
-                     span: float, points: int,
-                     out_dir: Path, stem: str) -> list[tuple[float, Path]]:
-    """One detuning sweep per drive strength; returns (rabi, path) pairs.
-    Every config is built, and so checked, before out_dir is made."""
-    axis = AxisSpec("delta", -span * u, span * u, _grid_count(points, "--points"))
-    configs = [SweepConfig(base=base.replace(v=v * u, omega_rabi=frac * u),
-                           axes=(axis,))
-               for frac in fracs]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i, (frac, config) in enumerate(zip(fracs, configs)):
-        dataset = run_sweep(config)
-        path = out_dir / f"{stem}_curve{i}.csv"
-        path.write_text(serialize_csv(dataset))
-        written.append((frac * u, path))
-    return written
-
-
 _GP_COMMON = """set datafile separator ","
 set datafile commentschars "#"
 set key left top
@@ -303,37 +284,59 @@ set grid
 """
 
 
-def cmd_fig2(args) -> int:
+def _delta_span(args, u: float) -> float:
+    """The --delta-span half-range in detuning units; it must be positive."""
+    if not args.delta_span > 0.0:
+        raise ParameterError(f"--delta-span must be positive, got {args.delta_span}")
+    return args.delta_span * u
+
+
+def _detuning_figure(args, stem: str, panels: tuple[tuple[str, str], ...]) -> int:
+    """One detuning sweep per drive strength, written as stem_curve<i>.csv,
+    and a gnuplot script with one plot per (y label, CSV column name) panel.
+    Every option is checked before the output directory is made."""
     base, u = _fig_base(args)
     fracs = _parse_float_list(args.rabi_fracs, "--rabi-fracs")
+    span = _delta_span(args, u)
+    axis = AxisSpec("delta", -span, span, _grid_count(args.points, "--points"))
+    configs = [SweepConfig(base=base.replace(v=args.v * u, omega_rabi=frac * u),
+                           axes=(axis,))
+               for frac in fracs]
     out_dir = Path(args.out_dir)
-    written = _detuning_sweeps(base, u, args.v, fracs, args.delta_span,
-                               args.points, out_dir, "fig2")
-    plots_e = ", \\\n     ".join(
-        f'"{p.name}" using 1:9 with lines title "drive = {r:.6g}"'
-        for r, p in written)
-    plots_m = ", \\\n     ".join(
-        f'"{p.name}" using 1:7 with lines title "drive = {r:.6g}"'
-        for r, p in written)
-    script = (_GP_COMMON
-              + 'set xlabel "detuning"\n'
-              + 'set ylabel "energy per atom"\n'
-              + f"plot {plots_e}\n"
-              + "pause -1\n"
-              + 'set ylabel "population imbalance m/N"\n'
-              + f"plot {plots_m}\n"
-              + "pause -1\n")
-    (out_dir / "fig2.gp").write_text(script)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for i, (frac, config) in enumerate(zip(fracs, configs)):
+        dataset = run_sweep(config)
+        path = out_dir / f"{stem}_curve{i}.csv"
+        path.write_text(serialize_csv(dataset))
+        written.append((frac * u, path))
+    script = _GP_COMMON + 'set xlabel "detuning"\n'
+    for ylabel, name in panels:
+        column = dataset.columns.index(name) + 1
+        plots = ", \\\n     ".join(
+            f'"{p.name}" using 1:{column} with lines title "drive = {r:.6g}"'
+            for r, p in written)
+        script += f'set ylabel "{ylabel}"\nplot {plots}\npause -1\n'
+    (out_dir / f"{stem}.gp").write_text(script)
     for r, p in written:
         print(f"wrote {p} (drive {r:.6g})")
-    print(f"wrote {out_dir / 'fig2.gp'}")
+    print(f"wrote {out_dir / f'{stem}.gp'}")
     return EXIT_OK
+
+
+def cmd_fig2(args) -> int:
+    return _detuning_figure(args, "fig2", (
+        ("energy per atom", "energy_per_atom"),
+        ("population imbalance m/N", "m_over_n")))
 
 
 def cmd_fig3(args) -> int:
     base, u = _fig_base(args)
     rabi = args.rabi_frac * u
-    d_span = args.delta_span * u
+    d_span = _delta_span(args, u)
+    if not args.v_max > args.v_min:
+        raise ParameterError(f"--v-max must exceed --v-min, got "
+                             f"{args.v_min} to {args.v_max}")
     v_lo, v_hi = args.v_min * u, args.v_max * u
     nd, nv = _parse_resolution(args.resolution)
     config = SweepConfig(
@@ -373,24 +376,7 @@ def cmd_fig3(args) -> int:
 
 
 def cmd_fig4(args) -> int:
-    base, u = _fig_base(args)
-    fracs = _parse_float_list(args.rabi_fracs, "--rabi-fracs")
-    out_dir = Path(args.out_dir)
-    written = _detuning_sweeps(base, u, args.v, fracs, args.delta_span,
-                               args.points, out_dir, "fig4")
-    plots = ", \\\n     ".join(
-        f'"{p.name}" using 1:7 with lines title "drive = {r:.6g}"'
-        for r, p in written)
-    script = (_GP_COMMON
-              + 'set xlabel "detuning"\n'
-              + 'set ylabel "population imbalance m/N"\n'
-              + f"plot {plots}\n"
-              + "pause -1\n")
-    (out_dir / "fig4.gp").write_text(script)
-    for r, p in written:
-        print(f"wrote {p} (drive {r:.6g})")
-    print(f"wrote {out_dir / 'fig4.gp'}")
-    return EXIT_OK
+    return _detuning_figure(args, "fig4", (("population imbalance m/N", "m_over_n"),))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -71,13 +71,6 @@ class FockSpinBasis:
     def dimension(self) -> int:
         return (self.n_max + 1) * (self.n_atoms + 1)
 
-    def index(self, n: int, m: float) -> int:
-        """Flat index of |n, m>; m may be half-integer for odd N."""
-        k = round(m + self.j)
-        if not 0 <= n <= self.n_max or not 0 <= k <= self.n_atoms:
-            raise IndexError(f"state |{n}, {m}> outside the basis")
-        return n * (self.n_atoms + 1) + k
-
 
 def build_hamiltonian(params: ModelParams, basis: FockSpinBasis,
                       budget: int = DIMENSION_BUDGET) -> sp.csr_matrix:

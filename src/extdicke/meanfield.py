@@ -21,50 +21,12 @@ from . import _kernels_py as kernels
 from .model import ModelParams, ParameterError
 
 
-class DegenerateManifoldError(ValueError):
-    """The stationarity condition vanishes identically (flat manifold)."""
-
-
 @dataclass(frozen=True)
 class BlochPoint:
     """Point on the collective-spin circle, s_x**2 + s_z**2 = 1/4."""
 
     s_x: float
     s_z: float
-
-    @classmethod
-    def from_eta(cls, eta: float) -> "BlochPoint":
-        s_x, s_z = kernels.bloch_from_eta(eta)
-        return cls(s_x, s_z)
-
-    @classmethod
-    def from_angle(cls, theta: float) -> "BlochPoint":
-        return cls(0.5 * math.cos(theta), 0.5 * math.sin(theta))
-
-    @property
-    def eta(self) -> float:
-        return kernels.eta_from_point(self.s_x, self.s_z)
-
-    @property
-    def circle_defect(self) -> float:
-        return abs(self.s_x**2 + self.s_z**2 - 0.25)
-
-
-@dataclass(frozen=True)
-class QuarticCoeffs:
-    """Coefficients of the stationarity quartic in eta, highest power first:
-
-        c4*eta**4 + c3*eta**3 + c2*eta**2 + c1*eta + c0 = 0
-    """
-
-    c4: float
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.c4, self.c3, self.c2, self.c1, self.c0)
 
 
 @dataclass(frozen=True)
@@ -104,46 +66,6 @@ def energy_landscape(params: ModelParams, alpha: float, h: float) -> float:
         + params.omega_rabi * s_x
         + params.v * s_z * s_z
     )
-
-
-def reduced_energy(params: ModelParams, point: BlochPoint) -> float:
-    """Energy per atom on the circle after the photon minimization."""
-    return kernels.reduced_energy(
-        params.u, params.v, params.delta, params.omega_rabi, point.s_x, point.s_z
-    )
-
-
-def alpha_star(params: ModelParams, eta: float) -> float:
-    """Optimal scaled photon displacement for the point eta:
-    alpha = lambda*(eta**2 - 1) / (2*omega*(eta**2 + 1))."""
-    s_x, _ = kernels.bloch_from_eta(eta)
-    return params.lam * s_x / params.omega
-
-
-def stationarity_coeffs(params: ModelParams) -> QuarticCoeffs:
-    """Quartic whose real roots are the finite-eta stationary points."""
-    w = params.u + params.v
-    rabi = params.omega_rabi
-    return QuarticCoeffs(
-        c4=params.delta,
-        c3=2.0 * (w - rabi),
-        c2=0.0,
-        c1=-2.0 * (w + rabi),
-        c0=-params.delta,
-    )
-
-
-def solve_stationarity(coeffs: QuarticCoeffs) -> tuple[float, ...]:
-    """Real roots of the stationarity quartic, ascending, multiples
-    collapsed.  Raises DegenerateManifoldError when every coefficient is
-    zero (the stationarity condition holds identically)."""
-    c = coeffs.as_tuple()
-    if max(abs(x) for x in c) == 0.0:
-        raise DegenerateManifoldError(
-            "stationarity condition vanishes identically; every point of the "
-            "circle is stationary"
-        )
-    return kernels.real_roots(*c)
 
 
 def _solution_from_kernel(params: ModelParams, s_x, s_z, e, eta, residual,

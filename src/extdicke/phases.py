@@ -17,10 +17,12 @@ Critical lines in the (delta, v) plane at fixed u and omega_rabi:
 
 The transition detector walks an observable along one parameter axis,
 flags cells where the second difference spikes, then refines each flag with
-two independent probes: a largest-jump bisection whose bracket differences
-are Richardson-extrapolated (a smooth branch extrapolates to zero, a true
-jump to its height), and a two-sided line fit across shrinking scales whose
-intersection pins a kink to far below the scan spacing.
+two independent probes: a largest-jump bisection down to adjacent floats,
+whose final difference counts as a jump only when the solver sees two
+coexisting local minima at both ends (a first-order transition exchanges
+the global minimum between them), and a two-sided line fit across
+shrinking scales whose intersection pins a kink to far below the scan
+spacing.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .model import AXES, ModelParams, ParameterError, field_name
 
 # Round-off guard of the classifier on m/N and on the photon density.
 _CLASSIFY_TOL = 1e-6
-# Smallest extrapolated jump (observable units) that makes a transition
-# first order, and smallest limiting slope mismatch, relative to the
-# scan's mean slope, that makes it second order.
+# Smallest jump between coexisting minima (observable units) that makes a
+# transition first order, and smallest limiting slope mismatch, relative to
+# the scan's mean slope, that makes it second order.
 _JUMP_TOL = 1e-6
 _KINK_TOL = 1e-3
 # Points per critical-line polyline.
@@ -140,7 +142,12 @@ def susceptibility_v(params: ModelParams, dv: float | None = None) -> float:
 
 @dataclass(frozen=True)
 class TransitionRecord:
-    """One detected transition along a one-parameter sweep."""
+    """One detected transition along a one-parameter sweep.
+
+    jump is the observable's difference across the refined bracket, and 0
+    unless local minima coexist on both sides; kink is the limiting slope
+    mismatch (0 for a first-order record).
+    """
 
     location: float
     order: str  # "first", "second", or "none"
@@ -161,11 +168,11 @@ def _axis_setter(params: ModelParams, axis: str):
 
 
 def _observable_fn(base: ModelParams, axis: str, observable: str):
+    """t -> (observable value, ground state) along the axis."""
     family, name = _axis_setter(base, axis)
 
     if observable in ("m_over_n", "photon_density", "s_x", "s_z", "energy"):
-        def f(t: float) -> float:
-            sol = ground_state(family(t))
+        def value(p: ModelParams, sol: MeanFieldSolution) -> float:
             if observable == "m_over_n":
                 return sol.m_over_n
             if observable == "photon_density":
@@ -175,14 +182,10 @@ def _observable_fn(base: ModelParams, axis: str, observable: str):
             if observable == "s_z":
                 return sol.point.s_z
             return sol.energy_per_atom
-        return f
-
-    if observable == "energy_slope":
+    elif observable == "energy_slope":
         # Envelope theorem: at the minimizer the energy derivative along the
         # axis is the explicit partial derivative.
-        def f(t: float) -> float:
-            p = family(t)
-            sol = ground_state(p)
+        def value(p: ModelParams, sol: MeanFieldSolution) -> float:
             s_x, s_z = sol.point.s_x, sol.point.s_z
             if name == "delta":
                 return s_z
@@ -193,9 +196,15 @@ def _observable_fn(base: ModelParams, axis: str, observable: str):
             if name == "lam":
                 return -2.0 * (p.lam / p.omega) * s_x * s_x
             return (p.lam / p.omega) ** 2 * s_x * s_x  # omega
-        return f
+    else:
+        raise ParameterError(f"unknown observable {observable!r}")
 
-    raise ParameterError(f"unknown observable {observable!r}")
+    def f(t: float) -> tuple[float, MeanFieldSolution]:
+        p = family(t)
+        sol = ground_state(p)
+        return value(p, sol), sol
+
+    return f
 
 
 def _fit_line(ts, fs, center):
@@ -209,44 +218,27 @@ def _fit_line(ts, fs, center):
     return fbar + slope * (center - tbar), slope
 
 
-def _aitken(d0, d1, d2):
-    den = d2 - 2.0 * d1 + d0
-    if den == 0.0:
-        return d2
-    extra = d2 - (d2 - d1) ** 2 / den
-    return extra if math.isfinite(extra) else d2
+def _refine_jump(solve, a, b):
+    """Bisection toward the larger bracket difference, down to adjacent
+    floats, then the observable's difference across the final bracket.
 
-
-def _refine_jump(f, a, b, span):
-    """Bisection toward the largest bracket difference, then a jump estimate
-    from symmetric differences D(h) = f(x+h) - f(x-h) on a deep halving
-    ladder.  D converges to the jump for a discontinuity but decays
-    geometrically for any power-law or smooth branch, so Aitken
-    extrapolation of the last three values isolates a genuine jump while
-    sending continuous singularities (kinks, root-law onsets) to zero."""
-    fa, fb = f(a), f(b)
-    width = abs(b - a)
+    A first-order jump is an exchange of the global minimum between two
+    coexisting minima, so the difference counts only when the kernel sees
+    at least two local minima at both ends; anywhere else (kinks, root-law
+    onsets, smooth branches) the jump is 0."""
+    fa, sa = solve(a)
+    fb, sb = solve(b)
     for _ in range(60):
         m = 0.5 * (a + b)
         if m == a or m == b:
             break
-        fm = f(m)
+        fm, sm = solve(m)
         if abs(fm - fa) >= abs(fb - fm):
-            b, fb = m, fm
+            b, fb, sb = m, fm, sm
         else:
-            a, fa = m, fm
-    x = 0.5 * (a + b)
-    floor_h = 3.0e-10 * max(1.0, abs(span))
-    h = max(width / 16.0, 2.0 * floor_h)
-    diffs = []
-    while h > floor_h and len(diffs) < 48:
-        diffs.append(f(x + h) - f(x - h))
-        h *= 0.5
-    if not diffs:
-        return x, abs(fb - fa)
-    if len(diffs) < 3:
-        return x, abs(diffs[-1])
-    return x, abs(_aitken(diffs[-3], diffs[-2], diffs[-1]))
+            a, fa, sa = m, fm, sm
+    coexist = sa.n_local_minima >= 2 and sb.n_local_minima >= 2
+    return 0.5 * (a + b), abs(fb - fa) if coexist else 0.0
 
 
 def _refine_kink(f, center, delta0, span, f_scale):
@@ -264,8 +256,10 @@ def _refine_kink(f, center, delta0, span, f_scale):
     the scale has resolved a rounded interior (e.g. a crossover smoothed
     by a tiny symmetry-breaking field), where the curvature peak sits off
     the limiting corner.  The reported location is the most scale-stable
-    estimate among kept scales; its slope mismatch is the kink measure (a
-    lower bound when the one-sided slopes diverge)."""
+    estimate among kept scales.  The kink measure is the largest slope
+    mismatch over the kept scales (a lower bound when the one-sided slopes
+    diverge): the anchor walk can stall a hair off the corner, and the
+    finest scales then see one side of it only."""
     lo = center - 3.0 * delta0
     hi = center + 3.0 * delta0
     c = center
@@ -312,9 +306,6 @@ def _refine_kink(f, center, delta0, span, f_scale):
         return center, 0.0
     if not usable:
         return center, 0.0
-    if len(usable) == 1:
-        k = usable[0]
-        return locs[k], kinks[k]
     best_k, best_score = usable[0], math.inf
     for pos, k in enumerate(usable):
         neighbors = []
@@ -322,11 +313,11 @@ def _refine_kink(f, center, delta0, span, f_scale):
             neighbors.append(abs(locs[k] - locs[usable[pos - 1]]))
         if pos + 1 < len(usable):
             neighbors.append(abs(locs[usable[pos + 1]] - locs[k]))
-        score = max(neighbors)
+        score = max(neighbors, default=0.0)
         if score <= best_score:
             best_score = score
             best_k = k
-    return locs[best_k], kinks[best_k]
+    return locs[best_k], max(kinks[k] for k in usable)
 
 
 def detect_transitions(params: ModelParams, axis: str, t_min: float,
@@ -335,10 +326,10 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     """Locate phase boundaries of an observable along one parameter axis.
 
     Scans n_scan points on [t_min, t_max], flags outliers of the second
-    difference, and refines each flag: first-order when the extrapolated
-    symmetric-difference jump exceeds _JUMP_TOL (absolute, in observable
-    units), second-order when the limiting slope mismatch exceeds _KINK_TOL
-    times the scan's mean slope scale.  Candidates that refine to neither
+    difference, and refines each flag: first-order when the jump between
+    coexisting minima exceeds _JUMP_TOL (absolute, in observable units),
+    second-order when the limiting slope mismatch exceeds _KINK_TOL times
+    the scan's mean slope scale.  Candidates that refine to neither
     (smooth wiggles) are dropped; nearby records merge.  The result is
     sorted by location.  Refinement may evaluate slightly beyond the range
     ends; parameter validation still applies there.
@@ -347,15 +338,17 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
         raise ParameterError("empty sweep range")
     if n_scan < 8:
         raise ParameterError("transition scan needs at least 8 points")
-    f_raw = _observable_fn(params, axis, observable)
-    cache: dict[float, float] = {}
+    solve_raw = _observable_fn(params, axis, observable)
+    cache: dict[float, tuple[float, MeanFieldSolution]] = {}
+
+    def solve(t: float) -> tuple[float, MeanFieldSolution]:
+        hit = cache.get(t)
+        if hit is None:
+            hit = cache[t] = solve_raw(t)
+        return hit
 
     def f(t: float) -> float:
-        val = cache.get(t)
-        if val is None:
-            val = f_raw(t)
-            cache[t] = val
-        return val
+        return solve(t)[0]
 
     spacing = (t_max - t_min) / (n_scan - 1)
     ts = [t_min + spacing * i for i in range(n_scan)]
@@ -381,7 +374,7 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     for i in sorted(picked):
         a = ts[max(0, i - 1)]
         b = ts[min(n_scan - 1, i + 3)]
-        loc_j, jump = _refine_jump(f, a, b, span)
+        loc_j, jump = _refine_jump(solve, a, b)
         if jump > _JUMP_TOL:
             records.append(TransitionRecord(loc_j, "first", observable, jump, 0.0))
             continue
@@ -391,9 +384,9 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
 
     # Flagged cells adjacent to the same feature refine to nearly the same
     # place; keep the refinement with the strongest evidence.  A record's
-    # evidence is the measure that classified it -- the extrapolated jump
-    # for first order, the limiting slope mismatch for second order -- and
-    # the other field is noise-level by construction, so it must not break
+    # evidence is the measure that classified it -- the jump for first
+    # order, the limiting slope mismatch for second order -- and the other
+    # field is below its threshold by construction, so it must not break
     # ties.
     def _strength(r: TransitionRecord) -> tuple[bool, bool, float]:
         if r.order == "first":
@@ -411,20 +404,6 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
         else:
             merged.append(rec)
     return [rec for rec in merged if rec.order != "none"]
-
-
-@dataclass(frozen=True)
-class PhaseGrid:
-    """Classification over a (delta, v) grid, with critical-line overlays.
-
-    labels[i][j] is the phase at deltas[i], vs[j]; overlays is a list of
-    (line_id, [(delta, v), ...]) polylines.
-    """
-
-    deltas: list[float]
-    vs: list[float]
-    labels: list[list[str]]
-    overlays: list[tuple[str, list[tuple[float, float]]]]
 
 
 def critical_overlays(u: float, omega_rabi: float,
@@ -466,30 +445,3 @@ def critical_overlays(u: float, omega_rabi: float,
         if minus:
             lines.append(("astroid_minus", minus))
     return lines
-
-
-def phase_grid(u: float, omega_rabi: float,
-               delta_range: tuple[float, float] = (-3.0, 3.0),
-               v_range: tuple[float, float] = (-3.0, 1.0),
-               resolution: tuple[int, int] = (61, 41)) -> PhaseGrid:
-    """Classify the ground state over a rectangular (delta, v) grid (at
-    omega = 1; the labels depend on omega and lambda only through u)."""
-    if u < 0.0:
-        raise ParameterError("negative coupling u")
-    nd, nv = resolution
-    if nd < 2 or nv < 2:
-        raise ParameterError("grid resolution must be at least 2 per axis")
-    lam = math.sqrt(u)
-    deltas = [delta_range[0] + (delta_range[1] - delta_range[0]) * i / (nd - 1)
-              for i in range(nd)]
-    vs = [v_range[0] + (v_range[1] - v_range[0]) * j / (nv - 1)
-          for j in range(nv)]
-    labels = []
-    for d in deltas:
-        row = []
-        for v in vs:
-            p = ModelParams(lam=lam, delta=d, omega_rabi=omega_rabi, v=v)
-            row.append(classify(p).value)
-        labels.append(row)
-    overlays = critical_overlays(u, omega_rabi, delta_range, v_range)
-    return PhaseGrid(deltas=deltas, vs=vs, labels=labels, overlays=overlays)

@@ -362,13 +362,19 @@ def test_fig2_mhz_units_smoke(tmp_path, capsys):
     ["fig2", "--points", "1"],
     ["fig4", "--points", "0"],
     ["fig3", "--resolution", "1x5"],
+    ["fig2", "--delta-span", "-1"],
+    ["fig3", "--delta-span", "0"],
+    ["fig4", "--delta-span", "0"],
+    ["fig3", "--v-min", "2", "--v-max", "1"],
+    ["fig3", "--v-min", "1", "--v-max", "1"],
 ])
 def test_fig_bad_options_exit_2(argv, capsys, tmp_path):
     out_dir = tmp_path / "x"
     assert cli.main(argv + ["--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    for flag in ("--resolution", "--points"):
+    for flag in ("--resolution", "--points", "--delta-span", "--v-min",
+                 "--v-max"):
         if flag in argv:
             assert flag in err
     assert not out_dir.exists()

@@ -12,15 +12,10 @@ from hypothesis import strategies as st
 
 from extdicke.meanfield import (
     BlochPoint,
-    DegenerateManifoldError,
-    QuarticCoeffs,
-    alpha_star,
     energy_landscape,
     ground_state,
+    kernels,
     oracle_grid_minimum,
-    reduced_energy,
-    solve_stationarity,
-    stationarity_coeffs,
 )
 from extdicke.model import ModelParams, ParameterError
 
@@ -37,24 +32,17 @@ def random_point(rng):
 
 # --- geometry -----------------------------------------------------------
 
-def test_bloch_point_constructors():
-    p = BlochPoint.from_angle(-math.pi / 6.0)
-    assert p.s_x == pytest.approx(math.sqrt(3.0) / 4.0, abs=1e-15)
-    assert p.s_z == pytest.approx(-0.25, abs=1e-15)
-    assert p.circle_defect < 1e-15
-    q = BlochPoint.from_eta(1.0)
-    assert (q.s_x, q.s_z) == (0.0, 0.5)
-    assert BlochPoint(0.0, 0.5).eta == pytest.approx(1.0)
-    assert BlochPoint.from_eta(math.inf).s_x == 0.5
+def on_circle(point):
+    return abs(point.s_x ** 2 + point.s_z ** 2 - 0.25) < 1e-14
 
 
 def test_eta_angle_consistency():
     rng = random.Random(4)
     for _ in range(100):
         p = random_point(rng)
-        q = BlochPoint.from_eta(p.eta)
-        assert abs(p.s_x - q.s_x) < 1e-12
-        assert abs(p.s_z - q.s_z) < 1e-12
+        s_x, s_z = kernels.bloch_from_eta(kernels.eta_from_point(p.s_x, p.s_z))
+        assert abs(p.s_x - s_x) < 1e-12
+        assert abs(p.s_z - s_z) < 1e-12
 
 
 # --- energy functions ---------------------------------------------------
@@ -68,10 +56,11 @@ def test_landscape_reduces_to_circle_energy_at_optimal_field():
                         v=rng.uniform(-3.0, 3.0))
         h = rng.uniform(-1.0, 1.0)
         point = BlochPoint(h * h - 0.5, h * math.sqrt(1.0 - h * h))
-        assert point.circle_defect < 1e-14
+        assert on_circle(point)
         a = p.lam * point.s_x / p.omega
         assert energy_landscape(p, a, h) == pytest.approx(
-            reduced_energy(p, point), abs=1e-12)
+            kernels.reduced_energy(p.u, p.v, p.delta, p.omega_rabi,
+                                   point.s_x, point.s_z), abs=1e-12)
         # any other field value costs energy
         assert energy_landscape(p, a + 0.3, h) >= energy_landscape(p, a, h)
 
@@ -81,26 +70,9 @@ def test_landscape_rejects_h_outside_domain():
         energy_landscape(params_u(1.0), 0.0, 1.5)
 
 
-def test_alpha_star_matches_spin_projection():
-    p = params_u(2.0, omega=4.0)
-    eta = 0.7
-    point = BlochPoint.from_eta(eta)
-    assert alpha_star(p, eta) == pytest.approx(p.lam * point.s_x / p.omega,
-                                               abs=1e-15)
-
-
 # --- stationarity quartic ----------------------------------------------
 
-def test_stationarity_coefficients():
-    p = ModelParams(omega=1.0, lam=1.0, delta=0.5, omega_rabi=0.25, v=-0.3)
-    w = p.u + p.v
-    coeffs = stationarity_coeffs(p)
-    assert coeffs.as_tuple() == (0.5, 2.0 * (w - 0.25), 0.0,
-                                 -2.0 * (w + 0.25), -0.5)
-
-
 def test_solve_stationarity_roots_are_stationary():
-    from extdicke.meanfield import kernels
     rng = random.Random(6)
     for _ in range(100):
         p = ModelParams(omega=1.0, lam=rng.uniform(0.0, 2.0),
@@ -108,14 +80,14 @@ def test_solve_stationarity_roots_are_stationary():
                         omega_rabi=rng.uniform(0.0, 2.0),
                         v=rng.uniform(-3.0, 3.0))
         scale = max(1.0, p.u + abs(p.v) + p.omega_rabi + abs(p.delta))
-        for eta in solve_stationarity(stationarity_coeffs(p)):
+        # delta*eta^4 + 2(w - rabi)*eta^3 - 2(w + rabi)*eta - delta, w = u + v
+        w, rabi = p.u + p.v, p.omega_rabi
+        roots = kernels.real_roots(p.delta, 2.0 * (w - rabi), 0.0,
+                                   -2.0 * (w + rabi), -p.delta)
+        assert roots
+        for eta in roots:
             assert kernels.grad_residual(p.u, p.v, p.delta, p.omega_rabi,
                                          eta) < 1e-9 * scale
-
-
-def test_solve_stationarity_flat_manifold_raises():
-    with pytest.raises(DegenerateManifoldError):
-        solve_stationarity(QuarticCoeffs(0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 # --- ground states: closed forms ----------------------------------------
@@ -234,9 +206,10 @@ def test_solution_fields_are_consistent():
     assert sol.alpha == pytest.approx(p.lam * sol.point.s_x / p.omega, abs=1e-15)
     assert sol.photon_density == pytest.approx(sol.alpha ** 2, abs=1e-15)
     assert sol.m_over_n == pytest.approx(2.0 * sol.point.s_z, abs=1e-15)
-    assert sol.point.circle_defect < 1e-14
-    q = BlochPoint.from_eta(sol.eta)
-    assert abs(q.s_x - sol.point.s_x) < 1e-12
-    assert abs(q.s_z - sol.point.s_z) < 1e-12
-    assert sol.energy_per_atom == pytest.approx(reduced_energy(p, sol.point),
-                                                abs=1e-13)
+    assert on_circle(sol.point)
+    s_x, s_z = kernels.bloch_from_eta(sol.eta)
+    assert abs(s_x - sol.point.s_x) < 1e-12
+    assert abs(s_z - sol.point.s_z) < 1e-12
+    assert sol.energy_per_atom == pytest.approx(
+        kernels.reduced_energy(p.u, p.v, p.delta, p.omega_rabi,
+                               sol.point.s_x, sol.point.s_z), abs=1e-13)

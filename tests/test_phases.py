@@ -7,6 +7,7 @@ import math
 import pytest
 
 from extdicke.model import ModelParams, ParameterError
+from extdicke.sweep import AxisSpec, SweepConfig, run_sweep
 from extdicke.phases import (
     PhaseLabel,
     classify,
@@ -14,7 +15,6 @@ from extdicke.phases import (
     delta_critical,
     detect_transitions,
     mott_boundary_delta,
-    phase_grid,
     susceptibility_v,
     v_critical,
 )
@@ -192,6 +192,33 @@ def test_detect_other_axes_and_observables():
     assert abs(recs2[0].location) < 1e-6
 
 
+def test_lobe_edges_found_from_energy_slope_at_jittered_couplings():
+    # no drive: the lobe edges at delta = +-(u + v) are both second order;
+    # the anchor walk stalls ~1e-11 off the + edge, where the finest scales
+    # see one side of the corner only
+    p = ModelParams(omega=1.0, lam=0.9716279515771061, v=0.1888121752571847)
+    w = p.u + p.v
+    tol = 1e-9 * max(1.0, p.u + abs(p.v))
+    recs = detect_transitions(p, "delta", -2.265746103086216,
+                              2.379033408240527, observable="energy_slope")
+    assert [r.order for r in recs] == ["second", "second"]
+    assert abs(recs[0].location + w) <= tol
+    assert abs(recs[1].location - w) <= tol
+
+
+def test_root_law_onset_along_v_is_second_order():
+    # at delta = 0 the Mott-superfluid onset v_c = -u - rabi is a pitchfork:
+    # m/N grows like sqrt(v_c - v), steep but continuous, with one minimum
+    # on the Mott side
+    p = ModelParams(omega=1.0, lam=1.7303244829143163,
+                    omega_rabi=1.2255030481906881)
+    v_c = -p.u - p.omega_rabi
+    tol = 1e-9 * max(1.0, p.u + abs(p.v))
+    recs = detect_transitions(p, "v", -6.786466156544744, -2.498701926303825)
+    assert [r.order for r in recs] == ["second"]
+    assert abs(recs[0].location - v_c) <= tol
+
+
 def test_detect_rejects_unknown_names():
     with pytest.raises(ParameterError):
         detect_transitions(params_u(1.0), "detuning", 0.0, 1.0)
@@ -205,29 +232,28 @@ def test_detect_rejects_unknown_names():
 # --- phase grid and overlays --------------------------------------------
 
 def test_phase_grid_columns_and_mirror_symmetry():
-    grid = phase_grid(1.0, 0.5, delta_range=(-2.4, 2.4), v_range=(-3.0, 1.0),
-                      resolution=(13, 11))
-    assert len(grid.deltas) == 13 and len(grid.vs) == 11
+    dataset = run_sweep(SweepConfig(
+        base=params_u(1.0, omega_rabi=0.5),
+        axes=(AxisSpec("delta", -2.4, 2.4, 13), AxisSpec("v", -3.0, 1.0, 11))))
+    assert len(dataset.rows) == 13 * 11
+    cols = {name: k for k, name in enumerate(dataset.columns)}
+    labels = [[dataset.rows[11 * i + j][cols["phase_label"]] for j in range(11)]
+              for i in range(13)]
+    vs = [dataset.rows[j][cols["v"]] for j in range(11)]
     # reflection delta -> -delta leaves every label unchanged
     for i in range(13):
-        assert grid.labels[i] == grid.labels[12 - i]
+        assert labels[i] == labels[12 - i]
     # the delta = 0 column reproduces the known v windows (the classifier
     # keeps v = -u itself on the superradiant side)
-    mid = grid.labels[6]
-    for j, v in enumerate(grid.vs):
+    mid = labels[6]
+    assert abs(dataset.rows[11 * 6][cols["delta"]]) < 1e-15
+    for j, v in enumerate(vs):
         if v >= -1.0:
             assert mid[j] == "Superradiant"
         elif v > -1.5:
             assert mid[j] == "Mott"
         elif v < -1.5:
             assert mid[j] == "Superfluid"
-
-
-def test_phase_grid_input_guards():
-    with pytest.raises(ParameterError):
-        phase_grid(-1.0, 0.0)
-    with pytest.raises(ParameterError):
-        phase_grid(1.0, 0.0, resolution=(1, 5))
 
 
 def test_overlays_lie_on_their_lines_and_inside_window():
