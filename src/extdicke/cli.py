@@ -302,17 +302,18 @@ def _detuning_figure(args, stem: str, panels: tuple[tuple[str, str], ...]) -> in
     configs = [SweepConfig(base=base.replace(v=args.v * u, omega_rabi=frac * u),
                            axes=(axis,))
                for frac in fracs]
+    datasets = [run_sweep(config) for config in configs]
+    columns = datasets[0].columns  # every sweep here has the same columns
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for i, (frac, config) in enumerate(zip(fracs, configs)):
-        dataset = run_sweep(config)
+    for i, (frac, dataset) in enumerate(zip(fracs, datasets)):
         path = out_dir / f"{stem}_curve{i}.csv"
         path.write_text(serialize_csv(dataset))
         written.append((frac * u, path))
     script = _GP_COMMON + 'set xlabel "detuning"\n'
     for ylabel, name in panels:
-        column = dataset.columns.index(name) + 1
+        column = columns.index(name) + 1
         plots = ", \\\n     ".join(
             f'"{p.name}" using 1:{column} with lines title "drive = {r:.6g}"'
             for r, p in written)

@@ -18,11 +18,10 @@ Critical lines in the (delta, v) plane at fixed u and omega_rabi:
 The transition detector walks an observable along one parameter axis,
 flags cells where the second difference spikes, then refines each flag with
 two independent probes: a largest-jump bisection down to adjacent floats,
-whose final difference counts as a jump only when the solver sees two
-coexisting local minima at both ends (a first-order transition exchanges
-the global minimum between them), and a two-sided line fit across
-shrinking scales whose intersection pins a kink to far below the scan
-spacing.
+whose final difference is a jump only between coexisting states (two
+local minima, a tied pair of stationary points, or a flat manifold), and
+a two-sided line fit across shrinking scales whose intersection pins a
+kink to far below the scan spacing.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ import statistics
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .meanfield import MeanFieldSolution, ground_state
 from .model import AXES, ModelParams, ParameterError, field_name
@@ -45,6 +45,10 @@ _JUMP_TOL = 1e-6
 _KINK_TOL = 1e-3
 # Points per critical-line polyline.
 _OVERLAY_POINTS = 201
+# Observables read straight off a MeanFieldSolution, and where.
+_PLAIN_OBSERVABLES = {"m_over_n": "m_over_n", "photon_density": "photon_density",
+                      "s_x": "point.s_x", "s_z": "point.s_z",
+                      "energy": "energy_per_atom"}
 
 
 class PhaseLabel(str, Enum):
@@ -145,8 +149,9 @@ class TransitionRecord:
     """One detected transition along a one-parameter sweep.
 
     jump is the observable's difference across the refined bracket, and 0
-    unless local minima coexist on both sides; kink is the limiting slope
-    mismatch (0 for a first-order record).
+    unless the solver sees coexisting states on both sides (see
+    _refine_jump); kink is the limiting slope mismatch (0 for a first-order
+    record).
     """
 
     location: float
@@ -156,32 +161,17 @@ class TransitionRecord:
     kink: float
 
 
-def _axis_setter(params: ModelParams, axis: str):
+def _observable_fn(base: ModelParams, axis: str, observable: str):
+    """t -> (observable value, ground state) along the axis."""
     name = field_name(axis)
     if name not in AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}")
 
-    def family(t: float) -> ModelParams:
-        return params.replace(**{name: t})
+    if observable in _PLAIN_OBSERVABLES:
+        get = attrgetter(_PLAIN_OBSERVABLES[observable])
 
-    return family, name
-
-
-def _observable_fn(base: ModelParams, axis: str, observable: str):
-    """t -> (observable value, ground state) along the axis."""
-    family, name = _axis_setter(base, axis)
-
-    if observable in ("m_over_n", "photon_density", "s_x", "s_z", "energy"):
         def value(p: ModelParams, sol: MeanFieldSolution) -> float:
-            if observable == "m_over_n":
-                return sol.m_over_n
-            if observable == "photon_density":
-                return sol.photon_density
-            if observable == "s_x":
-                return sol.point.s_x
-            if observable == "s_z":
-                return sol.point.s_z
-            return sol.energy_per_atom
+            return get(sol)
     elif observable == "energy_slope":
         # Envelope theorem: at the minimizer the energy derivative along the
         # axis is the explicit partial derivative.
@@ -200,7 +190,7 @@ def _observable_fn(base: ModelParams, axis: str, observable: str):
         raise ParameterError(f"unknown observable {observable!r}")
 
     def f(t: float) -> tuple[float, MeanFieldSolution]:
-        p = family(t)
+        p = base.replace(**{name: t})
         sol = ground_state(p)
         return value(p, sol), sol
 
@@ -218,27 +208,57 @@ def _fit_line(ts, fs, center):
     return fbar + slope * (center - tbar), slope
 
 
-def _refine_jump(solve, a, b):
-    """Bisection toward the larger bracket difference, down to adjacent
-    floats, then the observable's difference across the final bracket.
-
-    A first-order jump is an exchange of the global minimum between two
-    coexisting minima, so the difference counts only when the kernel sees
-    at least two local minima at both ends; anywhere else (kinks, root-law
-    onsets, smooth branches) the jump is 0."""
-    fa, sa = solve(a)
-    fb, sb = solve(b)
+def _bisect(g, a, b):
+    """Bisection toward the larger difference of g, down to adjacent
+    floats; returns the final bracket."""
+    ga, gb = g(a), g(b)
     for _ in range(60):
         m = 0.5 * (a + b)
         if m == a or m == b:
             break
-        fm, sm = solve(m)
-        if abs(fm - fa) >= abs(fb - fm):
-            b, fb, sb = m, fm, sm
+        gm = g(m)
+        if abs(gm - ga) >= abs(gb - gm):
+            b, gb = m, gm
         else:
-            a, fa, sa = m, fm, sm
-    coexist = sa.n_local_minima >= 2 and sb.n_local_minima >= 2
-    return 0.5 * (a + b), abs(fb - fa) if coexist else 0.0
+            a, ga = m, gm
+    return a, b
+
+
+def _refine_jump(solve, a0, b0):
+    """Location and size of the jump in a bracket, read across the
+    adjacent-float bracket that _bisect ends on.
+
+    A first-order jump exchanges the global minimum between coexisting
+    states, so the difference counts only when, at both ends, the kernel
+    sees two local minima or a second stationary point tied with the
+    minimum; at kinks, root-law onsets and smooth branches the jump is 0.
+
+    On a flat manifold every point of the circle is a minimum and the
+    observable's value is a convention, and next to one the kernel breaks
+    near-ties toward one state.  So when the bisection lands on a flat
+    window, the jump is the largest of the difference across the window
+    and the jumps bisected on either side of it."""
+    def jump(a, b):
+        (fa, sa), (fb, sb) = solve(a), solve(b)
+        coexist = all(s.n_local_minima >= 2 or s.degenerate for s in (sa, sb))
+        return 0.5 * (a + b), abs(fb - fa) if coexist else 0.0
+
+    def f(t):
+        return solve(t)[0]
+
+    def flat(t):
+        return solve(t)[1].flat_manifold
+
+    a, b = _bisect(f, a0, b0)
+    if not (flat(a) or flat(b)):
+        return jump(a, b)
+    t_flat = a if flat(a) else b
+    l = _bisect(flat, a0, t_flat)[0]
+    r = _bisect(flat, t_flat, b0)[1]
+    # every coupling is monotone along an axis, so the flat window is one
+    # interval and the side brackets cannot land on it again
+    brackets = [(l, r), _bisect(f, a0, l), _bisect(f, r, b0)]
+    return max((jump(a, b) for a, b in brackets), key=lambda x: x[1])
 
 
 def _refine_kink(f, center, delta0, span, f_scale):
@@ -302,9 +322,7 @@ def _refine_kink(f, center, delta0, span, f_scale):
               if ok and not smooth_resolved[k]]
     # quadratic decay from the very first halvings means plain smooth
     # curvature, not a rounded corner: report no kink at all
-    if any(smooth_resolved) and len(usable) < 3:
-        return center, 0.0
-    if not usable:
+    if not usable or (any(smooth_resolved) and len(usable) < 3):
         return center, 0.0
     best_k, best_score = usable[0], math.inf
     for pos, k in enumerate(usable):
@@ -383,17 +401,10 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
         records.append(TransitionRecord(loc_k, order, observable, jump, kink))
 
     # Flagged cells adjacent to the same feature refine to nearly the same
-    # place; keep the refinement with the strongest evidence.  A record's
-    # evidence is the measure that classified it -- the jump for first
-    # order, the limiting slope mismatch for second order -- and the other
-    # field is below its threshold by construction, so it must not break
-    # ties.
-    def _strength(r: TransitionRecord) -> tuple[bool, bool, float]:
-        if r.order == "first":
-            return (True, True, r.jump)
-        if r.order == "second":
-            return (True, False, r.kink)
-        return (False, False, 0.0)
+    # place; keep the refinement with the strongest evidence, the measure
+    # that classified it (the jump for first order, the kink for second).
+    def _strength(r: TransitionRecord) -> tuple[int, float]:
+        return {"first": (2, r.jump), "second": (1, r.kink)}.get(r.order, (0, 0.0))
 
     records.sort(key=lambda r: r.location)
     merged: list[TransitionRecord] = []

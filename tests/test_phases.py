@@ -219,6 +219,33 @@ def test_root_law_onset_along_v_is_second_order():
     assert abs(recs[0].location - v_c) <= tol
 
 
+def test_first_order_jump_through_the_flat_manifold():
+    # at delta = rabi = 0 the energy is -(u + v) s_x**2 + v/4: the polarized
+    # pair s_z = +-1/2 (m/N = +-1) gives way to the superradiant pair s_z = 0
+    # at v = -u, where the energy is flat over the whole circle
+    tol = 1e-9 * 2.0
+    recs = detect_transitions(params_u(1.0), "v", -1.5, -0.5)
+    assert [r.order for r in recs] == ["first"]
+    assert abs(recs[0].location + 1.0) <= tol
+    assert abs(recs[0].jump - 1.0) <= tol
+    # at u + v = 0 the detuning alone tilts the circle, E = v/4 + delta s_z:
+    # m/N jumps from +1 to -1 at delta = 0, a scan node on the flat manifold
+    recs = detect_transitions(params_u(1.0, v=-1.0), "delta", -1.0, 1.0)
+    assert [r.order for r in recs] == ["first"]
+    assert abs(recs[0].location) <= tol
+    assert abs(recs[0].jump - 2.0) <= tol
+
+
+@pytest.mark.parametrize("u", [0.5, 2.0])
+def test_drive_rounded_lobe_edge_is_no_transition(u):
+    # a drive of 0.03u rounds the lobe edges at delta = +-1.2u into a smooth
+    # crossover: no scale of the kink refinement may report a kink there
+    p = params_u(u, v=0.2 * u, omega_rabi=0.03 * u)
+    for obs in ("m_over_n", "photon_density", "energy_slope", "s_x"):
+        assert detect_transitions(p, "delta", -2.7 * u, 2.7 * u,
+                                  observable=obs) == []
+
+
 def test_detect_rejects_unknown_names():
     with pytest.raises(ParameterError):
         detect_transitions(params_u(1.0), "detuning", 0.0, 1.0)
