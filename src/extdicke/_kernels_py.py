@@ -17,12 +17,21 @@ Stationary points of the reduced energy at finite eta are the real roots of
     delta*eta**4 + 2*(u + v - rabi)*eta**3 - 2*(u + v + rabi)*eta - delta = 0
 
 and the point eta = +-inf is stationary exactly when delta = 0.
+
+Every polynomial in the root finder, the quartic, its derivatives and the
+trimmed lower-degree polynomials, is a zero-padded quartic: a 5-tuple
+(c0, c1, c2, c3, c4), highest power first, evaluated inline by the one
+Horner expression (((c0*x + c1)*x + c2)*x + c3)*x + c4.  For finite x this
+gives the floats of a Horner loop over the unpadded coefficients started
+from acc = 0.0: a zero accumulator times x stays a zero, and a zero plus the
+first nonzero coefficient is that coefficient exactly, so the leading zeros
+change at most the sign of a zero result, which no caller reads (they test
+p == 0 or compare |p|).  So one code path serves degrees 1 to 4.
 """
 
 import math
 
 __all__ = [
-    "poly_eval",
     "real_roots",
     "bloch_from_eta",
     "eta_from_point",
@@ -69,14 +78,6 @@ _FLAT_EPS = 1e-14
 _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-def poly_eval(coeffs, x):
-    """Horner evaluation; coeffs are highest power first."""
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def _quadratic_roots(a, b, c):
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
@@ -91,9 +92,9 @@ def _quadratic_roots(a, b, c):
     return [r1, r2] if r1 <= r2 else [r2, r1]
 
 
-def _bracketed_newton(coeffs, deriv, a, b, fa):
-    """Root of the polynomial coeffs in [a, b], on which it is monotone and
-    changes sign (fa = p(a)); deriv holds the coefficients of p'.
+def _bracketed_newton(p, dp, a, b, fa):
+    """Root of the padded polynomial p in [a, b], on which it is monotone
+    and changes sign (fa = p(a)); dp holds the padded coefficients of p'.
 
     Safeguarded Newton (rtsafe; Press et al., Numerical Recipes, sec. 9.4):
     start at the midpoint, narrow the sign bracket at every evaluation, and
@@ -102,20 +103,24 @@ def _bracketed_newton(coeffs, deriv, a, b, fa):
     on the root from one side still steps across it and closes the bracket.
     Returns the midpoint of the final bracket.
     """
+    c0, c1, c2, c3, c4 = p
+    d0, d1, d2, d3, d4 = dp
     neg = fa < 0.0
     x = 0.5 * (a + b)
     for _ in range(200):
-        fx = poly_eval(coeffs, x)
+        fx = (((c0 * x + c1) * x + c2) * x + c3) * x + c4
         if fx == 0.0:
             return x
         if (fx < 0.0) == neg:
             a = x
         else:
             b = x
-        tol = 1e-15 * max(1.0, abs(a), abs(b))
+        # 1e-15 * max(1.0, |a|, |b|); a <= b, so max(|a|, |b|) is b or -a
+        m = b if b > -a else -a
+        tol = 1e-15 * m if m > 1.0 else 1e-15
         if (b - a) <= tol:
             break
-        dfx = poly_eval(deriv, x)
+        dfx = (((d0 * x + d1) * x + d2) * x + d3) * x + d4
         if dfx == 0.0:
             x = 0.5 * (a + b)
             continue
@@ -127,8 +132,9 @@ def _bracketed_newton(coeffs, deriv, a, b, fa):
     return 0.5 * (a + b)
 
 
-def _real_roots_desc(coeffs):
-    """Real roots of coeffs (highest first, leading != 0, degree 1..4).
+def _real_roots_desc(p, n):
+    """Real roots of the padded polynomial p of degree n (1..4), whose
+    leading coefficient p[4 - n] is nonzero.
 
     Degree >= 3 is handled by splitting the axis at the (recursively found)
     critical points, which bounds one sign change per monotone interval, then
@@ -136,16 +142,16 @@ def _real_roots_desc(coeffs):
     up as critical points with |p| at the evaluation noise floor and are
     accepted directly.
     """
-    n = len(coeffs) - 1
+    c0, c1, c2, c3, c4 = p
     if n == 1:
-        return [-coeffs[1] / coeffs[0]]
+        return [-c4 / c3]
     if n == 2:
-        return _quadratic_roots(coeffs[0], coeffs[1], coeffs[2])
+        return _quadratic_roots(c2, c3, c4)
 
-    deriv = [coeffs[i] * (n - i) for i in range(n)]
-    crits = sorted(_real_roots_desc(deriv))
-    lead = abs(coeffs[0])
-    bound = 1.0 + max(abs(c) for c in coeffs[1:]) / lead
+    dp = (0.0, 4.0 * c0, 3.0 * c1, 2.0 * c2, c3)
+    crits = sorted(_real_roots_desc(dp, n - 1))
+    lead = abs(c0) if n == 4 else abs(c1)
+    bound = 1.0 + max(abs(c1) if n == 4 else 0.0, abs(c2), abs(c3), abs(c4)) / lead
 
     roots = []
     for x in crits:
@@ -154,41 +160,41 @@ def _real_roots_desc(coeffs):
         # the evaluation noise there.  A looser bound fabricates roots: a
         # near-degenerate quartic can have |p(0)| far below the coefficient
         # scale while its true root sits many orders of magnitude away.
-        mag = 0.0
-        xp = 1.0
         ax = abs(x)
-        for c in reversed(coeffs):
-            mag += abs(c) * xp
-            xp *= ax
-        if abs(poly_eval(coeffs, x)) <= _ROOT_ACCEPT * mag:
+        x2 = ax * ax
+        x3 = x2 * ax
+        mag = abs(c4) + abs(c3) * ax + abs(c2) * x2 + abs(c1) * x3 + abs(c0) * (x3 * ax)
+        if abs((((c0 * x + c1) * x + c2) * x + c3) * x + c4) <= _ROOT_ACCEPT * mag:
             roots.append(x)
 
     pts = [-bound] + [x for x in crits if -bound < x < bound] + [bound]
-    vals = [poly_eval(coeffs, x) for x in pts]
+    vals = [(((c0 * x + c1) * x + c2) * x + c3) * x + c4 for x in pts]
     for i in range(len(pts) - 1):
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0:
             roots.append(pts[i])
         elif fa * fb < 0.0:
-            roots.append(_bracketed_newton(coeffs, deriv, pts[i], pts[i + 1], fa))
+            roots.append(_bracketed_newton(p, dp, pts[i], pts[i + 1], fa))
     if vals[-1] == 0.0:
         roots.append(pts[-1])
     return roots
 
 
-def _polish(coeffs, dcoeffs, x):
-    # A few safeguarded Newton steps against the untrimmed polynomial.
-    p = poly_eval(coeffs, x)
+def _polish(p, dp, x):
+    # A few safeguarded Newton steps against the untrimmed quartic p.
+    c0, c1, c2, c3, c4 = p
+    d0, d1, d2, d3, d4 = dp
+    px = (((c0 * x + c1) * x + c2) * x + c3) * x + c4
     for _ in range(3):
-        if p == 0.0:
+        if px == 0.0:
             break
-        dp = poly_eval(dcoeffs, x)
-        if dp == 0.0:
+        dpx = (((d0 * x + d1) * x + d2) * x + d3) * x + d4
+        if dpx == 0.0:
             break
-        x1 = x - p / dp
-        p1 = poly_eval(coeffs, x1)
-        if abs(p1) < abs(p):
-            x, p = x1, p1
+        x1 = x - px / dpx
+        p1 = (((c0 * x1 + c1) * x1 + c2) * x1 + c3) * x1 + c4
+        if abs(p1) < abs(px):
+            x, px = x1, p1
         else:
             break
     return x
@@ -203,34 +209,32 @@ def real_roots(c4, c3, c2, c1, c0):
     against the full input polynomial.  Returns () when all coefficients
     vanish.
     """
-    coeffs = [c4, c3, c2, c1, c0]
-    scale = max(abs(c) for c in coeffs)
+    p = (c4, c3, c2, c1, c0)
+    scale = max(abs(c4), abs(c3), abs(c2), abs(c1), abs(c0))
     if scale == 0.0:
         return ()
     k = 0
-    while k < 4 and abs(coeffs[k]) <= _REL_COEFF_EPS * scale:
+    while k < 4 and abs(p[k]) <= _REL_COEFF_EPS * scale:
         k += 1
-    cs = coeffs[k:]
-    zero_root = False
-    while len(cs) > 1 and abs(cs[-1]) <= _REL_COEFF_EPS * scale:
-        cs.pop()
-        zero_root = True
-    if len(cs) > 1:
-        roots = _real_roots_desc(cs)
-    else:
-        roots = []
-    if zero_root:
+    j = 4
+    while j > k and abs(p[j]) <= _REL_COEFF_EPS * scale:
+        j -= 1
+    n = j - k
+    roots = _real_roots_desc((0.0,) * (4 - n) + p[k:j + 1], n) if n else []
+    if j < 4:
         roots.append(0.0)
     if not roots:
         return ()
 
-    dcoeffs = [4.0 * c4, 3.0 * c3, 2.0 * c2, c1]
-    roots = sorted(_polish(coeffs, dcoeffs, r) for r in roots)
+    dp = (0.0, 4.0 * c4, 3.0 * c3, 2.0 * c2, c1)
+    roots = sorted(_polish(p, dp, r) for r in roots)
     out = [roots[0]]
     for r in roots[1:]:
         if r - out[-1] <= _DEDUPE_EPS * max(1.0, abs(r)):
             # Keep the copy with the smaller backward error.
-            if abs(poly_eval(coeffs, r)) < abs(poly_eval(coeffs, out[-1])):
+            q = out[-1]
+            if (abs((((c4 * r + c3) * r + c2) * r + c1) * r + c0)
+                    < abs((((c4 * q + c3) * q + c2) * q + c1) * q + c0)):
                 out[-1] = r
         else:
             out.append(r)
@@ -290,12 +294,6 @@ def grad_residual(u, v, delta, rabi, eta):
     return abs(lhs) / (2.0 * d * d)
 
 
-def _theta_of_eta(eta):
-    if math.isinf(eta):
-        return 0.0
-    return math.pi - 2.0 * math.atan(eta)
-
-
 def _cyclic_dist(a, b):
     d = abs(a - b)
     return min(d, TWO_PI - d)
@@ -323,7 +321,8 @@ def solve_point(u, v, delta, rabi):
     is exact, and energy and residual are scaled back by 2**k.
     """
     k = math.frexp(max(u, abs(v), rabi, abs(delta)))[1]
-    u, v, delta, rabi = (math.ldexp(x, -k) for x in (u, v, delta, rabi))
+    u, v = math.ldexp(u, -k), math.ldexp(v, -k)
+    delta, rabi = math.ldexp(delta, -k), math.ldexp(rabi, -k)
     w = u + v
     scale = max(u, abs(v), rabi, abs(delta))
     if scale == 0.0 or max(abs(delta), rabi, abs(w)) <= _FLAT_EPS * scale:
@@ -336,8 +335,13 @@ def solve_point(u, v, delta, rabi):
     roots = real_roots(delta, 2.0 * (w - rabi), 0.0, -2.0 * (w + rabi), -delta)
     cands = []  # (theta, s_x, s_z, energy, eta)
     for r in roots:
-        s_x, s_z = bloch_from_eta(r)
-        cands.append((_theta_of_eta(r), s_x, s_z, reduced_energy(u, v, delta, rabi, s_x, s_z), r))
+        # bloch_from_eta, theta = pi - 2*atan(eta) and reduced_energy,
+        # written out; the roots of the scaled quartic are finite
+        d = 1.0 + r * r
+        s_x = (r * r - 1.0) / (2.0 * d)
+        s_z = r / d
+        cands.append((math.pi - 2.0 * math.atan(r), s_x, s_z,
+                      -u * s_x * s_x + v * s_z * s_z + delta * s_z + rabi * s_x, r))
     if abs(delta) <= _FLAT_EPS * scale:
         # The (1/2, 0) pole is stationary only on the delta = 0 axis.
         cands.append((0.0, 0.5, 0.0, reduced_energy(u, v, delta, rabi, 0.5, 0.0), math.inf))
@@ -349,6 +353,7 @@ def solve_point(u, v, delta, rabi):
     cands.sort()
     n = len(cands)
     n_minima = 0
+    e_min = cands[0][3]
     if n == 1:
         n_minima = 1
     else:
@@ -356,8 +361,10 @@ def solve_point(u, v, delta, rabi):
             e = cands[i][3]
             if e <= cands[i - 1][3] and e <= cands[(i + 1) % n][3]:
                 n_minima += 1
+                # the global minimum is a local one
+                if e < e_min:
+                    e_min = e
 
-    e_min = min(c[3] for c in cands)
     sel_tol = _SELECT_EPS * scale
     sel = [c for c in cands if c[3] <= e_min + sel_tol]
     rep = sel[0]
@@ -366,11 +373,14 @@ def solve_point(u, v, delta, rabi):
             rep = c
         elif abs(c[2] - rep[2]) <= _RANK_EPS and c[1] > rep[1] + _RANK_EPS:
             rep = c
-    tie_tol = _TIE_EPS * scale
-    degenerate = any(
-        c[3] <= e_min + tie_tol and _cyclic_dist(c[0], rep[0]) > _DISTINCT_ANGLE
-        for c in cands
-    )
+    tie = e_min + _TIE_EPS * scale
+    degenerate = False
+    for c in cands:
+        if c[3] <= tie:
+            d = abs(c[0] - rep[0])  # _cyclic_dist, written out
+            if d > _DISTINCT_ANGLE and TWO_PI - d > _DISTINCT_ANGLE:
+                degenerate = True
+                break
     residual = grad_residual(u, v, delta, rabi, rep[4])
     return (rep[1], rep[2], math.ldexp(rep[3], k), rep[4],
             math.ldexp(residual, k), degenerate, False, n_minima)

@@ -233,12 +233,14 @@ def cmd_scan(args) -> int:
 
 
 def _fig_base(args) -> tuple[ModelParams, float]:
-    """Base parameters and the coupling scale u for the figure commands."""
+    """Base parameters and the coupling scale u for the figure commands.
+    Every axis and drive is in units of u, so --u must be finite and
+    positive."""
+    if not (math.isfinite(args.u) and args.u > 0.0):
+        raise ParameterError(f"--u must be finite and positive, got {args.u}")
     if args.units == "mhz":
         base = ModelParams(omega=_MHZ_OMEGA, lam=_MHZ_LAMBDA, n_atoms=_MHZ_N_ATOMS)
     else:
-        if args.u < 0.0:
-            raise ParameterError("negative coupling u")
         base = ModelParams(omega=1.0, lam=math.sqrt(args.u), n_atoms=1)
     return base, base.u
 

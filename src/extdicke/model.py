@@ -18,10 +18,17 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 # Exact SI value (h = 6.62607015e-34 J s since 2019), in J s.
 hbar = 6.62607015e-34 / (2.0 * math.pi)
+
+# The largest finite float.  A number between -_FLOAT_MAX and _FLOAT_MAX is
+# finite: nan and +-inf fail the comparison, and so does an int too large
+# for a float (JSON reads a long digit string as one), which math.isfinite
+# would meet with an OverflowError.
+_FLOAT_MAX = sys.float_info.max
 
 # Couplings a sweep or a transition scan may move, by ModelParams field.
 AXES = ("omega", "lam", "delta", "omega_rabi", "v")
@@ -71,6 +78,8 @@ class ModelParams:
     def from_dict(cls, data: dict) -> "ModelParams":
         """Build from a dict keyed by field or JSON name; if both "lam" and
         "lambda" are given, the later one wins."""
+        if not isinstance(data, dict):
+            raise ParameterError("model parameters must be a JSON object")
         kw = {field_name(k): v for k, v in data.items()}
         unknown = set(kw) - {*AXES, "n_atoms"}
         if unknown:
@@ -92,7 +101,7 @@ def validate(params: ModelParams) -> ModelParams:
         x = getattr(params, name)
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ParameterError(f"parameter {name!r} is not a number")
-        if not math.isfinite(x):
+        if not -_FLOAT_MAX <= x <= _FLOAT_MAX:
             raise ParameterError(f"non-finite parameter {name!r}")
     if params.omega <= 0.0:
         raise ParameterError("nonpositive cavity frequency")
@@ -106,7 +115,7 @@ def validate(params: ModelParams) -> ModelParams:
         raise ParameterError("negative Rabi frequency")
     n = params.n_atoms
     if (isinstance(n, bool) or not isinstance(n, numbers.Real)
-            or not math.isfinite(n) or int(n) != n or n < 1):
+            or not -_FLOAT_MAX <= n <= _FLOAT_MAX or int(n) != n or n < 1):
         raise ParameterError("the number of atoms must be a positive integer")
     return params
 

@@ -65,8 +65,14 @@ class SweepConfig:
             seen.add(key)
             if axis.count < 2:
                 raise ParameterError("axis count must be at least 2")
+            if not (math.isfinite(axis.min) and math.isfinite(axis.max)):
+                raise ParameterError(f"axis {axis.name!r} bounds must be finite, "
+                                     f"got {axis.min!r} to {axis.max!r}")
             if not axis.max >= axis.min:
                 raise ParameterError("axis max below min")
+            if not math.isfinite(axis.max - axis.min):
+                raise ParameterError(f"axis {axis.name!r} step overflows: "
+                                     f"{axis.min!r} to {axis.max!r}")
         for n in self.exact_n:
             if n < 1:
                 raise ParameterError("exact_n entries must be positive")
@@ -92,6 +98,10 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
+        """Build from the JSON form; a value of the wrong shape or type is a
+        ParameterError, like a value outside its domain."""
+        if not isinstance(data, dict):
+            raise ParameterError("sweep config must be a JSON object")
         known = {"base", "axes", "exact_n", "exact_eps", "exact_n_max_start"}
         unknown = set(data) - known
         if unknown:
@@ -99,16 +109,15 @@ class SweepConfig:
         if "base" not in data or "axes" not in data:
             raise ParameterError("sweep config needs 'base' and 'axes'")
         base = ModelParams.from_dict(data["base"])
-        axes = tuple(
-            AxisSpec(a["name"], float(a["min"]), float(a["max"]),
-                     _integer(a["count"], "axis count"))
-            for a in data["axes"]
-        )
+        exact_n = data.get("exact_n", [])
+        for key, value in (("axes", data["axes"]), ("exact_n", exact_n)):
+            if not isinstance(value, list):
+                raise ParameterError(f"sweep config {key!r} must be a list, got {value!r}")
         return cls(
             base=base,
-            axes=axes,
-            exact_n=tuple(_integer(n, "exact_n entry") for n in data.get("exact_n", ())),
-            exact_eps=float(data.get("exact_eps", 1e-8)),
+            axes=tuple(_axis(a, i) for i, a in enumerate(data["axes"])),
+            exact_n=tuple(_integer(n, "exact_n entry") for n in exact_n),
+            exact_eps=_real(data.get("exact_eps", 1e-8), "exact_eps"),
             exact_n_max_start=_integer(data.get("exact_n_max_start", 8),
                                        "exact_n_max_start"),
         )
@@ -118,10 +127,40 @@ class SweepConfig:
         return cls.from_dict(json.loads(text))
 
 
+_AXIS_KEYS = ("name", "min", "max", "count")
+
+
+def _axis(data, i: int) -> AxisSpec:
+    """AxisSpec from entry i of a config's "axes" list, which must be an
+    object with exactly the keys name, min, max and count."""
+    if not isinstance(data, dict):
+        raise ParameterError(f"axis {i} must be an object with keys {list(_AXIS_KEYS)}")
+    what = f"axis {data.get('name', i)!r}"
+    if set(data) != set(_AXIS_KEYS):
+        raise ParameterError(f"{what} must have exactly the keys {list(_AXIS_KEYS)}, "
+                             f"got {sorted(map(str, data))}")
+    return AxisSpec(data["name"], _real(data["min"], f"{what} min"),
+                    _real(data["max"], f"{what} max"),
+                    _integer(data["count"], f"{what} count"))
+
+
+def _real(x, what: str) -> float:
+    """float(x) for an int or a float; a bool, a string, null or any other
+    type is an error rather than something to convert."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParameterError(f"{what} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ParameterError(f"{what} is too large for a float") from None
+
+
 def _integer(x, what: str) -> int:
-    """int(x), except that a bool or a float with a fractional part (or no
-    finite value) is an error rather than something to truncate."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+    """int(x), except that a bool, a non-number or a float with a fractional
+    part (or no finite value) is an error rather than something to
+    truncate."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or (isinstance(x, float) and not x.is_integer())):
         raise ParameterError(f"{what} must be an integer, got {x!r}")
     return int(x)
 

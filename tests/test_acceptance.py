@@ -10,6 +10,7 @@ tolerances are part of the contract; loosening one is an API break.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -175,20 +176,34 @@ def test_trap_parameter_estimates():
     assert est.metadata["v_shorthand"] == pytest.approx(est.v / 2.0, rel=1e-12)
 
 
+# Small-grid figure runs: the argv and the sha256 of each dataset file it
+# writes, recorded at sweep format 3.  A changed digest is a change of
+# dataset bytes: it needs a `sweep format` bump in the provenance line and a
+# cell-level diff in CHANGES.md (how many cells moved, and by how much), as
+# the Newton-kernel and parity-sector changes gave.  The provenance line
+# also carries the package version, so a version bump changes every digest.
+_FIGURE_CASES = [
+    (["fig2", "--points", "21", "--delta-span", "1.5",
+      "--rabi-fracs", "0,0.02,0.05"],
+     {"fig2_curve0.csv": "0cd2d1bd7c6ca22287e6c6e788288dfc389578055a1b41ce1e4d094496540bd0",
+      "fig2_curve1.csv": "57778b16a9496306e60b709d702818ce0cd7771623eb600ca9ecf5d09704dd30",
+      "fig2_curve2.csv": "e965a4f531b4dcbf903f9e9bd65d946f084990d37b91225663f2043911979357"}),
+    (["fig3", "--resolution", "13x9"],
+     {"fig3_grid.csv": "50a623bc44ea055af11d524a0acfc3953c8fa3852e20ccea16fda24475285ca9",
+      "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
+    (["fig4", "--points", "17"],
+     {"fig4_curve0.csv": "76b5d83b984056472681af3e6a5d41bd0b9632870f16194ac112e388017524a6",
+      "fig4_curve1.csv": "7c0912b7f7ef453798b027a6c2adf44c786131567366dbd75c427489716bb1d3",
+      "fig4_curve2.csv": "97e7a64d9f3bc5c4f9ff2c1779aae3f4a623718262527b335c9432786861c833",
+      "fig4_curve3.csv": "42b88f27780b02ab367e270ee395a1c9cf1cb55d80113953440cc261881dc291"}),
+]
+
+
 def test_figure_datasets_are_deterministic(tmp_path, capsys):
     # Every dataset writer must produce byte-identical files across repeat
     # runs.
-    cases = [
-        (["fig2", "--points", "21", "--delta-span", "1.5",
-          "--rabi-fracs", "0,0.02,0.05"],
-         ["fig2_curve0.csv", "fig2_curve1.csv", "fig2_curve2.csv"]),
-        (["fig3", "--resolution", "13x9"],
-         ["fig3_grid.csv", "fig3_overlays.csv"]),
-        (["fig4", "--points", "17"],
-         ["fig4_curve0.csv", "fig4_curve1.csv",
-          "fig4_curve2.csv", "fig4_curve3.csv"]),
-    ]
-    for args, names in cases:
+    for args, digests in _FIGURE_CASES:
+        names = list(digests)
         runs = {}
         for tag in ("a", "b"):
             out_dir = tmp_path / (args[0] + tag)
@@ -196,3 +211,12 @@ def test_figure_datasets_are_deterministic(tmp_path, capsys):
             runs[tag] = [(out_dir / name).read_bytes() for name in names]
         capsys.readouterr()
         assert runs["a"] == runs["b"]
+
+
+def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
+    for args, digests in _FIGURE_CASES:
+        out_dir = tmp_path / args[0]
+        assert cli.main(args + ["--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                for name in digests} == digests

@@ -293,6 +293,29 @@ def test_scan_bad_exact_settings_exit_2_before_any_node(bad, tmp_path, capsys):
     assert not out.exists()
 
 
+_AXIS = SWEEP_JSON["axes"][0]
+
+
+@pytest.mark.parametrize("axes, named", [
+    ([{**_AXIS, "min": -math.inf}], "'delta'"),
+    ([{**_AXIS, "min": -1e308, "max": 1e308}], "'delta'"),  # infinite step
+    ([{k: v for k, v in _AXIS.items() if k != "min"}], "'delta'"),
+    ([{**_AXIS, "min": None}], "'delta'"),
+    ([{**_AXIS, "count": "5"}], "'delta'"),
+    (_AXIS, "'axes'"),
+    ("delta", "'axes'"),
+    (["delta"], "axis 0"),
+])
+def test_scan_malformed_axes_exit_2_before_any_node(axes, named, tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({**SWEEP_JSON, "axes": axes}))  # -inf as -Infinity
+    out = tmp_path / "data.csv"
+    assert cli.main(["scan", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
 # --- figure commands ----------------------------------------------------
 
 def test_fig2_outputs_and_determinism(tmp_path, capsys):
@@ -355,6 +378,9 @@ def test_fig2_mhz_units_smoke(tmp_path, capsys):
     ["fig2", "--rabi-fracs", "a,b"],
     ["fig2", "--rabi-fracs", ""],
     ["fig2", "--u", "-1"],
+    ["fig2", "--u", "0"],
+    ["fig3", "--u", "nan"],
+    ["fig4", "--u", "inf"],
     ["fig3", "--resolution", "9"],
     ["fig3", "--resolution", "10xq"],
     ["fig3", "--resolution", "10x"],
@@ -373,7 +399,7 @@ def test_fig_bad_options_exit_2(argv, capsys, tmp_path):
     assert cli.main(argv + ["--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    for flag in ("--resolution", "--points", "--delta-span", "--v-min",
+    for flag in ("--u", "--resolution", "--points", "--delta-span", "--v-min",
                  "--v-max"):
         if flag in argv:
             assert flag in err

@@ -78,26 +78,30 @@ def test_roots_known_sets(k):
     assert k.real_roots(0.0, 0.0, 0.0, 0.0, 0.0) == ()
 
 
-def test_root_finding_work_count(k, monkeypatch):
-    # Newton inside each monotone bracket needs ~100 polynomial evaluations
-    # per stationarity quartic on these points; bisecting every bracket to
-    # fp exhaustion needed ~270.  A call count, not a time, so it cannot flake.
+def test_root_finding_work_count(k):
+    # Newton inside each monotone bracket needs ~37 evaluations of the
+    # stationarity quartic per real_roots call on these points; bisecting
+    # every bracket to fp exhaustion needs ~155.  The kernel evaluates its
+    # polynomials inline, so the leading coefficient counts them: every
+    # Horner pass over the quartic starts with lead * x, and a product of
+    # Lead is a plain float, so the roots keep their bits.  A call count,
+    # not a time, so it cannot flake.
     calls = 0
-    evaluate = k.poly_eval
 
-    def counted(coeffs, x):
-        nonlocal calls
-        calls += 1
-        return evaluate(coeffs, x)
+    class Lead(float):
+        def __mul__(self, other):
+            nonlocal calls
+            calls += 1
+            return float.__mul__(self, other)
 
-    monkeypatch.setattr(k, "poly_eval", counted)
     rng = random.Random(18)
     n = 500
     for _ in range(n):
         u, v, d, r = random_params(rng)
         w = u + v
-        k.real_roots(d, 2.0 * (w - r), 0.0, -2.0 * (w + r), -d)
-    assert calls / n < 150
+        coeffs = (2.0 * (w - r), 0.0, -2.0 * (w + r), -d)
+        assert k.real_roots(Lead(d), *coeffs) == k.real_roots(d, *coeffs)
+    assert 0 < calls / n < 60
 
 
 def test_roots_scale_invariance(k):

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import extdicke
 from extdicke.model import (
@@ -91,6 +93,38 @@ def test_validate_rejections(kw, msg):
     # building the parameters is enough: no call of validate is needed
     with pytest.raises(ParameterError, match=msg):
         ModelParams(**{"omega": 1.0, "lam": 1.0, **kw})
+
+
+_NOT_A_NUMBER = st.one_of(st.booleans(), st.none(), st.text(max_size=3))
+_NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf, 10**400, -10**400))
+_NEGATIVE = st.floats(max_value=-1e-300, allow_infinity=False)
+_FRACTION = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: not x.is_integer())
+# For each field: values of the wrong type, non-finite values, and the
+# values its domain forbids.
+_INVALID = {
+    "omega": st.one_of(_NOT_A_NUMBER, _NON_FINITE,
+                       st.floats(max_value=0.0, allow_infinity=False)),
+    "lam": st.one_of(_NOT_A_NUMBER, _NON_FINITE, _NEGATIVE,
+                     st.floats(min_value=1.4e154, allow_infinity=False)),  # u overflows
+    "delta": st.one_of(_NOT_A_NUMBER, _NON_FINITE),
+    "omega_rabi": st.one_of(_NOT_A_NUMBER, _NON_FINITE, _NEGATIVE),
+    "v": st.one_of(_NOT_A_NUMBER, _NON_FINITE),
+    "n_atoms": st.one_of(_NOT_A_NUMBER, _NON_FINITE, st.integers(max_value=0), _FRACTION),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of([s.map(lambda bad, name=name: (name, bad))
+                       for name, s in _INVALID.items()]))
+def test_every_invalid_parameter_is_a_parameter_error(case):
+    # a typed error, and no other exception, from both ways of building
+    name, bad = case
+    with pytest.raises(ParameterError):
+        ModelParams(**{"omega": 1.0, "lam": 1.0, name: bad})
+    with pytest.raises(ParameterError):
+        ModelParams.from_dict({"omega": 1.0, "lambda": 1.0,
+                               "lambda" if name == "lam" else name: bad})
 
 
 def test_validate_passthrough_and_coupling():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extdicke.meanfield import ground_state
-from extdicke.model import ModelParams, ParameterError
+from extdicke.model import AXES, ModelParams, ParameterError
 from extdicke.phases import classify
 from extdicke.sweep import (
     AxisSpec,
@@ -244,6 +244,54 @@ def test_bad_axes_rejected(axes, message):
     # building the config is enough: no sweep needs to run
     with pytest.raises(ParameterError, match=message):
         SweepConfig(base=BASE, axes=axes)
+
+
+_NOT_A_NUMBER = st.one_of(st.sampled_from((None, True, False, "1", [1.0], {})),
+                          st.text(max_size=3))
+_NOT_FINITE = st.one_of(_NOT_A_NUMBER,
+                        st.sampled_from((math.nan, math.inf, -math.inf, -10**400)))
+_FRACTION = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: not x.is_integer())
+_NOT_A_COUNT = st.one_of(_NOT_FINITE, _FRACTION, st.integers(max_value=1))
+_AXIS = {"name": "delta", "min": -1.0, "max": 1.0, "count": 3}
+_NOT_A_LIST = st.one_of(st.none(), st.integers(), st.text(max_size=3), st.just(_AXIS))
+_BAD_AXIS = st.one_of(
+    st.tuples(st.sampled_from(("min", "max")), _NOT_FINITE).map(
+        lambda kv: {**_AXIS, kv[0]: kv[1]}),
+    _NOT_A_COUNT.map(lambda c: {**_AXIS, "count": c}),
+    st.sampled_from(tuple(_AXIS)).map(  # a key missing
+        lambda key: {k: v for k, v in _AXIS.items() if k != key}),
+    st.just({**_AXIS, "step": 0.5}),  # an unknown key
+    st.one_of(st.text(max_size=5).filter(lambda n: n not in (*AXES, "lambda")),
+              st.integers(), st.none()).map(lambda n: {**_AXIS, "name": n}),
+    st.floats(min_value=1e308, allow_infinity=False).map(  # the step overflows
+        lambda b: {**_AXIS, "min": -b, "max": b}),
+    st.just({**_AXIS, "min": 2.0}),  # max below min
+    st.one_of(st.none(), st.integers(), st.text(max_size=3)),  # not an object
+)
+_MALFORMED = {
+    "axes": st.one_of(
+        _NOT_A_LIST, st.just([]), st.just([_AXIS] * 3),
+        _BAD_AXIS.map(lambda a: [a]),
+        _BAD_AXIS.map(lambda a: [{"name": "v", "min": 0.0, "max": 1.0, "count": 2}, a])),
+    "exact_n": st.one_of(
+        _NOT_A_LIST,
+        st.lists(st.one_of(_NOT_FINITE, _FRACTION, st.integers(max_value=0)),
+                 min_size=1, max_size=2)),
+    "exact_eps": st.one_of(_NOT_FINITE, st.floats(max_value=0.0)),
+    "exact_n_max_start": st.one_of(_NOT_FINITE, _FRACTION, st.integers(max_value=0)),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of([s.map(lambda bad, key=key: (key, bad))
+                       for key, s in _MALFORMED.items()]))
+def test_every_malformed_sweep_config_is_a_parameter_error(case):
+    # a typed error, and no other exception, when the config is read: a
+    # scan stops before any node runs
+    key, bad = case
+    with pytest.raises(ParameterError):
+        SweepConfig.from_dict({**small_config(exact_n=(4,)).to_dict(), key: bad})
 
 
 def test_bad_exact_counts_rejected():
