@@ -286,11 +286,22 @@ set grid
 """
 
 
+def _times_u(value: float, u: float, flag: str, width: float = 1.0) -> float:
+    """A figure option given in units of u, times u.  The product, and an
+    axis `width` times it, must be finite: an overflow names --u and the
+    option before any output is written."""
+    x = value * u
+    if not math.isfinite(width * x):
+        raise ParameterError(f"{flag} {value:g} times --u {u:g} overflows")
+    return x
+
+
 def _delta_span(args, u: float) -> float:
-    """The --delta-span half-range in detuning units; it must be positive."""
+    """The --delta-span half-range in detuning units; it must be positive,
+    and the axis, twice as wide, finite."""
     if not args.delta_span > 0.0:
         raise ParameterError(f"--delta-span must be positive, got {args.delta_span}")
-    return args.delta_span * u
+    return _times_u(args.delta_span, u, "--delta-span", width=2.0)
 
 
 def _detuning_figure(args, stem: str, panels: tuple[tuple[str, str], ...]) -> int:
@@ -301,18 +312,19 @@ def _detuning_figure(args, stem: str, panels: tuple[tuple[str, str], ...]) -> in
     fracs = _parse_float_list(args.rabi_fracs, "--rabi-fracs")
     span = _delta_span(args, u)
     axis = AxisSpec("delta", -span, span, _grid_count(args.points, "--points"))
-    configs = [SweepConfig(base=base.replace(v=args.v * u, omega_rabi=frac * u),
-                           axes=(axis,))
-               for frac in fracs]
+    v = _times_u(args.v, u, "--v")
+    drives = [_times_u(frac, u, "--rabi-fracs") for frac in fracs]
+    configs = [SweepConfig(base=base.replace(v=v, omega_rabi=drive), axes=(axis,))
+               for drive in drives]
     datasets = [run_sweep(config) for config in configs]
     columns = datasets[0].columns  # every sweep here has the same columns
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for i, (frac, dataset) in enumerate(zip(fracs, datasets)):
+    for i, (drive, dataset) in enumerate(zip(drives, datasets)):
         path = out_dir / f"{stem}_curve{i}.csv"
         path.write_text(serialize_csv(dataset))
-        written.append((frac * u, path))
+        written.append((drive, path))
     script = _GP_COMMON + 'set xlabel "detuning"\n'
     for ylabel, name in panels:
         column = columns.index(name) + 1
@@ -335,12 +347,15 @@ def cmd_fig2(args) -> int:
 
 def cmd_fig3(args) -> int:
     base, u = _fig_base(args)
-    rabi = args.rabi_frac * u
+    rabi = _times_u(args.rabi_frac, u, "--rabi-frac")
     d_span = _delta_span(args, u)
     if not args.v_max > args.v_min:
         raise ParameterError(f"--v-max must exceed --v-min, got "
                              f"{args.v_min} to {args.v_max}")
     v_lo, v_hi = args.v_min * u, args.v_max * u
+    if not math.isfinite(v_hi - v_lo):
+        raise ParameterError(f"--v-min {args.v_min:g} to --v-max {args.v_max:g} "
+                             f"times --u {u:g} overflows")
     nd, nv = _parse_resolution(args.resolution)
     config = SweepConfig(
         base=base.replace(omega_rabi=rabi),

@@ -9,16 +9,22 @@ term omega_rabi*J_x anticommutes with it and mixes the two sectors.
 
 At omega_rabi = 0 the eigensolve therefore runs on each parity sector's
 principal submatrix and keeps its two lowest levels; with a drive the whole
-basis is the only sector.  E0 and E1 are the two lowest of all the kept
-levels, so `gap` is E1 - E0 of H.  The reported `parity` is the ground
-state's expectation value of the parity operator: a definite +-1 at
-omega_rabi = 0.  When the two sector ground energies agree within
+basis is the only sector.  At delta = 0 the spin flip m -> -m is a second
+symmetry (it keeps J_x, a and J_z**2 and maps J_z -> -J_z), and each sector
+splits into its flip-even and flip-odd halves (see _sectors).  The two
+states of a flip doublet, split by far less than the solver resolves, then
+lie in different sectors; inside one sector a Lanczos run from one start
+vector would find only one combination of them.  E0 and E1 are the two
+lowest of all the kept levels, so `gap` is E1 - E0 of H.  The reported
+`parity` is the ground state's expectation value of the parity operator: a
+definite +-1 at omega_rabi = 0.  When sector ground energies agree within
 1e-13 * ||H||_inf (a tunnelling doublet below the solver's resolution, or an
-exact tie) the even sector's ground state is reported.  Dimensions up to
-DENSE_CUTOFF are solved densely, larger ones by Lanczos; along a
-converge_cutoff ladder each Lanczos run starts from the previous cutoff's
-psi0 + psi1 per sector, zero-padded: in the photon-major order the new
-states come last.
+exact tie) the first of those sectors is reported: the even one, and where
+the flip splits the sectors the flip-even one, whose <J_z> is 0.  Every
+sector, of any dimension, is solved by one thick-restart Lanczos in numpy
+(_lowest_levels); along a converge_cutoff ladder each run starts from the
+previous cutoff's psi0 + psi1 per sector, zero-padded: in the photon-major
+order the new states come last.
 
 The mean-field energy per atom is a variational bound for E0/N as N grows;
 at finite N the bound that is rigorous for every v is the product-state
@@ -27,6 +33,9 @@ v*(1/4 - s_z**2)/N (see product_state_energy).
 
 numpy and scipy are imported inside the functions that use them, so that
 importing the package (and every mean-field command) does not load them.
+scipy serves only as sparse storage (scipy.sparse): the CSR build, the
+sector slicing and folding, and the matrix-vector product; no scipy
+eigensolver, dense or iterative, is used.
 """
 
 from __future__ import annotations
@@ -42,8 +51,13 @@ if TYPE_CHECKING:
     import numpy as np
     import scipy.sparse as sp
 
-DENSE_CUTOFF = 500
 DIMENSION_BUDGET = 400_000
+
+# thick-restart Lanczos: basis size, Ritz vectors kept at a restart, and the
+# number of restarts before ConvergenceError
+_KRYLOV_DIM = 30
+_KEPT_RITZ = 10
+_MAX_RESTARTS = 1000
 
 
 class ConvergenceError(RuntimeError):
@@ -141,74 +155,166 @@ def build_hamiltonian(params: ModelParams, basis: FockSpinBasis,
     return h.tocsr()
 
 
-def _parity_sectors(params: ModelParams, basis: FockSpinBasis) -> list[np.ndarray]:
-    """Index sets of the blocks the eigensolve treats separately: the even
-    and the odd sector of (-1)**(n + m + j), in that order, at
-    omega_rabi = 0, and the whole basis as the only sector otherwise."""
+def _sectors(params: ModelParams, basis: FockSpinBasis
+             ) -> list[tuple[np.ndarray, sp.csr_matrix | None]]:
+    """The symmetry blocks the eigensolve treats separately, each as
+    (indices, fold): the block of H is fold.T @ H[indices][:, indices] @
+    fold, or the principal submatrix when fold is None.
+
+    At omega_rabi = 0 the indices are the even and the odd sector of
+    (-1)**(n + m + j), in that order; with a drive, the whole basis.  At
+    delta = 0 each of these splits once more, into its even and its odd
+    half (in that order) under the spin flip m -> -m; fold holds the
+    orthonormal (|n, m> +- |n, -m>)/sqrt(2) and |n, 0> columns.  For odd N
+    without a drive the flip does not split a parity sector: it
+    anticommutes with the parity and maps each sector onto the other, so
+    every level is doubly degenerate across the two.  Empty halves are left
+    out.
+    """
     import numpy as np
+    import scipy.sparse as sp
 
+    na = basis.n_atoms
     if params.omega_rabi != 0.0:
-        return [np.arange(basis.dimension)]
-    n = np.arange(basis.n_max + 1)
-    k = np.arange(basis.n_atoms + 1)  # k = m + j
-    odd = ((n[:, None] + k[None, :]) % 2).ravel().astype(bool)
-    return [np.flatnonzero(~odd), np.flatnonzero(odd)]
+        blocks = [np.arange(basis.dimension)]
+    else:
+        n = np.arange(basis.n_max + 1)
+        k = np.arange(na + 1)  # k = m + j
+        odd = ((n[:, None] + k[None, :]) % 2).ravel().astype(bool)
+        blocks = [np.flatnonzero(~odd), np.flatnonzero(odd)]
+    if params.delta != 0.0 or (params.omega_rabi == 0.0 and na % 2 == 1):
+        return [(idx, None) for idx in blocks]
+    sectors = []
+    r = math.sqrt(0.5)
+    for idx in blocks:
+        photons, k = np.divmod(idx, na + 1)
+        partner = np.searchsorted(idx, photons * (na + 1) + na - k)
+        rep = np.flatnonzero(2 * k > na)  # m > 0; the flip partner has -m
+        mid = np.flatnonzero(2 * k == na)  # m = 0, its own partner
+        cols = np.arange(rep.size)
+        even = sp.csr_matrix(
+            (np.concatenate([np.full(2 * rep.size, r), np.ones(mid.size)]),
+             (np.concatenate([rep, partner[rep], mid]),
+              np.concatenate([cols, cols, rep.size + np.arange(mid.size)]))),
+            shape=(idx.size, rep.size + mid.size))
+        odd = sp.csr_matrix(
+            (np.concatenate([np.full(rep.size, r), np.full(rep.size, -r)]),
+             (np.concatenate([rep, partner[rep]]),
+              np.concatenate([cols, cols]))),
+            shape=(idx.size, rep.size))
+        sectors.extend((idx, fold) for fold in (even, odd) if fold.shape[1])
+    return sectors
 
 
-def _lowest_levels(h: sp.csr_matrix,
+def _lowest_levels(h: sp.csr_matrix, hnorm: float,
                    start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenpairs of one sector, ascending (one for a
-    one-state sector): dense up to DENSE_CUTOFF, else Lanczos from `start`,
-    or from the flat vector when there is none (deterministic either way)."""
+    one-state sector), by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22, 602 (2000)).
+
+    The Krylov basis holds _KRYLOV_DIM vectors, each orthogonalised against
+    all earlier ones by two classical Gram-Schmidt passes, so the projected
+    matrix is V^T H V itself; a restart keeps the _KEPT_RITZ lowest Ritz
+    vectors.  The run stops when the residuals |beta * s_mi| of both lowest
+    Ritz pairs are at most 1e-13 * hnorm, or when the basis fills the
+    sector (the Ritz values are then its exact spectrum).  Without `start`
+    it begins from the flat vector plus 1e-3 of a generic one, so that no
+    symmetry left in the sector can keep a level out of the Krylov space
+    (the flat vector alone is even under the spin flip, for one).  On a
+    breakdown (beta <= 1e-14 * hnorm before the sector is exhausted) it
+    continues from a generic vector orthogonal to the basis, so an exactly
+    degenerate level can appear twice.  The generic vectors are seeded by
+    the dimension: the result is deterministic.
+    """
     import numpy as np
-    import scipy.sparse.linalg as spla
-    from scipy.linalg import eigh
 
     dim = h.shape[0]
-    if dim <= DENSE_CUTOFF:
-        return eigh(h.toarray(), subset_by_index=(0, min(1, dim - 1)))
+    nev = min(2, dim)
+    size = min(_KRYLOV_DIM, dim)
+    rng = np.random.default_rng(dim)
     if start is None:
-        start = np.full(dim, 1.0 / np.sqrt(dim))
-    try:
-        w, vecs = spla.eigsh(h, k=2, which="SA", v0=start, maxiter=10000)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"Lanczos did not converge at dimension {dim}: {exc}"
-        ) from exc
-    order = np.argsort(w)
-    return w[order], vecs[:, order]
+        start = (np.full(dim, 1.0 / math.sqrt(dim))
+                 + 1e-3 * rng.standard_normal(dim))
+    basis = np.empty((size + 1, dim))  # rows are the Krylov vectors
+    proj = np.zeros((size, size))  # V^T H V
+    basis[0] = start / np.linalg.norm(start)
+    j = 0
+    for _ in range(_MAX_RESTARTS + 1):
+        while j < size:
+            w = h @ basis[j]
+            c = basis[:j + 1] @ w
+            w -= c @ basis[:j + 1]
+            c2 = basis[:j + 1] @ w
+            w -= c2 @ basis[:j + 1]
+            proj[:j + 1, j] = proj[j, :j + 1] = c + c2
+            beta = float(np.linalg.norm(w))
+            j += 1
+            if j == dim:
+                break  # the basis spans the sector
+            if beta <= 1e-14 * hnorm:
+                w = rng.standard_normal(dim)
+                w -= (basis[:j] @ w) @ basis[:j]
+                w -= (basis[:j] @ w) @ basis[:j]
+                basis[j] = w / np.linalg.norm(w)
+            else:
+                basis[j] = w / beta
+        theta, s = np.linalg.eigh(proj[:j, :j])
+        if j == dim or np.all(np.abs(beta * s[-1, :nev]) <= 1e-13 * hnorm):
+            return theta[:nev], basis[:j].T @ s[:, :nev]
+        keep = _KEPT_RITZ
+        basis[:keep] = s[:, :keep].T @ basis[:size]
+        basis[keep] = basis[size]
+        proj[:] = 0.0
+        proj[:keep, :keep] = np.diag(theta[:keep])
+        j = keep
+    raise ConvergenceError(
+        f"Lanczos did not converge at dimension {dim} within "
+        f"{_MAX_RESTARTS} restarts"
+    )
 
 
-def _solve_sectors(h: sp.csr_matrix, sectors: list[np.ndarray],
+def _solve_sectors(h: sp.csr_matrix,
+                   sectors: list[tuple[np.ndarray, sp.csr_matrix | None]],
                    start: np.ndarray | None = None
                    ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """E0, E1, the ground vector and the next cutoff's start vector of h,
-    solved sector by sector.
+    solved sector by sector; `sectors` holds (indices, fold) pairs as
+    _sectors gives them.
 
     E0 and E1 are the two lowest of all the sector levels.  The ground
-    vector is the lowest sector's, embedded in the full basis; when the
+    vector is the lowest sector's, embedded in the full basis; when
     sector ground energies agree within 1e-13 * ||H||_inf it is the first
-    (even) sector's, so a tunnelling doublet gets a definite, reproducible
-    parity.  The eigenvalue residual ||H x - E x|| is checked against
-    1e-9 * ||H||_inf.  `start` (full basis, possibly shorter than h: it is
-    zero-padded) seeds each sector's Lanczos run; the returned start holds
-    psi0 + psi1 of every sector.
+    of those sectors', so a tunnelling doublet gets a definite,
+    reproducible parity.  An H with non-finite entries is a
+    ParameterError.  The eigenvalue residual ||H x - E x|| is checked
+    against 1e-9 * ||H||_inf.  `start` (full basis, possibly shorter than
+    h: it is zero-padded) seeds each sector's Lanczos run; the returned
+    start holds psi0 + psi1 of every sector.
     """
     import numpy as np
 
     dim = h.shape[0]
     hnorm = float(abs(h).sum(axis=1).max())
+    if not math.isfinite(hnorm):
+        raise ParameterError(
+            f"Hamiltonian entries overflow: ||H||_inf = {hnorm}")
     if start is not None:
         start = np.concatenate([start, np.zeros(dim - start.size)])
     levels = []
     grounds = []  # (sector ground energy, vector, sector indices)
     nxt = np.zeros(dim)
-    for idx in sectors:
-        sub = h if len(sectors) == 1 else h[idx][:, idx]
-        w, vecs = _lowest_levels(sub, None if start is None else start[idx])
+    for idx, fold in sectors:
+        sub = h if idx.size == dim else h[idx][:, idx]
+        x0 = None if start is None else start[idx]
+        if fold is not None:
+            sub = (fold.T @ sub @ fold).tocsr()
+            x0 = None if x0 is None else fold.T @ x0
+        w, vecs = _lowest_levels(sub, hnorm, x0)
+        if fold is not None:
+            vecs = fold @ vecs
         levels.extend(float(x) for x in w)
         grounds.append((float(w[0]), vecs[:, 0], idx))
-        nxt[idx] = vecs.sum(axis=1)
+        nxt[idx] += vecs.sum(axis=1)
     levels.sort()
     e0 = levels[0]
     e1 = levels[1] if len(levels) > 1 else e0
@@ -233,7 +339,7 @@ def ground_eigenpair(h: sp.csr_matrix) -> tuple[float, np.ndarray]:
     """
     import numpy as np
 
-    e0, _, vec, _ = _solve_sectors(h, [np.arange(h.shape[0])])
+    e0, _, vec, _ = _solve_sectors(h, [(np.arange(h.shape[0]), None)])
     return e0, vec
 
 
@@ -297,7 +403,7 @@ def solve_at_cutoff(params: ModelParams, n_max: int,
     basis = FockSpinBasis(n_max=n_max, n_atoms=params.n_atoms)
     h = build_hamiltonian(params, basis, budget=budget)
     start = _ladder[0] if _ladder is not None else None
-    e0, e1, vec, nxt = _solve_sectors(h, _parity_sectors(params, basis), start)
+    e0, e1, vec, nxt = _solve_sectors(h, _sectors(params, basis), start)
     if _ladder is not None:
         _ladder[0] = nxt
     photon, jz, jx, parity = _observables(basis, vec)

@@ -11,6 +11,7 @@ tolerances are part of the contract; loosening one is an API break.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -177,25 +178,26 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 3.  A changed digest is a change of
+# writes, recorded at sweep format 4.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel and parity-sector changes gave.  The provenance line
-# also carries the package version, so a version bump changes every digest.
+# also carries the package version and the format, so a version or format
+# bump changes every digest.
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "0cd2d1bd7c6ca22287e6c6e788288dfc389578055a1b41ce1e4d094496540bd0",
-      "fig2_curve1.csv": "57778b16a9496306e60b709d702818ce0cd7771623eb600ca9ecf5d09704dd30",
-      "fig2_curve2.csv": "e965a4f531b4dcbf903f9e9bd65d946f084990d37b91225663f2043911979357"}),
+     {"fig2_curve0.csv": "026a10d647dffff3d6bc60d2244883b2b69cabac8390e88f0d56b5d88624e90a",
+      "fig2_curve1.csv": "a29809e17ab1d267ff88e97ba4d70572faede5be44a6cf37d8ce2b1cfe8d3f9c",
+      "fig2_curve2.csv": "a08c6cc99ab36b23fb38b2129036813ee166e87a1412cad48956e9a423c7e43d"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "50a623bc44ea055af11d524a0acfc3953c8fa3852e20ccea16fda24475285ca9",
+     {"fig3_grid.csv": "a286a13c1f4fe5741fe434fbf87e9293818b486d193611f9687e5358a592f6ae",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "76b5d83b984056472681af3e6a5d41bd0b9632870f16194ac112e388017524a6",
-      "fig4_curve1.csv": "7c0912b7f7ef453798b027a6c2adf44c786131567366dbd75c427489716bb1d3",
-      "fig4_curve2.csv": "97e7a64d9f3bc5c4f9ff2c1779aae3f4a623718262527b335c9432786861c833",
-      "fig4_curve3.csv": "42b88f27780b02ab367e270ee395a1c9cf1cb55d80113953440cc261881dc291"}),
+     {"fig4_curve0.csv": "04723301c0c8cb15a71b07320f1cc2a1b24ad45a6f4cd49ab4ea0195a31f0833",
+      "fig4_curve1.csv": "291e569eb13343d57de431e63b893031801130f571f5af6ffbba4585853c36d8",
+      "fig4_curve2.csv": "fcd983448d044339f1638a74f311b55f6dc7a5f5bb3120b32aa199a2d25e5df1",
+      "fig4_curve3.csv": "ba8d68c2d638251cdcf78f027d657419c3f17c3bc5bc3fdb498154bd865d8fd8"}),
 ]
 
 
@@ -220,3 +222,27 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
         capsys.readouterr()
         assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                 for name in digests} == digests
+
+
+# A small finite-N scan, recorded at sweep format 4: exact_N* cells at
+# N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
+# splits each parity sector.  Its float cells come out of numpy's BLAS
+# reductions, so the digest holds for one numpy/OpenBLAS build on one CPU
+# family (recorded with numpy 2.4, OpenBLAS 0.3.31, x86-64).
+_FINITE_N_SCAN = (
+    {"base": {"omega": 10.0, "lambda": 3.1622776601683795, "delta": 0.5,
+              "omega_rabi": 0.0, "v": -0.5},
+     "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
+     "exact_n": [2, 4]},
+    "3496544508ae3e5a8883e2b3982aac6fc164576e87c8b722c2bb185b3ecfb326",
+)
+
+
+def test_finite_n_scan_bytes_are_pinned(tmp_path, capsys):
+    config, digest = _FINITE_N_SCAN
+    (tmp_path / "scan.json").write_text(json.dumps(config))
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan", "--config", str(tmp_path / "scan.json"),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

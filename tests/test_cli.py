@@ -393,6 +393,17 @@ def test_fig2_mhz_units_smoke(tmp_path, capsys):
     ["fig4", "--delta-span", "0"],
     ["fig3", "--v-min", "2", "--v-max", "1"],
     ["fig3", "--v-min", "1", "--v-max", "1"],
+    # an option times --u overflows: the detuning axis, 2 * span wide ...
+    ["fig2", "--u", "1e308", "--delta-span", "2"],
+    ["fig3", "--u", "1e308", "--delta-span", "3"],
+    ["fig4", "--u", "1e308"],
+    # ... the v axis, its width included ...
+    ["fig3", "--u", "1e307", "--v-min", "-100"],
+    ["fig3", "--u", "1e307", "--v-min", "-10", "--v-max", "10"],
+    ["fig2", "--u", "1e307", "--v", "100"],
+    # ... and the drives
+    ["fig4", "--u", "1e307", "--rabi-fracs", "0,100"],
+    ["fig3", "--u", "1e307", "--rabi-frac", "100"],
 ])
 def test_fig_bad_options_exit_2(argv, capsys, tmp_path):
     out_dir = tmp_path / "x"
@@ -400,7 +411,7 @@ def test_fig_bad_options_exit_2(argv, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     for flag in ("--u", "--resolution", "--points", "--delta-span", "--v-min",
-                 "--v-max"):
+                 "--v-max", "--v", "--rabi-frac", "--rabi-fracs"):
         if flag in argv:
             assert flag in err
     assert not out_dir.exists()

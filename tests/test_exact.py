@@ -3,13 +3,16 @@ Hamiltonian, solver-path consistency, and the variational product bound."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+from extdicke import cli, exact
 from extdicke.exact import (
+    ConvergenceError,
     FockSpinBasis,
     build_hamiltonian,
     converge_cutoff,
@@ -112,8 +115,9 @@ def test_matches_independent_dense_construction():
 
 
 def test_sparse_path_agrees_with_dense_path():
-    # dimension 67*31 = 2077 exceeds the dense cutoff, exercising the
-    # iterative eigensolver; compare against a direct dense solve here
+    # dimension 67*31 = 2077 is far above the 30-vector Krylov basis, so
+    # the Lanczos run restarts many times; compare against a direct dense
+    # solve here
     p = ModelParams(omega=1.0, lam=1.2, delta=0.4, omega_rabi=0.1, v=-0.5,
                     n_atoms=30)
     h = build_hamiltonian(p, FockSpinBasis(66, 30))
@@ -156,6 +160,94 @@ def test_sector_solves_match_dense_reference():
     sol = solve_at_cutoff(p, n_max=0)
     assert sol.energy == pytest.approx(want[0], abs=1e-12)
     assert sol.gap == pytest.approx(want[1] - want[0], abs=1e-12)
+
+
+def _dense_levels(p: ModelParams, n_max: int) -> tuple[float, float, float]:
+    """E0, E1 - E0 and ||H||_inf of the independently built dense H."""
+    h = dense_reference(p, n_max)
+    w = np.linalg.eigvalsh(h)
+    return w[0], w[1] - w[0], float(np.abs(h).sum(axis=1).max())
+
+
+def test_spin_flip_symmetric_cases_match_dense():
+    # at delta = 0 the spin flip m -> -m is a symmetry, with or without a
+    # drive, and the flat vector lies in its even class: Lanczos on a whole
+    # parity sector from the flat vector alone never sees the odd class,
+    # so its gap is wrong whenever E1 is flip-odd
+    rng = random.Random(47)
+    for i in range(60):
+        p = ModelParams(omega=1.0, lam=rng.uniform(0.0, 2.0), delta=0.0,
+                        omega_rabi=(0.0, 0.3)[i % 2], v=rng.uniform(-2.0, 1.0),
+                        n_atoms=rng.randint(2, 30))
+        n_max = rng.randint(1, 30)
+        e0, gap, hnorm = _dense_levels(p, n_max)
+        sol = solve_at_cutoff(p, n_max)
+        assert abs(sol.energy - e0) <= 1e-9 * hnorm, (p, n_max)
+        assert abs(sol.gap - gap) <= 1e-9 * hnorm, (p, n_max)
+    # the smallest bases: one-state halves, and an empty flip-odd half
+    # (N = 2, n_max = 0: the odd parity sector is |0, m = 0> alone)
+    for n_atoms, n_max, rabi in itertools.product((1, 2), (0, 1), (0.0, 0.3)):
+        p = ModelParams(omega=1.0, lam=0.7, delta=0.0, omega_rabi=rabi,
+                        v=-0.4, n_atoms=n_atoms)
+        e0, gap, hnorm = _dense_levels(p, n_max)
+        sol = solve_at_cutoff(p, n_max)
+        assert abs(sol.energy - e0) <= 1e-12 * hnorm, (p, n_max)
+        assert abs(sol.gap - gap) <= 1e-12 * hnorm, (p, n_max)
+
+
+def test_spin_flip_symmetric_ladders_match_dense_at_final_cutoff():
+    # warm-started ladders carry psi0 + psi1 from cutoff to cutoff.  With
+    # strong attraction (v < 0) the ground state is a flip doublet split by
+    # as little as 1e-15: both states must be found (the second one is
+    # E1), and the reported one is a flip eigenstate, so <J_z> = 0.  Even N
+    # keeps the doublet inside one parity sector.
+    rng = random.Random(53)
+    for i in range(8):
+        p = ModelParams(omega=10.0, lam=rng.uniform(0.4, 2.3), delta=0.0,
+                        omega_rabi=(0.0, 0.3)[i % 2], v=rng.uniform(-2.0, -0.5),
+                        n_atoms=2 * rng.randint(1, 30))
+        sol = converge_cutoff(p)
+        e0, gap, hnorm = _dense_levels(p, sol.n_max_used)
+        assert abs(sol.energy - e0) <= 1e-9 * hnorm, p
+        assert abs(sol.gap - gap) <= 1e-9 * hnorm, p
+        assert abs(sol.jz) <= 1e-9 * p.n_atoms, p
+
+
+@pytest.mark.parametrize("n_atoms,n_max,v", [(4, 3, -1.0), (40, 40, -1.0),
+                                             (40, 0, 0.0)])
+def test_exactly_degenerate_ground_level_has_zero_gap(n_atoms, n_max, v):
+    # lam = delta = 0: H is diagonal.  With v < 0, |0, m = +j> and
+    # |0, m = -j> share the ground energy v*N/4 and the even parity sector,
+    # so the true gap is 0; the spin flip puts their sum and difference in
+    # different sectors.  At (4, 3) every sector fits in the Krylov basis.
+    # With v = 0 and n_max = 0, H = 0: every Lanczos step breaks down
+    # (beta = 0), and only the generic restarts fill a sector
+    p = ModelParams(omega=1.0, lam=0.0, delta=0.0, v=v, n_atoms=n_atoms)
+    e0, gap, hnorm = _dense_levels(p, n_max)
+    assert gap == 0.0
+    sol = solve_at_cutoff(p, n_max)
+    assert abs(sol.energy - e0) <= 1e-9 * hnorm
+    assert abs(sol.gap) <= 1e-9 * hnorm
+    assert sol.parity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lanczos_nonconvergence_is_a_convergence_error(monkeypatch, capsys):
+    # with no restart allowed a 30-vector basis cannot resolve this doublet
+    monkeypatch.setattr(exact, "_MAX_RESTARTS", 0)
+    p = ModelParams(omega=10.0, lam=1.5 * math.sqrt(10.0), delta=0.5,
+                    n_atoms=16)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        solve_at_cutoff(p, 16)
+    argv = ["exact-check", "--omega", "10", "--lambda", repr(p.lam),
+            "--delta", "0.5", "--n-list", "16"]
+    assert cli.main(argv) == cli.EXIT_CONVERGENCE
+    assert capsys.readouterr().err.startswith("error: Lanczos did not converge")
+
+
+def test_overflowing_hamiltonian_is_a_parameter_error():
+    p = ModelParams(omega=1e308, lam=1.0, n_atoms=2)
+    with np.errstate(over="ignore"), pytest.raises(ParameterError, match="overflow"):
+        solve_at_cutoff(p, 4)
 
 
 def test_parity_is_definite_and_deterministic():

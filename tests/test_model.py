@@ -148,7 +148,9 @@ _HEAVY_MODULE_PROBE = """
 import json, sys
 
 def heavy():
-    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+    loaded = {m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}
+    solvers = {"scipy.linalg", "scipy.sparse.linalg"} & set(sys.modules)
+    return sorted(loaded | solvers)
 
 import extdicke
 seen = [heavy()]
@@ -162,8 +164,9 @@ print(json.dumps(seen))
 
 
 def _heavy_modules_after(commands: list[list[str]]) -> list[list[str]]:
-    """In a fresh interpreter: which of numpy and scipy are loaded after
-    import extdicke, after import extdicke.cli, and after each command."""
+    """In a fresh interpreter: which of numpy, scipy, scipy.linalg and
+    scipy.sparse.linalg are loaded after import extdicke, after import
+    extdicke.cli, and after each command."""
     src = str(Path(extdicke.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _HEAVY_MODULE_PROBE,
                           json.dumps(commands)], capture_output=True, text=True,
@@ -187,6 +190,8 @@ def test_numpy_and_scipy_load_only_on_the_finite_n_path(tmp_path):
                   run(["scan", "--config", str(tmp_path / "mf.json")], "mf.csv")]
     finite_n_scan = ["scan", "--config", str(tmp_path / "fn.json")]
     check = ["exact-check", "--n-list", "2,4", "--format", "json"]
+    # the finite-N path uses scipy only for sparse storage: neither
+    # scipy.linalg nor scipy.sparse.linalg may load
     both = ["numpy", "scipy"]
     assert _heavy_modules_after(mean_field + [run(finite_n_scan, "fn.csv")]) \
         == [[], [], [], [], [], both]
