@@ -18,9 +18,7 @@ from .model import (
     TrapEstimate,
     TrapSpec,
     estimate_from_trap,
-    lambda_critical,
     omega_critical,
-    validate,
 )
 from .meanfield import (
     BlochPoint,
@@ -35,7 +33,6 @@ from .exact import (
     FockSpinBasis,
     build_hamiltonian,
     converge_cutoff,
-    ground_eigenpair,
     product_state_energy,
     solve_at_cutoff,
 )
@@ -67,9 +64,7 @@ __all__ = [
     "TrapEstimate",
     "TrapSpec",
     "estimate_from_trap",
-    "lambda_critical",
     "omega_critical",
-    "validate",
     "BlochPoint",
     "MeanFieldSolution",
     "energy_landscape",
@@ -80,7 +75,6 @@ __all__ = [
     "FockSpinBasis",
     "build_hamiltonian",
     "converge_cutoff",
-    "ground_eigenpair",
     "product_state_energy",
     "solve_at_cutoff",
     "PhaseLabel",

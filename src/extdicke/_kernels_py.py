@@ -1,5 +1,7 @@
 """Scalar hot-path kernels: stationarity-quartic roots, single-point ground
 states on the Bloch circle, and the brute-force grid/golden-section oracle.
+The two routes find their candidate points independently and pick the
+reported one by the same tie-break rule (_select).
 
 Everything here works in the reduced coupling set (u, v, delta, rabi) with
 u = lambda**2 / omega.  Energies are per atom in the thermodynamic limit; the
@@ -299,6 +301,33 @@ def _cyclic_dist(a, b):
     return min(d, TWO_PI - d)
 
 
+def _select(cands, e_min, scale):
+    """The tie-break rule of both mean-field routes: the reported point
+    among candidates (theta, s_x, s_z, energy, ...), given e_min, the lowest
+    local-minimum energy among them.  Returns (rep, degenerate).
+
+    Among the candidates within _SELECT_EPS * scale of e_min, in list
+    order, the largest s_z wins, then the largest s_x, each compared with
+    _RANK_EPS slack.  degenerate is True when a candidate within
+    _TIE_EPS * scale of e_min lies more than _DISTINCT_ANGLE from rep.
+    """
+    sel_tol = _SELECT_EPS * scale
+    sel = [c for c in cands if c[3] <= e_min + sel_tol]
+    rep = sel[0]
+    for c in sel[1:]:
+        if c[2] > rep[2] + _RANK_EPS:
+            rep = c
+        elif abs(c[2] - rep[2]) <= _RANK_EPS and c[1] > rep[1] + _RANK_EPS:
+            rep = c
+    tie = e_min + _TIE_EPS * scale
+    for c in cands:
+        if c[3] <= tie:
+            d = abs(c[0] - rep[0])  # _cyclic_dist, written out
+            if d > _DISTINCT_ANGLE and TWO_PI - d > _DISTINCT_ANGLE:
+                return rep, True
+    return rep, False
+
+
 def solve_point(u, v, delta, rabi):
     """Global minimum of the reduced energy over the Bloch circle.
 
@@ -365,22 +394,7 @@ def solve_point(u, v, delta, rabi):
                 if e < e_min:
                     e_min = e
 
-    sel_tol = _SELECT_EPS * scale
-    sel = [c for c in cands if c[3] <= e_min + sel_tol]
-    rep = sel[0]
-    for c in sel[1:]:
-        if c[2] > rep[2] + _RANK_EPS:
-            rep = c
-        elif abs(c[2] - rep[2]) <= _RANK_EPS and c[1] > rep[1] + _RANK_EPS:
-            rep = c
-    tie = e_min + _TIE_EPS * scale
-    degenerate = False
-    for c in cands:
-        if c[3] <= tie:
-            d = abs(c[0] - rep[0])  # _cyclic_dist, written out
-            if d > _DISTINCT_ANGLE and TWO_PI - d > _DISTINCT_ANGLE:
-                degenerate = True
-                break
+    rep, degenerate = _select(cands, e_min, scale)
     residual = grad_residual(u, v, delta, rabi, rep[4])
     return (rep[1], rep[2], math.ldexp(rep[3], k), rep[4],
             math.ldexp(residual, k), degenerate, False, n_minima)
@@ -412,9 +426,10 @@ def oracle_minimum(u, v, delta, rabi, n_points):
     """Brute-force minimum of the reduced energy over the Bloch circle.
 
     Scans n_points uniform angles, refines every grid-local minimum (the
-    lowest few) by golden-section search to 1e-10 in angle, and applies the
-    same tie-breaking as solve_point.  Shares no code path with the quartic
-    route.  Returns (s_x, s_z, energy, theta, degenerate, flat, n_minima).
+    lowest few) by golden-section search to 1e-10 in angle, and picks among
+    the refined minima by solve_point's tie-break rule (_select).  Finding
+    the points shares no code with the quartic route.  Returns (s_x, s_z,
+    energy, theta, degenerate, flat, n_minima).
     """
     n = int(n_points)
     h = TWO_PI / n
@@ -453,23 +468,6 @@ def oracle_minimum(u, v, delta, rabi, n_points):
         else:
             clusters.append((t, e))
 
-    e_min = min(e for _, e in clusters)
-    sel_tol = _SELECT_EPS * scale
-    sel = [(t, e) for t, e in clusters if e <= e_min + sel_tol]
-    rep = sel[0]
-    for c in sel[1:]:
-        if math.sin(c[0]) > math.sin(rep[0]) + _RANK_EPS:
-            rep = c
-        elif (
-            abs(math.sin(c[0]) - math.sin(rep[0])) <= _RANK_EPS
-            and math.cos(c[0]) > math.cos(rep[0]) + _RANK_EPS
-        ):
-            rep = c
-    tie_tol = _TIE_EPS * scale
-    degenerate = any(
-        e <= e_min + tie_tol and _cyclic_dist(t, rep[0]) > _DISTINCT_ANGLE
-        for t, e in clusters
-    )
-    theta = rep[0]
-    s_x, s_z = 0.5 * math.cos(theta), 0.5 * math.sin(theta)
-    return (s_x, s_z, rep[1], theta, degenerate, False, len(clusters))
+    pts = [(t, 0.5 * math.cos(t), 0.5 * math.sin(t), e) for t, e in clusters]
+    rep, degenerate = _select(pts, min(e for _, e in clusters), scale)
+    return (rep[1], rep[2], rep[3], rep[0], degenerate, False, len(clusters))

@@ -106,53 +106,55 @@ def build_hamiltonian(params: ModelParams, basis: FockSpinBasis,
     nm = basis.n_max
     na = basis.n_atoms
     j = basis.j
-    m = np.arange(na + 1) - j  # m values, ascending
-    n = np.arange(nm + 1)
+    # entries that overflow are reported by _solve_sectors' norm check
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.arange(na + 1) - j  # m values, ascending
+        n = np.arange(nm + 1)
 
-    diag = (
-        params.omega * n[:, None]
-        + params.delta * m[None, :]
-        + (params.v / na) * m[None, :] ** 2
-    ).ravel()
+        diag = (
+            params.omega * n[:, None]
+            + params.delta * m[None, :]
+            + (params.v / na) * m[None, :] ** 2
+        ).ravel()
 
-    # <m+1|J+|m> ladder amplitudes.
-    ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
+        # <m+1|J+|m> ladder amplitudes.
+        ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
 
-    rows = []
-    cols = []
-    vals = []
+        rows = []
+        cols = []
+        vals = []
 
-    # (omega_rabi/2) * (J+ + J-): |n, m> -> |n, m+1| within each photon block.
-    if params.omega_rabi != 0.0 and na >= 1:
-        base = (n[:, None] * (na + 1) + np.arange(na)[None, :]).ravel()
-        rows.append(base)
-        cols.append(base + 1)
-        vals.append(np.tile(0.5 * params.omega_rabi * ladder, nm + 1))
+        # (omega_rabi/2) * (J+ + J-): |n, m> -> |n, m+1| within each photon block.
+        if params.omega_rabi != 0.0 and na >= 1:
+            base = (n[:, None] * (na + 1) + np.arange(na)[None, :]).ravel()
+            rows.append(base)
+            cols.append(base + 1)
+            vals.append(np.tile(0.5 * params.omega_rabi * ladder, nm + 1))
 
-    # (lambda/(2*sqrt(N))) * (J+ + J-)(a^dag + a): photon +-1, spin +-1.
-    if params.lam != 0.0 and nm >= 1 and na >= 1:
-        g = 0.5 * params.lam / np.sqrt(na)
-        photon = np.sqrt(n[1:])  # sqrt(n+1) for n = 0..nm-1
-        # J+ a^dag: |n, m> -> |n+1, m+1>
-        base = (n[:-1, None] * (na + 1) + np.arange(na)[None, :]).ravel()
-        amp = (g * photon[:, None] * ladder[None, :]).ravel()
-        rows.append(base)
-        cols.append(base + (na + 1) + 1)
-        vals.append(amp)
-        # J- a^dag: |n, m+1> -> |n+1, m>
-        rows.append(base + 1)
-        cols.append(base + (na + 1))
-        vals.append(amp)
+        # (lambda/(2*sqrt(N))) * (J+ + J-)(a^dag + a): photon +-1, spin +-1.
+        if params.lam != 0.0 and nm >= 1 and na >= 1:
+            g = 0.5 * params.lam / np.sqrt(na)
+            photon = np.sqrt(n[1:])  # sqrt(n+1) for n = 0..nm-1
+            # J+ a^dag: |n, m> -> |n+1, m+1>
+            base = (n[:-1, None] * (na + 1) + np.arange(na)[None, :]).ravel()
+            amp = (g * photon[:, None] * ladder[None, :]).ravel()
+            rows.append(base)
+            cols.append(base + (na + 1) + 1)
+            vals.append(amp)
+            # J- a^dag: |n, m+1> -> |n+1, m>
+            rows.append(base + 1)
+            cols.append(base + (na + 1))
+            vals.append(amp)
 
-    if rows:
-        upper = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        )
-        h = sp.diags(diag) + upper + upper.T
-    else:
-        h = sp.diags(diag)
-    return h.tocsr()
+        if rows:
+            upper = sp.coo_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(dim, dim),
+            )
+            h = sp.diags(diag) + upper + upper.T
+        else:
+            h = sp.diags(diag)
+        return h.tocsr()
 
 
 def _sectors(params: ModelParams, basis: FockSpinBasis
@@ -293,54 +295,43 @@ def _solve_sectors(h: sp.csr_matrix,
     """
     import numpy as np
 
-    dim = h.shape[0]
-    hnorm = float(abs(h).sum(axis=1).max())
-    if not math.isfinite(hnorm):
-        raise ParameterError(
-            f"Hamiltonian entries overflow: ||H||_inf = {hnorm}")
-    if start is not None:
-        start = np.concatenate([start, np.zeros(dim - start.size)])
-    levels = []
-    grounds = []  # (sector ground energy, vector, sector indices)
-    nxt = np.zeros(dim)
-    for idx, fold in sectors:
-        sub = h if idx.size == dim else h[idx][:, idx]
-        x0 = None if start is None else start[idx]
-        if fold is not None:
-            sub = (fold.T @ sub @ fold).tocsr()
-            x0 = None if x0 is None else fold.T @ x0
-        w, vecs = _lowest_levels(sub, hnorm, x0)
-        if fold is not None:
-            vecs = fold @ vecs
-        levels.extend(float(x) for x in w)
-        grounds.append((float(w[0]), vecs[:, 0], idx))
-        nxt[idx] += vecs.sum(axis=1)
-    levels.sort()
-    e0 = levels[0]
-    e1 = levels[1] if len(levels) > 1 else e0
-    eg, psi, idx = next(g for g in grounds if g[0] - e0 <= 1e-13 * hnorm)
-    vec = np.zeros(dim)
-    vec[idx] = psi
-    defect = float(np.linalg.norm(h @ vec - eg * vec))
-    if defect > 1e-9 * max(1.0, hnorm):
-        raise ConvergenceError(
-            f"eigenpair residual {defect:.3e} exceeds 1e-9 * ||H|| = "
-            f"{1e-9 * hnorm:.3e}"
-        )
-    return e0, e1, vec, nxt
-
-
-def ground_eigenpair(h: sp.csr_matrix) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a Hamiltonian from build_hamiltonian, solved as
-    one sector.
-
-    The eigenvalue residual ||H x - E x|| is checked against
-    1e-9 * ||H||_inf.
-    """
-    import numpy as np
-
-    e0, _, vec, _ = _solve_sectors(h, [(np.arange(h.shape[0]), None)])
-    return e0, vec
+    # overflow surfaces as the ParameterError or the ConvergenceError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        dim = h.shape[0]
+        hnorm = float(abs(h).sum(axis=1).max())
+        if not math.isfinite(hnorm):
+            raise ParameterError(
+                f"Hamiltonian entries overflow: ||H||_inf = {hnorm}")
+        if start is not None:
+            start = np.concatenate([start, np.zeros(dim - start.size)])
+        levels = []
+        grounds = []  # (sector ground energy, vector, sector indices)
+        nxt = np.zeros(dim)
+        for idx, fold in sectors:
+            sub = h if idx.size == dim else h[idx][:, idx]
+            x0 = None if start is None else start[idx]
+            if fold is not None:
+                sub = (fold.T @ sub @ fold).tocsr()
+                x0 = None if x0 is None else fold.T @ x0
+            w, vecs = _lowest_levels(sub, hnorm, x0)
+            if fold is not None:
+                vecs = fold @ vecs
+            levels.extend(float(x) for x in w)
+            grounds.append((float(w[0]), vecs[:, 0], idx))
+            nxt[idx] += vecs.sum(axis=1)
+        levels.sort()
+        e0 = levels[0]
+        e1 = levels[1] if len(levels) > 1 else e0
+        eg, psi, idx = next(g for g in grounds if g[0] - e0 <= 1e-13 * hnorm)
+        vec = np.zeros(dim)
+        vec[idx] = psi
+        defect = float(np.linalg.norm(h @ vec - eg * vec))
+        if defect > 1e-9 * max(1.0, hnorm):
+            raise ConvergenceError(
+                f"eigenpair residual {defect:.3e} exceeds 1e-9 * ||H|| = "
+                f"{1e-9 * hnorm:.3e}"
+            )
+        return e0, e1, vec, nxt
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ reduces the variational energy per atom to
     e(s_x, s_z) = -u*s_x**2 + v*s_z**2 + delta*s_z + omega_rabi*s_x
 
 on the spin circle s_x**2 + s_z**2 = 1/4 (s_y = 0 at any minimum).  Two
-independent routes are provided: ground_state, which solves the stationarity
-quartic in the rational coordinate eta, and oracle_grid_minimum, a
-brute-force scan with golden-section refinement used to cross-check it.
+routes find the minima independently: ground_state, which solves the
+stationarity quartic in the rational coordinate eta, and
+oracle_grid_minimum, a brute-force scan with golden-section refinement used
+to cross-check it.  Both report their point by the same tie-break rule.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def ground_state(params: ModelParams) -> MeanFieldSolution:
 
 def oracle_grid_minimum(params: ModelParams, n_points: int = 4096) -> MeanFieldSolution:
     """Brute-force minimum over n_points circle angles with golden-section
-    refinement; independent of the quartic route.
+    refinement; it finds its minima without the quartic route and breaks
+    ties by the same rule as ground_state.
 
     The reported residual reflects the refinement limit of a comparison
     search (~1e-8 in angle), not the quartic-root polish.

@@ -120,14 +120,6 @@ def validate(params: ModelParams) -> ModelParams:
     return params
 
 
-def lambda_critical(omega: float, omega0: float) -> float:
-    """Critical coupling sqrt(omega*omega0) of the standard Dicke limit
-    (v = omega_rabi = 0, level splitting omega0)."""
-    if omega <= 0.0 or omega0 <= 0.0:
-        raise ParameterError("critical coupling requires positive omega and omega0")
-    return math.sqrt(omega * omega0)
-
-
 def omega_critical(u: float, v: float) -> float:
     """Rabi strength |u + v| above which the detuning sweep of the atomic
     population loses its first-order jump."""

@@ -117,25 +117,25 @@ def classify(params: ModelParams,
     return PhaseLabel.NORMAL
 
 
-def susceptibility_v(params: ModelParams, dv: float | None = None) -> float:
-    """Centered-difference susceptibility d(m/N)/dv.
+def susceptibility_v(params: ModelParams) -> float:
+    """Centered-difference susceptibility d(m/N)/dv, with step
+    1e-4 * max(1, |v|).
 
     Identically zero across the Mott plateau.  Warns when the stencil
-    appears to straddle a first-order line (large jump in m or a flat
-    manifold at either stencil point); the value is still returned.
+    appears to straddle a first-order line (a jump in m/N above 1/2, a
+    sign change of m/N, or a flat manifold at either stencil point); the
+    value is still returned.
     """
-    if dv is None:
-        dv = 1e-4 * max(1.0, abs(params.v))
-    if dv <= 0.0:
-        raise ParameterError("nonpositive susceptibility step")
+    dv = 1e-4 * max(1.0, abs(params.v))
     hi = ground_state(params.replace(v=params.v + dv))
     lo = ground_state(params.replace(v=params.v - dv))
     dm = hi.m_over_n - lo.m_over_n
-    suspicious = hi.flat_manifold or lo.flat_manifold or abs(dm) > 0.5
-    if not suspicious and abs(dm) > 1e-3:
-        if hi.m_over_n * lo.m_over_n < 0.0 and min(abs(hi.m_over_n), abs(lo.m_over_n)) > 1e-3:
-            suspicious = True
-    if suspicious:
+    # m/N also changes sign where the selection window takes the other
+    # well at one stencil end only: the wells at +-s_z differ by
+    # 2*delta*|s_z|, which can cross _SELECT_EPS * S within the stencil.
+    if (hi.flat_manifold or lo.flat_manifold or abs(dm) > 0.5
+            or (hi.m_over_n * lo.m_over_n < 0.0
+                and min(abs(hi.m_over_n), abs(lo.m_over_n)) > 1e-3)):
         warnings.warn(
             "susceptibility stencil may straddle a first-order boundary",
             RuntimeWarning,

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import pytest
 
 from extdicke import __version__, cli
+from extdicke.exact import ExactSolution
 from extdicke.sweep import SweepConfig, parse_csv, run_sweep, serialize_csv
 
 TWO_PI = 2.0 * math.pi
@@ -193,6 +195,39 @@ def test_exact_check_small_systems(tmp_path, capsys):
         assert row["bound_holds"] is True
         assert row["exact_energy_per_atom"] <= row["bound_energy_per_atom"] + 1e-9
     assert capsys.readouterr().err == ""
+
+
+def test_exact_check_prints_no_sign_of_parity_noise(monkeypatch, capsys):
+    # with a drive the parity is an expectation value; one of -1e-16 is
+    # solver noise and prints as +0.0000, while JSON keeps the float
+    def fake(params, eps, budget):
+        return ExactSolution(energy=-1.0, energy_per_atom=-0.5,
+                             photon_number=0.0, jz=0.0, jx=-0.5, parity=-1e-16,
+                             gap=0.5, n_max_used=4, n_atoms=2, converged=True)
+
+    monkeypatch.setattr(cli, "converge_cutoff", fake)
+    argv = ["exact-check", "--rabi", "0.3", "--n-list", "2"]
+    assert cli.main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[-1]
+    assert row.split()[-2] == "+0.0000"
+    assert cli.main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["parity"] == -1e-16
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--omega", "1e308", "--lambda", "1", "--n-list", "2"], 2),  # ||H|| = inf
+    (["--lambda", "1e154", "--n-list", "2"], 1),  # residual guard
+    (["--v=1e308", "--n-list", "4"], 1),
+])
+def test_exact_check_overflow_is_one_error_line(argv, code, capsys):
+    # numpy overflow inside the build and the eigensolve raises no warning
+    # of its own; the norm check and the residual guard report it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["exact-check", *argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("n_list", ["8,x", "8.5", "4,nan", ","])

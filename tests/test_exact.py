@@ -16,7 +16,6 @@ from extdicke.exact import (
     FockSpinBasis,
     build_hamiltonian,
     converge_cutoff,
-    ground_eigenpair,
     product_state_energy,
     solve_at_cutoff,
 )
@@ -122,7 +121,7 @@ def test_sparse_path_agrees_with_dense_path():
                     n_atoms=30)
     h = build_hamiltonian(p, FockSpinBasis(66, 30))
     assert h.shape[0] == 2077
-    e_sparse, vec = ground_eigenpair(h)
+    e_sparse, _, vec, _ = exact._solve_sectors(h, [(np.arange(2077), None)])
     e_dense = np.linalg.eigvalsh(h.toarray())[0]
     assert e_sparse == pytest.approx(e_dense, abs=1e-8)
     assert np.linalg.norm(h @ vec - e_sparse * vec) < 1e-7
@@ -131,7 +130,7 @@ def test_sparse_path_agrees_with_dense_path():
 def test_ground_pair_residual_guard():
     p = ModelParams(omega=1.0, lam=0.8, delta=0.25, n_atoms=10)
     h = build_hamiltonian(p, FockSpinBasis(20, 10))
-    e0, vec = ground_eigenpair(h)
+    e0, _, vec, _ = exact._solve_sectors(h, [(np.arange(h.shape[0]), None)])
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-10
     assert np.linalg.norm(h @ vec - e0 * vec) < 1e-8
 

@@ -199,6 +199,36 @@ def test_solver_matches_oracle_over_full_float_range(k, u, v, d, r):
     assert sol[5] == ora[4]  # degenerate
 
 
+def test_selection_window_stays_below_near_critical_splitting(k):
+    # just inside the lobe (u + v = 2e-12, delta = rabi = 0) the minima are
+    # s_x = +-1/2 and the maxima s_z = +-1/2 lie (u + v)/4 = 5e-13 higher:
+    # a selection window that reaches them lets the rank (largest s_z)
+    # report a maximum
+    s_x, s_z, e, eta, res, deg, flat, nmin = k.solve_point(1.0, -1.0 + 2e-12, 0.0, 0.0)
+    assert (s_x, s_z, e) == (0.5, 0.0, -0.25)
+    assert deg and nmin == 2
+
+
+def test_tie_window_in_units_of_the_coupling_scale(k):
+    # the minima s_z = +-1/2 at v = -3 (S = 3) differ by delta: a tie within
+    # 1e-10 * S = 3e-10, two distinct states beyond it
+    assert k.solve_point(1.0, -3.0, 2e-10, 0.0)[5]
+    assert not k.solve_point(1.0, -3.0, 2e-9, 0.0)[5]
+
+
+def test_mirror_minima_next_to_the_lobe_edge_are_distinct(k):
+    # four float steps inside the lobe edge delta = u + v (rabi = 0) the
+    # mirror minima s_x = +-x lie 2*sqrt(8*2**-53) = 6e-8 apart in angle,
+    # above the 1e-8 below which two stationary points are one point
+    rng = random.Random(18)
+    for _ in range(20):
+        u = math.exp(rng.uniform(-3.0, 3.0))
+        v = rng.uniform(-0.9, 3.0) * u
+        sol = k.solve_point(u, v, (u + v) * (1.0 - 4.0 * 2.0**-53), 0.0)
+        assert sol[5], (u, v)  # degenerate
+        assert abs(sol[0]) < 1e-6
+
+
 def test_overflow_and_underflow_are_not_flat(k):
     # the quartic coefficients overflow (2*(u+v) = -inf) or underflow (the
     # discriminant of the reduced quadratic) for these unscaled couplings

@@ -19,7 +19,6 @@ from extdicke.model import (
     ParameterError,
     TrapSpec,
     estimate_from_trap,
-    lambda_critical,
     omega_critical,
     validate,
 )
@@ -201,15 +200,6 @@ def test_numpy_and_scipy_load_only_on_the_finite_n_path(tmp_path):
         assert cli.main(run(argv, "again_" + out)) == 0
         assert (tmp_path / ("again_" + out)).read_bytes() \
             == (tmp_path / out).read_bytes()
-
-
-def test_lambda_critical():
-    assert lambda_critical(1.0, 0.25) == 0.5
-    assert abs(lambda_critical(2.0, 3.0) - math.sqrt(6.0)) < 1e-15
-    with pytest.raises(ParameterError):
-        lambda_critical(0.0, 1.0)
-    with pytest.raises(ParameterError):
-        lambda_critical(1.0, -2.0)
 
 
 def test_omega_critical_is_abs_w():

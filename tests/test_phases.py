@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from extdicke.meanfield import ground_state
 from extdicke.model import ModelParams, ParameterError
 from extdicke.sweep import AxisSpec, SweepConfig, run_sweep
 from extdicke.phases import (
@@ -52,7 +53,6 @@ def test_mott_boundary_values():
 
 
 def test_astroid_matches_observed_minimum_count():
-    from extdicke.meanfield import ground_state
     edge = mott_boundary_delta(1.0, 0.0, 0.2)
     assert edge == pytest.approx(0.5337570239158691, abs=1e-14)
     inside = ground_state(params_u(1.0, delta=edge - 0.01, omega_rabi=0.2))
@@ -112,7 +112,6 @@ def test_classify_flat_manifold():
 
 
 def test_classify_accepts_precomputed_solution():
-    from extdicke.meanfield import ground_state
     p = params_u(1.0, delta=0.5)
     sol = ground_state(p)
     assert classify(p, sol) is PhaseLabel.SUPERRADIANT
@@ -135,6 +134,35 @@ def test_susceptibility_matches_lobe_formula():
 def test_susceptibility_warns_on_flat_stencil():
     with pytest.warns(RuntimeWarning):
         susceptibility_v(ModelParams(omega=1.0, lam=0.0))
+
+
+def _stencil_ends(p):
+    dv = 1e-4 * max(1.0, abs(p.v))
+    return [ground_state(p.replace(v=p.v + s * dv)) for s in (1.0, -1.0)]
+
+
+def test_susceptibility_warns_on_jump_across_stencil():
+    # v = -u + 5e-5: the upper end is in the lobe (m/N = 0 at delta = 0),
+    # the lower end past the first-order line at u + v = 0 (m/N = 1)
+    p = params_u(1.0, v=-1.0 + 5e-5)
+    hi, lo = _stencil_ends(p)
+    assert (hi.m_over_n, lo.m_over_n) == (0.0, 1.0)
+    assert not hi.flat_manifold and not lo.flat_manifold
+    with pytest.warns(RuntimeWarning, match="straddle"):
+        susceptibility_v(p)
+
+
+def test_susceptibility_warns_on_sign_change_across_stencil():
+    # in the driven superfluid the wells at +-s_z differ by 2*delta*|s_z|
+    # (~3e-14 here), which crosses the selection window _SELECT_EPS * S
+    # inside the stencil: m/N changes sign with a jump below 1/2
+    p = params_u(1.0, delta=7.51e-13, omega_rabi=0.5, v=-1.5103)
+    hi, lo = _stencil_ends(p)
+    assert hi.m_over_n > 0.19 and lo.m_over_n < -0.19
+    assert abs(hi.m_over_n - lo.m_over_n) < 0.5
+    assert not hi.flat_manifold and not lo.flat_manifold
+    with pytest.warns(RuntimeWarning, match="straddle"):
+        susceptibility_v(p)
 
 
 # --- transition detection ------------------------------------------------
