@@ -18,7 +18,9 @@ Stationary points of the reduced energy at finite eta are the real roots of
 
     delta*eta**4 + 2*(u + v - rabi)*eta**3 - 2*(u + v + rabi)*eta - delta = 0
 
-and the point eta = +-inf is stationary exactly when delta = 0.
+and the point eta = +-inf is stationary exactly when delta = 0.  In floats
+the pole is a candidate exactly when real_roots drops the leading
+coefficient delta as zero: the far root, near -2*(u + v - rabi)/delta.
 
 Every polynomial in the root finder, the quartic, its derivatives and the
 trimmed lower-degree polynomials, is a zero-padded quartic: a 5-tuple
@@ -46,13 +48,15 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Degree decay: coefficients below this fraction of the largest one are
-# treated as zero when choosing the polynomial degree (roots pushed to
-# infinity map onto the explicit eta = +-inf candidate instead).
+# "Zero relative to a scale": a quartic coefficient below this fraction of
+# the largest one is dropped when choosing the degree (a root pushed to
+# infinity is then the explicit eta = +-inf candidate), and couplings are a
+# flat manifold when delta, rabi and u+v all fall below it relative to S.
 _REL_COEFF_EPS = 1e-14
-# Critical points of the polynomial with |p| below this backward-error level
-# count as (collapsed multiple) roots.
-_ROOT_ACCEPT = 1e-11
+# A critical point is a (multiple) root when |p| there is within Horner's
+# rounding-error bound: 2n*u = 8 * 2**-53 times the sum of the term
+# magnitudes for degree n = 4 (Higham, Accuracy and Stability, eq. 5.3).
+_ROOT_ACCEPT = 8 * 2.0**-53
 # Roots closer than this (relative) are merged.
 _DEDUPE_EPS = 1e-9
 # Energy window for reporting degenerate (tied) minima, relative to the
@@ -73,9 +77,6 @@ _DISTINCT_ANGLE = 1e-8
 # exact ties can disagree by ~1e-8 between routes; genuinely distinct tied
 # minima in this model are separated by O(1).
 _RANK_EPS = 1e-6
-# Couplings are a flat manifold when delta, rabi and u+v all vanish at this
-# relative level.
-_FLAT_EPS = 1e-14
 
 _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
@@ -158,10 +159,9 @@ def _real_roots_desc(p, n):
     roots = []
     for x in crits:
         # Accept a critical point as a (multiple) root only when |p| is
-        # small relative to the sum of term magnitudes at x -- the scale of
-        # the evaluation noise there.  A looser bound fabricates roots: a
-        # near-degenerate quartic can have |p(0)| far below the coefficient
-        # scale while its true root sits many orders of magnitude away.
+        # within the rounding error of its evaluation.  A looser bound
+        # fabricates roots: a complex pair 1e-4 off the axis, next to a lobe
+        # edge under a weak drive, leaves |p| at 7e-13 of the terms.
         ax = abs(x)
         x2 = ax * ax
         x3 = x2 * ax
@@ -208,8 +208,9 @@ def real_roots(c4, c3, c2, c1, c0):
     Coefficients small relative to the largest one are treated as exact
     zeros for the degree choice (the corresponding far roots are the
     caller's eta = +-inf candidate); every root is then Newton-polished
-    against the full input polynomial.  Returns () when all coefficients
-    vanish.
+    against the full input polynomial.  Of roots within _DEDUPE_EPS *
+    max(1, |x|) of each other (copies of a multiple root), the one with the
+    smaller |p| is kept.  Returns () when all coefficients vanish.
     """
     p = (c4, c3, c2, c1, c0)
     scale = max(abs(c4), abs(c3), abs(c2), abs(c1), abs(c0))
@@ -354,14 +355,15 @@ def solve_point(u, v, delta, rabi):
     delta, rabi = math.ldexp(delta, -k), math.ldexp(rabi, -k)
     w = u + v
     scale = max(u, abs(v), rabi, abs(delta))
-    if scale == 0.0 or max(abs(delta), rabi, abs(w)) <= _FLAT_EPS * scale:
+    if scale == 0.0 or max(abs(delta), rabi, abs(w)) <= _REL_COEFF_EPS * scale:
         s_x, s_z = -0.5, 0.0
         e = reduced_energy(u, v, delta, rabi, s_x, s_z)
         residual = grad_residual(u, v, delta, rabi, 0.0)
         return (s_x, s_z, math.ldexp(e, k), 0.0, math.ldexp(residual, k),
                 True, True, 0)
 
-    roots = real_roots(delta, 2.0 * (w - rabi), 0.0, -2.0 * (w + rabi), -delta)
+    c3, c1 = 2.0 * (w - rabi), -2.0 * (w + rabi)
+    roots = real_roots(delta, c3, 0.0, c1, -delta)
     cands = []  # (theta, s_x, s_z, energy, eta)
     for r in roots:
         # bloch_from_eta, theta = pi - 2*atan(eta) and reduced_energy,
@@ -371,8 +373,8 @@ def solve_point(u, v, delta, rabi):
         s_z = r / d
         cands.append((math.pi - 2.0 * math.atan(r), s_x, s_z,
                       -u * s_x * s_x + v * s_z * s_z + delta * s_z + rabi * s_x, r))
-    if abs(delta) <= _FLAT_EPS * scale:
-        # The (1/2, 0) pole is stationary only on the delta = 0 axis.
+    if abs(delta) <= _REL_COEFF_EPS * max(abs(delta), abs(c3), abs(c1)):
+        # real_roots dropped delta, and with it the far root: the pole
         cands.append((0.0, 0.5, 0.0, reduced_energy(u, v, delta, rabi, 0.5, 0.0), math.inf))
     if not cands:
         # A non-flat landscape has a minimum; reaching here is a solver bug.

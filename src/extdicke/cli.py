@@ -31,6 +31,7 @@ from .model import (
     ModelParams,
     ParameterError,
     TrapSpec,
+    _integer,
     estimate_from_trap,
     field_name,
     omega_critical,
@@ -45,7 +46,6 @@ from .phases import (
 from .sweep import (
     AxisSpec,
     SweepConfig,
-    _integer,
     dumps_json,
     run_sweep,
     serialize_csv,

@@ -35,10 +35,12 @@ class MeanFieldSolution:
     """Ground-state data in the thermodynamic limit (energies per atom).
 
     eta is the representative stationary coordinate (+-inf at the (1/2, 0)
-    pole, reachable only on the delta = 0 axis) and residual its on-circle
-    gradient defect |de/dtheta|.  degenerate marks a tie between distinct
-    minima (the representative has the largest s_z, then the largest s_x);
-    flat_manifold marks couplings whose energy is constant on the circle.
+    pole, reachable only where delta is zero to rounding) and residual its
+    on-circle gradient defect |de/dtheta|.  degenerate marks a second
+    stationary point, not necessarily a minimum, more than 1e-8 rad away and
+    within 1e-10 * S (S the largest coupling) of the lowest minimum; the
+    reported point is the one with the largest s_z, then s_x, within
+    1e-13 * S of it.  flat_manifold marks a constant energy on the circle.
     """
 
     point: BlochPoint

@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 # Exact SI value (h = 6.62607015e-34 J s since 2019), in J s.
 hbar = 6.62607015e-34 / (2.0 * math.pi)
@@ -36,6 +36,26 @@ AXES = ("omega", "lam", "delta", "omega_rabi", "v")
 
 class ParameterError(ValueError):
     """A model parameter violates its domain."""
+
+
+def _real(x, what: str) -> float:
+    """float(x) for a finite int or float; a bool, a string, null, any other
+    type or a non-finite value is an error rather than something to
+    convert."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or not -_FLOAT_MAX <= x <= _FLOAT_MAX):
+        raise ParameterError(f"{what} must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _integer(x, what: str) -> int:
+    """int(x), except that a bool, a non-number or a float with a fractional
+    part (or no finite value) is an error rather than something to
+    truncate."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or (isinstance(x, float) and not x.is_integer())):
+        raise ParameterError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -146,32 +166,27 @@ class TrapSpec:
     gamma_excited: float
 
     def to_dict(self) -> dict:
-        return {
-            "omega_trap": list(self.omega_trap),
-            "rho_intra": self.rho_intra,
-            "rho_inter": self.rho_inter,
-            "mass": self.mass,
-            "n_atoms": self.n_atoms,
-            "single_coupling": self.single_coupling,
-            "cavity_freq": self.cavity_freq,
-            "g0_max": self.g0_max,
-            "gamma_excited": self.gamma_excited,
-        }
+        return {**vars(self), "omega_trap": list(self.omega_trap)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrapSpec":
-        data = dict(data)
-        try:
-            trap = tuple(float(x) for x in data["omega_trap"])
-        except (KeyError, TypeError, ValueError):
-            raise ParameterError("trap spec needs 'omega_trap' as 3 numbers") from None
-        if len(trap) != 3:
+        """Build from the JSON form: an object with exactly the field names
+        as keys, each a finite number (omega_trap a list of three, n_atoms
+        an integer).  Anything else is a ParameterError."""
+        if not isinstance(data, dict):
+            raise ParameterError("trap spec must be a JSON object")
+        names = [f.name for f in fields(cls)]
+        if set(data) != set(names):
+            raise ParameterError(f"bad trap spec: keys {sorted(map(str, data))}, "
+                                 f"expected {names}")
+        trap = data["omega_trap"]
+        if not isinstance(trap, list) or len(trap) != 3:
             raise ParameterError("trap spec needs 'omega_trap' as 3 numbers")
-        data["omega_trap"] = trap
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ParameterError(f"bad trap spec: {exc}") from None
+        kw = {name: _real(x, f"trap spec {name!r}") for name, x in data.items()
+              if name != "omega_trap"}
+        kw["omega_trap"] = tuple(_real(x, "trap spec 'omega_trap' entry") for x in trap)
+        kw["n_atoms"] = _integer(data["n_atoms"], "trap spec 'n_atoms'")
+        return cls(**kw)
 
     @classmethod
     def from_json(cls, text: str) -> "TrapSpec":

@@ -27,7 +27,6 @@ kink to far below the scan spacing.
 from __future__ import annotations
 
 import math
-import statistics
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -375,7 +374,9 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     span = t_max - t_min
 
     sd = [fs[i] - 2.0 * fs[i + 1] + fs[i + 2] for i in range(n_scan - 2)]
-    med = statistics.median(sorted(abs(x) for x in sd))
+    mags = sorted(abs(x) for x in sd)
+    m = len(mags) // 2  # the median, as statistics.median takes it
+    med = mags[m] if len(mags) % 2 else (mags[m - 1] + mags[m]) / 2
     floor = max(8.0 * med, 1e-12 * max(1.0, f_range))
     ranked = sorted(range(len(sd)), key=lambda i: (-abs(sd[i]), i))
     picked: list[int] = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .exact import converge_cutoff
 from .meanfield import ground_state
-from .model import AXES, ModelParams, ParameterError, field_name
+from .model import AXES, ModelParams, ParameterError, _integer, _real, field_name
 from .phases import classify
 
 
@@ -142,27 +142,6 @@ def _axis(data, i: int) -> AxisSpec:
     return AxisSpec(data["name"], _real(data["min"], f"{what} min"),
                     _real(data["max"], f"{what} max"),
                     _integer(data["count"], f"{what} count"))
-
-
-def _real(x, what: str) -> float:
-    """float(x) for an int or a float; a bool, a string, null or any other
-    type is an error rather than something to convert."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ParameterError(f"{what} must be a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise ParameterError(f"{what} is too large for a float") from None
-
-
-def _integer(x, what: str) -> int:
-    """int(x), except that a bool, a non-number or a float with a fractional
-    part (or no finite value) is an error rather than something to
-    truncate."""
-    if (isinstance(x, bool) or not isinstance(x, (int, float))
-            or (isinstance(x, float) and not x.is_integer())):
-        raise ParameterError(f"{what} must be an integer, got {x!r}")
-    return int(x)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,24 @@ def test_estimate_text_to_stdout(tmp_path, capsys):
     assert "v_cyclic_mhz" in out
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps({**TRAP_JSON, "mass": "abc"}),
+    json.dumps([TRAP_JSON]),
+    json.dumps({**TRAP_JSON, "mass": math.nan}),  # json writes NaN, reads it back
+    json.dumps({**TRAP_JSON, "rho_intra": -math.inf}),
+    json.dumps({**TRAP_JSON, "omega_trap": [1.0, "2", 3.0]}),
+    json.dumps({**TRAP_JSON, "n_atoms": 2.5}),
+    json.dumps({**TRAP_JSON, "g0_max": None}),
+], ids=["mass-string", "list", "mass-nan", "rho-inf", "trap-string", "atoms-fraction",
+        "g0-null"])
+def test_estimate_malformed_spec_exits_2(tmp_path, capsys, text):
+    config = tmp_path / "trap.json"
+    config.write_text(text)
+    assert cli.main(["estimate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_estimate_missing_file_is_io_error(tmp_path, capsys):
     rc = cli.main(["estimate", "--config", str(tmp_path / "none.json")])
     assert rc == 4

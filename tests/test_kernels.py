@@ -188,15 +188,93 @@ _SIGNED = st.tuples(st.sampled_from((-1.0, 1.0)), _MAGNITUDE).map(lambda t: t[0]
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(u=_MAGNITUDE, v=_SIGNED, d=_SIGNED, r=st.one_of(st.just(0.0), _MAGNITUDE))
-def test_solver_matches_oracle_over_full_float_range(k, u, v, d, r):
+@given(u=_MAGNITUDE, v=_SIGNED, d=_SIGNED, r=st.one_of(st.just(0.0), _MAGNITUDE),
+       d_exp=st.one_of(st.none(), st.floats(-16.0, -12.0)))
+def test_solver_matches_oracle_over_full_float_range(k, u, v, d, r, d_exp):
     # n_minima is not compared: the 4096-point grid can miss a shallow minimum
+    if d_exp is not None:
+        # |delta| = S * 10**d_exp: delta is zero to rounding or nearly so
+        d = math.copysign(max(u, abs(v), r) * 10.0 ** d_exp, d)
     scale = max(u, abs(v), abs(d), r)
     sol = k.solve_point(u, v, d, r)
     ora = k.oracle_minimum(u, v, d, r, 4096)
     assert abs(sol[2] - ora[2]) <= 1e-8 * scale
     assert sol[4] <= 1e-9 * scale  # stationarity residual
     assert sol[5] == ora[4]  # degenerate
+
+
+def test_solver_matches_oracle_where_delta_is_zero_to_rounding(k):
+    # |delta| = S * 10**U(-15, -13) straddles the level at which the quartic
+    # drops its leading coefficient delta and the eta = inf pole stands in
+    # for the far root; the solver must count, tie and place the minima as
+    # the brute-force route does on either side of that level
+    rng = random.Random(21)
+    for _ in range(200):
+        u = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+        v = rng.uniform(-3.0, 3.0) * u
+        r = 0.0 if rng.random() < 0.5 else u * math.exp(rng.uniform(math.log(1e-3), math.log(3.0)))
+        d = rng.choice((-1.0, 1.0)) * max(u, abs(v), r) * 10.0 ** rng.uniform(-15.0, -13.0)
+        sol = k.solve_point(u, v, d, r)
+        ora = k.oracle_minimum(u, v, d, r, 4096)
+        assert sol[7] == ora[6], (u, v, d, r)  # n_minima
+        assert sol[5] == ora[4], (u, v, d, r)  # degenerate
+        assert abs(sol[0] - ora[0]) <= 1e-6 and abs(sol[1] - ora[1]) <= 1e-6, (u, v, d, r)
+
+
+def test_pole_enters_exactly_when_the_quartic_drops_delta(k):
+    # u + v = 3: delta = 3e-14 is below 1e-14 of the quartic's coefficient
+    # scale 2|u + v| = 6 but above 1e-14 * S = 2e-14; the mirror minima
+    # s_x = +-1/2 tie as they do at delta = 1e-14
+    for d in (1e-14, 3e-14):
+        s_x, s_z, e, eta, res, deg, flat, nmin = k.solve_point(1.0, 2.0, d, 0.0)
+        assert (s_x, eta, deg, nmin) == (0.5, math.inf, True, 2)
+    # u + v = 0.1: delta = 5e-15 is above 1e-14 * 2|u + v| = 2e-15, so the
+    # far root near the pole is kept and the pole must not be counted again
+    s_x, s_z, e, eta, res, deg, flat, nmin = k.solve_point(1.0, -0.9, 5e-15, 0.0)
+    assert math.isfinite(eta) and deg and nmin == 2
+
+
+def test_flat_level_in_units_of_the_coupling_scale(k):
+    # u + v = 5e-14 * S: the energy rises by (u + v)/4 from the minima
+    # s_x = +-1/2 to s_z = +-1/2, some 200 ulps, so the landscape is not flat
+    s_x, s_z, e, eta, res, deg, flat, nmin = k.solve_point(1.0, -1.0 + 5e-14, 0.0, 0.0)
+    assert not flat and nmin == 2
+    # delta = 5e-15 * S alone: the whole landscape spans 5e-15 * S, inside
+    # the selection window, where ranking by s_z would report the maximum
+    # s_z = +1/2; it is flat, with the conventional point
+    s_x, s_z, e, eta, res, deg, flat, nmin = k.solve_point(1.0, -1.0, 5e-15, 0.0)
+    assert flat and (s_x, s_z) == (-0.5, 0.0)
+
+
+def test_root_acceptance_is_the_rounding_error_bound(k):
+    # ((x - 3)**2 + 1e-13) * (x**2 + 1) has no real root: at the critical
+    # point x = 3, |p| = 1e-12 is 2.8e-15 of the term magnitudes there,
+    # three times Horner's rounding-error bound 8 * 2**-53
+    assert k.real_roots(*np.polymul([1.0, -6.0, 9.0 + 1e-13], [1.0, 0.0, 1.0])) == ()
+    # the rounded coefficients of (x - 0.1)**2 (x + 2)(x + 3) leave |p| at
+    # the double root within that bound, but not within a tenth of it
+    got = k.real_roots(*np.poly([0.1, 0.1, -2.0, -3.0]))
+    assert len(got) == 3 and abs(got[2] - 0.1) < 1e-12
+
+
+def test_weak_drive_at_the_lobe_edge_has_one_minimum(k):
+    # at |delta| = u + v under a drive of 1e-12 * u the quartic has one real
+    # root next to eta = 1 and a complex pair 1e-4 off the axis; the
+    # critical point between them is no stationary point, and counting it
+    # as one made a single minimum read as two, or as degenerate
+    for v in (0.0, -1e-12):
+        s_x, s_z, e, eta, res, deg, flat, nmin = k.solve_point(1.0, v, -1.0, 1e-12)
+        assert (deg, nmin) == (False, 1)
+        assert abs(eta - 0.99987) < 1e-5
+
+
+def test_root_merge_level(k):
+    # the double root -1/8 comes back as copies 1.4e-10 apart (relative),
+    # which are one root ...
+    got = k.real_roots(*(0.125 * np.poly([-0.125, -0.125, 31.5, -0.25])))
+    assert len(got) == 3 and abs(got[1] + 0.125) < 1e-9
+    # ... while the simple roots 0 and 5e-9 are two
+    assert k.real_roots(*np.poly([0.0, 5e-9, 1.0, 2.0]))[:2] == (0.0, 5e-9)
 
 
 def test_selection_window_stays_below_near_critical_splitting(k):

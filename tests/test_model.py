@@ -147,7 +147,7 @@ _HEAVY_MODULE_PROBE = """
 import json, sys
 
 def heavy():
-    loaded = {m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}
+    loaded = {m.split(".")[0] for m in sys.modules} & {"numpy", "scipy", "statistics"}
     solvers = {"scipy.linalg", "scipy.sparse.linalg"} & set(sys.modules)
     return sorted(loaded | solvers)
 
@@ -163,9 +163,9 @@ print(json.dumps(seen))
 
 
 def _heavy_modules_after(commands: list[list[str]]) -> list[list[str]]:
-    """In a fresh interpreter: which of numpy, scipy, scipy.linalg and
-    scipy.sparse.linalg are loaded after import extdicke, after import
-    extdicke.cli, and after each command."""
+    """In a fresh interpreter: which of numpy, scipy, scipy.linalg,
+    scipy.sparse.linalg and statistics are loaded after import extdicke,
+    after import extdicke.cli, and after each command."""
     src = str(Path(extdicke.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _HEAVY_MODULE_PROBE,
                           json.dumps(commands)], capture_output=True, text=True,
