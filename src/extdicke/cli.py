@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -400,14 +401,28 @@ def cmd_fig4(args) -> int:
     return _detuning_figure(args, "fig4", (("population imbalance m/N", "m_over_n"),))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every argument starting with -digit or
+    -.digit as a value, never as an option.
+
+    argparse's own test takes only -5 and -0.5 for numbers, so after --v it
+    reads -5e-05 or -1E+3 as an unknown option and exits with "expected one
+    argument".  No option name here starts with a digit.  Subcommand parsers
+    are built with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extdicke",
         description="Ground states and phase diagrams of a driven, interacting "
                     "Dicke model in the thermodynamic limit.",
-        epilog="A negative number in exponent form needs the --flag=value "
-               "form, as in --v=-5e-05: after --v, argparse reads -5e-05 "
-               "as an option, not a value.")
+        epilog="A negative value may follow its flag or be joined to it: "
+               "--v -5e-05 and --v=-5e-05 are the same.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -22,9 +22,10 @@ definite +-1 at omega_rabi = 0.  When sector ground energies agree within
 exact tie) the first of those sectors is reported: the even one, and where
 the flip splits the sectors the flip-even one, whose <J_z> is 0.  Every
 sector, of any dimension, is solved by one thick-restart Lanczos in numpy
-(_lowest_levels); along a converge_cutoff ladder each run starts from the
-previous cutoff's psi0 + psi1 per sector, zero-padded: in the photon-major
-order the new states come last.
+(_lowest_levels: each step is the three-term recurrence followed by one
+Gram-Schmidt pass over the whole Krylov basis); along a converge_cutoff
+ladder each run starts from the previous cutoff's psi0 + psi1 per sector,
+zero-padded: in the photon-major order the new states come last.
 
 The mean-field energy per atom is a variational bound for E0/N as N grows;
 at finite N the bound that is rigorous for every v is the product-state
@@ -214,19 +215,25 @@ def _lowest_levels(h: sp.csr_matrix, hnorm: float,
     one-state sector), by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix
     Anal. Appl. 22, 602 (2000)).
 
-    The Krylov basis holds _KRYLOV_DIM vectors, each orthogonalised against
-    all earlier ones by two classical Gram-Schmidt passes, so the projected
-    matrix is V^T H V itself; a restart keeps the _KEPT_RITZ lowest Ritz
-    vectors.  The run stops when the residuals |beta * s_mi| of both lowest
-    Ritz pairs are at most 1e-13 * hnorm, or when the basis fills the
-    sector (the Ritz values are then its exact spectrum).  Without `start`
-    it begins from the flat vector plus 1e-3 of a generic one, so that no
-    symmetry left in the sector can keep a level out of the Krylov space
-    (the flat vector alone is even under the spin flip, for one).  On a
-    breakdown (beta <= 1e-14 * hnorm before the sector is exhausted) it
-    continues from a generic vector orthogonal to the basis, so an exactly
-    degenerate level can appear twice.  The generic vectors are seeded by
-    the dimension: the result is deterministic.
+    The Krylov basis holds _KRYLOV_DIM vectors.  Each step orthogonalises
+    w = H v_j against v_(j-1) and v_j (the three-term Lanczos step), then
+    against the whole basis by one classical Gram-Schmidt pass: Lanczos with
+    full reorthogonalisation (Parlett, The Symmetric Eigenvalue Problem
+    (1998), ch. 13).  The first step of a cycle and the step from a
+    breakdown's generic vector couple to every earlier vector (after a
+    restart, the carried-over residual vector couples to every kept Ritz
+    vector), so their first pass runs over the whole basis too.  The projected matrix holds the sum of both passes'
+    coefficients, so it is V^T H V itself; a restart keeps the _KEPT_RITZ
+    lowest Ritz vectors.  The run stops when the residuals |beta * s_mi| of
+    both lowest Ritz pairs are at most 1e-13 * hnorm, or when the basis
+    fills the sector (the Ritz values are then its exact spectrum).
+    Without `start` it begins from the flat vector plus 1e-3 of a generic
+    one, so that no symmetry left in the sector can keep a level out of the
+    Krylov space (the flat vector alone is even under the spin flip, for
+    one).  On a breakdown (beta <= 1e-14 * hnorm before the sector is
+    exhausted) it continues from a generic vector orthogonal to the basis,
+    so an exactly degenerate level can appear twice.  The generic vectors
+    are seeded by the dimension: the result is deterministic.
     """
     import numpy as np
 
@@ -242,13 +249,15 @@ def _lowest_levels(h: sp.csr_matrix, hnorm: float,
     basis[0] = start / np.linalg.norm(start)
     j = 0
     for _ in range(_MAX_RESTARTS + 1):
+        lo = 0  # the cycle's first step couples to every earlier vector
         while j < size:
             w = h @ basis[j]
-            c = basis[:j + 1] @ w
-            w -= c @ basis[:j + 1]
+            c = basis[lo:j + 1] @ w
+            w -= c @ basis[lo:j + 1]
             c2 = basis[:j + 1] @ w
             w -= c2 @ basis[:j + 1]
-            proj[:j + 1, j] = proj[j, :j + 1] = c + c2
+            c2[lo:] += c
+            proj[:j + 1, j] = proj[j, :j + 1] = c2
             beta = float(np.linalg.norm(w))
             j += 1
             if j == dim:
@@ -258,8 +267,10 @@ def _lowest_levels(h: sp.csr_matrix, hnorm: float,
                 w -= (basis[:j] @ w) @ basis[:j]
                 w -= (basis[:j] @ w) @ basis[:j]
                 basis[j] = w / np.linalg.norm(w)
+                lo = 0  # so does the generic vector's
             else:
                 basis[j] = w / beta
+                lo = j - 1  # the three-term step
         theta, s = np.linalg.eigh(proj[:j, :j])
         if j == dim or np.all(np.abs(beta * s[-1, :nev]) <= 1e-13 * hnorm):
             return theta[:nev], basis[:j].T @ s[:, :nev]

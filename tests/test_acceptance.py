@@ -178,7 +178,7 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 4.  A changed digest is a change of
+# writes, recorded at sweep format 5.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel and parity-sector changes gave.  The provenance line
@@ -187,17 +187,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "026a10d647dffff3d6bc60d2244883b2b69cabac8390e88f0d56b5d88624e90a",
-      "fig2_curve1.csv": "a29809e17ab1d267ff88e97ba4d70572faede5be44a6cf37d8ce2b1cfe8d3f9c",
-      "fig2_curve2.csv": "a08c6cc99ab36b23fb38b2129036813ee166e87a1412cad48956e9a423c7e43d"}),
+     {"fig2_curve0.csv": "54811c9b75aaeab90c7dbe2ead6694b27ebceed86bb2b54c099988f128c6e900",
+      "fig2_curve1.csv": "0ea0d96c90e5e72912e0b46c0f6869176502f747aebb6ce690b73cd2c5407b79",
+      "fig2_curve2.csv": "d9f9ccc0474191c5a2066cfe4021f651d397df9a868252b5faf3a7164abd9e2a"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "a286a13c1f4fe5741fe434fbf87e9293818b486d193611f9687e5358a592f6ae",
+     {"fig3_grid.csv": "11a9293a62ed7171de13d5d28319c1e6c3880f2e6dd44b701d510872aefb3611",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "04723301c0c8cb15a71b07320f1cc2a1b24ad45a6f4cd49ab4ea0195a31f0833",
-      "fig4_curve1.csv": "291e569eb13343d57de431e63b893031801130f571f5af6ffbba4585853c36d8",
-      "fig4_curve2.csv": "fcd983448d044339f1638a74f311b55f6dc7a5f5bb3120b32aa199a2d25e5df1",
-      "fig4_curve3.csv": "ba8d68c2d638251cdcf78f027d657419c3f17c3bc5bc3fdb498154bd865d8fd8"}),
+     {"fig4_curve0.csv": "894ec32fcff3f32e9bad1267485e1d295ebe697ac2b7f1cb951ed884fcac4a94",
+      "fig4_curve1.csv": "de57580f7d0f0d32599d8bca5c1c587f45404fa8a1cf43e4aa2de75bdde5e45f",
+      "fig4_curve2.csv": "a7381264e6f9ff3ba677000f073b53b916e301302fa3d484a093737df4ae4e34",
+      "fig4_curve3.csv": "a7e80b32e72e630011415e6a1513456cf94d68a9e4fa0c84913b852e8afb8547"}),
 ]
 
 
@@ -224,7 +224,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 4: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 5: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build on one CPU
@@ -234,7 +234,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "3496544508ae3e5a8883e2b3982aac6fc164576e87c8b722c2bb185b3ecfb326",
+    "a10a79f2e1ae73125193accddfb291c4ad17074f674cd8fa234d68d4a42d2283",
 )
 
 

@@ -47,6 +47,16 @@ def test_help_documents_the_equals_form_for_negative_exponents(capsys):
     assert "--v=" in capsys.readouterr().out
 
 
+def test_negative_exponent_values_may_follow_their_flag(capsys):
+    # argparse alone reads -5e-05 after --v as an option and exits 2
+    assert cli.main(["solve", "--v", "-5e-05", "--delta", "-1e-3"]) == 0
+    spaced = capsys.readouterr()
+    assert cli.main(["solve", "--v=-5e-05", "--delta=-1e-3"]) == 0
+    assert capsys.readouterr() == spaced
+    assert cli.main(["exact-check", "--delta", "-5e-01", "--n-list", "2"]) == 0
+    assert cli.main(["boundaries", "--v", "-1E+3"]) == 0
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         cli.main([])

@@ -9,6 +9,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from extdicke import cli, exact
 from extdicke.exact import (
@@ -228,6 +229,72 @@ def test_exactly_degenerate_ground_level_has_zero_gap(n_atoms, n_max, v):
     assert abs(sol.energy - e0) <= 1e-9 * hnorm
     assert abs(sol.gap) <= 1e-9 * hnorm
     assert sol.parity == pytest.approx(1.0, abs=1e-12)
+
+
+class _CountingMatrix:
+    """A sector matrix that counts its matrix-vector products."""
+
+    def __init__(self, h):
+        self.h = h
+        self.shape = h.shape
+        self.matvecs = 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return self.h @ x
+
+
+def _check_levels(h, hnorm, levels, vecs):
+    """Orthonormal Ritz vectors to 1e-12, residuals to 1e-13 * hnorm."""
+    assert np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])).max() <= 1e-12
+    for theta, x in zip(levels, vecs.T):
+        assert np.linalg.norm(h @ x - theta * x) <= 1e-13 * hnorm
+
+
+def test_lanczos_breakdown_finds_a_doubled_level_twice():
+    # 20 distinct levels, each doubled: the Krylov space of one start vector
+    # has dimension 20, so beta vanishes at step 20 before the 30-vector
+    # basis fills, and only the generic continuation finds the second copy
+    h = sp.diags(np.repeat(np.arange(20.0), 2)).tocsr()
+    levels, vecs = exact._lowest_levels(h, 19.0, None)
+    assert np.abs(levels).max() <= 1e-12 * 19.0
+    _check_levels(h, 19.0, levels, vecs)
+
+
+def test_lanczos_restarts_match_dense_levels():
+    rng = np.random.default_rng(5)
+    a = sp.random(1500, 1500, density=0.004, random_state=rng)
+    h = (a + a.T).tocsr()
+    hnorm = float(abs(h).sum(axis=1).max())
+    counted = _CountingMatrix(h)
+    levels, vecs = exact._lowest_levels(counted, hnorm, None)
+    assert counted.matvecs > 3 * exact._KRYLOV_DIM  # several restarts
+    want = np.linalg.eigvalsh(h.toarray())[:2]
+    assert np.abs(levels - want).max() <= 1e-12 * hnorm
+    _check_levels(h, hnorm, levels, vecs)
+
+
+@pytest.mark.parametrize("params,recorded", [
+    (ModelParams(omega=10.0, lam=0.5 * math.sqrt(7.5), delta=0.75,
+                 n_atoms=64), 240),
+    (ModelParams(omega=10.0, lam=1.5 * math.sqrt(10.0), delta=0.5,
+                 n_atoms=64), 720),
+    (ModelParams(omega=10.0, lam=1.02 * math.sqrt(10.0), delta=0.5,
+                 omega_rabi=0.3, n_atoms=64), 290),
+], ids=["normal", "superradiant", "driven"])
+def test_lanczos_work_per_ladder_is_pinned(monkeypatch, params, recorded):
+    # matvecs over a whole converge_cutoff ladder, within 10 % of the count
+    # recorded for this solver: a cheaper step must not buy more iterations
+    counted = []
+    solve = exact._lowest_levels
+
+    def counting(h, hnorm, start):
+        counted.append(_CountingMatrix(h))
+        return solve(counted[-1], hnorm, start)
+
+    monkeypatch.setattr(exact, "_lowest_levels", counting)
+    assert converge_cutoff(params).converged
+    assert abs(sum(c.matvecs for c in counted) - recorded) <= 0.1 * recorded
 
 
 def test_lanczos_nonconvergence_is_a_convergence_error(monkeypatch, capsys):
