@@ -30,7 +30,6 @@ from .meanfield import (
 from .exact import (
     ConvergenceError,
     ExactSolution,
-    FockSpinBasis,
     build_hamiltonian,
     converge_cutoff,
     product_state_energy,
@@ -72,7 +71,6 @@ __all__ = [
     "oracle_grid_minimum",
     "ConvergenceError",
     "ExactSolution",
-    "FockSpinBasis",
     "build_hamiltonian",
     "converge_cutoff",
     "product_state_energy",

@@ -164,7 +164,7 @@ def cmd_solve(args) -> int:
 def cmd_exact_check(args) -> int:
     params = _params_from_args(args)
     n_list = _parse_int_list(args.n_list, "--n-list")
-    mf = ground_state(params.replace(n_atoms=1))
+    mf = ground_state(params)
     rows = []
     for n in n_list:
         p_n = params.replace(n_atoms=n)

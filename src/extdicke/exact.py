@@ -7,11 +7,13 @@ eigenvalue (-1)**(n + m + j).  It maps a -> -a and J_x -> -J_x, so the
 Hamiltonian commutes with it only without a drive (omega_rabi = 0): the drive
 term omega_rabi*J_x anticommutes with it and mixes the two sectors.
 
-At omega_rabi = 0 the eigensolve therefore runs on each parity sector's
-principal submatrix and keeps its two lowest levels; with a drive the whole
-basis is the only sector.  At delta = 0 the spin flip m -> -m is a second
-symmetry (it keeps J_x, a and J_z**2 and maps J_z -> -J_z), and each sector
-splits into its flip-even and flip-odd halves (see _sectors).  The two
+Each symmetry sector is a sparse isometry Q (orthonormal columns on the
+full basis), and the eigensolve keeps the two lowest levels of each block
+Q.T @ H @ Q.  At omega_rabi = 0 the sectors are the two parity sectors
+(0/1 selection columns); with a drive the whole basis is the only sector.
+At delta = 0 the spin flip m -> -m is a second symmetry (it keeps J_x, a
+and J_z**2 and maps J_z -> -J_z), and each sector splits into its
+flip-even and flip-odd halves (see _sectors).  The two
 states of a flip doublet, split by far less than the solver resolves, then
 lie in different sectors; inside one sector a Lanczos run from one start
 vector would find only one combination of them.  E0 and E1 are the two
@@ -24,8 +26,9 @@ the flip splits the sectors the flip-even one, whose <J_z> is 0.  Every
 sector, of any dimension, is solved by one thick-restart Lanczos in numpy
 (_lowest_levels: each step is the three-term recurrence followed by one
 Gram-Schmidt pass over the whole Krylov basis); along a converge_cutoff
-ladder each run starts from the previous cutoff's psi0 + psi1 per sector,
-zero-padded: in the photon-major order the new states come last.
+ladder each run starts from Q.T applied to the previous cutoff's
+psi0 + psi1 of every sector, zero-padded: in the photon-major order the new
+states come last.
 
 The mean-field energy per atom is a variational bound for E0/N as N grows;
 at finite N the bound that is rigorous for every v is the product-state
@@ -35,7 +38,7 @@ v*(1/4 - s_z**2)/N (see product_state_energy).
 numpy and scipy are imported inside the functions that use them, so that
 importing the package (and every mean-field command) does not load them.
 scipy serves only as sparse storage (scipy.sparse): the CSR build, the
-sector slicing and folding, and the matrix-vector product; no scipy
+sector isometries and blocks, and the matrix-vector product; no scipy
 eigensolver, dense or iterative, is used.
 """
 
@@ -46,7 +49,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .meanfield import MeanFieldSolution
-from .model import ModelParams, ParameterError
+from .model import ModelParams, ParameterError, _integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,31 +68,9 @@ class ConvergenceError(RuntimeError):
     """The iterative eigensolver failed to converge."""
 
 
-@dataclass(frozen=True)
-class FockSpinBasis:
-    """Truncated photon x collective-spin product basis."""
-
-    n_max: int
-    n_atoms: int
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ParameterError("negative photon cutoff")
-        if self.n_atoms < 1:
-            raise ParameterError("no atoms")
-
-    @property
-    def j(self) -> float:
-        return 0.5 * self.n_atoms
-
-    @property
-    def dimension(self) -> int:
-        return (self.n_max + 1) * (self.n_atoms + 1)
-
-
-def build_hamiltonian(params: ModelParams, basis: FockSpinBasis,
+def build_hamiltonian(params: ModelParams, n_max: int,
                       budget: int = DIMENSION_BUDGET) -> sp.csr_matrix:
-    """Sparse symmetric Hamiltonian on the truncated basis.
+    """Sparse symmetric Hamiltonian on the basis truncated at n_max photons.
 
     Built as D + U + U.T with U strictly upper triangular, so the matrix is
     exactly symmetric.  Refuses dimensions above budget.
@@ -97,16 +78,16 @@ def build_hamiltonian(params: ModelParams, basis: FockSpinBasis,
     import numpy as np
     import scipy.sparse as sp
 
-    if basis.n_atoms != params.n_atoms:
-        raise ParameterError("basis and params disagree on the atom number")
-    dim = basis.dimension
+    nm = _integer(n_max, "photon cutoff")
+    if nm < 0:
+        raise ParameterError("negative photon cutoff")
+    na = params.n_atoms
+    dim = (nm + 1) * (na + 1)
     if dim > budget:
         raise ParameterError(
             f"basis dimension {dim} exceeds the memory budget {budget}"
         )
-    nm = basis.n_max
-    na = basis.n_atoms
-    j = basis.j
+    j = 0.5 * na
     # entries that overflow are reported by _solve_sectors' norm check
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.arange(na + 1) - j  # m values, ascending
@@ -126,14 +107,14 @@ def build_hamiltonian(params: ModelParams, basis: FockSpinBasis,
         vals = []
 
         # (omega_rabi/2) * (J+ + J-): |n, m> -> |n, m+1| within each photon block.
-        if params.omega_rabi != 0.0 and na >= 1:
+        if params.omega_rabi != 0.0:
             base = (n[:, None] * (na + 1) + np.arange(na)[None, :]).ravel()
             rows.append(base)
             cols.append(base + 1)
             vals.append(np.tile(0.5 * params.omega_rabi * ladder, nm + 1))
 
         # (lambda/(2*sqrt(N))) * (J+ + J-)(a^dag + a): photon +-1, spin +-1.
-        if params.lam != 0.0 and nm >= 1 and na >= 1:
+        if params.lam != 0.0 and nm >= 1:
             g = 0.5 * params.lam / np.sqrt(na)
             photon = np.sqrt(n[1:])  # sqrt(n+1) for n = 0..nm-1
             # J+ a^dag: |n, m> -> |n+1, m+1>
@@ -158,54 +139,52 @@ def build_hamiltonian(params: ModelParams, basis: FockSpinBasis,
         return h.tocsr()
 
 
-def _sectors(params: ModelParams, basis: FockSpinBasis
-             ) -> list[tuple[np.ndarray, sp.csr_matrix | None]]:
-    """The symmetry blocks the eigensolve treats separately, each as
-    (indices, fold): the block of H is fold.T @ H[indices][:, indices] @
-    fold, or the principal submatrix when fold is None.
+def _sectors(params: ModelParams, n_max: int) -> list[sp.csc_matrix]:
+    """The symmetry sectors the eigensolve treats separately, each as a
+    sparse isometry Q (dimension x k, orthonormal columns, stored by
+    column) whose block of H is Q.T @ H @ Q.
 
-    At omega_rabi = 0 the indices are the even and the odd sector of
-    (-1)**(n + m + j), in that order; with a drive, the whole basis.  At
-    delta = 0 each of these splits once more, into its even and its odd
-    half (in that order) under the spin flip m -> -m; fold holds the
-    orthonormal (|n, m> +- |n, -m>)/sqrt(2) and |n, 0> columns.  For odd N
-    without a drive the flip does not split a parity sector: it
-    anticommutes with the parity and maps each sector onto the other, so
-    every level is doubly degenerate across the two.  Empty halves are left
-    out.
+    At omega_rabi = 0 the sectors are the even and the odd sector of
+    (-1)**(n + m + j), in that order, as 0/1 selection columns; with a
+    drive, the whole basis (Q the identity).  At delta = 0 each of these
+    splits once more, into its even and its odd half (in that order) under
+    the spin flip m -> -m, whose columns are (|n, m> +- |n, -m>)/sqrt(2)
+    and |n, 0>.  For odd N without a drive the flip does not split a
+    parity sector: it anticommutes with the parity and maps each sector
+    onto the other, so every level is doubly degenerate across the two.
+    Empty halves are left out.
     """
     import numpy as np
     import scipy.sparse as sp
 
-    na = basis.n_atoms
+    na = params.n_atoms
+    dim = (n_max + 1) * (na + 1)
+    states = np.arange(dim)
+    k = states % (na + 1)  # k = m + j
     if params.omega_rabi != 0.0:
-        blocks = [np.arange(basis.dimension)]
+        blocks = [states]
     else:
-        n = np.arange(basis.n_max + 1)
-        k = np.arange(na + 1)  # k = m + j
-        odd = ((n[:, None] + k[None, :]) % 2).ravel().astype(bool)
-        blocks = [np.flatnonzero(~odd), np.flatnonzero(odd)]
+        odd = (states // (na + 1) + k) % 2 == 1
+        blocks = [states[~odd], states[odd]]
     if params.delta != 0.0 or (params.omega_rabi == 0.0 and na % 2 == 1):
-        return [(idx, None) for idx in blocks]
+        return [sp.csc_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)),
+                              shape=(dim, idx.size)) for idx in blocks]
     sectors = []
     r = math.sqrt(0.5)
     for idx in blocks:
-        photons, k = np.divmod(idx, na + 1)
-        partner = np.searchsorted(idx, photons * (na + 1) + na - k)
-        rep = np.flatnonzero(2 * k > na)  # m > 0; the flip partner has -m
-        mid = np.flatnonzero(2 * k == na)  # m = 0, its own partner
-        cols = np.arange(rep.size)
-        even = sp.csr_matrix(
-            (np.concatenate([np.full(2 * rep.size, r), np.ones(mid.size)]),
-             (np.concatenate([rep, partner[rep], mid]),
-              np.concatenate([cols, cols, rep.size + np.arange(mid.size)]))),
-            shape=(idx.size, rep.size + mid.size))
-        odd = sp.csr_matrix(
-            (np.concatenate([np.full(rep.size, r), np.full(rep.size, -r)]),
-             (np.concatenate([rep, partner[rep]]),
-              np.concatenate([cols, cols]))),
-            shape=(idx.size, rep.size))
-        sectors.extend((idx, fold) for fold in (even, odd) if fold.shape[1])
+        rep = idx[2 * k[idx] > na]  # m > 0; the flip partner has -m
+        mid = idx[2 * k[idx] == na]  # m = 0, its own partner
+        # one column per flip pair, its -m row first
+        pairs = np.column_stack([rep + na - 2 * k[rep], rep]).ravel()
+        ends = np.arange(0, pairs.size + 1, 2)
+        even = sp.csc_matrix(
+            (np.concatenate([np.full(pairs.size, r), np.ones(mid.size)]),
+             np.concatenate([pairs, mid]),
+             np.concatenate([ends, pairs.size + 1 + np.arange(mid.size)])),
+            shape=(dim, rep.size + mid.size))
+        odd = sp.csc_matrix((np.tile([-r, r], rep.size), pairs, ends),
+                            shape=(dim, rep.size))
+        sectors.extend(q for q in (even, odd) if q.shape[1])
     return sectors
 
 
@@ -286,23 +265,23 @@ def _lowest_levels(h: sp.csr_matrix, hnorm: float,
     )
 
 
-def _solve_sectors(h: sp.csr_matrix,
-                   sectors: list[tuple[np.ndarray, sp.csr_matrix | None]],
+def _solve_sectors(h: sp.csr_matrix, sectors: list[sp.csc_matrix],
                    start: np.ndarray | None = None
                    ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """E0, E1, the ground vector and the next cutoff's start vector of h,
-    solved sector by sector; `sectors` holds (indices, fold) pairs as
-    _sectors gives them.
+    solved sector by sector; `sectors` holds the isometries Q that
+    _sectors gives.  A sector that is the whole basis uses h itself as its
+    block.
 
     E0 and E1 are the two lowest of all the sector levels.  The ground
-    vector is the lowest sector's, embedded in the full basis; when
+    vector is the lowest sector's, Q @ s in the full basis; when
     sector ground energies agree within 1e-13 * ||H||_inf it is the first
     of those sectors', so a tunnelling doublet gets a definite,
     reproducible parity.  An H with non-finite entries is a
     ParameterError.  The eigenvalue residual ||H x - E x|| is checked
     against 1e-9 * ||H||_inf.  `start` (full basis, possibly shorter than
-    h: it is zero-padded) seeds each sector's Lanczos run; the returned
-    start holds psi0 + psi1 of every sector.
+    h: it is zero-padded) seeds each sector's Lanczos run from Q.T @
+    start; the returned start holds psi0 + psi1 of every sector.
     """
     import numpy as np
 
@@ -316,26 +295,24 @@ def _solve_sectors(h: sp.csr_matrix,
         if start is not None:
             start = np.concatenate([start, np.zeros(dim - start.size)])
         levels = []
-        grounds = []  # (sector ground energy, vector, sector indices)
+        grounds = []  # (sector ground energy, vector)
         nxt = np.zeros(dim)
-        for idx, fold in sectors:
-            sub = h if idx.size == dim else h[idx][:, idx]
-            x0 = None if start is None else start[idx]
-            if fold is not None:
-                sub = (fold.T @ sub @ fold).tocsr()
-                x0 = None if x0 is None else fold.T @ x0
-            w, vecs = _lowest_levels(sub, hnorm, x0)
-            if fold is not None:
-                vecs = fold @ vecs
+        for q in sectors:
+            if q.shape[1] == dim:
+                sub = h
+            else:
+                sub = q.T @ h @ q
+                sub.sort_indices()  # fixes the matvec's summation order
+            w, s = _lowest_levels(sub, hnorm,
+                                  None if start is None else q.T @ start)
+            vecs = q @ s
             levels.extend(float(x) for x in w)
-            grounds.append((float(w[0]), vecs[:, 0], idx))
-            nxt[idx] += vecs.sum(axis=1)
+            grounds.append((float(w[0]), vecs[:, 0]))
+            nxt += vecs.sum(axis=1)
         levels.sort()
         e0 = levels[0]
         e1 = levels[1] if len(levels) > 1 else e0
-        eg, psi, idx = next(g for g in grounds if g[0] - e0 <= 1e-13 * hnorm)
-        vec = np.zeros(dim)
-        vec[idx] = psi
+        eg, vec = next(g for g in grounds if g[0] - e0 <= 1e-13 * hnorm)
         defect = float(np.linalg.norm(h @ vec - eg * vec))
         if defect > 1e-9 * max(1.0, hnorm):
             raise ConvergenceError(
@@ -349,9 +326,10 @@ def _solve_sectors(h: sp.csr_matrix,
 class ExactSolution:
     """Ground-state observables at a photon cutoff.
 
-    energy is E0 of the truncated H and gap = E1 - E0 >= 0, over both parity
-    sectors at omega_rabi = 0.  parity is the ground vector's expectation of
-    (-1)**(n + m + j): +-1 at omega_rabi = 0, +1 on a cross-sector tie.
+    energy is E0 of the truncated H and gap = E1 - E0 >= 0, over all the
+    symmetry sectors (parity at omega_rabi = 0, spin flip at delta = 0).
+    parity is the ground vector's expectation of (-1)**(n + m + j): +-1 at
+    omega_rabi = 0, +1 on a cross-sector tie.
     """
 
     energy: float
@@ -374,15 +352,15 @@ class ExactSolution:
         return self.photon_number / self.n_atoms
 
 
-def _observables(basis: FockSpinBasis, vec: np.ndarray) -> tuple[float, float, float, float]:
+def _observables(params: ModelParams, vec: np.ndarray) -> tuple[float, float, float, float]:
     import numpy as np
 
-    na = basis.n_atoms
-    j = basis.j
-    psi = vec.reshape(basis.n_max + 1, na + 1)
+    na = params.n_atoms
+    j = 0.5 * na
+    psi = vec.reshape(-1, na + 1)
     prob = psi * psi
     m = np.arange(na + 1) - j
-    n = np.arange(basis.n_max + 1)
+    n = np.arange(psi.shape[0])
     photon = float((prob.sum(axis=1) * n).sum())
     jz = float((prob.sum(axis=0) * m).sum())
     ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
@@ -402,13 +380,13 @@ def solve_at_cutoff(params: ModelParams, n_max: int,
     for the first cutoff), read as the Lanczos start and overwritten with
     this cutoff's.  Without it the solve starts cold.
     """
-    basis = FockSpinBasis(n_max=n_max, n_atoms=params.n_atoms)
-    h = build_hamiltonian(params, basis, budget=budget)
+    n_max = _integer(n_max, "photon cutoff")
+    h = build_hamiltonian(params, n_max, budget=budget)
     start = _ladder[0] if _ladder is not None else None
-    e0, e1, vec, nxt = _solve_sectors(h, _sectors(params, basis), start)
+    e0, e1, vec, nxt = _solve_sectors(h, _sectors(params, n_max), start)
     if _ladder is not None:
         _ladder[0] = nxt
-    photon, jz, jx, parity = _observables(basis, vec)
+    photon, jz, jx, parity = _observables(params, vec)
     return ExactSolution(
         energy=e0,
         energy_per_atom=e0 / params.n_atoms,
@@ -437,6 +415,7 @@ def converge_cutoff(params: ModelParams, eps: float = 1e-8,
     if not (math.isfinite(eps) and eps > 0.0):
         raise ParameterError(
             f"convergence tolerance must be finite and positive, got {eps!r}")
+    n_max_start = _integer(n_max_start, "photon cutoff start")
     if n_max_start < 1:
         raise ParameterError("photon cutoff start must be at least 1")
     ladder = [None]

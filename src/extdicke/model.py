@@ -52,7 +52,7 @@ def _integer(x, what: str) -> int:
     """int(x), except that a bool, a non-number or a float with a fractional
     part (or no finite value) is an error rather than something to
     truncate."""
-    if (isinstance(x, bool) or not isinstance(x, (int, float))
+    if (isinstance(x, bool) or not isinstance(x, (numbers.Integral, float))
             or (isinstance(x, float) and not x.is_integer())):
         raise ParameterError(f"{what} must be an integer, got {x!r}")
     return int(x)

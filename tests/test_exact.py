@@ -14,7 +14,6 @@ import scipy.sparse as sp
 from extdicke import cli, exact
 from extdicke.exact import (
     ConvergenceError,
-    FockSpinBasis,
     build_hamiltonian,
     converge_cutoff,
     product_state_energy,
@@ -46,28 +45,86 @@ def dense_reference(params: ModelParams, n_max: int) -> np.ndarray:
 
 
 def test_basis_shape_and_validation():
-    b = FockSpinBasis(n_max=5, n_atoms=4)
-    assert b.dimension == 6 * 5
-    assert b.j == 2.0
-    with pytest.raises(ParameterError):
-        FockSpinBasis(-1, 4)
-    with pytest.raises(ParameterError):
-        FockSpinBasis(5, 0)
+    p = ModelParams(omega=1.0, lam=1.0, n_atoms=4)
+    assert build_hamiltonian(p, 5).shape == (6 * 5, 6 * 5)
+    with pytest.raises(ParameterError, match="negative photon cutoff"):
+        build_hamiltonian(p, -1)
 
 
 def test_hamiltonian_is_exactly_symmetric():
     p = ModelParams(omega=1.0, lam=0.9, delta=0.3, omega_rabi=0.2, v=-0.6,
                     n_atoms=5)
-    h = build_hamiltonian(p, FockSpinBasis(12, 5))
+    h = build_hamiltonian(p, 12)
     assert (h != h.T).nnz == 0
 
 
 def test_build_rejects_bad_inputs():
-    p = ModelParams(omega=1.0, lam=1.0, n_atoms=4)
-    with pytest.raises(ParameterError, match="atom number"):
-        build_hamiltonian(p, FockSpinBasis(10, 6))
+    p = ModelParams(omega=1.0, lam=1.0, n_atoms=6)
     with pytest.raises(ParameterError, match="budget"):
-        build_hamiltonian(p.replace(n_atoms=6), FockSpinBasis(10, 6), budget=50)
+        build_hamiltonian(p, 10, budget=50)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: solve_at_cutoff(p, 2.5),
+    lambda p: solve_at_cutoff(p, math.nan),
+    lambda p: solve_at_cutoff(p, math.inf),
+    lambda p: solve_at_cutoff(p, True),
+    lambda p: solve_at_cutoff(p, "4"),
+    lambda p: build_hamiltonian(p, 2.5),
+    lambda p: converge_cutoff(p, n_max_start=2.5),
+    lambda p: converge_cutoff(p, n_max_start=True),
+], ids=["half", "nan", "inf", "bool", "str", "build-half", "start-half",
+        "start-bool"])
+def test_non_integer_cutoff_is_a_parameter_error(call):
+    p = ModelParams(omega=1.0, lam=1.0, n_atoms=2)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call(p)
+
+
+def test_integral_cutoff_of_any_type_is_the_integer_cutoff():
+    p = ModelParams(omega=1.0, lam=0.8, delta=0.2, n_atoms=3)
+    for n_max in (4.0, np.int64(4)):
+        assert solve_at_cutoff(p, n_max) == solve_at_cutoff(p, 4)
+        assert type(solve_at_cutoff(p, n_max).n_max_used) is int
+
+
+@pytest.mark.parametrize("n_atoms,n_max,omega_rabi,delta", itertools.product(
+    (1, 2, 3, 4), (0, 1, 3), (0.0, 0.3), (0.0, 0.4)))
+def test_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max,
+                                                      omega_rabi, delta):
+    # each sector is an isometry, the sectors split the basis between them,
+    # and H has no matrix element between two of them: a wrong flip
+    # partner or parity label breaks one of these even where it leaves the
+    # two lowest levels alone
+    p = ModelParams(omega=1.0, lam=0.7, delta=delta, omega_rabi=omega_rabi,
+                    v=-0.4, n_atoms=n_atoms)
+    h = build_hamiltonian(p, n_max).toarray()
+    qs = [q.toarray() for q in exact._sectors(p, n_max)]
+    dim = h.shape[0]
+    assert all(q.shape[0] == dim and q.shape[1] >= 1 for q in qs)
+    for q in qs:
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-15
+    assert np.abs(sum(q @ q.T for q in qs) - np.eye(dim)).max() <= 1e-15
+    hnorm = np.abs(h).sum(axis=1).max()
+    for a, b in itertools.permutations(range(len(qs)), 2):
+        assert np.abs(qs[a].T @ qs[b]).max() <= 1e-15
+        assert np.abs(qs[a].T @ h @ qs[b]).max() <= 1e-15 * hnorm
+    # each sector is an eigenspace of the symmetries that define it: the
+    # parity without a drive, and the spin flip at delta = 0 unless it
+    # swaps the two parity sectors (odd N, no drive)
+    n, k = np.divmod(np.arange(dim), n_atoms + 1)
+    symmetries = []
+    if omega_rabi == 0.0:
+        symmetries.append(np.diag((-1.0) ** (n + k)))
+    if delta == 0.0 and (omega_rabi != 0.0 or n_atoms % 2 == 0):
+        symmetries.append(np.eye(dim)[n * (n_atoms + 1) + n_atoms - k])
+    if not symmetries:
+        assert len(qs) == 1
+    for q in qs:
+        for sym in symmetries:
+            d = q.T @ sym @ q
+            assert abs(abs(d[0, 0]) - 1.0) <= 1e-15
+            assert np.abs(d - d[0, 0] * np.eye(q.shape[1])).max() <= 1e-15
 
 
 def test_converge_cutoff_rejects_bad_ladder_settings():
@@ -120,9 +177,9 @@ def test_sparse_path_agrees_with_dense_path():
     # solve here
     p = ModelParams(omega=1.0, lam=1.2, delta=0.4, omega_rabi=0.1, v=-0.5,
                     n_atoms=30)
-    h = build_hamiltonian(p, FockSpinBasis(66, 30))
+    h = build_hamiltonian(p, 66)
     assert h.shape[0] == 2077
-    e_sparse, _, vec, _ = exact._solve_sectors(h, [(np.arange(2077), None)])
+    e_sparse, _, vec, _ = exact._solve_sectors(h, [sp.identity(2077, format="csc")])
     e_dense = np.linalg.eigvalsh(h.toarray())[0]
     assert e_sparse == pytest.approx(e_dense, abs=1e-8)
     assert np.linalg.norm(h @ vec - e_sparse * vec) < 1e-7
@@ -130,8 +187,8 @@ def test_sparse_path_agrees_with_dense_path():
 
 def test_ground_pair_residual_guard():
     p = ModelParams(omega=1.0, lam=0.8, delta=0.25, n_atoms=10)
-    h = build_hamiltonian(p, FockSpinBasis(20, 10))
-    e0, _, vec, _ = exact._solve_sectors(h, [(np.arange(h.shape[0]), None)])
+    h = build_hamiltonian(p, 20)
+    e0, _, vec, _ = exact._solve_sectors(h, [sp.identity(h.shape[0], format="csc")])
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-10
     assert np.linalg.norm(h @ vec - e0 * vec) < 1e-8
 
