@@ -7,39 +7,41 @@ eigenvalue (-1)**(n + m + j).  It maps a -> -a and J_x -> -J_x, so the
 Hamiltonian commutes with it only without a drive (omega_rabi = 0): the drive
 term omega_rabi*J_x anticommutes with it and mixes the two sectors.
 
-Each symmetry sector is a sparse isometry Q (orthonormal columns on the
-full basis), and the eigensolve keeps the two lowest levels of each block
-Q.T @ H @ Q.  At omega_rabi = 0 the sectors are the two parity sectors
-(0/1 selection columns); with a drive the whole basis is the only sector.
-At delta = 0 the spin flip m -> -m is a second symmetry (it keeps J_x, a
-and J_z**2 and maps J_z -> -J_z), and each sector splits into its
-flip-even and flip-odd halves (see _sectors).  The two
-states of a flip doublet, split by far less than the solver resolves, then
-lie in different sectors; inside one sector a Lanczos run from one start
-vector would find only one combination of them.  E0 and E1 are the two
-lowest of all the kept levels, so `gap` is E1 - E0 of H.  The reported
-`parity` is the ground state's expectation value of the parity operator: a
-definite +-1 at omega_rabi = 0.  When sector ground energies agree within
-1e-13 * ||H||_inf (a tunnelling doublet below the solver's resolution, or an
-exact tie) the first of those sectors is reported: the even one, and where
-the flip splits the sectors the flip-even one, whose <J_z> is 0.  Every
-sector, of any dimension, is solved by one thick-restart Lanczos in numpy
-(_lowest_levels: each step is the three-term recurrence followed by one
-Gram-Schmidt pass over the whole Krylov basis); along a converge_cutoff
-ladder each run starts from Q.T applied to the previous cutoff's
-psi0 + psi1 of every sector, zero-padded: in the photon-major order the new
-states come last.
+H is stored by its diagonals (BandedMatrix): it couples |n, m> only to
+|n +- 1, m +- 1> and, with a drive, to |n, m +- 1>.
+
+Each symmetry sector is an isometry Q (orthonormal columns on the full
+basis, each state in at most one column), and the eigensolve keeps the two
+lowest levels of each block Q.T @ H @ Q, itself stored by diagonals.  At
+omega_rabi = 0 the sectors are the two parity sectors (0/1 selection
+columns); with a drive the whole basis is the only sector.  At delta = 0
+the spin flip m -> -m is a second symmetry (it keeps J_x, a and J_z**2 and
+maps J_z -> -J_z), and each sector splits into its flip-even and flip-odd
+halves (see _sectors).  The two states of a flip doublet, split by far less
+than the solver resolves, then lie in different sectors; inside one sector
+a Lanczos run from one start vector would find only one combination of
+them.  E0 and E1 are the two lowest of all the kept levels, so `gap` is
+E1 - E0 of H.  The reported `parity` is the ground state's expectation
+value of the parity operator: a definite +-1 at omega_rabi = 0.  When
+sector ground energies agree within 1e-13 * ||H||_inf (a tunnelling doublet
+below the solver's resolution, or an exact tie) the first of those sectors
+is reported: the even one, and where the flip splits the sectors the
+flip-even one, whose <J_z> is 0.  Every sector, of any dimension, is solved
+by one thick-restart Lanczos in numpy (_lowest_levels: each step is the
+three-term recurrence followed by one Gram-Schmidt pass over the whole
+Krylov basis); along a converge_cutoff ladder each run starts from Q.T
+applied to the previous cutoff's psi0 + psi1 of every sector, zero-padded:
+in the photon-major order the new states come last.
 
 The mean-field energy per atom is a variational bound for E0/N as N grows;
 at finite N the bound that is rigorous for every v is the product-state
 expectation, which exceeds the thermodynamic-limit value by
 v*(1/4 - s_z**2)/N (see product_state_energy).
 
-numpy and scipy are imported inside the functions that use them, so that
-importing the package (and every mean-field command) does not load them.
-scipy serves only as sparse storage (scipy.sparse): the CSR build, the
-sector isometries and blocks, and the matrix-vector product; no scipy
-eigensolver, dense or iterative, is used.
+numpy is imported inside the functions that use it, so that importing the
+package (and every mean-field command) does not load it.  The finite-N path
+needs numpy alone: the diagonals, the sector blocks and the matrix-vector
+products are numpy arrays and array operations.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .model import ModelParams, ParameterError, _integer
 
 if TYPE_CHECKING:
     import numpy as np
-    import scipy.sparse as sp
 
 DIMENSION_BUDGET = 400_000
 
@@ -68,15 +69,58 @@ class ConvergenceError(RuntimeError):
     """The iterative eigensolver failed to converge."""
 
 
-def build_hamiltonian(params: ModelParams, n_max: int,
-                      budget: int = DIMENSION_BUDGET) -> sp.csr_matrix:
-    """Sparse symmetric Hamiltonian on the basis truncated at n_max photons.
+class BandedMatrix:
+    """A real symmetric matrix stored by its diagonals.
 
-    Built as D + U + U.T with U strictly upper triangular, so the matrix is
-    exactly symmetric.  Refuses dimensions above budget.
+    `offsets` ascend, and `diagonals[i]` holds the entries at offset
+    offsets[i]: entry t of the diagonal at offset k is H[t, t + k] for
+    k >= 0 and H[t - k, t] for k < 0, so the diagonals at k and -k are one
+    array and the matrix is exactly symmetric.  `nnz` counts the nonzero
+    entries.  H @ x adds the diagonals in ascending offset order, so each
+    row is summed in column order, as a CSR matrix-vector product sums it
+    (a stored zero adds nothing to a finite sum).
+    """
+
+    def __init__(self, dim: int, upper: dict[int, np.ndarray]):
+        """`upper` maps each offset k >= 0 to its diagonal (dim - k long)."""
+        ks = sorted(upper)
+        self.offsets = [-k for k in reversed(ks) if k] + ks
+        self.diagonals = [upper[abs(k)] for k in self.offsets]
+        self.shape = (dim, dim)
+
+    @property
+    def nnz(self) -> int:
+        import numpy as np
+
+        return sum(int(np.count_nonzero(d)) for d in self.diagonals)
+
+    def __abs__(self) -> BandedMatrix:
+        import numpy as np
+
+        return BandedMatrix(self.shape[0], {k: np.abs(d) for k, d in
+                                            zip(self.offsets, self.diagonals)
+                                            if k >= 0})
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        dim = self.shape[0]
+        y = np.zeros(dim)
+        for k, d in zip(self.offsets, self.diagonals):
+            if k >= 0:
+                y[:dim - k] += d * x[k:]
+            else:
+                y[-k:] += d * x[:dim + k]
+        return y
+
+
+def build_hamiltonian(params: ModelParams, n_max: int,
+                      budget: int = DIMENSION_BUDGET) -> BandedMatrix:
+    """The Hamiltonian on the basis truncated at n_max photons, by
+    diagonals: the diagonal, +-N and +-(N+2) for the coupling, and +-1 for
+    the drive.  Refuses dimensions above budget.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     nm = _integer(n_max, "photon cutoff")
     if nm < 0:
@@ -93,56 +137,47 @@ def build_hamiltonian(params: ModelParams, n_max: int,
         m = np.arange(na + 1) - j  # m values, ascending
         n = np.arange(nm + 1)
 
-        diag = (
+        upper = {0: (
             params.omega * n[:, None]
             + params.delta * m[None, :]
             + (params.v / na) * m[None, :] ** 2
-        ).ravel()
+        ).ravel()}
 
         # <m+1|J+|m> ladder amplitudes.
         ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
 
-        rows = []
-        cols = []
-        vals = []
+        def band(cols: slice, amp: np.ndarray, k: int) -> None:
+            """Adds amp, laid out photon block by photon block at spin
+            columns `cols`, to the diagonal at offset k."""
+            d = np.zeros((nm + 1, na + 1))
+            d[:amp.shape[0], cols] = amp
+            d = d.ravel()[:dim - k]
+            # for N = 1 the drive and J- a^dag share offset 1
+            upper[k] = upper[k] + d if k in upper else d
 
-        # (omega_rabi/2) * (J+ + J-): |n, m> -> |n, m+1| within each photon block.
+        # (omega_rabi/2) * (J+ + J-): |n, m> -> |n, m+1> in each photon block.
         if params.omega_rabi != 0.0:
-            base = (n[:, None] * (na + 1) + np.arange(na)[None, :]).ravel()
-            rows.append(base)
-            cols.append(base + 1)
-            vals.append(np.tile(0.5 * params.omega_rabi * ladder, nm + 1))
+            band(slice(None, na), np.tile(0.5 * params.omega_rabi * ladder,
+                                          (nm + 1, 1)), 1)
 
         # (lambda/(2*sqrt(N))) * (J+ + J-)(a^dag + a): photon +-1, spin +-1.
         if params.lam != 0.0 and nm >= 1:
             g = 0.5 * params.lam / np.sqrt(na)
             photon = np.sqrt(n[1:])  # sqrt(n+1) for n = 0..nm-1
-            # J+ a^dag: |n, m> -> |n+1, m+1>
-            base = (n[:-1, None] * (na + 1) + np.arange(na)[None, :]).ravel()
-            amp = (g * photon[:, None] * ladder[None, :]).ravel()
-            rows.append(base)
-            cols.append(base + (na + 1) + 1)
-            vals.append(amp)
-            # J- a^dag: |n, m+1> -> |n+1, m>
-            rows.append(base + 1)
-            cols.append(base + (na + 1))
-            vals.append(amp)
-
-        if rows:
-            upper = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(dim, dim),
-            )
-            h = sp.diags(diag) + upper + upper.T
-        else:
-            h = sp.diags(diag)
-        return h.tocsr()
+            amp = g * photon[:, None] * ladder[None, :]
+            # J+ a^dag: |n, m> -> |n+1, m+1>; J- a^dag: |n, m+1> -> |n+1, m>
+            band(slice(None, na), amp, na + 2)
+            band(slice(1, None), amp, na)
+        return BandedMatrix(dim, upper)
 
 
-def _sectors(params: ModelParams, n_max: int) -> list[sp.csc_matrix]:
-    """The symmetry sectors the eigensolve treats separately, each as a
-    sparse isometry Q (dimension x k, orthonormal columns, stored by
-    column) whose block of H is Q.T @ H @ Q.
+def _sectors(params: ModelParams, n_max: int
+             ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The symmetry sectors the eigensolve treats separately, each as the
+    isometry Q (dimension x k, orthonormal columns) whose block of H is
+    Q.T @ H @ Q.  A sector is two arrays over the full basis: the column of
+    each state (-1 outside the sector) and its coefficient, so that
+    Q[s, col[s]] = coef[s]; each state lies in at most one column.
 
     At omega_rabi = 0 the sectors are the even and the odd sector of
     (-1)**(n + m + j), in that order, as 0/1 selection columns; with a
@@ -152,10 +187,11 @@ def _sectors(params: ModelParams, n_max: int) -> list[sp.csc_matrix]:
     and |n, 0>.  For odd N without a drive the flip does not split a
     parity sector: it anticommutes with the parity and maps each sector
     onto the other, so every level is doubly degenerate across the two.
-    Empty halves are left out.
+    Columns are photon-major, and within a photon block ordered by m
+    (a flip column by its m >= 0 state), so each block is banded.  Empty
+    halves are left out.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     na = params.n_atoms
     dim = (n_max + 1) * (na + 1)
@@ -166,29 +202,75 @@ def _sectors(params: ModelParams, n_max: int) -> list[sp.csc_matrix]:
     else:
         odd = (states // (na + 1) + k) % 2 == 1
         blocks = [states[~odd], states[odd]]
-    if params.delta != 0.0 or (params.omega_rabi == 0.0 and na % 2 == 1):
-        return [sp.csc_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)),
-                              shape=(dim, idx.size)) for idx in blocks]
-    sectors = []
+    flip = params.delta == 0.0 and (params.omega_rabi != 0.0 or na % 2 == 0)
     r = math.sqrt(0.5)
+    sectors = []
     for idx in blocks:
-        rep = idx[2 * k[idx] > na]  # m > 0; the flip partner has -m
-        mid = idx[2 * k[idx] == na]  # m = 0, its own partner
-        # one column per flip pair, its -m row first
-        pairs = np.column_stack([rep + na - 2 * k[rep], rep]).ravel()
-        ends = np.arange(0, pairs.size + 1, 2)
-        even = sp.csc_matrix(
-            (np.concatenate([np.full(pairs.size, r), np.ones(mid.size)]),
-             np.concatenate([pairs, mid]),
-             np.concatenate([ends, pairs.size + 1 + np.arange(mid.size)])),
-            shape=(dim, rep.size + mid.size))
-        odd = sp.csc_matrix((np.tile([-r, r], rep.size), pairs, ends),
-                            shape=(dim, rep.size))
-        sectors.extend(q for q in (even, odd) if q.shape[1])
+        # (states with one column each, sign of the flip partner's coefficient)
+        halves = ([(idx[2 * k[idx] >= na], 1.0), (idx[2 * k[idx] > na], -1.0)]
+                  if flip else [(idx, 1.0)])
+        for rep, sign in halves:
+            if not rep.size:
+                continue
+            partner = rep + na - 2 * k[rep] if flip else rep  # -m for +m
+            col = np.full(dim, -1)
+            col[partner] = col[rep] = np.arange(rep.size)
+            coef = np.zeros(dim)
+            coef[partner] = sign * r
+            # a state that is its own partner (|n, 0>, or every state of a
+            # selection column) has coefficient 1
+            coef[rep] = np.where(partner == rep, 1.0, r)
+            sectors.append((col, coef))
     return sectors
 
 
-def _lowest_levels(h: sp.csr_matrix, hnorm: float,
+def _sector_block(h: BandedMatrix, col: np.ndarray,
+                  coef: np.ndarray) -> BandedMatrix:
+    """Q.T @ h @ Q for the sector (col, coef) of _sectors, by diagonals.
+
+    Each entry H[s, t] adds coef[s] * coef[t] * H[s, t] to the block entry
+    (col[s], col[t]).  Only h's upper diagonals are read: H[s, t] and its
+    transpose H[t, s] give a block entry and its mirror, so one of the two
+    is added to the block's upper triangle (both, to its diagonal, when s
+    and t are flip partners in one column).  That triangle is summed by
+    bincount, in the order of h's diagonals, and mirrored, so the block is
+    exactly symmetric.  For 0/1 selection columns each block entry is one
+    entry of h.
+    """
+    import numpy as np
+
+    dim = h.shape[0]
+    states = np.flatnonzero(col >= 0)
+    at, cs = col[states], coef[states]
+    size = int(at.max()) + 1
+    parts: dict[int, list] = {}  # block offset -> [(block rows, values)]
+    for k, d in zip(h.offsets, h.diagonals):
+        if k < 0:
+            continue  # the transpose of the diagonal at -k
+        # the sector's states s with s + k in the basis; H[s, s + k] = d[s]
+        s = states[:np.searchsorted(states, dim - k)]
+        t = s + k
+        a, b = at[:s.size], col[t]
+        vals = d[s] * (cs[:s.size] * coef[t])
+        keep = vals != 0.0  # t in the sector, and no stored zero
+        if not keep.any():
+            continue
+        rows = np.minimum(a, b)[keep]
+        off = np.abs(b - a)[keep]
+        vals = vals[keep]
+        if k:
+            vals[off == 0] *= 2.0  # partners in one column
+        for o in range(int(off.min()), int(off.max()) + 1):
+            sel = off == o
+            if sel.any():
+                parts.setdefault(o, []).append((rows[sel], vals[sel]))
+    return BandedMatrix(size, {
+        o: np.bincount(np.concatenate([r for r, _ in ps]),
+                       np.concatenate([v for _, v in ps]), size - o)
+        for o, ps in parts.items()})
+
+
+def _lowest_levels(h: BandedMatrix, hnorm: float,
                    start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenpairs of one sector, ascending (one for a
     one-state sector), by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix
@@ -201,11 +283,12 @@ def _lowest_levels(h: sp.csr_matrix, hnorm: float,
     (1998), ch. 13).  The first step of a cycle and the step from a
     breakdown's generic vector couple to every earlier vector (after a
     restart, the carried-over residual vector couples to every kept Ritz
-    vector), so their first pass runs over the whole basis too.  The projected matrix holds the sum of both passes'
-    coefficients, so it is V^T H V itself; a restart keeps the _KEPT_RITZ
-    lowest Ritz vectors.  The run stops when the residuals |beta * s_mi| of
-    both lowest Ritz pairs are at most 1e-13 * hnorm, or when the basis
-    fills the sector (the Ritz values are then its exact spectrum).
+    vector), so their first pass runs over the whole basis too.  The
+    projected matrix holds the sum of both passes' coefficients, so it is
+    V^T H V itself; a restart keeps the _KEPT_RITZ lowest Ritz vectors.
+    The run stops when the residuals |beta * s_mi| of both lowest Ritz
+    pairs are at most 1e-13 * hnorm, or when the basis fills the sector
+    (the Ritz values are then its exact spectrum).
     Without `start` it begins from the flat vector plus 1e-3 of a generic
     one, so that no symmetry left in the sector can keep a level out of the
     Krylov space (the flat vector alone is even under the spin flip, for
@@ -265,30 +348,33 @@ def _lowest_levels(h: sp.csr_matrix, hnorm: float,
     )
 
 
-def _solve_sectors(h: sp.csr_matrix, sectors: list[sp.csc_matrix],
+def _solve_sectors(h: BandedMatrix,
+                   sectors: list[tuple[np.ndarray, np.ndarray]],
                    start: np.ndarray | None = None
                    ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """E0, E1, the ground vector and the next cutoff's start vector of h,
-    solved sector by sector; `sectors` holds the isometries Q that
+    solved sector by sector; `sectors` holds the (col, coef) pairs that
     _sectors gives.  A sector that is the whole basis uses h itself as its
-    block.
+    block; every other block comes from _sector_block.  Q.T @ x is a
+    bincount over col, and Q @ s a gather.
 
     E0 and E1 are the two lowest of all the sector levels.  The ground
     vector is the lowest sector's, Q @ s in the full basis; when
     sector ground energies agree within 1e-13 * ||H||_inf it is the first
     of those sectors', so a tunnelling doublet gets a definite,
-    reproducible parity.  An H with non-finite entries is a
-    ParameterError.  The eigenvalue residual ||H x - E x|| is checked
-    against 1e-9 * ||H||_inf.  `start` (full basis, possibly shorter than
-    h: it is zero-padded) seeds each sector's Lanczos run from Q.T @
-    start; the returned start holds psi0 + psi1 of every sector.
+    reproducible parity.  ||H||_inf is the largest row sum of |H|.  An H
+    with non-finite entries is a ParameterError.  The eigenvalue residual
+    ||H x - E x|| is checked against 1e-9 * ||H||_inf.  `start` (full
+    basis, possibly shorter than h: it is zero-padded) seeds each sector's
+    Lanczos run from Q.T @ start; the returned start holds psi0 + psi1 of
+    every sector.
     """
     import numpy as np
 
     # overflow surfaces as the ParameterError or the ConvergenceError below
     with np.errstate(over="ignore", invalid="ignore"):
         dim = h.shape[0]
-        hnorm = float(abs(h).sum(axis=1).max())
+        hnorm = float((abs(h) @ np.ones(dim)).max())
         if not math.isfinite(hnorm):
             raise ParameterError(
                 f"Hamiltonian entries overflow: ||H||_inf = {hnorm}")
@@ -297,15 +383,17 @@ def _solve_sectors(h: sp.csr_matrix, sectors: list[sp.csc_matrix],
         levels = []
         grounds = []  # (sector ground energy, vector)
         nxt = np.zeros(dim)
-        for q in sectors:
-            if q.shape[1] == dim:
-                sub = h
-            else:
-                sub = q.T @ h @ q
-                sub.sort_indices()  # fixes the matvec's summation order
-            w, s = _lowest_levels(sub, hnorm,
-                                  None if start is None else q.T @ start)
-            vecs = q @ s
+        for col, coef in sectors:
+            inside = col >= 0
+            at = col[inside]
+            size = int(at.max()) + 1
+            sub = h if size == dim else _sector_block(h, col, coef)
+            w, s = _lowest_levels(
+                sub, hnorm, None if start is None else
+                np.bincount(at, coef[inside] * start[inside], size))
+            vecs = np.zeros((dim, s.shape[1]))
+            # added to zeros, as a product sums: a -0.0 of s lands as 0.0
+            vecs[inside] += coef[inside, None] * s[at]
             levels.extend(float(x) for x in w)
             grounds.append((float(w[0]), vecs[:, 0]))
             nxt += vecs.sum(axis=1)

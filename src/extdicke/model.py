@@ -76,6 +76,8 @@ class ModelParams:
 
     def __post_init__(self):
         validate(self)
+        # an integral float atom number (4.0) is kept as the int it equals
+        object.__setattr__(self, "n_atoms", int(self.n_atoms))
 
     @property
     def u(self) -> float:

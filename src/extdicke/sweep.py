@@ -239,7 +239,7 @@ def run_sweep(config: SweepConfig) -> SweepDataset:
         nodes = [(x, y) for x in grids[0] for y in grids[1]]
     rows = [_solve_node(config, node) for node in nodes]
     provenance = (
-        f"extdicke sweep format 5, version {__version__}",
+        f"extdicke sweep format 6, version {__version__}",
         "config " + json.dumps(config.to_dict(), separators=(",", ":")),
     )
     return SweepDataset(columns=_columns(config), rows=tuple(rows),

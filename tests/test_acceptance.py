@@ -178,7 +178,7 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 5.  A changed digest is a change of
+# writes, recorded at sweep format 6.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel and parity-sector changes gave.  The provenance line
@@ -187,17 +187,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "54811c9b75aaeab90c7dbe2ead6694b27ebceed86bb2b54c099988f128c6e900",
-      "fig2_curve1.csv": "0ea0d96c90e5e72912e0b46c0f6869176502f747aebb6ce690b73cd2c5407b79",
-      "fig2_curve2.csv": "d9f9ccc0474191c5a2066cfe4021f651d397df9a868252b5faf3a7164abd9e2a"}),
+     {"fig2_curve0.csv": "8afe888a7a158ea8b6aad3e336f99eb61f8937de02b3ded1697096766890498d",
+      "fig2_curve1.csv": "4fb5f3e8ec87d60d7ff589667619545cb66709598037a69635716271f0cedd0a",
+      "fig2_curve2.csv": "b9c34cfcd6877756a78384a87764914a70b05872030eaabcc506b78ee6e5fbcd"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "11a9293a62ed7171de13d5d28319c1e6c3880f2e6dd44b701d510872aefb3611",
+     {"fig3_grid.csv": "60458a004de88f8f3328d751e5fe57d48100eb640f4fc5532898602519f820b1",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "894ec32fcff3f32e9bad1267485e1d295ebe697ac2b7f1cb951ed884fcac4a94",
-      "fig4_curve1.csv": "de57580f7d0f0d32599d8bca5c1c587f45404fa8a1cf43e4aa2de75bdde5e45f",
-      "fig4_curve2.csv": "a7381264e6f9ff3ba677000f073b53b916e301302fa3d484a093737df4ae4e34",
-      "fig4_curve3.csv": "a7e80b32e72e630011415e6a1513456cf94d68a9e4fa0c84913b852e8afb8547"}),
+     {"fig4_curve0.csv": "0cf98d70c74adcfd83e129422f4d2b1e51e8f309c1239ede40359628b277dd1a",
+      "fig4_curve1.csv": "cb74506064a0771158b68c35b9617f454ed0f5f9f1fafa24e9cd2c5bfc0991a3",
+      "fig4_curve2.csv": "5202886e0dc34a05a1f23a887e2d1eba7e6600ececbbd7c4e96671f3b924363b",
+      "fig4_curve3.csv": "b60cbdb5fb442c0187f04623f9713c815e774c71c42b6a73ddd1788a38615404"}),
 ]
 
 
@@ -224,7 +224,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 5: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 6: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build on one CPU
@@ -234,7 +234,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "a10a79f2e1ae73125193accddfb291c4ad17074f674cd8fa234d68d4a42d2283",
+    "23ba7a89ec28ff603dee9091b49a4df465be8cd0ea40fa262ee38501a436d8a5",
 )
 
 

@@ -51,11 +51,28 @@ def test_basis_shape_and_validation():
         build_hamiltonian(p, -1)
 
 
+def dense(op) -> np.ndarray:
+    """The matrix of a linear operator, from its action on the identity's
+    columns."""
+    return np.column_stack([op @ e for e in np.eye(op.shape[1])])
+
+
+def dense_sector(col: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The isometry Q[s, col[s]] = coef[s] of a sector from exact._sectors."""
+    q = np.zeros((col.size, col.max() + 1))
+    inside = np.flatnonzero(col >= 0)
+    q[inside, col[inside]] = coef[inside]
+    return q
+
+
 def test_hamiltonian_is_exactly_symmetric():
     p = ModelParams(omega=1.0, lam=0.9, delta=0.3, omega_rabi=0.2, v=-0.6,
                     n_atoms=5)
     h = build_hamiltonian(p, 12)
-    assert (h != h.T).nnz == 0
+    d = dense(h)
+    assert (d == d.T).all()
+    assert h.nnz == np.count_nonzero(d)
+    assert np.abs(d - dense_reference(p, 12)).max() <= 1e-14 * np.abs(d).max()
 
 
 def test_build_rejects_bad_inputs():
@@ -88,6 +105,15 @@ def test_integral_cutoff_of_any_type_is_the_integer_cutoff():
         assert type(solve_at_cutoff(p, n_max).n_max_used) is int
 
 
+def test_integral_float_atom_number_is_the_integer_atom_number():
+    p = ModelParams(omega=1.0, lam=0.8, delta=0.2, n_atoms=4.0)
+    assert type(p.n_atoms) is int and p.n_atoms == 4
+    want = solve_at_cutoff(ModelParams(omega=1.0, lam=0.8, delta=0.2,
+                                       n_atoms=4), 4)
+    assert solve_at_cutoff(p, 4) == want
+    assert type(solve_at_cutoff(p, 4).n_atoms) is int
+
+
 @pytest.mark.parametrize("n_atoms,n_max,omega_rabi,delta", itertools.product(
     (1, 2, 3, 4), (0, 1, 3), (0.0, 0.3), (0.0, 0.4)))
 def test_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max,
@@ -98,8 +124,11 @@ def test_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max,
     # two lowest levels alone
     p = ModelParams(omega=1.0, lam=0.7, delta=delta, omega_rabi=omega_rabi,
                     v=-0.4, n_atoms=n_atoms)
-    h = build_hamiltonian(p, n_max).toarray()
-    qs = [q.toarray() for q in exact._sectors(p, n_max)]
+    op = build_hamiltonian(p, n_max)
+    h = dense(op)
+    assert op.nnz == np.count_nonzero(h)
+    sectors = exact._sectors(p, n_max)
+    qs = [dense_sector(col, coef) for col, coef in sectors]
     dim = h.shape[0]
     assert all(q.shape[0] == dim and q.shape[1] >= 1 for q in qs)
     for q in qs:
@@ -125,6 +154,17 @@ def test_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max,
             d = q.T @ sym @ q
             assert abs(abs(d[0, 0]) - 1.0) <= 1e-15
             assert np.abs(d - d[0, 0] * np.eye(q.shape[1])).max() <= 1e-15
+    # each block applies Q.T H Q, is exactly symmetric and counts its
+    # nonzeros
+    rng = np.random.default_rng(n_atoms * 100 + n_max)
+    for (col, coef), q in zip(sectors, qs):
+        block = exact._sector_block(op, col, coef)
+        x = rng.standard_normal(q.shape[1])
+        assert np.abs(block @ x - q.T @ (h @ (q @ x))).max() \
+            <= 1e-15 * hnorm * np.abs(x).sum()
+        b = dense(block)
+        assert (b == b.T).all()
+        assert block.nnz == np.count_nonzero(b)
 
 
 def test_converge_cutoff_rejects_bad_ladder_settings():
@@ -179,8 +219,9 @@ def test_sparse_path_agrees_with_dense_path():
                     n_atoms=30)
     h = build_hamiltonian(p, 66)
     assert h.shape[0] == 2077
-    e_sparse, _, vec, _ = exact._solve_sectors(h, [sp.identity(2077, format="csc")])
-    e_dense = np.linalg.eigvalsh(h.toarray())[0]
+    e_sparse, _, vec, _ = exact._solve_sectors(
+        h, [(np.arange(2077), np.ones(2077))])
+    e_dense = np.linalg.eigvalsh(dense(h))[0]
     assert e_sparse == pytest.approx(e_dense, abs=1e-8)
     assert np.linalg.norm(h @ vec - e_sparse * vec) < 1e-7
 
@@ -188,7 +229,8 @@ def test_sparse_path_agrees_with_dense_path():
 def test_ground_pair_residual_guard():
     p = ModelParams(omega=1.0, lam=0.8, delta=0.25, n_atoms=10)
     h = build_hamiltonian(p, 20)
-    e0, _, vec, _ = exact._solve_sectors(h, [sp.identity(h.shape[0], format="csc")])
+    dim = h.shape[0]
+    e0, _, vec, _ = exact._solve_sectors(h, [(np.arange(dim), np.ones(dim))])
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-10
     assert np.linalg.norm(h @ vec - e0 * vec) < 1e-8
 

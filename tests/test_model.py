@@ -173,7 +173,7 @@ def _heavy_modules_after(commands: list[list[str]]) -> list[list[str]]:
     return json.loads(out.stdout)
 
 
-def test_numpy_and_scipy_load_only_on_the_finite_n_path(tmp_path):
+def test_numpy_loads_only_on_the_finite_n_path_and_scipy_never(tmp_path):
     from extdicke import cli
 
     sweep = {"base": {"omega": 1.0, "lambda": 1.0, "omega_rabi": 0.3, "v": -0.2},
@@ -189,12 +189,10 @@ def test_numpy_and_scipy_load_only_on_the_finite_n_path(tmp_path):
                   run(["scan", "--config", str(tmp_path / "mf.json")], "mf.csv")]
     finite_n_scan = ["scan", "--config", str(tmp_path / "fn.json")]
     check = ["exact-check", "--n-list", "2,4", "--format", "json"]
-    # the finite-N path uses scipy only for sparse storage: neither
-    # scipy.linalg nor scipy.sparse.linalg may load
-    both = ["numpy", "scipy"]
+    # the finite-N path needs numpy alone: no scipy module may load
     assert _heavy_modules_after(mean_field + [run(finite_n_scan, "fn.csv")]) \
-        == [[], [], [], [], [], both]
-    assert _heavy_modules_after([run(check, "check.json")]) == [[], [], both]
+        == [[], [], [], [], [], ["numpy"]]
+    assert _heavy_modules_after([run(check, "check.json")]) == [[], [], ["numpy"]]
     # the lazily loaded finite-N path writes what this process writes
     for argv, out in ((finite_n_scan, "fn.csv"), (check, "check.json")):
         assert cli.main(run(argv, "again_" + out)) == 0

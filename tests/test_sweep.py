@@ -125,7 +125,7 @@ def test_exact_columns_appended_per_atom_number():
 def test_csv_round_trip_is_byte_stable():
     dataset = run_sweep(small_config())
     text = serialize_csv(dataset)
-    assert text.startswith("# extdicke sweep format 5")
+    assert text.startswith("# extdicke sweep format 6")
     again = serialize_csv(parse_csv(text))
     assert again == text
 
