@@ -8,87 +8,42 @@ scans, finite-N sparse diagonalization (exact), phase classification and
 transition detection (phases), deterministic sweep datasets (sweep), and a
 command-line interface (cli).  The scalar kernels behind the mean-field
 solver live in _kernels_py.
+
+Importing the package loads none of them: a public name is read from its
+home module when first used (PEP 562 __getattr__).
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .model import (
-    ModelParams,
-    ParameterError,
-    TrapEstimate,
-    TrapSpec,
-    estimate_from_trap,
-    omega_critical,
-)
-from .meanfield import (
-    BlochPoint,
-    MeanFieldSolution,
-    energy_landscape,
-    ground_state,
-    oracle_grid_minimum,
-)
-from .exact import (
-    ConvergenceError,
-    ExactSolution,
-    build_hamiltonian,
-    converge_cutoff,
-    product_state_energy,
-    solve_at_cutoff,
-)
-from .phases import (
-    PhaseLabel,
-    TransitionRecord,
-    classify,
-    critical_overlays,
-    delta_critical,
-    detect_transitions,
-    mott_boundary_delta,
-    susceptibility_v,
-    v_critical,
-)
-from .sweep import (
-    AxisSpec,
-    SweepConfig,
-    SweepDataset,
-    parse_csv,
-    run_sweep,
-    serialize_csv,
-    serialize_json,
-)
+# public name -> module that defines it
+_HOMES = {
+    **dict.fromkeys(("ModelParams", "ParameterError", "TrapEstimate",
+                     "TrapSpec", "estimate_from_trap", "omega_critical"),
+                    "model"),
+    **dict.fromkeys(("BlochPoint", "MeanFieldSolution", "energy_landscape",
+                     "ground_state", "oracle_grid_minimum"), "meanfield"),
+    "ConvergenceError": "model",
+    **dict.fromkeys(("ExactSolution", "build_hamiltonian", "converge_cutoff",
+                     "product_state_energy", "solve_at_cutoff"), "exact"),
+    **dict.fromkeys(("PhaseLabel", "TransitionRecord", "classify",
+                     "critical_overlays", "delta_critical",
+                     "detect_transitions", "mott_boundary_delta",
+                     "susceptibility_v", "v_critical"), "phases"),
+    **dict.fromkeys(("AxisSpec", "SweepConfig", "SweepDataset", "parse_csv",
+                     "run_sweep", "serialize_csv", "serialize_json"), "sweep"),
+}
 
-__all__ = [
-    "__version__",
-    "ModelParams",
-    "ParameterError",
-    "TrapEstimate",
-    "TrapSpec",
-    "estimate_from_trap",
-    "omega_critical",
-    "BlochPoint",
-    "MeanFieldSolution",
-    "energy_landscape",
-    "ground_state",
-    "oracle_grid_minimum",
-    "ConvergenceError",
-    "ExactSolution",
-    "build_hamiltonian",
-    "converge_cutoff",
-    "product_state_energy",
-    "solve_at_cutoff",
-    "PhaseLabel",
-    "TransitionRecord",
-    "classify",
-    "critical_overlays",
-    "delta_critical",
-    "detect_transitions",
-    "mott_boundary_delta",
-    "susceptibility_v",
-    "v_critical",
-    "AxisSpec",
-    "SweepConfig",
-    "SweepDataset",
-    "parse_csv",
-    "run_sweep",
-    "serialize_csv",
-    "serialize_json",
-]
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,6 +14,7 @@ fig4         population curves vs detuning across the first-order region
 Exit codes: 0 success, 1 finite-N convergence failure, 2 bad
 configuration or parameters, 3 degenerate ground-state manifold, 4 I/O
 failure.  JSON output is strict RFC 8259: non-finite floats are null.
+Each command imports the modules it runs (exact, sweep, phases) when run.
 """
 
 from __future__ import annotations
@@ -26,31 +27,17 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .exact import ConvergenceError, converge_cutoff, product_state_energy
 from .meanfield import ground_state
 from .model import (
+    ConvergenceError,
     ModelParams,
     ParameterError,
     TrapSpec,
     _integer,
+    dumps_json,
     estimate_from_trap,
     field_name,
     omega_critical,
-)
-from .phases import (
-    classify,
-    critical_overlays,
-    delta_critical,
-    mott_boundary_delta,
-    v_critical,
-)
-from .sweep import (
-    AxisSpec,
-    SweepConfig,
-    dumps_json,
-    run_sweep,
-    serialize_csv,
-    serialize_json,
 )
 
 EXIT_OK = 0
@@ -136,6 +123,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .phases import classify
     params = _params_from_args(args)
     sol = ground_state(params)
     label = classify(params, sol)
@@ -162,6 +150,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exact_check(args) -> int:
+    from .exact import converge_cutoff, product_state_energy
     params = _params_from_args(args)
     n_list = _parse_int_list(args.n_list, "--n-list")
     mf = ground_state(params)
@@ -208,6 +197,7 @@ def cmd_exact_check(args) -> int:
 
 
 def cmd_boundaries(args) -> int:
+    from .phases import delta_critical, mott_boundary_delta, v_critical
     params = _params_from_args(args)
     u = params.u
     v = params.v
@@ -229,6 +219,7 @@ def cmd_boundaries(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .sweep import SweepConfig, run_sweep, serialize_csv, serialize_json
     config = SweepConfig.from_json(Path(args.config).read_text())
     dataset = run_sweep(config)
     text = serialize_json(dataset) if args.format == "json" else serialize_csv(dataset)
@@ -312,6 +303,7 @@ def _detuning_figure(args, stem: str, panels: tuple[tuple[str, str], ...]) -> in
     """One detuning sweep per drive strength, written as stem_curve<i>.csv,
     and a gnuplot script with one plot per (y label, CSV column name) panel.
     Every option is checked before the output directory is made."""
+    from .sweep import AxisSpec, SweepConfig, run_sweep, serialize_csv
     base, u = _fig_base(args)
     fracs = _parse_float_list(args.rabi_fracs, "--rabi-fracs")
     span = _delta_span(args, u)
@@ -350,6 +342,8 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_fig3(args) -> int:
+    from .phases import critical_overlays
+    from .sweep import AxisSpec, SweepConfig, run_sweep, serialize_csv
     base, u = _fig_base(args)
     rabi = _times_u(args.rabi_frac, u, "--rabi-frac")
     d_span = _delta_span(args, u)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .meanfield import MeanFieldSolution
-from .model import ModelParams, ParameterError, _integer
+from .model import ConvergenceError, ModelParams, ParameterError, _integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,10 +63,6 @@ DIMENSION_BUDGET = 400_000
 _KRYLOV_DIM = 30
 _KEPT_RITZ = 10
 _MAX_RESTARTS = 1000
-
-
-class ConvergenceError(RuntimeError):
-    """The iterative eigensolver failed to converge."""
 
 
 class BandedMatrix:
@@ -364,7 +360,7 @@ def _solve_sectors(h: BandedMatrix,
     of those sectors', so a tunnelling doublet gets a definite,
     reproducible parity.  ||H||_inf is the largest row sum of |H|.  An H
     with non-finite entries is a ParameterError.  The eigenvalue residual
-    ||H x - E x|| is checked against 1e-9 * ||H||_inf.  `start` (full
+    ||H x - E x|| is checked against 1e-9 * max(1, ||H||_inf).  `start` (full
     basis, possibly shorter than h: it is zero-padded) seeds each sector's
     Lanczos run from Q.T @ start; the returned start holds psi0 + psi1 of
     every sector.
@@ -404,9 +400,8 @@ def _solve_sectors(h: BandedMatrix,
         defect = float(np.linalg.norm(h @ vec - eg * vec))
         if defect > 1e-9 * max(1.0, hnorm):
             raise ConvergenceError(
-                f"eigenpair residual {defect:.3e} exceeds 1e-9 * ||H|| = "
-                f"{1e-9 * hnorm:.3e}"
-            )
+                f"eigenpair residual {defect:.3e} exceeds 1e-9 * max(1, ||H||)"
+                f" = {1e-9 * max(1.0, hnorm):.3e}")
         return e0, e1, vec, nxt
 
 

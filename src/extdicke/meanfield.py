@@ -71,16 +71,22 @@ def energy_landscape(params: ModelParams, alpha: float, h: float) -> float:
     )
 
 
+def point_observables(lam, omega, s_x, s_z) -> tuple[float, float, float]:
+    """alpha, m/N and the photon density alpha**2 at the spin point."""
+    alpha = lam * s_x / omega
+    return alpha, 2.0 * s_z, alpha * alpha
+
+
 def _solution_from_kernel(params: ModelParams, s_x, s_z, e, eta, residual,
                           degenerate, flat, n_minima) -> MeanFieldSolution:
-    alpha = params.lam * s_x / params.omega
+    alpha, m, photons = point_observables(params.lam, params.omega, s_x, s_z)
     return MeanFieldSolution(
         point=BlochPoint(s_x, s_z),
         eta=eta,
         alpha=alpha,
         energy_per_atom=e,
-        m_over_n=2.0 * s_z,
-        photon_density=alpha * alpha,
+        m_over_n=m,
+        photon_density=photons,
         residual=residual,
         degenerate=bool(degenerate),
         flat_manifold=bool(flat),

@@ -38,6 +38,28 @@ class ParameterError(ValueError):
     """A model parameter violates its domain."""
 
 
+# defined here, as dumps_json is, so that reporting a failure loads neither
+# the finite-N solver nor the sweeps
+class ConvergenceError(RuntimeError):
+    """The iterative eigensolver failed to converge."""
+
+
+def _finite_or_none(x):
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _finite_or_none(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_none(v) for v in x]
+    return x
+
+
+def dumps_json(obj, **kw) -> str:
+    """json.dumps with every non-finite float written as null, so the
+    output is strict RFC 8259 (which has no NaN or Infinity)."""
+    return json.dumps(_finite_or_none(obj), allow_nan=False, **kw)
+
+
 def _real(x, what: str) -> float:
     """float(x) for a finite int or float; a bool, a string, null, any other
     type or a non-finite value is an error rather than something to
@@ -115,26 +137,35 @@ def field_name(key: str) -> str:
     return "lam" if key == "lambda" else key
 
 
-def validate(params: ModelParams) -> ModelParams:
-    """Check parameter domains; returns params unchanged or raises
-    ParameterError naming the first violated constraint.  ModelParams
-    calls it when built."""
-    for name in AXES:
-        x = getattr(params, name)
+def check_couplings(omega, lam, delta, omega_rabi, v) -> float:
+    """The couplings' domain rule: returns u = lam*lam/omega or raises
+    ParameterError naming the first violated constraint.  validate applies
+    it to a ModelParams; a sweep applies it to each node's floats."""
+    for name, x in zip(AXES, (omega, lam, delta, omega_rabi, v)):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ParameterError(f"parameter {name!r} is not a number")
         if not -_FLOAT_MAX <= x <= _FLOAT_MAX:
             raise ParameterError(f"non-finite parameter {name!r}")
-    if params.omega <= 0.0:
+    if omega <= 0.0:
         raise ParameterError("nonpositive cavity frequency")
-    if params.lam < 0.0:
+    if lam < 0.0:
         raise ParameterError("negative collective coupling")
-    if not math.isfinite(params.u):
+    u = lam * lam / omega
+    if not math.isfinite(u):
         raise ParameterError("non-finite coupling u = lambda**2/omega")
-    if params.omega_rabi < 0.0:
+    if omega_rabi < 0.0:
         # The sign of omega_rabi is a gauge choice (J_x -> -J_x flips it);
         # the nonnegative representative is enforced for uniqueness.
         raise ParameterError("negative Rabi frequency")
+    return u
+
+
+def validate(params: ModelParams) -> ModelParams:
+    """Check parameter domains; returns params unchanged or raises
+    ParameterError naming the first violated constraint.  ModelParams
+    calls it when built."""
+    check_couplings(params.omega, params.lam, params.delta, params.omega_rabi,
+                    params.v)
     n = params.n_atoms
     if (isinstance(n, bool) or not isinstance(n, numbers.Real)
             or not -_FLOAT_MAX <= n <= _FLOAT_MAX or int(n) != n or n < 1):

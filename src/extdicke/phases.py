@@ -90,7 +90,20 @@ def v_critical(u: float, delta: float, omega_rabi: float) -> float:
 
 def classify(params: ModelParams,
              solution: MeanFieldSolution | None = None) -> PhaseLabel:
-    """Phase label for a mean-field solution (recomputed when omitted).
+    """Phase label for a mean-field solution (recomputed when omitted): the
+    rule of phase_label, read off params and the solution."""
+    if solution is None:
+        solution = ground_state(params)
+    return phase_label(solution.flat_manifold, solution.m_over_n,
+                       solution.n_local_minima, solution.photon_density,
+                       params.u, params.v, params.lam, params.omega)
+
+
+def phase_label(flat_manifold: bool, m_over_n: float, n_local_minima: int,
+                photon_density: float, u: float, v: float, lam: float,
+                omega: float) -> PhaseLabel:
+    """Phase label from a ground state's observables and the couplings, as
+    floats (a sweep labels its nodes with it, without a ModelParams).
 
     Rules, in order: Degenerate on a flat manifold; Mott when m vanishes at
     a single minimum on the attractive side of the red line (v < -u);
@@ -99,19 +112,15 @@ def classify(params: ModelParams,
     Thresholds guard round-off only -- mean-field observables are exact to
     solver precision.
     """
-    if solution is None:
-        solution = ground_state(params)
-    if solution.flat_manifold:
+    if flat_manifold:
         return PhaseLabel.DEGENERATE
-    u = params.u
-    m = abs(solution.m_over_n)
-    if m <= _CLASSIFY_TOL and solution.n_local_minima == 1 and params.v < -u:
+    m = abs(m_over_n)
+    if m <= _CLASSIFY_TOL and n_local_minima == 1 and v < -u:
         return PhaseLabel.MOTT
-    if params.v < -u and solution.n_local_minima == 2:
+    if v < -u and n_local_minima == 2:
         return PhaseLabel.SUPERFLUID
-    photon_floor = (_CLASSIFY_TOL * params.lam / params.omega) ** 2
-    if (m < 1.0 - _CLASSIFY_TOL and solution.photon_density > photon_floor
-            and params.v >= -u):
+    photon_floor = (_CLASSIFY_TOL * lam / omega) ** 2
+    if m < 1.0 - _CLASSIFY_TOL and photon_density > photon_floor and v >= -u:
         return PhaseLabel.SUPERRADIANT
     return PhaseLabel.NORMAL
 

@@ -6,21 +6,26 @@ outermost), float cells printed with 17 significant digits so identical
 configurations produce byte-identical files.  Per-node failures are data:
 the error column carries the message and the remaining cells stay empty.
 JSON output is strict RFC 8259: non-finite floats are written as null.
+
+A node's mean-field cells are computed on floats and equal what
+ground_state and classify give there, error messages included; only the
+finite-N columns build a ModelParams and load the finite-N solver.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import __version__
-from .exact import converge_cutoff
-from .meanfield import ground_state
-from .model import AXES, ModelParams, ParameterError, _integer, _real, field_name
-from .phases import classify
+from . import __version__, _kernels_py
+from .meanfield import point_observables
+from .model import (AXES, ModelParams, ParameterError, _integer, _real,
+                    check_couplings, dumps_json, field_name)
+from .phases import phase_label
 
 
 @dataclass(frozen=True)
@@ -184,39 +189,36 @@ def _columns(config: SweepConfig) -> tuple[str, ...]:
     return tuple(cols)
 
 
-def _solve_node(config: SweepConfig, values: tuple[float, ...]) -> tuple:
+def _solve_node(config: SweepConfig, slots: list[int], base: list,
+                values: tuple[float, ...]) -> tuple:
+    """The row of one node: `base` holds the couplings in AXES order and
+    `slots` the AXES position each axis value replaces."""
     row: list = list(values)
-    errors = []
-    kw = {axis.name: val for axis, val in zip(config.axes, values)}
+    couplings = base.copy()
+    for slot, x in zip(slots, values):
+        couplings[slot] = x
+    omega, lam, delta, rabi, v = couplings
     try:
-        params = config.base.replace(**kw)
-        sol = ground_state(params)
-        label = classify(params, sol)
-        row.extend(
-            (
-                params.u,
-                sol.eta,
-                sol.alpha,
-                sol.point.s_x,
-                sol.point.s_z,
-                sol.m_over_n,
-                sol.photon_density,
-                sol.energy_per_atom,
-                label.value,
-                sol.residual,
-                sol.degenerate,
-            )
-        )
+        u = check_couplings(omega, lam, delta, rabi, v)
+        s_x, s_z, e, eta, residual, degenerate, flat, n_minima = \
+            _kernels_py.solve_point(u, v, delta, rabi)
+        alpha, m_over_n, photon_density = point_observables(lam, omega, s_x, s_z)
+        label = phase_label(flat, m_over_n, n_minima, photon_density,
+                            u, v, lam, omega)
+        row.extend((u, eta, alpha, s_x, s_z, m_over_n, photon_density, e,
+                    label.value, residual, bool(degenerate)))
     except Exception as exc:  # errors are data
-        row.extend([""] * len(_MF_COLUMNS))
-        row.extend([""] * (4 * len(config.exact_n)))
+        row.extend([""] * (len(_MF_COLUMNS) + 4 * len(config.exact_n)))
         row.append(f"{type(exc).__name__}: {exc}")
         return tuple(row)
 
+    errors = []
+    if config.exact_n:
+        from .exact import converge_cutoff
     for n in config.exact_n:
         try:
             ex = converge_cutoff(
-                params.replace(n_atoms=n),
+                ModelParams(*couplings, n_atoms=n),
                 eps=config.exact_eps,
                 n_max_start=config.exact_n_max_start,
             )
@@ -232,12 +234,10 @@ def _solve_node(config: SweepConfig, values: tuple[float, ...]) -> tuple:
 
 def run_sweep(config: SweepConfig) -> SweepDataset:
     """Evaluate the sweep grid node by node, first axis outermost."""
-    grids = [axis.values() for axis in config.axes]
-    if len(grids) == 1:
-        nodes = [(x,) for x in grids[0]]
-    else:
-        nodes = [(x, y) for x in grids[0] for y in grids[1]]
-    rows = [_solve_node(config, node) for node in nodes]
+    nodes = itertools.product(*(axis.values() for axis in config.axes))
+    slots = [AXES.index(field_name(axis.name)) for axis in config.axes]
+    base = [getattr(config.base, name) for name in AXES]
+    rows = [_solve_node(config, slots, base, node) for node in nodes]
     provenance = (
         f"extdicke sweep format 6, version {__version__}",
         "config " + json.dumps(config.to_dict(), separators=(",", ":")),
@@ -254,32 +254,42 @@ def _format_cell(x) -> str:
     return str(x)
 
 
+def _row_format(kinds: tuple[type, ...]) -> tuple[str, list[int]]:
+    """The str.format template of a row whose cells have these types, and
+    the cells _format_cell converts first: those of any type but float, int
+    and str (a bool prints as true or false)."""
+    template = ",".join("{:.17g}" if kind is float else "{}" for kind in kinds)
+    return template, [i for i, kind in enumerate(kinds)
+                      if kind not in (float, int, str)]
+
+
 def serialize_csv(dataset: SweepDataset) -> str:
-    """CSV with '#'-prefixed provenance lines, 17-significant-digit floats."""
+    """CSV with '#'-prefixed provenance lines, 17-significant-digit floats.
+    A row is written by the template of its cell types; only one whose line
+    holds a quote, a line break or a comma inside a cell (or is one empty
+    cell) needs CSV quoting, and goes through csv.writer."""
     buf = io.StringIO()
     for line in dataset.provenance:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(dataset.columns)
+    formats: dict = {}
     for row in dataset.rows:
-        writer.writerow([_format_cell(x) for x in row])
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = _row_format(kinds)
+        template, convert = formats[kinds]
+        if convert:
+            row = list(row)
+            for i in convert:
+                row[i] = _format_cell(row[i])
+        line = template.format(*row)
+        if (not line or line.count(",") >= len(row)
+                or '"' in line or "\n" in line or "\r" in line):
+            writer.writerow([_format_cell(x) for x in row])
+        else:
+            buf.write(line + "\n")
     return buf.getvalue()
-
-
-def _finite_or_none(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    if isinstance(x, dict):
-        return {k: _finite_or_none(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_finite_or_none(v) for v in x]
-    return x
-
-
-def dumps_json(obj, **kw) -> str:
-    """json.dumps with every non-finite float written as null, so the
-    output is strict RFC 8259 (which has no NaN or Infinity)."""
-    return json.dumps(_finite_or_none(obj), allow_nan=False, **kw)
 
 
 def serialize_json(dataset: SweepDataset) -> str:

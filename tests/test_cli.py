@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from extdicke import __version__, cli
+from extdicke import __version__, cli, exact
 from extdicke.exact import ExactSolution
 from extdicke.sweep import SweepConfig, parse_csv, run_sweep, serialize_csv
 
@@ -233,7 +233,7 @@ def test_exact_check_prints_no_sign_of_parity_noise(monkeypatch, capsys):
                              photon_number=0.0, jz=0.0, jx=-0.5, parity=-1e-16,
                              gap=0.5, n_max_used=4, n_atoms=2, converged=True)
 
-    monkeypatch.setattr(cli, "converge_cutoff", fake)
+    monkeypatch.setattr(exact, "converge_cutoff", fake)  # cli imports it per run
     argv = ["exact-check", "--rabi", "0.3", "--n-list", "2"]
     assert cli.main(argv) == 0
     row = capsys.readouterr().out.splitlines()[-1]

@@ -396,6 +396,28 @@ def test_lanczos_work_per_ladder_is_pinned(monkeypatch, params, recorded):
     assert abs(sum(c.matvecs for c in counted) - recorded) <= 0.1 * recorded
 
 
+def test_residual_guard_reports_the_bound_it_applies(monkeypatch):
+    # ||H||_inf < 1 here, so the guard's bound is 1e-9 * max(1, ||H||) =
+    # 1e-9, not 1e-9 * ||H||; a ground vector spoiled by 1e-6 trips it
+    p = ModelParams(omega=0.05, lam=0.02, delta=0.03, v=0.01, n_atoms=2)
+    h = build_hamiltonian(p, 4)
+    assert (abs(h) @ np.ones(h.shape[0])).max() < 1.0
+    lowest = exact._lowest_levels
+
+    def spoiled(sub, hnorm, start):
+        w, s = lowest(sub, hnorm, start)
+        s = s.copy()
+        s[0] += 1e-6
+        return w, s
+
+    monkeypatch.setattr(exact, "_lowest_levels", spoiled)
+    with pytest.raises(ConvergenceError) as err:
+        solve_at_cutoff(p, 4)
+    message = str(err.value)
+    assert message.endswith("exceeds 1e-9 * max(1, ||H||) = 1.000e-09")
+    assert float(message.split()[2]) > 1e-9
+
+
 def test_lanczos_nonconvergence_is_a_convergence_error(monkeypatch, capsys):
     # with no restart allowed a 30-vector basis cannot resolve this doublet
     monkeypatch.setattr(exact, "_MAX_RESTARTS", 0)

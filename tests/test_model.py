@@ -143,34 +143,43 @@ def test_hbar_is_exact_and_scipy_constants_is_not_imported():
     assert out.stdout.strip() == "False"
 
 
-_HEAVY_MODULE_PROBE = """
-import json, sys
+_MODULE_PROBE = """
+import contextlib, json, sys
 
 def heavy():
     loaded = {m.split(".")[0] for m in sys.modules} & {"numpy", "scipy", "statistics"}
     solvers = {"scipy.linalg", "scipy.sparse.linalg"} & set(sys.modules)
     return sorted(loaded | solvers)
 
+def ours():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "extdicke")
+
 import extdicke
-seen = [heavy()]
+seen = [[heavy(), ours()]]
 from extdicke import cli
-seen.append(heavy())
+seen.append([heavy(), ours()])
 for argv in json.loads(sys.argv[1]):
-    assert cli.main(argv) == 0, argv
-    seen.append(heavy())
+    with contextlib.redirect_stdout(sys.stderr):  # the figures print paths
+        assert cli.main(argv) == 0, argv
+    seen.append([heavy(), ours()])
 print(json.dumps(seen))
 """
 
 
-def _heavy_modules_after(commands: list[list[str]]) -> list[list[str]]:
-    """In a fresh interpreter: which of numpy, scipy, scipy.linalg,
-    scipy.sparse.linalg and statistics are loaded after import extdicke,
-    after import extdicke.cli, and after each command."""
+def _modules_after(commands: list[list[str]]) -> list[list[list[str]]]:
+    """In a fresh interpreter: [heavy modules, extdicke modules] loaded
+    after import extdicke, after import extdicke.cli, and after each
+    command.  The heavy ones are numpy, scipy, scipy.linalg,
+    scipy.sparse.linalg and statistics."""
     src = str(Path(extdicke.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _HEAVY_MODULE_PROBE,
+    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE,
                           json.dumps(commands)], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     return json.loads(out.stdout)
+
+
+def _heavy_modules_after(commands: list[list[str]]) -> list[list[str]]:
+    return [heavy for heavy, _ in _modules_after(commands)]
 
 
 def test_numpy_loads_only_on_the_finite_n_path_and_scipy_never(tmp_path):
@@ -198,6 +207,40 @@ def test_numpy_loads_only_on_the_finite_n_path_and_scipy_never(tmp_path):
         assert cli.main(run(argv, "again_" + out)) == 0
         assert (tmp_path / ("again_" + out)).read_bytes() \
             == (tmp_path / out).read_bytes()
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    sweep = {"base": {"omega": 1.0, "lambda": 1.0, "omega_rabi": 0.3, "v": -0.2},
+             "axes": [{"name": "delta", "min": -1.0, "max": 1.0, "count": 3}]}
+    (tmp_path / "mf.json").write_text(json.dumps(sweep))
+
+    def out(name):
+        return ["--out", str(tmp_path / name)]
+
+    def figure(name, *opts):
+        return [name, *opts, "--out-dir", str(tmp_path / name)]
+
+    def package(*names):
+        return sorted(["extdicke", "extdicke._kernels_py", "extdicke.cli",
+                       "extdicke.meanfield", "extdicke.model"]
+                      + [f"extdicke.{name}" for name in names])
+
+    # importing the package loads no module of it
+    solve = _modules_after([["solve", "--delta", "0.3", *out("s.txt")],
+                            ["solve", "--format", "json", *out("s.json")],
+                            ["boundaries", "--v=-0.5", *out("b.txt")]])
+    assert [ours for _, ours in solve] \
+        == [["extdicke"], package(), *[package("phases")] * 3]
+    # a scan without exact_n and each figure load no finite-N solver
+    sweeps = _modules_after([["scan", "--config", str(tmp_path / "mf.json"),
+                              *out("mf.csv")],
+                             figure("fig2", "--points", "5"),
+                             figure("fig3", "--resolution", "5x4"),
+                             figure("fig4", "--points", "5")])
+    assert [ours for _, ours in sweeps[2:]] == [package("phases", "sweep")] * 4
+    check = _modules_after([["exact-check", "--n-list", "2", "--format", "json",
+                             *out("c.json")]])
+    assert check[-1][1] == package("exact")
 
 
 def test_omega_critical_is_abs_w():

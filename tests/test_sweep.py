@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import json
 import math
 
@@ -15,6 +18,7 @@ from extdicke.phases import classify
 from extdicke.sweep import (
     AxisSpec,
     SweepConfig,
+    SweepDataset,
     parse_csv,
     run_sweep,
     serialize_csv,
@@ -201,6 +205,94 @@ def test_json_is_strict_property(config):
 
     doc = json.loads(serialize_json(run_sweep(config)), parse_constant=reject)
     assert len(doc["rows"]) == math.prod(a.count for a in config.axes)
+
+
+# Both axes run into the domain's edges: omega through 0 gives
+# "nonpositive cavity frequency" rows, lambda below 0 "negative collective
+# coupling" rows.
+_EDGE_AXES = SweepConfig(base=ModelParams(omega=1.0, lam=1.0, delta=0.2,
+                                          omega_rabi=0.3, v=-0.5),
+                         axes=(AxisSpec("omega", -1.0, 1.0, 9),
+                               AxisSpec("lambda", -1.0, 1.0, 7)))
+
+
+def _reference_row(config: SweepConfig, values: tuple) -> tuple:
+    """A node's mean-field row built through ModelParams, ground_state and
+    classify, with the message of whatever they raise."""
+    n_mf = 11  # the mean-field columns, u to degenerate
+    try:
+        params = config.base.replace(
+            **{axis.name: x for axis, x in zip(config.axes, values)})
+        sol = ground_state(params)
+        label = classify(params, sol).value
+    except Exception as exc:
+        return (*values, *[""] * n_mf, f"{type(exc).__name__}: {exc}")
+    return (*values, params.u, sol.eta, sol.alpha, sol.point.s_x, sol.point.s_z,
+            sol.m_over_n, sol.photon_density, sol.energy_per_atom, label,
+            sol.residual, sol.degenerate, "")
+
+
+@_ROUND_TRIP
+@given(_sweep_configs())
+@example(_EDGE_AXES)
+@example(_NEGATIVE_ZERO)
+def test_float_node_rows_match_the_model_params_route(config):
+    dataset = run_sweep(config)
+    for row in dataset.rows:
+        values = row[:len(config.axes)]
+        # repr tells -0.0 from 0.0, True from 1 and matches nan with nan
+        assert list(map(repr, row)) == list(map(repr, _reference_row(config, values)))
+
+
+def test_domain_edge_scan_bytes_are_pinned():
+    dataset = run_sweep(_EDGE_AXES)
+    errors = {row[-1] for row in dataset.rows}
+    assert errors == {"", "ParameterError: nonpositive cavity frequency",
+                      "ParameterError: negative collective coupling"}
+    assert hashlib.sha256(serialize_csv(dataset).encode()).hexdigest() \
+        == "982fa11968a1ce3f26f03d2abc15c6975abcc4064344446ca32f6e7bae3f29e2"
+
+
+def _reference_csv(dataset: SweepDataset) -> str:
+    """serialize_csv as csv.writer writes it, every cell by the rule below."""
+    def cell(x):
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, float):
+            return format(x, ".17g")
+        return str(x)
+
+    buf = io.StringIO()
+    for line in dataset.provenance:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(dataset.columns)
+    for row in dataset.rows:
+        writer.writerow([cell(x) for x in row])
+    return buf.getvalue()
+
+
+_CELLS = st.one_of(
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, True,
+                     False, 0, -7, "", ",", '"', "\n", "\r", 'a,"b"\r\n']),
+    st.floats(), st.integers(), st.text(st.sampled_from('a ,"\n\r#-.e1'),
+                                        max_size=5))
+
+
+@st.composite
+def _datasets(draw):
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * width), max_size=6))
+    return SweepDataset(columns=tuple(f"c{i}" for i in range(width)),
+                        rows=tuple(rows), provenance=("p",))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_datasets())
+@example(SweepDataset(columns=("c",), rows=(("",), (1.5,), (",",))))
+@example(SweepDataset(columns=("a", "b"), rows=((True, "x\ry"), (-0.0, '"'))))
+def test_serialize_csv_matches_csv_writer(dataset):
+    assert serialize_csv(dataset) == _reference_csv(dataset)
 
 
 def test_parse_csv_rejects_empty_input():
