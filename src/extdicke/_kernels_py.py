@@ -385,16 +385,13 @@ def solve_point(u, v, delta, rabi):
     n = len(cands)
     n_minima = 0
     e_min = cands[0][3]
-    if n == 1:
-        n_minima = 1
-    else:
-        for i in range(n):
-            e = cands[i][3]
-            if e <= cands[i - 1][3] and e <= cands[(i + 1) % n][3]:
-                n_minima += 1
-                # the global minimum is a local one
-                if e < e_min:
-                    e_min = e
+    for i in range(n):
+        e = cands[i][3]
+        if e <= cands[i - 1][3] and e <= cands[(i + 1) % n][3]:
+            n_minima += 1
+            # the global minimum is a local one
+            if e < e_min:
+                e_min = e
 
     rep, degenerate = _select(cands, e_min, scale)
     residual = grad_residual(u, v, delta, rabi, rep[4])

@@ -54,7 +54,7 @@ _MHZ_N_ATOMS = 50_000
 # model parameters a command runs with when neither a flag nor --config sets
 # them, by ModelParams field (the defaults --help documents)
 _PARAM_DEFAULTS = {"omega": 1.0, "lam": 1.0, "delta": 0.0, "omega_rabi": 0.0,
-                   "v": 0.0, "n_atoms": 1}
+                   "v": 0.0}
 
 
 def _write_text(out, text: str) -> None:
@@ -73,7 +73,6 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None, help="detuning (default 0)")
     p.add_argument("--rabi", type=float, default=None, help="Rabi drive (default 0)")
     p.add_argument("--v", type=float, default=None, help="atom-atom coupling (default 0)")
-    p.add_argument("--n-atoms", type=int, default=None, help="atom number (default 1)")
 
 
 def _params_from_args(args) -> ModelParams:
@@ -86,7 +85,7 @@ def _params_from_args(args) -> ModelParams:
             raise ParameterError("parameter config must be a JSON object")
         values.update({field_name(k): v for k, v in loaded.items()})
     flags = {"omega": args.omega, "lam": args.lam, "delta": args.delta,
-             "omega_rabi": args.rabi, "v": args.v, "n_atoms": args.n_atoms}
+             "omega_rabi": args.rabi, "v": args.v}
     values.update({k: v for k, v in flags.items() if v is not None})
     return ModelParams.from_dict(values)
 
@@ -361,6 +360,7 @@ def cmd_fig3(args) -> int:
               AxisSpec("v", v_lo, v_hi, nv)),
     )
     dataset = run_sweep(config)
+    photons = dataset.columns.index("photon_density") + 1
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid_path = out_dir / "fig3_grid.csv"
@@ -379,7 +379,7 @@ def cmd_fig3(args) -> int:
               + 'set xlabel "detuning"\n'
               + 'set ylabel "atom-atom coupling v"\n'
               + "set view map\n"
-              + f'splot "{grid_path.name}" using 1:2:9 with points pt 5 palette '
+              + f'splot "{grid_path.name}" using 1:2:{photons} with points pt 5 palette '
               + 'title "photon density", \\\n'
               + f'      "{overlay_path.name}" using 2:3:(0) with lines '
               + 'lc "black" lw 2 title "critical lines"\n'

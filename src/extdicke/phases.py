@@ -16,12 +16,12 @@ Critical lines in the (delta, v) plane at fixed u and omega_rabi:
 * inverse form   v_c = -u - (rabi**(2/3) + |delta|**(2/3))**(3/2)
 
 The transition detector walks an observable along one parameter axis,
-flags cells where the second difference spikes, then refines each flag with
-two independent probes: a largest-jump bisection down to adjacent floats,
-whose final difference is a jump only between coexisting states (two
-local minima, a tied pair of stationary points, or a flat manifold), and
-a two-sided line fit across shrinking scales whose intersection pins a
-kink to far below the scan spacing.
+flags cells where the second difference spikes, and refines each flag: a
+jump counts only between coexisting states (two local minima, a tied pair
+of stationary points, or a flat manifold); a corner is where the ground
+state turns on the Bloch circle by more than a radian within one scan
+step, or switches branch, and its kink is the mismatch of the limiting
+one-sided slopes there.
 """
 
 from __future__ import annotations
@@ -158,8 +158,9 @@ class TransitionRecord:
 
     jump is the observable's difference across the refined bracket, and 0
     unless the solver sees coexisting states on both sides (see
-    _refine_jump); kink is the limiting slope mismatch (0 for a first-order
-    record).
+    _refine_jump).  kink is the difference of the two limiting one-sided
+    slopes at a corner, or the larger one-sided secant slope where both
+    diverge (see _refine_kink), and 0 for a first-order record.
     """
 
     location: float
@@ -170,50 +171,46 @@ class TransitionRecord:
 
 
 def _observable_fn(base: ModelParams, axis: str, observable: str):
-    """t -> (observable value, ground state) along the axis."""
+    """t -> (observable value, ground state, turning rate) along the axis.
+
+    With (s_x, s_z) = (cos theta, sin theta)/2 the energy on the Bloch
+    circle is e(theta) = -u s_x**2 + v s_z**2 + delta s_z + rabi s_x, and
+    the minimizer turns at |dtheta*/dt| = |d_t e_theta| / e_thetatheta,
+    where e_thetatheta = 2(u+v)(s_x**2 - s_z**2) - delta s_z - rabi s_x.
+    Both read off the reported point (inf where e_thetatheta vanishes).
+    """
     name = field_name(axis)
     if name not in AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}")
-
     if observable in _PLAIN_OBSERVABLES:
         get = attrgetter(_PLAIN_OBSERVABLES[observable])
-
-        def value(p: ModelParams, sol: MeanFieldSolution) -> float:
-            return get(sol)
-    elif observable == "energy_slope":
-        # Envelope theorem: at the minimizer the energy derivative along the
-        # axis is the explicit partial derivative.
-        def value(p: ModelParams, sol: MeanFieldSolution) -> float:
-            s_x, s_z = sol.point.s_x, sol.point.s_z
-            if name == "delta":
-                return s_z
-            if name == "omega_rabi":
-                return s_x
-            if name == "v":
-                return s_z * s_z
-            if name == "lam":
-                return -2.0 * (p.lam / p.omega) * s_x * s_x
-            return (p.lam / p.omega) ** 2 * s_x * s_x  # omega
-    else:
+    elif observable != "energy_slope":
         raise ParameterError(f"unknown observable {observable!r}")
 
-    def f(t: float) -> tuple[float, MeanFieldSolution]:
+    def f(t: float) -> tuple[float, MeanFieldSolution, float]:
         p = base.replace(**{name: t})
         sol = ground_state(p)
-        return value(p, sol), sol
+        s_x, s_z = sol.point.s_x, sol.point.s_z
+        # d(u, v, delta, rabi)/dt along the axis
+        r = p.lam / p.omega
+        du, dv, dd, dr = {"lam": (2.0 * r, 0.0, 0.0, 0.0),
+                          "omega": (-r * r, 0.0, 0.0, 0.0),
+                          "v": (0.0, 1.0, 0.0, 0.0),
+                          "delta": (0.0, 0.0, 1.0, 0.0),
+                          "omega_rabi": (0.0, 0.0, 0.0, 1.0)}[name]
+        e_tt = (2.0 * (p.u + p.v) * (s_x * s_x - s_z * s_z)
+                - p.delta * s_z - p.omega_rabi * s_x)
+        e_t = 2.0 * (du + dv) * s_x * s_z + dd * s_x - dr * s_z
+        rate = abs(e_t) / e_tt if e_tt > 0.0 else math.inf
+        if observable == "energy_slope":
+            # envelope theorem: at the minimizer the energy derivative along
+            # the axis is the explicit partial derivative
+            value = -du * s_x * s_x + dv * s_z * s_z + dd * s_z + dr * s_x
+        else:
+            value = get(sol)
+        return value, sol, rate
 
     return f
-
-
-def _fit_line(ts, fs, center):
-    """Least-squares line through three points; returns (value at center,
-    slope)."""
-    tbar = (ts[0] + ts[1] + ts[2]) / 3.0
-    fbar = (fs[0] + fs[1] + fs[2]) / 3.0
-    num = sum((t - tbar) * (f - fbar) for t, f in zip(ts, fs))
-    den = sum((t - tbar) ** 2 for t in ts)
-    slope = num / den
-    return fbar + slope * (center - tbar), slope
 
 
 def _bisect(g, a, b):
@@ -232,6 +229,29 @@ def _bisect(g, a, b):
     return a, b
 
 
+def _argmax(g, a, b):
+    """Largest g on [a, b]: the best of nine evenly spaced points, then a
+    golden-section search around it down to adjacent floats.  Seeding from
+    the best sample keeps a side where g is 0 from steering the search."""
+    step = (b - a) / 8.0
+    x = max([a + step * k for k in range(8)] + [b], key=g)
+    gx = g(x)
+    lo, hi = max(a, x - step), min(b, x + step)
+    while True:  # probe the longer side at the golden ratio, (3 - 5**0.5)/2
+        left = x - lo > hi - x
+        p = x - 0.381966 * (x - lo) if left else x + 0.381966 * (hi - x)
+        if not lo < p < hi or p == x:
+            return x, gx
+        gp = g(p)
+        if gp > gx:
+            lo, hi = (lo, x) if left else (x, hi)
+            x, gx = p, gp
+        elif left:
+            lo = p
+        else:
+            hi = p
+
+
 def _refine_jump(solve, a0, b0):
     """Location and size of the jump in a bracket, read across the
     adjacent-float bracket that _bisect ends on.
@@ -247,7 +267,7 @@ def _refine_jump(solve, a0, b0):
     window, the jump is the largest of the difference across the window
     and the jumps bisected on either side of it."""
     def jump(a, b):
-        (fa, sa), (fb, sb) = solve(a), solve(b)
+        (fa, sa, _), (fb, sb, _) = solve(a), solve(b)
         coexist = all(s.n_local_minima >= 2 or s.degenerate for s in (sa, sb))
         return 0.5 * (a + b), abs(fb - fa) if coexist else 0.0
 
@@ -269,81 +289,56 @@ def _refine_jump(solve, a0, b0):
     return max((jump(a, b) for a, b in brackets), key=lambda x: x[1])
 
 
-def _refine_kink(f, center, delta0, span, f_scale):
-    """Kink localization across shrinking scales.
+def _refine_kink(solve, a, b, spacing):
+    """Location and size of a corner of the observable in [a, b]; the size
+    is 0 where the ground state has none.
 
-    At every scale the sampling center is re-anchored to the argmax of the
-    local second difference within one step -- a walk that cannot leave the
-    candidate's neighborhood or run off a one-sided onset -- and the
-    location estimate is the intersection of the two per-side line fits,
-    which converges to the corner of the limiting kink rather than to the
-    (displaced) curvature peak of a rounded one.  A scale is kept only
-    while its curvature signal stands above the noise floor and still
-    decays sub-quadratically under halving: a true corner scales like
-    delta (root-law onsets even slower), so a near-quadratic drop means
-    the scale has resolved a rounded interior (e.g. a crossover smoothed
-    by a tiny symmetry-breaking field), where the curvature peak sits off
-    the limiting corner.  The reported location is the most scale-stable
-    estimate among kept scales.  The kink measure is the largest slope
-    mismatch over the kept scales (a lower bound when the one-sided slopes
-    diverge): the anchor walk can stall a hair off the corner, and the
-    finest scales then see one side of it only."""
-    lo = center - 3.0 * delta0
-    hi = center + 3.0 * delta0
-    c = center
-    delta = delta0
-    floor = 1e-13 * max(1.0, abs(span))
-    noise = 5e-13 * max(1.0, f_scale)
-    locs, kinks, reliable, sigs = [], [], [], []
-    while delta > floor and len(locs) < 44:
-        anchors = [c - delta, c - 0.5 * delta, c, c + 0.5 * delta, c + delta]
-        best_t, best_s = c, -1.0
-        for t in anchors:
-            if not lo <= t <= hi:
-                continue
-            s = abs(f(t - delta) - 2.0 * f(t) + f(t + delta))
-            if s > best_s:
-                best_t, best_s = t, s
-        c = best_t
-        tl = (c - 2.0 * delta, c - 1.5 * delta, c - delta)
-        tr = (c + delta, c + 1.5 * delta, c + 2.0 * delta)
-        al, bl = _fit_line(tl, tuple(f(t) for t in tl), c)
-        ar, br = _fit_line(tr, tuple(f(t) for t in tr), c)
-        denom = bl - br
-        if abs(denom) > 1e-12 * (abs(bl) + abs(br) + 1e-300):
-            x = max(-delta, min(delta, (ar - al) / denom))
-        else:
-            x = 0.0
-        locs.append(c + x)
-        kinks.append(abs(br - bl))
-        reliable.append(best_s > noise)
-        sigs.append(best_s)
-        delta *= 0.5
-    # the anchor walk keeps the center within a quarter scale of a corner,
-    # so a genuine kink measures an exponent of at most ~1.4 here
-    smooth_resolved = [False] * len(sigs)
-    for k in range(1, len(sigs)):
-        if reliable[k] and reliable[k - 1] and sigs[k] > 0.0:
-            if math.log2(sigs[k - 1] / sigs[k]) >= 1.6:
-                smooth_resolved[k] = True
-    usable = [k for k, ok in enumerate(reliable)
-              if ok and not smooth_resolved[k]]
-    # quadratic decay from the very first halvings means plain smooth
-    # curvature, not a rounded corner: report no kink at all
-    if not usable or (any(smooth_resolved) and len(usable) < 3):
-        return center, 0.0
-    best_k, best_score = usable[0], math.inf
-    for pos, k in enumerate(usable):
-        neighbors = []
-        if pos > 0:
-            neighbors.append(abs(locs[k] - locs[usable[pos - 1]]))
-        if pos + 1 < len(usable):
-            neighbors.append(abs(locs[usable[pos + 1]] - locs[k]))
-        score = max(neighbors, default=0.0)
-        if score <= best_score:
-            best_score = score
-            best_k = k
-    return locs[best_k], max(kinks[k] for k in usable)
+    The ground state has a corner where it turns by more than a radian
+    within one scan step, at the largest turning rate (which diverges at
+    lobe edges, root-law onsets and critical-drive cusps), or where it
+    switches branch, which a bisection of its chord distance from a finds.
+    The size is the difference of the two limiting one-sided slopes, each
+    extrapolated linearly from secants over spacing/4 and spacing/8 (the
+    longer one cut to fit in [a, b]).  It is 0 when the spacing/8 secants
+    do not fit on both sides, and when it does not exceed the
+    extrapolation's own correction, as where only the curvature jumps.  Where both sides
+    diverge it is the larger secant slope, since two infinite slopes of
+    one sign (a critical-drive cusp) leave no difference.  A side diverges
+    when its secant rises by more than 2**0.25 on halving the step, the
+    midpoint between a finite slope (1) and a root law (2**0.5)."""
+    c, rate = _argmax(lambda t: solve(t)[2], a, b)
+    if rate * spacing < 1.0:
+        p0 = solve(a)[1].point
+
+        def chord(t):
+            p = solve(t)[1].point
+            return math.hypot(p.s_x - p0.s_x, p.s_z - p0.s_z)
+
+        l, r = _bisect(chord, a, b)
+        # across adjacent floats a state on one branch moves by ~rate * ulp
+        if abs(chord(r) - chord(l)) <= _JUMP_TOL:
+            return c, 0.0
+        c = 0.5 * (l + r)
+    h = 0.25 * spacing
+    if min(c - a, b - c) < 0.5 * h:
+        return c, 0.0
+    fc = solve(c)[0]
+
+    def secant(t):
+        return (solve(t)[0] - fc) / (t - c)
+
+    limits, near, rising, err = [], [], [], 0.0
+    for end in (a, b):
+        far_t = c + max(-h, min(h, end - c))
+        far, s = secant(far_t), secant(0.5 * (c + far_t))
+        limits.append(2.0 * s - far)
+        near.append(abs(s))
+        rising.append(abs(s) > 2.0 ** 0.25 * abs(far))
+        err = max(err, abs(s - far))
+    if all(rising):
+        return c, max(near)
+    kink = abs(limits[1] - limits[0])
+    return c, kink if kink > err else 0.0
 
 
 def detect_transitions(params: ModelParams, axis: str, t_min: float,
@@ -352,35 +347,32 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     """Locate phase boundaries of an observable along one parameter axis.
 
     Scans n_scan points on [t_min, t_max], flags outliers of the second
-    difference, and refines each flag: first-order when the jump between
-    coexisting minima exceeds _JUMP_TOL (absolute, in observable units),
-    second-order when the limiting slope mismatch exceeds _KINK_TOL times
-    the scan's mean slope scale.  Candidates that refine to neither
-    (smooth wiggles) are dropped; nearby records merge.  The result is
-    sorted by location.  Refinement may evaluate slightly beyond the range
-    ends; parameter validation still applies there.
+    difference, and refines each flag within the four scan cells around
+    it: first-order when the jump between coexisting minima exceeds
+    _JUMP_TOL (absolute, in observable units); second-order when the
+    ground state turns by more than a radian within one scan step, or
+    switches branch, and the limiting slope mismatch there exceeds
+    _KINK_TOL times the scan's mean slope scale.  Candidates that refine
+    to neither (smooth wiggles, crossovers rounded by a drive) are
+    dropped; nearby records merge.  The result is sorted by location.
     """
     if not t_max > t_min:
         raise ParameterError("empty sweep range")
     if n_scan < 8:
         raise ParameterError("transition scan needs at least 8 points")
     solve_raw = _observable_fn(params, axis, observable)
-    cache: dict[float, tuple[float, MeanFieldSolution]] = {}
+    cache: dict[float, tuple[float, MeanFieldSolution, float]] = {}
 
-    def solve(t: float) -> tuple[float, MeanFieldSolution]:
+    def solve(t: float) -> tuple[float, MeanFieldSolution, float]:
         hit = cache.get(t)
         if hit is None:
             hit = cache[t] = solve_raw(t)
         return hit
 
-    def f(t: float) -> float:
-        return solve(t)[0]
-
     spacing = (t_max - t_min) / (n_scan - 1)
     ts = [t_min + spacing * i for i in range(n_scan)]
-    fs = [f(t) for t in ts]
+    fs = [solve(t)[0] for t in ts]
     f_range = max(fs) - min(fs)
-    span = t_max - t_min
 
     sd = [fs[i] - 2.0 * fs[i + 1] + fs[i + 2] for i in range(n_scan - 2)]
     mags = sorted(abs(x) for x in sd)
@@ -397,7 +389,7 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
         if len(picked) >= 12:
             break
 
-    kink_floor = _KINK_TOL * max(f_range / span, 1e-300)
+    kink_floor = _KINK_TOL * max(f_range / (t_max - t_min), 1e-300)
     records = []
     for i in sorted(picked):
         a = ts[max(0, i - 1)]
@@ -406,7 +398,7 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
         if jump > _JUMP_TOL:
             records.append(TransitionRecord(loc_j, "first", observable, jump, 0.0))
             continue
-        loc_k, kink = _refine_kink(f, ts[i + 1], 2.0 * spacing, span, f_range)
+        loc_k, kink = _refine_kink(solve, a, b, spacing)
         order = "second" if kink > kink_floor else "none"
         records.append(TransitionRecord(loc_k, order, observable, jump, kink))
 

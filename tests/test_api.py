@@ -1,10 +1,15 @@
-"""The package's public names."""
+"""The package's public names, and how its entry points reject malformed
+input."""
 
 import importlib
 
 import pytest
 
 import extdicke
+from extdicke import cli
+from extdicke.model import ModelParams, ParameterError
+from extdicke.phases import detect_transitions
+from extdicke.sweep import SweepConfig
 
 # each public name and the module that defines it
 HOMES = {
@@ -70,3 +75,22 @@ def test_shared_names_are_re_exported_as_the_same_objects():
 
     assert exact.ConvergenceError is model.ConvergenceError
     assert sweep.dumps_json is model.dumps_json
+
+
+def _solve_config(tmp_path, text):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    args = cli.build_parser().parse_args(["solve", "--config", str(path)])
+    return cli._params_from_args(args)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: detect_transitions(ModelParams(), "delta", 0.0, 1.0, n_scan=7),
+     "at least 8 points"),
+    (lambda tmp: ModelParams.from_dict([1.0]), "must be a JSON object"),
+    (lambda tmp: SweepConfig.from_dict(["base", "axes"]), "must be a JSON object"),
+    (lambda tmp: _solve_config(tmp, "[1.0, 2.0]"), "must be a JSON object"),
+], ids=["n_scan_7", "model_params", "sweep_config", "solve_config"])
+def test_malformed_input_is_a_parameter_error(call, message, tmp_path):
+    with pytest.raises(ParameterError, match=message):
+        call(tmp_path)

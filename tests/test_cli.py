@@ -242,6 +242,17 @@ def test_exact_check_prints_no_sign_of_parity_noise(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["rows"][0]["parity"] == -1e-16
 
 
+def test_exact_check_warns_when_the_budget_stops_the_ladder(capsys):
+    # N = 4 with 60 basis states allows cutoff 8 (45 states) but not 16,
+    # short of the superradiant photon number at lambda = 2
+    argv = ["exact-check", "--lambda", "2", "--n-list", "4", "--budget", "60"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].split()[:3] == ["4", "8", "False"]
+    assert err == ("warning: diagonalization hit the dimension budget before "
+                   "reaching the requested tolerance\n")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["--omega", "1e308", "--lambda", "1", "--n-list", "2"], 2),  # ||H|| = inf
     (["--lambda", "1e154", "--n-list", "2"], 1),  # residual guard

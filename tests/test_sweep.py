@@ -124,6 +124,27 @@ def test_exact_columns_appended_per_atom_number():
             assert e_exact <= row[cols["energy_per_atom"]] + 0.25 * abs(BASE.v) / n + 1e-9
 
 
+def test_exact_failure_at_one_atom_number_blanks_only_its_cells():
+    # N = 200000 at the starting cutoff 8 needs 9 * 200001 basis states,
+    # past the 400000 budget; N = 2 and the mean-field columns still fill
+    config = small_config(axes=(AxisSpec("delta", 0.2, 0.6, 2),),
+                          exact_n=(2, 200_000))
+    dataset = run_sweep(config)
+    cols = {name: i for i, name in enumerate(dataset.columns)}
+    for row in dataset.rows:
+        assert row[cols["error"]] == (
+            "N=200000 ParameterError: basis dimension 1800009 exceeds the "
+            "memory budget 400000")
+        assert [row[cols[f"exact_N200000_{name}"]] for name in
+                ("energy_per_atom", "photon_density", "m_over_n",
+                 "converged")] == ["", "", "", ""]
+        assert row[cols["exact_N2_converged"]] is True
+        assert math.isfinite(row[cols["exact_N2_energy_per_atom"]])
+        assert row[cols["phase_label"]] == classify(
+            BASE.replace(delta=row[cols["delta"]])).value
+        assert math.isfinite(row[cols["energy_per_atom"]])
+
+
 # --- serialization ------------------------------------------------------
 
 def test_csv_round_trip_is_byte_stable():

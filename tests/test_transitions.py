@@ -1,0 +1,168 @@
+"""Transition refinement: the turning-rate rule, the kink measure, the
+closed-form axis derivatives, and jittered scans checked against the
+closed-form critical lines."""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from extdicke.meanfield import ground_state
+from extdicke.model import ModelParams
+from extdicke.phases import _observable_fn, detect_transitions
+
+
+def params_u(u, delta=0.0, omega_rabi=0.0, v=0.0):
+    return ModelParams(omega=1.0, lam=math.sqrt(u), delta=delta,
+                       omega_rabi=omega_rabi, v=v)
+
+
+# --- closed-form derivatives along each axis ------------------------------
+
+# inside the superradiant lobe with a drive: one smooth, isolated minimum
+SMOOTH = ModelParams(omega=1.3, lam=1.1, delta=0.3, omega_rabi=0.2, v=0.15)
+AXIS_NAMES = ("delta", "omega_rabi", "v", "lam", "omega")
+
+
+def _at(axis, t):
+    return ground_state(SMOOTH.replace(**{axis: t}))
+
+
+@pytest.mark.parametrize("axis", AXIS_NAMES)
+def test_energy_slope_is_the_energy_derivative(axis):
+    t = getattr(SMOOTH, axis)
+    h = 1e-5
+    value = _observable_fn(SMOOTH, axis, "energy_slope")(t)[0]
+    diff = (_at(axis, t + h).energy_per_atom
+            - _at(axis, t - h).energy_per_atom) / (2.0 * h)
+    assert value == pytest.approx(diff, abs=1e-8)
+
+
+@pytest.mark.parametrize("axis", AXIS_NAMES)
+def test_turning_rate_is_the_angle_derivative(axis):
+    t = getattr(SMOOTH, axis)
+    h = 1e-5
+
+    def theta(s):
+        p = _at(axis, s).point
+        return math.atan2(p.s_z, p.s_x)
+
+    _, _, rate = _observable_fn(SMOOTH, axis, "m_over_n")(t)
+    diff = (theta(t + h) - theta(t - h)) / (2.0 * h)
+    assert rate == pytest.approx(abs(diff), rel=1e-6)
+
+
+# --- the turning-rate rule and the kink measure ---------------------------
+
+def test_small_drive_rounded_lobe_edges_are_no_transition():
+    # a drive of 0.005u rounds the edges at delta = +-2.4; the state turns
+    # by about 0.07 rad per scan step there, and no critical line lies at
+    # the +-2.66 where a line-fit refinement used to report corners
+    p = params_u(2.0, v=0.4, omega_rabi=0.01)
+    assert detect_transitions(p, "delta", -4.8, 4.8) == []
+
+
+@pytest.mark.parametrize("drive, orders", [
+    # the rounded edge turns the state at most 2/(3w) * (2 rabi/w)**(-1/3)
+    # per unit detuning: 0.53 rad per 0.01 step here, so no record
+    (1e-6, []),
+    # and 2.5 rad per step, a corner at this resolution
+    (1e-8, ["second", "second"]),
+])
+def test_turning_rate_rule_at_scan_resolution(drive, orders):
+    recs = detect_transitions(params_u(1.0, omega_rabi=drive), "delta",
+                              -2.0, 2.0, n_scan=401)
+    assert [r.order for r in recs] == orders
+    for rec, edge in zip(recs, (-1.0, 1.0)):
+        assert abs(rec.location - edge) <= 1e-6
+
+
+def test_refinement_stays_inside_the_range():
+    # at omega_rabi = 0 this point sits on the lobe edge delta = u + v, so
+    # the flagged cell is the range's first; a refinement that steps below
+    # it asks for a negative drive
+    recs = detect_transitions(ModelParams(omega=1.0, lam=1.0, v=-0.9, delta=0.1),
+                              "omega_rabi", 0.0, 2.0)
+    assert all(0.0 <= r.location <= 2.0 for r in recs)
+
+
+def test_lobe_edge_kink_is_the_limiting_slope_mismatch():
+    # no drive: m/N = -delta/(u + v) inside the lobe and -+1 outside, so the
+    # slope jumps by 1/(u + v) at each edge
+    u, v = 1.0, 0.2
+    recs = detect_transitions(params_u(u, v=v), "delta", -2.4, 2.4)
+    assert [r.order for r in recs] == ["second", "second"]
+    for rec in recs:
+        assert rec.kink == pytest.approx(1.0 / (u + v), rel=1e-6)
+
+
+# --- jittered closed-form scans -------------------------------------------
+
+FAMILIES = ("lobe", "first", "onset", "rabi")
+OBSERVABLES = ("m_over_n", "photon_density", "energy_slope", "s_x")
+
+
+def _jittered_scan(family, observable, rng):
+    """A scan whose transitions have closed forms: couplings and window
+    each jittered by up to 10 %, u from 0.1 to 10.  Returns the scan, the
+    expected (order, location) list, the expected jump or None, and the
+    coupling scale."""
+    def j():
+        return 1.0 + rng.uniform(-0.1, 0.1)
+
+    u = 10.0 ** rng.uniform(-1.0, 1.0)
+    jump = None
+    if family == "lobe":  # second-order edges at delta = +-(u + v)
+        v = 0.2 * u * j()
+        w = u + v
+        # m/N scans carry a drive of 1e-12 u, far too weak to round an edge
+        rabi = 1e-12 * u if observable == "m_over_n" else 0.0
+        axis, lo, hi = "delta", -2.0 * w * j(), 2.0 * w * j()
+        want = [("second", -w), ("second", w)]
+    elif family == "first":  # the wells at +-s_z swap at delta = 0
+        v = -2.0 * u * j()
+        w = u + v
+        rabi = 0.4 * u * j()
+        axis, lo, hi = "delta", -u * j(), 1.1 * u * j()
+        if observable in ("m_over_n", "energy_slope"):
+            want = [("first", 0.0)]
+            jump = 2.0 * math.sqrt(1.0 - rabi ** 2 / w ** 2)
+            if observable == "energy_slope":  # s_z, half of m/N
+                jump *= 0.5
+        else:  # continuous across the swap, with a slope that flips sign
+            want = [("second", 0.0)]
+    elif family == "onset":  # Mott-superfluid pitchfork at v = -u - rabi
+        v = 0.0
+        rabi = 0.5 * u * j()
+        v_c = -u - rabi
+        axis, lo, hi = "v", v_c - 0.8 * u * j(), v_c + 0.6 * u * j()
+        want = [("second", v_c)]
+    else:  # the same onset along the drive, at rabi = |u + v|
+        v = -2.0 * u * j()
+        rabi = 0.0
+        w = abs(u + v)
+        axis, lo, hi = "omega_rabi", 0.45 * w * j(), 1.5 * w * j()
+        want = [("second", w)]
+    p = ModelParams(omega=1.0, lam=math.sqrt(u), v=v, omega_rabi=rabi)
+    return (p, axis, lo, hi), want, jump, max(1.0, u + abs(v) + rabi)
+
+
+def test_jittered_scans_match_closed_forms():
+    rng = random.Random(20260)
+    failures = []
+    for k in range(32):
+        family = FAMILIES[k % 4]
+        observable = OBSERVABLES[(k // 4) % 4]
+        scan, want, jump, scale = _jittered_scan(family, observable, rng)
+        recs = detect_transitions(*scan, observable=observable)
+        tol = 1e-6 * scale
+        got = [(r.order, r.location) for r in recs]
+        ok = len(got) == len(want) and all(
+            g[0] == w[0] and abs(g[1] - w[1]) <= tol for g, w in zip(got, want))
+        if ok and jump is not None:
+            ok = abs(recs[0].jump - jump) <= tol
+        if not ok:
+            failures.append((family, observable, scan, got, want))
+    assert failures == []
