@@ -20,7 +20,6 @@ Each command imports the modules it runs (exact, sweep, phases) when run.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -80,6 +79,7 @@ def _params_from_args(args) -> ModelParams:
     the merged values are validated once, as one ModelParams."""
     values = dict(_PARAM_DEFAULTS)
     if args.config is not None:
+        import json
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise ParameterError("parameter config must be a JSON object")
@@ -504,7 +504,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:  # ParameterError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

@@ -47,11 +47,10 @@ products are numpy arrays and array operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .meanfield import MeanFieldSolution
-from .model import ConvergenceError, ModelParams, ParameterError, _integer
+from .model import ConvergenceError, ModelParams, ParameterError, _integer, record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -405,7 +404,7 @@ def _solve_sectors(h: BandedMatrix,
         return e0, e1, vec, nxt
 
 
-@dataclass(frozen=True)
+@record
 class ExactSolution:
     """Ground-state observables at a photon cutoff.
 
@@ -512,7 +511,7 @@ def converge_cutoff(params: ModelParams, eps: float = 1e-8,
         stable = abs(nxt.energy - sol.energy) <= eps * max(1.0, abs(nxt.energy))
         headroom = nxt.photon_number < 0.8 * n_next
         if stable and headroom:
-            return replace(nxt, converged=True)
+            return ExactSolution(**{**vars(nxt), "converged": True})
         sol = nxt
         n_max = n_next
 

@@ -16,13 +16,12 @@ to cross-check it.  Both report their point by the same tie-break rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _kernels_py as kernels
-from .model import ModelParams, ParameterError
+from .model import ModelParams, ParameterError, record
 
 
-@dataclass(frozen=True)
+@record
 class BlochPoint:
     """Point on the collective-spin circle, s_x**2 + s_z**2 = 1/4."""
 
@@ -30,7 +29,7 @@ class BlochPoint:
     s_z: float
 
 
-@dataclass(frozen=True)
+@record
 class MeanFieldSolution:
     """Ground-state data in the thermodynamic limit (energies per atom).
 

@@ -15,11 +15,9 @@ v, and the combination w = u + v controls the critical structure.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, fields
 
 # Exact SI value (h = 6.62607015e-34 J s since 2019), in J s.
 hbar = 6.62607015e-34 / (2.0 * math.pi)
@@ -57,6 +55,7 @@ def _finite_or_none(x):
 def dumps_json(obj, **kw) -> str:
     """json.dumps with every non-finite float written as null, so the
     output is strict RFC 8259 (which has no NaN or Infinity)."""
+    import json
     return json.dumps(_finite_or_none(obj), allow_nan=False, **kw)
 
 
@@ -80,7 +79,46 @@ def _integer(x, what: str) -> int:
     return int(x)
 
 
-@dataclass(frozen=True)
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return self.__dict__ == other.__dict__
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(tuple(self.__dict__.values()))
+
+
+def _repr(self):
+    fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
+def record(cls):
+    """Make cls a frozen record as dataclass(frozen=True) would, without the
+    import of inspect that would cost every CLI process about 12 ms.  The
+    fields (cls._fields) are the annotated names in order, with class
+    attributes as defaults; __init__ stores them in the instance __dict__
+    and calls __post_init__ if cls has one."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    params = ", ".join(f"{n}=_defaults[{n!r}]" if n in cls.__dict__ else n
+                       for n in names)
+    src = (f"def __init__(self, {params}):\n    _d = self.__dict__\n"
+           + "".join(f"    _d[{n!r}] = {n}\n" for n in names)
+           + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""))
+    namespace = {"_defaults": cls.__dict__}
+    exec(src, namespace)
+    cls.__init__, cls._fields = namespace["__init__"], names
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+@record
 class ModelParams:
     """Couplings of the extended Dicke Hamiltonian, in angular MHz.
 
@@ -179,7 +217,7 @@ def omega_critical(u: float, v: float) -> float:
     return abs(u + v)
 
 
-@dataclass(frozen=True)
+@record
 class TrapSpec:
     """Experimental inputs for coupling estimates.
 
@@ -208,7 +246,7 @@ class TrapSpec:
         an integer).  Anything else is a ParameterError."""
         if not isinstance(data, dict):
             raise ParameterError("trap spec must be a JSON object")
-        names = [f.name for f in fields(cls)]
+        names = list(cls._fields)
         if set(data) != set(names):
             raise ParameterError(f"bad trap spec: keys {sorted(map(str, data))}, "
                                  f"expected {names}")
@@ -223,10 +261,11 @@ class TrapSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "TrapSpec":
+        import json
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
+@record
 class TrapEstimate:
     """Coupling scales derived from a TrapSpec (angular MHz)."""
 
@@ -234,7 +273,11 @@ class TrapEstimate:
     lam: float
     u: float
     n_crit: float
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = None  # a fresh {} when not given
+
+    def __post_init__(self):
+        if self.metadata is None:
+            object.__setattr__(self, "metadata", {})
 
 
 def estimate_from_trap(spec: TrapSpec) -> TrapEstimate:

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
 from .meanfield import MeanFieldSolution, ground_state
-from .model import AXES, ModelParams, ParameterError, field_name
+from .model import AXES, ModelParams, ParameterError, field_name, record
 
 # Round-off guard of the classifier on m/N and on the photon density.
 _CLASSIFY_TOL = 1e-6
@@ -152,7 +151,7 @@ def susceptibility_v(params: ModelParams) -> float:
     return dm / (2.0 * dv)
 
 
-@dataclass(frozen=True)
+@record
 class TransitionRecord:
     """One detected transition along a one-parameter sweep.
 

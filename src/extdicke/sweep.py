@@ -19,16 +19,15 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 from . import __version__, _kernels_py
 from .meanfield import point_observables
 from .model import (AXES, ModelParams, ParameterError, _integer, _real,
-                    check_couplings, dumps_json, field_name)
+                    check_couplings, dumps_json, field_name, record)
 from .phases import phase_label
 
 
-@dataclass(frozen=True)
+@record
 class AxisSpec:
     """One swept parameter: count values from min to max inclusive."""
 
@@ -44,7 +43,7 @@ class AxisSpec:
         return [self.min + step * i for i in range(self.count)]
 
 
-@dataclass(frozen=True)
+@record
 class SweepConfig:
     """Base parameters plus one or two axes, with optional finite-N columns
     (one block per atom number in exact_n).  Building one validates the
@@ -149,7 +148,7 @@ def _axis(data, i: int) -> AxisSpec:
                     _integer(data["count"], f"{what} count"))
 
 
-@dataclass(frozen=True)
+@record
 class SweepDataset:
     """Column-named rows plus provenance comment lines."""
 

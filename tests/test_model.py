@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -17,9 +18,11 @@ import extdicke
 from extdicke.model import (
     ModelParams,
     ParameterError,
+    TrapEstimate,
     TrapSpec,
     estimate_from_trap,
     omega_critical,
+    record,
     validate,
 )
 
@@ -241,6 +244,129 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     check = _modules_after([["exact-check", "--n-list", "2", "--format", "json",
                              *out("c.json")]])
     assert check[-1][1] == package("exact")
+
+
+# Printed after each step: which of these modules the process has loaded.
+_DIET_PROBE = """
+import sys
+
+def diet():
+    return sorted({"dataclasses", "inspect", "json"} & set(sys.modules))
+
+from extdicke import cli
+print(diet())
+out, sys.stdout = sys.stdout, sys.stderr  # the figures print paths
+for argv in COMMANDS:
+    assert cli.main(argv) == 0, argv
+    print(diet(), file=out)
+"""
+
+
+def test_mean_field_commands_load_no_dataclasses_inspect_or_needless_json(tmp_path):
+    sweep = {"base": {"omega": 1.0, "lambda": 1.0, "omega_rabi": 0.3, "v": -0.2},
+             "axes": [{"name": "delta", "min": -1.0, "max": 1.0, "count": 3}]}
+    (tmp_path / "mf.json").write_text(json.dumps(sweep))
+    commands = [["solve", "--delta", "0.3", "--out", str(tmp_path / "s.txt")],
+                ["boundaries", "--v=-0.5", "--out", str(tmp_path / "b.txt")],
+                ["solve", "--format", "json", "--out", str(tmp_path / "s.json")],
+                ["scan", "--config", str(tmp_path / "mf.json"),
+                 "--out", str(tmp_path / "mf.csv")],
+                ["fig2", "--points", "5", "--out-dir", str(tmp_path / "fig2")]]
+    src = str(Path(extdicke.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", f"COMMANDS = {commands!r}" + _DIET_PROBE],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    # text output reads and writes no JSON; the records need no dataclasses
+    assert out.stdout.splitlines() == ["[]", "[]", "[]", *["['json']"] * 3]
+
+
+def _records():
+    """One instance of each record class, built by position from every field."""
+    from extdicke.exact import ExactSolution
+    from extdicke.meanfield import BlochPoint, MeanFieldSolution
+    from extdicke.phases import TransitionRecord
+    from extdicke.sweep import AxisSpec, SweepConfig, SweepDataset
+
+    axis = AxisSpec("v", 0.0, 1.0, 2)
+    return [ModelParams(2.0, 0.5, -0.25, 0.125, -1.5, 8),
+            REFERENCE_SPEC,
+            TrapEstimate(1.0, 2.0, 3.0, 0.5, {"d_x": 1e-6}),
+            BlochPoint(0.3, -0.4),
+            MeanFieldSolution(BlochPoint(0.5, 0.0), math.inf, 0.5, -0.25, 0.0,
+                              0.25, 1e-17, True, True, 2),
+            TransitionRecord(0.5, "first", "m_over_n", 1.0, 0.0),
+            axis,
+            SweepConfig(ModelParams(), (axis,), (4, 8), 1e-6, 4),
+            SweepDataset(("a", "b"), ((1, 2.0),), ("# x",)),
+            ExactSolution(-1.5, -0.375, 0.25, -1.0, 0.5, 1.0, 0.125, 16, 4, True)]
+
+
+def test_records_print_compare_and_freeze_as_frozen_dataclasses():
+    for rec in _records():
+        cls, values = type(rec), tuple(vars(rec).values())
+        assert tuple(vars(rec)) == cls._fields
+        text = ", ".join(f"{k}={v!r}" for k, v in vars(rec).items())
+        assert repr(rec) == f"{cls.__name__}({text})"
+        # by position, by keyword, and from a copy of each value
+        same = cls(*[copy.copy(v) for v in values])
+        assert cls(**vars(rec)) == rec == same
+        if isinstance(rec, TrapEstimate):  # a dict field: unhashable
+            with pytest.raises(TypeError):
+                hash(rec)
+        else:
+            assert hash(same) == hash(rec)
+        # a record class of the same name and fields is another class
+        twin = record(type(cls.__name__, (), {"__annotations__": dict.fromkeys(cls._fields)}))
+        assert twin(*values) != rec and rec != twin(*values)
+        assert repr(twin(*values)) == repr(rec)
+        for name in cls._fields:
+            with pytest.raises(AttributeError, match=f"cannot assign to or delete field '{name}'"):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError, match=name):
+                delattr(rec, name)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        assert tuple(vars(rec).values()) == values
+
+
+def test_record_repr_is_the_dataclass_text():
+    from extdicke.exact import ExactSolution
+
+    assert repr(ModelParams(2.0, 0.5, -0.25, 0.125, -1.5, 8)) == (
+        "ModelParams(omega=2.0, lam=0.5, delta=-0.25, omega_rabi=0.125, v=-1.5, n_atoms=8)")
+    assert repr(ExactSolution(-1.5, -0.375, 0.25, -1.0, 0.5, 1.0, 0.125, 16, 4, True)) == (
+        "ExactSolution(energy=-1.5, energy_per_atom=-0.375, photon_number=0.25, "
+        "jz=-1.0, jx=0.5, parity=1.0, gap=0.125, n_max_used=16, n_atoms=4, "
+        "converged=True)")
+
+
+def test_record_defaults_and_post_init():
+    from extdicke.meanfield import BlochPoint, MeanFieldSolution
+    from extdicke.sweep import AxisSpec, SweepConfig, SweepDataset
+
+    assert ModelParams() == ModelParams(1.0, 0.0, 0.0, 0.0, 0.0, 1)
+    assert ModelParams(2.0, v=-1.0) == ModelParams(omega=2.0, v=-1.0)
+    point = (BlochPoint(0.5, 0.0), 0.0, 0.5, -0.25, 0.0, 0.25, 0.0, False)
+    assert MeanFieldSolution(*point) == MeanFieldSolution(*point, False, 0)
+    axes = (AxisSpec("v", 0.0, 1.0, 2),)
+    assert SweepConfig(ModelParams(), axes) == SweepConfig(ModelParams(), axes, (), 1e-8, 8)
+    assert SweepDataset(("a",), ()).provenance == ()
+    # __post_init__ runs on every construction
+    with pytest.raises(ParameterError, match="cavity frequency"):
+        ModelParams(-1.0)
+    with pytest.raises(ParameterError, match="one or two axes"):
+        SweepConfig(ModelParams(), axes * 3)
+    with pytest.raises(ParameterError, match="exact_eps"):
+        SweepConfig(base=ModelParams(), axes=axes, exact_eps=0.0)
+    assert type(ModelParams(n_atoms=4.0).n_atoms) is int
+    # each estimate without metadata gets a dict of its own
+    first = TrapEstimate(1.0, 2.0, 3.0, 0.5)
+    second = TrapEstimate(v=1.0, lam=2.0, u=3.0, n_crit=0.5)
+    assert first.metadata == {} and first.metadata is not second.metadata
+    first.metadata["k"] = 1.0
+    assert second.metadata == {}
+    with pytest.raises(TypeError):
+        TrapEstimate(1.0, 2.0, 3.0)
 
 
 def test_omega_critical_is_abs_w():
