@@ -64,11 +64,10 @@ _DEDUPE_EPS = 1e-9
 # degree 1 in the couplings.
 _TIE_EPS = 1e-10
 # Much tighter window (also relative to S) for *selecting* the reported
-# point.  Coordinate ranking may only override the energy ordering between candidates whose
-# energies agree to evaluation precision; near-critical couplings produce
-# distinct stationary points split by ~1e-11 (far above roundoff, far below
-# _TIE_EPS), and the lowest of those must win or the solver returns a
-# non-minimal point.
+# minimum.  Coordinate ranking may only override the energy ordering between
+# minima whose energies agree to evaluation precision; near-critical
+# couplings split distinct minima by ~1e-11 (far above roundoff, far below
+# _TIE_EPS), and the lowest of those must win, not a metastable one.
 _SELECT_EPS = 1e-13
 # Two stationary points are "the same point" below this angular separation.
 _DISTINCT_ANGLE = 1e-8
@@ -297,33 +296,27 @@ def grad_residual(u, v, delta, rabi, eta):
     return abs(lhs) / (2.0 * d * d)
 
 
-def _cyclic_dist(a, b):
-    d = abs(a - b)
-    return min(d, TWO_PI - d)
-
-
-def _select(cands, e_min, scale):
+def _select(cands, minima, scale):
     """The tie-break rule of both mean-field routes: the reported point
-    among candidates (theta, s_x, s_z, energy, ...), given e_min, the lowest
-    local-minimum energy among them.  Returns (rep, degenerate).
+    among minima, the local minima of the stationary points cands (each
+    (theta, s_x, s_z, energy, ...)).  Returns (rep, degenerate).
 
-    Among the candidates within _SELECT_EPS * scale of e_min, in list
-    order, the largest s_z wins, then the largest s_x, each compared with
-    _RANK_EPS slack.  degenerate is True when a candidate within
+    Among the minima within _SELECT_EPS * scale of the lowest, e_min, in
+    list order, the largest s_z wins, then the largest s_x, each compared
+    with _RANK_EPS slack.  degenerate is True when any candidate within
     _TIE_EPS * scale of e_min lies more than _DISTINCT_ANGLE from rep.
     """
-    sel_tol = _SELECT_EPS * scale
-    sel = [c for c in cands if c[3] <= e_min + sel_tol]
-    rep = sel[0]
-    for c in sel[1:]:
-        if c[2] > rep[2] + _RANK_EPS:
-            rep = c
-        elif abs(c[2] - rep[2]) <= _RANK_EPS and c[1] > rep[1] + _RANK_EPS:
+    e_min = min([c[3] for c in minima])
+    top = e_min + _SELECT_EPS * scale
+    rep = None
+    for c in minima:
+        if c[3] <= top and (rep is None or c[2] > rep[2] + _RANK_EPS or (
+                abs(c[2] - rep[2]) <= _RANK_EPS and c[1] > rep[1] + _RANK_EPS)):
             rep = c
     tie = e_min + _TIE_EPS * scale
     for c in cands:
         if c[3] <= tie:
-            d = abs(c[0] - rep[0])  # _cyclic_dist, written out
+            d = abs(c[0] - rep[0])  # the cyclic distance is min(d, 2pi - d)
             if d > _DISTINCT_ANGLE and TWO_PI - d > _DISTINCT_ANGLE:
                 return rep, True
     return rep, False
@@ -337,13 +330,15 @@ def solve_point(u, v, delta, rabi):
     * eta is the representative coordinate of the reported point (+-inf for
       the (1/2, 0) pole), residual its on-circle gradient defect;
     * degenerate is True when a second, distinct stationary point ties the
-      minimum within 1e-10 * S; the reported point is the energy
-      minimum, with exact ties (equal to evaluation precision) broken by
-      the largest s_z, then the largest s_x;
+      lowest minimum within 1e-10 * S; the reported point is that minimum,
+      with exact ties among minima (equal to evaluation precision) broken
+      by the largest s_z, then the largest s_x;
     * flat is True when delta, rabi and u+v all vanish (relative to the
       coupling scale S) and the energy is constant on the circle -- the
       conventional point (-1/2, 0) is returned;
-    * n_minima counts local minima of the energy on the circle.
+    * n_minima counts local minima of the energy on the circle: the roots
+      where the stationarity quartic p falls from + to - as eta increases,
+      and the pole where its curvature (u + v - rabi)/2 is positive.
 
     The problem is homogeneous of degree 1 in the couplings, so it is solved
     for the couplings divided by 2**k, the power of two at S, where the
@@ -364,8 +359,19 @@ def solve_point(u, v, delta, rabi):
 
     c3, c1 = 2.0 * (w - rabi), -2.0 * (w + rabi)
     roots = real_roots(delta, c3, 0.0, c1, -delta)
+    # where real_roots drops delta the pole enters, and p is read without it
+    pole = abs(delta) <= _REL_COEFF_EPS * max(abs(delta), abs(c3), abs(c1))
+    c4 = 0.0 if pole else delta
+    # p is read beyond each end root and between consecutive roots.  A root
+    # is a minimum when the reading on its left is > 0 and the next nonzero
+    # one on its right < 0: readings of exactly 0 fall between the copies
+    # real_roots returns for one multiple root, so a crossing counts once.
     cands = []  # (theta, s_x, s_z, energy, eta)
+    minima = []
+    rising = prev = None  # rising: the root after the last positive reading
     for r in roots:
+        x = r - 1.0 - abs(r) if prev is None else 0.5 * (prev + r)
+        px = (((c4 * x + c3) * x) * x + c1) * x - c4
         # bloch_from_eta, theta = pi - 2*atan(eta) and reduced_energy,
         # written out; the roots of the scaled quartic are finite
         d = 1.0 + r * r
@@ -373,30 +379,29 @@ def solve_point(u, v, delta, rabi):
         s_z = r / d
         cands.append((math.pi - 2.0 * math.atan(r), s_x, s_z,
                       -u * s_x * s_x + v * s_z * s_z + delta * s_z + rabi * s_x, r))
-    if abs(delta) <= _REL_COEFF_EPS * max(abs(delta), abs(c3), abs(c1)):
-        # real_roots dropped delta, and with it the far root: the pole
+        if px > 0.0:
+            rising = cands[-1]
+        elif px < 0.0 and rising is not None:
+            minima.append(rising)
+            rising = None
+        prev = r
+    x = prev + 1.0 + abs(prev) if roots else 0.0
+    if rising is not None and (((c4 * x + c3) * x) * x + c1) * x - c4 < 0.0:
+        minima.append(rising)
+    if pole:
         cands.append((0.0, 0.5, 0.0, reduced_energy(u, v, delta, rabi, 0.5, 0.0), math.inf))
-    if not cands:
+        if c3 > 0.0:
+            minima.append(cands[-1])
+    if not minima:
         # A non-flat landscape has a minimum; reaching here is a solver bug.
         raise RuntimeError(
-            f"no stationary point found for couplings {(u, v, delta, rabi)!r}")
+            f"no local minimum found for couplings {(u, v, delta, rabi)!r}")
 
-    cands.sort()
-    n = len(cands)
-    n_minima = 0
-    e_min = cands[0][3]
-    for i in range(n):
-        e = cands[i][3]
-        if e <= cands[i - 1][3] and e <= cands[(i + 1) % n][3]:
-            n_minima += 1
-            # the global minimum is a local one
-            if e < e_min:
-                e_min = e
-
-    rep, degenerate = _select(cands, e_min, scale)
+    minima.sort()
+    rep, degenerate = _select(cands, minima, scale)
     residual = grad_residual(u, v, delta, rabi, rep[4])
     return (rep[1], rep[2], math.ldexp(rep[3], k), rep[4],
-            math.ldexp(residual, k), degenerate, False, n_minima)
+            math.ldexp(residual, k), degenerate, False, len(minima))
 
 
 def _golden_min(u, v, delta, rabi, lo, hi):
@@ -425,10 +430,14 @@ def oracle_minimum(u, v, delta, rabi, n_points):
     """Brute-force minimum of the reduced energy over the Bloch circle.
 
     Scans n_points uniform angles, refines every grid-local minimum (the
-    lowest few) by golden-section search to 1e-10 in angle, and picks among
-    the refined minima by solve_point's tie-break rule (_select).  Finding
-    the points shares no code with the quartic route.  Returns (s_x, s_z,
-    energy, theta, degenerate, flat, n_minima).
+    lowest few) by golden-section search to 1e-10 in angle, merges refined
+    minima closer than 1e-6 rad and picks among them by solve_point's
+    tie-break rule (_select); finding them shares no code with the quartic
+    route.  Returns (s_x, s_z, energy, theta, degenerate, flat, n_minima).
+
+    So it counts two minima closer than 1e-6 rad, as next to a pitchfork,
+    as one; and a comparison search cannot resolve a quasi-flat minimum,
+    which it may count as two (and call degenerate).
     """
     n = int(n_points)
     h = TWO_PI / n
@@ -460,7 +469,8 @@ def oracle_minimum(u, v, delta, rabi, n_points):
     clusters = []
     for t, e in refined:
         for k, (tc, ec) in enumerate(clusters):
-            if _cyclic_dist(t, tc) <= 1e-6:
+            d = abs(t - tc)
+            if min(d, TWO_PI - d) <= 1e-6:
                 if e < ec:
                     clusters[k] = (t, e)
                 break
@@ -468,5 +478,5 @@ def oracle_minimum(u, v, delta, rabi, n_points):
             clusters.append((t, e))
 
     pts = [(t, 0.5 * math.cos(t), 0.5 * math.sin(t), e) for t, e in clusters]
-    rep, degenerate = _select(pts, min(e for _, e in clusters), scale)
+    rep, degenerate = _select(pts, pts, scale)
     return (rep[1], rep[2], rep[3], rep[0], degenerate, False, len(clusters))

@@ -35,11 +35,11 @@ class MeanFieldSolution:
 
     eta is the representative stationary coordinate (+-inf at the (1/2, 0)
     pole, reachable only where delta is zero to rounding) and residual its
-    on-circle gradient defect |de/dtheta|.  degenerate marks a second
-    stationary point, not necessarily a minimum, more than 1e-8 rad away and
-    within 1e-10 * S (S the largest coupling) of the lowest minimum; the
-    reported point is the one with the largest s_z, then s_x, within
-    1e-13 * S of it.  flat_manifold marks a constant energy on the circle.
+    on-circle gradient defect |de/dtheta|.  The reported point is the local
+    minimum with the largest s_z, then s_x, within 1e-13 * S (S the largest
+    coupling) of the lowest.  degenerate marks a second stationary point,
+    not necessarily a minimum, more than 1e-8 rad away and within 1e-10 * S
+    of the lowest minimum.  flat_manifold marks a constant energy on the circle.
     """
 
     point: BlochPoint

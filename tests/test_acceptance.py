@@ -178,7 +178,7 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 6.  A changed digest is a change of
+# writes, recorded at sweep format 7.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel and parity-sector changes gave.  The provenance line
@@ -187,17 +187,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "8afe888a7a158ea8b6aad3e336f99eb61f8937de02b3ded1697096766890498d",
-      "fig2_curve1.csv": "4fb5f3e8ec87d60d7ff589667619545cb66709598037a69635716271f0cedd0a",
-      "fig2_curve2.csv": "b9c34cfcd6877756a78384a87764914a70b05872030eaabcc506b78ee6e5fbcd"}),
+     {"fig2_curve0.csv": "2de56ea0e752e1524e00aeb7647db2f93d1db24c84e9fd5172c763316d67713e",
+      "fig2_curve1.csv": "5848f1dae72efc7196dd0ae1a177813c83dee74aa04804165e98b59426a438df",
+      "fig2_curve2.csv": "4679d0232ac7bb3cac7415b0f1e545bb77537f2d09cee504f39bb60bd77adb29"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "60458a004de88f8f3328d751e5fe57d48100eb640f4fc5532898602519f820b1",
+     {"fig3_grid.csv": "9b06b73d483466799f2f814ff1a62776a5ec1dfe0fec9a4091498516264d2f19",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "0cf98d70c74adcfd83e129422f4d2b1e51e8f309c1239ede40359628b277dd1a",
-      "fig4_curve1.csv": "cb74506064a0771158b68c35b9617f454ed0f5f9f1fafa24e9cd2c5bfc0991a3",
-      "fig4_curve2.csv": "5202886e0dc34a05a1f23a887e2d1eba7e6600ececbbd7c4e96671f3b924363b",
-      "fig4_curve3.csv": "b60cbdb5fb442c0187f04623f9713c815e774c71c42b6a73ddd1788a38615404"}),
+     {"fig4_curve0.csv": "8ee1302fed84c52ed59c3f1ee2b53d3ed309adc258c1a067b4039fb32365184a",
+      "fig4_curve1.csv": "94323011acb003d255b0f83ad6461c3e559b1c903743653e6619039fa2f64f20",
+      "fig4_curve2.csv": "bc084acd7e0f43c813c9e654f1fcea0fd27a32a14bf97c5707c6c8fe0e4d998d",
+      "fig4_curve3.csv": "0e54a9e574ffe0b2b9ebfbe23c22d54da0f36a906659e4f10983813549a0c9d2"}),
 ]
 
 
@@ -224,7 +224,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 6: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 7: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build on one CPU
@@ -234,7 +234,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "23ba7a89ec28ff603dee9091b49a4df465be8cd0ea40fa262ee38501a436d8a5",
+    "434d0aa450e73c191bd7e122d1aa38bec461aa93c75ae5eddb914153896cf972",
 )
 
 

@@ -234,6 +234,16 @@ def test_pole_enters_exactly_when_the_quartic_drops_delta(k):
     assert math.isfinite(eta) and deg and nmin == 2
 
 
+def test_pole_readings_leave_out_the_dropped_delta(k):
+    # u + v - rabi = 1e-12: the cubic left when real_roots drops delta has
+    # roots near eta = +-1.4e6, where delta*eta**4 would outweigh it; read
+    # with delta, p would change sign nowhere and the pole's shallow well,
+    # 1 above the minimum at s_x = -1/2, would be the only minimum counted
+    for d in (1e-14, -1e-14):
+        s_x, s_z, e, eta, res, deg, flat, nmin = k.solve_point(1.0, 1e-12, d, 1.0)
+        assert (s_x, e, nmin) == (-0.5, -0.75, 2)
+
+
 def test_flat_level_in_units_of_the_coupling_scale(k):
     # u + v = 5e-14 * S: the energy rises by (u + v)/4 from the minima
     # s_x = +-1/2 to s_z = +-1/2, some 200 ulps, so the landscape is not flat
@@ -292,6 +302,40 @@ def test_tie_window_in_units_of_the_coupling_scale(k):
     # 1e-10 * S = 3e-10, two distinct states beyond it
     assert k.solve_point(1.0, -3.0, 2e-10, 0.0)[5]
     assert not k.solve_point(1.0, -3.0, 2e-9, 0.0)[5]
+
+
+def test_minima_count_matches_the_astroid(k):
+    # two minima exactly inside the astroid
+    # rabi**(2/3) + |delta|**(2/3) < |u + v|**(2/3) (Stoner & Wohlfarth,
+    # Phil. Trans. R. Soc. A 240, 599, 1948), one on it and outside.  The
+    # points sit at a relative distance of 1e-9 to 1e-1 from the curve, on
+    # either side, for both signs of u + v, on the delta = 0 and rabi = 0
+    # slices and between; on the slices, where the curve is exact in floats,
+    # also on it: the cusps |delta| = |u + v| and the pitchfork rabi = |u + v|
+    rng = random.Random(20)
+    for _ in range(3000):
+        u = math.exp(rng.uniform(-3.0, 3.0))
+        v = rng.choice((-1.0, 1.0)) * u * rng.uniform(0.1, 3.0) - u
+        s = 1.0 + rng.choice((-1.0, 0.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -1.0)
+        a = abs(u + v) * s
+        points = [(a, 0.0), (0.0, a)]
+        if s != 1.0:
+            phi = rng.uniform(0.0, 0.5 * math.pi)
+            points.append((a * math.sin(phi) ** 3, a * math.cos(phi) ** 3))
+        d, r = rng.choice(points)
+        d *= rng.choice((-1.0, 1.0))
+        assert k.solve_point(u, v, d, r)[7] == (2 if s < 1.0 else 1), (u, v, d, r)
+
+
+def test_zero_readings_between_root_copies_are_skipped(k):
+    # on the astroid's fold under a drive (these couplings lie 3e-17 outside
+    # it, by an exact evaluation) the metastable well has merged with a
+    # maximum into a double root, which real_roots returns as two or three
+    # copies a few 1e-9 apart; p reads exactly 0 between them and has the
+    # same sign on both sides, so the copies are no minimum
+    for args in ((1.0, -3.25, -2.0423935614765676, 0.03515625),
+                 (1.0, -5.0, -3.186647787423918, 0.2109375)):
+        assert k.solve_point(*args)[7] == 1
 
 
 def test_mirror_minima_next_to_the_lobe_edge_are_distinct(k):

@@ -195,6 +195,23 @@ def test_ground_state_matches_grid_oracle():
         assert sol.n_local_minima == ora.n_local_minima
 
 
+def test_maximum_next_to_the_flat_manifold_is_not_reported():
+    # at u + v = 0 a detuning of a few 1e-14 * S splits the stationary points
+    # s_z = +-1/2 by less than the 1e-13 * S window in which the larger s_z
+    # wins; s_z = +1/2 is the maximum there and must not be reported
+    for d in (2e-14, 5e-14, 1e-13):
+        sol = ground_state(params_u(1.0, delta=d, v=-1.0))
+        assert sol.m_over_n == -1.0 and sol.energy_per_atom < -0.25, d
+
+
+def test_one_minimum_at_the_spinodal():
+    # at |delta| = |u + v| without a drive (v < -u) the metastable well has
+    # merged with the maximum, and the brute-force route counts one minimum
+    p = params_u(1.0, delta=-1.74, v=-2.74)
+    assert ground_state(p).n_local_minima == 1
+    assert oracle_grid_minimum(p).n_local_minima == 1
+
+
 def test_oracle_minimum_point_count_guard():
     with pytest.raises(ParameterError):
         oracle_grid_minimum(params_u(1.0), n_points=100)

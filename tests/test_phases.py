@@ -117,6 +117,17 @@ def test_classify_accepts_precomputed_solution():
     assert classify(p, sol) is PhaseLabel.SUPERRADIANT
 
 
+@pytest.mark.parametrize("k", range(8, 14))
+def test_superfluid_next_to_the_driven_pitchfork(k):
+    # delta = 0, |u + v| = rabi + 10**-k: the two wells
+    # s_z = +-sqrt(1 - rabi**2/(u + v)**2)/2 sit 6e-7 to 2e-4 apart in s_z,
+    # with energies equal to rounding
+    p = params_u(1.0, omega_rabi=0.5, v=-1.5 - 10.0 ** -k)
+    sol = ground_state(p)
+    assert sol.n_local_minima == 2
+    assert classify(p, sol) is PhaseLabel.SUPERFLUID
+
+
 # --- susceptibility ------------------------------------------------------
 
 def test_susceptibility_zero_in_pinned_phase():
