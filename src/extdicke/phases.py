@@ -34,7 +34,7 @@ from operator import attrgetter
 from .meanfield import MeanFieldSolution, ground_state
 from .model import AXES, ModelParams, ParameterError, field_name, record
 
-# Round-off guard of the classifier on m/N and on the photon density.
+# Round-off guard of the classifier on m/N and on s_x.
 _CLASSIFY_TOL = 1e-6
 # Smallest jump between coexisting minima (observable units) that makes a
 # transition first order, and smallest limiting slope mismatch, relative to
@@ -81,10 +81,14 @@ def mott_boundary_delta(u: float, v: float, omega_rabi: float):
 
 def v_critical(u: float, delta: float, omega_rabi: float) -> float:
     """Atom-atom coupling on the astroid at given detuning:
-    v_c = -u - (rabi**(2/3) + |delta|**(2/3))**(3/2)."""
+    v_c = -u - (rabi**(2/3) + |delta|**(2/3))**(3/2), and -inf where that
+    is beyond float range."""
     if omega_rabi < 0.0:
         raise ParameterError("negative Rabi frequency")
-    return -u - (omega_rabi ** (2.0 / 3.0) + abs(delta) ** (2.0 / 3.0)) ** 1.5
+    try:
+        return -u - (omega_rabi ** (2.0 / 3.0) + abs(delta) ** (2.0 / 3.0)) ** 1.5
+    except OverflowError:
+        return -math.inf
 
 
 def classify(params: ModelParams,
@@ -94,22 +98,22 @@ def classify(params: ModelParams,
     if solution is None:
         solution = ground_state(params)
     return phase_label(solution.flat_manifold, solution.m_over_n,
-                       solution.n_local_minima, solution.photon_density,
-                       params.u, params.v, params.lam, params.omega)
+                       solution.n_local_minima, solution.point.s_x,
+                       params.u, params.v)
 
 
 def phase_label(flat_manifold: bool, m_over_n: float, n_local_minima: int,
-                photon_density: float, u: float, v: float, lam: float,
-                omega: float) -> PhaseLabel:
+                s_x: float, u: float, v: float) -> PhaseLabel:
     """Phase label from a ground state's observables and the couplings, as
     floats (a sweep labels its nodes with it, without a ModelParams).
 
     Rules, in order: Degenerate on a flat manifold; Mott when m vanishes at
     a single minimum on the attractive side of the red line (v < -u);
     Superfluid when v < -u with a double well; Superradiant when partially
-    polarized with macroscopic photons at v >= -u; Normal otherwise.
-    Thresholds guard round-off only -- mean-field observables are exact to
-    solver precision.
+    polarized with macroscopic photons at v >= -u (the photon density is
+    (lam s_x / omega)**2, so that is s_x off 0 with u > 0); Normal
+    otherwise.  Thresholds guard round-off only -- mean-field observables
+    are exact to solver precision.
     """
     if flat_manifold:
         return PhaseLabel.DEGENERATE
@@ -118,8 +122,8 @@ def phase_label(flat_manifold: bool, m_over_n: float, n_local_minima: int,
         return PhaseLabel.MOTT
     if v < -u and n_local_minima == 2:
         return PhaseLabel.SUPERFLUID
-    photon_floor = (_CLASSIFY_TOL * lam / omega) ** 2
-    if m < 1.0 - _CLASSIFY_TOL and photon_density > photon_floor and v >= -u:
+    if (m < 1.0 - _CLASSIFY_TOL and u > 0.0 and abs(s_x) > _CLASSIFY_TOL
+            and v >= -u):
         return PhaseLabel.SUPERRADIANT
     return PhaseLabel.NORMAL
 
@@ -163,7 +167,7 @@ class TransitionRecord:
     """
 
     location: float
-    order: str  # "first", "second", or "none"
+    order: str  # "first" or "second"
     observable: str
     jump: float
     kink: float
@@ -230,16 +234,19 @@ def _bisect(g, a, b):
 
 def _argmax(g, a, b):
     """Largest g on [a, b]: the best of nine evenly spaced points, then a
-    golden-section search around it down to adjacent floats.  Seeding from
-    the best sample keeps a side where g is 0 from steering the search."""
+    golden-section search around it down to the float spacing at a and b
+    (next to t = 0 it would otherwise walk down the subnormals).  Seeding
+    from the best sample keeps a side where g is 0 from steering the
+    search."""
     step = (b - a) / 8.0
     x = max([a + step * k for k in range(8)] + [b], key=g)
     gx = g(x)
     lo, hi = max(a, x - step), min(b, x + step)
+    tol = math.ulp(max(abs(a), abs(b)))
     while True:  # probe the longer side at the golden ratio, (3 - 5**0.5)/2
         left = x - lo > hi - x
         p = x - 0.381966 * (x - lo) if left else x + 0.381966 * (hi - x)
-        if not lo < p < hi or p == x:
+        if not lo < p < hi or p == x or hi - lo <= tol:
             return x, gx
         gp = g(p)
         if gp > gx:
@@ -345,15 +352,18 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
                        n_scan: int = 201) -> list[TransitionRecord]:
     """Locate phase boundaries of an observable along one parameter axis.
 
-    Scans n_scan points on [t_min, t_max], flags outliers of the second
-    difference, and refines each flag within the four scan cells around
-    it: first-order when the jump between coexisting minima exceeds
-    _JUMP_TOL (absolute, in observable units); second-order when the
-    ground state turns by more than a radian within one scan step, or
-    switches branch, and the limiting slope mismatch there exceeds
-    _KINK_TOL times the scan's mean slope scale.  Candidates that refine
-    to neither (smooth wiggles, crossovers rounded by a drive) are
-    dropped; nearby records merge.  The result is sorted by location.
+    Scans n_scan points on [t_min, t_max] and flags each cell whose
+    |second difference| is an outlier and a local maximum: larger than
+    every one in the 3 cells to its left and at least as large as every
+    one in the 3 cells to its right (the 12 largest flags are kept).  Each
+    flag is refined once, within the four scan cells around it:
+    first-order when the jump between coexisting minima exceeds _JUMP_TOL
+    (absolute, in observable units); second-order when the ground state
+    turns by more than a radian within one scan step, or switches branch,
+    and the limiting slope mismatch there exceeds _KINK_TOL times the
+    scan's mean slope scale.  A flag that refines to neither (a smooth
+    wiggle, a crossover rounded by a drive) gives no record.  The result
+    is sorted by location.
     """
     if not t_max > t_min:
         raise ParameterError("empty sweep range")
@@ -373,24 +383,20 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     fs = [solve(t)[0] for t in ts]
     f_range = max(fs) - min(fs)
 
-    sd = [fs[i] - 2.0 * fs[i + 1] + fs[i + 2] for i in range(n_scan - 2)]
-    mags = sorted(abs(x) for x in sd)
+    mag = [abs(fs[i] - 2.0 * fs[i + 1] + fs[i + 2]) for i in range(n_scan - 2)]
+    mags = sorted(mag)
     m = len(mags) // 2  # the median, as statistics.median takes it
     med = mags[m] if len(mags) % 2 else (mags[m - 1] + mags[m]) / 2
     floor = max(8.0 * med, 1e-12 * max(1.0, f_range))
-    ranked = sorted(range(len(sd)), key=lambda i: (-abs(sd[i]), i))
-    picked: list[int] = []
-    for i in ranked:
-        if abs(sd[i]) <= floor:
-            break
-        if all(abs(i - p) > 3 for p in picked):
-            picked.append(i)
-        if len(picked) >= 12:
-            break
+    # a flag is the first of the largest values within 3 cells either side
+    flags = [i for i, x in enumerate(mag)
+             if x > floor and all(x > y for y in mag[max(0, i - 3):i])
+             and all(x >= y for y in mag[i + 1:i + 4])]
+    flags = sorted(sorted(flags, key=lambda i: -mag[i])[:12])
 
     kink_floor = _KINK_TOL * max(f_range / (t_max - t_min), 1e-300)
     records = []
-    for i in sorted(picked):
+    for i in flags:
         a = ts[max(0, i - 1)]
         b = ts[min(n_scan - 1, i + 3)]
         loc_j, jump = _refine_jump(solve, a, b)
@@ -398,24 +404,9 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
             records.append(TransitionRecord(loc_j, "first", observable, jump, 0.0))
             continue
         loc_k, kink = _refine_kink(solve, a, b, spacing)
-        order = "second" if kink > kink_floor else "none"
-        records.append(TransitionRecord(loc_k, order, observable, jump, kink))
-
-    # Flagged cells adjacent to the same feature refine to nearly the same
-    # place; keep the refinement with the strongest evidence, the measure
-    # that classified it (the jump for first order, the kink for second).
-    def _strength(r: TransitionRecord) -> tuple[int, float]:
-        return {"first": (2, r.jump), "second": (1, r.kink)}.get(r.order, (0, 0.0))
-
-    records.sort(key=lambda r: r.location)
-    merged: list[TransitionRecord] = []
-    for rec in records:
-        if merged and abs(rec.location - merged[-1].location) <= 2.0 * spacing:
-            keep = max(merged[-1], rec, key=_strength)
-            merged[-1] = keep
-        else:
-            merged.append(rec)
-    return [rec for rec in merged if rec.order != "none"]
+        if kink > kink_floor:
+            records.append(TransitionRecord(loc_k, "second", observable, jump, kink))
+    return records
 
 
 def critical_overlays(u: float, omega_rabi: float,

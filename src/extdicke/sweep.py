@@ -202,8 +202,7 @@ def _solve_node(config: SweepConfig, slots: list[int], base: list,
         s_x, s_z, e, eta, residual, degenerate, flat, n_minima = \
             _kernels_py.solve_point(u, v, delta, rabi)
         alpha, m_over_n, photon_density = point_observables(lam, omega, s_x, s_z)
-        label = phase_label(flat, m_over_n, n_minima, photon_density,
-                            u, v, lam, omega)
+        label = phase_label(flat, m_over_n, n_minima, s_x, u, v)
         row.extend((u, eta, alpha, s_x, s_z, m_over_n, photon_density, e,
                     label.value, residual, bool(degenerate)))
     except Exception as exc:  # errors are data

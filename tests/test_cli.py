@@ -208,6 +208,27 @@ def test_solve_overflowing_quartic_is_not_flat(capsys):
     assert payload["residual"] == 0.0
 
 
+def test_solve_photon_density_beyond_float_range_is_null(capsys):
+    # u = lambda**2/omega = 1e300 is finite, but alpha**2 ~ 2.5e599 is not
+    assert cli.main(["solve", "--omega", "1e-300", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["photon_density"] is None
+    assert payload["phase"] == "Superradiant"
+
+
+def test_scan_photon_density_beyond_float_range_is_no_error(tmp_path):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({**SWEEP_JSON,
+                                  "base": {**SWEEP_JSON["base"], "omega": 1e-300}}))
+    out = tmp_path / "data.json"
+    assert cli.main(["scan", "--config", str(config), "--format", "json",
+                     "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    cols = doc["columns"]
+    assert [row[cols.index("error")] for row in doc["rows"]] == [""] * 5
+    assert [row[cols.index("photon_density")] for row in doc["rows"]] == [None] * 5
+
+
 # --- exact-check and boundaries -----------------------------------------
 
 def test_exact_check_small_systems(tmp_path, capsys):
@@ -301,6 +322,13 @@ def test_boundaries_without_lobe(tmp_path):
     assert payload["lobe_delta_minus"] is None
     assert payload["lobe_delta_plus"] is None
     assert payload["mott_delta"] == pytest.approx(1.0)
+
+
+def test_boundaries_v_critical_beyond_float_range_is_null(capsys):
+    # (rabi**(2/3) + |delta|**(2/3))**1.5 ~ 3.9e308 overflows
+    assert cli.main(["boundaries", "--delta", "1e308",
+                     "--rabi", "1.7976931348623157e308", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["v_critical"] is None
 
 
 # --- scan ---------------------------------------------------------------

@@ -9,9 +9,10 @@ import random
 
 import pytest
 
+from extdicke import phases
 from extdicke.meanfield import ground_state
 from extdicke.model import ModelParams
-from extdicke.phases import _observable_fn, detect_transitions
+from extdicke.phases import _argmax, _observable_fn, detect_transitions
 
 
 def params_u(u, delta=0.0, omega_rabi=0.0, v=0.0):
@@ -166,3 +167,49 @@ def test_jittered_scans_match_closed_forms():
         if not ok:
             failures.append((family, observable, scan, got, want))
     assert failures == []
+
+
+def test_jittered_scan_records_are_two_spacings_apart():
+    rng = random.Random(20260)
+    for k in range(32):
+        family = FAMILIES[k % 4]
+        observable = OBSERVABLES[(k // 4) % 4]
+        scan, _, _, _ = _jittered_scan(family, observable, rng)
+        spacing = (scan[3] - scan[2]) / 200
+        locs = [r.location for r in detect_transitions(*scan, observable=observable)]
+        assert all(b - a > 2.0 * spacing for a, b in zip(locs, locs[1:]))
+
+
+# --- solver work at the critical drive ------------------------------------
+
+CRITICAL_DRIVE = ModelParams(omega=1.0, lam=1.0, v=-2.0, omega_rabi=1.0)
+
+
+def _counting_solver(monkeypatch):
+    calls = [0]
+
+    def counted(p):
+        calls[0] += 1
+        return ground_state(p)
+
+    monkeypatch.setattr(phases, "ground_state", counted)
+    return calls
+
+
+def test_critical_drive_cusp_is_refined_once(monkeypatch):
+    # the delta**(1/3) cusp keeps the second difference above the floor
+    # over +-0.15, but only its local maximum is refined
+    calls = _counting_solver(monkeypatch)
+    recs = detect_transitions(CRITICAL_DRIVE, "delta", -1.0, 1.0)
+    assert [(r.order, r.location) for r in recs] == [("second", 0.0)]
+    assert calls[0] <= 868
+
+
+def test_argmax_stops_at_the_bracket_float_spacing(monkeypatch):
+    # the turning rate diverges at delta = 0; a search that runs to
+    # adjacent floats there walks down the subnormals
+    rate = _observable_fn(CRITICAL_DRIVE, "delta", "m_over_n")
+    calls = _counting_solver(monkeypatch)
+    t, g = _argmax(lambda t: rate(t)[2], -0.03, 0.01)
+    assert abs(t) <= math.ulp(0.03) and g == math.inf
+    assert calls[0] <= 100
