@@ -152,7 +152,17 @@ def cmd_exact_check(args) -> int:
     from .exact import converge_cutoff, product_state_energy
     params = _params_from_args(args)
     n_list = _parse_int_list(args.n_list, "--n-list")
+    if min(n_list) < 1:
+        raise ParameterError(f"--n-list entries must be positive, got {min(n_list)}")
+    if args.budget < 1:
+        raise ParameterError(f"--budget must be positive, got {args.budget}")
+    if not (math.isfinite(args.eps) and args.eps > 0.0):
+        raise ParameterError(f"--eps must be finite and positive, got {args.eps!r}")
     mf = ground_state(params)
+    # homogeneous of degree 1 in the couplings, so that the check reads the
+    # same at every coupling scale
+    tol = 1e-9 * max(params.omega, params.u, abs(params.v), params.omega_rabi,
+                     abs(params.delta))
     rows = []
     for n in n_list:
         p_n = params.replace(n_atoms=n)
@@ -164,7 +174,7 @@ def cmd_exact_check(args) -> int:
             "converged": sol.converged,
             "exact_energy_per_atom": sol.energy_per_atom,
             "bound_energy_per_atom": bound,
-            "bound_holds": sol.energy_per_atom <= bound + 1e-9 * max(1.0, abs(bound)),
+            "bound_holds": sol.energy_per_atom <= bound + tol,
             "drift": abs(mf.energy_per_atom - sol.energy_per_atom),
             "photon_density": sol.photon_density,
             "parity": sol.parity,

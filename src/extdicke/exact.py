@@ -41,7 +41,9 @@ v*(1/4 - s_z**2)/N (see product_state_energy).
 numpy is imported inside the functions that use it, so that importing the
 package (and every mean-field command) does not load it.  The finite-N path
 needs numpy alone: the diagonals, the sector blocks and the matrix-vector
-products are numpy arrays and array operations.
+products are numpy arrays and array operations.  It never loads
+numpy.random (which loads hashlib and OpenSSL): the generic vectors of the
+Lanczos runs are integer hashes of their index (_generic_vector).
 """
 
 from __future__ import annotations
@@ -265,6 +267,34 @@ def _sector_block(h: BandedMatrix, col: np.ndarray,
         for o, ps in parts.items()})
 
 
+# splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the state's increment and
+# the modulus of its arithmetic on Python ints
+_GOLDEN64 = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(z):
+    """splitmix64's output function of a Python int or a uint64 array."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _generic_vector(dim: int, draw: int) -> np.ndarray:
+    """Draw number `draw` of a generic vector of length dim, entries in
+    [-1/2, 1/2): entry i is the top 53 bits of the splitmix64 stream keyed
+    by (dim, draw) at step i, so the vector is a fixed function of its
+    arguments and needs no random number generator.  The entries are
+    independent hash outputs, so no symmetry or linear relation of the
+    basis holds for a draw."""
+    import numpy as np
+
+    key = _splitmix64((dim << 32 | draw) * _GOLDEN64 & _MASK64)
+    z = _splitmix64(np.arange(1, dim + 1, dtype=np.uint64)
+                    * np.uint64(_GOLDEN64) + np.uint64(key))
+    return (z >> 11).astype(float) * 2.0 ** -53 - 0.5
+
+
 def _lowest_levels(h: BandedMatrix, hnorm: float,
                    start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenpairs of one sector, ascending (one for a
@@ -290,17 +320,18 @@ def _lowest_levels(h: BandedMatrix, hnorm: float,
     one).  On a breakdown (beta <= 1e-14 * hnorm before the sector is
     exhausted) it continues from a generic vector orthogonal to the basis,
     so an exactly degenerate level can appear twice.  The generic vectors
-    are seeded by the dimension: the result is deterministic.
+    are _generic_vector's draws at the sector's dimension: draw 0 for the
+    start, draws 1, 2, ... for the breakdowns, so the result is
+    deterministic.
     """
     import numpy as np
 
     dim = h.shape[0]
     nev = min(2, dim)
     size = min(_KRYLOV_DIM, dim)
-    rng = np.random.default_rng(dim)
+    draws = 0  # draw 0 is the cold start's; breakdowns take 1, 2, ...
     if start is None:
-        start = (np.full(dim, 1.0 / math.sqrt(dim))
-                 + 1e-3 * rng.standard_normal(dim))
+        start = np.full(dim, 1.0 / math.sqrt(dim)) + 1e-3 * _generic_vector(dim, 0)
     basis = np.empty((size + 1, dim))  # rows are the Krylov vectors
     proj = np.zeros((size, size))  # V^T H V
     basis[0] = start / np.linalg.norm(start)
@@ -320,7 +351,8 @@ def _lowest_levels(h: BandedMatrix, hnorm: float,
             if j == dim:
                 break  # the basis spans the sector
             if beta <= 1e-14 * hnorm:
-                w = rng.standard_normal(dim)
+                draws += 1
+                w = _generic_vector(dim, draws)
                 w -= (basis[:j] @ w) @ basis[:j]
                 w -= (basis[:j] @ w) @ basis[:j]
                 basis[j] = w / np.linalg.norm(w)

@@ -178,7 +178,7 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 7.  A changed digest is a change of
+# writes, recorded at sweep format 8.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel and parity-sector changes gave.  The provenance line
@@ -187,17 +187,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "2de56ea0e752e1524e00aeb7647db2f93d1db24c84e9fd5172c763316d67713e",
-      "fig2_curve1.csv": "5848f1dae72efc7196dd0ae1a177813c83dee74aa04804165e98b59426a438df",
-      "fig2_curve2.csv": "4679d0232ac7bb3cac7415b0f1e545bb77537f2d09cee504f39bb60bd77adb29"}),
+     {"fig2_curve0.csv": "219c78d7410bddeac5dd3e9c6170cb771e19fccf78bda8486115d13f0fb2e0ae",
+      "fig2_curve1.csv": "382ed1dffe46963ff03d3caf5bebe47c1d97cd499683be67f863d100f7d06399",
+      "fig2_curve2.csv": "bd5a7cd660c1eb9f632202cee11cc38cdcfed7ca9aed2dba118d697677570281"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "9b06b73d483466799f2f814ff1a62776a5ec1dfe0fec9a4091498516264d2f19",
+     {"fig3_grid.csv": "04bb2c39cd5d4d085dc71db58318d9bc2a837f0b37bbc6ae6b80f9f2d7d454d8",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "8ee1302fed84c52ed59c3f1ee2b53d3ed309adc258c1a067b4039fb32365184a",
-      "fig4_curve1.csv": "94323011acb003d255b0f83ad6461c3e559b1c903743653e6619039fa2f64f20",
-      "fig4_curve2.csv": "bc084acd7e0f43c813c9e654f1fcea0fd27a32a14bf97c5707c6c8fe0e4d998d",
-      "fig4_curve3.csv": "0e54a9e574ffe0b2b9ebfbe23c22d54da0f36a906659e4f10983813549a0c9d2"}),
+     {"fig4_curve0.csv": "a26650df8620e11388a1219221a5063a3a3c88d1dbce61a4130fdfef9972ea07",
+      "fig4_curve1.csv": "4a091db9cd1fffab505bd78441a5858022655eb952295393a606612840341340",
+      "fig4_curve2.csv": "1ffa8225b4756b5adf2fae06b81fcaa0d9b7c84df98ec463ff7d34c2b761d91e",
+      "fig4_curve3.csv": "133cd7527baa8ff79ebfa04826f7132fca447b191921310269c4441cf71726e9"}),
 ]
 
 
@@ -224,7 +224,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 7: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 8: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build on one CPU
@@ -234,7 +234,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "434d0aa450e73c191bd7e122d1aa38bec461aa93c75ae5eddb914153896cf972",
+    "62238c755332f43a66cd9807ed1aabfe65ad6c2c0ff1028d05d69b5c06c345fe",
 )
 
 

@@ -158,6 +158,8 @@ def test_solve_config_file_with_flag_override(tmp_path):
     ["boundaries", "--omega=-1"],
     ["boundaries", "--rabi=-1"],
     ["exact-check", "--eps", "nan", "--n-list", "2"],
+    ["exact-check", "--eps", "0", "--n-list", "2"],
+    ["exact-check", "--budget", "-5", "--n-list", "2"],
 ])
 def test_bad_parameters_exit_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -290,12 +292,46 @@ def test_exact_check_overflow_is_one_error_line(argv, code, capsys):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("n_list", ["8,x", "8.5", "4,nan", ","])
+@pytest.mark.parametrize("n_list", ["8,x", "8.5", "4,nan", ",", "0", "-3",
+                                    "8,0"])
 def test_exact_check_bad_n_list_names_the_flag(n_list, capsys):
     assert cli.main(["exact-check", "--n-list", n_list]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "--n-list" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--budget", "-5"), ("--budget", "0"),
+                                        ("--eps", "0"), ("--eps", "-1e-8"),
+                                        ("--eps", "inf")])
+def test_exact_check_bad_budget_or_eps_names_the_flag(flag, value, capsys):
+    assert cli.main(["exact-check", "--n-list", "2", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert flag in err
+
+
+def _couplings(scale: float) -> list[str]:
+    return ["--omega", str(scale), "--lambda", str(4 * scale),
+            "--delta", str(scale), "--rabi", str(0.5 * scale), f"--v={scale}"]
+
+
+@pytest.mark.parametrize("argv,holds", [
+    # the ladder stops early at E/N -2.418e-12, above the product-state
+    # bound -4.255e-12: a tolerance of 1e-9 in absolute terms would hide it
+    (_couplings(1e-12) + ["--n-list", "28"], [False]),
+    (_couplings(1.0) + ["--n-list", "28"], [True]),
+    (["--omega", "10", "--lambda", "3.1622776601683795", "--delta", "0.5",
+      "--n-list", "8,16,32"], [True] * 3),  # the README example
+], ids=["tiny", "unit", "readme"])
+def test_exact_check_bound_tolerance_scales_with_the_couplings(argv, holds,
+                                                               capsys):
+    assert cli.main(["exact-check", *argv]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [not r.endswith("  BOUND VIOLATED") for r in rows] == holds
+    assert cli.main(["exact-check", *argv, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["bound_holds"] for r in rows] == holds
 
 
 def test_boundaries_closed_forms(tmp_path):

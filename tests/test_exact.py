@@ -330,6 +330,22 @@ def test_exactly_degenerate_ground_level_has_zero_gap(n_atoms, n_max, v):
     assert sol.parity == pytest.approx(1.0, abs=1e-12)
 
 
+def test_generic_vector_is_deterministic_full_rank_and_asymmetric():
+    draw = exact._generic_vector(41, 0)
+    assert draw.shape == (41,)
+    assert np.array_equal(draw, exact._generic_vector(41, 0))
+    assert not np.array_equal(draw, exact._generic_vector(41, 1))
+    assert np.abs(draw).max() <= 0.5
+    # with H = 0 every Lanczos step breaks down, and the draws alone must
+    # span a sector: 41 draws at dimension 41 have full numerical rank
+    sv = np.linalg.svd([exact._generic_vector(41, k) for k in range(41)],
+                       compute_uv=False)
+    assert sv[-1] > 1e-3 * sv[0]
+    # no spin-flip or other reversal symmetry for a symmetric start to keep
+    assert not np.allclose(draw, draw[::-1])
+    assert not np.allclose(draw, -draw[::-1])
+
+
 class _CountingMatrix:
     """A sector matrix that counts its matrix-vector products."""
 

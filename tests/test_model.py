@@ -151,8 +151,8 @@ import contextlib, json, sys
 
 def heavy():
     loaded = {m.split(".")[0] for m in sys.modules} & {"numpy", "scipy", "statistics"}
-    solvers = {"scipy.linalg", "scipy.sparse.linalg"} & set(sys.modules)
-    return sorted(loaded | solvers)
+    submodules = {"numpy.random", "scipy.linalg", "scipy.sparse.linalg"}
+    return sorted(loaded | (submodules & set(sys.modules)))
 
 def ours():
     return sorted(m for m in sys.modules if m.split(".")[0] == "extdicke")
@@ -172,8 +172,9 @@ print(json.dumps(seen))
 def _modules_after(commands: list[list[str]]) -> list[list[list[str]]]:
     """In a fresh interpreter: [heavy modules, extdicke modules] loaded
     after import extdicke, after import extdicke.cli, and after each
-    command.  The heavy ones are numpy, scipy, scipy.linalg,
-    scipy.sparse.linalg and statistics."""
+    command.  The heavy ones are numpy, numpy.random (which loads hashlib
+    and OpenSSL), scipy, scipy.linalg, scipy.sparse.linalg and
+    statistics."""
     src = str(Path(extdicke.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _MODULE_PROBE,
                           json.dumps(commands)], capture_output=True, text=True,
@@ -201,7 +202,8 @@ def test_numpy_loads_only_on_the_finite_n_path_and_scipy_never(tmp_path):
                   run(["scan", "--config", str(tmp_path / "mf.json")], "mf.csv")]
     finite_n_scan = ["scan", "--config", str(tmp_path / "fn.json")]
     check = ["exact-check", "--n-list", "2,4", "--format", "json"]
-    # the finite-N path needs numpy alone: no scipy module may load
+    # the finite-N path needs numpy alone: neither numpy.random nor any
+    # scipy module may load
     assert _heavy_modules_after(mean_field + [run(finite_n_scan, "fn.csv")]) \
         == [[], [], [], [], [], ["numpy"]]
     assert _heavy_modules_after([run(check, "check.json")]) == [[], [], ["numpy"]]

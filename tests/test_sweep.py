@@ -150,7 +150,7 @@ def test_exact_failure_at_one_atom_number_blanks_only_its_cells():
 def test_csv_round_trip_is_byte_stable():
     dataset = run_sweep(small_config())
     text = serialize_csv(dataset)
-    assert text.startswith("# extdicke sweep format 7")
+    assert text.startswith("# extdicke sweep format 8")
     again = serialize_csv(parse_csv(text))
     assert again == text
 
@@ -271,7 +271,7 @@ def test_domain_edge_scan_bytes_are_pinned():
     assert errors == {"", "ParameterError: nonpositive cavity frequency",
                       "ParameterError: negative collective coupling"}
     assert hashlib.sha256(serialize_csv(dataset).encode()).hexdigest() \
-        == "969d60f2d7fcfd69a74836c08deb34db524f9abdcc4953c4e7c6d84926703670"
+        == "526b717b789663426917dff81e5cb899950ae9385e69b518232ae362ab2a654e"
 
 
 def _reference_csv(dataset: SweepDataset) -> str:
