@@ -44,6 +44,7 @@ __all__ = [
     "grad_residual",
     "solve_point",
     "oracle_minimum",
+    "coupling_scale",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -78,6 +79,11 @@ _DISTINCT_ANGLE = 1e-8
 _RANK_EPS = 1e-6
 
 _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def coupling_scale(u, v, delta, rabi):
+    """S, the unit of the reduced energy, which omega does not enter."""
+    return max(u, abs(v), rabi, abs(delta))
 
 
 def _quadratic_roots(a, b, c):
@@ -172,12 +178,8 @@ def _real_roots_desc(p, n):
     vals = [(((c0 * x + c1) * x + c2) * x + c3) * x + c4 for x in pts]
     for i in range(len(pts) - 1):
         fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(pts[i])
-        elif fa * fb < 0.0:
+        if fa * fb < 0.0:
             roots.append(_bracketed_newton(p, dp, pts[i], pts[i + 1], fa))
-    if vals[-1] == 0.0:
-        roots.append(pts[-1])
     return roots
 
 
@@ -345,11 +347,11 @@ def solve_point(u, v, delta, rabi):
     quartic coefficients can neither overflow nor underflow; the division
     is exact, and energy and residual are scaled back by 2**k.
     """
-    k = math.frexp(max(u, abs(v), rabi, abs(delta)))[1]
+    k = math.frexp(coupling_scale(u, v, delta, rabi))[1]
     u, v = math.ldexp(u, -k), math.ldexp(v, -k)
     delta, rabi = math.ldexp(delta, -k), math.ldexp(rabi, -k)
     w = u + v
-    scale = max(u, abs(v), rabi, abs(delta))
+    scale = coupling_scale(u, v, delta, rabi)
     if scale == 0.0 or max(abs(delta), rabi, abs(w)) <= _REL_COEFF_EPS * scale:
         s_x, s_z = -0.5, 0.0
         e = reduced_energy(u, v, delta, rabi, s_x, s_z)
@@ -442,7 +444,7 @@ def oracle_minimum(u, v, delta, rabi, n_points):
     n = int(n_points)
     h = TWO_PI / n
     energies = [energy_theta(u, v, delta, rabi, -math.pi + h * i) for i in range(n)]
-    scale = max(u, abs(v), rabi, abs(delta))
+    scale = coupling_scale(u, v, delta, rabi)
     i_lo = min(range(n), key=lambda i: energies[i])
     if max(energies) - energies[i_lo] <= 1e-12 * scale:
         s_x, s_z = -0.5, 0.0

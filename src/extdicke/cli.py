@@ -149,20 +149,19 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exact_check(args) -> int:
-    from .exact import converge_cutoff, product_state_energy
+    from .exact import N_MAX_START, converge_cutoff, product_state_energy
     params = _params_from_args(args)
     n_list = _parse_int_list(args.n_list, "--n-list")
     if min(n_list) < 1:
         raise ParameterError(f"--n-list entries must be positive, got {min(n_list)}")
-    if args.budget < 1:
-        raise ParameterError(f"--budget must be positive, got {args.budget}")
+    need = (N_MAX_START + 1) * (max(n_list) + 1)  # the ladder's first cutoff
+    if args.budget < need:
+        raise ParameterError(f"--budget must be at least {need} to hold the first "
+                             f"photon cutoff at N = {max(n_list)}, got {args.budget}")
     if not (math.isfinite(args.eps) and args.eps > 0.0):
         raise ParameterError(f"--eps must be finite and positive, got {args.eps!r}")
     mf = ground_state(params)
-    # homogeneous of degree 1 in the couplings, so that the check reads the
-    # same at every coupling scale
-    tol = 1e-9 * max(params.omega, params.u, abs(params.v), params.omega_rabi,
-                     abs(params.delta))
+    tol = 1e-9 * params.hamiltonian_scale  # the same check at any coupling scale
     rows = []
     for n in n_list:
         p_n = params.replace(n_atoms=n)

@@ -58,6 +58,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 DIMENSION_BUDGET = 400_000
+# photon cutoff at which a converge_cutoff ladder starts
+N_MAX_START = 8
 
 # thick-restart Lanczos: basis size, Ritz vectors kept at a restart, and the
 # number of restarts before ConvergenceError
@@ -391,7 +393,7 @@ def _solve_sectors(h: BandedMatrix,
     of those sectors', so a tunnelling doublet gets a definite,
     reproducible parity.  ||H||_inf is the largest row sum of |H|.  An H
     with non-finite entries is a ParameterError.  The eigenvalue residual
-    ||H x - E x|| is checked against 1e-9 * max(1, ||H||_inf).  `start` (full
+    ||H x - E x|| is checked against 1e-9 * ||H||_inf.  `start` (full
     basis, possibly shorter than h: it is zero-padded) seeds each sector's
     Lanczos run from Q.T @ start; the returned start holds psi0 + psi1 of
     every sector.
@@ -429,10 +431,10 @@ def _solve_sectors(h: BandedMatrix,
         e1 = levels[1] if len(levels) > 1 else e0
         eg, vec = next(g for g in grounds if g[0] - e0 <= 1e-13 * hnorm)
         defect = float(np.linalg.norm(h @ vec - eg * vec))
-        if defect > 1e-9 * max(1.0, hnorm):
+        if defect > 1e-9 * hnorm:
             raise ConvergenceError(
-                f"eigenpair residual {defect:.3e} exceeds 1e-9 * max(1, ||H||)"
-                f" = {1e-9 * max(1.0, hnorm):.3e}")
+                f"eigenpair residual {defect:.3e} exceeds 1e-9 * ||H||"
+                f" = {1e-9 * hnorm:.3e}")
         return e0, e1, vec, nxt
 
 
@@ -516,10 +518,10 @@ def solve_at_cutoff(params: ModelParams, n_max: int,
 
 
 def converge_cutoff(params: ModelParams, eps: float = 1e-8,
-                    n_max_start: int = 8,
+                    n_max_start: int = N_MAX_START,
                     budget: int = DIMENSION_BUDGET) -> ExactSolution:
-    """Double the photon cutoff until the ground energy is stable to
-    eps * max(1, |E0|) and the photon population stays below 0.8 * n_max.
+    """Double the photon cutoff until E0 moves by at most eps * max(|E0|,
+    params.hamiltonian_scale) and the photon number stays below 0.8 * n_max.
 
     Each cutoff's Lanczos run starts from the previous cutoff's
     psi0 + psi1 per sector, zero-padded.  Returns the observables at the
@@ -540,7 +542,8 @@ def converge_cutoff(params: ModelParams, eps: float = 1e-8,
         if (n_next + 1) * (params.n_atoms + 1) > budget:
             return sol  # converged stays False: budget hit first
         nxt = solve_at_cutoff(params, n_next, budget=budget, _ladder=ladder)
-        stable = abs(nxt.energy - sol.energy) <= eps * max(1.0, abs(nxt.energy))
+        tol = eps * max(abs(nxt.energy), params.hamiltonian_scale)
+        stable = abs(nxt.energy - sol.energy) <= tol
         headroom = nxt.photon_number < 0.8 * n_next
         if stable and headroom:
             return ExactSolution(**{**vars(nxt), "converged": True})

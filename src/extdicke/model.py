@@ -19,6 +19,8 @@ import math
 import numbers
 import sys
 
+from ._kernels_py import coupling_scale
+
 # Exact SI value (h = 6.62607015e-34 J s since 2019), in J s.
 hbar = 6.62607015e-34 / (2.0 * math.pi)
 
@@ -142,6 +144,11 @@ class ModelParams:
     @property
     def u(self) -> float:
         return self.lam * self.lam / self.omega
+
+    @property
+    def hamiltonian_scale(self) -> float:
+        """max(omega, S), the unit of H: S (`coupling_scale`) leaves out omega."""
+        return max(self.omega, coupling_scale(self.u, self.v, self.delta, self.omega_rabi))
 
     def replace(self, **kw) -> "ModelParams":
         return ModelParams.from_dict({**vars(self), **kw})

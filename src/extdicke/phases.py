@@ -31,16 +31,16 @@ import warnings
 from enum import Enum
 from operator import attrgetter
 
+from ._kernels_py import coupling_scale
 from .meanfield import MeanFieldSolution, ground_state
 from .model import AXES, ModelParams, ParameterError, field_name, record
 
 # Round-off guard of the classifier on m/N and on s_x.
 _CLASSIFY_TOL = 1e-6
-# Smallest jump between coexisting minima (observable units) that makes a
-# transition first order, and smallest limiting slope mismatch, relative to
-# the scan's mean slope, that makes it second order.
+# Smallest jump that makes a transition first order: between coexisting
+# minima, in the observable's unit (the coupling scale S for the energy, 1
+# for the dimensionless others), and of the state on the Bloch circle.
 _JUMP_TOL = 1e-6
-_KINK_TOL = 1e-3
 # Points per critical-line polyline.
 _OVERLAY_POINTS = 201
 # Observables read straight off a MeanFieldSolution, and where.
@@ -129,15 +129,15 @@ def phase_label(flat_manifold: bool, m_over_n: float, n_local_minima: int,
 
 
 def susceptibility_v(params: ModelParams) -> float:
-    """Centered-difference susceptibility d(m/N)/dv, with step
-    1e-4 * max(1, |v|).
+    """Centered-difference susceptibility d(m/N)/dv, with step 1e-4 * S
+    for the coupling scale S of params (omega does not enter m/N).
 
     Identically zero across the Mott plateau.  Warns when the stencil
     appears to straddle a first-order line (a jump in m/N above 1/2, a
     sign change of m/N, or a flat manifold at either stencil point); the
-    value is still returned.
+    value is still returned, and is 0 where S = 0.
     """
-    dv = 1e-4 * max(1.0, abs(params.v))
+    dv = 1e-4 * coupling_scale(params.u, params.v, params.delta, params.omega_rabi)
     hi = ground_state(params.replace(v=params.v + dv))
     lo = ground_state(params.replace(v=params.v - dv))
     dm = hi.m_over_n - lo.m_over_n
@@ -152,7 +152,7 @@ def susceptibility_v(params: ModelParams) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return dm / (2.0 * dv)
+    return dm / (2.0 * dv) if dv > 0.0 else 0.0
 
 
 @record
@@ -355,15 +355,14 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     Scans n_scan points on [t_min, t_max] and flags each cell whose
     |second difference| is an outlier and a local maximum: larger than
     every one in the 3 cells to its left and at least as large as every
-    one in the 3 cells to its right (the 12 largest flags are kept).  Each
-    flag is refined once, within the four scan cells around it:
-    first-order when the jump between coexisting minima exceeds _JUMP_TOL
-    (absolute, in observable units); second-order when the ground state
-    turns by more than a radian within one scan step, or switches branch,
-    and the limiting slope mismatch there exceeds _KINK_TOL times the
-    scan's mean slope scale.  A flag that refines to neither (a smooth
-    wiggle, a crossover rounded by a drive) gives no record.  The result
-    is sorted by location.
+    one in the 3 cells to its right.  Each flag is refined once, within
+    the four scan cells around it: first-order when the jump between
+    coexisting minima exceeds _JUMP_TOL in the observable's unit;
+    second-order when the ground state turns by more than a radian within
+    one scan step, or switches branch, and the limiting slope mismatch
+    there exceeds its own extrapolation error.  A flag that refines to
+    neither (a smooth wiggle, a crossover rounded by a drive) gives no
+    record.  The result is sorted by location.
     """
     if not t_max > t_min:
         raise ParameterError("empty sweep range")
@@ -382,29 +381,31 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     ts = [t_min + spacing * i for i in range(n_scan)]
     fs = [solve(t)[0] for t in ts]
     f_range = max(fs) - min(fs)
+    unit = 1.0
+    if observable == "energy":  # the largest S on the scan, at one end (S is convex)
+        ends = [params.replace(**{field_name(axis): t}) for t in (t_min, t_max)]
+        unit = max(coupling_scale(p.u, p.v, p.delta, p.omega_rabi) for p in ends)
 
     mag = [abs(fs[i] - 2.0 * fs[i + 1] + fs[i + 2]) for i in range(n_scan - 2)]
     mags = sorted(mag)
     m = len(mags) // 2  # the median, as statistics.median takes it
     med = mags[m] if len(mags) % 2 else (mags[m - 1] + mags[m]) / 2
-    floor = max(8.0 * med, 1e-12 * max(1.0, f_range))
+    floor = max(8.0 * med, 1e-12 * max(unit, f_range))
     # a flag is the first of the largest values within 3 cells either side
     flags = [i for i, x in enumerate(mag)
              if x > floor and all(x > y for y in mag[max(0, i - 3):i])
              and all(x >= y for y in mag[i + 1:i + 4])]
-    flags = sorted(sorted(flags, key=lambda i: -mag[i])[:12])
 
-    kink_floor = _KINK_TOL * max(f_range / (t_max - t_min), 1e-300)
     records = []
     for i in flags:
         a = ts[max(0, i - 1)]
         b = ts[min(n_scan - 1, i + 3)]
         loc_j, jump = _refine_jump(solve, a, b)
-        if jump > _JUMP_TOL:
+        if jump > _JUMP_TOL * unit:
             records.append(TransitionRecord(loc_j, "first", observable, jump, 0.0))
             continue
         loc_k, kink = _refine_kink(solve, a, b, spacing)
-        if kink > kink_floor:
+        if kink > 0.0:
             records.append(TransitionRecord(loc_k, "second", observable, jump, kink))
     return records
 

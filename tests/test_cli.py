@@ -302,6 +302,7 @@ def test_exact_check_bad_n_list_names_the_flag(n_list, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--budget", "-5"), ("--budget", "0"),
+                                        ("--budget", "26"),
                                         ("--eps", "0"), ("--eps", "-1e-8"),
                                         ("--eps", "inf")])
 def test_exact_check_bad_budget_or_eps_names_the_flag(flag, value, capsys):
@@ -311,19 +312,29 @@ def test_exact_check_bad_budget_or_eps_names_the_flag(flag, value, capsys):
     assert flag in err
 
 
+def test_exact_check_names_the_budget_the_first_cutoff_needs(capsys):
+    # the first cutoff, 8 photons, holds 9 * (N + 1) = 81 states at N = 8
+    assert cli.main(["exact-check", "--n-list", "2,8", "--budget", "80"]) == 2
+    assert "--budget must be at least 81" in capsys.readouterr().err
+    assert cli.main(["exact-check", "--n-list", "2,8", "--budget", "81"]) == 0
+
+
 def _couplings(scale: float) -> list[str]:
     return ["--omega", str(scale), "--lambda", str(4 * scale),
             "--delta", str(scale), "--rabi", str(0.5 * scale), f"--v={scale}"]
 
 
 @pytest.mark.parametrize("argv,holds", [
-    # the ladder stops early at E/N -2.418e-12, above the product-state
-    # bound -4.255e-12: a tolerance of 1e-9 in absolute terms would hide it
-    (_couplings(1e-12) + ["--n-list", "28"], [False]),
+    (_couplings(1e-12) + ["--n-list", "28"], [True]),
     (_couplings(1.0) + ["--n-list", "28"], [True]),
+    # a loose eps stops the ladder at n_max 16, at E/N -2.418 (x 1e-12),
+    # above the product-state bound -4.255: a tolerance of 1e-9 in
+    # absolute terms would hide it at the small scale
+    (_couplings(1e-12) + ["--n-list", "28", "--eps", "0.5"], [False]),
+    (_couplings(1.0) + ["--n-list", "28", "--eps", "0.5"], [False]),
     (["--omega", "10", "--lambda", "3.1622776601683795", "--delta", "0.5",
       "--n-list", "8,16,32"], [True] * 3),  # the README example
-], ids=["tiny", "unit", "readme"])
+], ids=["tiny", "unit", "tiny-early", "unit-early", "readme"])
 def test_exact_check_bound_tolerance_scales_with_the_couplings(argv, holds,
                                                                capsys):
     assert cli.main(["exact-check", *argv]) == 0
@@ -332,6 +343,21 @@ def test_exact_check_bound_tolerance_scales_with_the_couplings(argv, holds,
     assert cli.main(["exact-check", *argv, "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [r["bound_holds"] for r in rows] == holds
+
+
+def test_exact_check_ladder_is_the_same_at_any_coupling_scale(capsys):
+    # at 1e-12 the ladder used to stop at n_max 16 with E/N -2.418e-12,
+    # because its stability test was absolute below |E0| = 1
+    rows = []
+    for scale in (1.0, 1e-12):
+        argv = _couplings(scale) + ["--n-list", "28", "--format", "json"]
+        assert cli.main(["exact-check", *argv]) == 0
+        rows.append(json.loads(capsys.readouterr().out)["rows"][0])
+    unit, tiny = rows
+    assert (tiny["n_max"], tiny["converged"], tiny["bound_holds"]) == (512, True, True)
+    assert (unit["n_max"], unit["converged"]) == (512, True)
+    want = 1e-12 * unit["exact_energy_per_atom"]
+    assert tiny["exact_energy_per_atom"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_boundaries_closed_forms(tmp_path):

@@ -413,11 +413,12 @@ def test_lanczos_work_per_ladder_is_pinned(monkeypatch, params, recorded):
 
 
 def test_residual_guard_reports_the_bound_it_applies(monkeypatch):
-    # ||H||_inf < 1 here, so the guard's bound is 1e-9 * max(1, ||H||) =
-    # 1e-9, not 1e-9 * ||H||; a ground vector spoiled by 1e-6 trips it
+    # the guard's bound is 1e-9 * ||H||_inf, relative at every coupling
+    # scale (here ||H||_inf < 1); a ground vector spoiled by 1e-6 trips it
     p = ModelParams(omega=0.05, lam=0.02, delta=0.03, v=0.01, n_atoms=2)
     h = build_hamiltonian(p, 4)
-    assert (abs(h) @ np.ones(h.shape[0])).max() < 1.0
+    hnorm = (abs(h) @ np.ones(h.shape[0])).max()
+    assert hnorm < 1.0
     lowest = exact._lowest_levels
 
     def spoiled(sub, hnorm, start):
@@ -430,7 +431,7 @@ def test_residual_guard_reports_the_bound_it_applies(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         solve_at_cutoff(p, 4)
     message = str(err.value)
-    assert message.endswith("exceeds 1e-9 * max(1, ||H||) = 1.000e-09")
+    assert message.endswith(f"exceeds 1e-9 * ||H|| = {1e-9 * hnorm:.3e}")
     assert float(message.split()[2]) > 1e-9
 
 
@@ -492,6 +493,30 @@ def test_convergence_flag_under_budget_pressure():
     assert not starved.converged
     ok = converge_cutoff(p)
     assert ok.converged and ok.n_max_used > starved.n_max_used
+
+
+def test_converge_cutoff_is_the_same_at_any_coupling_scale():
+    # H is linear in the couplings and the ladder's tests are relative, so
+    # scaling every coupling by 2**k scales E0 and the gap by exactly 2**k
+    # and leaves the cutoffs and the observables bit-identical
+    rng = random.Random(2020)
+    fields = ("omega", "lam", "delta", "omega_rabi", "v")
+    failures = []
+    for i in range(30):
+        p = ModelParams(omega=rng.uniform(0.5, 2.0), lam=rng.uniform(0.0, 2.0),
+                        delta=rng.uniform(-1.0, 1.0),
+                        omega_rabi=rng.choice([0.0, rng.uniform(0.0, 0.5)]),
+                        v=rng.uniform(-1.0, 1.0), n_atoms=rng.randint(1, 16))
+        a = converge_cutoff(p)
+        for k in (20, -20, 60, -60, 300, -300):
+            b = converge_cutoff(p.replace(**{f: 2.0 ** k * getattr(p, f)
+                                             for f in fields}))
+            same = [getattr(a, f) == getattr(b, f) for f in
+                    ("n_max_used", "converged", "photon_number", "jz", "parity")]
+            same += [2.0 ** k * a.energy == b.energy, 2.0 ** k * a.gap == b.gap]
+            if not all(same):
+                failures.append((i, k, a, b))
+    assert failures == []
 
 
 def test_product_state_is_an_upper_bound():

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from extdicke._kernels_py import coupling_scale
 from extdicke.meanfield import ground_state
 from extdicke.model import ModelParams, ParameterError
 from extdicke.sweep import AxisSpec, SweepConfig, run_sweep
@@ -107,6 +108,21 @@ def test_classify_normal_and_polarized():
         is PhaseLabel.SUPERRADIANT
 
 
+@pytest.mark.parametrize("delta, m, label", [
+    (1.5e-7, 3e-7, PhaseLabel.MOTT),  # inside the round-off guard on m/N
+    (1.5e-6, 3e-6, PhaseLabel.NORMAL),  # outside it
+])
+def test_mott_plateau_ends_at_the_classifier_tolerance(delta, m, label):
+    # one minimum past the red line (u = 1, v = -1.5, drive 1): m/N = -2
+    # delta, so _CLASSIFY_TOL = 1e-6 sits between the two points and a
+    # tenfold change either way moves one label
+    p = params_u(1.0, delta=delta, omega_rabi=1.0, v=-1.5)
+    sol = ground_state(p)
+    assert sol.n_local_minima == 1
+    assert -sol.m_over_n == pytest.approx(m, rel=1e-6)
+    assert classify(p, sol) is label
+
+
 def test_classify_flat_manifold():
     assert classify(ModelParams(omega=1.0, lam=0.0)) is PhaseLabel.DEGENERATE
 
@@ -142,13 +158,36 @@ def test_susceptibility_matches_lobe_formula():
     assert susceptibility_v(p2) == pytest.approx(-0.2 / 1.5**2, abs=1e-6)
 
 
+@pytest.mark.parametrize("k", [40, -40])
+@pytest.mark.parametrize("p", [params_u(1.0, delta=0.3),
+                               params_u(1.0, delta=-0.2, v=0.5),
+                               params_u(2.0, delta=0.1, omega_rabi=0.4, v=-0.5)])
+def test_susceptibility_is_the_same_at_any_coupling_scale(p, k):
+    # d(m/N)/dv has the unit 1/frequency, so scaling every coupling by
+    # 2**k scales it by exactly 2**-k
+    scaled = ModelParams(**{f: 2.0 ** k * getattr(p, f) for f in
+                            ("omega", "lam", "delta", "omega_rabi", "v")})
+    assert susceptibility_v(scaled) == 2.0 ** -k * susceptibility_v(p)
+
+
+@pytest.mark.parametrize("j", [5, 10, 20])
+def test_susceptibility_does_not_depend_on_omega_at_fixed_u(j):
+    # m/N depends on omega only through u = lam**2/omega, here exactly 1;
+    # a step that grew with omega would read delta/(1 - dv**2), or reach
+    # the red line v = -u
+    p = ModelParams(omega=4.0 ** j, lam=2.0 ** j, delta=0.3)
+    assert susceptibility_v(p) == susceptibility_v(params_u(1.0, delta=0.3))
+
+
 def test_susceptibility_warns_on_flat_stencil():
+    # every coupling of the reduced energy is 0, so the step is 0 too
     with pytest.warns(RuntimeWarning):
-        susceptibility_v(ModelParams(omega=1.0, lam=0.0))
+        assert susceptibility_v(ModelParams(omega=1.0, lam=0.0)) == 0.0
 
 
 def _stencil_ends(p):
-    dv = 1e-4 * max(1.0, abs(p.v))
+    # susceptibility_v's step
+    dv = 1e-4 * coupling_scale(p.u, p.v, p.delta, p.omega_rabi)
     return [ground_state(p.replace(v=p.v + s * dv)) for s in (1.0, -1.0)]
 
 
