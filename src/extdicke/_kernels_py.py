@@ -60,6 +60,8 @@ _REL_COEFF_EPS = 1e-14
 _ROOT_ACCEPT = 8 * 2.0**-53
 # Roots closer than this (relative) are merged.
 _DEDUPE_EPS = 1e-9
+# Width (relative to max(1, |x|)) at which a root's sign bracket is closed.
+_BRACKET_STOP = 1e-15
 # Energy window for reporting degenerate (tied) minima, relative to the
 # coupling scale S: energies and their evaluation error are homogeneous of
 # degree 1 in the couplings.
@@ -123,9 +125,9 @@ def _bracketed_newton(p, dp, a, b, fa):
             a = x
         else:
             b = x
-        # 1e-15 * max(1.0, |a|, |b|); a <= b, so max(|a|, |b|) is b or -a
+        # _BRACKET_STOP * max(1.0, |a|, |b|); a <= b, so max(|a|, |b|) is b or -a
         m = b if b > -a else -a
-        tol = 1e-15 * m if m > 1.0 else 1e-15
+        tol = _BRACKET_STOP * m if m > 1.0 else _BRACKET_STOP
         if (b - a) <= tol:
             break
         dfx = (((d0 * x + d1) * x + d2) * x + d3) * x + d4
@@ -407,14 +409,14 @@ def solve_point(u, v, delta, rabi):
 
 
 def _golden_min(u, v, delta, rabi, lo, hi):
-    # Golden-section minimization, fixed iteration budget, deterministic.
+    # Golden-section minimization down to _DISTINCT_ANGLE, deterministic.
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc = energy_theta(u, v, delta, rabi, c)
     fd = energy_theta(u, v, delta, rabi, d)
     for _ in range(80):
-        if b - a <= 1e-10:
+        if b - a <= _DISTINCT_ANGLE:
             break
         if fc <= fd:
             b, d, fd = d, c, fc
@@ -432,21 +434,22 @@ def oracle_minimum(u, v, delta, rabi, n_points):
     """Brute-force minimum of the reduced energy over the Bloch circle.
 
     Scans n_points uniform angles, refines every grid-local minimum (the
-    lowest few) by golden-section search to 1e-10 in angle, merges refined
-    minima closer than 1e-6 rad and picks among them by solve_point's
-    tie-break rule (_select); finding them shares no code with the quartic
-    route.  Returns (s_x, s_z, energy, theta, degenerate, flat, n_minima).
+    lowest few) by golden-section search to _DISTINCT_ANGLE and picks among
+    them by solve_point's tie-break rule (_select); finding them shares no
+    code with the quartic route.  The landscape is flat when its energies
+    on the grid span at most _REL_COEFF_EPS * S.  Returns (s_x, s_z, energy,
+    theta, degenerate, flat, n_minima).
 
-    So it counts two minima closer than 1e-6 rad, as next to a pitchfork,
-    as one; and a comparison search cannot resolve a quasi-flat minimum,
-    which it may count as two (and call degenerate).
+    So it counts two minima within a grid cell of each other, as next to a
+    pitchfork, as one; and a comparison search cannot resolve a quasi-flat
+    minimum, which it may count as two (and call degenerate).
     """
     n = int(n_points)
     h = TWO_PI / n
     energies = [energy_theta(u, v, delta, rabi, -math.pi + h * i) for i in range(n)]
     scale = coupling_scale(u, v, delta, rabi)
     i_lo = min(range(n), key=lambda i: energies[i])
-    if max(energies) - energies[i_lo] <= 1e-12 * scale:
+    if max(energies) - energies[i_lo] <= _REL_COEFF_EPS * scale:
         s_x, s_z = -0.5, 0.0
         e = reduced_energy(u, v, delta, rabi, s_x, s_z)
         return (s_x, s_z, e, math.pi, True, True, 0)
@@ -462,23 +465,10 @@ def oracle_minimum(u, v, delta, rabi, n_points):
     if not locs:
         # A fp-flat plateau hosting the minimum: fall back to the arg min.
         locs = [(energies[i_lo], i_lo)]
-    refined = []
+    pts = []
     for e, i in locs[:8]:
         t0 = -math.pi + h * i
-        refined.append(_golden_min(u, v, delta, rabi, t0 - h, t0 + h))
-
-    # Collapse refinements that landed on the same point.
-    clusters = []
-    for t, e in refined:
-        for k, (tc, ec) in enumerate(clusters):
-            d = abs(t - tc)
-            if min(d, TWO_PI - d) <= 1e-6:
-                if e < ec:
-                    clusters[k] = (t, e)
-                break
-        else:
-            clusters.append((t, e))
-
-    pts = [(t, 0.5 * math.cos(t), 0.5 * math.sin(t), e) for t, e in clusters]
+        t, e = _golden_min(u, v, delta, rabi, t0 - h, t0 + h)
+        pts.append((t, 0.5 * math.cos(t), 0.5 * math.sin(t), e))
     rep, degenerate = _select(pts, pts, scale)
-    return (rep[1], rep[2], rep[3], rep[0], degenerate, False, len(clusters))
+    return (rep[1], rep[2], rep[3], rep[0], degenerate, False, len(pts))

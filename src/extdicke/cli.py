@@ -28,6 +28,9 @@ from pathlib import Path
 from . import __version__
 from .meanfield import ground_state
 from .model import (
+    DIMENSION_BUDGET,
+    LADDER_EPS,
+    N_MAX_START,
     ConvergenceError,
     ModelParams,
     ParameterError,
@@ -149,7 +152,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exact_check(args) -> int:
-    from .exact import N_MAX_START, converge_cutoff, product_state_energy
+    from .exact import _RESIDUAL_TOL, converge_cutoff, product_state_energy
     params = _params_from_args(args)
     n_list = _parse_int_list(args.n_list, "--n-list")
     if min(n_list) < 1:
@@ -161,7 +164,7 @@ def cmd_exact_check(args) -> int:
     if not (math.isfinite(args.eps) and args.eps > 0.0):
         raise ParameterError(f"--eps must be finite and positive, got {args.eps!r}")
     mf = ground_state(params)
-    tol = 1e-9 * params.hamiltonian_scale  # the same check at any coupling scale
+    tol = _RESIDUAL_TOL * params.hamiltonian_scale  # the residual guard, per atom
     rows = []
     for n in n_list:
         p_n = params.replace(n_atoms=n)
@@ -448,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--n-list", default="8,16,32",
                    help="comma-separated atom numbers")
-    p.add_argument("--eps", type=float, default=1e-8,
+    p.add_argument("--eps", type=float, default=LADDER_EPS,
                    help="cutoff-doubling convergence tolerance")
-    p.add_argument("--budget", type=int, default=400_000,
+    p.add_argument("--budget", type=int, default=DIMENSION_BUDGET,
                    help="largest Hilbert-space dimension to attempt")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")

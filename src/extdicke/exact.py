@@ -23,7 +23,7 @@ a Lanczos run from one start vector would find only one combination of
 them.  E0 and E1 are the two lowest of all the kept levels, so `gap` is
 E1 - E0 of H.  The reported `parity` is the ground state's expectation
 value of the parity operator: a definite +-1 at omega_rabi = 0.  When
-sector ground energies agree within 1e-13 * ||H||_inf (a tunnelling doublet
+sector ground energies agree within _LANCZOS_TOL * ||H||_inf (a tunnelling doublet
 below the solver's resolution, or an exact tie) the first of those sectors
 is reported: the even one, and where the flip splits the sectors the
 flip-even one, whose <J_z> is 0.  Every sector, of any dimension, is solved
@@ -52,20 +52,26 @@ import math
 from typing import TYPE_CHECKING
 
 from .meanfield import MeanFieldSolution
-from .model import ConvergenceError, ModelParams, ParameterError, _integer, record
+from .model import (DIMENSION_BUDGET, LADDER_EPS, N_MAX_START, ConvergenceError,
+                    ModelParams, ParameterError, _integer, record)
 
 if TYPE_CHECKING:
     import numpy as np
-
-DIMENSION_BUDGET = 400_000
-# photon cutoff at which a converge_cutoff ladder starts
-N_MAX_START = 8
 
 # thick-restart Lanczos: basis size, Ritz vectors kept at a restart, and the
 # number of restarts before ConvergenceError
 _KRYLOV_DIM = 30
 _KEPT_RITZ = 10
 _MAX_RESTARTS = 1000
+# Resolution relative to ||H||_inf of a Ritz residual (converged), a new
+# Lanczos vector's norm (breakdown) and sector ground energies (a tie).
+_LANCZOS_TOL = 1e-13
+# Weight of the generic vector in a cold Lanczos start, beside the flat one.
+_START_WEIGHT = 1e-3
+# Largest eigenpair residual ||H x - E x|| accepted, relative to ||H||_inf.
+_RESIDUAL_TOL = 1e-9
+# Largest photon number of a converged ladder, per photon of cutoff.
+_HEADROOM = 0.8
 
 
 class BandedMatrix:
@@ -314,12 +320,12 @@ def _lowest_levels(h: BandedMatrix, hnorm: float,
     projected matrix holds the sum of both passes' coefficients, so it is
     V^T H V itself; a restart keeps the _KEPT_RITZ lowest Ritz vectors.
     The run stops when the residuals |beta * s_mi| of both lowest Ritz
-    pairs are at most 1e-13 * hnorm, or when the basis fills the sector
+    pairs are at most _LANCZOS_TOL * hnorm, or when the basis fills the sector
     (the Ritz values are then its exact spectrum).
-    Without `start` it begins from the flat vector plus 1e-3 of a generic
+    Without `start` it begins from the flat vector plus _START_WEIGHT of a generic
     one, so that no symmetry left in the sector can keep a level out of the
     Krylov space (the flat vector alone is even under the spin flip, for
-    one).  On a breakdown (beta <= 1e-14 * hnorm before the sector is
+    one).  On a breakdown (beta <= _LANCZOS_TOL * hnorm before the sector is
     exhausted) it continues from a generic vector orthogonal to the basis,
     so an exactly degenerate level can appear twice.  The generic vectors
     are _generic_vector's draws at the sector's dimension: draw 0 for the
@@ -333,7 +339,7 @@ def _lowest_levels(h: BandedMatrix, hnorm: float,
     size = min(_KRYLOV_DIM, dim)
     draws = 0  # draw 0 is the cold start's; breakdowns take 1, 2, ...
     if start is None:
-        start = np.full(dim, 1.0 / math.sqrt(dim)) + 1e-3 * _generic_vector(dim, 0)
+        start = np.full(dim, 1.0 / math.sqrt(dim)) + _START_WEIGHT * _generic_vector(dim, 0)
     basis = np.empty((size + 1, dim))  # rows are the Krylov vectors
     proj = np.zeros((size, size))  # V^T H V
     basis[0] = start / np.linalg.norm(start)
@@ -352,7 +358,7 @@ def _lowest_levels(h: BandedMatrix, hnorm: float,
             j += 1
             if j == dim:
                 break  # the basis spans the sector
-            if beta <= 1e-14 * hnorm:
+            if beta <= _LANCZOS_TOL * hnorm:
                 draws += 1
                 w = _generic_vector(dim, draws)
                 w -= (basis[:j] @ w) @ basis[:j]
@@ -363,7 +369,7 @@ def _lowest_levels(h: BandedMatrix, hnorm: float,
                 basis[j] = w / beta
                 lo = j - 1  # the three-term step
         theta, s = np.linalg.eigh(proj[:j, :j])
-        if j == dim or np.all(np.abs(beta * s[-1, :nev]) <= 1e-13 * hnorm):
+        if j == dim or np.all(np.abs(beta * s[-1, :nev]) <= _LANCZOS_TOL * hnorm):
             return theta[:nev], basis[:j].T @ s[:, :nev]
         keep = _KEPT_RITZ
         basis[:keep] = s[:, :keep].T @ basis[:size]
@@ -389,11 +395,11 @@ def _solve_sectors(h: BandedMatrix,
 
     E0 and E1 are the two lowest of all the sector levels.  The ground
     vector is the lowest sector's, Q @ s in the full basis; when
-    sector ground energies agree within 1e-13 * ||H||_inf it is the first
+    sector ground energies agree within _LANCZOS_TOL * ||H||_inf it is the first
     of those sectors', so a tunnelling doublet gets a definite,
     reproducible parity.  ||H||_inf is the largest row sum of |H|.  An H
     with non-finite entries is a ParameterError.  The eigenvalue residual
-    ||H x - E x|| is checked against 1e-9 * ||H||_inf.  `start` (full
+    ||H x - E x|| is checked against _RESIDUAL_TOL * ||H||_inf.  `start` (full
     basis, possibly shorter than h: it is zero-padded) seeds each sector's
     Lanczos run from Q.T @ start; the returned start holds psi0 + psi1 of
     every sector.
@@ -429,12 +435,12 @@ def _solve_sectors(h: BandedMatrix,
         levels.sort()
         e0 = levels[0]
         e1 = levels[1] if len(levels) > 1 else e0
-        eg, vec = next(g for g in grounds if g[0] - e0 <= 1e-13 * hnorm)
+        eg, vec = next(g for g in grounds if g[0] - e0 <= _LANCZOS_TOL * hnorm)
         defect = float(np.linalg.norm(h @ vec - eg * vec))
-        if defect > 1e-9 * hnorm:
+        if defect > _RESIDUAL_TOL * hnorm:
             raise ConvergenceError(
-                f"eigenpair residual {defect:.3e} exceeds 1e-9 * ||H||"
-                f" = {1e-9 * hnorm:.3e}")
+                f"eigenpair residual {defect:.3e} exceeds {_RESIDUAL_TOL:g} * ||H||"
+                f" = {_RESIDUAL_TOL * hnorm:.3e}")
         return e0, e1, vec, nxt
 
 
@@ -517,11 +523,11 @@ def solve_at_cutoff(params: ModelParams, n_max: int,
     )
 
 
-def converge_cutoff(params: ModelParams, eps: float = 1e-8,
+def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
                     n_max_start: int = N_MAX_START,
                     budget: int = DIMENSION_BUDGET) -> ExactSolution:
     """Double the photon cutoff until E0 moves by at most eps * max(|E0|,
-    params.hamiltonian_scale) and the photon number stays below 0.8 * n_max.
+    params.hamiltonian_scale) and the photon number stays below _HEADROOM * n_max.
 
     Each cutoff's Lanczos run starts from the previous cutoff's
     psi0 + psi1 per sector, zero-padded.  Returns the observables at the
@@ -544,7 +550,7 @@ def converge_cutoff(params: ModelParams, eps: float = 1e-8,
         nxt = solve_at_cutoff(params, n_next, budget=budget, _ladder=ladder)
         tol = eps * max(abs(nxt.energy), params.hamiltonian_scale)
         stable = abs(nxt.energy - sol.energy) <= tol
-        headroom = nxt.photon_number < 0.8 * n_next
+        headroom = nxt.photon_number < _HEADROOM * n_next
         if stable and headroom:
             return ExactSolution(**{**vars(nxt), "converged": True})
         sol = nxt

@@ -33,6 +33,12 @@ _FLOAT_MAX = sys.float_info.max
 # Couplings a sweep or a transition scan may move, by ModelParams field.
 AXES = ("omega", "lam", "delta", "omega_rabi", "v")
 
+# Defaults of exact.converge_cutoff, here so that sweeps and the CLI read
+# them without loading it: eps, n_max_start and the dimension budget.
+LADDER_EPS = 1e-8
+N_MAX_START = 8
+DIMENSION_BUDGET = 400_000
+
 
 class ParameterError(ValueError):
     """A model parameter violates its domain."""

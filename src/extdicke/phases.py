@@ -31,16 +31,23 @@ import warnings
 from enum import Enum
 from operator import attrgetter
 
-from ._kernels_py import coupling_scale
+from ._kernels_py import _DISTINCT_ANGLE, coupling_scale
 from .meanfield import MeanFieldSolution, ground_state
 from .model import AXES, ModelParams, ParameterError, field_name, record
 
 # Round-off guard of the classifier on m/N and on s_x.
 _CLASSIFY_TOL = 1e-6
-# Smallest jump that makes a transition first order: between coexisting
-# minima, in the observable's unit (the coupling scale S for the energy, 1
-# for the dimensionless others), and of the state on the Bloch circle.
+# Smallest jump between coexisting minima that makes a transition first
+# order, in the observable's unit (S for the energy, 1 for the others).
 _JUMP_TOL = 1e-6
+# susceptibility_v's step (relative to S), and the change of m/N that warns.
+_STENCIL_STEP = 1e-4
+_STENCIL_JUMP = 0.5
+# A flag's |second difference| exceeds _OUTLIER * median and _FLAG_FLOOR * max(unit, f_range).
+_OUTLIER = 8.0
+_FLAG_FLOOR = 1e-12
+# A corner turns the ground state by more than this (radians) in a scan step.
+_CORNER_TURN = 1.0
 # Points per critical-line polyline.
 _OVERLAY_POINTS = 201
 # Observables read straight off a MeanFieldSolution, and where.
@@ -129,24 +136,23 @@ def phase_label(flat_manifold: bool, m_over_n: float, n_local_minima: int,
 
 
 def susceptibility_v(params: ModelParams) -> float:
-    """Centered-difference susceptibility d(m/N)/dv, with step 1e-4 * S
+    """Centered-difference susceptibility d(m/N)/dv, step _STENCIL_STEP * S
     for the coupling scale S of params (omega does not enter m/N).
 
     Identically zero across the Mott plateau.  Warns when the stencil
-    appears to straddle a first-order line (a jump in m/N above 1/2, a
-    sign change of m/N, or a flat manifold at either stencil point); the
-    value is still returned, and is 0 where S = 0.
+    appears to straddle a first-order line (a jump in m/N above
+    _STENCIL_JUMP, a sign change of m/N, or a flat manifold at either
+    stencil point); the value is still returned, and is 0 where S = 0.
     """
-    dv = 1e-4 * coupling_scale(params.u, params.v, params.delta, params.omega_rabi)
+    dv = _STENCIL_STEP * coupling_scale(params.u, params.v, params.delta, params.omega_rabi)
     hi = ground_state(params.replace(v=params.v + dv))
     lo = ground_state(params.replace(v=params.v - dv))
     dm = hi.m_over_n - lo.m_over_n
     # m/N also changes sign where the selection window takes the other
     # well at one stencil end only: the wells at +-s_z differ by
     # 2*delta*|s_z|, which can cross _SELECT_EPS * S within the stencil.
-    if (hi.flat_manifold or lo.flat_manifold or abs(dm) > 0.5
-            or (hi.m_over_n * lo.m_over_n < 0.0
-                and min(abs(hi.m_over_n), abs(lo.m_over_n)) > 1e-3)):
+    if (hi.flat_manifold or lo.flat_manifold or abs(dm) > _STENCIL_JUMP
+            or hi.m_over_n * lo.m_over_n < 0.0):
         warnings.warn(
             "susceptibility stencil may straddle a first-order boundary",
             RuntimeWarning,
@@ -313,7 +319,7 @@ def _refine_kink(solve, a, b, spacing):
     when its secant rises by more than 2**0.25 on halving the step, the
     midpoint between a finite slope (1) and a root law (2**0.5)."""
     c, rate = _argmax(lambda t: solve(t)[2], a, b)
-    if rate * spacing < 1.0:
+    if rate * spacing < _CORNER_TURN:
         p0 = solve(a)[1].point
 
         def chord(t):
@@ -321,8 +327,8 @@ def _refine_kink(solve, a, b, spacing):
             return math.hypot(p.s_x - p0.s_x, p.s_z - p0.s_z)
 
         l, r = _bisect(chord, a, b)
-        # across adjacent floats a state on one branch moves by ~rate * ulp
-        if abs(chord(r) - chord(l)) <= _JUMP_TOL:
+        # across adjacent floats a state on one branch stays one point (chord = angle/2)
+        if abs(chord(r) - chord(l)) <= 0.5 * _DISTINCT_ANGLE:
             return c, 0.0
         c = 0.5 * (l + r)
     h = 0.25 * spacing
@@ -390,7 +396,7 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     mags = sorted(mag)
     m = len(mags) // 2  # the median, as statistics.median takes it
     med = mags[m] if len(mags) % 2 else (mags[m - 1] + mags[m]) / 2
-    floor = max(8.0 * med, 1e-12 * max(unit, f_range))
+    floor = max(_OUTLIER * med, _FLAG_FLOOR * max(unit, f_range))
     # a flag is the first of the largest values within 3 cells either side
     flags = [i for i, x in enumerate(mag)
              if x > floor and all(x > y for y in mag[max(0, i - 3):i])

@@ -22,8 +22,8 @@ import math
 
 from . import __version__, _kernels_py
 from .meanfield import point_observables
-from .model import (AXES, ModelParams, ParameterError, _integer, _real,
-                    check_couplings, dumps_json, field_name, record)
+from .model import (AXES, LADDER_EPS, N_MAX_START, ModelParams, ParameterError, _integer,
+                    _real, check_couplings, dumps_json, field_name, record)
 from .phases import phase_label
 
 
@@ -53,8 +53,8 @@ class SweepConfig:
     base: ModelParams
     axes: tuple[AxisSpec, ...]
     exact_n: tuple[int, ...] = ()
-    exact_eps: float = 1e-8
-    exact_n_max_start: int = 8
+    exact_eps: float = LADDER_EPS
+    exact_n_max_start: int = N_MAX_START
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
@@ -121,9 +121,9 @@ class SweepConfig:
             base=base,
             axes=tuple(_axis(a, i) for i, a in enumerate(data["axes"])),
             exact_n=tuple(_integer(n, "exact_n entry") for n in exact_n),
-            exact_eps=_real(data.get("exact_eps", 1e-8), "exact_eps"),
-            exact_n_max_start=_integer(data.get("exact_n_max_start", 8),
-                                       "exact_n_max_start"),
+            exact_eps=_real(data.get("exact_eps", cls.exact_eps), "exact_eps"),
+            exact_n_max_start=_integer(data.get("exact_n_max_start",
+                                                cls.exact_n_max_start), "exact_n_max_start"),
         )
 
     @classmethod

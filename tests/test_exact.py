@@ -413,8 +413,14 @@ def test_lanczos_work_per_ladder_is_pinned(monkeypatch, params, recorded):
 
 
 def test_residual_guard_reports_the_bound_it_applies(monkeypatch):
-    # the guard's bound is 1e-9 * ||H||_inf, relative at every coupling
-    # scale (here ||H||_inf < 1); a ground vector spoiled by 1e-6 trips it
+    # the guard's bound is _RESIDUAL_TOL * ||H||_inf, relative at every
+    # coupling scale (here ||H||_inf < 1).  It passes a pair converged to
+    # the Lanczos resolution (restarted runs on two parity sectors of about
+    # 1070 states) and trips on a ground vector spoiled by 1e-6
+    q = ModelParams(omega=10.0, lam=1.5 * math.sqrt(10.0), delta=0.5, n_atoms=64)
+    h = build_hamiltonian(q, 32)
+    e0, _, vec, _ = exact._solve_sectors(h, exact._sectors(q, 32))
+    converged = np.linalg.norm(h @ vec - e0 * vec) / (abs(h) @ np.ones(h.shape[0])).max()
     p = ModelParams(omega=0.05, lam=0.02, delta=0.03, v=0.01, n_atoms=2)
     h = build_hamiltonian(p, 4)
     hnorm = (abs(h) @ np.ones(h.shape[0])).max()
@@ -431,8 +437,9 @@ def test_residual_guard_reports_the_bound_it_applies(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         solve_at_cutoff(p, 4)
     message = str(err.value)
-    assert message.endswith(f"exceeds 1e-9 * ||H|| = {1e-9 * hnorm:.3e}")
-    assert float(message.split()[2]) > 1e-9
+    tol = exact._RESIDUAL_TOL
+    assert message.endswith(f"exceeds {tol:g} * ||H|| = {tol * hnorm:.3e}")
+    assert converged < tol < float(message.split()[2]) / hnorm
 
 
 def test_lanczos_nonconvergence_is_a_convergence_error(monkeypatch, capsys):
@@ -493,6 +500,17 @@ def test_convergence_flag_under_budget_pressure():
     assert not starved.converged
     ok = converge_cutoff(p)
     assert ok.converged and ok.n_max_used > starved.n_max_used
+
+
+def test_photon_headroom_holds_a_ladder_whose_energy_is_stable():
+    # a strong drive sets the unit of H, so E0 is stable to eps * rabi long
+    # before the photon field, alpha**2 = u * N / (4 * omega) = 256 photons,
+    # fits the cutoff: only the photon headroom keeps the ladder doubling,
+    # and it stops within a few times the photon number
+    p = ModelParams(omega=1.0, lam=16.0, omega_rabi=1e10, n_atoms=4)
+    sol = converge_cutoff(p)
+    assert sol.converged and sol.photon_number == pytest.approx(256.0, rel=1e-5)
+    assert sol.n_max_used < 4.0 * sol.photon_number
 
 
 def test_converge_cutoff_is_the_same_at_any_coupling_scale():

@@ -287,6 +287,40 @@ def test_root_merge_level(k):
     assert k.real_roots(*np.poly([0.0, 5e-9, 1.0, 2.0]))[:2] == (0.0, 5e-9)
 
 
+def test_root_merge_keeps_the_copy_with_the_smaller_residual(k, monkeypatch):
+    # the polish turns an exact double root into copies; of two within
+    # _DEDUPE_EPS the one kept has the smaller |p|, which is the later copy
+    # in some of these quartics (copies farther apart both stay, a known
+    # fault of real_roots)
+    rng = np.random.default_rng(30)
+    polished = []
+    polish = k._polish
+
+    def recorded(p, dp, x):
+        polished.append(polish(p, dp, x))
+        return polished[-1]
+
+    monkeypatch.setattr(k, "_polish", recorded)
+
+    def residual(c, x):
+        return abs((((c[0] * x + c[1]) * x + c[2]) * x + c[3]) * x + c[4])
+
+    later = 0
+    for _ in range(2000):
+        r, a, b = rng.integers(-256, 256, size=3) / 4.0
+        if len({r, a, b}) < 3:
+            continue
+        c = tuple(float(x) for x in 1000.0 * np.poly([r, r, a, b]))
+        polished.clear()
+        got = k.real_roots(*c)
+        for x in set(polished) - set(got):
+            kept = [y for y in got if abs(y - x) <= k._DEDUPE_EPS * max(1.0, abs(x))]
+            best = min(kept, key=lambda y: residual(c, y))
+            assert residual(c, best) <= residual(c, x), (c, x)
+            later += best > x
+    assert later > 0
+
+
 def test_selection_window_stays_below_near_critical_splitting(k):
     # just inside the lobe (u + v = 2e-12, delta = rabi = 0) the minima are
     # s_x = +-1/2 and the maxima s_z = +-1/2 lie (u + v)/4 = 5e-13 higher:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from extdicke import phases
 from extdicke._kernels_py import coupling_scale
 from extdicke.meanfield import ground_state
 from extdicke.model import ModelParams, ParameterError
@@ -158,6 +159,20 @@ def test_susceptibility_matches_lobe_formula():
     assert susceptibility_v(p2) == pytest.approx(-0.2 / 1.5**2, abs=1e-6)
 
 
+def test_susceptibility_is_steep_but_quiet_at_the_lobe_tip():
+    # where the lobe edge meets the red line (u + v = 1.3e-3, delta = 1e-3,
+    # no drive) m/N = -delta/(u + v) is steep (~0.12 across the stencil)
+    # but smooth: no first-order line is straddled, so no warning, and the
+    # centred difference still reads delta/(u + v)**2 to 1 %.  The step's
+    # other bound is rounding: ulp(1)/step must stay far below the 1e-6 to
+    # which the lobe formula is met
+    p = params_u(1.0, delta=1e-3, v=-1.0 + 1.3e-3)
+    hi, lo = _stencil_ends(p)
+    assert abs(hi.m_over_n - lo.m_over_n) < phases._STENCIL_JUMP
+    assert susceptibility_v(p) == pytest.approx(1e-3 / (p.u + p.v) ** 2, rel=1e-2)
+    assert math.ulp(1.0) / phases._STENCIL_STEP < 1e-6
+
+
 @pytest.mark.parametrize("k", [40, -40])
 @pytest.mark.parametrize("p", [params_u(1.0, delta=0.3),
                                params_u(1.0, delta=-0.2, v=0.5),
@@ -187,7 +202,7 @@ def test_susceptibility_warns_on_flat_stencil():
 
 def _stencil_ends(p):
     # susceptibility_v's step
-    dv = 1e-4 * coupling_scale(p.u, p.v, p.delta, p.omega_rabi)
+    dv = phases._STENCIL_STEP * coupling_scale(p.u, p.v, p.delta, p.omega_rabi)
     return [ground_state(p.replace(v=p.v + s * dv)) for s in (1.0, -1.0)]
 
 

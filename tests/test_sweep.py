@@ -321,6 +321,13 @@ def test_parse_csv_rejects_empty_input():
         parse_csv("")
 
 
+def test_parse_csv_reads_provenance_with_and_without_a_space():
+    # serialize_csv writes "# line"; a hand-edited "#line" is provenance too
+    dataset = parse_csv("# written\n#edited\ndelta,u\n0.5,1\n")
+    assert dataset.provenance == ("written", "edited")
+    assert dataset.columns == ("delta", "u") and dataset.rows == ((0.5, 1),)
+
+
 # --- determinism ---------------------------------------------------------
 
 def test_repeat_runs_are_byte_identical():
@@ -329,6 +336,20 @@ def test_repeat_runs_are_byte_identical():
 
 
 # --- config validation --------------------------------------------------
+
+def test_config_defaults_are_the_ladder_defaults():
+    # one source for each ladder default: the config, read from a dict or
+    # built directly, and the CLI use the solver's
+    from extdicke import cli, exact
+
+    config = SweepConfig.from_dict({"base": BASE.to_dict(),
+                                    "axes": [{"name": "delta", "min": 0.0,
+                                              "max": 1.0, "count": 2}]})
+    assert (config.exact_eps, config.exact_n_max_start) == \
+        (exact.converge_cutoff.__defaults__[0], exact.N_MAX_START)
+    args = cli.build_parser().parse_args(["exact-check"])
+    assert (args.eps, args.budget) == (exact.LADDER_EPS, exact.DIMENSION_BUDGET)
+
 
 def test_config_dict_round_trip():
     config = small_config(exact_n=(2, 4), exact_eps=1e-6, exact_n_max_start=4)
@@ -352,6 +373,9 @@ def test_config_rejects_unknown_keys_and_missing_fields():
     ((AxisSpec("lambda", 0, 1, 2), AxisSpec("lam", 0, 1, 2)), "repeated"),
     ((AxisSpec("delta", 0, 1, 1),), "at least 2"),
     ((AxisSpec("delta", 1, 0, 2),), "max below min"),
+    # built in Python, not read from JSON: the config's own check applies
+    ((AxisSpec("delta", -math.inf, 1.0, 2),), "bounds must be finite"),
+    ((AxisSpec("v", 0.0, math.nan, 2),), "bounds must be finite"),
 ])
 def test_bad_axes_rejected(axes, message):
     # building the config is enough: no sweep needs to run

@@ -12,7 +12,8 @@ import pytest
 from extdicke import phases
 from extdicke.meanfield import ground_state
 from extdicke.model import ModelParams
-from extdicke.phases import _argmax, _observable_fn, detect_transitions
+from extdicke._kernels_py import _DISTINCT_ANGLE
+from extdicke.phases import _argmax, _observable_fn, _refine_jump, detect_transitions
 
 
 def params_u(u, delta=0.0, omega_rabi=0.0, v=0.0):
@@ -250,3 +251,74 @@ def test_argmax_stops_at_the_bracket_float_spacing(monkeypatch):
     t, g = _argmax(lambda t: rate(t)[2], -0.03, 0.01)
     assert abs(t) <= math.ulp(0.03) and g == math.inf
     assert calls[0] <= 100
+
+
+# --- each tolerance between rounding and physics --------------------------
+
+# the wells at +-s_z swap at delta = 0: m/N jumps, s_x (which they share)
+# is continuous with a corner
+SWAP = ModelParams(omega=1.0, lam=1.0, v=-2.0, omega_rabi=0.4)
+
+
+def test_jump_tolerance_sits_between_rounding_and_a_closing_jump():
+    # between the coexisting wells s_x differs by rounding only; near the
+    # critical drive the m/N jump 2*sqrt(1 - rabi**2/(u + v)**2) closes,
+    # and one of 1e-2 must still be first order
+    solve = _observable_fn(SWAP, "delta", "s_x")
+    _, rounding = _refine_jump(solve, -0.01, 0.01)
+    drive = SWAP.replace(omega_rabi=math.sqrt(1.0 - 0.005 ** 2))
+    recs = detect_transitions(drive, "delta", -0.5, 0.55)
+    assert [r.order for r in recs] == ["first"]
+    assert recs[0].jump == pytest.approx(1e-2, rel=1e-3)
+    assert rounding < phases._JUMP_TOL < recs[0].jump
+
+
+def test_branch_switch_test_sits_between_rounding_and_the_swap(monkeypatch):
+    # the chord test across adjacent floats: on one branch (a lobe edge
+    # rounded by a drive of 1e-6 u) the state moves by rounding, and at the
+    # swap of the wells s_x follows it across the circle
+    chords = []
+    bisect = phases._bisect
+
+    def logged(g, a, b):
+        l, r = bisect(g, a, b)
+        if g.__name__ == "chord":
+            chords.append(abs(g(r) - g(l)))
+        return l, r
+
+    monkeypatch.setattr(phases, "_bisect", logged)
+    assert detect_transitions(params_u(1.0, omega_rabi=1e-6), "delta",
+                              -2.0, 2.0, n_scan=401) == []
+    rounding = max(chords)
+    chords.clear()
+    recs = detect_transitions(SWAP, "delta", -1.0, 1.1, observable="s_x")
+    assert [r.order for r in recs] == ["second"]
+    assert rounding < 0.5 * _DISTINCT_ANGLE < min(chords)
+
+
+def test_flag_floor_sits_between_rounding_and_the_lobe_edges(monkeypatch):
+    # m/N is -delta/(u + v) inside the lobe and -+1 outside: its second
+    # difference is rounding except next to the two edges, where the slope
+    # jumps by 1/(u + v).  Above the floor only the edges are refined
+    p, lo, hi = params_u(1.0, v=0.2), -2.4, 2.4
+    f = _observable_fn(p, "delta", "m_over_n")
+    ts = [lo + (hi - lo) / 200 * i for i in range(201)]
+    fs = [f(t)[0] for t in ts]
+    mag = [abs(fs[i] - 2.0 * fs[i + 1] + fs[i + 2]) for i in range(199)]
+    cells = list(zip(ts[1:-1], mag))  # (cell centre, |second difference|)
+    rounding = max(m for t, m in cells if abs(abs(t) - 1.2) > 0.04)
+    corner = min(max(m for t, m in cells if abs(t - edge) <= 0.04) for edge in (-1.2, 1.2))
+    f_range = max(fs) - min(fs)
+    assert rounding < phases._FLAG_FLOOR * f_range < corner
+    calls = _counting_solver(monkeypatch)
+    assert [r.order for r in detect_transitions(p, "delta", lo, hi)] == ["second"] * 2
+    assert calls[0] <= 443
+
+
+def test_energy_across_the_lobe_refines_no_cell(monkeypatch):
+    # at a lobe edge the energy's slope is continuous and its curvature
+    # steps: its second difference steps too, with no outlier to refine
+    calls = _counting_solver(monkeypatch)
+    assert detect_transitions(params_u(1.0, v=0.2), "delta", -2.4, 2.4,
+                              observable="energy") == []
+    assert calls[0] == 201
