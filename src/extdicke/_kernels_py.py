@@ -98,7 +98,7 @@ def _quadratic_roots(a, b, c):
         # b == 0 and disc == 0: double root at the origin.
         return [0.0]
     r1 = q / a
-    r2 = c / q
+    r2 = c / q if b else -r1  # b = 0: exact negatives, as the mirror maps them
     return [r1, r2] if r1 <= r2 else [r2, r1]
 
 
@@ -205,15 +205,26 @@ def _polish(p, dp, x):
     return x
 
 
+def _copy(xs, p):
+    """Index of the copy of a multiple root that stands for it among xs,
+    ascending: least |p(x)| (p a padded quartic), then nearest the centre,
+    then least |x|.  eta -> -eta, p -> -p(-eta) keeps each key exactly."""
+    c0, c1, c2, c3, c4 = p
+    mid = 0.5 * (xs[0] + xs[-1])
+    keys = [(abs((((c0 * x + c1) * x + c2) * x + c3) * x + c4), abs(x - mid), abs(x))
+            for x in xs]
+    return keys.index(min(keys))
+
+
 def real_roots(c4, c3, c2, c1, c0):
     """All real roots of c4*x^4 + ... + c0, ascending, multiples collapsed.
 
     Coefficients small relative to the largest one are treated as exact
     zeros for the degree choice (the corresponding far roots are the
     caller's eta = +-inf candidate); every root is then Newton-polished
-    against the full input polynomial.  Of roots within _DEDUPE_EPS *
-    max(1, |x|) of each other (copies of a multiple root), the one with the
-    smaller |p| is kept.  Returns () when all coefficients vanish.
+    against the full input polynomial.  Roots each within _DEDUPE_EPS *
+    max(1, |q|, |r|) of the next are copies of one multiple root, and _copy
+    picks one.  Returns () when all coefficients vanish.
     """
     p = (c4, c3, c2, c1, c0)
     scale = max(abs(c4), abs(c3), abs(c2), abs(c1), abs(c0))
@@ -234,16 +245,13 @@ def real_roots(c4, c3, c2, c1, c0):
 
     dp = (0.0, 4.0 * c4, 3.0 * c3, 2.0 * c2, c1)
     roots = sorted(_polish(p, dp, r) for r in roots)
-    out = [roots[0]]
-    for r in roots[1:]:
-        if r - out[-1] <= _DEDUPE_EPS * max(1.0, abs(r)):
-            # Keep the copy with the smaller backward error.
-            q = out[-1]
-            if (abs((((c4 * r + c3) * r + c2) * r + c1) * r + c0)
-                    < abs((((c4 * q + c3) * q + c2) * q + c1) * q + c0)):
-                out[-1] = r
-        else:
+    out, chain = [roots[0]], []
+    for q, r in zip(roots, roots[1:]):
+        if r - q > _DEDUPE_EPS * max(1.0, r, -q):  # max(1, |q|, |r|), as q <= r
             out.append(r)
+        else:  # r is one more copy of the root q is a copy of
+            chain = chain + [r] if chain and chain[-1] == q else [q, r]
+            out[-1] = chain[_copy(chain, p)]
     return tuple(out)
 
 
@@ -366,13 +374,12 @@ def solve_point(u, v, delta, rabi):
     # where real_roots drops delta the pole enters, and p is read without it
     pole = abs(delta) <= _REL_COEFF_EPS * max(abs(delta), abs(c3), abs(c1))
     c4 = 0.0 if pole else delta
-    # p is read beyond each end root and between consecutive roots.  A root
-    # is a minimum when the reading on its left is > 0 and the next nonzero
-    # one on its right < 0: readings of exactly 0 fall between the copies
-    # real_roots returns for one multiple root, so a crossing counts once.
-    cands = []  # (theta, s_x, s_z, energy, eta)
-    minima = []
-    rising = prev = None  # rising: the root after the last positive reading
+    # p is read beyond each end root and between consecutive roots.  The
+    # roots from a reading > 0 to the next nonzero one, < 0, are one minimum:
+    # readings of exactly 0 fall between the copies real_roots returns for
+    # one multiple root, and _copy picks the copy that stands for it.
+    cands, minima = [], []  # cands: (theta, s_x, s_z, energy, eta)
+    pending = prev = run = None  # pending: the copy picked since the last reading > 0
     for r in roots:
         x = r - 1.0 - abs(r) if prev is None else 0.5 * (prev + r)
         px = (((c4 * x + c3) * x) * x + c1) * x - c4
@@ -384,14 +391,17 @@ def solve_point(u, v, delta, rabi):
         cands.append((math.pi - 2.0 * math.atan(r), s_x, s_z,
                       -u * s_x * s_x + v * s_z * s_z + delta * s_z + rabi * s_x, r))
         if px > 0.0:
-            rising = cands[-1]
-        elif px < 0.0 and rising is not None:
-            minima.append(rising)
-            rising = None
+            pending = cands[-1]
+        elif px < 0.0 and pending is not None:
+            minima.append(pending)
+            pending = None
+        elif pending is not None:  # p reads 0: r is one more copy of the pending root
+            run = run + [cands[-1]] if run and run[-1] is cands[-2] else cands[-2:]
+            pending = run[_copy([c[4] for c in run], (c4, c3, 0.0, c1, -c4))]
         prev = r
     x = prev + 1.0 + abs(prev) if roots else 0.0
-    if rising is not None and (((c4 * x + c3) * x) * x + c1) * x - c4 < 0.0:
-        minima.append(rising)
+    if pending is not None and (((c4 * x + c3) * x) * x + c1) * x - c4 < 0.0:
+        minima.append(pending)
     if pole:
         cands.append((0.0, 0.5, 0.0, reduced_energy(u, v, delta, rabi, 0.5, 0.0), math.inf))
         if c3 > 0.0:

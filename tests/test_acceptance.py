@@ -178,7 +178,7 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 8.  A changed digest is a change of
+# writes, recorded at sweep format 9.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel and parity-sector changes gave.  The provenance line
@@ -187,17 +187,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "219c78d7410bddeac5dd3e9c6170cb771e19fccf78bda8486115d13f0fb2e0ae",
-      "fig2_curve1.csv": "382ed1dffe46963ff03d3caf5bebe47c1d97cd499683be67f863d100f7d06399",
-      "fig2_curve2.csv": "bd5a7cd660c1eb9f632202cee11cc38cdcfed7ca9aed2dba118d697677570281"}),
+     {"fig2_curve0.csv": "c35246ba2141b399279cfff284755e277083a9e6c5a46c81f00c3f27262b2ee9",
+      "fig2_curve1.csv": "2a857a5fdfc5d6465b831b3441cfffd2667577ddae8e8106fa2a2a0f6718f43b",
+      "fig2_curve2.csv": "02dbbfefa11bbd9493e5dc6982b043e9e57752fa25524646682f78b270146c62"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "04bb2c39cd5d4d085dc71db58318d9bc2a837f0b37bbc6ae6b80f9f2d7d454d8",
+     {"fig3_grid.csv": "e31cee3f9eb24e5cae8f33a3497152aeb0705f5cb5f98ed9cb76ef2e9bafcfaa",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "a26650df8620e11388a1219221a5063a3a3c88d1dbce61a4130fdfef9972ea07",
-      "fig4_curve1.csv": "4a091db9cd1fffab505bd78441a5858022655eb952295393a606612840341340",
-      "fig4_curve2.csv": "1ffa8225b4756b5adf2fae06b81fcaa0d9b7c84df98ec463ff7d34c2b761d91e",
-      "fig4_curve3.csv": "133cd7527baa8ff79ebfa04826f7132fca447b191921310269c4441cf71726e9"}),
+     {"fig4_curve0.csv": "f33f963753779ed8a3055b9a80c04e4932cfb24ac4a65e2492b29867e72fda5e",
+      "fig4_curve1.csv": "df6aa1df8637cb9167b9338ab6d7d33ced5ed102ec00f2d54aadfe144c89cdc8",
+      "fig4_curve2.csv": "601a2fd1829f6a89ca15066dc9f4a5ce42deec6269f065c4358c270491ffcdaf",
+      "fig4_curve3.csv": "f7eb62f5045b8e178377500937f3c64ec1fdf2ed4103b91a5255a4c50a72a471"}),
 ]
 
 
@@ -224,7 +224,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 8: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 9: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build on one CPU
@@ -234,7 +234,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "62238c755332f43a66cd9807ed1aabfe65ad6c2c0ff1028d05d69b5c06c345fe",
+    "02c91773c7805fb7a301e97f8864026a3eef255ec529b6b925f475f23b67a656",
 )
 
 

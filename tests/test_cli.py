@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import warnings
 
 import pytest
@@ -579,3 +580,39 @@ def test_fig_bad_options_exit_2(argv, capsys, tmp_path):
         if flag in argv:
             assert flag in err
     assert not out_dir.exists()
+
+
+_FUZZ_VALUES = ("0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "1e-310", "1e308",
+                "-1e308", "1.7976931348623157e308", "nan", "NaN", "inf", "-inf",
+                "Infinity", "x", "", "1e", "--", "1,5")
+
+
+def test_fuzzed_solve_and_boundaries_arguments_exit_cleanly(capsys):
+    # extreme, non-finite and malformed couplings, each after its flag or
+    # joined to it: every run ends with a documented exit code (0, 2 for a
+    # bad parameter, 3 for a degenerate ground state) and no traceback, and
+    # every JSON output is strict
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rng = random.Random(2727)
+    codes = set()
+    for _ in range(400):
+        fmt = rng.choice(("text", "json"))
+        argv = [rng.choice(("solve", "boundaries")), "--format", fmt]
+        for flag in rng.sample(("--omega", "--lambda", "--delta", "--rabi", "--v"),
+                               rng.randint(1, 5)):
+            value = (rng.choice(_FUZZ_VALUES) if rng.random() < 0.3 else
+                     repr(rng.uniform(-2.0 if flag in ("--delta", "--v") else 0.0, 2.0)))
+            argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argument list
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in out + err, argv
+        if fmt == "json" and out:
+            json.loads(out, parse_constant=reject)
+        codes.add(code)
+    assert codes == {0, 2, 3}

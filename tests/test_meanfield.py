@@ -7,8 +7,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from extdicke.meanfield import (
     BlochPoint,
@@ -139,42 +137,6 @@ def test_flat_manifold_flagged():
     assert sol.flat_manifold
     assert (sol.point.s_x, sol.point.s_z) == (-0.5, 0.0)
     assert sol.energy_per_atom == 0.0
-
-
-def test_detuning_mirror_symmetry():
-    rng = random.Random(7)
-    for _ in range(100):
-        p = ModelParams(omega=1.0, lam=rng.uniform(0.0, 2.0),
-                        delta=rng.uniform(0.05, 2.0),
-                        omega_rabi=rng.uniform(0.0, 2.0),
-                        v=rng.uniform(-3.0, 3.0))
-        a = ground_state(p)
-        b = ground_state(p.replace(delta=-p.delta))
-        assert a.energy_per_atom == pytest.approx(b.energy_per_atom, abs=1e-12)
-        if not (a.degenerate or b.degenerate):
-            assert a.point.s_z == pytest.approx(-b.point.s_z, abs=1e-12)
-            assert a.point.s_x == pytest.approx(b.point.s_x, abs=1e-12)
-
-
-_MAGNITUDE = st.floats(math.log(1e-12), math.log(1e12)).map(math.exp)  # log-uniform
-_SIGNED = st.tuples(st.sampled_from((-1.0, 1.0)), _MAGNITUDE).map(lambda t: t[0] * t[1])
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(u=_MAGNITUDE, v=_SIGNED, d=_SIGNED, r=st.one_of(st.just(0.0), _MAGNITUDE))
-def test_detuning_mirror_over_full_float_range(u, v, d, r):
-    # delta -> -delta maps s_z -> -s_z and leaves the landscape otherwise
-    # unchanged; a degenerate pair of minima may pick either representative
-    p = params_u(u, delta=d, omega_rabi=r, v=v)
-    a = ground_state(p)
-    b = ground_state(p.replace(delta=-d))
-    if a.degenerate or b.degenerate:
-        return
-    scale = max(u, abs(v), abs(d), r)
-    assert abs(a.energy_per_atom - b.energy_per_atom) <= 1e-12 * scale
-    assert abs(a.point.s_z + b.point.s_z) <= 1e-12
-    assert abs(a.point.s_x - b.point.s_x) <= 1e-12
-    assert a.n_local_minima == b.n_local_minima
 
 
 # --- solver vs brute-force scan -----------------------------------------
