@@ -2,12 +2,12 @@
 model: N two-level atoms (a two-component BEC) coupled to one cavity mode,
 with a classical Rabi drive and an atom-atom interaction J_z**2 term.
 
-Thermodynamic-limit ground states reduce to a quartic stationarity problem
-on the collective-spin circle (meanfield), cross-checked by brute-force
-scans, finite-N sparse diagonalization (exact), phase classification and
-transition detection (phases), deterministic sweep datasets (sweep), and a
-command-line interface (cli).  The scalar kernels behind the mean-field
-solver live in _kernels_py.
+Thermodynamic-limit ground states reduce to a secular equation for the
+stationary points on the collective-spin circle (meanfield), cross-checked
+by brute-force scans, finite-N sparse diagonalization (exact), phase
+classification and transition detection (phases), deterministic sweep
+datasets (sweep), and a command-line interface (cli).  The scalar kernels
+behind the mean-field solver live in _kernels_py.
 
 Importing the package loads none of them: a public name is read from its
 home module when first used (PEP 562 __getattr__).

@@ -1,42 +1,44 @@
-"""Scalar hot-path kernels: stationarity-quartic roots, single-point ground
-states on the Bloch circle, and the brute-force grid/golden-section oracle.
-The two routes find their candidate points independently and pick the
-reported one by the same tie-break rule (_select).
+"""Scalar hot-path kernels: the stationary points of the reduced energy on
+the Bloch circle, single-point ground states, and the brute-force
+grid/golden-section oracle.  The two routes find their candidate points
+independently and pick the reported one by the same tie-break rule
+(_select).
 
 Everything here works in the reduced coupling set (u, v, delta, rabi) with
-u = lambda**2 / omega.  Energies are per atom in the thermodynamic limit; the
-photon observables are reconstructed by the callers from (s_x, lambda, omega).
+u = lambda**2 / omega and rabi >= 0.  Energies are per atom in the
+thermodynamic limit; the photon observables are reconstructed by the
+callers from (s_x, lambda, omega).
 
-The Bloch circle is parametrized two ways:
+The reduced energy e = -u*s_x**2 + v*s_z**2 + delta*s_z + rabi*s_x is a
+quadratic on the circle s_x**2 + s_z**2 = 1/4.  It is stationary where its
+gradient is normal to the circle: s_x = -rabi/(2a), s_z = -delta/(2c) with
+c = a + w, w = u + v, and the multiplier a a root of the secular equation
 
-* angle theta with s_x = cos(theta)/2, s_z = sin(theta)/2, and
-* the rational variable eta with s_x = (eta**2 - 1) / (2*(eta**2 + 1)),
-  s_z = eta / (1 + eta**2); theta = pi - 2*arctan(eta), so eta = +-inf is the
-  single point (s_x, s_z) = (1/2, 0).
+    G(a) = (rabi/a)**2 + (delta/c)**2 - 1 = 0
 
-Stationary points of the reduced energy at finite eta are the real roots of
+(Gander, Golub & von Matt, Linear Algebra Appl. 114/115, 815, 1989).  G is
+convex between its poles a = 0 and c = 0 and beyond them, so it has one
+root beyond both (a, c > 0: the global minimum), one before both (the
+global maximum), and between them two roots, one double root or none, as
+(rabi, delta) lies inside, on or outside the astroid
+rabi**(2/3) + |delta|**(2/3) = |w|**(2/3).  The curvature along the circle
+at a root is a*s_z**2 + c*s_x**2, so of the middle pair the root next to
+a = 0 is a minimum when w > 0 and the root next to c = 0 when w < 0
+(Martinez, SIAM J. Optim. 4, 159, 1994).  Where rabi or delta is exactly
+0, its pole carries stationary points of its own: the two axis points of
+the other coupling, and the pair of eigenvector points where they lie on
+the circle.  Every root sits alone in its monotone interval, so no root
+is found twice and no coefficient is dropped.
 
-    delta*eta**4 + 2*(u + v - rabi)*eta**3 - 2*(u + v + rabi)*eta - delta = 0
-
-and the point eta = +-inf is stationary exactly when delta = 0.  In floats
-the pole is a candidate exactly when real_roots drops the leading
-coefficient delta as zero: the far root, near -2*(u + v - rabi)/delta.
-
-Every polynomial in the root finder, the quartic, its derivatives and the
-trimmed lower-degree polynomials, is a zero-padded quartic: a 5-tuple
-(c0, c1, c2, c3, c4), highest power first, evaluated inline by the one
-Horner expression (((c0*x + c1)*x + c2)*x + c3)*x + c4.  For finite x this
-gives the floats of a Horner loop over the unpadded coefficients started
-from acc = 0.0: a zero accumulator times x stays a zero, and a zero plus the
-first nonzero coefficient is that coefficient exactly, so the leading zeros
-change at most the sign of a zero result, which no caller reads (they test
-p == 0 or compare |p|).  So one code path serves degrees 1 to 4.
+Each solution also reports the rational coordinate eta of its point,
+s_x = (eta**2 - 1)/(2*(eta**2 + 1)), s_z = eta/(1 + eta**2), with
+eta = +-inf the single point (s_x, s_z) = (1/2, 0).
 """
 
 import math
 
 __all__ = [
-    "real_roots",
+    "stationary_points",
     "bloch_from_eta",
     "eta_from_point",
     "reduced_energy",
@@ -49,19 +51,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# "Zero relative to a scale": a quartic coefficient below this fraction of
-# the largest one is dropped when choosing the degree (a root pushed to
-# infinity is then the explicit eta = +-inf candidate), and couplings are a
-# flat manifold when delta, rabi and u+v all fall below it relative to S.
+# "Zero relative to S": the couplings are a flat manifold when delta, rabi
+# and u+v all fall below this fraction of the coupling scale S, and so is
+# the oracle's grid when its energies span less than it times S.
 _REL_COEFF_EPS = 1e-14
-# A critical point is a (multiple) root when |p| there is within Horner's
-# rounding-error bound: 2n*u = 8 * 2**-53 times the sum of the term
-# magnitudes for degree n = 4 (Higham, Accuracy and Stability, eq. 5.3).
-_ROOT_ACCEPT = 8 * 2.0**-53
-# Roots closer than this (relative) are merged.
-_DEDUPE_EPS = 1e-9
-# Width (relative to max(1, |x|)) at which a root's sign bracket is closed.
-_BRACKET_STOP = 1e-15
 # Energy window for reporting degenerate (tied) minima, relative to the
 # coupling scale S: energies and their evaluation error are homogeneous of
 # degree 1 in the couplings.
@@ -88,173 +81,6 @@ def coupling_scale(u, v, delta, rabi):
     return max(u, abs(v), rabi, abs(delta))
 
 
-def _quadratic_roots(a, b, c):
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    s = math.sqrt(disc)
-    q = -0.5 * (b + s) if b >= 0.0 else -0.5 * (b - s)
-    if q == 0.0:
-        # b == 0 and disc == 0: double root at the origin.
-        return [0.0]
-    r1 = q / a
-    r2 = c / q if b else -r1  # b = 0: exact negatives, as the mirror maps them
-    return [r1, r2] if r1 <= r2 else [r2, r1]
-
-
-def _bracketed_newton(p, dp, a, b, fa):
-    """Root of the padded polynomial p in [a, b], on which it is monotone
-    and changes sign (fa = p(a)); dp holds the padded coefficients of p'.
-
-    Safeguarded Newton (rtsafe; Press et al., Numerical Recipes, sec. 9.4):
-    start at the midpoint, narrow the sign bracket at every evaluation, and
-    bisect whenever a Newton step leaves the bracket or p' = 0.  Every step
-    is at least half the stopping width, so a Newton iterate that creeps up
-    on the root from one side still steps across it and closes the bracket.
-    Returns the midpoint of the final bracket.
-    """
-    c0, c1, c2, c3, c4 = p
-    d0, d1, d2, d3, d4 = dp
-    neg = fa < 0.0
-    x = 0.5 * (a + b)
-    for _ in range(200):
-        fx = (((c0 * x + c1) * x + c2) * x + c3) * x + c4
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == neg:
-            a = x
-        else:
-            b = x
-        # _BRACKET_STOP * max(1.0, |a|, |b|); a <= b, so max(|a|, |b|) is b or -a
-        m = b if b > -a else -a
-        tol = _BRACKET_STOP * m if m > 1.0 else _BRACKET_STOP
-        if (b - a) <= tol:
-            break
-        dfx = (((d0 * x + d1) * x + d2) * x + d3) * x + d4
-        if dfx == 0.0:
-            x = 0.5 * (a + b)
-            continue
-        step = fx / dfx
-        if abs(step) < 0.5 * tol:
-            step = math.copysign(0.5 * tol, step)
-        x_new = x - step
-        x = x_new if a < x_new < b else 0.5 * (a + b)
-    return 0.5 * (a + b)
-
-
-def _real_roots_desc(p, n):
-    """Real roots of the padded polynomial p of degree n (1..4), whose
-    leading coefficient p[4 - n] is nonzero.
-
-    Degree >= 3 is handled by splitting the axis at the (recursively found)
-    critical points, which bounds one sign change per monotone interval, then
-    solving each such interval by bracketed Newton.  Near-multiple roots show
-    up as critical points with |p| at the evaluation noise floor and are
-    accepted directly.
-    """
-    c0, c1, c2, c3, c4 = p
-    if n == 1:
-        return [-c4 / c3]
-    if n == 2:
-        return _quadratic_roots(c2, c3, c4)
-
-    dp = (0.0, 4.0 * c0, 3.0 * c1, 2.0 * c2, c3)
-    crits = sorted(_real_roots_desc(dp, n - 1))
-    lead = abs(c0) if n == 4 else abs(c1)
-    bound = 1.0 + max(abs(c1) if n == 4 else 0.0, abs(c2), abs(c3), abs(c4)) / lead
-
-    roots = []
-    for x in crits:
-        # Accept a critical point as a (multiple) root only when |p| is
-        # within the rounding error of its evaluation.  A looser bound
-        # fabricates roots: a complex pair 1e-4 off the axis, next to a lobe
-        # edge under a weak drive, leaves |p| at 7e-13 of the terms.
-        ax = abs(x)
-        x2 = ax * ax
-        x3 = x2 * ax
-        mag = abs(c4) + abs(c3) * ax + abs(c2) * x2 + abs(c1) * x3 + abs(c0) * (x3 * ax)
-        if abs((((c0 * x + c1) * x + c2) * x + c3) * x + c4) <= _ROOT_ACCEPT * mag:
-            roots.append(x)
-
-    pts = [-bound] + [x for x in crits if -bound < x < bound] + [bound]
-    vals = [(((c0 * x + c1) * x + c2) * x + c3) * x + c4 for x in pts]
-    for i in range(len(pts) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if fa * fb < 0.0:
-            roots.append(_bracketed_newton(p, dp, pts[i], pts[i + 1], fa))
-    return roots
-
-
-def _polish(p, dp, x):
-    # A few safeguarded Newton steps against the untrimmed quartic p.
-    c0, c1, c2, c3, c4 = p
-    d0, d1, d2, d3, d4 = dp
-    px = (((c0 * x + c1) * x + c2) * x + c3) * x + c4
-    for _ in range(3):
-        if px == 0.0:
-            break
-        dpx = (((d0 * x + d1) * x + d2) * x + d3) * x + d4
-        if dpx == 0.0:
-            break
-        x1 = x - px / dpx
-        p1 = (((c0 * x1 + c1) * x1 + c2) * x1 + c3) * x1 + c4
-        if abs(p1) < abs(px):
-            x, px = x1, p1
-        else:
-            break
-    return x
-
-
-def _copy(xs, p):
-    """Index of the copy of a multiple root that stands for it among xs,
-    ascending: least |p(x)| (p a padded quartic), then nearest the centre,
-    then least |x|.  eta -> -eta, p -> -p(-eta) keeps each key exactly."""
-    c0, c1, c2, c3, c4 = p
-    mid = 0.5 * (xs[0] + xs[-1])
-    keys = [(abs((((c0 * x + c1) * x + c2) * x + c3) * x + c4), abs(x - mid), abs(x))
-            for x in xs]
-    return keys.index(min(keys))
-
-
-def real_roots(c4, c3, c2, c1, c0):
-    """All real roots of c4*x^4 + ... + c0, ascending, multiples collapsed.
-
-    Coefficients small relative to the largest one are treated as exact
-    zeros for the degree choice (the corresponding far roots are the
-    caller's eta = +-inf candidate); every root is then Newton-polished
-    against the full input polynomial.  Roots each within _DEDUPE_EPS *
-    max(1, |q|, |r|) of the next are copies of one multiple root, and _copy
-    picks one.  Returns () when all coefficients vanish.
-    """
-    p = (c4, c3, c2, c1, c0)
-    scale = max(abs(c4), abs(c3), abs(c2), abs(c1), abs(c0))
-    if scale == 0.0:
-        return ()
-    k = 0
-    while k < 4 and abs(p[k]) <= _REL_COEFF_EPS * scale:
-        k += 1
-    j = 4
-    while j > k and abs(p[j]) <= _REL_COEFF_EPS * scale:
-        j -= 1
-    n = j - k
-    roots = _real_roots_desc((0.0,) * (4 - n) + p[k:j + 1], n) if n else []
-    if j < 4:
-        roots.append(0.0)
-    if not roots:
-        return ()
-
-    dp = (0.0, 4.0 * c4, 3.0 * c3, 2.0 * c2, c1)
-    roots = sorted(_polish(p, dp, r) for r in roots)
-    out, chain = [roots[0]], []
-    for q, r in zip(roots, roots[1:]):
-        if r - q > _DEDUPE_EPS * max(1.0, r, -q):  # max(1, |q|, |r|), as q <= r
-            out.append(r)
-        else:  # r is one more copy of the root q is a copy of
-            chain = chain + [r] if chain and chain[-1] == q else [q, r]
-            out[-1] = chain[_copy(chain, p)]
-    return tuple(out)
-
-
 def bloch_from_eta(eta):
     """Bloch-circle point (s_x, s_z) for rational parameter eta."""
     if math.isinf(eta):
@@ -264,20 +90,12 @@ def bloch_from_eta(eta):
 
 
 def eta_from_point(s_x, s_z):
-    """Inverse of bloch_from_eta; the s_x = 1/2 pole maps to +inf."""
-    den = 1.0 - 2.0 * s_x
-    if den <= 0.0:
-        return math.inf
-    num = 1.0 + 2.0 * s_x
-    if num <= 0.0:
-        return 0.0
-    mag = math.sqrt(num / den)
-    if s_z < 0.0:
-        return -mag
-    if s_z == 0.0:
-        # On the axis the sign is irrelevant (s_z = eta/(1+eta^2) = 0).
-        return 0.0 if s_x < 0.0 else math.inf
-    return mag
+    """Inverse of bloch_from_eta, as a ratio that keeps the bits of a small
+    s_z (1/2 - s_x = 1/(1 + eta**2), 1/2 + s_x = eta**2/(1 + eta**2));
+    the s_x = 1/2 pole maps to +inf."""
+    if s_x <= 0.0:
+        return s_z / (0.5 - s_x)
+    return (0.5 + s_x) / s_z if s_z else math.inf
 
 
 def reduced_energy(u, v, delta, rabi, s_x, s_z):
@@ -289,23 +107,145 @@ def energy_theta(u, v, delta, rabi, theta):
     return reduced_energy(u, v, delta, rabi, 0.5 * math.cos(theta), 0.5 * math.sin(theta))
 
 
-def grad_residual(u, v, delta, rabi, eta):
-    """|de/dtheta| at the point eta: the stationarity defect on the circle.
+def grad_residual(u, v, delta, rabi, s_x, s_z):
+    """|de/dtheta| at the point (s_x, s_z): the stationarity defect on the circle."""
+    return abs(2.0 * (u + v) * s_x * s_z + delta * s_x - rabi * s_z)
 
-    Equals |quartic(eta)| / (2*(1 + eta**2)**2), which stays meaningful (and
-    small for polished roots) even at the large eta that arise when delta is
-    tiny, where the raw quartic value is dominated by evaluation noise.
+
+def _astroid_side(w, d, r):
+    """Sign of (w**2 - d**2 - r**2)**3 - 27*w**2*d**2*r**2 for w >= 0 and
+    d, r > 0: 1 strictly inside the astroid r**(2/3) + d**(2/3) = w**(2/3),
+    0 on it, -1 outside.  Exact: evaluated on the integers that are the
+    three floats times one power of two."""
+    (a, p), (b, q), (c, n) = w.as_integer_ratio(), d.as_integer_ratio(), r.as_integer_ratio()
+    m = max(p, q, n)
+    w2, d2, r2 = (a * (m // p)) ** 2, (b * (m // q)) ** 2, (c * (m // n)) ** 2
+    f = w2 - d2 - r2
+    if f <= 0:
+        return -1
+    g = f * f * f - 27 * w2 * d2 * r2
+    return (g > 0) - (g < 0)
+
+
+def _split(w, k, k2):
+    """t of the least of G between the poles, for the middle root whose
+    multiplier is k*(1 + t): there the multiplier's magnitude is
+    w * k**(2/3) / (k**(2/3) + k2**(2/3)), here in ratios of the couplings."""
+    m = max(k, k2)
+    r, r2 = (k / m) ** (1.0 / 3.0), (k2 / m) ** (1.0 / 3.0)
+    return w / m / (r * (r * r + r2 * r2)) - 1.0
+
+
+def _secular_root(k, k2, d0, s, t_max):
+    """The root of G on one monotone interval, which starts at t = 0, the
+    bound where the term of the coupling k reads 1.
+
+    The root's multiplier for k is k*(1 + t), the other one is k2 + e with
+    e = d0 + s*k*t >= 0: s = +1 beyond both poles, where the two grow
+    together, and -1 between them, where they add up to |w|.  G = 0 reads
+    h(t) = 1 + t - 1/rho = 0, rho = sqrt(x*(2 - x)) and x = e/(k2 + e), and
+    1/rho is convex in e, so h is concave: Newton from t = 0, where
+    h <= 0, climbs to the first root without passing it (Reinsch's form of
+    the secular equation; Gander, Golub & von Matt 1989) and stops where
+    the floats stop moving it.  t_max, the least of G between the poles,
+    bounds the iterates of a middle root.  Working in ratios to k, not in
+    products with it, keeps the bits of a root within a subnormal distance
+    of its pole.  Returns (k/multiplier, k2/other multiplier).
     """
-    if math.isinf(eta):
-        return 0.5 * abs(delta)
-    e2 = eta * eta
-    lhs = (
-        2.0 * (u + v) * eta * (1.0 - e2)
-        + 2.0 * rabi * eta * (1.0 + e2)
-        + delta * (1.0 - e2 * e2)
-    )
-    d = 1.0 + e2
-    return abs(lhs) / (2.0 * d * d)
+    # d0 = 0: both bounds meet at the start, where rho = 0.  The caller then
+    # has k >= k2, and with r = t*k/k2 the root has r >= 1/3 (as t <=
+    # sqrt(2) - 1) and r*(1 + r)**2 >= k/(2*k2): start at the larger bound
+    t = 0.0
+    if not d0 > 0.0:
+        eps = k2 / k
+        t = eps * max(1.0 / 3.0, (2.0 * eps) ** (-1.0 / 3.0) - 1.0)
+    for _ in range(100):
+        e = d0 + s * k * t
+        m2 = k2 + e
+        x = e / m2
+        rho = math.sqrt(x * (2.0 - x))
+        if (1.0 + t) * rho >= 1.0:
+            break
+        q = k2 / m2
+        slope = rho * rho * rho + s * q * q * k / m2  # rho**3 * h'(t)
+        if not slope > 0.0:
+            break
+        step = rho * rho * (1.0 - (1.0 + t) * rho) / slope
+        t_next = min(t + step, t_max)
+        if not t_next > t:
+            break
+        t = t_next
+    return 1.0 / (1.0 + t), k2 / (k2 + d0 + s * k * t)
+
+
+def stationary_points(u, v, delta, rabi):
+    """Every stationary point of the reduced energy on the circle, each as
+    (theta, s_x, s_z, energy, minimum).
+
+    One point per root of the secular equation (see the module docstring),
+    in an order and with s_x values that depend on delta only through
+    |delta|, so delta -> -delta flips every s_z and theta and nothing else.
+    A root's curvature a*s_z**2 + c*s_x**2 makes it a minimum where it is
+    positive; where it is 0 (a cusp of the astroid: a lobe edge or a driven
+    pitchfork) the point is a minimum if a, c >= 0, the global one.  The
+    work is in ratios and sums of the couplings, so it needs their ratios
+    in the float range, as they are at S ~ 1, where solve_point calls it.
+    """
+    w = u + v
+    big_w, d = abs(w), abs(delta)
+    sg = -1.0 if delta < 0.0 else 1.0
+    pts = []  # (s_x, s_z, minimum)
+    if rabi == 0.0:
+        # the axis points s_z = -+sg/2, at c = +-|delta| and a = c - w
+        for c, s_z in ((d, -0.5 * sg), (-d, 0.5 * sg)):
+            a = c - w
+            pts.append((0.0, s_z, a > 0.0 or (a == 0.0 and c >= 0.0)))
+        if d < big_w:  # the pair at a = 0, c = w
+            r = (big_w - d) / big_w
+            s_x = 0.5 * math.sqrt(r * (2.0 - r))
+            s_z = -0.5 * delta / w
+            pts += [(s_x, s_z, w > 0.0), (-s_x, s_z, w > 0.0)]
+    elif delta == 0.0:
+        # the axis points s_x = -+1/2, at a = +-rabi and c = a + w
+        for a, s_x in ((rabi, -0.5), (-rabi, 0.5)):
+            c = a + w
+            pts.append((s_x, 0.0, c > 0.0 or (c == 0.0 and a >= 0.0)))
+        if rabi < big_w:  # the pair at c = 0, a = -w
+            r = (big_w - rabi) / big_w
+            s_z = 0.5 * math.sqrt(r * (2.0 - r))
+            s_x = 0.5 * rabi / w
+            pts += [(s_x, s_z, w < 0.0), (s_x, -s_z, w < 0.0)]
+    else:
+        # beyond both poles (a, c > 0, with c - a = w) the global minimum,
+        # before both (a, c < 0, with |c| - |a| = -w) the global maximum;
+        # each starts at the larger of its bounds |a| >= rabi and
+        # |a| >= |delta| -+ w (from |c| >= |delta|)
+        for wp, sign, minimum in ((w, -0.5, True), (-w, 0.5, False)):
+            lo = d - wp
+            if rabi > lo or (rabi == lo and rabi >= d):
+                p, q = _secular_root(rabi, d, rabi - lo, 1.0, math.inf)
+            else:
+                q, p = _secular_root(d, rabi, lo - rabi, 1.0, math.inf)
+            pts.append((sign * p, sign * sg * q, minimum))
+        side = _astroid_side(big_w, d, rabi)
+        if side >= 0:
+            # between the poles a and c have opposite signs, |a| + |c| = |w|
+            sx, sz = (0.5, -0.5 * sg) if w > 0.0 else (-0.5, 0.5 * sg)
+            if side == 0:  # the double root, at the least of G: an inflection
+                pts.append((sx * (rabi / big_w) ** (1.0 / 3.0),
+                            sz * (d / big_w) ** (1.0 / 3.0), False))
+            else:
+                p, q = _secular_root(rabi, d, big_w - rabi - d, -1.0, _split(big_w, rabi, d))
+                pts.append((sx * p, sz * q, w > 0.0))
+                q, p = _secular_root(d, rabi, big_w - d - rabi, -1.0, _split(big_w, d, rabi))
+                pts.append((sx * p, sz * q, w < 0.0))
+    out = []
+    for s_x, s_z, minimum in pts:
+        # + 0.0 reads a zero coordinate as 0.0, whatever the sign of delta
+        s_x, s_z = s_x + 0.0, s_z + 0.0
+        out.append((math.atan2(s_z, s_x), s_x, s_z,
+                    reduced_energy(u, v, delta, rabi, s_x, s_z), minimum))
+    return out
 
 
 def _select(cands, minima, scale):
@@ -339,8 +279,8 @@ def solve_point(u, v, delta, rabi):
 
     Returns (s_x, s_z, energy, eta, residual, degenerate, flat, n_minima):
 
-    * eta is the representative coordinate of the reported point (+-inf for
-      the (1/2, 0) pole), residual its on-circle gradient defect;
+    * eta is the rational coordinate of the reported point (+inf at the
+      (1/2, 0) pole), residual its on-circle gradient defect;
     * degenerate is True when a second, distinct stationary point ties the
       lowest minimum within 1e-10 * S; the reported point is that minimum,
       with exact ties among minima (equal to evaluation precision) broken
@@ -348,73 +288,31 @@ def solve_point(u, v, delta, rabi):
     * flat is True when delta, rabi and u+v all vanish (relative to the
       coupling scale S) and the energy is constant on the circle -- the
       conventional point (-1/2, 0) is returned;
-    * n_minima counts local minima of the energy on the circle: the roots
-      where the stationarity quartic p falls from + to - as eta increases,
-      and the pole where its curvature (u + v - rabi)/2 is positive.
+    * n_minima counts the local minima of the energy on the circle, as
+      stationary_points marks them.
 
     The problem is homogeneous of degree 1 in the couplings, so it is solved
-    for the couplings divided by 2**k, the power of two at S, where the
-    quartic coefficients can neither overflow nor underflow; the division
-    is exact, and energy and residual are scaled back by 2**k.
+    for the couplings divided by 2**k, the power of two at S, where no ratio
+    or sum of them can overflow; the division is exact, and energy and
+    residual are scaled back by 2**k.
     """
     k = math.frexp(coupling_scale(u, v, delta, rabi))[1]
     u, v = math.ldexp(u, -k), math.ldexp(v, -k)
     delta, rabi = math.ldexp(delta, -k), math.ldexp(rabi, -k)
-    w = u + v
     scale = coupling_scale(u, v, delta, rabi)
-    if scale == 0.0 or max(abs(delta), rabi, abs(w)) <= _REL_COEFF_EPS * scale:
+    if scale == 0.0 or max(abs(delta), rabi, abs(u + v)) <= _REL_COEFF_EPS * scale:
         s_x, s_z = -0.5, 0.0
         e = reduced_energy(u, v, delta, rabi, s_x, s_z)
-        residual = grad_residual(u, v, delta, rabi, 0.0)
+        residual = grad_residual(u, v, delta, rabi, s_x, s_z)
         return (s_x, s_z, math.ldexp(e, k), 0.0, math.ldexp(residual, k),
                 True, True, 0)
 
-    c3, c1 = 2.0 * (w - rabi), -2.0 * (w + rabi)
-    roots = real_roots(delta, c3, 0.0, c1, -delta)
-    # where real_roots drops delta the pole enters, and p is read without it
-    pole = abs(delta) <= _REL_COEFF_EPS * max(abs(delta), abs(c3), abs(c1))
-    c4 = 0.0 if pole else delta
-    # p is read beyond each end root and between consecutive roots.  The
-    # roots from a reading > 0 to the next nonzero one, < 0, are one minimum:
-    # readings of exactly 0 fall between the copies real_roots returns for
-    # one multiple root, and _copy picks the copy that stands for it.
-    cands, minima = [], []  # cands: (theta, s_x, s_z, energy, eta)
-    pending = prev = run = None  # pending: the copy picked since the last reading > 0
-    for r in roots:
-        x = r - 1.0 - abs(r) if prev is None else 0.5 * (prev + r)
-        px = (((c4 * x + c3) * x) * x + c1) * x - c4
-        # bloch_from_eta, theta = pi - 2*atan(eta) and reduced_energy,
-        # written out; the roots of the scaled quartic are finite
-        d = 1.0 + r * r
-        s_x = (r * r - 1.0) / (2.0 * d)
-        s_z = r / d
-        cands.append((math.pi - 2.0 * math.atan(r), s_x, s_z,
-                      -u * s_x * s_x + v * s_z * s_z + delta * s_z + rabi * s_x, r))
-        if px > 0.0:
-            pending = cands[-1]
-        elif px < 0.0 and pending is not None:
-            minima.append(pending)
-            pending = None
-        elif pending is not None:  # p reads 0: r is one more copy of the pending root
-            run = run + [cands[-1]] if run and run[-1] is cands[-2] else cands[-2:]
-            pending = run[_copy([c[4] for c in run], (c4, c3, 0.0, c1, -c4))]
-        prev = r
-    x = prev + 1.0 + abs(prev) if roots else 0.0
-    if pending is not None and (((c4 * x + c3) * x) * x + c1) * x - c4 < 0.0:
-        minima.append(pending)
-    if pole:
-        cands.append((0.0, 0.5, 0.0, reduced_energy(u, v, delta, rabi, 0.5, 0.0), math.inf))
-        if c3 > 0.0:
-            minima.append(cands[-1])
-    if not minima:
-        # A non-flat landscape has a minimum; reaching here is a solver bug.
-        raise RuntimeError(
-            f"no local minimum found for couplings {(u, v, delta, rabi)!r}")
-
-    minima.sort()
+    cands = stationary_points(u, v, delta, rabi)
+    minima = [c for c in cands if c[4]]
     rep, degenerate = _select(cands, minima, scale)
-    residual = grad_residual(u, v, delta, rabi, rep[4])
-    return (rep[1], rep[2], math.ldexp(rep[3], k), rep[4],
+    s_x, s_z = rep[1], rep[2]
+    residual = grad_residual(u, v, delta, rabi, s_x, s_z)
+    return (s_x, s_z, math.ldexp(rep[3], k), eta_from_point(s_x, s_z),
             math.ldexp(residual, k), degenerate, False, len(minima))
 
 
@@ -446,7 +344,7 @@ def oracle_minimum(u, v, delta, rabi, n_points):
     Scans n_points uniform angles, refines every grid-local minimum (the
     lowest few) by golden-section search to _DISTINCT_ANGLE and picks among
     them by solve_point's tie-break rule (_select); finding them shares no
-    code with the quartic route.  The landscape is flat when its energies
+    code with stationary_points.  The landscape is flat when its energies
     on the grid span at most _REL_COEFF_EPS * S.  Returns (s_x, s_z, energy,
     theta, degenerate, flat, n_minima).
 

@@ -8,9 +8,10 @@ reduces the variational energy per atom to
 
 on the spin circle s_x**2 + s_z**2 = 1/4 (s_y = 0 at any minimum).  Two
 routes find the minima independently: ground_state, which solves the
-stationarity quartic in the rational coordinate eta, and
-oracle_grid_minimum, a brute-force scan with golden-section refinement used
-to cross-check it.  Both report their point by the same tie-break rule.
+secular equation of the Lagrange multiplier, one root per monotone
+interval, and oracle_grid_minimum, a brute-force scan with golden-section
+refinement used to cross-check it.  Both report their point by the same
+tie-break rule.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ class BlochPoint:
 class MeanFieldSolution:
     """Ground-state data in the thermodynamic limit (energies per atom).
 
-    eta is the representative stationary coordinate (+-inf at the (1/2, 0)
-    pole, reachable only where delta is zero to rounding) and residual its
-    on-circle gradient defect |de/dtheta|.  The reported point is the local
-    minimum with the largest s_z, then s_x, within 1e-13 * S (S the largest
-    coupling) of the lowest.  degenerate marks a second stationary point,
-    not necessarily a minimum, more than 1e-8 rad away and within 1e-10 * S
-    of the lowest minimum.  flat_manifold marks a constant energy on the circle.
+    eta is the rational coordinate of the point (+inf at (1/2, 0)) and
+    residual its on-circle gradient defect |de/dtheta|.  The reported point
+    is the local minimum with the largest s_z, then s_x, within 1e-13 * S
+    (S the largest coupling) of the lowest.  degenerate marks a second
+    stationary point, not necessarily a minimum, more than 1e-8 rad away
+    and within 1e-10 * S of the lowest minimum.  flat_manifold marks a
+    constant energy on the circle.
     """
 
     point: BlochPoint
@@ -94,7 +95,7 @@ def _solution_from_kernel(params: ModelParams, s_x, s_z, e, eta, residual,
 
 
 def ground_state(params: ModelParams) -> MeanFieldSolution:
-    """Global minimum of the reduced energy via the stationarity quartic.
+    """Global minimum of the reduced energy via the secular equation.
 
     On a flat manifold (delta = omega_rabi = u + v = 0 relative to the
     coupling scale) the conventional point (-1/2, 0) is returned with
@@ -106,21 +107,19 @@ def ground_state(params: ModelParams) -> MeanFieldSolution:
 
 def oracle_grid_minimum(params: ModelParams, n_points: int = 4096) -> MeanFieldSolution:
     """Brute-force minimum over n_points circle angles with golden-section
-    refinement; it finds its minima without the quartic route and breaks
-    ties by the same rule as ground_state.
+    refinement; it finds its minima without the secular equation and
+    breaks ties by the same rule as ground_state.
 
     The reported residual reflects the refinement limit of a comparison
-    search (~1e-8 in angle), not the quartic-root polish.
+    search (~1e-8 in angle), not a root solve to the last float.
     """
     if n_points < 1000:
         raise ParameterError("oracle grid needs at least 1000 points")
     s_x, s_z, e, theta, degenerate, flat, n_minima = kernels.oracle_minimum(
         params.u, params.v, params.delta, params.omega_rabi, n_points
     )
-    eta = kernels.eta_from_point(s_x, s_z)
     residual = kernels.grad_residual(
-        params.u, params.v, params.delta, params.omega_rabi, eta
+        params.u, params.v, params.delta, params.omega_rabi, s_x, s_z
     )
-    return _solution_from_kernel(
-        params, s_x, s_z, e, eta, residual, degenerate, flat, n_minima
-    )
+    return _solution_from_kernel(params, s_x, s_z, e, kernels.eta_from_point(s_x, s_z),
+                                 residual, degenerate, flat, n_minima)

@@ -38,7 +38,8 @@ from .model import AXES, ModelParams, ParameterError, field_name, record
 # Round-off guard of the classifier on m/N and on s_x.
 _CLASSIFY_TOL = 1e-6
 # Smallest jump between coexisting minima that makes a transition first
-# order, in the observable's unit (S for the energy, 1 for the others).
+# order, in the observable's unit (S for the energy, (lambda/omega)**2 for
+# the photon density, 1 for the others).
 _JUMP_TOL = 1e-6
 # susceptibility_v's step (relative to S), and the change of m/N that warns.
 _STENCIL_STEP = 1e-4
@@ -388,9 +389,12 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     fs = [solve(t)[0] for t in ts]
     f_range = max(fs) - min(fs)
     unit = 1.0
-    if observable == "energy":  # the largest S on the scan, at one end (S is convex)
+    if observable in ("energy", "photon_density"):
+        # S or (lambda/omega)**2, the larger at the two ends of the scan (S
+        # is convex along an axis, lambda/omega monotone)
         ends = [params.replace(**{field_name(axis): t}) for t in (t_min, t_max)]
-        unit = max(coupling_scale(p.u, p.v, p.delta, p.omega_rabi) for p in ends)
+        unit = max(coupling_scale(p.u, p.v, p.delta, p.omega_rabi) if observable == "energy"
+                   else (p.lam / p.omega) ** 2 for p in ends)
 
     mag = [abs(fs[i] - 2.0 * fs[i + 1] + fs[i + 2]) for i in range(n_scan - 2)]
     mags = sorted(mag)

@@ -237,7 +237,7 @@ def run_sweep(config: SweepConfig) -> SweepDataset:
     base = [getattr(config.base, name) for name in AXES]
     rows = [_solve_node(config, slots, base, node) for node in nodes]
     provenance = (
-        f"extdicke sweep format 9, version {__version__}",
+        f"extdicke sweep format 10, version {__version__}",
         "config " + json.dumps(config.to_dict(), separators=(",", ":")),
     )
     return SweepDataset(columns=_columns(config), rows=tuple(rows),

@@ -178,26 +178,26 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 9.  A changed digest is a change of
+# writes, recorded at sweep format 10.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
-# the Newton-kernel and parity-sector changes gave.  The provenance line
+# the Newton-kernel, parity-sector and secular-equation changes gave.  The provenance line
 # also carries the package version and the format, so a version or format
 # bump changes every digest.
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "c35246ba2141b399279cfff284755e277083a9e6c5a46c81f00c3f27262b2ee9",
-      "fig2_curve1.csv": "2a857a5fdfc5d6465b831b3441cfffd2667577ddae8e8106fa2a2a0f6718f43b",
-      "fig2_curve2.csv": "02dbbfefa11bbd9493e5dc6982b043e9e57752fa25524646682f78b270146c62"}),
+     {"fig2_curve0.csv": "40958e6c8c1cde8b95f605811d108cced2a6d67890bede9f3ef6708468a02293",
+      "fig2_curve1.csv": "e986024644f49e5e23aeee5d7581b5a4ad3e658942c222737427003f021b6b97",
+      "fig2_curve2.csv": "f59d41cb50211b6ca42817c138a2d9b37b82540b9b6d5b18ab396c07d752f64a"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "e31cee3f9eb24e5cae8f33a3497152aeb0705f5cb5f98ed9cb76ef2e9bafcfaa",
+     {"fig3_grid.csv": "53a452669abc91cc196541225ae61d804b1cdb1336eb25492669178d2b43ee01",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "f33f963753779ed8a3055b9a80c04e4932cfb24ac4a65e2492b29867e72fda5e",
-      "fig4_curve1.csv": "df6aa1df8637cb9167b9338ab6d7d33ced5ed102ec00f2d54aadfe144c89cdc8",
-      "fig4_curve2.csv": "601a2fd1829f6a89ca15066dc9f4a5ce42deec6269f065c4358c270491ffcdaf",
-      "fig4_curve3.csv": "f7eb62f5045b8e178377500937f3c64ec1fdf2ed4103b91a5255a4c50a72a471"}),
+     {"fig4_curve0.csv": "6a9b3e034a956fa7bdf73326a373d1759d0d6ae04517e4295430d1eed8f9d1b0",
+      "fig4_curve1.csv": "6fffc29b772e9c4e0f65f46cb5c4ae971bdf0e413c4bee2d71b9867f6e6ae35d",
+      "fig4_curve2.csv": "1843c2abbaebf5f1ca0cbcd113cae03f9aec5302923478172e912dc71eea435d",
+      "fig4_curve3.csv": "0a859cc99bbacfe426b1a7fc9dd03a502c26715980e6cc14dd4863839e8ff909"}),
 ]
 
 
@@ -224,7 +224,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 9: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 10: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build on one CPU
@@ -234,7 +234,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "02c91773c7805fb7a301e97f8864026a3eef255ec529b6b925f475f23b67a656",
+    "fca649ee9f3d29ae9413e00b081e230b1c432dbaac7fb11bca5d2352c82c28e0",
 )
 
 

@@ -1,10 +1,13 @@
-"""Scalar kernel tests: quartic root finding against the numpy companion
-matrix, and solver/scan agreement."""
+"""Scalar kernel tests: stationary points against the numpy companion
+matrix and closed forms, minima counts against an exact astroid, and
+solver/oracle agreement."""
 
 from __future__ import annotations
 
 import math
 import random
+import types
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,30 +28,20 @@ def random_params(rng):
             rng.uniform(-3.0, 3.0), rng.uniform(0.0, 3.0))
 
 
-def test_roots_of_constructed_separated_quartics():
-    rng = random.Random(11)
-    for _ in range(400):
-        while True:
-            roots = sorted(rng.uniform(-3.0, 3.0) for _ in range(4))
-            if min(b - a for a, b in zip(roots, roots[1:])) > 0.1:
-                break
-        coeffs = np.poly(roots)
-        found = kernels.real_roots(*coeffs)
-        assert len(found) == 4
-        for want, got in zip(roots, found):
-            assert abs(want - got) < 5e-9
-
-
 def test_roots_match_companion_matrix_on_generic_coefficients():
+    # the eta of each stationary point is a real root of the stationarity
+    # quartic delta*eta**4 + 2(w - rabi)*eta**3 - 2(w + rabi)*eta - delta
     rng = random.Random(12)
     checked = 0
     for _ in range(500):
-        coeffs = [rng.uniform(-3.0, 3.0) for _ in range(5)]
-        oracle = companion_real_roots(coeffs)
+        u, v, d, r = random_params(rng)
+        w = u + v
+        oracle = companion_real_roots([d, 2.0 * (w - r), 0.0, -2.0 * (w + r), -d])
         # companion eigenvalues blur clustered roots; only score clean cases
         if any(b - a < 1e-3 for a, b in zip(oracle, oracle[1:])):
             continue
-        found = kernels.real_roots(*coeffs)
+        found = sorted(kernels.eta_from_point(p[1], p[2])
+                       for p in kernels.stationary_points(u, v, d, r))
         assert len(found) == len(oracle)
         for want, got in zip(oracle, found):
             assert abs(want - got) < 1e-6 * (1.0 + abs(want))
@@ -57,46 +50,51 @@ def test_roots_match_companion_matrix_on_generic_coefficients():
 
 
 def test_roots_known_sets():
-    # 3*(x+3)(x+1)(x+1/3)(x-1) has roots -3, -1, -1/3, 1
-    coeffs = 3.0 * np.poly([-3.0, -1.0, -1.0 / 3.0, 1.0])
-    got = kernels.real_roots(*coeffs)
-    np.testing.assert_allclose(got, [-3.0, -1.0, -1.0 / 3.0, 1.0],
-                               rtol=0.0, atol=1e-10)
-    # multiple roots are reported once, at full precision
-    assert kernels.real_roots(*np.poly([1.0, 1.0, -2.0, -3.0])) == (-3.0, -2.0, 1.0)
-    assert kernels.real_roots(*np.poly([2.0, 2.0, 2.0, -1.0])) == (-1.0, 2.0)
-    assert kernels.real_roots(1.0, 0.0, 0.0, 0.0, 0.0) == (0.0,)
-    # no real roots / degenerate degrees
-    assert kernels.real_roots(1.0, 0.0, 0.0, 0.0, 1.0) == ()
-    assert kernels.real_roots(0.0, 0.0, 1.0, 0.0, -4.0) == (-2.0, 2.0)
-    assert kernels.real_roots(0.0, 0.0, 0.0, 2.0, -1.0) == (0.5,)
-    assert kernels.real_roots(0.0, 0.0, 0.0, 0.0, 0.0) == ()
+    def points(*c):
+        return [(s_x, s_z, minimum) for _, s_x, s_z, _, minimum in kernels.stationary_points(*c)]
+
+    q = math.sqrt(3.0) / 4.0
+    # rabi = 0 inside the lobe: the axis points s_z = -+1/2 are maxima, the
+    # pair at the pole a = 0, s_z = -delta/(2(u + v)), the minima
+    assert points(1.0, 0.0, 0.5, 0.0) == [(0.0, -0.5, False), (0.0, 0.5, False),
+                                          (q, -0.25, True), (-q, -0.25, True)]
+    # at the lobe edge the pair has merged into s_z = -1/2, the one minimum
+    assert points(1.0, 0.0, 1.0, 0.0) == [(0.0, -0.5, True), (0.0, 0.5, False)]
+    # delta = 0, v < -u: the pair at the pole c = 0, s_x = rabi/(2(u + v)),
+    # are the minima, until it merges into s_x = -1/2 at the driven pitchfork
+    assert points(1.0, -2.0, 0.0, 0.5) == [(-0.5, 0.0, False), (0.5, 0.0, False),
+                                           (-0.25, q, True), (-0.25, -q, True)]
+    assert points(1.0, -2.0, 0.0, 1.0) == [(-0.5, 0.0, True), (0.5, 0.0, False)]
+    # both zero: the axis points of both couplings
+    assert points(1.0, 0.0, 0.0, 0.0) == [(0.0, -0.5, False), (0.0, 0.5, False),
+                                          (0.5, 0.0, True), (-0.5, 0.0, True)]
+    # on the astroid, 27**(2/3) + 64**(2/3) = 125**(2/3): the global minimum,
+    # the global maximum and the double root, an inflection at
+    # (s_x, s_z) = ((27/125)**(1/3), -(64/125)**(1/3))/2
+    got = points(125.0, 0.0, 64.0, 27.0)
+    assert [minimum for _, _, minimum in got] == [True, False, False]
+    assert abs(got[2][0] - 0.3) < 1e-15 and abs(got[2][1] + 0.4) < 1e-15
 
 
-def test_root_finding_work_count():
-    # Newton inside each monotone bracket needs ~37 evaluations of the
-    # stationarity quartic per real_roots call on these points; bisecting
-    # every bracket to fp exhaustion needs ~155.  The kernel evaluates its
-    # polynomials inline, so the leading coefficient counts them: every
-    # Horner pass over the quartic starts with lead * x, and a product of
-    # Lead is a plain float, so the roots keep their bits.  A call count,
-    # not a time, so it cannot flake.
+def test_root_finding_work_count(monkeypatch):
+    # Newton on the concave form of the secular equation takes about five
+    # steps a root on these couplings, each with one square root.  A call
+    # count, not a time, so it cannot flake.
     calls = 0
 
-    class Lead(float):
-        def __mul__(self, other):
-            nonlocal calls
-            calls += 1
-            return float.__mul__(self, other)
+    def sqrt(x):
+        nonlocal calls
+        calls += 1
+        return math.sqrt(x)
 
+    counting = types.SimpleNamespace(**vars(math))
+    counting.sqrt = sqrt
+    monkeypatch.setattr(kernels, "math", counting)
     rng = random.Random(18)
-    n = 500
-    for _ in range(n):
-        u, v, d, r = random_params(rng)
-        w = u + v
-        coeffs = (2.0 * (w - r), 0.0, -2.0 * (w + r), -d)
-        assert kernels.real_roots(Lead(d), *coeffs) == kernels.real_roots(d, *coeffs)
-    assert 0 < calls / n < 60
+    roots = 0
+    for _ in range(500):
+        roots += len(kernels.stationary_points(*random_params(rng)))
+    assert 0 < calls / roots < 8
 
 
 def test_bloch_eta_roundtrip():
@@ -106,7 +104,10 @@ def test_bloch_eta_roundtrip():
         assert abs(kernels.eta_from_point(s_x, s_z) - eta) < 1e-12 * (1.0 + abs(eta))
     s_x, s_z = kernels.bloch_from_eta(math.inf)
     assert (s_x, s_z) == (0.5, 0.0)
+    assert kernels.eta_from_point(s_x, s_z) == math.inf
     assert kernels.bloch_from_eta(0.0) == (-0.5, 0.0)
+    # the ratio form keeps the bits of a small s_z, where 1 + 2*s_x cancels
+    assert kernels.eta_from_point(*kernels.bloch_from_eta(1e-10)) == 1e-10
 
 
 def test_energy_parametrizations_agree():
@@ -186,10 +187,9 @@ def test_solver_matches_oracle_over_full_float_range(u, v, d, r, d_exp):
 
 
 def test_solver_matches_oracle_where_delta_is_zero_to_rounding():
-    # |delta| = S * 10**U(-15, -13) straddles the level at which the quartic
-    # drops its leading coefficient delta and the eta = inf pole stands in
-    # for the far root; the solver must count, tie and place the minima as
-    # the brute-force route does on either side of that level
+    # |delta| = S * 10**U(-15, -13): without a drive the minima are the
+    # pair at the pole a = 0, 1e-14 from the axis s_z = 0 or from s_x = +-1/2;
+    # the solver must count, tie and place them as the brute-force route does
     rng = random.Random(21)
     for _ in range(200):
         u = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
@@ -203,27 +203,26 @@ def test_solver_matches_oracle_where_delta_is_zero_to_rounding():
         assert abs(sol[0] - ora[0]) <= 1e-6 and abs(sol[1] - ora[1]) <= 1e-6, (u, v, d, r)
 
 
-def test_pole_enters_exactly_when_the_quartic_drops_delta():
-    # u + v = 3: delta = 3e-14 is below 1e-14 of the quartic's coefficient
-    # scale 2|u + v| = 6 but above 1e-14 * S = 2e-14; the mirror minima
-    # s_x = +-1/2 tie as they do at delta = 1e-14
-    for d in (1e-14, 3e-14):
-        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, 2.0, d, 0.0)
-        assert (s_x, eta, deg, nmin) == (0.5, math.inf, True, 2)
-    # u + v = 0.1: delta = 5e-15 is above 1e-14 * 2|u + v| = 2e-15, so the
-    # far root near the pole is kept and the pole must not be counted again
-    s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, -0.9, 5e-15, 0.0)
-    assert math.isfinite(eta) and deg and nmin == 2
+def test_mirror_wells_where_delta_is_zero_to_rounding():
+    # rabi = 0 and |delta| < u + v: the minima are the pair at the pole
+    # a = 0, s_z = -delta/(2(u + v)) and s_x = +-1/2 to rounding; they tie,
+    # and the one with s_x > 0 is reported, with its finite eta
+    for u, v, d in ((1.0, 2.0, 1e-14), (1.0, 2.0, 3e-14), (1.0, -0.9, 5e-15)):
+        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(u, v, d, 0.0)
+        assert (s_x, s_z) == (0.5, -0.5 * d / (u + v))
+        assert math.isfinite(eta) and deg and nmin == 2
 
 
-def test_pole_readings_leave_out_the_dropped_delta():
-    # u + v - rabi = 1e-12: the cubic left when real_roots drops delta has
-    # roots near eta = +-1.4e6, where delta*eta**4 would outweigh it; read
-    # with delta, p would change sign nowhere and the pole's shallow well,
-    # 1 above the minimum at s_x = -1/2, would be the only minimum counted
+def test_one_minimum_just_outside_the_astroid_cusp():
+    # (u, v, rabi) = (1, 1e-12, 1) lies 1e-12 inside the driven pitchfork
+    # rabi = u + v, where the astroid is 5.5e-19 wide in delta: |delta| =
+    # 1e-14 lies some 2e4 half-widths outside it, so the couplings have one
+    # minimum, at s_x = -1/2, and one maximum (as an 80-digit solve of the
+    # quartic finds too)
     for d in (1e-14, -1e-14):
         s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, 1e-12, d, 1.0)
-        assert (s_x, e, nmin) == (-0.5, -0.75, 2)
+        assert (s_x, e, nmin) == (-0.5, -0.75, 1)
+        assert len(kernels.stationary_points(1.0, 1e-12, d, 1.0)) == 2
 
 
 def test_flat_level_in_units_of_the_coupling_scale():
@@ -238,76 +237,14 @@ def test_flat_level_in_units_of_the_coupling_scale():
     assert flat and (s_x, s_z) == (-0.5, 0.0)
 
 
-def test_root_acceptance_is_the_rounding_error_bound():
-    # ((x - 3)**2 + 1e-13) * (x**2 + 1) has no real root: at the critical
-    # point x = 3, |p| = 1e-12 is 2.8e-15 of the term magnitudes there,
-    # three times Horner's rounding-error bound 8 * 2**-53
-    assert kernels.real_roots(*np.polymul([1.0, -6.0, 9.0 + 1e-13], [1.0, 0.0, 1.0])) == ()
-    # the rounded coefficients of (x - 0.1)**2 (x + 2)(x + 3) leave |p| at
-    # the double root within that bound, but not within a tenth of it
-    got = kernels.real_roots(*np.poly([0.1, 0.1, -2.0, -3.0]))
-    assert len(got) == 3 and abs(got[2] - 0.1) < 1e-12
-
-
 def test_weak_drive_at_the_lobe_edge_has_one_minimum():
-    # at |delta| = u + v under a drive of 1e-12 * u the quartic has one real
-    # root next to eta = 1 and a complex pair 1e-4 off the axis; the
-    # critical point between them is no stationary point, and counting it
-    # as one made a single minimum read as two, or as degenerate
+    # at |delta| = u + v under a drive of 1e-12 * u the couplings lie just
+    # outside the astroid's cusp: one minimum, next to eta = 1, where the
+    # stationarity quartic also has a complex pair 1e-4 off the axis
     for v in (0.0, -1e-12):
         s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, v, -1.0, 1e-12)
         assert (deg, nmin) == (False, 1)
         assert abs(eta - 0.99987) < 1e-5
-
-
-def test_root_merge_level():
-    # the double root -1/8 comes back as copies 1.4e-10 apart (relative),
-    # which are one root ...
-    got = kernels.real_roots(*(0.125 * np.poly([-0.125, -0.125, 31.5, -0.25])))
-    assert len(got) == 3 and abs(got[1] + 0.125) < 1e-9
-    # ... while the simple roots 0 and 5e-9 are two
-    assert kernels.real_roots(*np.poly([0.0, 5e-9, 1.0, 2.0]))[:2] == (0.0, 5e-9)
-
-
-def test_root_merge_keeps_the_copy_with_the_smaller_residual(monkeypatch):
-    # the polish turns an exact double root into copies; of a chain of
-    # copies, each within _DEDUPE_EPS of the next, the one kept has the
-    # smallest |p|, which is a later copy in some of these quartics (copies
-    # farther apart both stay, a known fault of real_roots)
-    rng = np.random.default_rng(30)
-    polished = []
-    polish = kernels._polish
-
-    def recorded(p, dp, x):
-        polished.append(polish(p, dp, x))
-        return polished[-1]
-
-    monkeypatch.setattr(kernels, "_polish", recorded)
-
-    def residual(c, x):
-        return abs((((c[0] * x + c[1]) * x + c[2]) * x + c[3]) * x + c[4])
-
-    later = 0
-    for _ in range(2000):
-        r, a, b = rng.integers(-256, 256, size=3) / 4.0
-        if len({r, a, b}) < 3:
-            continue
-        c = tuple(float(x) for x in 1000.0 * np.poly([r, r, a, b]))
-        polished.clear()
-        got = kernels.real_roots(*c)
-        chains = []
-        for x in sorted(polished):
-            if chains and x - chains[-1][-1] <= kernels._DEDUPE_EPS * max(
-                    1.0, abs(x), abs(chains[-1][-1])):
-                chains[-1].append(x)
-            else:
-                chains.append([x])
-        for x in set(polished) - set(got):
-            kept = [y for y in got for chain in chains if x in chain and y in chain]
-            best = min(kept, key=lambda y: residual(c, y))
-            assert residual(c, best) <= residual(c, x), (c, x)
-            later += best > x
-    assert later > 0
 
 
 def test_selection_window_stays_below_near_critical_splitting():
@@ -327,19 +264,28 @@ def test_tie_window_in_units_of_the_coupling_scale():
     assert not kernels.solve_point(1.0, -3.0, 2e-9, 0.0)[5]
 
 
+def _astroid_count(w, d, r):
+    """2 strictly inside the astroid r**(2/3) + |d|**(2/3) = |w|**(2/3),
+    else 1: the sign of (w**2 - d**2 - r**2)**3 - 27*w**2*d**2*r**2 in
+    exact rationals, with the first factor positive."""
+    w2, d2, r2 = (Fraction(x) ** 2 for x in (w, d, r))
+    f = w2 - d2 - r2
+    return 2 if f > 0 and f ** 3 > 27 * w2 * d2 * r2 else 1
+
+
 def test_minima_count_matches_the_astroid():
-    # two minima exactly inside the astroid
-    # rabi**(2/3) + |delta|**(2/3) < |u + v|**(2/3) (Stoner & Wohlfarth,
-    # Phil. Trans. R. Soc. A 240, 599, 1948), one on it and outside.  The
-    # points sit at a relative distance of 1e-9 to 1e-1 from the curve, on
-    # either side, for both signs of u + v, on the delta = 0 and rabi = 0
-    # slices and between; on the slices, where the curve is exact in floats,
-    # also on it: the cusps |delta| = |u + v| and the pitchfork rabi = |u + v|
+    # two minima exactly inside the astroid (Stoner & Wohlfarth, Phil.
+    # Trans. R. Soc. A 240, 599, 1948) at w = u + v in floats, one on it and
+    # outside.  The points sit at a relative distance of 1e-16 to 1e-1 from
+    # the curve, on either side, for both signs of u + v, on the delta = 0
+    # and rabi = 0 slices and between; on the slices, where the curve is
+    # exact in floats, also on it: the cusps |delta| = |u + v| and the
+    # pitchfork rabi = |u + v|
     rng = random.Random(20)
     for _ in range(3000):
         u = math.exp(rng.uniform(-3.0, 3.0))
         v = rng.choice((-1.0, 1.0)) * u * rng.uniform(0.1, 3.0) - u
-        s = 1.0 + rng.choice((-1.0, 0.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -1.0)
+        s = 1.0 + rng.choice((-1.0, 0.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -1.0)
         a = abs(u + v) * s
         points = [(a, 0.0), (0.0, a)]
         if s != 1.0:
@@ -347,15 +293,13 @@ def test_minima_count_matches_the_astroid():
             points.append((a * math.sin(phi) ** 3, a * math.cos(phi) ** 3))
         d, r = rng.choice(points)
         d *= rng.choice((-1.0, 1.0))
-        assert kernels.solve_point(u, v, d, r)[7] == (2 if s < 1.0 else 1), (u, v, d, r)
+        assert kernels.solve_point(u, v, d, r)[7] == _astroid_count(u + v, d, r), (u, v, d, r)
 
 
 def test_zero_readings_between_root_copies_are_skipped():
     # on the astroid's fold under a drive (these couplings lie 3e-17 outside
     # it, by an exact evaluation) the metastable well has merged with a
-    # maximum into a double root, which real_roots returns as two or three
-    # copies a few 1e-9 apart; p reads exactly 0 between them and has the
-    # same sign on both sides, so the copies are no minimum
+    # maximum: no middle root, one minimum
     for args in ((1.0, -3.25, -2.0423935614765676, 0.03515625),
                  (1.0, -5.0, -3.186647787423918, 0.2109375)):
         assert kernels.solve_point(*args)[7] == 1
@@ -375,8 +319,8 @@ def test_mirror_minima_next_to_the_lobe_edge_are_distinct():
 
 
 def test_overflow_and_underflow_are_not_flat():
-    # the quartic coefficients overflow (2*(u+v) = -inf) or underflow (the
-    # discriminant of the reduced quadratic) for these unscaled couplings
+    # for these unscaled couplings 2*(u+v) overflows (-inf) or products of
+    # two couplings underflow
     for args in ((1.0, -1e308, 1e308, 0.0), (1e-300, -3e-300, 1e-300, 0.0)):
         sol = kernels.solve_point(*args)
         assert not sol[6]  # flat
@@ -396,14 +340,106 @@ def test_solver_is_deterministic():
     for _ in range(50):
         args = random_params(rng)
         assert kernels.solve_point(*args) == kernels.solve_point(*args)
-        assert kernels.real_roots(args[0], args[1], 0.0, args[2], args[3]) == \
-            kernels.real_roots(args[0], args[1], 0.0, args[2], args[3])
+        assert kernels.stationary_points(*args) == kernels.stationary_points(*args)
 
 
 def test_residual_zero_only_at_stationary_points():
     # at a generic non-stationary angle the normalized gradient is order one
     u, v, d, r = 1.0, 0.3, 0.4, 0.2
-    eta = 0.37
-    assert kernels.grad_residual(u, v, d, r, eta) > 1e-3
+    assert kernels.grad_residual(u, v, d, r, *kernels.bloch_from_eta(0.37)) > 1e-3
     sol = kernels.solve_point(u, v, d, r)
-    assert kernels.grad_residual(u, v, d, r, sol[3]) < 1e-10
+    assert kernels.grad_residual(u, v, d, r, sol[0], sol[1]) < 1e-10
+
+
+def test_two_minima_just_inside_the_driven_pitchfork():
+    # delta = 0 and rabi < |u + v| with v < -u: the pair at the pole c = 0,
+    # s_x = rabi/(2(u + v)), s_z = +-sqrt(1/4 - s_x**2), are the minima, down
+    # to the last float below the pitchfork rabi = |u + v|, where they merge
+    assert kernels.solve_point(0.17154784088234243, -0.4542168168298747,
+                               0.0, 0.2826689759475268)[5:] == (True, False, 2)
+    rng = random.Random(60)
+    for _ in range(1000):
+        u = math.exp(rng.uniform(-3.0, 3.0))
+        v = -u * rng.uniform(1.1, 4.0)
+        r = abs(u + v)
+        steps = rng.randint(0, 16)
+        for _ in range(steps):
+            r = math.nextafter(r, 0.0)
+        assert kernels.solve_point(u, v, 0.0, r)[7] == (2 if steps else 1), (u, v, r)
+
+
+def test_exact_lobe_edges_have_one_minimum_and_no_tie():
+    # at rabi = 0 and |delta| = u + v the pair at the pole a = 0 has merged
+    # into the axis point s_z = -sign(delta)/2, where a = 0 and c > 0: one
+    # minimum, the global one, and no second stationary point near its energy
+    rng = random.Random(74)
+    for _ in range(4000):
+        u = rng.uniform(0.1, 10.0)
+        v = rng.uniform(-0.9, 2.0) * u
+        d = rng.choice((-1.0, 1.0)) * (u + v)
+        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(u, v, d, 0.0)
+        assert (s_x, s_z, deg, nmin) == (0.0, -math.copysign(0.5, d), False, 1), (u, v, d)
+
+
+def test_minima_mirror_exactly_next_to_the_lobe_edge():
+    # up to 16 float steps either side of a lobe edge, undriven or driven
+    # by 1e-12 * u, the minima tie within the ranking slack: delta -> -delta
+    # flips s_z and eta and nothing else, as the points come in an order
+    # that depends on |delta| only
+    rng = random.Random(4)
+    for _ in range(2000):
+        u = rng.uniform(0.1, 10.0)
+        v = rng.uniform(-0.9, 2.0) * u
+        d = u + v
+        for _ in range(rng.randint(1, 16)):
+            d = math.nextafter(d, rng.choice((-math.inf, math.inf)))
+        r = rng.choice((0.0, 1e-12 * u))
+        a, b = kernels.solve_point(u, v, d, r), kernels.solve_point(u, v, -d, r)
+        assert repr(b) == repr((a[0], -a[1], a[2], -a[3], *a[4:])), (u, v, d, r)
+
+
+def _near_astroid(rng, u, v):
+    """A drive and detuning a few float steps off the astroid at w = u + v."""
+    w = abs(u + v)
+    phi = rng.uniform(0.05, 0.5 * math.pi - 0.05)
+    d, r = w * math.sin(phi) ** 3, w * math.cos(phi) ** 3
+    for _ in range(rng.randint(0, 8)):
+        r = math.nextafter(r, rng.choice((0.0, math.inf)))
+    return rng.choice((-1.0, 1.0)) * d, r
+
+
+def test_hard_families_agree_with_the_oracle():
+    # a root within a subnormal distance of its pole (the first case, where
+    # s_z = -delta/(2c) keeps few bits of a subnormal c), subnormal drives
+    # and detunings, points a few float steps off the astroid, and
+    # couplings where the global minimum's two bounds on |a|, rabi and
+    # |delta| - (u + v), coincide, with a root the width of delta from
+    # the corner; the point lies on the circle and its energy is the
+    # brute-force route's to 1e-12 * S
+    rng = random.Random(28)
+    cases = [(1.0, -2.026090996747101, 6.4e-323, 0.13971169615051093),
+             (0.01913118668835189, -0.028995119741264862, -1.28e-321, 0.009863933052912971)]
+    for _ in range(40):
+        u = math.exp(rng.uniform(-3.0, 3.0))
+        v = rng.uniform(-3.0, 3.0) * u
+        tiny = rng.choice((5e-324, 6.4e-323, 1e-315, 1e-310))
+        cases.append((u, v, rng.choice((-1.0, 1.0)) * tiny, rng.uniform(0.0, 3.0) * u))
+        cases.append((u, v, rng.uniform(-3.0, 3.0) * u, tiny))
+        cases.append((u, v, *_near_astroid(rng, u, v)))
+        d = rng.uniform(0.0, 3.0) * u * rng.choice((1.0, 1e-300, 1e-320))
+        cases.append((u, v, rng.choice((-1.0, 1.0)) * d, abs(d - (u + v))))
+    for c in cases:
+        scale = kernels.coupling_scale(*c)
+        sol, ora = kernels.solve_point(*c), kernels.oracle_minimum(*c, 4096)
+        assert abs(sol[0] ** 2 + sol[1] ** 2 - 0.25) <= 1e-15, c
+        assert abs(sol[2] - ora[2]) <= 1e-12 * scale, c
+
+
+def test_products_of_tiny_couplings_do_not_underflow():
+    # |delta| = 1e308 scales u = 1 and the drive into the subnormals, where
+    # a product of two of them underflows to 0, and no such product may
+    # end up as a divisor
+    for r in (0.7 + 0.0001 * i for i in range(1000)):
+        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, 0.0, -1e308, r)
+        assert (s_z, e, flat, nmin) == (0.5, -0.5e308, False, 1), r
+        assert -1e-300 < s_x <= 0.0, r

@@ -68,7 +68,7 @@ def test_landscape_rejects_h_outside_domain():
         energy_landscape(params_u(1.0), 0.0, 1.5)
 
 
-# --- stationarity quartic ----------------------------------------------
+# --- stationary points ---------------------------------------------------
 
 def test_solve_stationarity_roots_are_stationary():
     rng = random.Random(6)
@@ -78,14 +78,12 @@ def test_solve_stationarity_roots_are_stationary():
                         omega_rabi=rng.uniform(0.0, 2.0),
                         v=rng.uniform(-3.0, 3.0))
         scale = max(1.0, p.u + abs(p.v) + p.omega_rabi + abs(p.delta))
-        # delta*eta^4 + 2(w - rabi)*eta^3 - 2(w + rabi)*eta - delta, w = u + v
-        w, rabi = p.u + p.v, p.omega_rabi
-        roots = kernels.real_roots(p.delta, 2.0 * (w - rabi), 0.0,
-                                   -2.0 * (w + rabi), -p.delta)
-        assert roots
-        for eta in roots:
+        points = kernels.stationary_points(p.u, p.v, p.delta, p.omega_rabi)
+        assert len(points) in (2, 3, 4) and any(pt[4] for pt in points)
+        for theta, s_x, s_z, e, minimum in points:
+            assert on_circle(BlochPoint(s_x, s_z))
             assert kernels.grad_residual(p.u, p.v, p.delta, p.omega_rabi,
-                                         eta) < 1e-9 * scale
+                                         s_x, s_z) < 1e-9 * scale
 
 
 # --- ground states: closed forms ----------------------------------------
@@ -168,10 +166,13 @@ def test_maximum_next_to_the_flat_manifold_is_not_reported():
 
 def test_one_minimum_at_the_spinodal():
     # at |delta| = |u + v| without a drive (v < -u) the metastable well has
-    # merged with the maximum, and the brute-force route counts one minimum
-    p = params_u(1.0, delta=-1.74, v=-2.74)
+    # merged with the maximum, and the brute-force route counts one minimum;
+    # delta = 1 - 2.74 is u + v in floats, while -1.74 lies one float step
+    # inside it, where the well is still there (its curvature is 1.1e-16)
+    p = params_u(1.0, delta=1.0 - 2.74, v=-2.74)
     assert ground_state(p).n_local_minima == 1
     assert oracle_grid_minimum(p).n_local_minima == 1
+    assert ground_state(params_u(1.0, delta=-1.74, v=-2.74)).n_local_minima == 2
 
 
 def test_oracle_minimum_point_count_guard():

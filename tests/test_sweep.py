@@ -150,7 +150,7 @@ def test_exact_failure_at_one_atom_number_blanks_only_its_cells():
 def test_csv_round_trip_is_byte_stable():
     dataset = run_sweep(small_config())
     text = serialize_csv(dataset)
-    assert text.startswith("# extdicke sweep format 9")
+    assert text.startswith("# extdicke sweep format 10")
     again = serialize_csv(parse_csv(text))
     assert again == text
 
@@ -271,7 +271,7 @@ def test_domain_edge_scan_bytes_are_pinned():
     assert errors == {"", "ParameterError: nonpositive cavity frequency",
                       "ParameterError: negative collective coupling"}
     assert hashlib.sha256(serialize_csv(dataset).encode()).hexdigest() \
-        == "4d59335e3e5bf065605468d9f2ecbbe50ed91d1c6279e4e774e1f3cae562a681"
+        == "8e03e66ac384b1adcbdf9bc0647b64cad8431c6a7e328cea2c58a872ebc4e435"
 
 
 def _reference_csv(dataset: SweepDataset) -> str:

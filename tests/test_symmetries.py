@@ -3,13 +3,14 @@ public entry point (metamorphic testing: Chen, Cheung & Yiu, HKUST-CS98-01,
 1998; Segura et al., IEEE TSE 42, 805, 2016).
 
 * MIRROR, delta -> -delta.  The reflection s_z -> -s_z of the Bloch circle
-  (eta -> -eta; s_z = 0, eta = 0 and the pole eta = inf stay put) maps the
-  landscape onto itself, so s_z, eta, m/N, J_z and d(m/N)/dv change sign
-  and nothing else moves, except the finite-N parity (-1)**(n + m + j),
-  which picks up (-1)**N.  At delta = +-0 the landscape is one and the same,
-  and so is every result.  The one exemption is a tie within the select
-  window: double wells at |delta| <= 1e-12 * S, where both sides report the
-  well with the larger s_z.
+  (theta -> -theta, eta -> -eta; s_z = 0, eta = 0 and the pole eta = inf
+  stay put) maps the landscape onto itself, so s_z, theta, eta, m/N, J_z
+  and d(m/N)/dv change sign and nothing else moves, except the finite-N
+  parity (-1)**(n + m + j), which picks up (-1)**N.  At delta = +-0 the
+  landscape is one and the same, and so is every result.  The one
+  exemption is a tie within the select window: double wells at
+  |delta| <= 1e-12 * S, where both sides report the well with the larger
+  s_z.
 * SCALE, every coupling (omega, lambda, delta, rabi, v) times 2**k.
   Energies, residuals, gaps and every coupling (u, and a location on a
   coupling axis) scale by 2**k, d(m/N)/dv by 2**-k; the rest is unchanged.
@@ -19,11 +20,12 @@ public entry point (metamorphic testing: Chen, Cheung & Yiu, HKUST-CS98-01,
   the rest is unchanged.  It is no symmetry of the finite-N H, in which
   omega enters on its own.
 
-Mean-field results (the kernel's real_roots and solve_point, ground_state,
-classify, susceptibility_v, run_sweep rows) are compared field by field by
-repr, so bit for bit.  detect_transitions: the orders are identical and the
-locations are images, exactly where the scan grid maps onto the image grid
-and within 1e-9 of a scan step where the mirror reverses a detuning scan.
+Mean-field results (the kernel's stationary_points and solve_point,
+ground_state, classify, susceptibility_v, run_sweep rows) are compared
+field by field by repr, so bit for bit.  detect_transitions: the orders
+are identical and the locations are images, exactly where the scan grid
+maps onto the image grid and within 1e-9 of a scan step where the mirror
+reverses a detuning scan.
 converge_cutoff: exact under SCALE; under MIRROR its cutoffs and flags are
 identical and its values agree to 1e-12 (relative), as the eigensolver's
 arithmetic differs between the two sides.
@@ -40,12 +42,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extdicke._kernels_py import coupling_scale, real_roots, solve_point
+from extdicke._kernels_py import coupling_scale, solve_point, stationary_points
 from extdicke.exact import converge_cutoff
 from extdicke.meanfield import ground_state
 from extdicke.model import AXES, ModelParams
-from extdicke.phases import (classify, detect_transitions, mott_boundary_delta,
-                             susceptibility_v)
+from extdicke.phases import (TransitionRecord, classify, detect_transitions,
+                             mott_boundary_delta, susceptibility_v)
 from extdicke.sweep import AxisSpec, SweepConfig, run_sweep
 
 
@@ -83,7 +85,7 @@ def _times(e):
 
 
 MIRROR = Symmetry("mirror", {"delta": operator.neg, **dict.fromkeys(
-    ("s_z", "eta", "m_over_n", "chi", "jz"), _reflect)})
+    ("s_z", "theta", "eta", "m_over_n", "chi", "jz"), _reflect)})
 
 
 def scale(k):
@@ -98,13 +100,14 @@ def omega(j):
                                      "alpha": _times(-j), "photon_density": _times(-2 * j)})
 
 
-# The kernel's entry points are cheap and go further: solve_point takes u
-# itself and divides the couplings by their scale, so it reaches 2**+-900,
-# where lambda**2 overflows a ModelParams and Horner's terms for the raw
-# coefficients of real_roots leave the float range.
+# The kernel's entry points are cheap and go further: stationary_points
+# works in ratios and sums of the couplings, so it reaches 2**+-300, where
+# lambda**2 overflows a ModelParams; solve_point also divides the couplings
+# by their scale, so it reaches 2**+-900, where products of two couplings
+# leave the float range.
 MEAN_FIELD = [MIRROR, scale(40), scale(-40), omega(5), omega(10), omega(20)]
-QUARTIC = MEAN_FIELD + [scale(300), scale(-300)]
-KERNEL = QUARTIC + [scale(900), scale(-900)]
+STATIONARY = MEAN_FIELD + [scale(300), scale(-300)]
+KERNEL = STATIONARY + [scale(900), scale(-900)]
 SCANS = [MIRROR, scale(40), scale(-40), omega(10), omega(20)]
 FINITE_N = [MIRROR] + [scale(k) for k in (20, -20, 60, -60, 300, -300)]
 
@@ -178,9 +181,8 @@ def _families():
     out += [("lobe interior", _params(1.0, 1.0, delta=0.3)),
             ("lobe interior", _params(1.0, 1.0, delta=-0.2, v=0.5)),
             ("lobe interior", _params(2.0, 1.0, delta=0.1, omega_rabi=0.4, v=-0.5))]
-    # on the astroid, the three raw copies of a double root are mirror
-    # images, and a greedy left-to-right merge kept one on one side, two
-    # on the other (u = lambda**2/omega is exactly 6.599748423656108)
+    # on the astroid, where the double root must come out once on both
+    # sides of the mirror (u = lambda**2/omega is exactly 6.599748423656108)
     out.append(("astroid reproducer", ModelParams(
         omega=7.0, lam=6.7969286420848025, delta=0.6810967850007255,
         omega_rabi=1.6116788397363755, v=-3.449988923136018)))
@@ -208,30 +210,20 @@ def _apply(sym, run):
                for name, p in FAMILIES)
 
 
-@pytest.mark.parametrize("sym", QUARTIC, ids=repr)
-def test_real_roots(sym):
-    # the stationarity quartic's coefficients are linear in the couplings
-    def roots(c):
-        u, v, d, r = c
-        return real_roots(d, 2.0 * (u + v - r), 0.0, -2.0 * (u + v + r), -d)
-
-    for name, p in FAMILIES:
-        c = (p.u, p.v, p.delta, p.omega_rabi)
-        got, want = roots(sym.couplings(*c)), roots(c)
-        if sym is MIRROR and p.delta != 0.0:
-            want = tuple(-x for x in reversed(want))
-        assert repr(got) == repr(want), (name, p, got, want)
-
-
-@pytest.mark.parametrize("sym", [s for s in QUARTIC if s.image("coefficient", 1.0) != 1.0],
-                         ids=repr)
-def test_real_roots_of_any_quartic(sym):
-    # the coefficients are frequencies: the roots of 2**k * p are those of p
+@pytest.mark.parametrize("sym", STATIONARY, ids=repr)
+def test_stationary_points(sym):
+    # the same points in the same order, at the family points and at
+    # random couplings
+    names = ("theta", "s_x", "s_z", "energy", "minimum")
     rng = random.Random(13)
-    for _ in range(100):
-        c = [rng.uniform(-2.0, 2.0) for _ in range(5)]
-        got = real_roots(*(sym.image("coefficient", x) for x in c))
-        assert repr(got) == repr(real_roots(*c)), c
+    generic = [(rng.uniform(0.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+                rng.uniform(0.0, 2.0)) for _ in range(100)]
+    for c in [(p.u, p.v, p.delta, p.omega_rabi) for _, p in FAMILIES] + generic:
+        a = [dict(zip(names, x)) for x in stationary_points(*c)]
+        b = [dict(zip(names, x)) for x in stationary_points(*sym.couplings(*c))]
+        want = a if sym is MIRROR and c[2] == 0.0 else [
+            {name: sym.image(name, x) for name, x in point.items()} for point in a]
+        assert repr(b) == repr(want), c
 
 
 @pytest.mark.parametrize("sym", KERNEL, ids=repr)
@@ -371,8 +363,10 @@ def scans():
 @pytest.mark.parametrize("sym", SCANS, ids=repr)
 def test_detect_transitions(sym, scans):
     # OMEGA leaves each solve along a scan as it is; the detector adds a
-    # unit for the energy alone, so that is the scan it can change
-    cases = [c for c in scans if c[0] == "energy" or sym.image("omega", 1.0) == 1.0]
+    # unit for the energy and the photon density, so those are the scans
+    # it can change
+    cases = [c for c in scans if c[0] in ("energy", "photon_density")
+             or sym.image("omega", 1.0) == 1.0]
     for observable, p, axis, lo, hi, recs in cases:
         ends = sorted((sym.image(axis, lo), sym.image(axis, hi)))
         got = detect_transitions(sym.params(p), axis, *ends, observable=observable)
@@ -383,8 +377,12 @@ def test_detect_transitions(sym, scans):
         for r, (loc, _) in zip(got, want):
             assert abs(r.location - loc) <= tol, (p, axis, got, recs)
         if sym.image(axis, 1.0) == 1.0:
-            # jump and kink are magnitudes, unchanged on a grid that is
-            assert got == recs, (p, axis, got, recs)
+            # jump and kink are magnitudes of the observable, on a grid that
+            # is unchanged
+            want = [TransitionRecord(r.location, r.order, observable,
+                                     abs(sym.image(observable, r.jump)),
+                                     abs(sym.image(observable, r.kink))) for r in recs]
+            assert got == want, (p, axis, got, recs)
 
 
 # --- finite N ---------------------------------------------------------------

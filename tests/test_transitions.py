@@ -285,3 +285,26 @@ def test_energy_across_the_lobe_refines_no_cell(monkeypatch):
     assert detect_transitions(params_u(1.0, v=0.2), "delta", -2.4, 2.4,
                               observable="energy") == []
     assert calls[0] == 201
+
+
+def test_lobe_edges_of_s_x_are_mirror_images():
+    # next to a lobe edge the minima are the pair s_x = +-x at the pole of
+    # the secular equation, x ~ sqrt of the distance to the edge, and the
+    # tie between them goes to s_x > 0 on both sides: both edges are
+    # second order, at mirror-image locations with one kink
+    recs = detect_transitions(ModelParams(omega=1.0, lam=0.7398303590783157,
+                                          v=0.10835274196937934),
+                              "delta", -1.4086592819537567, 1.1921287741866455,
+                              observable="s_x")
+    assert [r.order for r in recs] == ["second", "second"]
+    assert recs[0].location == -recs[1].location and recs[0].kink == recs[1].kink
+
+
+def test_photon_density_is_read_in_its_own_unit():
+    # the photon density is (lambda/omega)**2 * s_x**2; at fixed u the
+    # unit (lambda/omega)**2 = 4**-j sets the flag floor, so the lobe
+    # edges are found at any omega
+    for j in (0, 5, 10, 20):
+        recs = detect_transitions(ModelParams(omega=4.0**j, lam=2.0**j, v=0.2), "delta",
+                                  -2.4, 2.4, observable="photon_density")
+        assert [(r.location, r.order) for r in recs] == [(-1.2, "second"), (1.2, "second")]
