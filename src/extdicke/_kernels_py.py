@@ -68,9 +68,9 @@ _SELECT_EPS = 1e-13
 # Two stationary points are "the same point" below this angular separation.
 _DISTINCT_ANGLE = 1e-8
 # Coordinate slack when ranking tied minima.  Comparison-based refinement
-# locates a smooth minimum only to ~sqrt(eps) in angle, so coordinates of
-# exact ties can disagree by ~1e-8 between routes; genuinely distinct tied
-# minima in this model are separated by O(1).
+# locates a shallow minimum only to a few 1e-7 in its coordinates, so the
+# oracle's two copies of one tie can disagree by that much; distinct tied
+# wells come as close as a few 1e-6 in s_z just inside a driven pitchfork.
 _RANK_EPS = 1e-6
 
 _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -356,8 +356,7 @@ def oracle_minimum(u, v, delta, rabi, n_points):
     h = TWO_PI / n
     energies = [energy_theta(u, v, delta, rabi, -math.pi + h * i) for i in range(n)]
     scale = coupling_scale(u, v, delta, rabi)
-    i_lo = min(range(n), key=lambda i: energies[i])
-    if max(energies) - energies[i_lo] <= _REL_COEFF_EPS * scale:
+    if max(energies) - min(energies) <= _REL_COEFF_EPS * scale:
         s_x, s_z = -0.5, 0.0
         e = reduced_energy(u, v, delta, rabi, s_x, s_z)
         return (s_x, s_z, e, math.pi, True, True, 0)
@@ -369,10 +368,10 @@ def oracle_minimum(u, v, delta, rabi, n_points):
         en = energies[(i + 1) % n]
         if e <= ep and e <= en and (e < ep or e < en):
             locs.append((e, i))
+    # not empty: the run of grid points at the lowest energy is not the
+    # whole circle (the landscape is not flat), and its end next to a
+    # higher point is a grid-local minimum
     locs.sort()
-    if not locs:
-        # A fp-flat plateau hosting the minimum: fall back to the arg min.
-        locs = [(energies[i_lo], i_lo)]
     pts = []
     for e, i in locs[:8]:
         t0 = -math.pi + h * i

@@ -31,7 +31,11 @@ by one thick-restart Lanczos in numpy (_lowest_levels: each step is the
 three-term recurrence followed by one Gram-Schmidt pass over the whole
 Krylov basis); along a converge_cutoff ladder each run starts from Q.T
 applied to the previous cutoff's psi0 + psi1 of every sector, zero-padded:
-in the photon-major order the new states come last.
+in the photon-major order the new states come last.  Every cutoff is
+solved at unit scale, as _kernels_py.solve_point solves the mean field:
+H / 2**k is built from the couplings divided by 2**k, the power of two at
+ModelParams.hamiltonian_scale, so that no entry, norm or square overflows;
+the division is exact, and E0 and E1 are multiplied back by 2**k.
 
 The mean-field energy per atom is a variational bound for E0/N as N grows;
 at finite N the bound that is rigorous for every v is the product-state
@@ -51,8 +55,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .meanfield import MeanFieldSolution
-from .model import (DIMENSION_BUDGET, LADDER_EPS, N_MAX_START, ConvergenceError,
+from .meanfield import MeanFieldSolution, ground_state
+from .model import (AXES, DIMENSION_BUDGET, LADDER_EPS, N_MAX_START, ConvergenceError,
                     ModelParams, ParameterError, _integer, record)
 
 if TYPE_CHECKING:
@@ -70,7 +74,8 @@ _LANCZOS_TOL = 1e-13
 _START_WEIGHT = 1e-3
 # Largest eigenpair residual ||H x - E x|| accepted, relative to ||H||_inf.
 _RESIDUAL_TOL = 1e-9
-# Largest photon number of a converged ladder, per photon of cutoff.
+# Largest photon number a cutoff holds, per photon of cutoff: converge_cutoff's
+# one rule for whether a ladder can converge and when it has.
 _HEADROOM = 0.8
 
 
@@ -119,61 +124,69 @@ class BandedMatrix:
         return y
 
 
+def _cutoff(params: ModelParams, n_max, budget: int) -> int:
+    """n_max as an int: a nonnegative integer photon cutoff whose basis,
+    (n_max + 1) * (N + 1) states, fits the budget."""
+    nm = _integer(n_max, "photon cutoff")
+    if nm < 0:
+        raise ParameterError("negative photon cutoff")
+    dim = (nm + 1) * (params.n_atoms + 1)
+    if dim > budget:
+        raise ParameterError(
+            f"basis dimension {dim} exceeds the memory budget {budget}"
+        )
+    return nm
+
+
 def build_hamiltonian(params: ModelParams, n_max: int,
                       budget: int = DIMENSION_BUDGET) -> BandedMatrix:
     """The Hamiltonian on the basis truncated at n_max photons, by
     diagonals: the diagonal, +-N and +-(N+2) for the coupling, and +-1 for
     the drive.  Refuses dimensions above budget.
     """
+    return _hamiltonian(params, _cutoff(params, n_max, budget), 0)
+
+
+def _hamiltonian(params: ModelParams, nm: int, k: int) -> BandedMatrix:
+    """H / 2**k at the cutoff nm, built from the couplings divided by 2**k
+    (no ModelParams: omega / 2**k can be subnormal)."""
     import numpy as np
 
-    nm = _integer(n_max, "photon cutoff")
-    if nm < 0:
-        raise ParameterError("negative photon cutoff")
+    omega, lam, delta, rabi, v = (math.ldexp(getattr(params, a), -k) for a in AXES)
     na = params.n_atoms
     dim = (nm + 1) * (na + 1)
-    if dim > budget:
-        raise ParameterError(
-            f"basis dimension {dim} exceeds the memory budget {budget}"
-        )
     j = 0.5 * na
-    # entries that overflow are reported by _solve_sectors' norm check
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = np.arange(na + 1) - j  # m values, ascending
-        n = np.arange(nm + 1)
+    m = np.arange(na + 1) - j  # m values, ascending
+    n = np.arange(nm + 1)
 
-        upper = {0: (
-            params.omega * n[:, None]
-            + params.delta * m[None, :]
-            + (params.v / na) * m[None, :] ** 2
-        ).ravel()}
+    upper = {0: (omega * n[:, None] + delta * m[None, :]
+                 + (v / na) * m[None, :] ** 2).ravel()}
 
-        # <m+1|J+|m> ladder amplitudes.
-        ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
+    # <m+1|J+|m> ladder amplitudes.
+    ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
 
-        def band(cols: slice, amp: np.ndarray, k: int) -> None:
-            """Adds amp, laid out photon block by photon block at spin
-            columns `cols`, to the diagonal at offset k."""
-            d = np.zeros((nm + 1, na + 1))
-            d[:amp.shape[0], cols] = amp
-            d = d.ravel()[:dim - k]
-            # for N = 1 the drive and J- a^dag share offset 1
-            upper[k] = upper[k] + d if k in upper else d
+    def band(cols: slice, amp: np.ndarray, k: int) -> None:
+        """Adds amp, laid out photon block by photon block at spin
+        columns `cols`, to the diagonal at offset k."""
+        d = np.zeros((nm + 1, na + 1))
+        d[:amp.shape[0], cols] = amp
+        d = d.ravel()[:dim - k]
+        # for N = 1 the drive and J- a^dag share offset 1
+        upper[k] = upper[k] + d if k in upper else d
 
-        # (omega_rabi/2) * (J+ + J-): |n, m> -> |n, m+1> in each photon block.
-        if params.omega_rabi != 0.0:
-            band(slice(None, na), np.tile(0.5 * params.omega_rabi * ladder,
-                                          (nm + 1, 1)), 1)
+    # (omega_rabi/2) * (J+ + J-): |n, m> -> |n, m+1> in each photon block.
+    if rabi != 0.0:
+        band(slice(None, na), np.tile(0.5 * rabi * ladder, (nm + 1, 1)), 1)
 
-        # (lambda/(2*sqrt(N))) * (J+ + J-)(a^dag + a): photon +-1, spin +-1.
-        if params.lam != 0.0 and nm >= 1:
-            g = 0.5 * params.lam / np.sqrt(na)
-            photon = np.sqrt(n[1:])  # sqrt(n+1) for n = 0..nm-1
-            amp = g * photon[:, None] * ladder[None, :]
-            # J+ a^dag: |n, m> -> |n+1, m+1>; J- a^dag: |n, m+1> -> |n+1, m>
-            band(slice(None, na), amp, na + 2)
-            band(slice(1, None), amp, na)
-        return BandedMatrix(dim, upper)
+    # (lambda/(2*sqrt(N))) * (J+ + J-)(a^dag + a): photon +-1, spin +-1.
+    if lam != 0.0 and nm >= 1:
+        g = 0.5 * lam / np.sqrt(na)
+        photon = np.sqrt(n[1:])  # sqrt(n+1) for n = 0..nm-1
+        amp = g * photon[:, None] * ladder[None, :]
+        # J+ a^dag: |n, m> -> |n+1, m+1>; J- a^dag: |n, m+1> -> |n+1, m>
+        band(slice(None, na), amp, na + 2)
+        band(slice(1, None), amp, na)
+    return BandedMatrix(dim, upper)
 
 
 def _sectors(params: ModelParams, n_max: int
@@ -385,63 +398,58 @@ def _lowest_levels(h: BandedMatrix, hnorm: float,
 
 def _solve_sectors(h: BandedMatrix,
                    sectors: list[tuple[np.ndarray, np.ndarray]],
-                   start: np.ndarray | None = None
+                   start: np.ndarray | None = None, k: int = 0
                    ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """E0, E1, the ground vector and the next cutoff's start vector of h,
-    solved sector by sector; `sectors` holds the (col, coef) pairs that
-    _sectors gives.  A sector that is the whole basis uses h itself as its
-    block; every other block comes from _sector_block.  Q.T @ x is a
-    bincount over col, and Q @ s a gather.
+    """E0, E1, the ground vector and the next cutoff's start vector of
+    H = 2**k * h, solved sector by sector; `sectors` holds the (col, coef)
+    pairs that _sectors gives.  A sector that is the whole basis uses h
+    itself as its block; every other block comes from _sector_block.
+    Q.T @ x is a bincount over col, and Q @ s a gather.
 
-    E0 and E1 are the two lowest of all the sector levels.  The ground
-    vector is the lowest sector's, Q @ s in the full basis; when
-    sector ground energies agree within _LANCZOS_TOL * ||H||_inf it is the first
-    of those sectors', so a tunnelling doublet gets a definite,
-    reproducible parity.  ||H||_inf is the largest row sum of |H|.  An H
-    with non-finite entries is a ParameterError.  The eigenvalue residual
-    ||H x - E x|| is checked against _RESIDUAL_TOL * ||H||_inf.  `start` (full
-    basis, possibly shorter than h: it is zero-padded) seeds each sector's
-    Lanczos run from Q.T @ start; the returned start holds psi0 + psi1 of
-    every sector.
+    E0 and E1 are the two lowest of all the sector levels, scaled back by
+    2**k.  The ground vector is the lowest sector's, Q @ s in the full
+    basis; when sector ground energies agree within _LANCZOS_TOL *
+    ||h||_inf it is the first of those sectors', so a tunnelling doublet
+    gets a definite, reproducible parity.  ||h||_inf is the largest row sum
+    of |h|.  The eigenvalue residual ||h x - E x|| is checked against
+    _RESIDUAL_TOL * ||h||_inf, and reported in the units of H.  `start`
+    (full basis, possibly shorter than h: it is zero-padded) seeds each
+    sector's Lanczos run from Q.T @ start; the returned start holds
+    psi0 + psi1 of every sector.
     """
     import numpy as np
 
-    # overflow surfaces as the ParameterError or the ConvergenceError below
-    with np.errstate(over="ignore", invalid="ignore"):
-        dim = h.shape[0]
-        hnorm = float((abs(h) @ np.ones(dim)).max())
-        if not math.isfinite(hnorm):
-            raise ParameterError(
-                f"Hamiltonian entries overflow: ||H||_inf = {hnorm}")
-        if start is not None:
-            start = np.concatenate([start, np.zeros(dim - start.size)])
-        levels = []
-        grounds = []  # (sector ground energy, vector)
-        nxt = np.zeros(dim)
-        for col, coef in sectors:
-            inside = col >= 0
-            at = col[inside]
-            size = int(at.max()) + 1
-            sub = h if size == dim else _sector_block(h, col, coef)
-            w, s = _lowest_levels(
-                sub, hnorm, None if start is None else
-                np.bincount(at, coef[inside] * start[inside], size))
-            vecs = np.zeros((dim, s.shape[1]))
-            # added to zeros, as a product sums: a -0.0 of s lands as 0.0
-            vecs[inside] += coef[inside, None] * s[at]
-            levels.extend(float(x) for x in w)
-            grounds.append((float(w[0]), vecs[:, 0]))
-            nxt += vecs.sum(axis=1)
-        levels.sort()
-        e0 = levels[0]
-        e1 = levels[1] if len(levels) > 1 else e0
-        eg, vec = next(g for g in grounds if g[0] - e0 <= _LANCZOS_TOL * hnorm)
-        defect = float(np.linalg.norm(h @ vec - eg * vec))
-        if defect > _RESIDUAL_TOL * hnorm:
-            raise ConvergenceError(
-                f"eigenpair residual {defect:.3e} exceeds {_RESIDUAL_TOL:g} * ||H||"
-                f" = {_RESIDUAL_TOL * hnorm:.3e}")
-        return e0, e1, vec, nxt
+    dim = h.shape[0]
+    hnorm = float((abs(h) @ np.ones(dim)).max())
+    if start is not None:
+        start = np.concatenate([start, np.zeros(dim - start.size)])
+    levels = []
+    grounds = []  # (sector ground energy, vector)
+    nxt = np.zeros(dim)
+    for col, coef in sectors:
+        inside = col >= 0
+        at = col[inside]
+        size = int(at.max()) + 1
+        sub = h if size == dim else _sector_block(h, col, coef)
+        w, s = _lowest_levels(
+            sub, hnorm, None if start is None else
+            np.bincount(at, coef[inside] * start[inside], size))
+        vecs = np.zeros((dim, s.shape[1]))
+        # added to zeros, as a product sums: a -0.0 of s lands as 0.0
+        vecs[inside] += coef[inside, None] * s[at]
+        levels.extend(float(x) for x in w)
+        grounds.append((float(w[0]), vecs[:, 0]))
+        nxt += vecs.sum(axis=1)
+    levels.sort()
+    e0 = levels[0]
+    e1 = levels[1] if len(levels) > 1 else e0
+    eg, vec = next(g for g in grounds if g[0] - e0 <= _LANCZOS_TOL * hnorm)
+    defect = float(np.linalg.norm(h @ vec - eg * vec))
+    if defect > _RESIDUAL_TOL * hnorm:
+        raise ConvergenceError(
+            f"eigenpair residual {math.ldexp(defect, k):.3e} exceeds "
+            f"{_RESIDUAL_TOL:g} * ||H|| = {math.ldexp(_RESIDUAL_TOL * hnorm, k):.3e}")
+    return math.ldexp(e0, k), math.ldexp(e1, k), vec, nxt
 
 
 @record
@@ -492,22 +500,14 @@ def _observables(params: ModelParams, vec: np.ndarray) -> tuple[float, float, fl
     return photon, jz, jx, parity
 
 
-def solve_at_cutoff(params: ModelParams, n_max: int,
-                    budget: int = DIMENSION_BUDGET, *,
-                    _ladder: list | None = None) -> ExactSolution:
-    """Ground-state observables at a fixed photon cutoff.
-
-    `_ladder` is converge_cutoff's private link between the cutoffs of one
-    ladder: a one-slot list with the previous cutoff's start vector (None
-    for the first cutoff), read as the Lanczos start and overwritten with
-    this cutoff's.  Without it the solve starts cold.
-    """
-    n_max = _integer(n_max, "photon cutoff")
-    h = build_hamiltonian(params, n_max, budget=budget)
-    start = _ladder[0] if _ladder is not None else None
-    e0, e1, vec, nxt = _solve_sectors(h, _sectors(params, n_max), start)
-    if _ladder is not None:
-        _ladder[0] = nxt
+def _solve(params: ModelParams, n_max: int, budget: int,
+           start: np.ndarray | None) -> tuple[ExactSolution, np.ndarray]:
+    """solve_at_cutoff's observables, at unit scale, from the Lanczos start
+    `start` (None for a cold one), and the start for the next cutoff."""
+    nm = _cutoff(params, n_max, budget)
+    k = math.frexp(params.hamiltonian_scale)[1]
+    e0, e1, vec, nxt = _solve_sectors(_hamiltonian(params, nm, k), _sectors(params, nm),
+                                      start, k)
     photon, jz, jx, parity = _observables(params, vec)
     return ExactSolution(
         energy=e0,
@@ -517,44 +517,53 @@ def solve_at_cutoff(params: ModelParams, n_max: int,
         jx=jx,
         parity=parity,
         gap=e1 - e0,
-        n_max_used=n_max,
+        n_max_used=nm,
         n_atoms=params.n_atoms,
         converged=False,
-    )
+    ), nxt
+
+
+def solve_at_cutoff(params: ModelParams, n_max: int,
+                    budget: int = DIMENSION_BUDGET) -> ExactSolution:
+    """Ground-state observables at a fixed photon cutoff, from a cold
+    Lanczos start."""
+    return _solve(params, n_max, budget, None)[0]
 
 
 def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
-                    n_max_start: int = N_MAX_START,
                     budget: int = DIMENSION_BUDGET) -> ExactSolution:
-    """Double the photon cutoff until E0 moves by at most eps * max(|E0|,
-    params.hamiltonian_scale) and the photon number stays below _HEADROOM * n_max.
+    """Double the photon cutoff from N_MAX_START until E0 moves by at most
+    eps * max(|E0|, params.hamiltonian_scale) and the photon number
+    p = max(<a^dag a>, N * alpha**2) fits the cutoff: p < _HEADROOM * n_max.
 
-    Each cutoff's Lanczos run starts from the previous cutoff's
-    psi0 + psi1 per sector, zero-padded.  Returns the observables at the
-    final cutoff; converged is False when the dimension budget stops the
-    doubling first.
+    The mean-field N * alpha**2 is the large-N limit of <a^dag a> (Emary &
+    Brandes, PRE 67, 066203 (2003)); it counts the photons that a small
+    cutoff truncates, and where it does not fit the largest cutoff the
+    doubling reaches within the budget, the ladder cannot converge: a
+    ConvergenceError before any cutoff is solved.  A first cutoff above
+    the budget is a ParameterError.  Returns the observables at the final
+    cutoff; converged is False when the budget stops the doubling first.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ParameterError(
             f"convergence tolerance must be finite and positive, got {eps!r}")
-    n_max_start = _integer(n_max_start, "photon cutoff start")
-    if n_max_start < 1:
-        raise ParameterError("photon cutoff start must be at least 1")
-    ladder = [None]
-    sol = solve_at_cutoff(params, n_max_start, budget=budget, _ladder=ladder)
-    n_max = n_max_start
-    while True:
-        n_next = 2 * n_max
-        if (n_next + 1) * (params.n_atoms + 1) > budget:
-            return sol  # converged stays False: budget hit first
-        nxt = solve_at_cutoff(params, n_next, budget=budget, _ladder=ladder)
+    n_top = _cutoff(params, N_MAX_START, budget)
+    while (2 * n_top + 1) * (params.n_atoms + 1) <= budget:
+        n_top *= 2
+    photons = params.n_atoms * ground_state(params).photon_density
+    if not photons < _HEADROOM * n_top:
+        raise ConvergenceError(
+            f"mean-field photon number {photons:.6g} needs a photon cutoff above "
+            f"{photons / _HEADROOM:.6g}, and the budget {budget} allows at most n_max {n_top}")
+    sol, start = _solve(params, N_MAX_START, budget, None)
+    while sol.n_max_used < n_top:
+        nxt, start = _solve(params, 2 * sol.n_max_used, budget, start)
         tol = eps * max(abs(nxt.energy), params.hamiltonian_scale)
-        stable = abs(nxt.energy - sol.energy) <= tol
-        headroom = nxt.photon_number < _HEADROOM * n_next
-        if stable and headroom:
+        if (abs(nxt.energy - sol.energy) <= tol
+                and max(nxt.photon_number, photons) < _HEADROOM * nxt.n_max_used):
             return ExactSolution(**{**vars(nxt), "converged": True})
         sol = nxt
-        n_max = n_next
+    return sol  # converged stays False: the budget stops the doubling first
 
 
 def product_state_energy(params: ModelParams, mf: MeanFieldSolution) -> float:

@@ -33,8 +33,9 @@ _FLOAT_MAX = sys.float_info.max
 # Couplings a sweep or a transition scan may move, by ModelParams field.
 AXES = ("omega", "lam", "delta", "omega_rabi", "v")
 
-# Defaults of exact.converge_cutoff, here so that sweeps and the CLI read
-# them without loading it: eps, n_max_start and the dimension budget.
+# The cutoff ladder of exact.converge_cutoff, here so that sweeps and the
+# CLI read it without loading exact: its default eps and dimension budget,
+# and the photon cutoff every ladder starts at.
 LADDER_EPS = 1e-8
 N_MAX_START = 8
 DIMENSION_BUDGET = 400_000

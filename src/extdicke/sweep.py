@@ -22,8 +22,8 @@ import math
 
 from . import __version__, _kernels_py
 from .meanfield import point_observables
-from .model import (AXES, LADDER_EPS, N_MAX_START, ModelParams, ParameterError, _integer,
-                    _real, check_couplings, dumps_json, field_name, record)
+from .model import (AXES, LADDER_EPS, ModelParams, ParameterError, _integer, _real,
+                    check_couplings, dumps_json, field_name, record)
 from .phases import phase_label
 
 
@@ -54,7 +54,6 @@ class SweepConfig:
     axes: tuple[AxisSpec, ...]
     exact_n: tuple[int, ...] = ()
     exact_eps: float = LADDER_EPS
-    exact_n_max_start: int = N_MAX_START
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
@@ -83,8 +82,6 @@ class SweepConfig:
         if not (math.isfinite(self.exact_eps) and self.exact_eps > 0.0):
             raise ParameterError(
                 f"exact_eps must be finite and positive, got {self.exact_eps!r}")
-        if self.exact_n_max_start < 1:
-            raise ParameterError("exact_n_max_start must be at least 1")
 
     def to_dict(self) -> dict:
         out = {
@@ -97,7 +94,6 @@ class SweepConfig:
         if self.exact_n:
             out["exact_n"] = list(self.exact_n)
             out["exact_eps"] = self.exact_eps
-            out["exact_n_max_start"] = self.exact_n_max_start
         return out
 
     @classmethod
@@ -106,7 +102,7 @@ class SweepConfig:
         ParameterError, like a value outside its domain."""
         if not isinstance(data, dict):
             raise ParameterError("sweep config must be a JSON object")
-        known = {"base", "axes", "exact_n", "exact_eps", "exact_n_max_start"}
+        known = {"base", "axes", "exact_n", "exact_eps"}
         unknown = set(data) - known
         if unknown:
             raise ParameterError(f"unknown sweep config keys: {sorted(unknown)}")
@@ -122,8 +118,6 @@ class SweepConfig:
             axes=tuple(_axis(a, i) for i, a in enumerate(data["axes"])),
             exact_n=tuple(_integer(n, "exact_n entry") for n in exact_n),
             exact_eps=_real(data.get("exact_eps", cls.exact_eps), "exact_eps"),
-            exact_n_max_start=_integer(data.get("exact_n_max_start",
-                                                cls.exact_n_max_start), "exact_n_max_start"),
         )
 
     @classmethod
@@ -215,11 +209,7 @@ def _solve_node(config: SweepConfig, slots: list[int], base: list,
         from .exact import converge_cutoff
     for n in config.exact_n:
         try:
-            ex = converge_cutoff(
-                ModelParams(*couplings, n_atoms=n),
-                eps=config.exact_eps,
-                n_max_start=config.exact_n_max_start,
-            )
+            ex = converge_cutoff(ModelParams(*couplings, n_atoms=n), eps=config.exact_eps)
             row.extend(
                 (ex.energy_per_atom, ex.photon_density, ex.m_over_n, ex.converged)
             )
@@ -237,7 +227,7 @@ def run_sweep(config: SweepConfig) -> SweepDataset:
     base = [getattr(config.base, name) for name in AXES]
     rows = [_solve_node(config, slots, base, node) for node in nodes]
     provenance = (
-        f"extdicke sweep format 10, version {__version__}",
+        f"extdicke sweep format 11, version {__version__}",
         "config " + json.dumps(config.to_dict(), separators=(",", ":")),
     )
     return SweepDataset(columns=_columns(config), rows=tuple(rows),

@@ -178,7 +178,7 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 10.  A changed digest is a change of
+# writes, recorded at sweep format 11.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel, parity-sector and secular-equation changes gave.  The provenance line
@@ -187,17 +187,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "40958e6c8c1cde8b95f605811d108cced2a6d67890bede9f3ef6708468a02293",
-      "fig2_curve1.csv": "e986024644f49e5e23aeee5d7581b5a4ad3e658942c222737427003f021b6b97",
-      "fig2_curve2.csv": "f59d41cb50211b6ca42817c138a2d9b37b82540b9b6d5b18ab396c07d752f64a"}),
+     {"fig2_curve0.csv": "3fabdd8d463de0f4ed560cb1417dc8bfcd248e2a65acaf7aeb1b2c0b0976d2a1",
+      "fig2_curve1.csv": "4ca696b20e19cbfb74da2f5eaaf0e0438c02eda741d5c8a6c40d3483c492af78",
+      "fig2_curve2.csv": "706865f4bbc65df6af86d38e0b373595b58296f52346d3326f0e5cdef3b0695a"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "53a452669abc91cc196541225ae61d804b1cdb1336eb25492669178d2b43ee01",
+     {"fig3_grid.csv": "96b6312db05056d502381b2d224fe0b7803fade0f6fa89cf1615689ef864419f",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "6a9b3e034a956fa7bdf73326a373d1759d0d6ae04517e4295430d1eed8f9d1b0",
-      "fig4_curve1.csv": "6fffc29b772e9c4e0f65f46cb5c4ae971bdf0e413c4bee2d71b9867f6e6ae35d",
-      "fig4_curve2.csv": "1843c2abbaebf5f1ca0cbcd113cae03f9aec5302923478172e912dc71eea435d",
-      "fig4_curve3.csv": "0a859cc99bbacfe426b1a7fc9dd03a502c26715980e6cc14dd4863839e8ff909"}),
+     {"fig4_curve0.csv": "8e0091ce711874363941d029538d1e607741aa1ccfbf9486becbf023f989b23a",
+      "fig4_curve1.csv": "bfc64547d98b182c43bffd4fb6c41ff44946bb1ee1b0472745f391d548584b8c",
+      "fig4_curve2.csv": "fe12053ed8fe1b98f8347e7048c07acc1feede82d3a87869644d794759765d6d",
+      "fig4_curve3.csv": "ecb0791e4613bb3db3cd3548d0ba6bbcb2c6d6607f3700adcb20494ed310318b"}),
 ]
 
 
@@ -224,7 +224,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 10: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 11: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build on one CPU
@@ -234,7 +234,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "fca649ee9f3d29ae9413e00b081e230b1c432dbaac7fb11bca5d2352c82c28e0",
+    "d03f7a3c9834764add74892510879dee74f6349b60606879b2c0573ec9836489",
 )
 
 

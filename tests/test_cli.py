@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 import warnings
 
 import pytest
@@ -278,19 +279,56 @@ def test_exact_check_warns_when_the_budget_stops_the_ladder(capsys):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["--omega", "1e308", "--lambda", "1", "--n-list", "2"], 2),  # ||H|| = inf
-    (["--lambda", "1e154", "--n-list", "2"], 1),  # residual guard
-    (["--v=1e308", "--n-list", "4"], 1),
+    (["--lambda", "1e200", "--n-list", "2"], 2),  # u = lambda**2/omega = inf
+    (["--lambda", "1e154", "--n-list", "2"], 1),  # 5e307 photons
+    (["--omega", "1e-300", "--lambda", "1e-10", "--n-list", "2"], 1),  # inf photons
 ])
 def test_exact_check_overflow_is_one_error_line(argv, code, capsys):
-    # numpy overflow inside the build and the eigensolve raises no warning
-    # of its own; the norm check and the residual guard report it
+    # a coupling or a photon number beyond the float range raises no numpy
+    # warning: the model's domain rule and the photon-number refusal report it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["exact-check", *argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, photons", [
+    (["--lambda", "1e154", "--n-list", "2"], "5e+307"),
+    (["--lambda", "1e100", "--n-list", "2"], "5e+199"),
+    (["--omega", "1e-12", "--n-list", "1"], "2.5e+23"),
+    (["--omega", "1e-12", "--v=1e-160", "--n-list", "1"], "2.5e+23"),
+], ids=["lambda-1e154", "lambda-1e100", "omega-1e-12", "omega-1e-12-v"])
+def test_exact_check_refuses_a_photon_field_beyond_the_budget(argv, photons, capsys):
+    # N * alpha**2 photons need a cutoff above N * alpha**2 / 0.8, and the
+    # 400000-state budget stops the doubling at 131072 at N <= 2: one error
+    # line before any cutoff is solved, where the ladder used to run for
+    # minutes or overflow
+    start = time.perf_counter()
+    assert cli.main(["exact-check", *argv]) == cli.EXIT_CONVERGENCE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: mean-field photon number {photons} ")
+    assert err.endswith(" allows at most n_max 131072\n")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--omega", "1e308", "--lambda", "1", "--n-list", "2"],
+    ["--v=1e308", "--n-list", "4"],
+], ids=["omega-1e308", "v-1e308"])
+def test_exact_check_answers_where_the_hamiltonian_would_overflow(argv, capsys):
+    # ||H||_inf is beyond the float range, but H / 2**k is not: the ladder
+    # converges with no warning from numpy, and E0 is resolved relative to
+    # ||H||_inf as at any other scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["exact-check", *argv, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    (row,) = json.loads(out)["rows"]
+    assert row["converged"] is True and math.isfinite(row["exact_energy_per_atom"])
 
 
 @pytest.mark.parametrize("n_list", ["8,x", "8.5", "4,nan", ",", "0", "-3",
@@ -328,11 +366,12 @@ def _couplings(scale: float) -> list[str]:
 @pytest.mark.parametrize("argv,holds", [
     (_couplings(1e-12) + ["--n-list", "28"], [True]),
     (_couplings(1.0) + ["--n-list", "28"], [True]),
-    # a loose eps stops the ladder at n_max 16, at E/N -2.418 (x 1e-12),
-    # above the product-state bound -4.255: a tolerance of 1e-9 in
-    # absolute terms would hide it at the small scale
-    (_couplings(1e-12) + ["--n-list", "28", "--eps", "0.5"], [False]),
-    (_couplings(1.0) + ["--n-list", "28", "--eps", "0.5"], [False]),
+    # at N = 6 the budget stops the ladder at n_max 32, just above the
+    # 23.9 mean-field photons / 0.8, at E/N -4.2012 (x 1e-12), above the
+    # product-state bound -4.2228: a tolerance of 1e-9 in absolute terms
+    # would hide it at the small scale
+    (_couplings(1e-12) + ["--n-list", "6", "--budget", "231"], [False]),
+    (_couplings(1.0) + ["--n-list", "6", "--budget", "231"], [False]),
     (["--omega", "10", "--lambda", "3.1622776601683795", "--delta", "0.5",
       "--n-list", "8,16,32"], [True] * 3),  # the README example
 ], ids=["tiny", "unit", "tiny-early", "unit-early", "readme"])
@@ -450,11 +489,14 @@ def test_scan_bad_axis_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [{"exact_eps": 0}, {"exact_eps": -1e-8},
                                  {"exact_n_max_start": 0}])
 def test_scan_bad_exact_settings_exit_2_before_any_node(bad, tmp_path, capsys):
+    # exact_n_max_start is no longer a setting: the ladder always starts at
+    # the same cutoff, and a config that sets it names the unknown key
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({**SWEEP_JSON, "exact_n": [4], **bad}))
     out = tmp_path / "data.csv"
     assert cli.main(["scan", "--config", str(config), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: exact_")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(bad)) in err
     assert not out.exists()
 
 
@@ -616,3 +658,62 @@ def test_fuzzed_solve_and_boundaries_arguments_exit_cleanly(capsys):
             json.loads(out, parse_constant=reject)
         codes.add(code)
     assert codes == {0, 2, 3}
+
+
+# the names an error may give an exact-check option by: its flag, or the
+# parameter it sets as the model's domain rule names it (the fields 'lam'
+# and 'omega_rabi' for --lambda and --rabi)
+_EXACT_CHECK_NAMES = {
+    "--omega": ("--omega", "omega", "cavity frequency"),
+    "--lambda": ("--lambda", "lambda", "'lam'", "collective coupling"),
+    "--delta": ("--delta", "delta"),
+    "--rabi": ("--rabi", "Rabi", "'omega_rabi'"),
+    "--v": ("--v", "'v'"),
+    "--eps": ("--eps",),
+    "--budget": ("--budget",),
+    "--n-list": ("--n-list",),
+}
+
+
+def test_fuzzed_exact_check_arguments_exit_cleanly(capsys):
+    # the same for exact-check, at atom numbers up to 4 and a budget that
+    # keeps every ladder short: each run ends within 1 s with 0, 1 for a
+    # ladder that cannot converge or 2 for a bad option, which the error
+    # names
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rng = random.Random(2929)
+    codes = set()
+    for _ in range(150):
+        fmt = rng.choice(("text", "json"))
+        options = {
+            "--n-list": (rng.choice(("0", "-3", "2.5", "x", "", "1,5"))
+                         if rng.random() < 0.1 else
+                         ",".join(str(rng.randint(1, 4)) for _ in range(rng.randint(1, 2)))),
+            "--budget": (rng.choice(("0", "-5", "x", "1e3", "nan"))
+                         if rng.random() < 0.1 else str(rng.randint(1, 3000))),
+        }
+        for flag in rng.sample(("--omega", "--lambda", "--delta", "--rabi", "--v", "--eps"),
+                               rng.randint(1, 6)):
+            options[flag] = (rng.choice(_FUZZ_VALUES) if rng.random() < 0.3 else
+                             repr(rng.uniform(-2.0 if flag in ("--delta", "--v") else 0.0, 2.0)))
+        argv = ["exact-check", "--format", fmt]
+        for flag, value in options.items():
+            argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+        start = time.perf_counter()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argument list
+            code = exc.code
+        assert time.perf_counter() - start < 1.0, argv
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out + err, argv
+        if code == 2:
+            assert any(name in err for flag in options
+                       for name in _EXACT_CHECK_NAMES[flag]), (argv, err)
+        if fmt == "json" and out:
+            json.loads(out, parse_constant=reject)
+        codes.add(code)
+    assert codes == {0, 1, 2}

@@ -88,10 +88,7 @@ def test_build_rejects_bad_inputs():
     lambda p: solve_at_cutoff(p, True),
     lambda p: solve_at_cutoff(p, "4"),
     lambda p: build_hamiltonian(p, 2.5),
-    lambda p: converge_cutoff(p, n_max_start=2.5),
-    lambda p: converge_cutoff(p, n_max_start=True),
-], ids=["half", "nan", "inf", "bool", "str", "build-half", "start-half",
-        "start-bool"])
+], ids=["half", "nan", "inf", "bool", "str", "build-half"])
 def test_non_integer_cutoff_is_a_parameter_error(call):
     p = ModelParams(omega=1.0, lam=1.0, n_atoms=2)
     with pytest.raises(ParameterError, match="must be an integer"):
@@ -173,8 +170,6 @@ def test_converge_cutoff_rejects_bad_ladder_settings():
     for eps in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(ParameterError, match="tolerance"):
             converge_cutoff(p, eps=eps)
-    with pytest.raises(ParameterError, match="cutoff start"):
-        converge_cutoff(p, n_max_start=0)
 
 
 def test_decoupled_limit_is_a_spin_fock_state():
@@ -455,12 +450,6 @@ def test_lanczos_nonconvergence_is_a_convergence_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: Lanczos did not converge")
 
 
-def test_overflowing_hamiltonian_is_a_parameter_error():
-    p = ModelParams(omega=1e308, lam=1.0, n_atoms=2)
-    with np.errstate(over="ignore"), pytest.raises(ParameterError, match="overflow"):
-        solve_at_cutoff(p, 4)
-
-
 def test_parity_is_definite_and_deterministic():
     # a superradiant tunnelling doublet, and an exact cross-sector tie (odd
     # N at delta = 0: the spin flip m -> -m changes the parity), where the
@@ -511,6 +500,37 @@ def test_photon_headroom_holds_a_ladder_whose_energy_is_stable():
     sol = converge_cutoff(p)
     assert sol.converged and sol.photon_number == pytest.approx(256.0, rel=1e-5)
     assert sol.n_max_used < 4.0 * sol.photon_number
+
+
+@pytest.mark.parametrize("lam,n_atoms,photons", [(8.0, 4, 64.0), (8.0, 8, 128.0),
+                                               (4.0, 8, 32.0)])
+def test_mean_field_photon_number_holds_a_truncated_field_open(lam, n_atoms, photons):
+    # as above, with N * alpha**2 = u * N / 4 photons: the field truncated
+    # at a small cutoff piles up against it, and its <a^dag a> (12.5 of 64
+    # at n_max 16) reads below 0.8 * n_max while E0 is stable to eps * rabi.
+    # The mean-field photon number keeps the ladder doubling
+    p = ModelParams(omega=1.0, lam=lam, omega_rabi=1e10, n_atoms=n_atoms)
+    sol = converge_cutoff(p)
+    assert sol.converged and abs(sol.photon_number - photons) <= 1e-3
+
+
+def test_ladder_that_cannot_converge_is_refused_before_any_cutoff(monkeypatch):
+    # N * alpha**2 = 8 photons fit n_max 16 (12.8) but not n_max 8 (6.4):
+    # a budget of 17 * 3 states lets the doubling reach 16, one of 9 * 3
+    # stops it at 8, where the ladder is refused without a solve; a first
+    # cutoff above the budget stays a ParameterError
+    p = ModelParams(omega=1.0, lam=4.0, n_atoms=2)
+    assert p.n_atoms * ground_state(p).photon_density == 8.0
+    assert converge_cutoff(p, budget=51).n_max_used == 16
+
+    def unexpected(*args):
+        raise AssertionError("a cutoff was solved")
+
+    monkeypatch.setattr(exact, "_solve", unexpected)
+    with pytest.raises(ConvergenceError, match=r"photon number 8 .* n_max 8$"):
+        converge_cutoff(p, budget=27)
+    with pytest.raises(ParameterError, match="budget 26$"):
+        converge_cutoff(p, budget=26)
 
 
 def test_product_state_is_an_upper_bound():

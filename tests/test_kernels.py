@@ -203,6 +203,20 @@ def test_solver_matches_oracle_where_delta_is_zero_to_rounding():
         assert abs(sol[0] - ora[0]) <= 1e-6 and abs(sol[1] - ora[1]) <= 1e-6, (u, v, d, r)
 
 
+def test_tied_wells_inside_the_driven_pitchfork_rank_by_s_z():
+    # rabi = |u + v| * (1 - 4.5e-12) with u + v < 0: two wells at s_z of
+    # about +-1.5e-6, tied to rounding, which delta tilts by 1e-24.  They
+    # are distinct minima 3e-6 apart, ten times the largest disagreement of
+    # the oracle's two copies of one tie (3e-7, in the test above), so the
+    # tie-break ranks them by s_z and reports the upper well on both sides
+    # of delta = 0; the first in list order is the lower one at delta > 0
+    for delta in (1e-18, -1e-18):
+        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, -2.0, delta,
+                                                                     1.0 - 4.5e-12)
+        assert deg and nmin == 2
+        assert 1e-6 < s_z < 2e-6, delta
+
+
 def test_mirror_wells_where_delta_is_zero_to_rounding():
     # rabi = 0 and |delta| < u + v: the minima are the pair at the pole
     # a = 0, s_z = -delta/(2(u + v)) and s_x = +-1/2 to rounding; they tie,

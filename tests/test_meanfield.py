@@ -155,6 +155,21 @@ def test_ground_state_matches_grid_oracle():
         assert sol.n_local_minima == ora.n_local_minima
 
 
+@pytest.mark.parametrize("p", [
+    ModelParams(omega=1.0, lam=0.0),  # every coupling 0
+    params_u(1.0, v=-1.0),  # u + v = 0: the energy is -u/4 on the circle
+    params_u(4.0, delta=1e-15, v=-4.0),  # delta = 2.5e-16 * S, below the flat level
+    ModelParams(omega=0.5, lam=2.0, omega_rabi=5e-15, v=-8.0),
+])
+def test_oracle_and_ground_state_agree_on_a_flat_landscape(p):
+    # both routes call the landscape flat and report the conventional
+    # point (-1/2, 0) with no minima, field for field
+    sol = ground_state(p)
+    assert sol.flat_manifold and sol.degenerate and sol.n_local_minima == 0
+    assert (sol.point.s_x, sol.point.s_z) == (-0.5, 0.0)
+    assert oracle_grid_minimum(p) == sol
+
+
 def test_maximum_next_to_the_flat_manifold_is_not_reported():
     # at u + v = 0 a detuning of a few 1e-14 * S splits the stationary points
     # s_z = +-1/2 by less than the 1e-13 * S window in which the larger s_z

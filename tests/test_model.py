@@ -301,7 +301,7 @@ def _records():
                               0.25, 1e-17, True, True, 2),
             TransitionRecord(0.5, "first", "m_over_n", 1.0, 0.0),
             axis,
-            SweepConfig(ModelParams(), (axis,), (4, 8), 1e-6, 4),
+            SweepConfig(ModelParams(), (axis,), (4, 8), 1e-6),
             SweepDataset(("a", "b"), ((1, 2.0),), ("# x",)),
             ExactSolution(-1.5, -0.375, 0.25, -1.0, 0.5, 1.0, 0.125, 16, 4, True)]
 
@@ -354,7 +354,7 @@ def test_record_defaults_and_post_init():
     point = (BlochPoint(0.5, 0.0), 0.0, 0.5, -0.25, 0.0, 0.25, 0.0, False)
     assert MeanFieldSolution(*point) == MeanFieldSolution(*point, False, 0)
     axes = (AxisSpec("v", 0.0, 1.0, 2),)
-    assert SweepConfig(ModelParams(), axes) == SweepConfig(ModelParams(), axes, (), 1e-8, 8)
+    assert SweepConfig(ModelParams(), axes) == SweepConfig(ModelParams(), axes, (), 1e-8)
     assert SweepDataset(("a",), ()).provenance == ()
     # __post_init__ runs on every construction
     with pytest.raises(ParameterError, match="cavity frequency"):

@@ -150,7 +150,7 @@ def test_exact_failure_at_one_atom_number_blanks_only_its_cells():
 def test_csv_round_trip_is_byte_stable():
     dataset = run_sweep(small_config())
     text = serialize_csv(dataset)
-    assert text.startswith("# extdicke sweep format 10")
+    assert text.startswith("# extdicke sweep format 11")
     again = serialize_csv(parse_csv(text))
     assert again == text
 
@@ -271,7 +271,7 @@ def test_domain_edge_scan_bytes_are_pinned():
     assert errors == {"", "ParameterError: nonpositive cavity frequency",
                       "ParameterError: negative collective coupling"}
     assert hashlib.sha256(serialize_csv(dataset).encode()).hexdigest() \
-        == "8e03e66ac384b1adcbdf9bc0647b64cad8431c6a7e328cea2c58a872ebc4e435"
+        == "e39c94999adebf48515a0369a272a290a26d48d87c72518d66e3d731d158631d"
 
 
 def _reference_csv(dataset: SweepDataset) -> str:
@@ -345,14 +345,13 @@ def test_config_defaults_are_the_ladder_defaults():
     config = SweepConfig.from_dict({"base": BASE.to_dict(),
                                     "axes": [{"name": "delta", "min": 0.0,
                                               "max": 1.0, "count": 2}]})
-    assert (config.exact_eps, config.exact_n_max_start) == \
-        (exact.converge_cutoff.__defaults__[0], exact.N_MAX_START)
+    assert config.exact_eps == exact.converge_cutoff.__defaults__[0]
     args = cli.build_parser().parse_args(["exact-check"])
     assert (args.eps, args.budget) == (exact.LADDER_EPS, exact.DIMENSION_BUDGET)
 
 
 def test_config_dict_round_trip():
-    config = small_config(exact_n=(2, 4), exact_eps=1e-6, exact_n_max_start=4)
+    config = small_config(exact_n=(2, 4), exact_eps=1e-6)
     again = SweepConfig.from_dict(config.to_dict())
     assert again == config
     assert SweepConfig.from_json(json.dumps(config.to_dict())) == config
@@ -416,7 +415,6 @@ _MALFORMED = {
         st.lists(st.one_of(_NOT_FINITE, _FRACTION, st.integers(max_value=0)),
                  min_size=1, max_size=2)),
     "exact_eps": st.one_of(_NOT_FINITE, st.floats(max_value=0.0)),
-    "exact_n_max_start": st.one_of(_NOT_FINITE, _FRACTION, st.integers(max_value=0)),
 }
 
 
@@ -442,9 +440,6 @@ def test_bad_exact_counts_rejected():
     for eps in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(ParameterError, match="exact_eps"):
             small_config(exact_n=(4,), exact_eps=eps)
-    for start in (0, -1):
-        with pytest.raises(ParameterError, match="exact_n_max_start"):
-            small_config(exact_n=(4,), exact_n_max_start=start)
     text = json.dumps({**small_config(exact_n=(4,)).to_dict(), "exact_eps": "NaN"})
     with pytest.raises(ParameterError, match="exact_eps"):
         SweepConfig.from_json(text.replace('"NaN"', "NaN"))  # json.loads takes NaN

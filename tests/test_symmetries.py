@@ -26,9 +26,11 @@ field by field by repr, so bit for bit.  detect_transitions: the orders
 are identical and the locations are images, exactly where the scan grid
 maps onto the image grid and within 1e-9 of a scan step where the mirror
 reverses a detuning scan.
-converge_cutoff: exact under SCALE; under MIRROR its cutoffs and flags are
-identical and its values agree to 1e-12 (relative), as the eigensolver's
-arithmetic differs between the two sides.
+converge_cutoff: exact under SCALE, for every 2**k that keeps the couplings
+normal floats (k from -500 to 500 at order-one couplings), as it solves H at
+unit scale; under MIRROR its cutoffs and flags are identical and its values
+agree to 1e-12 (relative), as the eigensolver's arithmetic differs between
+the two sides.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extdicke._kernels_py import coupling_scale, solve_point, stationary_points
@@ -421,3 +423,24 @@ def test_converge_cutoff(sym, ladders):
                 "energy_per_atom": p.hamiltonian_scale, "parity": 1.0}
         for name, x in vars(b).items():
             assert abs(x - want[name]) <= 1e-12 * unit.get(name, abs(x)), (name, p, a, b)
+
+
+# order one or 0, so that every coupling times 2**-500 stays a normal float
+_ORDER_ONE = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+_SIGNED_ORDER_ONE = st.one_of(_ORDER_ONE, st.floats(-1.0, -0.01))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(omega_=st.floats(0.5, 2.0), lam=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+       delta=_SIGNED_ORDER_ONE, omega_rabi=_ORDER_ONE, v=_SIGNED_ORDER_ONE,
+       n_atoms=st.integers(1, 8), k=st.integers(-500, 500))
+@example(1.0, 1.5, 0.0, 0.0, -0.5, 4, -500)
+@example(1.0, 1.5, 0.3, 0.2, 0.5, 3, 500)
+def test_converge_cutoff_over_the_full_float_range(omega_, lam, delta, omega_rabi, v,
+                                                   n_atoms, k):
+    p = ModelParams(omega=omega_, lam=lam, delta=delta, omega_rabi=omega_rabi, v=v,
+                    n_atoms=n_atoms)
+    sym = scale(k)
+    a = converge_cutoff(p)
+    want = {name: sym.image(name, x) for name, x in vars(a).items()}
+    assert repr(vars(converge_cutoff(sym.params(p)))) == repr(want), p
