@@ -1,8 +1,9 @@
 """Scalar hot-path kernels: the stationary points of the reduced energy on
-the Bloch circle, single-point ground states, and the brute-force
-grid/golden-section oracle.  The two routes find their candidate points
-independently and pick the reported one by the same tie-break rule
-(_select).
+the Bloch circle, single-point ground states, and the brute-force grid
+oracle.  The two routes find their stationary points independently, the
+solver from the secular equation and the oracle from the sign changes of
+de/dtheta on a grid, and share everything else (_solve): the scaling, the
+flat rule and the tie-break rule (_select).
 
 Everything here works in the reduced coupling set (u, v, delta, rabi) with
 u = lambda**2 / omega and rabi >= 0.  Energies are per atom in the
@@ -42,7 +43,6 @@ __all__ = [
     "bloch_from_eta",
     "eta_from_point",
     "reduced_energy",
-    "energy_theta",
     "grad_residual",
     "solve_point",
     "oracle_minimum",
@@ -52,8 +52,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # "Zero relative to S": the couplings are a flat manifold when delta, rabi
-# and u+v all fall below this fraction of the coupling scale S, and so is
-# the oracle's grid when its energies span less than it times S.
+# and u+v all fall below this fraction of the coupling scale S.
 _REL_COEFF_EPS = 1e-14
 # Energy window for reporting degenerate (tied) minima, relative to the
 # coupling scale S: energies and their evaluation error are homogeneous of
@@ -65,15 +64,12 @@ _TIE_EPS = 1e-10
 # couplings split distinct minima by ~1e-11 (far above roundoff, far below
 # _TIE_EPS), and the lowest of those must win, not a metastable one.
 _SELECT_EPS = 1e-13
-# Two stationary points are "the same point" below this angular separation.
+# Two stationary points are "the same point" below this angular separation;
+# the oracle bisects each sign change of de/dtheta to this width.
 _DISTINCT_ANGLE = 1e-8
-# Coordinate slack when ranking tied minima.  Comparison-based refinement
-# locates a shallow minimum only to a few 1e-7 in its coordinates, so the
-# oracle's two copies of one tie can disagree by that much; distinct tied
-# wells come as close as a few 1e-6 in s_z just inside a driven pitchfork.
+# Coordinate slack when ranking tied minima: distinct tied wells come as
+# close as a few 1e-6 in s_z just inside a driven pitchfork.
 _RANK_EPS = 1e-6
-
-_INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def coupling_scale(u, v, delta, rabi):
@@ -101,10 +97,6 @@ def eta_from_point(s_x, s_z):
 def reduced_energy(u, v, delta, rabi, s_x, s_z):
     """Per-atom energy at the optimal photon displacement, on the circle."""
     return -u * s_x * s_x + v * s_z * s_z + delta * s_z + rabi * s_x
-
-
-def energy_theta(u, v, delta, rabi, theta):
-    return reduced_energy(u, v, delta, rabi, 0.5 * math.cos(theta), 0.5 * math.sin(theta))
 
 
 def grad_residual(u, v, delta, rabi, s_x, s_z):
@@ -274,6 +266,32 @@ def _select(cands, minima, scale):
     return rep, False
 
 
+def _solve(u, v, delta, rabi, points):
+    """The shared path of solve_point and oracle_minimum: the stationary
+    points points(u, v, delta, rabi) of the couplings divided by 2**k, the
+    power of two at S, where no ratio or sum of them can overflow, then one
+    flat rule and one tie-break (_select).  The division is exact, and
+    energy and residual are scaled back by 2**k."""
+    k = math.frexp(coupling_scale(u, v, delta, rabi))[1]
+    u, v = math.ldexp(u, -k), math.ldexp(v, -k)
+    delta, rabi = math.ldexp(delta, -k), math.ldexp(rabi, -k)
+    scale = coupling_scale(u, v, delta, rabi)
+    if scale == 0.0 or max(abs(delta), rabi, abs(u + v)) <= _REL_COEFF_EPS * scale:
+        s_x, s_z = -0.5, 0.0
+        e = reduced_energy(u, v, delta, rabi, s_x, s_z)
+        residual = grad_residual(u, v, delta, rabi, s_x, s_z)
+        return (s_x, s_z, math.ldexp(e, k), 0.0, math.ldexp(residual, k),
+                True, True, 0)
+
+    cands = points(u, v, delta, rabi)
+    minima = [c for c in cands if c[4]]
+    rep, degenerate = _select(cands, minima, scale)
+    s_x, s_z = rep[1], rep[2]
+    residual = grad_residual(u, v, delta, rabi, s_x, s_z)
+    return (s_x, s_z, math.ldexp(rep[3], k), eta_from_point(s_x, s_z),
+            math.ldexp(residual, k), degenerate, False, len(minima))
+
+
 def solve_point(u, v, delta, rabi):
     """Global minimum of the reduced energy over the Bloch circle.
 
@@ -292,90 +310,47 @@ def solve_point(u, v, delta, rabi):
       stationary_points marks them.
 
     The problem is homogeneous of degree 1 in the couplings, so it is solved
-    for the couplings divided by 2**k, the power of two at S, where no ratio
-    or sum of them can overflow; the division is exact, and energy and
-    residual are scaled back by 2**k.
+    at unit scale (_solve).
     """
-    k = math.frexp(coupling_scale(u, v, delta, rabi))[1]
-    u, v = math.ldexp(u, -k), math.ldexp(v, -k)
-    delta, rabi = math.ldexp(delta, -k), math.ldexp(rabi, -k)
-    scale = coupling_scale(u, v, delta, rabi)
-    if scale == 0.0 or max(abs(delta), rabi, abs(u + v)) <= _REL_COEFF_EPS * scale:
-        s_x, s_z = -0.5, 0.0
-        e = reduced_energy(u, v, delta, rabi, s_x, s_z)
-        residual = grad_residual(u, v, delta, rabi, s_x, s_z)
-        return (s_x, s_z, math.ldexp(e, k), 0.0, math.ldexp(residual, k),
-                True, True, 0)
-
-    cands = stationary_points(u, v, delta, rabi)
-    minima = [c for c in cands if c[4]]
-    rep, degenerate = _select(cands, minima, scale)
-    s_x, s_z = rep[1], rep[2]
-    residual = grad_residual(u, v, delta, rabi, s_x, s_z)
-    return (s_x, s_z, math.ldexp(rep[3], k), eta_from_point(s_x, s_z),
-            math.ldexp(residual, k), degenerate, False, len(minima))
-
-
-def _golden_min(u, v, delta, rabi, lo, hi):
-    # Golden-section minimization down to _DISTINCT_ANGLE, deterministic.
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc = energy_theta(u, v, delta, rabi, c)
-    fd = energy_theta(u, v, delta, rabi, d)
-    for _ in range(80):
-        if b - a <= _DISTINCT_ANGLE:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = energy_theta(u, v, delta, rabi, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = energy_theta(u, v, delta, rabi, d)
-    t = 0.5 * (a + b)
-    return t, energy_theta(u, v, delta, rabi, t)
+    return _solve(u, v, delta, rabi, stationary_points)
 
 
 def oracle_minimum(u, v, delta, rabi, n_points):
-    """Brute-force minimum of the reduced energy over the Bloch circle.
+    """Brute-force minimum of the reduced energy over the Bloch circle, in
+    solve_point's tuple and by its scaling, flat rule and tie-break.
 
-    Scans n_points uniform angles, refines every grid-local minimum (the
-    lowest few) by golden-section search to _DISTINCT_ANGLE and picks among
-    them by solve_point's tie-break rule (_select); finding them shares no
-    code with stationary_points.  The landscape is flat when its energies
-    on the grid span at most _REL_COEFF_EPS * S.  Returns (s_x, s_z, energy,
-    theta, degenerate, flat, n_minima).
-
-    So it counts two minima within a grid cell of each other, as next to a
-    pitchfork, as one; and a comparison search cannot resolve a quasi-flat
-    minimum, which it may count as two (and call degenerate).
+    Its stationary points are the sign changes of the slope de/dtheta on
+    n_points uniform angles, each bisected to _DISTINCT_ANGLE; one from -
+    to + is a minimum.  Finding them shares no code with
+    stationary_points.  Stationary points that share a grid cell make one
+    sign change or none: next to a pitchfork, two minima and the maximum
+    between them count as one minimum.
     """
     n = int(n_points)
     h = TWO_PI / n
-    energies = [energy_theta(u, v, delta, rabi, -math.pi + h * i) for i in range(n)]
-    scale = coupling_scale(u, v, delta, rabi)
-    if max(energies) - min(energies) <= _REL_COEFF_EPS * scale:
-        s_x, s_z = -0.5, 0.0
-        e = reduced_energy(u, v, delta, rabi, s_x, s_z)
-        return (s_x, s_z, e, math.pi, True, True, 0)
 
-    locs = []
-    for i in range(n):
-        e = energies[i]
-        ep = energies[i - 1]
-        en = energies[(i + 1) % n]
-        if e <= ep and e <= en and (e < ep or e < en):
-            locs.append((e, i))
-    # not empty: the run of grid points at the lowest energy is not the
-    # whole circle (the landscape is not flat), and its end next to a
-    # higher point is a grid-local minimum
-    locs.sort()
-    pts = []
-    for e, i in locs[:8]:
-        t0 = -math.pi + h * i
-        t, e = _golden_min(u, v, delta, rabi, t0 - h, t0 + h)
-        pts.append((t, 0.5 * math.cos(t), 0.5 * math.sin(t), e))
-    rep, degenerate = _select(pts, pts, scale)
-    return (rep[1], rep[2], rep[3], rep[0], degenerate, False, len(pts))
+    def points(u, v, delta, rabi):
+        w2 = 2.0 * (u + v)
+
+        def rising(t):  # de/dtheta > 0
+            s_x, s_z = 0.5 * math.cos(t), 0.5 * math.sin(t)
+            return w2 * s_x * s_z + delta * s_x - rabi * s_z > 0.0
+
+        signs = [rising(-math.pi + h * i) for i in range(n)]
+        out = []
+        for i in range(n):
+            if signs[i - 1] != signs[i]:
+                lo, hi = -math.pi + h * (i - 1), -math.pi + h * i
+                while hi - lo > _DISTINCT_ANGLE:
+                    mid = 0.5 * (lo + hi)
+                    if rising(mid) == signs[i]:
+                        hi = mid
+                    else:
+                        lo = mid
+                t = 0.5 * (lo + hi)
+                s_x, s_z = 0.5 * math.cos(t), 0.5 * math.sin(t)
+                out.append((t, s_x, s_z, reduced_energy(u, v, delta, rabi, s_x, s_z),
+                            signs[i]))
+        return out
+
+    return _solve(u, v, delta, rabi, points)

@@ -66,15 +66,27 @@ def _write_text(out, text: str) -> None:
         Path(out).write_text(text)
 
 
+def _finite(text: str) -> float:
+    """A coupling flag's value: a finite float, else an argparse error
+    (exit 2) that names the flag."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="JSON file with model parameters; explicit flags override it")
-    p.add_argument("--omega", type=float, default=None, help="cavity frequency (default 1)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--omega", type=_finite, default=None, help="cavity frequency (default 1)")
+    p.add_argument("--lambda", dest="lam", type=_finite, default=None,
                    help="collective coupling (default 1)")
-    p.add_argument("--delta", type=float, default=None, help="detuning (default 0)")
-    p.add_argument("--rabi", type=float, default=None, help="Rabi drive (default 0)")
-    p.add_argument("--v", type=float, default=None, help="atom-atom coupling (default 0)")
+    p.add_argument("--delta", type=_finite, default=None, help="detuning (default 0)")
+    p.add_argument("--rabi", type=_finite, default=None, help="Rabi drive (default 0)")
+    p.add_argument("--v", type=_finite, default=None, help="atom-atom coupling (default 0)")
 
 
 def _params_from_args(args) -> ModelParams:
@@ -302,6 +314,14 @@ def _times_u(value: float, u: float, flag: str, width: float = 1.0) -> float:
     return x
 
 
+def _drive(frac: float, u: float, flag: str) -> float:
+    """A drive given as a fraction of u, times u: the Rabi frequency must
+    be nonnegative."""
+    if not frac >= 0.0:
+        raise ParameterError(f"{flag} must be nonnegative, got {frac}")
+    return _times_u(frac, u, flag)
+
+
 def _delta_span(args, u: float) -> float:
     """The --delta-span half-range in detuning units; it must be positive,
     and the axis, twice as wide, finite."""
@@ -320,7 +340,7 @@ def _detuning_figure(args, stem: str, panels: tuple[tuple[str, str], ...]) -> in
     span = _delta_span(args, u)
     axis = AxisSpec("delta", -span, span, _grid_count(args.points, "--points"))
     v = _times_u(args.v, u, "--v")
-    drives = [_times_u(frac, u, "--rabi-fracs") for frac in fracs]
+    drives = [_drive(frac, u, "--rabi-fracs") for frac in fracs]
     configs = [SweepConfig(base=base.replace(v=v, omega_rabi=drive), axes=(axis,))
                for drive in drives]
     datasets = [run_sweep(config) for config in configs]
@@ -356,7 +376,7 @@ def cmd_fig3(args) -> int:
     from .phases import critical_overlays
     from .sweep import AxisSpec, SweepConfig, run_sweep, serialize_csv
     base, u = _fig_base(args)
-    rabi = _times_u(args.rabi_frac, u, "--rabi-frac")
+    rabi = _drive(args.rabi_frac, u, "--rabi-frac")
     d_span = _delta_span(args, u)
     if not args.v_max > args.v_min:
         raise ParameterError(f"--v-max must exceed --v-min, got "
@@ -415,11 +435,19 @@ class _Parser(argparse.ArgumentParser):
     reads -5e-05 or -1E+3 as an unknown option and exits with "expected one
     argument".  No option name here starts with a digit.  Subcommand parsers
     are built with the same class.
+
+    argparse also drops the value of --v=-- and stores an empty list; this
+    parser reports that option as missing its argument instead.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -540,9 +540,13 @@ def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
     Brandes, PRE 67, 066203 (2003)); it counts the photons that a small
     cutoff truncates, and where it does not fit the largest cutoff the
     doubling reaches within the budget, the ladder cannot converge: a
-    ConvergenceError before any cutoff is solved.  A first cutoff above
-    the budget is a ParameterError.  Returns the observables at the final
-    cutoff; converged is False when the budget stops the doubling first.
+    ConvergenceError before any cutoff is solved.  So is a photon energy
+    omega at or below _LANCZOS_TOL * N * hamiltonian_scale, the solver's
+    resolution of E0: there every photon number is degenerate to that
+    resolution, and <a^dag a> is whatever the Lanczos start leaves.  A
+    first cutoff above the budget is a ParameterError.  Returns the
+    observables at the final cutoff; converged is False when the budget
+    stops the doubling first.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ParameterError(
@@ -555,6 +559,11 @@ def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
         raise ConvergenceError(
             f"mean-field photon number {photons:.6g} needs a photon cutoff above "
             f"{photons / _HEADROOM:.6g}, and the budget {budget} allows at most n_max {n_top}")
+    resolution = _LANCZOS_TOL * params.n_atoms * params.hamiltonian_scale
+    if not params.omega > resolution:
+        raise ConvergenceError(
+            f"photon energy omega = {params.omega:.6g} does not exceed the solver's resolution "
+            f"{resolution:.6g} of E0 at N = {params.n_atoms}: the photon field is unresolved")
     sol, start = _solve(params, N_MAX_START, budget, None)
     while sol.n_max_used < n_top:
         nxt, start = _solve(params, 2 * sol.n_max_used, budget, start)

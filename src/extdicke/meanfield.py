@@ -7,11 +7,11 @@ reduces the variational energy per atom to
     e(s_x, s_z) = -u*s_x**2 + v*s_z**2 + delta*s_z + omega_rabi*s_x
 
 on the spin circle s_x**2 + s_z**2 = 1/4 (s_y = 0 at any minimum).  Two
-routes find the minima independently: ground_state, which solves the
-secular equation of the Lagrange multiplier, one root per monotone
-interval, and oracle_grid_minimum, a brute-force scan with golden-section
-refinement used to cross-check it.  Both report their point by the same
-tie-break rule.
+routes find the stationary points independently: ground_state, which
+solves the secular equation of the Lagrange multiplier, one root per
+monotone interval, and oracle_grid_minimum, which bisects the sign changes
+of de/dtheta on a grid of angles, used to cross-check it.  Both share the
+kernel's scaling, flat rule and tie-break rule.
 """
 
 from __future__ import annotations
@@ -106,20 +106,13 @@ def ground_state(params: ModelParams) -> MeanFieldSolution:
 
 
 def oracle_grid_minimum(params: ModelParams, n_points: int = 4096) -> MeanFieldSolution:
-    """Brute-force minimum over n_points circle angles with golden-section
-    refinement; it finds its minima without the secular equation and
-    breaks ties by the same rule as ground_state.
-
-    The reported residual reflects the refinement limit of a comparison
-    search (~1e-8 in angle), not a root solve to the last float.
+    """The twin of ground_state whose stationary points are the sign
+    changes of de/dtheta on n_points circle angles, each bisected to 1e-8
+    rad (its residual reflects that width); the scaling, the flat rule and
+    the tie-break are ground_state's.
     """
     if n_points < 1000:
         raise ParameterError("oracle grid needs at least 1000 points")
-    s_x, s_z, e, theta, degenerate, flat, n_minima = kernels.oracle_minimum(
-        params.u, params.v, params.delta, params.omega_rabi, n_points
-    )
-    residual = kernels.grad_residual(
-        params.u, params.v, params.delta, params.omega_rabi, s_x, s_z
-    )
-    return _solution_from_kernel(params, s_x, s_z, e, kernels.eta_from_point(s_x, s_z),
-                                 residual, degenerate, flat, n_minima)
+    out = kernels.oracle_minimum(params.u, params.v, params.delta, params.omega_rabi,
+                                 n_points)
+    return _solution_from_kernel(params, *out)

@@ -180,6 +180,9 @@ class ModelParams:
         unknown = set(kw) - {*AXES, "n_atoms"}
         if unknown:
             raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
+        for key, x in data.items():  # named by the key given, "lambda" too
+            if key != "n_atoms":
+                _real(x, f"parameter {key!r}")
         return cls(**kw)
 
 
@@ -321,18 +324,23 @@ def estimate_from_trap(spec: TrapSpec) -> TrapEstimate:
     if spec.g0_max <= 0.0 or spec.gamma_excited < 0.0:
         raise ParameterError("invalid cavity loss parameters")
 
-    dx = math.sqrt(hbar / (spec.mass * wx))
-    dy = math.sqrt(hbar / (spec.mass * wy))
-    dz = math.sqrt(hbar / (spec.mass * wz))
+    try:  # mass * omega_i or dx*dy*dz can underflow to 0
+        dx = math.sqrt(hbar / (spec.mass * wx))
+        dy = math.sqrt(hbar / (spec.mass * wy))
+        dz = math.sqrt(hbar / (spec.mass * wz))
+        overlap = (2.0 * math.pi) ** -1.5 / (dx * dy * dz)  # int |phi|^4, 1/m^3
+    except ZeroDivisionError:
+        raise ParameterError("trap spec 'mass' and 'omega_trap' give an oscillator "
+                             "volume outside the float range") from None
     drho = spec.rho_intra - spec.rho_inter
-    overlap = (2.0 * math.pi) ** -1.5 / (dx * dy * dz)  # int |phi|^4, 1/m^3
     v_si = spec.n_atoms * drho * (4.0 * math.pi * hbar / spec.mass) * overlap
     v = v_si / 1e6  # rad/s -> Mrad/s (angular MHz)
     v_half = 0.5 * v
 
     lam = 2.0 * spec.single_coupling * math.sqrt(spec.n_atoms)
     u = lam * lam / spec.cavity_freq
-    n_crit = spec.gamma_excited**2 / (2.0 * spec.g0_max**2)
+    loss = spec.gamma_excited / spec.g0_max  # squared below without OverflowError
+    n_crit = 0.5 * loss * loss
 
     meta = {
         "d_x": dx,

@@ -316,8 +316,7 @@ def test_exact_check_refuses_a_photon_field_beyond_the_budget(argv, photons, cap
 
 @pytest.mark.parametrize("argv", [
     ["--omega", "1e308", "--lambda", "1", "--n-list", "2"],
-    ["--v=1e308", "--n-list", "4"],
-], ids=["omega-1e308", "v-1e308"])
+], ids=["omega-1e308"])
 def test_exact_check_answers_where_the_hamiltonian_would_overflow(argv, capsys):
     # ||H||_inf is beyond the float range, but H / 2**k is not: the ladder
     # converges with no warning from numpy, and E0 is resolved relative to
@@ -329,6 +328,23 @@ def test_exact_check_answers_where_the_hamiltonian_would_overflow(argv, capsys):
     assert err == ""
     (row,) = json.loads(out)["rows"]
     assert row["converged"] is True and math.isfinite(row["exact_energy_per_atom"])
+
+
+def test_exact_check_refuses_an_unresolved_photon_field(capsys):
+    # v = 1e308 beside omega = 1: the photon levels of H / 2**k lie 2**-1023
+    # apart, far inside the solver's 1e-13 * N * ||H|| resolution of E0, so
+    # <a^dag a> would be whatever the Lanczos start leaves (a converged
+    # ladder reported 2.52 photons per atom where the mean field gives
+    # 0.25): one error line before any cutoff is solved
+    start = time.perf_counter()
+    assert cli.main(["exact-check", "--v=1e308", "--n-list", "4",
+                     "--format", "json"]) == cli.EXIT_CONVERGENCE
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: photon energy omega = 1 does not exceed the solver's "
+                          "resolution 4e+295 of E0 at N = 4")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("n_list", ["8,x", "8.5", "4,nan", ",", "0", "-3",
@@ -661,13 +677,12 @@ def test_fuzzed_solve_and_boundaries_arguments_exit_cleanly(capsys):
 
 
 # the names an error may give an exact-check option by: its flag, or the
-# parameter it sets as the model's domain rule names it (the fields 'lam'
-# and 'omega_rabi' for --lambda and --rabi)
+# parameter it sets as the model's domain rule names it
 _EXACT_CHECK_NAMES = {
     "--omega": ("--omega", "omega", "cavity frequency"),
-    "--lambda": ("--lambda", "lambda", "'lam'", "collective coupling"),
+    "--lambda": ("--lambda", "lambda", "collective coupling"),
     "--delta": ("--delta", "delta"),
-    "--rabi": ("--rabi", "Rabi", "'omega_rabi'"),
+    "--rabi": ("--rabi", "Rabi"),
     "--v": ("--v", "'v'"),
     "--eps": ("--eps",),
     "--budget": ("--budget",),
@@ -717,3 +732,156 @@ def test_fuzzed_exact_check_arguments_exit_cleanly(capsys):
             json.loads(out, parse_constant=reject)
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def _reject(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _run_cleanly(argv, capsys, codes):
+    """cli.main(argv) ends within 1 s with one of the exit codes `codes`
+    and no traceback; returns (code, out, err)."""
+    start = time.perf_counter()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the argument list
+        code = exc.code
+    assert time.perf_counter() - start < 1.0, argv
+    out, err = capsys.readouterr()
+    assert code in codes, (argv, code, err)
+    assert "Traceback" not in out + err, argv
+    return code, out, err
+
+
+# extreme, non-finite and malformed JSON values; json.dumps writes the
+# non-finite floats as NaN and Infinity, which json.loads reads back
+_FUZZ_JSON = (0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.7976931348623157e308,
+              math.nan, math.inf, -math.inf, "x", "", None, True, [], {}, [1.0], -3)
+
+# the names an error may give a config key by: the key, or the quantity the
+# domain rule names
+_KEY_NAMES = {
+    "omega": ("'omega'", "cavity frequency", "/omega"),
+    "lambda": ("lambda", "collective coupling"),
+    "delta": ("'delta'",),
+    "omega_rabi": ("'omega_rabi'", "Rabi"),
+    "v": ("'v'",),
+    "n_atoms": ("'n_atoms'", "number of atoms"),
+}
+
+
+def test_fuzzed_scan_configs_exit_cleanly(tmp_path, capsys):
+    # sweep configs whose base values, axis entries or finite-N settings are
+    # extreme, non-finite or malformed, on grids of at most 4 nodes: each
+    # run ends with 0 or 2, and 2 names the key at fault
+    rng = random.Random(3030)
+    config_path, out = tmp_path / "sweep.json", tmp_path / "data"
+    codes = set()
+    for _ in range(100):
+        base = {**SWEEP_JSON["base"]}
+        axis = {**_AXIS, "count": rng.randint(2, 4)}
+        config = {"base": base, "axes": [axis]}
+        names = []
+        for _ in range(rng.randint(1, 2)):
+            where = rng.random()
+            if where < 0.5:
+                key = rng.choice(list(base))
+                base[key] = rng.choice(_FUZZ_JSON)
+                names += _KEY_NAMES[key]
+            elif where < 0.8:
+                key = rng.choice(list(axis))
+                # a valid count stays small: 1e308 nodes would not fit in memory
+                axis[key] = rng.choice(_FUZZ_JSON + ("v", "lambda", "mass") if key != "count"
+                                       else (0, 1, -3, 2.5, 5e-324, math.nan, math.inf,
+                                             "x", None, True, []))
+                names += [f"'{key}'", "axis"]
+            else:
+                key = rng.choice(("exact_n", "exact_eps"))
+                config[key] = rng.choice(_FUZZ_JSON + ([1], [2, 1]))
+                names += [key]
+        fmt = rng.choice(("csv", "json"))
+        config_path.write_text(json.dumps(config))
+        code, _, err = _run_cleanly(["scan", "--config", str(config_path), "--format", fmt,
+                                     "--out", str(out)], capsys, (0, 2))
+        if code == 2:
+            assert any(name in err for name in names), (config, err)
+        elif fmt == "json":
+            json.loads(out.read_text(), parse_constant=_reject)
+        codes.add(code)
+    assert codes == {0, 2}
+
+
+_TRAP_NAMES = {
+    "omega_trap": ("'omega_trap'", "trap frequency"),
+    "rho_intra": ("'rho_intra'",),
+    "rho_inter": ("'rho_inter'",),
+    "mass": ("mass",),
+    "n_atoms": ("'n_atoms'", "atoms"),
+    "single_coupling": ("'single_coupling'",),
+    "cavity_freq": ("'cavity_freq'", "cavity frequency"),
+    "g0_max": ("'g0_max'", "cavity loss"),
+    "gamma_excited": ("'gamma_excited'", "cavity loss"),
+}
+
+
+def test_fuzzed_trap_specs_exit_cleanly(tmp_path, capsys):
+    # trap specs with extreme, non-finite or malformed values: each run
+    # ends with 0 or 2, 2 names the key at fault, and JSON output is strict
+    rng = random.Random(3131)
+    spec_path = tmp_path / "trap.json"
+    codes = set()
+    for _ in range(100):
+        spec = {**TRAP_JSON, "omega_trap": list(TRAP_JSON["omega_trap"])}
+        names = []
+        for _ in range(rng.randint(1, 2)):
+            key = rng.choice(list(spec))
+            trap = spec["omega_trap"]
+            if key == "omega_trap" and isinstance(trap, list) and len(trap) == 3 \
+                    and rng.random() < 0.5:
+                trap[rng.randrange(3)] = rng.choice(_FUZZ_JSON)
+            else:
+                spec[key] = rng.choice(_FUZZ_JSON)
+            names += _TRAP_NAMES[key]
+        fmt = rng.choice(("text", "json"))
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = _run_cleanly(["estimate", "--config", str(spec_path),
+                                       "--format", fmt], capsys, (0, 2))
+        if code == 2:
+            assert any(name in err for name in names), (spec, err)
+        elif fmt == "json":
+            json.loads(out, parse_constant=_reject)
+        codes.add(code)
+    assert codes == {0, 2}
+
+
+_FIG_OPTIONS = {
+    "fig2": ("--u", "--v", "--rabi-fracs", "--delta-span", "--points", "--units"),
+    "fig3": ("--u", "--rabi-frac", "--delta-span", "--v-min", "--v-max", "--resolution",
+             "--units"),
+    "fig4": ("--u", "--v", "--rabi-fracs", "--delta-span", "--points", "--units"),
+}
+
+
+def test_fuzzed_fig_options_exit_cleanly(tmp_path, capsys):
+    # figure options drawn from the fuzz values, on grids of at most 5
+    # points per axis: each run ends with 0 or 2, and 2 names an option
+    # the run was given
+    rng = random.Random(3232)
+    codes = set()
+    for i in range(60):
+        command = rng.choice(list(_FIG_OPTIONS))
+        options = {"--points": str(rng.randint(2, 5)),
+                   "--resolution": f"{rng.randint(2, 5)}x{rng.randint(2, 4)}"}
+        for flag in rng.sample(_FIG_OPTIONS[command], rng.randint(1, 3)):
+            options[flag] = (rng.choice(_FUZZ_VALUES) if rng.random() < 0.5 else
+                             rng.choice(("mhz", "dimensionless", "3", "0.5,1", "-2")))
+        given = [flag for flag in options if flag in _FIG_OPTIONS[command]]
+        argv = [command, "--out-dir", str(tmp_path / f"out{i}")]
+        for flag in given:
+            argv += ([f"{flag}={options[flag]}"] if rng.random() < 0.5
+                     else [flag, options[flag]])
+        code, _, err = _run_cleanly(argv, capsys, (0, 2))
+        if code == 2:
+            assert any(flag in err for flag in given), (argv, err)
+        codes.add(code)
+    assert codes == {0, 2}

@@ -110,17 +110,6 @@ def test_bloch_eta_roundtrip():
     assert kernels.eta_from_point(*kernels.bloch_from_eta(1e-10)) == 1e-10
 
 
-def test_energy_parametrizations_agree():
-    rng = random.Random(14)
-    for _ in range(200):
-        u, v, d, r = random_params(rng)
-        theta = rng.uniform(-math.pi, math.pi)
-        s_x, s_z = 0.5 * math.cos(theta), 0.5 * math.sin(theta)
-        e1 = kernels.reduced_energy(u, v, d, r, s_x, s_z)
-        e2 = kernels.energy_theta(u, v, d, r, theta)
-        assert abs(e1 - e2) < 1e-13 * (1.0 + abs(e1))
-
-
 def test_solve_point_closed_forms():
     # symmetry-broken pair below the lobe edge: s_z = -delta/(2(u+v))
     s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, 0.0, 0.5, 0.0)
@@ -183,7 +172,7 @@ def test_solver_matches_oracle_over_full_float_range(u, v, d, r, d_exp):
     ora = kernels.oracle_minimum(u, v, d, r, 4096)
     assert abs(sol[2] - ora[2]) <= 1e-8 * scale
     assert sol[4] <= 1e-9 * scale  # stationarity residual
-    assert sol[5] == ora[4]  # degenerate
+    assert sol[5] == ora[5]  # degenerate
 
 
 def test_solver_matches_oracle_where_delta_is_zero_to_rounding():
@@ -198,9 +187,27 @@ def test_solver_matches_oracle_where_delta_is_zero_to_rounding():
         d = rng.choice((-1.0, 1.0)) * max(u, abs(v), r) * 10.0 ** rng.uniform(-15.0, -13.0)
         sol = kernels.solve_point(u, v, d, r)
         ora = kernels.oracle_minimum(u, v, d, r, 4096)
-        assert sol[7] == ora[6], (u, v, d, r)  # n_minima
-        assert sol[5] == ora[4], (u, v, d, r)  # degenerate
+        assert sol[7] == ora[7], (u, v, d, r)  # n_minima
+        assert sol[5] == ora[5], (u, v, d, r)  # degenerate
         assert abs(sol[0] - ora[0]) <= 1e-6 and abs(sol[1] - ora[1]) <= 1e-6, (u, v, d, r)
+
+
+def test_solver_matches_oracle_on_quasi_flat_landscapes():
+    # u + v, delta and rabi each at most 1e-7 * u, log-uniform down to
+    # 1e-12 * u: e varies on the circle by far less than u, and a search
+    # that compares energies places a minimum only to about sqrt(eps) in
+    # angle, where the sign of de/dtheta places it to the bisection width;
+    # the two routes count the same minima and agree on the tie
+    rng = random.Random(30)
+    cases = [(18.90325833311412, -18.903258333023413, 7.398041298129185e-09,
+              4.884491957252853e-11)]
+    for _ in range(200):
+        u = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        w, d, r = (u * 10.0 ** rng.uniform(-12.0, -7.0) for _ in range(3))
+        cases.append((u, rng.choice((-1.0, 1.0)) * w - u, rng.choice((-1.0, 1.0)) * d, r))
+    for c in cases:
+        sol, ora = kernels.solve_point(*c), kernels.oracle_minimum(*c, 4096)
+        assert (sol[7], sol[5]) == (ora[7], ora[5]), c  # n_minima, degenerate
 
 
 def test_tied_wells_inside_the_driven_pitchfork_rank_by_s_z():
@@ -333,17 +340,19 @@ def test_mirror_minima_next_to_the_lobe_edge_are_distinct():
 
 
 def test_overflow_and_underflow_are_not_flat():
-    # for these unscaled couplings 2*(u+v) overflows (-inf) or products of
-    # two couplings underflow
-    for args in ((1.0, -1e308, 1e308, 0.0), (1e-300, -3e-300, 1e-300, 0.0)):
-        sol = kernels.solve_point(*args)
-        assert not sol[6]  # flat
-        assert sol[2] < 0.0 and math.isfinite(sol[2])
+    # for these unscaled couplings 2*(u+v) overflows (-inf), products of
+    # two couplings underflow, or every coupling is subnormal (where the
+    # energy, about -0.08 * 2**-1073, rounds to -0.0): neither route calls
+    # the landscape flat, and both count the same minima
+    for args in ((1.0, -1e308, 1e308, 0.0), (1e-300, -3e-300, 1e-300, 0.0),
+                 (5e-324, 1e-323, -5e-324, 0.0)):
+        sol, ora = kernels.solve_point(*args), kernels.oracle_minimum(*args, 4096)
+        assert not sol[6] and not ora[6], args  # flat
+        assert sol[7] == ora[7], args  # n_minima
+        assert math.copysign(1.0, sol[2]) < 0.0 and math.isfinite(sol[2])
+        assert abs(sol[2] - ora[2]) <= 1e-12 * abs(ora[2])
         assert sol[4] == 0.0  # residual
-    sol = kernels.solve_point(1.0, -1e308, 1e308, 0.0)
-    ora = kernels.oracle_minimum(1.0, -1e308, 1e308, 0.0, 4096)
-    assert abs(sol[2] - ora[2]) <= 1e-12 * abs(ora[2])
-    assert (sol[0], sol[1]) == (0.0, -0.5)
+    assert kernels.solve_point(1.0, -1e308, 1e308, 0.0)[:2] == (0.0, -0.5)
     # e = v/4 + delta*s_z at s_z = -1/2
     assert kernels.solve_point(1e-300, -3e-300, 1e-300, 0.0)[1:3] == (
         -0.5, -0.75e-300 - 0.5e-300)
