@@ -3,7 +3,7 @@ the Bloch circle, single-point ground states, and the brute-force grid
 oracle.  The two routes find their stationary points independently, the
 solver from the secular equation and the oracle from the sign changes of
 de/dtheta on a grid, and share everything else (_solve): the scaling, the
-flat rule and the tie-break rule (_select).
+flat rule and the rule for the reported point (_select).
 
 Everything here works in the reduced coupling set (u, v, delta, rabi) with
 u = lambda**2 / omega and rabi >= 0.  Energies are per atom in the
@@ -58,18 +58,9 @@ _REL_COEFF_EPS = 1e-14
 # coupling scale S: energies and their evaluation error are homogeneous of
 # degree 1 in the couplings.
 _TIE_EPS = 1e-10
-# Much tighter window (also relative to S) for *selecting* the reported
-# minimum.  Coordinate ranking may only override the energy ordering between
-# minima whose energies agree to evaluation precision; near-critical
-# couplings split distinct minima by ~1e-11 (far above roundoff, far below
-# _TIE_EPS), and the lowest of those must win, not a metastable one.
-_SELECT_EPS = 1e-13
 # Two stationary points are "the same point" below this angular separation;
 # the oracle bisects each sign change of de/dtheta to this width.
 _DISTINCT_ANGLE = 1e-8
-# Coordinate slack when ranking tied minima: distinct tied wells come as
-# close as a few 1e-6 in s_z just inside a driven pitchfork.
-_RANK_EPS = 1e-6
 
 
 def coupling_scale(u, v, delta, rabi):
@@ -172,41 +163,43 @@ def _secular_root(k, k2, d0, s, t_max):
 
 def stationary_points(u, v, delta, rabi):
     """Every stationary point of the reduced energy on the circle, each as
-    (theta, s_x, s_z, energy, minimum).
+    (theta, s_x, s_z, energy, minimum, lowest).
 
     One point per root of the secular equation (see the module docstring),
     in an order and with s_x values that depend on delta only through
     |delta|, so delta -> -delta flips every s_z and theta and nothing else.
     A root's curvature a*s_z**2 + c*s_x**2 makes it a minimum where it is
     positive; where it is 0 (a cusp of the astroid: a lobe edge or a driven
-    pitchfork) the point is a minimum if a, c >= 0, the global one.  The
-    work is in ratios and sums of the couplings, so it needs their ratios
-    in the float range, as they are at S ~ 1, where solve_point calls it.
+    pitchfork) the point is a minimum if a, c >= 0.  lowest marks the
+    global minimum, where a, c >= 0 (More & Sorensen, SIAM J. Sci. Stat.
+    Comput. 4, 553, 1983), or a mirror pair where rabi or delta is 0.
+    The work is in ratios and sums of the couplings, so it needs their
+    ratios in the float range, as at S ~ 1, where solve_point calls it.
     """
     w = u + v
     big_w, d = abs(w), abs(delta)
     sg = -1.0 if delta < 0.0 else 1.0
-    pts = []  # (s_x, s_z, minimum)
+    pts = []  # (s_x, s_z, minimum, lowest)
     if rabi == 0.0:
         # the axis points s_z = -+sg/2, at c = +-|delta| and a = c - w
         for c, s_z in ((d, -0.5 * sg), (-d, 0.5 * sg)):
             a = c - w
-            pts.append((0.0, s_z, a > 0.0 or (a == 0.0 and c >= 0.0)))
+            pts.append((0.0, s_z, a > 0.0 or (a == 0.0 and c >= 0.0), a >= 0.0 and c >= 0.0))
         if d < big_w:  # the pair at a = 0, c = w
             r = (big_w - d) / big_w
             s_x = 0.5 * math.sqrt(r * (2.0 - r))
             s_z = -0.5 * delta / w
-            pts += [(s_x, s_z, w > 0.0), (-s_x, s_z, w > 0.0)]
+            pts += [(s_x, s_z, w > 0.0, w > 0.0), (-s_x, s_z, w > 0.0, w > 0.0)]
     elif delta == 0.0:
         # the axis points s_x = -+1/2, at a = +-rabi and c = a + w
         for a, s_x in ((rabi, -0.5), (-rabi, 0.5)):
             c = a + w
-            pts.append((s_x, 0.0, c > 0.0 or (c == 0.0 and a >= 0.0)))
+            pts.append((s_x, 0.0, c > 0.0 or (c == 0.0 and a >= 0.0), a >= 0.0 and c >= 0.0))
         if rabi < big_w:  # the pair at c = 0, a = -w
             r = (big_w - rabi) / big_w
             s_z = 0.5 * math.sqrt(r * (2.0 - r))
             s_x = 0.5 * rabi / w
-            pts += [(s_x, s_z, w < 0.0), (s_x, -s_z, w < 0.0)]
+            pts += [(s_x, s_z, w < 0.0, w < 0.0), (s_x, -s_z, w < 0.0, w < 0.0)]
     else:
         # beyond both poles (a, c > 0, with c - a = w) the global minimum,
         # before both (a, c < 0, with |c| - |a| = -w) the global maximum;
@@ -218,46 +211,52 @@ def stationary_points(u, v, delta, rabi):
                 p, q = _secular_root(rabi, d, rabi - lo, 1.0, math.inf)
             else:
                 q, p = _secular_root(d, rabi, lo - rabi, 1.0, math.inf)
-            pts.append((sign * p, sign * sg * q, minimum))
+            pts.append((sign * p, sign * sg * q, minimum, minimum))
         side = _astroid_side(big_w, d, rabi)
         if side >= 0:
             # between the poles a and c have opposite signs, |a| + |c| = |w|
             sx, sz = (0.5, -0.5 * sg) if w > 0.0 else (-0.5, 0.5 * sg)
             if side == 0:  # the double root, at the least of G: an inflection
                 pts.append((sx * (rabi / big_w) ** (1.0 / 3.0),
-                            sz * (d / big_w) ** (1.0 / 3.0), False))
+                            sz * (d / big_w) ** (1.0 / 3.0), False, False))
             else:
                 p, q = _secular_root(rabi, d, big_w - rabi - d, -1.0, _split(big_w, rabi, d))
-                pts.append((sx * p, sz * q, w > 0.0))
+                pts.append((sx * p, sz * q, w > 0.0, False))
                 q, p = _secular_root(d, rabi, big_w - d - rabi, -1.0, _split(big_w, d, rabi))
-                pts.append((sx * p, sz * q, w < 0.0))
+                pts.append((sx * p, sz * q, w < 0.0, False))
     out = []
-    for s_x, s_z, minimum in pts:
+    for s_x, s_z, minimum, lowest in pts:
         # + 0.0 reads a zero coordinate as 0.0, whatever the sign of delta
         s_x, s_z = s_x + 0.0, s_z + 0.0
         out.append((math.atan2(s_z, s_x), s_x, s_z,
-                    reduced_energy(u, v, delta, rabi, s_x, s_z), minimum))
+                    reduced_energy(u, v, delta, rabi, s_x, s_z), minimum, lowest))
     return out
 
 
 def _select(cands, minima, scale):
-    """The tie-break rule of both mean-field routes: the reported point
-    among minima, the local minima of the stationary points cands (each
-    (theta, s_x, s_z, energy, ...)).  Returns (rep, degenerate).
+    """The reported point among minima, the local minima of the stationary
+    points cands (theta, s_x, s_z, energy, minimum, lowest), and whether a
+    point of cands within _TIE_EPS * scale of its energy lies more than
+    _DISTINCT_ANGLE from it (degenerate).
 
-    Among the minima within _SELECT_EPS * scale of the lowest, e_min, in
-    list order, the largest s_z wins, then the largest s_x, each compared
-    with _RANK_EPS slack.  degenerate is True when any candidate within
-    _TIE_EPS * scale of e_min lies more than _DISTINCT_ANGLE from rep.
+    The solver's candidates are the points it marks lowest, and no energy
+    is compared.  The oracle marks none, and its candidates are its minima
+    within 4 * _DISTINCT_ANGLE**2 * scale of the lowest: bisected to
+    _DISTINCT_ANGLE, a point has its energy to _DISTINCT_ANGLE**2 * scale
+    (|e''| <= 2 * scale), and 4 covers the rounding of two evaluations.
+    The largest s_z wins, then the largest s_x, with no slack on the
+    solver's exact mirror pairs and _DISTINCT_ANGLE on the oracle's points.
     """
-    e_min = min([c[3] for c in minima])
-    top = e_min + _SELECT_EPS * scale
-    rep = None
-    for c in minima:
-        if c[3] <= top and (rep is None or c[2] > rep[2] + _RANK_EPS or (
-                abs(c[2] - rep[2]) <= _RANK_EPS and c[1] > rep[1] + _RANK_EPS)):
+    best, eps = [c for c in minima if c[5]], 0.0
+    if not best:
+        eps = _DISTINCT_ANGLE
+        top = min([c[3] for c in minima]) + 4.0 * eps * eps * scale
+        best = [c for c in minima if c[3] <= top]
+    rep = best[0]
+    for c in best[1:]:
+        if c[2] > rep[2] + eps or (abs(c[2] - rep[2]) <= eps and c[1] > rep[1] + eps):
             rep = c
-    tie = e_min + _TIE_EPS * scale
+    tie = rep[3] + _TIE_EPS * scale
     for c in cands:
         if c[3] <= tie:
             d = abs(c[0] - rep[0])  # the cyclic distance is min(d, 2pi - d)
@@ -299,10 +298,9 @@ def solve_point(u, v, delta, rabi):
 
     * eta is the rational coordinate of the reported point (+inf at the
       (1/2, 0) pole), residual its on-circle gradient defect;
-    * degenerate is True when a second, distinct stationary point ties the
-      lowest minimum within 1e-10 * S; the reported point is that minimum,
-      with exact ties among minima (equal to evaluation precision) broken
-      by the largest s_z, then the largest s_x;
+    * the point is the global minimum that stationary_points marks (of a
+      mirror pair, the one with the largest s_z, then s_x); degenerate is
+      True when a second, distinct stationary point ties it within 1e-10 * S;
     * flat is True when delta, rabi and u+v all vanish (relative to the
       coupling scale S) and the energy is constant on the circle -- the
       conventional point (-1/2, 0) is returned;
@@ -317,7 +315,8 @@ def solve_point(u, v, delta, rabi):
 
 def oracle_minimum(u, v, delta, rabi, n_points):
     """Brute-force minimum of the reduced energy over the Bloch circle, in
-    solve_point's tuple and by its scaling, flat rule and tie-break.
+    solve_point's tuple and by its scaling, flat rule and tie-break (at
+    the resolution of its bisection, see _select).
 
     Its stationary points are the sign changes of the slope de/dtheta on
     n_points uniform angles, each bisected to _DISTINCT_ANGLE; one from -
@@ -350,7 +349,7 @@ def oracle_minimum(u, v, delta, rabi, n_points):
                 t = 0.5 * (lo + hi)
                 s_x, s_z = 0.5 * math.cos(t), 0.5 * math.sin(t)
                 out.append((t, s_x, s_z, reduced_energy(u, v, delta, rabi, s_x, s_z),
-                            signs[i]))
+                            signs[i], False))
         return out
 
     return _solve(u, v, delta, rabi, points)

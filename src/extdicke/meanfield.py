@@ -35,12 +35,12 @@ class MeanFieldSolution:
     """Ground-state data in the thermodynamic limit (energies per atom).
 
     eta is the rational coordinate of the point (+inf at (1/2, 0)) and
-    residual its on-circle gradient defect |de/dtheta|.  The reported point
-    is the local minimum with the largest s_z, then s_x, within 1e-13 * S
-    (S the largest coupling) of the lowest.  degenerate marks a second
-    stationary point, not necessarily a minimum, more than 1e-8 rad away
-    and within 1e-10 * S of the lowest minimum.  flat_manifold marks a
-    constant energy on the circle.
+    residual its on-circle gradient defect |de/dtheta|.  The point is the
+    global minimum (of a mirror pair, the one with the larger s_z, then
+    s_x).  degenerate marks a second stationary point, not necessarily a
+    minimum, more than 1e-8 rad away and within 1e-10 * S (S the largest
+    coupling) of its energy.  flat_manifold marks a constant energy on the
+    circle.
     """
 
     point: BlochPoint

@@ -142,18 +142,14 @@ def susceptibility_v(params: ModelParams) -> float:
 
     Identically zero across the Mott plateau.  Warns when the stencil
     appears to straddle a first-order line (a jump in m/N above
-    _STENCIL_JUMP, a sign change of m/N, or a flat manifold at either
-    stencil point); the value is still returned, and is 0 where S = 0.
+    _STENCIL_JUMP, or a flat manifold at either stencil point); the value
+    is still returned, and is 0 where S = 0.
     """
     dv = _STENCIL_STEP * coupling_scale(params.u, params.v, params.delta, params.omega_rabi)
     hi = ground_state(params.replace(v=params.v + dv))
     lo = ground_state(params.replace(v=params.v - dv))
     dm = hi.m_over_n - lo.m_over_n
-    # m/N also changes sign where the selection window takes the other
-    # well at one stencil end only: the wells at +-s_z differ by
-    # 2*delta*|s_z|, which can cross _SELECT_EPS * S within the stencil.
-    if (hi.flat_manifold or lo.flat_manifold or abs(dm) > _STENCIL_JUMP
-            or hi.m_over_n * lo.m_over_n < 0.0):
+    if hi.flat_manifold or lo.flat_manifold or abs(dm) > _STENCIL_JUMP:
         warnings.warn(
             "susceptibility stencil may straddle a first-order boundary",
             RuntimeWarning,

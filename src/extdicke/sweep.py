@@ -26,6 +26,8 @@ from .model import (AXES, LADDER_EPS, ModelParams, ParameterError, _integer, _re
                     check_couplings, dumps_json, field_name, record)
 from .phases import phase_label
 
+MAX_NODES = 10**6  # grid nodes in a sweep: a larger grid is refused before it is built
+
 
 @record
 class AxisSpec:
@@ -58,7 +60,7 @@ class SweepConfig:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ParameterError("sweeps take one or two axes")
-        seen = set()
+        seen, nodes = set(), 1
         for axis in self.axes:
             key = field_name(axis.name)
             if key not in AXES:
@@ -68,6 +70,9 @@ class SweepConfig:
             seen.add(key)
             if axis.count < 2:
                 raise ParameterError("axis count must be at least 2")
+            nodes *= axis.count
+            if nodes > MAX_NODES:
+                raise ParameterError(f"axis {axis.name!r} takes the grid past {MAX_NODES} nodes")
             if not (math.isfinite(axis.min) and math.isfinite(axis.max)):
                 raise ParameterError(f"axis {axis.name!r} bounds must be finite, "
                                      f"got {axis.min!r} to {axis.max!r}")

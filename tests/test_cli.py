@@ -12,7 +12,7 @@ import pytest
 
 from extdicke import __version__, cli, exact
 from extdicke.exact import ExactSolution
-from extdicke.sweep import SweepConfig, parse_csv, run_sweep, serialize_csv
+from extdicke.sweep import AxisSpec, SweepConfig, parse_csv, run_sweep, serialize_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -539,6 +539,25 @@ def test_scan_malformed_axes_exit_2_before_any_node(axes, named, tmp_path, capsy
     assert not out.exists()
 
 
+def test_scan_refuses_a_grid_past_the_node_cap(tmp_path, capsys, monkeypatch):
+    # a count of 1e308 is an integral float, so an integer; the cap refuses
+    # it, naming the axis, before any node list is built (values() raises
+    # here, where it would allocate until memory runs out)
+    def values(axis):
+        raise AssertionError(f"node list of {axis.name!r} built")
+
+    monkeypatch.setattr(AxisSpec, "values", values)
+    config, out = tmp_path / "sweep.json", tmp_path / "data.csv"
+    v_axis = {"name": "v", "min": -1.0, "max": 1.0, "count": 1001}
+    for axes, named in (([{**_AXIS, "count": 1e308}], "axis 'delta'"),
+                        ([{**_AXIS, "count": 1000}, v_axis], "axis 'v'")):
+        config.write_text(json.dumps({**SWEEP_JSON, "axes": axes}))
+        assert cli.main(["scan", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "1000000 nodes" in err
+        assert not out.exists()
+
+
 # --- figure commands ----------------------------------------------------
 
 def test_fig2_outputs_and_determinism(tmp_path, capsys):
@@ -790,9 +809,10 @@ def test_fuzzed_scan_configs_exit_cleanly(tmp_path, capsys):
                 names += _KEY_NAMES[key]
             elif where < 0.8:
                 key = rng.choice(list(axis))
-                # a valid count stays small: 1e308 nodes would not fit in memory
+                # a valid count stays small; 1e308 passes as an integer and
+                # is refused by the node cap
                 axis[key] = rng.choice(_FUZZ_JSON + ("v", "lambda", "mass") if key != "count"
-                                       else (0, 1, -3, 2.5, 5e-324, math.nan, math.inf,
+                                       else (0, 1, -3, 2.5, 5e-324, 1e308, math.nan, math.inf,
                                              "x", None, True, []))
                 names += [f"'{key}'", "axis"]
             else:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extdicke.meanfield import kernels
+from mp_reference import minima as mp_minima
 
 
 def companion_real_roots(coeffs, imag_tol=1e-7):
@@ -51,29 +52,37 @@ def test_roots_match_companion_matrix_on_generic_coefficients():
 
 def test_roots_known_sets():
     def points(*c):
-        return [(s_x, s_z, minimum) for _, s_x, s_z, _, minimum in kernels.stationary_points(*c)]
+        return [p[1:3] + p[4:] for p in kernels.stationary_points(*c)]
 
     q = math.sqrt(3.0) / 4.0
     # rabi = 0 inside the lobe: the axis points s_z = -+1/2 are maxima, the
-    # pair at the pole a = 0, s_z = -delta/(2(u + v)), the minima
-    assert points(1.0, 0.0, 0.5, 0.0) == [(0.0, -0.5, False), (0.0, 0.5, False),
-                                          (q, -0.25, True), (-q, -0.25, True)]
+    # pair at the pole a = 0, s_z = -delta/(2(u + v)), the minima, both
+    # global (a = 0, c = u + v > 0)
+    assert points(1.0, 0.0, 0.5, 0.0) == [(0.0, -0.5, False, False), (0.0, 0.5, False, False),
+                                          (q, -0.25, True, True), (-q, -0.25, True, True)]
     # at the lobe edge the pair has merged into s_z = -1/2, the one minimum
-    assert points(1.0, 0.0, 1.0, 0.0) == [(0.0, -0.5, True), (0.0, 0.5, False)]
+    assert points(1.0, 0.0, 1.0, 0.0) == [(0.0, -0.5, True, True), (0.0, 0.5, False, False)]
     # delta = 0, v < -u: the pair at the pole c = 0, s_x = rabi/(2(u + v)),
     # are the minima, until it merges into s_x = -1/2 at the driven pitchfork
-    assert points(1.0, -2.0, 0.0, 0.5) == [(-0.5, 0.0, False), (0.5, 0.0, False),
-                                           (-0.25, q, True), (-0.25, -q, True)]
-    assert points(1.0, -2.0, 0.0, 1.0) == [(-0.5, 0.0, True), (0.5, 0.0, False)]
-    # both zero: the axis points of both couplings
-    assert points(1.0, 0.0, 0.0, 0.0) == [(0.0, -0.5, False), (0.0, 0.5, False),
-                                          (0.5, 0.0, True), (-0.5, 0.0, True)]
+    assert points(1.0, -2.0, 0.0, 0.5) == [(-0.5, 0.0, False, False), (0.5, 0.0, False, False),
+                                           (-0.25, q, True, True), (-0.25, -q, True, True)]
+    assert points(1.0, -2.0, 0.0, 1.0) == [(-0.5, 0.0, True, True), (0.5, 0.0, False, False)]
+    # both zero: the axis points of both couplings; at u + v < 0 the pair
+    # s_z = -+1/2 is the global one (c = 0, a = -(u + v) > 0)
+    assert points(1.0, 0.0, 0.0, 0.0) == [(0.0, -0.5, False, False), (0.0, 0.5, False, False),
+                                          (0.5, 0.0, True, True), (-0.5, 0.0, True, True)]
+    assert points(1.0, -2.0, 0.0, 0.0) == [(0.0, -0.5, True, True), (0.0, 0.5, True, True),
+                                           (0.5, 0.0, False, False), (-0.5, 0.0, False, False)]
     # on the astroid, 27**(2/3) + 64**(2/3) = 125**(2/3): the global minimum,
     # the global maximum and the double root, an inflection at
     # (s_x, s_z) = ((27/125)**(1/3), -(64/125)**(1/3))/2
     got = points(125.0, 0.0, 64.0, 27.0)
-    assert [minimum for _, _, minimum in got] == [True, False, False]
+    assert [p[2:] for p in got] == [(True, True), (False, False), (False, False)]
     assert abs(got[2][0] - 0.3) < 1e-15 and abs(got[2][1] + 0.4) < 1e-15
+    # inside it (rabi = 0.1): the metastable minimum between the poles is
+    # not the global one
+    assert [p[2:] for p in points(125.0, 0.0, 64.0, 0.1)] == [
+        (True, True), (False, False), (True, False), (False, False)]
 
 
 def test_root_finding_work_count(monkeypatch):
@@ -210,18 +219,64 @@ def test_solver_matches_oracle_on_quasi_flat_landscapes():
         assert (sol[7], sol[5]) == (ora[7], ora[5]), c  # n_minima, degenerate
 
 
+def test_oracle_reports_the_solvers_half_of_an_exact_mirror_pair():
+    # delta = 0 or rabi = 0: the wells are a mirror pair whose energies the
+    # oracle evaluates at its bisected points, 1.4e-16 to 1.5e-16 * S apart by
+    # rounding; its window takes both, and its rank the solver's half
+    for c in ((0.14137437480528453, 0.11197073704356873, -0.18684387920546702, 0.0),
+              (0.09052820020585851, 0.07983470439497266, -0.10036890078876923, 0.0),
+              (2.4569919153619484, -4.3192072115200775, -0.0, 0.5026413965377384)):
+        sol, ora = kernels.solve_point(*c), kernels.oracle_minimum(*c, 4096)
+        assert abs(sol[0] - ora[0]) < 1e-8 and abs(sol[1] - ora[1]) < 1e-8, c
+
+
 def test_tied_wells_inside_the_driven_pitchfork_rank_by_s_z():
     # rabi = |u + v| * (1 - 4.5e-12) with u + v < 0: two wells at s_z of
-    # about +-1.5e-6, tied to rounding, which delta tilts by 1e-24.  They
-    # are distinct minima 3e-6 apart, ten times the largest disagreement of
-    # the oracle's two copies of one tie (3e-7, in the test above), so the
-    # tie-break ranks them by s_z and reports the upper well on both sides
-    # of delta = 0; the first in list order is the lower one at delta > 0
-    for delta in (1e-18, -1e-18):
-        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, -2.0, delta,
-                                                                     1.0 - 4.5e-12)
+    # about +-1.5e-6, 3e-6 apart.  At delta = 0 they are a mirror pair and
+    # tie exactly, and the upper well is reported; delta = +-1e-18 tilts
+    # them by 3e-24, and the well opposite delta is the global minimum, as
+    # a 60-digit solve finds, on both sides of delta = 0
+    for delta in (0.0, 1e-18, -1e-18):
+        c = (1.0, -2.0, delta, 1.0 - 4.5e-12)
+        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(*c)
         assert deg and nmin == 2
-        assert 1e-6 < s_z < 2e-6, delta
+        if delta == 0.0:
+            assert 1e-6 < s_z < 2e-6
+            continue
+        wells = mp_minima(*c)
+        assert len(wells) == 2 and wells[1][0] - wells[0][0] > 1e-24
+        assert abs(s_z - wells[0][2]) < 1e-12 and abs(s_x - wells[0][1]) < 1e-12, delta
+        assert math.copysign(1.0, s_z) == -math.copysign(1.0, delta)
+
+
+def test_lower_of_two_wells_apart_by_rounding_is_reported():
+    # two wells 1.3e-7 apart in s_z and 1.6e-13 * S apart in energy (by a
+    # 60-digit solve): the lower one, which lies opposite rabi in s_x, is
+    # reported; a window of 1e-13 * S with a rank slack of 1e-6 in s_z took
+    # the other, by its larger s_z
+    c = (2.200131554526787, -1.763247416745692, 0.4368835276764189, 9.625730724253378e-11)
+    wells = mp_minima(*c)
+    assert len(wells) == 2 and 1.5e-13 < wells[1][0] - wells[0][0] < 1.7e-13
+    s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(*c)
+    assert abs(s_x - wells[0][1]) < 1e-12 and abs(s_z - wells[0][2]) < 1e-12
+    assert abs(e - wells[0][0]) < 1e-15 and deg and nmin == 2
+
+
+def test_reported_well_lies_opposite_delta_and_rabi():
+    # the quadratic part of e is even in s_z and in s_x, so the global
+    # minimum has s_z * delta <= 0 and s_x * rabi <= 0, exactly.  50 000
+    # seeded couplings, both signs of u + v, |delta| down to 1e-18 * S and
+    # rabi down to 1e-16 * S, where the wells +-s_z or +-s_x differ by
+    # less than a rounding of their energies
+    rng = random.Random(31)
+    for _ in range(50000):
+        u = math.exp(rng.uniform(-3.0, 3.0))
+        v = u * rng.uniform(-3.0, 3.0)
+        s = max(u, abs(v))
+        d = rng.choice((-1.0, 1.0)) * s * 10.0 ** rng.uniform(-18.0, 0.5)
+        r = rng.choice((0.0, s * 10.0 ** rng.uniform(-16.0, 0.5)))
+        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(u, v, d, r)
+        assert flat or (s_z * d <= 0.0 and s_x * r <= 0.0), (u, v, d, r)
 
 
 def test_mirror_wells_where_delta_is_zero_to_rounding():
@@ -251,9 +306,8 @@ def test_flat_level_in_units_of_the_coupling_scale():
     # s_x = +-1/2 to s_z = +-1/2, some 200 ulps, so the landscape is not flat
     s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, -1.0 + 5e-14, 0.0, 0.0)
     assert not flat and nmin == 2
-    # delta = 5e-15 * S alone: the whole landscape spans 5e-15 * S, inside
-    # the selection window, where ranking by s_z would report the maximum
-    # s_z = +1/2; it is flat, with the conventional point
+    # delta = 5e-15 * S alone: the whole landscape spans 5e-15 * S, below
+    # the flat level; it is flat, with the conventional point
     s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, -1.0, 5e-15, 0.0)
     assert flat and (s_x, s_z) == (-0.5, 0.0)
 
@@ -271,8 +325,7 @@ def test_weak_drive_at_the_lobe_edge_has_one_minimum():
 def test_selection_window_stays_below_near_critical_splitting():
     # just inside the lobe (u + v = 2e-12, delta = rabi = 0) the minima are
     # s_x = +-1/2 and the maxima s_z = +-1/2 lie (u + v)/4 = 5e-13 higher:
-    # a selection window that reaches them lets the rank (largest s_z)
-    # report a maximum
+    # the reported point is the marked global minimum, never a maximum
     s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, -1.0 + 2e-12, 0.0, 0.0)
     assert (s_x, s_z, e) == (0.5, 0.0, -0.25)
     assert deg and nmin == 2
@@ -406,9 +459,9 @@ def test_exact_lobe_edges_have_one_minimum_and_no_tie():
 
 def test_minima_mirror_exactly_next_to_the_lobe_edge():
     # up to 16 float steps either side of a lobe edge, undriven or driven
-    # by 1e-12 * u, the minima tie within the ranking slack: delta -> -delta
-    # flips s_z and eta and nothing else, as the points come in an order
-    # that depends on |delta| only
+    # by 1e-12 * u: delta -> -delta flips s_z and eta and nothing else, as
+    # the points come in an order that depends on |delta| only and the
+    # reported one is the marked global minimum
     rng = random.Random(4)
     for _ in range(2000):
         u = rng.uniform(0.1, 10.0)

@@ -80,7 +80,9 @@ def test_solve_stationarity_roots_are_stationary():
         scale = max(1.0, p.u + abs(p.v) + p.omega_rabi + abs(p.delta))
         points = kernels.stationary_points(p.u, p.v, p.delta, p.omega_rabi)
         assert len(points) in (2, 3, 4) and any(pt[4] for pt in points)
-        for theta, s_x, s_z, e, minimum in points:
+        # one global minimum, or at delta = 0 or rabi = 0 a mirror pair
+        assert 1 <= sum(pt[5] for pt in points) <= 2 and all(pt[4] for pt in points if pt[5])
+        for theta, s_x, s_z, e, minimum, lowest in points:
             assert on_circle(BlochPoint(s_x, s_z))
             assert kernels.grad_residual(p.u, p.v, p.delta, p.omega_rabi,
                                          s_x, s_z) < 1e-9 * scale

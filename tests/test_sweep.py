@@ -16,6 +16,7 @@ from extdicke.meanfield import ground_state
 from extdicke.model import AXES, ModelParams, ParameterError
 from extdicke.phases import classify
 from extdicke.sweep import (
+    MAX_NODES,
     AxisSpec,
     SweepConfig,
     SweepDataset,
@@ -380,6 +381,25 @@ def test_bad_axes_rejected(axes, message):
     # building the config is enough: no sweep needs to run
     with pytest.raises(ParameterError, match=message):
         SweepConfig(base=BASE, axes=axes)
+
+
+def test_node_cap_is_checked_before_any_node_list(monkeypatch):
+    # the grid may have MAX_NODES nodes and no more; the axis that takes it
+    # past is named before values() builds a list (it raises here)
+    def values(axis):
+        raise AssertionError(f"node list of {axis.name!r} built")
+
+    monkeypatch.setattr(AxisSpec, "values", values)
+    assert MAX_NODES == 10**6
+    SweepConfig(base=BASE, axes=(AxisSpec("delta", 0.0, 1.0, MAX_NODES),))
+    SweepConfig(base=BASE, axes=(AxisSpec("delta", 0.0, 1.0, 1000), AxisSpec("v", 0.0, 1.0, 1000)))
+    for axes, named in (((AxisSpec("delta", 0.0, 1.0, MAX_NODES + 1),), "'delta'"),
+                        ((AxisSpec("delta", 0.0, 1.0, 1000), AxisSpec("v", 0.0, 1.0, 1001)), "'v'")):
+        with pytest.raises(ParameterError, match=f"axis {named} takes the grid past"):
+            SweepConfig(base=BASE, axes=axes)
+    axis = {"name": "delta", "min": -1.0, "max": 1.0, "count": 1e308}  # an integral float
+    with pytest.raises(ParameterError, match="axis 'delta' takes the grid past"):
+        SweepConfig.from_dict({"base": BASE.to_dict(), "axes": [axis]})
 
 
 _NOT_A_NUMBER = st.one_of(st.sampled_from((None, True, False, "1", [1.0], {})),

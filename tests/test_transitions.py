@@ -8,6 +8,7 @@ import math
 import random
 
 import pytest
+from mp_reference import minima as mp_minima
 
 from extdicke import phases
 from extdicke.meanfield import ground_state
@@ -234,6 +235,21 @@ def test_jump_tolerance_sits_between_rounding_and_a_closing_jump():
     assert [r.order for r in recs] == ["first"]
     assert recs[0].jump == pytest.approx(1e-2, rel=1e-3)
     assert rounding < phases._JUMP_TOL < recs[0].jump
+
+
+@pytest.mark.parametrize("jump", [1e-4, 3e-4, 1e-3, 3e-3, 1e-2])
+def test_closing_jumps_are_first_order_at_delta_zero(jump):
+    # just below the critical drive the wells +-s_z swap at delta = 0 with
+    # an m/N jump that closes; the well opposite delta is reported on each
+    # side, however small the jump, so the swap is one first-order record
+    # there, with the jump between the wells of a 60-digit solve at delta
+    # = 0, not a corner where one well ends (the astroid, 2e-14 away at 1e-4)
+    drive = SWAP.replace(omega_rabi=math.sqrt(1.0 - (jump / 2.0) ** 2))
+    recs = detect_transitions(drive, "delta", -0.5, 0.55)
+    wells = mp_minima(drive.u, drive.v, 0.0, drive.omega_rabi)
+    assert [r.order for r in recs] == ["first"]
+    assert abs(recs[0].location) < 1e-15
+    assert recs[0].jump == pytest.approx(float(2 * abs(wells[0][2] - wells[1][2])), rel=1e-6)
 
 
 def test_branch_switch_test_sits_between_rounding_and_the_swap(monkeypatch):
