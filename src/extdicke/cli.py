@@ -28,7 +28,9 @@ from pathlib import Path
 from . import __version__
 from .meanfield import ground_state
 from .model import (
+    COUPLINGS,
     DIMENSION_BUDGET,
+    KEYS,
     LADDER_EPS,
     N_MAX_START,
     ConvergenceError,
@@ -38,7 +40,6 @@ from .model import (
     _integer,
     dumps_json,
     estimate_from_trap,
-    field_name,
     omega_critical,
 )
 
@@ -52,11 +53,6 @@ EXIT_IO = 4
 _MHZ_OMEGA = 2.51e9
 _MHZ_LAMBDA = 2.81e4
 _MHZ_N_ATOMS = 50_000
-
-# model parameters a command runs with when neither a flag nor --config sets
-# them, by ModelParams field (the defaults --help documents)
-_PARAM_DEFAULTS = {"omega": 1.0, "lam": 1.0, "delta": 0.0, "omega_rabi": 0.0,
-                   "v": 0.0}
 
 
 def _write_text(out, text: str) -> None:
@@ -79,30 +75,27 @@ def _finite(text: str) -> float:
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
+    """--config and one flag per coupling, stored under the coupling's key."""
     p.add_argument("--config", type=Path, default=None,
                    help="JSON file with model parameters; explicit flags override it")
-    p.add_argument("--omega", type=_finite, default=None, help="cavity frequency (default 1)")
-    p.add_argument("--lambda", dest="lam", type=_finite, default=None,
-                   help="collective coupling (default 1)")
-    p.add_argument("--delta", type=_finite, default=None, help="detuning (default 0)")
-    p.add_argument("--rabi", type=_finite, default=None, help="Rabi drive (default 0)")
-    p.add_argument("--v", type=_finite, default=None, help="atom-atom coupling (default 0)")
+    for field, key, flag, text in COUPLINGS:
+        p.add_argument(flag, dest=key, metavar=flag[2:].upper(), type=_finite, default=None,
+                       help=f"{text} (default {getattr(ModelParams, field):g})")
 
 
 def _params_from_args(args) -> ModelParams:
-    """Each parameter from its flag, else from --config, else its default;
-    the merged values are validated once, as one ModelParams."""
-    values = dict(_PARAM_DEFAULTS)
+    """Each coupling from its flag, else from --config, else its default;
+    the merged values are validated once, as one ModelParams, and an error
+    names the flag or the config key that gave the bad value."""
+    values = {}
     if args.config is not None:
         import json
-        loaded = json.loads(Path(args.config).read_text())
-        if not isinstance(loaded, dict):
+        values = json.loads(Path(args.config).read_text())
+        if not isinstance(values, dict):
             raise ParameterError("parameter config must be a JSON object")
-        values.update({field_name(k): v for k, v in loaded.items()})
-    flags = {"omega": args.omega, "lam": args.lam, "delta": args.delta,
-             "omega_rabi": args.rabi, "v": args.v}
-    values.update({k: v for k, v in flags.items() if v is not None})
-    return ModelParams.from_dict(values)
+    flags = {key: flag for _, key, flag, _ in COUPLINGS if getattr(args, key) is not None}
+    values.update({key: getattr(args, key) for key in flags})
+    return ModelParams.from_dict(values, flags)
 
 
 def _format_payload(payload: dict, fmt: str) -> str:
@@ -125,7 +118,7 @@ def cmd_estimate(args) -> int:
         "v": est.v,
         "v_cyclic_mhz": est.metadata["v_cyclic_mhz"],
         "v_shorthand": est.metadata["v_shorthand"],
-        "lambda": est.lam,
+        KEYS[1]: est.lam,  # the key of lam
         "u": est.u,
         "n_crit": est.n_crit,
         "d_x": est.metadata["d_x"],

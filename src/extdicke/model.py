@@ -30,9 +30,6 @@ hbar = 6.62607015e-34 / (2.0 * math.pi)
 # would meet with an OverflowError.
 _FLOAT_MAX = sys.float_info.max
 
-# Couplings a sweep or a transition scan may move, by ModelParams field.
-AXES = ("omega", "lam", "delta", "omega_rabi", "v")
-
 # The cutoff ladder of exact.converge_cutoff, here so that sweeps and the
 # CLI read it without loading exact: its default eps and dimension budget,
 # and the photon cutoff every ladder starts at.
@@ -127,17 +124,30 @@ def record(cls):
     return cls
 
 
+# The five couplings, one row each in the order of ModelParams' fields: the
+# field; the key, the coupling's one name outside Python (in a JSON config,
+# as a sweep or transition axis, and as a dataset column); the command-line
+# flag; and the flag's help.  A coupling's default is its field's.
+COUPLINGS = (
+    ("omega", "omega", "--omega", "cavity frequency"),
+    ("lam", "lambda", "--lambda", "collective coupling"),
+    ("delta", "delta", "--delta", "detuning"),
+    ("omega_rabi", "omega_rabi", "--rabi", "Rabi drive"),
+    ("v", "v", "--v", "atom-atom coupling"),
+)
+AXES = tuple(row[0] for row in COUPLINGS)
+KEYS = tuple(row[1] for row in COUPLINGS)
+
+
 @record
 class ModelParams:
-    """Couplings of the extended Dicke Hamiltonian, in angular MHz.
-
-    lam is the collective atom-field coupling (lambda in the Hamiltonian;
-    serialized under the JSON key "lambda").  Building one validates it, so
-    every ModelParams in existence lies in the model's domain.
-    """
+    """Couplings of the extended Dicke Hamiltonian (angular MHz; lam is
+    lambda, see COUPLINGS) and the atom number; each field default is also
+    the default of a config and of the command line.  Building one validates
+    it, so every ModelParams in existence lies in the model's domain."""
 
     omega: float = 1.0
-    lam: float = 0.0
+    lam: float = 1.0
     delta: float = 0.0
     omega_rabi: float = 0.0
     v: float = 0.0
@@ -158,60 +168,55 @@ class ModelParams:
         return max(self.omega, coupling_scale(self.u, self.v, self.delta, self.omega_rabi))
 
     def replace(self, **kw) -> "ModelParams":
-        return ModelParams.from_dict({**vars(self), **kw})
+        """A copy with the fields in kw changed."""
+        return ModelParams(**{**vars(self), **kw})
 
     def to_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "lambda": self.lam,
-            "delta": self.delta,
-            "omega_rabi": self.omega_rabi,
-            "v": self.v,
-            "n_atoms": self.n_atoms,
-        }
+        """The JSON form: each coupling under its key, then n_atoms."""
+        return {**{key: getattr(self, field) for field, key in zip(AXES, KEYS)},
+                "n_atoms": self.n_atoms}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ModelParams":
-        """Build from a dict keyed by field or JSON name; if both "lam" and
-        "lambda" are given, the later one wins."""
+    def from_dict(cls, data: dict, flags: dict = None) -> "ModelParams":
+        """Build from the JSON form, an object with any of KEYS and n_atoms;
+        a key left out takes its field default.  An error names the key at
+        fault, or flags[key] where a command-line flag gave its value."""
         if not isinstance(data, dict):
             raise ParameterError("model parameters must be a JSON object")
-        kw = {field_name(k): v for k, v in data.items()}
-        unknown = set(kw) - {*AXES, "n_atoms"}
+        unknown = set(data) - {*KEYS, "n_atoms"}
         if unknown:
             raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
-        for key, x in data.items():  # named by the key given, "lambda" too
+        names = {key: (flags or {}).get(key, repr(key)) for key in data}
+        for key, x in data.items():
             if key != "n_atoms":
-                _real(x, f"parameter {key!r}")
-        return cls(**kw)
+                _real(x, f"parameter {names[key]}")
+        kw = {field: data.get(key, getattr(cls, field)) for field, key in zip(AXES, KEYS)}
+        check_couplings(*kw.values(),
+                        names=[f"{names[key]}: " if key in data else "" for key in KEYS])
+        return cls(**kw, n_atoms=data.get("n_atoms", cls.n_atoms))
 
 
-def field_name(key: str) -> str:
-    """ModelParams field behind a parameter name: the JSON and CLI name
-    "lambda" is the field lam; every other name is its own field."""
-    return "lam" if key == "lambda" else key
-
-
-def check_couplings(omega, lam, delta, omega_rabi, v) -> float:
+def check_couplings(omega, lam, delta, omega_rabi, v, names=("",) * 5) -> float:
     """The couplings' domain rule: returns u = lam*lam/omega or raises
-    ParameterError naming the first violated constraint.  validate applies
-    it to a ModelParams; a sweep applies it to each node's floats."""
+    ParameterError naming the first violated constraint, for validate, for
+    each sweep node's floats, and for from_dict, whose `names` give in
+    COUPLINGS order the prefix ("--lambda: ") of a coupling's domain error."""
     for name, x in zip(AXES, (omega, lam, delta, omega_rabi, v)):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ParameterError(f"parameter {name!r} is not a number")
         if not -_FLOAT_MAX <= x <= _FLOAT_MAX:
             raise ParameterError(f"non-finite parameter {name!r}")
     if omega <= 0.0:
-        raise ParameterError("nonpositive cavity frequency")
+        raise ParameterError(f"{names[0]}nonpositive cavity frequency")
     if lam < 0.0:
-        raise ParameterError("negative collective coupling")
+        raise ParameterError(f"{names[1]}negative collective coupling")
     u = lam * lam / omega
     if not math.isfinite(u):
-        raise ParameterError("non-finite coupling u = lambda**2/omega")
+        raise ParameterError(f"{names[1] or names[0]}non-finite coupling u = lambda**2/omega")
     if omega_rabi < 0.0:
         # The sign of omega_rabi is a gauge choice (J_x -> -J_x flips it);
         # the nonnegative representative is enforced for uniqueness.
-        raise ParameterError("negative Rabi frequency")
+        raise ParameterError(f"{names[3]}negative Rabi frequency")
     return u
 
 

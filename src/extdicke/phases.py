@@ -33,7 +33,7 @@ from operator import attrgetter
 
 from ._kernels_py import _DISTINCT_ANGLE, coupling_scale
 from .meanfield import MeanFieldSolution, ground_state
-from .model import AXES, ModelParams, ParameterError, field_name, record
+from .model import AXES, KEYS, ModelParams, ParameterError, record
 
 # Round-off guard of the classifier on m/N and on s_x.
 _CLASSIFY_TOL = 1e-6
@@ -185,9 +185,10 @@ def _observable_fn(base: ModelParams, axis: str, observable: str):
     where e_thetatheta = 2(u+v)(s_x**2 - s_z**2) - delta s_z - rabi s_x.
     Both read off the reported point (inf where e_thetatheta vanishes).
     """
-    name = field_name(axis)
-    if name not in AXES:
+    if axis not in KEYS:
         raise ParameterError(f"unknown sweep axis {axis!r}")
+    i = KEYS.index(axis)
+    name = AXES[i]
     if observable in _PLAIN_OBSERVABLES:
         get = attrgetter(_PLAIN_OBSERVABLES[observable])
     elif observable != "energy_slope":
@@ -197,13 +198,13 @@ def _observable_fn(base: ModelParams, axis: str, observable: str):
         p = base.replace(**{name: t})
         sol = ground_state(p)
         s_x, s_z = sol.point.s_x, sol.point.s_z
-        # d(u, v, delta, rabi)/dt along the axis
+        # d(u, v, delta, rabi)/dt along the axis, by COUPLINGS position
         r = p.lam / p.omega
-        du, dv, dd, dr = {"lam": (2.0 * r, 0.0, 0.0, 0.0),
-                          "omega": (-r * r, 0.0, 0.0, 0.0),
-                          "v": (0.0, 1.0, 0.0, 0.0),
-                          "delta": (0.0, 0.0, 1.0, 0.0),
-                          "omega_rabi": (0.0, 0.0, 0.0, 1.0)}[name]
+        du, dv, dd, dr = ((-r * r, 0.0, 0.0, 0.0),  # omega
+                          (2.0 * r, 0.0, 0.0, 0.0),  # lambda
+                          (0.0, 0.0, 1.0, 0.0),  # delta
+                          (0.0, 0.0, 0.0, 1.0),  # omega_rabi
+                          (0.0, 1.0, 0.0, 0.0))[i]  # v
         e_tt = (2.0 * (p.u + p.v) * (s_x * s_x - s_z * s_z)
                 - p.delta * s_z - p.omega_rabi * s_x)
         e_t = 2.0 * (du + dv) * s_x * s_z + dd * s_x - dr * s_z
@@ -353,7 +354,8 @@ def _refine_kink(solve, a, b, spacing):
 def detect_transitions(params: ModelParams, axis: str, t_min: float,
                        t_max: float, *, observable: str = "m_over_n",
                        n_scan: int = 201) -> list[TransitionRecord]:
-    """Locate phase boundaries of an observable along one parameter axis.
+    """Locate phase boundaries of an observable along one coupling, the
+    axis named by its key (see model.COUPLINGS).
 
     Scans n_scan points on [t_min, t_max] and flags each cell whose
     |second difference| is an outlier and a local maximum: larger than
@@ -388,7 +390,7 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     if observable in ("energy", "photon_density"):
         # S or (lambda/omega)**2, the larger at the two ends of the scan (S
         # is convex along an axis, lambda/omega monotone)
-        ends = [params.replace(**{field_name(axis): t}) for t in (t_min, t_max)]
+        ends = [params.replace(**{AXES[KEYS.index(axis)]: t}) for t in (t_min, t_max)]
         unit = max(coupling_scale(p.u, p.v, p.delta, p.omega_rabi) if observable == "energy"
                    else (p.lam / p.omega) ** 2 for p in ends)
 

@@ -22,8 +22,8 @@ import math
 
 from . import __version__, _kernels_py
 from .meanfield import point_observables
-from .model import (AXES, LADDER_EPS, ModelParams, ParameterError, _integer, _real,
-                    check_couplings, dumps_json, field_name, record)
+from .model import (AXES, KEYS, LADDER_EPS, ModelParams, ParameterError, _integer, _real,
+                    check_couplings, dumps_json, record)
 from .phases import phase_label
 
 MAX_NODES = 10**6  # grid nodes in a sweep: a larger grid is refused before it is built
@@ -31,7 +31,7 @@ MAX_NODES = 10**6  # grid nodes in a sweep: a larger grid is refused before it i
 
 @record
 class AxisSpec:
-    """One swept parameter: count values from min to max inclusive."""
+    """One swept coupling, named by its key: count values from min to max."""
 
     name: str
     min: float
@@ -62,12 +62,11 @@ class SweepConfig:
             raise ParameterError("sweeps take one or two axes")
         seen, nodes = set(), 1
         for axis in self.axes:
-            key = field_name(axis.name)
-            if key not in AXES:
+            if axis.name not in KEYS:
                 raise ParameterError(f"unknown sweep axis {axis.name!r}")
-            if key in seen:
+            if axis.name in seen:
                 raise ParameterError(f"axis {axis.name!r} repeated")
-            seen.add(key)
+            seen.add(axis.name)
             if axis.count < 2:
                 raise ParameterError("axis count must be at least 2")
             nodes *= axis.count
@@ -228,7 +227,7 @@ def _solve_node(config: SweepConfig, slots: list[int], base: list,
 def run_sweep(config: SweepConfig) -> SweepDataset:
     """Evaluate the sweep grid node by node, first axis outermost."""
     nodes = itertools.product(*(axis.values() for axis in config.axes))
-    slots = [AXES.index(field_name(axis.name)) for axis in config.axes]
+    slots = [KEYS.index(axis.name) for axis in config.axes]
     base = [getattr(config.base, name) for name in AXES]
     rows = [_solve_node(config, slots, base, node) for node in nodes]
     provenance = (

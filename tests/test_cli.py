@@ -187,6 +187,61 @@ def test_config_without_lambda_takes_cli_default(tmp_path):
     assert payload["w"] == 0.25
 
 
+def test_a_config_and_a_scan_base_take_the_same_defaults(tmp_path, capsys):
+    # the object leaves lambda out: solve --config and a scan base both take
+    # its field default, lambda = 1, so u = 1 on both routes
+    point = {"omega": 1.0, "delta": 0.3}
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps(point))
+    assert cli.main(["boundaries", "--config", str(config), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["u"] == 1.0
+    assert cli.main(["solve", "--config", str(config), "--format", "json"]) == 0
+    solved = json.loads(capsys.readouterr().out)
+    config.write_text(json.dumps(
+        {"base": point, "axes": [{"name": "v", "min": 0.0, "max": 1.0, "count": 2}]}))
+    assert cli.main(["scan", "--config", str(config)]) == 0
+    dataset = parse_csv(capsys.readouterr().out)
+    row = dict(zip(dataset.columns, dataset.rows[0]))  # v = 0, as in solve
+    assert row["u"] == 1.0
+    for name in ("energy_per_atom", "photon_density", "m_over_n"):
+        assert row[name] == solved[name]
+
+
+# a value outside each coupling's domain: its flag, key, and the value as
+# flag text and as JSON
+_BAD_COUPLINGS = [("--omega", "omega", "0", 0.0), ("--lambda", "lambda", "-1", -1.0),
+                  ("--delta", "delta", "inf", math.inf), ("--rabi", "omega_rabi", "-1", -1.0),
+                  ("--v", "v", "nan", math.nan)]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag, key, text, value", _BAD_COUPLINGS)
+def test_a_bad_coupling_names_its_flag_or_its_key(tmp_path, capsys, flag, key, text,
+                                                  value, source):
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({key: value}))
+    argv = ["solve", flag, text] if source == "flag" else ["solve", "--config", str(config)]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses a non-finite flag value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    named, other = (flag, repr(key)) if source == "flag" else (repr(key), flag)
+    assert named in err and other not in err, err
+
+
+def test_lam_is_neither_a_config_key_nor_an_axis(tmp_path, capsys):
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"lam": 1.0}))
+    assert cli.main(["solve", "--config", str(config)]) == 2
+    assert "unknown parameter keys: ['lam']" in capsys.readouterr().err
+    config.write_text(json.dumps(
+        {**SWEEP_JSON, "axes": [{"name": "lam", "min": 0.0, "max": 1.0, "count": 2}]}))
+    assert cli.main(["scan", "--config", str(config)]) == 2
+    assert "unknown sweep axis 'lam'" in capsys.readouterr().err
+
+
 def test_solve_unknown_config_key_exit_2(tmp_path, capsys):
     config = tmp_path / "params.json"
     config.write_text(json.dumps({"omege": 1.0}))

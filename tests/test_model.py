@@ -63,7 +63,8 @@ def test_dict_roundtrip_uses_lambda_key():
     d = p.to_dict()
     assert d["lambda"] == 1.5 and "lam" not in d
     assert ModelParams.from_dict(d) == p
-    assert ModelParams.from_dict({"lam": 1.5, "omega": 2.0}).lam == 1.5
+    with pytest.raises(ParameterError, match=r"unknown parameter keys: \['lam'\]"):
+        ModelParams.from_dict({"lam": 1.5, "omega": 2.0})
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -71,10 +72,11 @@ def test_from_dict_rejects_unknown_keys():
         ModelParams.from_dict({"omega": 1.0, "couplind": 2.0})
 
 
-def test_replace_accepts_both_spellings():
+def test_replace_takes_field_names():
     p = ModelParams(omega=1.0, lam=1.0)
     assert p.replace(lam=2.0).lam == 2.0
-    assert p.replace(**{"lambda": 2.0}).lam == 2.0
+    with pytest.raises(TypeError, match="lambda"):
+        p.replace(**{"lambda": 2.0})
     assert p.replace(delta=0.5).lam == 1.0
 
 
@@ -349,7 +351,7 @@ def test_record_defaults_and_post_init():
     from extdicke.meanfield import BlochPoint, MeanFieldSolution
     from extdicke.sweep import AxisSpec, SweepConfig, SweepDataset
 
-    assert ModelParams() == ModelParams(1.0, 0.0, 0.0, 0.0, 0.0, 1)
+    assert ModelParams() == ModelParams(1.0, 1.0, 0.0, 0.0, 0.0, 1)
     assert ModelParams(2.0, v=-1.0) == ModelParams(omega=2.0, v=-1.0)
     point = (BlochPoint(0.5, 0.0), 0.0, 0.5, -0.25, 0.0, 0.25, 0.0, False)
     assert MeanFieldSolution(*point) == MeanFieldSolution(*point, False, 0)

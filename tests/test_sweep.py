@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extdicke.meanfield import ground_state
-from extdicke.model import AXES, ModelParams, ParameterError
+from extdicke.model import AXES, KEYS, ModelParams, ParameterError
 from extdicke.phases import classify
 from extdicke.sweep import (
     MAX_NODES,
@@ -80,13 +80,16 @@ def test_two_axis_order_first_axis_outermost():
     assert [(row[0], row[1]) for row in dataset.rows] == expect
 
 
-def test_lambda_axis_spelled_both_ways():
-    for name in ("lambda", "lam"):
-        config = SweepConfig(base=BASE, axes=(AxisSpec(name, 0.5, 1.5, 3),))
-        dataset = run_sweep(config)
-        cols = {name_: i for i, name_ in enumerate(dataset.columns)}
-        for row, lam in zip(dataset.rows, (0.5, 1.0, 1.5)):
-            assert row[cols["u"]] == lam * lam / BASE.omega
+def test_lambda_axis_has_one_name():
+    # the axis and its column are the JSON key; the field name is no axis
+    config = SweepConfig(base=BASE, axes=(AxisSpec("lambda", 0.5, 1.5, 3),))
+    dataset = run_sweep(config)
+    assert dataset.columns[0] == "lambda"
+    cols = {name_: i for i, name_ in enumerate(dataset.columns)}
+    for row, lam in zip(dataset.rows, (0.5, 1.0, 1.5)):
+        assert row[cols["u"]] == lam * lam / BASE.omega
+    with pytest.raises(ParameterError, match="unknown sweep axis 'lam'"):
+        SweepConfig(base=BASE, axes=(AxisSpec("lam", 0.5, 1.5, 3),))
 
 
 def test_error_rows_carry_message_and_empty_cells():
@@ -244,7 +247,7 @@ def _reference_row(config: SweepConfig, values: tuple) -> tuple:
     n_mf = 11  # the mean-field columns, u to degenerate
     try:
         params = config.base.replace(
-            **{axis.name: x for axis, x in zip(config.axes, values)})
+            **{AXES[KEYS.index(axis.name)]: x for axis, x in zip(config.axes, values)})
         sol = ground_state(params)
         label = classify(params, sol).value
     except Exception as exc:
@@ -370,7 +373,7 @@ def test_config_rejects_unknown_keys_and_missing_fields():
     ((AxisSpec("delta", 0, 1, 2), AxisSpec("v", 0, 1, 2),
       AxisSpec("omega_rabi", 0, 1, 2)), "one or two axes"),
     ((AxisSpec("mass", 0, 1, 2),), "unknown sweep axis"),
-    ((AxisSpec("lambda", 0, 1, 2), AxisSpec("lam", 0, 1, 2)), "repeated"),
+    ((AxisSpec("lambda", 0, 1, 2), AxisSpec("lambda", 0, 1, 2)), "repeated"),
     ((AxisSpec("delta", 0, 1, 1),), "at least 2"),
     ((AxisSpec("delta", 1, 0, 2),), "max below min"),
     # built in Python, not read from JSON: the config's own check applies

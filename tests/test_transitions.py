@@ -26,30 +26,34 @@ def params_u(u, delta=0.0, omega_rabi=0.0, v=0.0):
 
 # inside the superradiant lobe with a drive: one smooth, isolated minimum
 SMOOTH = ModelParams(omega=1.3, lam=1.1, delta=0.3, omega_rabi=0.2, v=0.15)
-AXIS_NAMES = ("delta", "omega_rabi", "v", "lam", "omega")
+# the axis name (the JSON key) of each field
+AXIS_NAMES = {"delta": "delta", "omega_rabi": "omega_rabi", "v": "v", "lam": "lambda",
+              "omega": "omega"}
 
 
-def _at(axis, t):
-    return ground_state(SMOOTH.replace(**{axis: t}))
+def _at(field, t):
+    return ground_state(SMOOTH.replace(**{field: t}))
 
 
-@pytest.mark.parametrize("axis", AXIS_NAMES)
-def test_energy_slope_is_the_energy_derivative(axis):
-    t = getattr(SMOOTH, axis)
+@pytest.mark.parametrize("field", AXIS_NAMES)
+def test_energy_slope_is_the_energy_derivative(field):
+    axis = AXIS_NAMES[field]
+    t = getattr(SMOOTH, field)
     h = 1e-5
     value = _observable_fn(SMOOTH, axis, "energy_slope")(t)[0]
-    diff = (_at(axis, t + h).energy_per_atom
-            - _at(axis, t - h).energy_per_atom) / (2.0 * h)
+    diff = (_at(field, t + h).energy_per_atom
+            - _at(field, t - h).energy_per_atom) / (2.0 * h)
     assert value == pytest.approx(diff, abs=1e-8)
 
 
-@pytest.mark.parametrize("axis", AXIS_NAMES)
-def test_turning_rate_is_the_angle_derivative(axis):
-    t = getattr(SMOOTH, axis)
+@pytest.mark.parametrize("field", AXIS_NAMES)
+def test_turning_rate_is_the_angle_derivative(field):
+    axis = AXIS_NAMES[field]
+    t = getattr(SMOOTH, field)
     h = 1e-5
 
     def theta(s):
-        p = _at(axis, s).point
+        p = _at(field, s).point
         return math.atan2(p.s_z, p.s_x)
 
     _, _, rate = _observable_fn(SMOOTH, axis, "m_over_n")(t)
