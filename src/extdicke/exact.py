@@ -27,9 +27,8 @@ sector ground energies agree within _LANCZOS_TOL * ||H||_inf (a tunnelling doubl
 below the solver's resolution, or an exact tie) the first of those sectors
 is reported: the even one, and where the flip splits the sectors the
 flip-even one, whose <J_z> is 0.  Every sector, of any dimension, is solved
-by one thick-restart Lanczos in numpy (_lowest_levels: each step is the
-three-term recurrence followed by one Gram-Schmidt pass over the whole
-Krylov basis); along a converge_cutoff ladder each run starts from Q.T
+by one thick-restart Lanczos in numpy with full reorthogonalisation
+(_lowest_levels); along a converge_cutoff ladder each run starts from Q.T
 applied to the previous cutoff's psi0 + psi1 of every sector, zero-padded:
 in the photon-major order the new states come last.  Every cutoff is
 solved at unit scale, as _kernels_py.solve_point solves the mean field:
@@ -316,34 +315,45 @@ def _generic_vector(dim: int, draw: int) -> np.ndarray:
     return (z >> 11).astype(float) * 2.0 ** -53 - 0.5
 
 
+def _orthogonalise(w: np.ndarray, near: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Classical Gram-Schmidt on w, in place: one pass over the rows of `near`
+    (the last rows of basis), then one over basis; returns the summed
+    coefficients along basis's rows."""
+    c = near @ w
+    w -= c @ near
+    total = basis @ w
+    w -= total @ basis
+    total[len(basis) - len(near):] += c
+    return total
+
+
 def _lowest_levels(h: BandedMatrix, hnorm: float,
                    start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenpairs of one sector, ascending (one for a
     one-state sector), by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix
     Anal. Appl. 22, 602 (2000)).
 
-    The Krylov basis holds _KRYLOV_DIM vectors.  Each step orthogonalises
-    w = H v_j against v_(j-1) and v_j (the three-term Lanczos step), then
-    against the whole basis by one classical Gram-Schmidt pass: Lanczos with
-    full reorthogonalisation (Parlett, The Symmetric Eigenvalue Problem
-    (1998), ch. 13).  The first step of a cycle and the step from a
-    breakdown's generic vector couple to every earlier vector (after a
-    restart, the carried-over residual vector couples to every kept Ritz
-    vector), so their first pass runs over the whole basis too.  The
-    projected matrix holds the sum of both passes' coefficients, so it is
-    V^T H V itself; a restart keeps the _KEPT_RITZ lowest Ritz vectors.
-    The run stops when the residuals |beta * s_mi| of both lowest Ritz
-    pairs are at most _LANCZOS_TOL * hnorm, or when the basis fills the sector
-    (the Ritz values are then its exact spectrum).
-    Without `start` it begins from the flat vector plus _START_WEIGHT of a generic
-    one, so that no symmetry left in the sector can keep a level out of the
-    Krylov space (the flat vector alone is even under the spin flip, for
-    one).  On a breakdown (beta <= _LANCZOS_TOL * hnorm before the sector is
-    exhausted) it continues from a generic vector orthogonal to the basis,
-    so an exactly degenerate level can appear twice.  The generic vectors
-    are _generic_vector's draws at the sector's dimension: draw 0 for the
-    start, draws 1, 2, ... for the breakdowns, so the result is
-    deterministic.
+    The Krylov basis holds _KRYLOV_DIM vectors; every orthogonalisation is
+    one call of _orthogonalise.  A step takes w = H v_j against v_(j-1) and
+    v_j (the three-term Lanczos step), then against the whole basis: full
+    reorthogonalisation (Parlett, The Symmetric Eigenvalue Problem (1998),
+    ch. 13).  A cycle's first step (after a restart the carried-over residual
+    couples to every kept Ritz vector), the step from a breakdown's generic
+    vector and that vector itself take both passes over the whole basis.
+    Step j writes row j of the projected matrix, whose lower triangle (all
+    that eigh reads, UPLO='L') is that of V^T H V.  A restart keeps the
+    _KEPT_RITZ lowest Ritz vectors.  The run stops when the residuals
+    |beta * s_mi| of both lowest Ritz pairs are at most _LANCZOS_TOL * hnorm,
+    or when the basis fills the sector (the Ritz values are then its exact
+    spectrum).  Without `start` it begins from the flat vector plus
+    _START_WEIGHT of a generic one, so that no symmetry left in the sector
+    can keep a level out of the Krylov space (the flat vector alone is even
+    under the spin flip, for one).  On a breakdown (beta <= _LANCZOS_TOL *
+    hnorm before the sector is exhausted) it continues from a generic vector
+    orthogonal to the basis, so an exactly degenerate level can appear
+    twice.  The generic vectors are _generic_vector's draws at the sector's
+    dimension: draw 0 for the start, draws 1, 2, ... for the breakdowns, so
+    the result is deterministic.
     """
     import numpy as np
 
@@ -354,42 +364,32 @@ def _lowest_levels(h: BandedMatrix, hnorm: float,
     if start is None:
         start = np.full(dim, 1.0 / math.sqrt(dim)) + _START_WEIGHT * _generic_vector(dim, 0)
     basis = np.empty((size + 1, dim))  # rows are the Krylov vectors
-    proj = np.zeros((size, size))  # V^T H V
-    basis[0] = start / np.linalg.norm(start)
+    proj = np.zeros((size, size))  # the lower triangle of V^T H V
+    np.divide(start, math.sqrt(start @ start), out=basis[0])
     j = 0
     for _ in range(_MAX_RESTARTS + 1):
         lo = 0  # the cycle's first step couples to every earlier vector
         while j < size:
             w = h @ basis[j]
-            c = basis[lo:j + 1] @ w
-            w -= c @ basis[lo:j + 1]
-            c2 = basis[:j + 1] @ w
-            w -= c2 @ basis[:j + 1]
-            c2[lo:] += c
-            proj[:j + 1, j] = proj[j, :j + 1] = c2
-            beta = float(np.linalg.norm(w))
+            proj[j, :j + 1] = _orthogonalise(w, basis[lo:j + 1], basis[:j + 1])
+            beta = math.sqrt(w @ w)
             j += 1
             if j == dim:
                 break  # the basis spans the sector
+            norm, lo = beta, j - 1  # the three-term step
             if beta <= _LANCZOS_TOL * hnorm:
                 draws += 1
                 w = _generic_vector(dim, draws)
-                w -= (basis[:j] @ w) @ basis[:j]
-                w -= (basis[:j] @ w) @ basis[:j]
-                basis[j] = w / np.linalg.norm(w)
-                lo = 0  # so does the generic vector's
-            else:
-                basis[j] = w / beta
-                lo = j - 1  # the three-term step
+                _orthogonalise(w, basis[:j], basis[:j])
+                norm, lo = math.sqrt(w @ w), 0  # it couples to every earlier vector
+            np.divide(w, norm, out=basis[j])
         theta, s = np.linalg.eigh(proj[:j, :j])
         if j == dim or np.all(np.abs(beta * s[-1, :nev]) <= _LANCZOS_TOL * hnorm):
             return theta[:nev], basis[:j].T @ s[:, :nev]
-        keep = _KEPT_RITZ
+        j = keep = _KEPT_RITZ
         basis[:keep] = s[:, :keep].T @ basis[:size]
         basis[keep] = basis[size]
-        proj[:] = 0.0
         proj[:keep, :keep] = np.diag(theta[:keep])
-        j = keep
     raise ConvergenceError(
         f"Lanczos did not converge at dimension {dim} within "
         f"{_MAX_RESTARTS} restarts"

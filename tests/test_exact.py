@@ -3,6 +3,7 @@ Hamiltonian, solver-path consistency, and the variational product bound."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -369,6 +370,27 @@ def test_lanczos_breakdown_finds_a_doubled_level_twice():
     levels, vecs = exact._lowest_levels(h, 19.0, None)
     assert np.abs(levels).max() <= 1e-12 * 19.0
     _check_levels(h, 19.0, levels, vecs)
+
+
+# The sha256 of 64 converge_cutoff ladders (odd and even N, the delta = 0
+# flip sectors, the drive and the J_z**2 term) and of the breakdown run
+# above, levels and vectors: the finite-N path bit for bit.  Its floats come
+# out of numpy's BLAS reductions, so the digest holds for one numpy/OpenBLAS
+# build on one CPU family (recorded with numpy 2.4, OpenBLAS 0.3.31, x86-64).
+_FINITE_N_BATTERY = "dc6670247b9c8a75030ccbf8e1ff43a9139ebcb2041dd4aff9ae16fcc8ae3e84"
+
+
+def test_finite_n_answers_are_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for n, delta, rabi, v in itertools.product((1, 2, 3, 4, 7, 8, 15, 16), (0.0, 0.5),
+                                               (0.0, 0.3), (0.0, -0.5)):
+        p = ModelParams(omega=10.0, lam=1.5 * math.sqrt(10.0), delta=delta,
+                        omega_rabi=rabi, v=v, n_atoms=n)
+        digest.update(repr(vars(converge_cutoff(p))).encode())
+    h = sp.diags(np.repeat(np.arange(20.0), 2)).tocsr()
+    levels, vecs = exact._lowest_levels(h, 19.0, None)
+    digest.update(levels.tobytes() + vecs.tobytes())
+    assert digest.hexdigest() == _FINITE_N_BATTERY
 
 
 def test_lanczos_restarts_match_dense_levels():

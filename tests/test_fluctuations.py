@@ -1,0 +1,62 @@
+"""Quadratic fluctuations about the normal phase, a check that shares no code
+with the kernel (Holstein-Primakoff to second order: Emary & Brandes, PRE 67,
+066203, 2003).
+
+In the normal phase the photon (frequency omega) and the spin wave (Delta =
+delta - v) are coupled by (lambda/2)(a + a^dag)(b + b^dag), and the two normal
+modes have
+
+    eps_pm**2 = (omega**2 + Delta**2 +- sqrt((omega**2 - Delta**2)**2
+                                            + 4 lambda**2 omega Delta)) / 2.
+
+The finite-N gap tends to eps_-, and N * (E0/N - e_MF) to the zero-point
+energy (eps_+ + eps_- - omega - Delta)/2, each with a residual of order 1/N.
+eps_- vanishes at the lobe edge delta = u + v.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from extdicke.exact import converge_cutoff
+from extdicke.meanfield import ground_state
+from extdicke.model import ModelParams
+from extdicke.phases import detect_transitions
+
+
+def normal_modes(omega: float, lam: float, delta: float, v: float) -> tuple[float, float]:
+    """eps_+**2 and eps_-**2 about the normal-phase minimum."""
+    d = delta - v
+    root = math.sqrt((omega**2 - d**2) ** 2 + 4.0 * lam**2 * omega * d)
+    return 0.5 * (omega**2 + d**2 + root), 0.5 * (omega**2 + d**2 - root)
+
+
+def test_finite_n_gap_and_energy_approach_the_normal_modes_as_one_over_n():
+    omega, lam, delta, v = 1.0, 0.8, 1.0, 0.1  # u + v = 0.74 < delta: normal
+    plus, minus = (math.sqrt(e) for e in normal_modes(omega, lam, delta, v))
+    assert minus == pytest.approx(0.374340, abs=1e-6)
+    zero_point = 0.5 * (plus + minus - omega - (delta - v))
+    assert zero_point == pytest.approx(-0.116713, abs=1e-6)
+    gaps, drifts = [], []
+    for n in (8, 16, 32, 64, 128, 256):
+        p = ModelParams(omega=omega, lam=lam, delta=delta, v=v, n_atoms=n)
+        sol = converge_cutoff(p)
+        assert sol.converged
+        gaps.append(sol.gap - minus)
+        drifts.append(n * (sol.energy_per_atom - ground_state(p).energy_per_atom) - zero_point)
+    # each residual roughly halves as N doubles: 1.7 at N = 8, 1.97 at 128
+    for seq in (gaps, drifts):
+        assert all(1.6 <= a / b <= 2.1 for a, b in zip(seq, seq[1:]))
+
+
+def test_lower_mode_vanishes_at_the_detected_lobe_edge():
+    omega, lam, v = 1.0, 0.8, 0.1
+    p = ModelParams(omega=omega, lam=lam, v=v)
+    edge = p.u + p.v
+    assert abs(normal_modes(omega, lam, edge, v)[1]) <= 1e-15
+    assert normal_modes(omega, lam, edge + 1e-3, v)[1] > 0.0  # and is real beyond it
+    recs = detect_transitions(p, "delta", 0.0, 1.5, observable="photon_density")
+    assert [r.order for r in recs] == ["second"]
+    assert abs(recs[0].location - edge) <= 1e-9

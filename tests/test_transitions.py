@@ -328,3 +328,17 @@ def test_photon_density_is_read_in_its_own_unit():
         recs = detect_transitions(ModelParams(omega=4.0**j, lam=2.0**j, v=0.2), "delta",
                                   -2.4, 2.4, observable="photon_density")
         assert [(r.location, r.order) for r in recs] == [(-1.2, "second"), (1.2, "second")]
+
+
+@pytest.mark.xfail(strict=True, reason="two corners less than four scan cells apart give "
+                   "one record (ROADMAP direction 3)")
+@pytest.mark.parametrize("observable", ["photon_density", "m_over_n", "energy_slope"])
+def test_lobe_edges_three_cells_apart_give_two_records(observable):
+    # the lobe is 2 (u + v) = 0.0098 wide, 2.9 scan cells: one bracket holds
+    # both edges, and the scan reports the + edge of the photon density and
+    # the - edge of m/N and of the energy slope, each alone
+    p = params_u(0.11918370701542035, v=-0.1142835288328955)
+    recs = detect_transitions(p, "delta", -0.22845, 0.44295, observable=observable)
+    edge = p.u + p.v
+    assert [r.order for r in recs] == ["second", "second"]
+    assert all(abs(r.location - x) <= 1e-9 for r, x in zip(recs, (-edge, edge)))
