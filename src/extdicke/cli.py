@@ -32,12 +32,13 @@ from .model import (
     DIMENSION_BUDGET,
     KEYS,
     LADDER_EPS,
-    N_MAX_START,
     ConvergenceError,
     ModelParams,
     ParameterError,
     TrapSpec,
     _integer,
+    _positive,
+    check_ladder,
     dumps_json,
     estimate_from_trap,
     omega_critical,
@@ -62,24 +63,12 @@ def _write_text(out, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _finite(text: str) -> float:
-    """A coupling flag's value: a finite float, else an argparse error
-    (exit 2) that names the flag."""
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return x
-
-
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     """--config and one flag per coupling, stored under the coupling's key."""
     p.add_argument("--config", type=Path, default=None,
                    help="JSON file with model parameters; explicit flags override it")
     for field, key, flag, text in COUPLINGS:
-        p.add_argument(flag, dest=key, metavar=flag[2:].upper(), type=_finite, default=None,
+        p.add_argument(flag, dest=key, metavar=flag[2:].upper(), type=float, default=None,
                        help=f"{text} (default {getattr(ModelParams, field):g})")
 
 
@@ -159,21 +148,14 @@ def cmd_solve(args) -> int:
 def cmd_exact_check(args) -> int:
     from .exact import _RESIDUAL_TOL, converge_cutoff, product_state_energy
     params = _params_from_args(args)
-    n_list = _parse_int_list(args.n_list, "--n-list")
-    if min(n_list) < 1:
-        raise ParameterError(f"--n-list entries must be positive, got {min(n_list)}")
-    need = (N_MAX_START + 1) * (max(n_list) + 1)  # the ladder's first cutoff
-    if args.budget < need:
-        raise ParameterError(f"--budget must be at least {need} to hold the first "
-                             f"photon cutoff at N = {max(n_list)}, got {args.budget}")
-    if not (math.isfinite(args.eps) and args.eps > 0.0):
-        raise ParameterError(f"--eps must be finite and positive, got {args.eps!r}")
+    eps, n_list = check_ladder(args.eps, _parse_float_list(args.n_list, "--n-list"),
+                               args.budget, names=("--eps", "--n-list entry", "--budget"))
     mf = ground_state(params)
     tol = _RESIDUAL_TOL * params.hamiltonian_scale  # the residual guard, per atom
     rows = []
     for n in n_list:
         p_n = params.replace(n_atoms=n)
-        sol = converge_cutoff(p_n, eps=args.eps, budget=args.budget)
+        sol = converge_cutoff(p_n, eps=eps, budget=args.budget)
         bound = product_state_energy(p_n, mf)
         rows.append({
             "n_atoms": n,
@@ -247,8 +229,7 @@ def _fig_base(args) -> tuple[ModelParams, float]:
     """Base parameters and the coupling scale u for the figure commands.
     Every axis and drive is in units of u, so --u must be finite and
     positive."""
-    if not (math.isfinite(args.u) and args.u > 0.0):
-        raise ParameterError(f"--u must be finite and positive, got {args.u}")
+    _positive(args.u, "--u")
     if args.units == "mhz":
         base = ModelParams(omega=_MHZ_OMEGA, lam=_MHZ_LAMBDA, n_atoms=_MHZ_N_ATOMS)
     else:
@@ -264,12 +245,6 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     if not values:
         raise ParameterError(f"empty {flag}")
     return values
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    """Comma-separated integers; a fractional entry is an error, not
-    something to truncate."""
-    return [_integer(x, f"{flag} entry") for x in _parse_float_list(text, flag)]
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
@@ -318,9 +293,7 @@ def _drive(frac: float, u: float, flag: str) -> float:
 def _delta_span(args, u: float) -> float:
     """The --delta-span half-range in detuning units; it must be positive,
     and the axis, twice as wide, finite."""
-    if not args.delta_span > 0.0:
-        raise ParameterError(f"--delta-span must be positive, got {args.delta_span}")
-    return _times_u(args.delta_span, u, "--delta-span", width=2.0)
+    return _times_u(_positive(args.delta_span, "--delta-span"), u, "--delta-span", width=2.0)
 
 
 def _detuning_figure(args, stem: str, panels: tuple[tuple[str, str], ...]) -> int:

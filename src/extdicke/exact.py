@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING
 
 from .meanfield import MeanFieldSolution, ground_state
 from .model import (AXES, DIMENSION_BUDGET, LADDER_EPS, N_MAX_START, ConvergenceError,
-                    ModelParams, ParameterError, _integer, record)
+                    ModelParams, ParameterError, _integer, basis_dimension, check_ladder, record)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,16 +124,13 @@ class BandedMatrix:
 
 
 def _cutoff(params: ModelParams, n_max, budget: int) -> int:
-    """n_max as an int: a nonnegative integer photon cutoff whose basis,
-    (n_max + 1) * (N + 1) states, fits the budget."""
+    """n_max as an int: a nonnegative integer photon cutoff whose basis
+    fits the budget."""
     nm = _integer(n_max, "photon cutoff")
     if nm < 0:
         raise ParameterError("negative photon cutoff")
-    dim = (nm + 1) * (params.n_atoms + 1)
-    if dim > budget:
-        raise ParameterError(
-            f"basis dimension {dim} exceeds the memory budget {budget}"
-        )
+    if (dim := basis_dimension(nm, params.n_atoms)) > budget:
+        raise ParameterError(f"basis dimension {dim} exceeds the memory budget {budget}")
     return nm
 
 
@@ -153,7 +150,7 @@ def _hamiltonian(params: ModelParams, nm: int, k: int) -> BandedMatrix:
 
     omega, lam, delta, rabi, v = (math.ldexp(getattr(params, a), -k) for a in AXES)
     na = params.n_atoms
-    dim = (nm + 1) * (na + 1)
+    dim = basis_dimension(nm, na)
     j = 0.5 * na
     m = np.arange(na + 1) - j  # m values, ascending
     n = np.arange(nm + 1)
@@ -211,7 +208,7 @@ def _sectors(params: ModelParams, n_max: int
     import numpy as np
 
     na = params.n_atoms
-    dim = (n_max + 1) * (na + 1)
+    dim = basis_dimension(n_max, na)
     states = np.arange(dim)
     k = states % (na + 1)  # k = m + j
     if params.omega_rabi != 0.0:
@@ -543,16 +540,14 @@ def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
     ConvergenceError before any cutoff is solved.  So is a photon energy
     omega at or below _LANCZOS_TOL * N * hamiltonian_scale, the solver's
     resolution of E0: there every photon number is degenerate to that
-    resolution, and <a^dag a> is whatever the Lanczos start leaves.  A
-    first cutoff above the budget is a ParameterError.  Returns the
-    observables at the final cutoff; converged is False when the budget
-    stops the doubling first.
+    resolution, and <a^dag a> is whatever the Lanczos start leaves.  A bad
+    eps, or a first cutoff above the budget, is a ParameterError from
+    check_ladder.  Returns the observables at the final cutoff; converged
+    is False when the budget stops the doubling first.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ParameterError(
-            f"convergence tolerance must be finite and positive, got {eps!r}")
-    n_top = _cutoff(params, N_MAX_START, budget)
-    while (2 * n_top + 1) * (params.n_atoms + 1) <= budget:
+    eps = check_ladder(eps, (params.n_atoms,), budget)[0]
+    n_top = N_MAX_START
+    while basis_dimension(2 * n_top, params.n_atoms) <= budget:
         n_top *= 2
     photons = params.n_atoms * ground_state(params).photon_density
     if not photons < _HEADROOM * n_top:

@@ -30,13 +30,6 @@ hbar = 6.62607015e-34 / (2.0 * math.pi)
 # would meet with an OverflowError.
 _FLOAT_MAX = sys.float_info.max
 
-# The cutoff ladder of exact.converge_cutoff, here so that sweeps and the
-# CLI read it without loading exact: its default eps and dimension budget,
-# and the photon cutoff every ladder starts at.
-LADDER_EPS = 1e-8
-N_MAX_START = 8
-DIMENSION_BUDGET = 400_000
-
 
 class ParameterError(ValueError):
     """A model parameter violates its domain."""
@@ -83,6 +76,48 @@ def _integer(x, what: str) -> int:
             or (isinstance(x, float) and not x.is_integer())):
         raise ParameterError(f"{what} must be an integer, got {x!r}")
     return int(x)
+
+
+def _positive(x, what: str) -> float:
+    """float(x) for a finite positive int or float, else a ParameterError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0.0 < x <= _FLOAT_MAX:
+        raise ParameterError(f"{what} must be finite and positive, got {x!r}")
+    return float(x)
+
+
+def _atoms(x, what: str) -> int:
+    """int(x) for a positive whole number of atoms, not truncated."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+            or not 1 <= x <= _FLOAT_MAX or int(x) != x):
+        raise ParameterError(f"{what} must be a positive integer, got {x!r}")
+    return int(x)
+
+
+# The cutoff ladder of exact.converge_cutoff, here so that sweeps and the
+# CLI read it without loading exact: its default eps and dimension budget,
+# and the photon cutoff every ladder starts at.
+LADDER_EPS = 1e-8
+N_MAX_START = 8
+DIMENSION_BUDGET = 400_000
+
+
+def basis_dimension(n_max: int, n_atoms: int) -> int:
+    """States at photon cutoff n_max: n_max + 1 photon numbers, N + 1 J_z."""
+    return (n_max + 1) * (n_atoms + 1)
+
+
+def check_ladder(eps, atom_numbers, budget: int = DIMENSION_BUDGET,
+                 names=("convergence tolerance", "atom number", "the memory budget")):
+    """The ladder settings' rule, for converge_cutoff, SweepConfig and
+    exact-check: eps a positive finite number, each atom number a positive
+    integer whose first cutoff fits the budget.  Returns (float eps, tuple
+    of int atom numbers); an error uses the caller's `names` of the three."""
+    eps = _positive(eps, names[0])
+    ns = tuple(_atoms(n, names[1]) for n in atom_numbers)
+    if ns and (need := basis_dimension(N_MAX_START, max(ns))) > budget:
+        raise ParameterError(f"{names[1]} {max(ns)} needs {need} basis states at the first "
+                             f"photon cutoff {N_MAX_START}, above {names[2]} {budget}")
+    return eps, ns
 
 
 def _eq(self, other):
@@ -137,6 +172,7 @@ COUPLINGS = (
 )
 AXES = tuple(row[0] for row in COUPLINGS)
 KEYS = tuple(row[1] for row in COUPLINGS)
+_FIELD_NAMES = tuple(f"parameter {field!r}" for field in AXES)  # check_couplings' default
 
 
 @record
@@ -186,38 +222,42 @@ class ModelParams:
         unknown = set(data) - {*KEYS, "n_atoms"}
         if unknown:
             raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
-        names = {key: (flags or {}).get(key, repr(key)) for key in data}
-        for key, x in data.items():
-            if key != "n_atoms":
-                _real(x, f"parameter {names[key]}")
         kw = {field: data.get(key, getattr(cls, field)) for field, key in zip(AXES, KEYS)}
-        check_couplings(*kw.values(),
-                        names=[f"{names[key]}: " if key in data else "" for key in KEYS])
+        check_couplings(*kw.values(), names=[(flags or {}).get(key, repr(key)) if key in data
+                                             else "" for key in KEYS])
         return cls(**kw, n_atoms=data.get("n_atoms", cls.n_atoms))
 
 
-def check_couplings(omega, lam, delta, omega_rabi, v, names=("",) * 5) -> float:
-    """The couplings' domain rule: returns u = lam*lam/omega or raises
-    ParameterError naming the first violated constraint, for validate, for
-    each sweep node's floats, and for from_dict, whose `names` give in
-    COUPLINGS order the prefix ("--lambda: ") of a coupling's domain error."""
-    for name, x in zip(AXES, (omega, lam, delta, omega_rabi, v)):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ParameterError(f"parameter {name!r} is not a number")
-        if not -_FLOAT_MAX <= x <= _FLOAT_MAX:
-            raise ParameterError(f"non-finite parameter {name!r}")
+def check_couplings(omega, lam, delta, omega_rabi, v, names=None) -> float:
+    """The couplings' rule, for validate, each sweep node and from_dict:
+    returns u = lam*lam/omega or a ParameterError naming the first violated
+    constraint.  `names` gives in COUPLINGS order the flag or key ("--lambda",
+    "'lambda'") of each coupling, "" for a default, for an error to name.
+    Without it a type error names the field and a domain error nothing."""
+    typed = names or _FIELD_NAMES  # one call each: a loop over zip costs 15 % more
+    _real(omega, typed[0])
+    _real(lam, typed[1])
+    _real(delta, typed[2])
+    _real(omega_rabi, typed[3])
+    _real(v, typed[4])
     if omega <= 0.0:
-        raise ParameterError(f"{names[0]}nonpositive cavity frequency")
+        raise ParameterError(f"{_at(names, 0)}nonpositive cavity frequency")
     if lam < 0.0:
-        raise ParameterError(f"{names[1]}negative collective coupling")
+        raise ParameterError(f"{_at(names, 1)}negative collective coupling")
     u = lam * lam / omega
     if not math.isfinite(u):
-        raise ParameterError(f"{names[1] or names[0]}non-finite coupling u = lambda**2/omega")
+        raise ParameterError(f"{_at(names, 1) or _at(names, 0)}"
+                             "non-finite coupling u = lambda**2/omega")
     if omega_rabi < 0.0:
         # The sign of omega_rabi is a gauge choice (J_x -> -J_x flips it);
         # the nonnegative representative is enforced for uniqueness.
-        raise ParameterError(f"{names[3]}negative Rabi frequency")
+        raise ParameterError(f"{_at(names, 3)}negative Rabi frequency")
     return u
+
+
+def _at(names, i: int) -> str:
+    """The start of a domain error about coupling i: "name: " or ""."""
+    return f"{names[i]}: " if names and names[i] else ""
 
 
 def validate(params: ModelParams) -> ModelParams:
@@ -226,10 +266,7 @@ def validate(params: ModelParams) -> ModelParams:
     calls it when built."""
     check_couplings(params.omega, params.lam, params.delta, params.omega_rabi,
                     params.v)
-    n = params.n_atoms
-    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
-            or not -_FLOAT_MAX <= n <= _FLOAT_MAX or int(n) != n or n < 1):
-        raise ParameterError("the number of atoms must be a positive integer")
+    _atoms(params.n_atoms, "the number of atoms")
     return params
 
 
@@ -245,7 +282,10 @@ class TrapSpec:
 
     Trap frequencies are rad/s, scattering lengths are meters, the mass is
     kg; the cavity/atom couplings (single_coupling = lambda-tilde, g0_max,
-    gamma_excited) and cavity_freq are angular MHz.
+    gamma_excited) and cavity_freq are angular MHz.  Building one checks
+    it: every field is a finite number (omega_trap three, n_atoms a positive
+    integer), the trap frequencies, mass, cavity_freq and g0_max are
+    positive, and gamma_excited is not negative.
     """
 
     omega_trap: tuple[float, float, float]
@@ -258,28 +298,36 @@ class TrapSpec:
     g0_max: float
     gamma_excited: float
 
+    def __post_init__(self):
+        d = self.__dict__
+        trap = d["omega_trap"]
+        if not isinstance(trap, (list, tuple)) or len(trap) != 3:
+            raise ParameterError("trap spec needs 'omega_trap' as 3 numbers")
+        d["omega_trap"] = tuple(_real(x, "trap spec 'omega_trap' entry") for x in trap)
+        for name in self._fields[1:]:
+            d[name] = (_atoms if name == "n_atoms" else _real)(d[name], f"trap spec {name!r}")
+        if min(self.omega_trap) <= 0.0:
+            raise ParameterError("nonpositive trap frequency")
+        if self.mass <= 0.0:
+            raise ParameterError("nonpositive atomic mass")
+        if self.cavity_freq <= 0.0:
+            raise ParameterError("nonpositive cavity frequency")
+        if self.g0_max <= 0.0 or self.gamma_excited < 0.0:
+            raise ParameterError("invalid cavity loss parameters")
+
     def to_dict(self) -> dict:
         return {**vars(self), "omega_trap": list(self.omega_trap)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrapSpec":
-        """Build from the JSON form: an object with exactly the field names
-        as keys, each a finite number (omega_trap a list of three, n_atoms
-        an integer).  Anything else is a ParameterError."""
+        """Build from the JSON form, an object with exactly the field names
+        as keys; the spec checks the values."""
         if not isinstance(data, dict):
             raise ParameterError("trap spec must be a JSON object")
-        names = list(cls._fields)
-        if set(data) != set(names):
+        if set(data) != set(cls._fields):
             raise ParameterError(f"bad trap spec: keys {sorted(map(str, data))}, "
-                                 f"expected {names}")
-        trap = data["omega_trap"]
-        if not isinstance(trap, list) or len(trap) != 3:
-            raise ParameterError("trap spec needs 'omega_trap' as 3 numbers")
-        kw = {name: _real(x, f"trap spec {name!r}") for name, x in data.items()
-              if name != "omega_trap"}
-        kw["omega_trap"] = tuple(_real(x, "trap spec 'omega_trap' entry") for x in trap)
-        kw["n_atoms"] = _integer(data["n_atoms"], "trap spec 'n_atoms'")
-        return cls(**kw)
+                                 f"expected {list(cls._fields)}")
+        return cls(**data)
 
     @classmethod
     def from_json(cls, text: str) -> "TrapSpec":
@@ -316,19 +364,10 @@ def estimate_from_trap(spec: TrapSpec) -> TrapEstimate:
     A common shorthand drops the factor 2 relative to this route
     (N*drho*hbar/(sqrt(2*pi)*m*dx*dy*dz)); its value, and the value of v
     read in cyclic MHz instead of Mrad/s, are reported in the metadata.
+    The spec checked its values: the one error here is an oscillator volume
+    outside the float range.
     """
     wx, wy, wz = spec.omega_trap
-    if min(wx, wy, wz) <= 0.0:
-        raise ParameterError("nonpositive trap frequency")
-    if spec.mass <= 0.0:
-        raise ParameterError("nonpositive atomic mass")
-    if spec.n_atoms < 1:
-        raise ParameterError("no atoms")
-    if spec.cavity_freq <= 0.0:
-        raise ParameterError("nonpositive cavity frequency")
-    if spec.g0_max <= 0.0 or spec.gamma_excited < 0.0:
-        raise ParameterError("invalid cavity loss parameters")
-
     try:  # mass * omega_i or dx*dy*dz can underflow to 0
         dx = math.sqrt(hbar / (spec.mass * wx))
         dy = math.sqrt(hbar / (spec.mass * wy))

@@ -3,8 +3,9 @@ finite-N) solvers.
 
 Datasets are plain tables: one row per grid node (axis-major, first axis
 outermost), float cells printed with 17 significant digits so identical
-configurations produce byte-identical files.  Per-node failures are data:
-the error column carries the message and the remaining cells stay empty.
+configurations produce byte-identical files.  A node's ParameterError or
+ConvergenceError is data: the error column carries the message and the
+remaining cells stay empty; any other exception stops the sweep.
 JSON output is strict RFC 8259: non-finite floats are written as null.
 
 A node's mean-field cells are computed on floats and equal what
@@ -22,8 +23,8 @@ import math
 
 from . import __version__, _kernels_py
 from .meanfield import point_observables
-from .model import (AXES, KEYS, LADDER_EPS, ModelParams, ParameterError, _integer, _real,
-                    check_couplings, dumps_json, record)
+from .model import (AXES, KEYS, LADDER_EPS, ConvergenceError, ModelParams, ParameterError,
+                    _integer, _real, check_couplings, check_ladder, dumps_json, record)
 from .phases import phase_label
 
 MAX_NODES = 10**6  # grid nodes in a sweep: a larger grid is refused before it is built
@@ -48,9 +49,10 @@ class AxisSpec:
 @record
 class SweepConfig:
     """Base parameters plus one or two axes, with optional finite-N columns
-    (one block per atom number in exact_n).  Building one validates the
-    axes, the atom numbers and the cutoff-ladder settings; the base
-    validated itself when it was built."""
+    (one block per atom number in exact_n).  Building one checks the axes
+    (stored with float bounds and an int count) and, through check_ladder,
+    the finite-N settings, so a bad one stops a scan before any node runs;
+    the base checked itself when it was built."""
 
     base: ModelParams
     axes: tuple[AxisSpec, ...]
@@ -60,32 +62,29 @@ class SweepConfig:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ParameterError("sweeps take one or two axes")
-        seen, nodes = set(), 1
+        seen, nodes, axes = set(), 1, []
         for axis in self.axes:
             if axis.name not in KEYS:
                 raise ParameterError(f"unknown sweep axis {axis.name!r}")
             if axis.name in seen:
                 raise ParameterError(f"axis {axis.name!r} repeated")
             seen.add(axis.name)
-            if axis.count < 2:
+            what = f"axis {axis.name!r}"
+            lo, hi = _real(axis.min, f"{what} min"), _real(axis.max, f"{what} max")
+            count = _integer(axis.count, f"{what} count")
+            if count < 2:
                 raise ParameterError("axis count must be at least 2")
-            nodes *= axis.count
+            nodes *= count
             if nodes > MAX_NODES:
-                raise ParameterError(f"axis {axis.name!r} takes the grid past {MAX_NODES} nodes")
-            if not (math.isfinite(axis.min) and math.isfinite(axis.max)):
-                raise ParameterError(f"axis {axis.name!r} bounds must be finite, "
-                                     f"got {axis.min!r} to {axis.max!r}")
-            if not axis.max >= axis.min:
+                raise ParameterError(f"{what} takes the grid past {MAX_NODES} nodes")
+            if not hi >= lo:
                 raise ParameterError("axis max below min")
-            if not math.isfinite(axis.max - axis.min):
-                raise ParameterError(f"axis {axis.name!r} step overflows: "
-                                     f"{axis.min!r} to {axis.max!r}")
-        for n in self.exact_n:
-            if n < 1:
-                raise ParameterError("exact_n entries must be positive")
-        if not (math.isfinite(self.exact_eps) and self.exact_eps > 0.0):
-            raise ParameterError(
-                f"exact_eps must be finite and positive, got {self.exact_eps!r}")
+            if not math.isfinite(hi - lo):
+                raise ParameterError(f"{what} step overflows: {lo!r} to {hi!r}")
+            axes.append(AxisSpec(axis.name, lo, hi, count))
+        eps, exact_n = check_ladder(self.exact_eps, self.exact_n,
+                                    names=("exact_eps", "exact_n entry", "the memory budget"))
+        self.__dict__.update(axes=tuple(axes), exact_n=exact_n, exact_eps=eps)
 
     def to_dict(self) -> dict:
         out = {
@@ -102,8 +101,8 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        """Build from the JSON form; a value of the wrong shape or type is a
-        ParameterError, like a value outside its domain."""
+        """Build from the JSON form, of which this checks the shape (known
+        keys, `axes` and `exact_n` lists); the config checks the values."""
         if not isinstance(data, dict):
             raise ParameterError("sweep config must be a JSON object")
         known = {"base", "axes", "exact_n", "exact_eps"}
@@ -117,12 +116,8 @@ class SweepConfig:
         for key, value in (("axes", data["axes"]), ("exact_n", exact_n)):
             if not isinstance(value, list):
                 raise ParameterError(f"sweep config {key!r} must be a list, got {value!r}")
-        return cls(
-            base=base,
-            axes=tuple(_axis(a, i) for i, a in enumerate(data["axes"])),
-            exact_n=tuple(_integer(n, "exact_n entry") for n in exact_n),
-            exact_eps=_real(data.get("exact_eps", cls.exact_eps), "exact_eps"),
-        )
+        return cls(base, [_axis(a, i) for i, a in enumerate(data["axes"])], exact_n,
+                   data.get("exact_eps", cls.exact_eps))
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
@@ -137,13 +132,10 @@ def _axis(data, i: int) -> AxisSpec:
     object with exactly the keys name, min, max and count."""
     if not isinstance(data, dict):
         raise ParameterError(f"axis {i} must be an object with keys {list(_AXIS_KEYS)}")
-    what = f"axis {data.get('name', i)!r}"
     if set(data) != set(_AXIS_KEYS):
-        raise ParameterError(f"{what} must have exactly the keys {list(_AXIS_KEYS)}, "
-                             f"got {sorted(map(str, data))}")
-    return AxisSpec(data["name"], _real(data["min"], f"{what} min"),
-                    _real(data["max"], f"{what} max"),
-                    _integer(data["count"], f"{what} count"))
+        raise ParameterError(f"axis {data.get('name', i)!r} must have exactly the keys "
+                             f"{list(_AXIS_KEYS)}, got {sorted(map(str, data))}")
+    return AxisSpec(*(data[key] for key in _AXIS_KEYS))
 
 
 @record
@@ -203,7 +195,7 @@ def _solve_node(config: SweepConfig, slots: list[int], base: list,
         label = phase_label(flat, m_over_n, n_minima, s_x, u, v)
         row.extend((u, eta, alpha, s_x, s_z, m_over_n, photon_density, e,
                     label.value, residual, bool(degenerate)))
-    except Exception as exc:  # errors are data
+    except ParameterError as exc:  # errors are data
         row.extend([""] * (len(_MF_COLUMNS) + 4 * len(config.exact_n)))
         row.append(f"{type(exc).__name__}: {exc}")
         return tuple(row)
@@ -217,7 +209,7 @@ def _solve_node(config: SweepConfig, slots: list[int], base: list,
             row.extend(
                 (ex.energy_per_atom, ex.photon_density, ex.m_over_n, ex.converged)
             )
-        except Exception as exc:
+        except (ParameterError, ConvergenceError) as exc:
             row.extend(("", "", "", ""))
             errors.append(f"N={n} {type(exc).__name__}: {exc}")
     row.append("; ".join(errors))

@@ -7,9 +7,9 @@ import pytest
 
 import extdicke
 from extdicke import cli
-from extdicke.model import ModelParams, ParameterError
+from extdicke.model import ModelParams, ParameterError, TrapSpec
 from extdicke.phases import detect_transitions
-from extdicke.sweep import SweepConfig
+from extdicke.sweep import AxisSpec, SweepConfig
 
 # each public name and the module that defines it
 HOMES = {
@@ -84,13 +84,50 @@ def _solve_config(tmp_path, text):
     return cli._params_from_args(args)
 
 
+def _sweep(axis=AxisSpec("delta", 0.0, 1.0, 3), **kw):
+    return SweepConfig(ModelParams(), (axis,), **kw)
+
+
+_TRAP = dict(omega_trap=(1e3, 1e3, 1e3), rho_intra=5e-9, rho_inter=4e-9, mass=1.45e-25,
+             n_atoms=1000, single_coupling=1.0, cavity_freq=1.0, g0_max=1.0,
+             gamma_excited=1.0)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda tmp: detect_transitions(ModelParams(), "delta", 0.0, 1.0, n_scan=7),
      "at least 8 points"),
     (lambda tmp: ModelParams.from_dict([1.0]), "must be a JSON object"),
     (lambda tmp: SweepConfig.from_dict(["base", "axes"]), "must be a JSON object"),
     (lambda tmp: _solve_config(tmp, "[1.0, 2.0]"), "must be a JSON object"),
-], ids=["n_scan_7", "model_params", "sweep_config", "solve_config"])
+    # records built in Python check their values as a config read from JSON does
+    (lambda tmp: _sweep(AxisSpec("delta", 0.0, 1.0, 2.5)),
+     "axis 'delta' count must be an integer, got 2.5"),
+    (lambda tmp: _sweep(AxisSpec("delta", "0", 1.0, 3)),
+     "axis 'delta' min must be a finite number, got '0'"),
+    (lambda tmp: _sweep(exact_eps="1e-8"), "exact_eps must be finite and positive, got '1e-8'"),
+    (lambda tmp: _sweep(exact_n=(2.5,)), "exact_n entry must be a positive integer, got 2.5"),
+    (lambda tmp: _sweep(exact_n=(100_000,)),
+     "exact_n entry 100000 needs 900009 basis states at the first photon cutoff 8, "
+     "above the memory budget 400000"),
+    (lambda tmp: TrapSpec(**{**_TRAP, "mass": "1e-25"}),
+     "trap spec 'mass' must be a finite number, got '1e-25'"),
+    (lambda tmp: TrapSpec(**{**_TRAP, "omega_trap": (1.0, 2.0)}),
+     "trap spec needs 'omega_trap' as 3 numbers"),
+    (lambda tmp: TrapSpec(**{**_TRAP, "n_atoms": 2.5}),
+     "trap spec 'n_atoms' must be a positive integer, got 2.5"),
+], ids=["n_scan_7", "model_params", "sweep_config", "solve_config", "axis_count",
+        "axis_bound", "exact_eps", "exact_n", "exact_n_budget", "trap_mass",
+        "trap_frequencies", "trap_atoms"])
 def test_malformed_input_is_a_parameter_error(call, message, tmp_path):
     with pytest.raises(ParameterError, match=message):
         call(tmp_path)
+
+
+def test_records_built_in_python_store_checked_values():
+    # an integral float count or atom number is stored as the int it equals,
+    # and a list of trap frequencies as a tuple of floats
+    config = _sweep(AxisSpec("delta", 0, 1, 3.0), exact_n=[4.0])
+    assert config.axes == (AxisSpec("delta", 0.0, 1.0, 3),)
+    assert type(config.axes[0].count) is int and config.exact_n == (4,)
+    spec = TrapSpec(**{**_TRAP, "omega_trap": [1000, 1000, 1000], "n_atoms": 1000.0})
+    assert spec.omega_trap == (1e3, 1e3, 1e3) and type(spec.n_atoms) is int

@@ -256,9 +256,9 @@ def test_solve_invalid_json_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_solve_overflowing_quartic_is_not_flat(capsys):
-    # delta*s_z alone makes the energy non-constant; the quartic's
-    # coefficients overflow unless the kernel rescales the couplings
+def test_solve_scales_overflowing_couplings_and_is_not_flat(capsys):
+    # delta*s_z alone makes the energy non-constant; sums and products of
+    # these couplings overflow unless the kernel scales them to unit size
     assert cli.main(["solve", "--omega", "1", "--lambda", "1", "--v=-1e308",
                      "--delta", "1e308", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -425,7 +425,8 @@ def test_exact_check_bad_budget_or_eps_names_the_flag(flag, value, capsys):
 def test_exact_check_names_the_budget_the_first_cutoff_needs(capsys):
     # the first cutoff, 8 photons, holds 9 * (N + 1) = 81 states at N = 8
     assert cli.main(["exact-check", "--n-list", "2,8", "--budget", "80"]) == 2
-    assert "--budget must be at least 81" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: --n-list entry 8 needs 81 basis states at "
+                                       "the first photon cutoff 8, above --budget 80\n")
     assert cli.main(["exact-check", "--n-list", "2,8", "--budget", "81"]) == 0
 
 
@@ -847,11 +848,18 @@ _KEY_NAMES = {
 def test_fuzzed_scan_configs_exit_cleanly(tmp_path, capsys):
     # sweep configs whose base values, axis entries or finite-N settings are
     # extreme, non-finite or malformed, on grids of at most 4 nodes: each
-    # run ends with 0 or 2, and 2 names the key at fault
+    # run ends with 0 or 2, and 2 names the key at fault and writes no
+    # output.  An atom number of 100000 needs 900009 basis states at the
+    # first photon cutoff, past the 400000 budget: 2 before any node runs
     rng = random.Random(3030)
     config_path, out = tmp_path / "sweep.json", tmp_path / "data"
+    config_path.write_text(json.dumps({**SWEEP_JSON, "exact_n": [100_000]}))
+    _, _, err = _run_cleanly(["scan", "--config", str(config_path), "--out", str(out)],
+                             capsys, (2,))
+    assert "exact_n entry 100000" in err and not out.exists()
     codes = set()
     for _ in range(100):
+        out.unlink(missing_ok=True)
         base = {**SWEEP_JSON["base"]}
         axis = {**_AXIS, "count": rng.randint(2, 4)}
         config = {"base": base, "axes": [axis]}
@@ -872,14 +880,17 @@ def test_fuzzed_scan_configs_exit_cleanly(tmp_path, capsys):
                 names += [f"'{key}'", "axis"]
             else:
                 key = rng.choice(("exact_n", "exact_eps"))
-                config[key] = rng.choice(_FUZZ_JSON + ([1], [2, 1]))
+                config[key] = rng.choice(_FUZZ_JSON + ([1], [2, 1], [100_000]))
                 names += [key]
         fmt = rng.choice(("csv", "json"))
         config_path.write_text(json.dumps(config))
         code, _, err = _run_cleanly(["scan", "--config", str(config_path), "--format", fmt,
                                      "--out", str(out)], capsys, (0, 2))
+        if config.get("exact_n") == [100_000]:
+            assert code == 2, config
         if code == 2:
             assert any(name in err for name in names), (config, err)
+            assert not out.exists()
         elif fmt == "json":
             json.loads(out.read_text(), parse_constant=_reject)
         codes.add(code)

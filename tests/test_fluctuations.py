@@ -11,7 +11,8 @@ modes have
 
 The finite-N gap tends to eps_-, and N * (E0/N - e_MF) to the zero-point
 energy (eps_+ + eps_- - omega - Delta)/2, each with a residual of order 1/N.
-eps_- vanishes at the lobe edge delta = u + v.
+eps_- vanishes at the lobe edge delta = u + v.  At a second-order point the
+finite-N gap closes as N**(-1/3) (Vidal & Dusuel, EPL 74, 817, 2006).
 """
 
 from __future__ import annotations
@@ -60,3 +61,40 @@ def test_lower_mode_vanishes_at_the_detected_lobe_edge():
     recs = detect_transitions(p, "delta", 0.0, 1.5, observable="photon_density")
     assert [r.order for r in recs] == ["second"]
     assert abs(recs[0].location - edge) <= 1e-9
+
+
+# second-order points where detect_transitions places a `second` record: the
+# lobe edge delta = u + v, and the onset v = -u - omega_rabi of the driven
+# superfluid from the Mott phase at delta = 0 (u = 1 at omega = 10, where
+# the ladders are shorter than at omega = 1)
+_CRITICAL = {
+    "lobe-edge": (dict(omega=1.0, lam=0.8, v=0.1, delta=0.74), "delta", 0.0, 1.5,
+                  "photon_density"),
+    "driven-onset": (dict(omega=10.0, lam=math.sqrt(10.0), omega_rabi=0.5, v=-1.5), "v",
+                     -2.0, -1.1, "m_over_n"),
+}
+
+
+@pytest.mark.parametrize("name", list(_CRITICAL))
+def test_gap_closes_as_n_to_the_minus_one_third_at_second_order_points(name):
+    kw, axis, lo, hi, observable = _CRITICAL[name]
+    recs = detect_transitions(ModelParams(**kw), axis, lo, hi, observable=observable)
+    assert [r.order for r in recs] == ["second"]
+    assert abs(recs[0].location - kw[axis]) <= 1e-9
+    ns = (16, 32, 64, 128, 256)
+    xs = [math.log(n) for n in ns]
+    ys = []
+    for n in ns:
+        sol = converge_cutoff(ModelParams(**kw, n_atoms=n))
+        assert sol.converged
+        ys.append(math.log(sol.gap))
+    # least-squares slope of log gap against log N: -0.312 and -0.314
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+             / sum((x - mx) ** 2 for x in xs))
+    assert abs(slope + 1.0 / 3.0) <= 0.05
+    # the slope between neighbouring N falls toward -1/3 from above:
+    # -0.307 to -0.316 at the lobe edge, -0.302 to -0.322 at the onset
+    local = [(b - a) / (d - c) for a, b, c, d in zip(ys, ys[1:], xs, xs[1:])]
+    assert all(a > b for a, b in zip(local, local[1:]))
+    assert local[-1] > -1.0 / 3.0

@@ -370,7 +370,7 @@ def test_minima_count_matches_the_astroid():
         assert kernels.solve_point(u, v, d, r)[7] == _astroid_count(u + v, d, r), (u, v, d, r)
 
 
-def test_zero_readings_between_root_copies_are_skipped():
+def test_points_just_outside_the_fold_have_one_minimum():
     # on the astroid's fold under a drive (these couplings lie 3e-17 outside
     # it, by an exact evaluation) the metastable well has merged with a
     # maximum: no middle root, one minimum

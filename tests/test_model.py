@@ -86,10 +86,14 @@ def test_replace_takes_field_names():
     (dict(lam=-0.1), "collective coupling"),
     (dict(omega_rabi=-0.2), "Rabi"),
     (dict(n_atoms=0), "atoms"),
-    (dict(delta=math.nan), "non-finite"),
-    (dict(v=math.inf), "non-finite"),
+    # a non-finite value or a non-number is named by the one type check
+    pytest.param(dict(delta=math.nan), "parameter 'delta' must be a finite number, got nan",
+                 id="kw5-non-finite"),
+    pytest.param(dict(v=math.inf), "parameter 'v' must be a finite number, got inf",
+                 id="kw6-non-finite"),
     (dict(lam=1e160), "non-finite coupling u"),
-    (dict(lam=True), "not a number"),
+    pytest.param(dict(lam=True), "parameter 'lam' must be a finite number, got True",
+                 id="kw8-not a number"),
     (dict(n_atoms=True), "positive integer"),
     (dict(n_atoms=math.inf), "positive integer"),
 ])
@@ -432,9 +436,9 @@ def test_trap_spec_json_roundtrip():
     (dict(g0_max=0.0), "loss parameters"),
 ])
 def test_estimate_input_validation(patch, msg):
-    spec = TrapSpec(**{**REFERENCE_SPEC.to_dict(), **patch})
+    # the spec checks its domains when it is built, before any estimate
     with pytest.raises(ParameterError, match=msg):
-        estimate_from_trap(spec)
+        TrapSpec(**{**REFERENCE_SPEC.to_dict(), **patch})
 
 
 def test_trap_spec_rejects_malformed_dicts():

@@ -129,24 +129,51 @@ def test_exact_columns_appended_per_atom_number():
 
 
 def test_exact_failure_at_one_atom_number_blanks_only_its_cells():
-    # N = 200000 at the starting cutoff 8 needs 9 * 200001 basis states,
-    # past the 400000 budget; N = 2 and the mean-field columns still fill
-    config = small_config(axes=(AxisSpec("delta", 0.2, 0.6, 2),),
-                          exact_n=(2, 200_000))
+    # at lambda = 15 the N = 64 ladder is refused, since its 3600 mean-field
+    # photons need a cutoff above the 4096 that the 400000-state budget
+    # allows at N = 64; N = 2 and the mean-field columns still fill, and at
+    # lambda = 1 every column does
+    config = small_config(axes=(AxisSpec("lambda", 1.0, 15.0, 2),), exact_n=(2, 64))
     dataset = run_sweep(config)
     cols = {name: i for i, name in enumerate(dataset.columns)}
+    (ok, refused) = dataset.rows
+    assert ok[cols["error"]] == ""
+    assert ok[cols["exact_N64_converged"]] is True
+    assert refused[cols["error"]] == (
+        "N=64 ConvergenceError: mean-field photon number 3600 needs a photon cutoff "
+        "above 4500, and the budget 400000 allows at most n_max 4096")
+    assert [refused[cols[f"exact_N64_{name}"]] for name in
+            ("energy_per_atom", "photon_density", "m_over_n",
+             "converged")] == ["", "", "", ""]
     for row in dataset.rows:
-        assert row[cols["error"]] == (
-            "N=200000 ParameterError: basis dimension 1800009 exceeds the "
-            "memory budget 400000")
-        assert [row[cols[f"exact_N200000_{name}"]] for name in
-                ("energy_per_atom", "photon_density", "m_over_n",
-                 "converged")] == ["", "", "", ""]
         assert row[cols["exact_N2_converged"]] is True
         assert math.isfinite(row[cols["exact_N2_energy_per_atom"]])
         assert row[cols["phase_label"]] == classify(
-            BASE.replace(delta=row[cols["delta"]])).value
+            BASE.replace(lam=row[cols["lambda"]])).value
         assert math.isfinite(row[cols["energy_per_atom"]])
+
+
+@pytest.mark.parametrize("module, name", [("sweep", "phase_label"),
+                                          ("exact", "converge_cutoff")])
+def test_a_fault_at_a_node_stops_the_sweep(monkeypatch, module, name):
+    # only a ParameterError or a ConvergenceError is data; any other
+    # exception is a fault in the program, and the sweep raises it
+    from extdicke import exact, sweep
+
+    def broken(*args, **kw):
+        raise TypeError("broken")
+
+    monkeypatch.setattr({"sweep": sweep, "exact": exact}[module], name, broken)
+    with pytest.raises(TypeError, match="broken"):
+        run_sweep(small_config(exact_n=(2,)))
+
+
+def test_an_atom_number_beyond_the_budget_stops_the_config():
+    # N = 200000 at the first cutoff 8 needs 9 * 200001 basis states, past
+    # the 400000 budget: the config is refused before any node runs
+    with pytest.raises(ParameterError, match="exact_n entry 200000 needs 1800009 basis "
+                       "states at the first photon cutoff 8, above the memory budget 400000"):
+        small_config(exact_n=(2, 200_000))
 
 
 # --- serialization ------------------------------------------------------
@@ -377,8 +404,10 @@ def test_config_rejects_unknown_keys_and_missing_fields():
     ((AxisSpec("delta", 0, 1, 1),), "at least 2"),
     ((AxisSpec("delta", 1, 0, 2),), "max below min"),
     # built in Python, not read from JSON: the config's own check applies
-    ((AxisSpec("delta", -math.inf, 1.0, 2),), "bounds must be finite"),
-    ((AxisSpec("v", 0.0, math.nan, 2),), "bounds must be finite"),
+    pytest.param((AxisSpec("delta", -math.inf, 1.0, 2),),
+                 "axis 'delta' min must be a finite number", id="axes6-bounds must be finite"),
+    pytest.param((AxisSpec("v", 0.0, math.nan, 2),),
+                 "axis 'v' max must be a finite number", id="axes7-bounds must be finite"),
 ])
 def test_bad_axes_rejected(axes, message):
     # building the config is enough: no sweep needs to run
@@ -456,7 +485,7 @@ def test_bad_exact_counts_rejected():
     with pytest.raises(ParameterError, match="exact_n"):
         small_config(exact_n=(0,))
     for bad in (2.5, True):  # neither is truncated to an atom number
-        with pytest.raises(ParameterError, match="exact_n entry must be an integer"):
+        with pytest.raises(ParameterError, match="exact_n entry must be a positive integer"):
             SweepConfig.from_dict({**small_config().to_dict(), "exact_n": [bad]})
     # cutoff-ladder settings are checked when the config is built, so a bad
     # one stops a scan before any node runs
