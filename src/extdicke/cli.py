@@ -73,18 +73,15 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> ModelParams:
-    """Each coupling from its flag, else from --config, else its default;
-    the merged values are validated once, as one ModelParams, and an error
-    names the flag or the config key that gave the bad value."""
-    values = {}
+    """The parsed --config, if any, and the coupling flags given, as one
+    ModelParams: from_dict lets a flag override the config."""
+    config = {}
     if args.config is not None:
         import json
-        values = json.loads(Path(args.config).read_text())
-        if not isinstance(values, dict):
-            raise ParameterError("parameter config must be a JSON object")
-    flags = {key: flag for _, key, flag, _ in COUPLINGS if getattr(args, key) is not None}
-    values.update({key: getattr(args, key) for key in flags})
-    return ModelParams.from_dict(values, flags)
+        config = json.loads(Path(args.config).read_text())
+    return ModelParams.from_dict(config, {key: (flag, getattr(args, key))
+                                          for _, key, flag, _ in COUPLINGS
+                                          if getattr(args, key) is not None})
 
 
 def _format_payload(payload: dict, fmt: str) -> str:
@@ -265,6 +262,42 @@ def _grid_count(count: int, flag: str) -> int:
     return count
 
 
+# The figure commands' options, one row per flag: its type, its choices (a
+# tuple), or None for a string the command parses; and its help, if any.
+_FIG_FLAGS = {
+    "--u": (float, "coupling u = lambda^2/omega"),
+    "--v": (float, "atom-atom coupling in units of u"),
+    "--rabi-fracs": (None, "drive strengths in units of u, comma-separated"),
+    "--rabi-frac": (float, "drive strength in units of u"),
+    "--delta-span": (float, "detuning half-range in units of u"),
+    "--v-min": (float, "in units of u"),
+    "--v-max": (float, "in units of u"),
+    "--points": (int, None),
+    "--resolution": (None, "grid points, DxV"),
+    "--units": (("dimensionless", "mhz"), None),
+    "--out-dir": (None, None),
+}
+
+# The figure commands, one row each: the help; each flag's default, in
+# --help order; and for fig2 and fig4 the (y label, CSV column) panels that
+# _detuning_figure plots.  fig3, with none, runs cmd_fig3.
+_FIGURES = {
+    "fig2": ("energy/population curves vs detuning",
+             {"--u": 1.0, "--v": 0.0, "--rabi-fracs": "0,0.02,0.05", "--delta-span": 2.0,
+              "--points": 401, "--units": "dimensionless", "--out-dir": "fig2_out"},
+             (("energy per atom", "energy_per_atom"),
+              ("population imbalance m/N", "m_over_n"))),
+    "fig3": ("phase-diagram grid over (delta, v)",
+             {"--u": 1.0, "--rabi-frac": 0.5, "--delta-span": 3.0, "--v-min": -3.0,
+              "--v-max": 1.0, "--resolution": "61x41", "--units": "dimensionless",
+              "--out-dir": "fig3_out"}, None),
+    "fig4": ("population curves across the first-order region",
+             {"--u": 1.0, "--v": -2.0, "--rabi-fracs": "0.25,0.5,0.75,1.0",
+              "--delta-span": 1.0, "--points": 401, "--units": "dimensionless",
+              "--out-dir": "fig4_out"},
+             (("population imbalance m/N", "m_over_n"),)),
+}
+
 _GP_COMMON = """set datafile separator ","
 set datafile commentschars "#"
 set key left top
@@ -296,11 +329,13 @@ def _delta_span(args, u: float) -> float:
     return _times_u(_positive(args.delta_span, "--delta-span"), u, "--delta-span", width=2.0)
 
 
-def _detuning_figure(args, stem: str, panels: tuple[tuple[str, str], ...]) -> int:
-    """One detuning sweep per drive strength, written as stem_curve<i>.csv,
-    and a gnuplot script with one plot per (y label, CSV column name) panel.
-    Every option is checked before the output directory is made."""
+def _detuning_figure(args) -> int:
+    """fig2 and fig4: one detuning sweep per drive strength, written as
+    <command>_curve<i>.csv, and a gnuplot script with one plot per panel of
+    the command's _FIGURES row.  Every option is checked before the output
+    directory is made."""
     from .sweep import AxisSpec, SweepConfig, run_sweep, serialize_csv
+    stem = args.command
     base, u = _fig_base(args)
     fracs = _parse_float_list(args.rabi_fracs, "--rabi-fracs")
     span = _delta_span(args, u)
@@ -319,7 +354,7 @@ def _detuning_figure(args, stem: str, panels: tuple[tuple[str, str], ...]) -> in
         path.write_text(serialize_csv(dataset))
         written.append((drive, path))
     script = _GP_COMMON + 'set xlabel "detuning"\n'
-    for ylabel, name in panels:
+    for ylabel, name in _FIGURES[stem][2]:
         column = columns.index(name) + 1
         plots = ", \\\n     ".join(
             f'"{p.name}" using 1:{column} with lines title "drive = {r:.6g}"'
@@ -330,12 +365,6 @@ def _detuning_figure(args, stem: str, panels: tuple[tuple[str, str], ...]) -> in
         print(f"wrote {p} (drive {r:.6g})")
     print(f"wrote {out_dir / f'{stem}.gp'}")
     return EXIT_OK
-
-
-def cmd_fig2(args) -> int:
-    return _detuning_figure(args, "fig2", (
-        ("energy per atom", "energy_per_atom"),
-        ("population imbalance m/N", "m_over_n")))
 
 
 def cmd_fig3(args) -> int:
@@ -387,10 +416,6 @@ def cmd_fig3(args) -> int:
     print(f"wrote {overlay_path}")
     print(f"wrote {out_dir / 'fig3.gp'}")
     return EXIT_OK
-
-
-def cmd_fig4(args) -> int:
-    return _detuning_figure(args, "fig4", (("population imbalance m/N", "m_over_n"),))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -465,42 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("fig2", help="energy/population curves vs detuning")
-    p.add_argument("--u", type=float, default=1.0, help="coupling u = lambda^2/omega")
-    p.add_argument("--v", type=float, default=0.0, help="atom-atom coupling in units of u")
-    p.add_argument("--rabi-fracs", default="0,0.02,0.05",
-                   help="drive strengths in units of u, comma-separated")
-    p.add_argument("--delta-span", type=float, default=2.0,
-                   help="detuning half-range in units of u")
-    p.add_argument("--points", type=int, default=401)
-    p.add_argument("--units", choices=("dimensionless", "mhz"), default="dimensionless")
-    p.add_argument("--out-dir", default="fig2_out")
-    p.set_defaults(func=cmd_fig2)
-
-    p = sub.add_parser("fig3", help="phase-diagram grid over (delta, v)")
-    p.add_argument("--u", type=float, default=1.0)
-    p.add_argument("--rabi-frac", type=float, default=0.5,
-                   help="drive strength in units of u")
-    p.add_argument("--delta-span", type=float, default=3.0,
-                   help="detuning half-range in units of u")
-    p.add_argument("--v-min", type=float, default=-3.0, help="in units of u")
-    p.add_argument("--v-max", type=float, default=1.0, help="in units of u")
-    p.add_argument("--resolution", default="61x41", help="grid points, DxV")
-    p.add_argument("--units", choices=("dimensionless", "mhz"), default="dimensionless")
-    p.add_argument("--out-dir", default="fig3_out")
-    p.set_defaults(func=cmd_fig3)
-
-    p = sub.add_parser("fig4", help="population curves across the first-order region")
-    p.add_argument("--u", type=float, default=1.0)
-    p.add_argument("--v", type=float, default=-2.0, help="in units of u")
-    p.add_argument("--rabi-fracs", default="0.25,0.5,0.75,1.0",
-                   help="drive strengths in units of u, comma-separated")
-    p.add_argument("--delta-span", type=float, default=1.0,
-                   help="detuning half-range in units of u")
-    p.add_argument("--points", type=int, default=401)
-    p.add_argument("--units", choices=("dimensionless", "mhz"), default="dimensionless")
-    p.add_argument("--out-dir", default="fig4_out")
-    p.set_defaults(func=cmd_fig4)
+    for name, (text, defaults, panels) in _FIGURES.items():
+        p = sub.add_parser(name, help=text)
+        for flag, default in defaults.items():
+            kind, flag_help = _FIG_FLAGS[flag]
+            p.add_argument(flag, default=default, help=flag_help,
+                           **{"choices" if isinstance(kind, tuple) else "type": kind})
+        p.set_defaults(func=cmd_fig3 if panels is None else _detuning_figure)
 
     return parser
 

@@ -497,11 +497,10 @@ def _observables(params: ModelParams, vec: np.ndarray) -> tuple[float, float, fl
     return photon, jz, jx, parity
 
 
-def _solve(params: ModelParams, n_max: int, budget: int,
+def _solve(params: ModelParams, nm: int,
            start: np.ndarray | None) -> tuple[ExactSolution, np.ndarray]:
-    """solve_at_cutoff's observables, at unit scale, from the Lanczos start
-    `start` (None for a cold one), and the start for the next cutoff."""
-    nm = _cutoff(params, n_max, budget)
+    """solve_at_cutoff's observables, at unit scale, at a checked cutoff nm
+    from the Lanczos start `start` (None for a cold one), and the next start."""
     k = math.frexp(params.hamiltonian_scale)[1]
     e0, e1, vec, nxt = _solve_sectors(_hamiltonian(params, nm, k), _sectors(params, nm),
                                       start, k)
@@ -524,7 +523,7 @@ def solve_at_cutoff(params: ModelParams, n_max: int,
                     budget: int = DIMENSION_BUDGET) -> ExactSolution:
     """Ground-state observables at a fixed photon cutoff, from a cold
     Lanczos start."""
-    return _solve(params, n_max, budget, None)[0]
+    return _solve(params, _cutoff(params, n_max, budget), None)[0]
 
 
 def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
@@ -559,9 +558,10 @@ def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
         raise ConvergenceError(
             f"photon energy omega = {params.omega:.6g} does not exceed the solver's resolution "
             f"{resolution:.6g} of E0 at N = {params.n_atoms}: the photon field is unresolved")
-    sol, start = _solve(params, N_MAX_START, budget, None)
+    # check_ladder checked the first cutoff and n_top bounds the rest to the budget
+    sol, start = _solve(params, N_MAX_START, None)
     while sol.n_max_used < n_top:
-        nxt, start = _solve(params, 2 * sol.n_max_used, budget, start)
+        nxt, start = _solve(params, 2 * sol.n_max_used, start)
         tol = eps * max(abs(nxt.energy), params.hamiltonian_scale)
         if (abs(nxt.energy - sol.energy) <= tol
                 and max(nxt.photon_number, photons) < _HEADROOM * nxt.n_max_used):

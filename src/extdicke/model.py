@@ -214,17 +214,20 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, data: dict, flags: dict = None) -> "ModelParams":
-        """Build from the JSON form, an object with any of KEYS and n_atoms;
-        a key left out takes its field default.  An error names the key at
-        fault, or flags[key] where a command-line flag gave its value."""
+        """Build from the JSON form, an object with any of KEYS and n_atoms.
+        A coupling comes from `flags` (key -> the command-line (flag, value)
+        that overrides data), else from data, else from its field default;
+        an error names the flag or the quoted key that gave the bad value."""
         if not isinstance(data, dict):
             raise ParameterError("model parameters must be a JSON object")
         unknown = set(data) - {*KEYS, "n_atoms"}
         if unknown:
             raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
-        kw = {field: data.get(key, getattr(cls, field)) for field, key in zip(AXES, KEYS)}
-        check_couplings(*kw.values(), names=[(flags or {}).get(key, repr(key)) if key in data
-                                             else "" for key in KEYS])
+        flags = flags or {}
+        kw = {field: flags[key][1] if key in flags else data.get(key, getattr(cls, field))
+              for field, key in zip(AXES, KEYS)}
+        check_couplings(*kw.values(), names=[flags[key][0] if key in flags else
+                                             repr(key) if key in data else "" for key in KEYS])
         return cls(**kw, n_atoms=data.get("n_atoms", cls.n_atoms))
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import random
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,84 @@ def test_missing_subcommand_is_usage_error():
         cli.main([])
     assert err.value.code == 2
 
+
+# Every subcommand's options as (flags, dest, default, type, choices,
+# required), in --help order; -h is left out.
+_COUPLING_OPTIONS = [
+    (("--config",), "config", None, Path, None, False),
+    (("--omega",), "omega", None, float, None, False),
+    (("--lambda",), "lambda", None, float, None, False),
+    (("--delta",), "delta", None, float, None, False),
+    (("--rabi",), "omega_rabi", None, float, None, False),
+    (("--v",), "v", None, float, None, False),
+]
+_OUT = (("--out",), "out", None, None, None, False)
+_TEXT_OR_JSON = (("--format",), "format", "text", None, ("text", "json"), False)
+_UNITS = (("--units",), "units", "dimensionless", None, ("dimensionless", "mhz"), False)
+_PARSER_CONTRACT = {
+    "estimate": [(("--config",), "config", None, Path, None, True), _OUT, _TEXT_OR_JSON],
+    "solve": [*_COUPLING_OPTIONS, _OUT, _TEXT_OR_JSON],
+    "exact-check": [*_COUPLING_OPTIONS,
+                    (("--n-list",), "n_list", "8,16,32", None, None, False),
+                    (("--eps",), "eps", 1e-08, float, None, False),
+                    (("--budget",), "budget", 400000, int, None, False),
+                    _OUT, _TEXT_OR_JSON],
+    "boundaries": [*_COUPLING_OPTIONS, _OUT, _TEXT_OR_JSON],
+    "scan": [(("--config",), "config", None, Path, None, True), _OUT,
+             (("--format",), "format", "csv", None, ("csv", "json"), False)],
+    "fig2": [(("--u",), "u", 1.0, float, None, False),
+             (("--v",), "v", 0.0, float, None, False),
+             (("--rabi-fracs",), "rabi_fracs", "0,0.02,0.05", None, None, False),
+             (("--delta-span",), "delta_span", 2.0, float, None, False),
+             (("--points",), "points", 401, int, None, False),
+             _UNITS, (("--out-dir",), "out_dir", "fig2_out", None, None, False)],
+    "fig3": [(("--u",), "u", 1.0, float, None, False),
+             (("--rabi-frac",), "rabi_frac", 0.5, float, None, False),
+             (("--delta-span",), "delta_span", 3.0, float, None, False),
+             (("--v-min",), "v_min", -3.0, float, None, False),
+             (("--v-max",), "v_max", 1.0, float, None, False),
+             (("--resolution",), "resolution", "61x41", None, None, False),
+             _UNITS, (("--out-dir",), "out_dir", "fig3_out", None, None, False)],
+    "fig4": [(("--u",), "u", 1.0, float, None, False),
+             (("--v",), "v", -2.0, float, None, False),
+             (("--rabi-fracs",), "rabi_fracs", "0.25,0.5,0.75,1.0", None, None, False),
+             (("--delta-span",), "delta_span", 1.0, float, None, False),
+             (("--points",), "points", 401, int, None, False),
+             _UNITS, (("--out-dir",), "out_dir", "fig4_out", None, None, False)],
+}
+
+
+def test_every_option_keeps_its_flags_dest_default_type_and_choices():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_PARSER_CONTRACT)
+    for name, options in _PARSER_CONTRACT.items():
+        found = [(tuple(a.option_strings), a.dest, a.default, a.type, a.choices, a.required)
+                 for a in sub.choices[name]._actions if a.dest != "help"]
+        assert found == options, name
+        for got, want in zip(found, options):  # 1 == 1.0, but the types differ
+            assert type(got[2]) is type(want[2]), (name, got)
+
+
+
+def test_readme_figure_table_matches_the_parser():
+    # each row: the flag(s), then each figure's default(s), blank where the
+    # command has no such option
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("| Flag | fig2 | fig3 | fig4 | Meaning |")[1].split("\n\n")[0]
+    seen = {name: {} for name in cli._FIGURES}
+    for line in table.splitlines()[2:]:
+        cells = [c.strip().replace("`", "").replace("\u2212", "-") for c in line.split("|")]
+        flags = cells[1].split(", ")
+        for name, cell in zip(cli._FIGURES, cells[2:5]):
+            for flag, value in zip(flags, cell.split(", ") if cell else ()):
+                seen[name][flag] = value
+    for name, (_, defaults, _) in cli._FIGURES.items():
+        assert seen[name].keys() == defaults.keys(), name
+        for flag, default in defaults.items():
+            value = seen[name][flag]
+            assert (value if isinstance(default, str) else float(value)) == default, flag
+    assert {f for row in seen.values() for f in row} == set(cli._FIG_FLAGS)
 
 # --- estimate -----------------------------------------------------------
 
@@ -247,6 +327,13 @@ def test_solve_unknown_config_key_exit_2(tmp_path, capsys):
     config.write_text(json.dumps({"omege": 1.0}))
     assert cli.main(["solve", "--config", str(config)]) == 2
     assert "unknown parameter" in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_an_object_is_refused_by_the_model(tmp_path, capsys):
+    config = tmp_path / "params.json"
+    config.write_text("[1.0, 2.0]")
+    assert cli.main(["solve", "--config", str(config), "--delta", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: model parameters must be a JSON object\n"
 
 
 def test_solve_invalid_json_exit_2(tmp_path, capsys):
