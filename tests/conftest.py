@@ -1,0 +1,17 @@
+"""Session setup that has to run before numpy is imported.
+
+numpy's OpenBLAS picks its kernels by CPU at load time, and its reductions
+round differently from one kernel family to another: the finite-N digests
+pinned in test_exact.py and test_acceptance.py come out one way under the
+SkylakeX (AVX-512) kernels and another under the Haswell kernels, which
+OpenBLAS also runs on Zen.  On x86-64 the suite therefore asks OpenBLAS for
+its Haswell kernels, which every AVX2 CPU runs, so that the pins hold on any
+such machine.  pytest loads this file before any test module, and no plugin
+of the test environment imports numpy earlier.
+"""
+
+import os
+import platform
+
+if platform.machine().lower() in ("x86_64", "amd64"):
+    os.environ["OPENBLAS_CORETYPE"] = "Haswell"

@@ -227,14 +227,15 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
 # A small finite-N scan, recorded at sweep format 11: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
-# reductions, so the digest holds for one numpy/OpenBLAS build on one CPU
-# family (recorded with numpy 2.4, OpenBLAS 0.3.31, x86-64).
+# reductions, so the digest holds for one numpy/OpenBLAS build and one
+# OpenBLAS kernel family (recorded with numpy 2.4.6, OpenBLAS 0.3.31 and the
+# Haswell kernels that conftest.py selects on x86-64).
 _FINITE_N_SCAN = (
     {"base": {"omega": 10.0, "lambda": 3.1622776601683795, "delta": 0.5,
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "d03f7a3c9834764add74892510879dee74f6349b60606879b2c0573ec9836489",
+    "7cb993d3290ff874865d75dcc6cf7473cd33c3169fa3c5162abf13427a600305",
 )
 
 

@@ -376,8 +376,9 @@ def test_lanczos_breakdown_finds_a_doubled_level_twice():
 # flip sectors, the drive and the J_z**2 term) and of the breakdown run
 # above, levels and vectors: the finite-N path bit for bit.  Its floats come
 # out of numpy's BLAS reductions, so the digest holds for one numpy/OpenBLAS
-# build on one CPU family (recorded with numpy 2.4, OpenBLAS 0.3.31, x86-64).
-_FINITE_N_BATTERY = "dc6670247b9c8a75030ccbf8e1ff43a9139ebcb2041dd4aff9ae16fcc8ae3e84"
+# build and one OpenBLAS kernel family (recorded with numpy 2.4.6, OpenBLAS
+# 0.3.31 and the Haswell kernels that conftest.py selects on x86-64).
+_FINITE_N_BATTERY = "78eb8958a458a96bdfc9b11d66000cf75f5b55cb729eb4213ef4776545b24460"
 
 
 def test_finite_n_answers_are_pinned_bit_for_bit():
