@@ -14,27 +14,31 @@ Each symmetry sector is an isometry Q (orthonormal columns on the full
 basis, each state in at most one column), and the eigensolve keeps the two
 lowest levels of each block Q.T @ H @ Q, itself stored by diagonals.  At
 omega_rabi = 0 the sectors are the two parity sectors (0/1 selection
-columns); with a drive the whole basis is the only sector.  At delta = 0
-the spin flip m -> -m is a second symmetry (it keeps J_x, a and J_z**2 and
-maps J_z -> -J_z), and each sector splits into its flip-even and flip-odd
-halves (see _sectors).  The two states of a flip doublet, split by far less
-than the solver resolves, then lie in different sectors; inside one sector
-a Lanczos run from one start vector would find only one combination of
-them.  E0 and E1 are the two lowest of all the kept levels, so `gap` is
-E1 - E0 of H.  The reported `parity` is the ground state's expectation
-value of the parity operator: a definite +-1 at omega_rabi = 0.  When
-sector ground energies agree within _LANCZOS_TOL * ||H||_inf (a tunnelling doublet
-below the solver's resolution, or an exact tie) the first of those sectors
-is reported: the even one, and where the flip splits the sectors the
-flip-even one, whose <J_z> is 0.  Every sector, of any dimension, is solved
-by one thick-restart Lanczos in numpy with full reorthogonalisation
-(_lowest_levels); along a converge_cutoff ladder each run starts from Q.T
-applied to the previous cutoff's psi0 + psi1 of every sector, zero-padded:
-in the photon-major order the new states come last.  Every cutoff is
-solved at unit scale, as _kernels_py.solve_point solves the mean field:
-H / 2**k is built from the couplings divided by 2**k, the power of two at
-ModelParams.hamiltonian_scale, so that no entry, norm or square overflows;
-the division is exact, and E0 and E1 are multiplied back by 2**k.
+columns); with a drive the whole basis is the only sector.  The spin flip
+F: m -> -m keeps J_x, a and J_z**2 and maps J_z -> -J_z, so H(-delta) =
+F H(delta) F: delta < 0 is solved at -delta, and then J_z -> -J_z and
+parity -> (-1)**N * parity (F maps m + j to N - (m + j)).  At delta = 0 F
+is a second symmetry, and each sector splits into its flip-even and
+flip-odd halves (see _sectors).  The two states of a flip doublet, split by
+far less than the solver resolves, then lie in different sectors; inside
+one sector a Lanczos run from one start vector would find only one
+combination of them.  E0 and E1 are the two lowest of all the kept levels,
+so `gap` is E1 - E0 of H.  The reported `parity` is the ground state's
+expectation value of the parity operator: +-1 to rounding at
+omega_rabi = 0.  When sector ground energies agree within
+_LANCZOS_TOL * ||H||_inf (a tunnelling doublet below the solver's
+resolution, or an exact tie), the tie rule reports, at delta >= 0, the
+first of those sectors: the even one (the flip-even one, whose <J_z> is 0,
+where the flip splits the sectors); at delta < 0, its mirror image.  Every
+sector, of any dimension, is solved by one thick-restart Lanczos in numpy
+with full reorthogonalisation (_lowest_levels); along a converge_cutoff
+ladder each run starts from Q.T applied to the previous cutoff's
+psi0 + psi1 of every sector, zero-padded: in the photon-major order the
+new states come last.  Every cutoff is solved at unit scale, as
+_kernels_py.solve_point solves the mean field: H / 2**k is built from the
+couplings divided by 2**k, the power of two at ModelParams.hamiltonian_scale,
+so that no entry, norm or square overflows; the division is exact, and E0
+and E1 are multiplied back by 2**k.
 
 The mean-field energy per atom is a variational bound for E0/N as N grows;
 at finite N the bound that is rigorous for every v is the product-state
@@ -455,8 +459,9 @@ class ExactSolution:
 
     energy is E0 of the truncated H and gap = E1 - E0 >= 0, over all the
     symmetry sectors (parity at omega_rabi = 0, spin flip at delta = 0).
-    parity is the ground vector's expectation of (-1)**(n + m + j): +-1 at
-    omega_rabi = 0, +1 on a cross-sector tie.
+    parity is the ground vector's expectation of (-1)**(n + m + j): +-1 to
+    rounding at omega_rabi = 0; on a tie between sectors, the even sector's at
+    delta >= 0 and its mirror image at delta < 0 (see the module docstring).
     """
 
     energy: float
@@ -500,11 +505,16 @@ def _observables(params: ModelParams, vec: np.ndarray) -> tuple[float, float, fl
 def _solve(params: ModelParams, nm: int,
            start: np.ndarray | None) -> tuple[ExactSolution, np.ndarray]:
     """solve_at_cutoff's observables, at unit scale, at a checked cutoff nm
-    from the Lanczos start `start` (None for a cold one), and the next start."""
+    from the Lanczos start `start` (None for a cold one), and the next start;
+    at delta < 0 the starts are those of -delta (see the module docstring)."""
+    mirror = params.delta < 0.0
+    params = params.replace(delta=-params.delta) if mirror else params
     k = math.frexp(params.hamiltonian_scale)[1]
     e0, e1, vec, nxt = _solve_sectors(_hamiltonian(params, nm, k), _sectors(params, nm),
                                       start, k)
     photon, jz, jx, parity = _observables(params, vec)
+    if mirror:
+        jz, parity = 0.0 - jz, (-1) ** params.n_atoms * parity
     return ExactSolution(
         energy=e0,
         energy_per_atom=e0 / params.n_atoms,

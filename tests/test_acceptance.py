@@ -178,7 +178,7 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 11.  A changed digest is a change of
+# writes, recorded at sweep format 12.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel, parity-sector and secular-equation changes gave.  The provenance line
@@ -187,17 +187,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "3fabdd8d463de0f4ed560cb1417dc8bfcd248e2a65acaf7aeb1b2c0b0976d2a1",
-      "fig2_curve1.csv": "4ca696b20e19cbfb74da2f5eaaf0e0438c02eda741d5c8a6c40d3483c492af78",
-      "fig2_curve2.csv": "706865f4bbc65df6af86d38e0b373595b58296f52346d3326f0e5cdef3b0695a"}),
+     {"fig2_curve0.csv": "76c80a40939dfc24c42e3ccda23644046a9937df5ac7f18316651a2aa1c4638a",
+      "fig2_curve1.csv": "53bd790198d8996758a54dc300ea622dd18adeb083377ae506d8f4b27b801836",
+      "fig2_curve2.csv": "c6a1accf00ab7afebf731a47f63cfb0c7acb62bd1af8b110c414d811abf13a4e"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "96b6312db05056d502381b2d224fe0b7803fade0f6fa89cf1615689ef864419f",
+     {"fig3_grid.csv": "15cd62d0125fd0950cb92386ec168615ce9942300b774c326b9c938b8557cfbc",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "8e0091ce711874363941d029538d1e607741aa1ccfbf9486becbf023f989b23a",
-      "fig4_curve1.csv": "bfc64547d98b182c43bffd4fb6c41ff44946bb1ee1b0472745f391d548584b8c",
-      "fig4_curve2.csv": "fe12053ed8fe1b98f8347e7048c07acc1feede82d3a87869644d794759765d6d",
-      "fig4_curve3.csv": "ecb0791e4613bb3db3cd3548d0ba6bbcb2c6d6607f3700adcb20494ed310318b"}),
+     {"fig4_curve0.csv": "6f2c34297901da4d4b27c465346e92eeeb441e645e3c4d958d8e6266b60fd7b1",
+      "fig4_curve1.csv": "22a5a305913d8e1a2ac9cb2494b41402d8c112850f8676b1b1afe82d0afbf83f",
+      "fig4_curve2.csv": "3fe4bc655bea2107dd6ba31d4c296bff7680d5eecc235bceaa87c6210e89ae2a",
+      "fig4_curve3.csv": "e48b7ccd36d33a0f7326d2820701de3cab8a6841a65d1e06f015e536c2051f96"}),
 ]
 
 
@@ -224,7 +224,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 11: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 12: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build and one
@@ -235,7 +235,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "7cb993d3290ff874865d75dcc6cf7473cd33c3169fa3c5162abf13427a600305",
+    "a10a1608e73ce635be6c40c585b739fe960511435c1ff2dbf555ca9cc7286994",
 )
 
 

@@ -12,7 +12,9 @@ modes have
 The finite-N gap tends to eps_-, and N * (E0/N - e_MF) to the zero-point
 energy (eps_+ + eps_- - omega - Delta)/2, each with a residual of order 1/N.
 eps_- vanishes at the lobe edge delta = u + v.  At a second-order point the
-finite-N gap closes as N**(-1/3) (Vidal & Dusuel, EPL 74, 817, 2006).
+finite-N gap closes as N**(-1/3) (Vidal & Dusuel, EPL 74, 817, 2006); at a
+first-order one, where two wells coexist and split only by tunnelling, it
+closes exponentially in N.
 """
 
 from __future__ import annotations
@@ -98,3 +100,21 @@ def test_gap_closes_as_n_to_the_minus_one_third_at_second_order_points(name):
     local = [(b - a) / (d - c) for a, b, c, d in zip(ys, ys[1:], xs, xs[1:])]
     assert all(a > b for a, b in zip(local, local[1:]))
     assert local[-1] > -1.0 / 3.0
+
+
+def test_gap_closes_exponentially_at_a_first_order_point():
+    # fig4's jump: at v = -2u the wells +-s_z swap at delta = 0
+    kw = dict(omega=1.0, lam=1.0, v=-2.0, omega_rabi=0.5)
+    recs = detect_transitions(ModelParams(**kw), "delta", -1.0, 1.0)
+    assert [r.order for r in recs] == ["first"]
+    assert abs(recs[0].location) <= 1e-9
+    ns = (16, 24, 32, 48, 64)
+    ys = []
+    for n in ns:
+        sol = converge_cutoff(ModelParams(**kw, n_atoms=n))
+        assert sol.converged
+        ys.append(math.log(sol.gap))
+    # d(ln gap)/dN between neighbouring N, from 3.6e-2 at N = 16 to 4.6e-8
+    # at 64: -0.26 to -0.29, where a power law N**(-1/3) gives about -0.02
+    local = [(b - a) / (d - c) for a, b, c, d in zip(ys, ys[1:], ns, ns[1:])]
+    assert all(slope <= -0.2 for slope in local)

@@ -181,7 +181,7 @@ def test_an_atom_number_beyond_the_budget_stops_the_config():
 def test_csv_round_trip_is_byte_stable():
     dataset = run_sweep(small_config())
     text = serialize_csv(dataset)
-    assert text.startswith("# extdicke sweep format 11")
+    assert text.startswith("# extdicke sweep format 12")
     again = serialize_csv(parse_csv(text))
     assert again == text
 
@@ -302,7 +302,7 @@ def test_domain_edge_scan_bytes_are_pinned():
     assert errors == {"", "ParameterError: nonpositive cavity frequency",
                       "ParameterError: negative collective coupling"}
     assert hashlib.sha256(serialize_csv(dataset).encode()).hexdigest() \
-        == "e39c94999adebf48515a0369a272a290a26d48d87c72518d66e3d731d158631d"
+        == "68e37002cf3da9dd83293a3ad07e609094fd62911e98f0ee54d0fe0c663103b8"
 
 
 def _reference_csv(dataset: SweepDataset) -> str:

@@ -334,8 +334,8 @@ def test_photon_density_is_read_in_its_own_unit():
         assert [(r.location, r.order) for r in recs] == [(-1.2, "second"), (1.2, "second")]
 
 
-@pytest.mark.xfail(strict=True, reason="two corners less than four scan cells apart give "
-                   "one record (ROADMAP direction 3)")
+@pytest.mark.xfail(strict=True, reason="two corners less than four scan cells apart share "
+                   "one bracket, which yields one record")
 @pytest.mark.parametrize("observable", ["photon_density", "m_over_n", "energy_slope"])
 def test_lobe_edges_three_cells_apart_give_two_records(observable):
     # the lobe is 2 (u + v) = 0.0098 wide, 2.9 scan cells: one bracket holds
