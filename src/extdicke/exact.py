@@ -1,56 +1,70 @@
-"""Finite-N ground states in a truncated Fock (photon) x Dicke (spin) basis.
+"""Finite-N ground states in a two-centre displaced photon basis x Dicke (spin) basis.
 
-States are indexed photon-major: |n, m> -> n*(N+1) + (m + j) with photon
-number n <= n_max and magnetic quantum number m = -j..j for j = N/2.  The
-parity exp(i*pi*(a^dag a + J_z + j)) is diagonal in this basis with
-eigenvalue (-1)**(n + m + j).  It maps a -> -a and J_x -> -J_x, so the
-Hamiltonian commutes with it only without a drive (omega_rabi = 0): the drive
-term omega_rabi*J_x anticommutes with it and mixes the two sectors.
+The photon field of a superradiant or driven ground state sits near the
+coherent states |+-beta>, beta = sqrt(N) * |alpha| at the mean-field minimum
+(Emary & Brandes, PRE 67, 066203 (2003)).  So the photon basis at cutoff
+n_max is the span of the displaced number states D(+beta)|n> and
+D(-beta)|n>, n <= n_max (the coherent-state basis of Chen, Zhang, Liu & Wang,
+PRA 78, 051801(R) (2008)): n_max counts displaced photons per centre, and a
+cutoff holds the field's fluctuations, not its N * alpha**2 photons.  At
+beta = 0 (the normal phase) the centres coincide and the basis is the Fock
+basis.  The photon parity maps D(beta)|n> to (-1)**n D(-beta)|n>, so
+_photon_basis builds the photon-even states, then the photon-odd ones, from
+D(beta)|n> +- (-1)**n D(-beta)|n>, n = 0..n_max in order, by Gram-Schmidt in
+an auxiliary Fock space that holds their tails (_displaced).  A state whose
+remainder is at most _PRUNE is dropped (near beta = 0 the centres' states
+are nearly dependent), each state keeps the label n it was made from, and
+the basis at n_max is the first part of the basis at 2 * n_max.  Where the
+centres' states are orthogonal to rounding, the closed forms a^dag a + beta
+(a + a^dag) + beta**2 and a + a^dag + 2 beta on each centre replace it, so no
+array grows with beta.  With A and X the matrices of a^dag a and a + a^dag
+there, and J_x, J_z on the N + 1 states m = -j..j (j = N/2),
 
-H is stored by its diagonals (BandedMatrix): it couples |n, m> only to
-|n +- 1, m +- 1> and, with a drive, to |n, m +- 1>.
+    H = omega A (x) 1 + (lambda / sqrt(N) X + omega_rabi) (x) J_x
+        + 1 (x) (delta J_z + (v / N) J_z**2),
 
-Each symmetry sector is an isometry Q (orthonormal columns on the full
-basis, each state in at most one column), and the eigensolve keeps the two
-lowest levels of each block Q.T @ H @ Q, itself stored by diagonals.  At
-omega_rabi = 0 the sectors are the two parity sectors (0/1 selection
-columns); with a drive the whole basis is the only sector.  The spin flip
-F: m -> -m keeps J_x, a and J_z**2 and maps J_z -> -J_z, so H(-delta) =
-F H(delta) F: delta < 0 is solved at -delta, and then J_z -> -J_z and
-parity -> (-1)**N * parity (F maps m + j to N - (m + j)).  At delta = 0 F
-is a second symmetry, and each sector splits into its flip-even and
-flip-odd halves (see _sectors).  The two states of a flip doublet, split by
-far less than the solver resolves, then lie in different sectors; inside
-one sector a Lanczos run from one start vector would find only one
-combination of them.  E0 and E1 are the two lowest of all the kept levels,
-so `gap` is E1 - E0 of H.  The reported `parity` is the ground state's
-expectation value of the parity operator: +-1 to rounding at
-omega_rabi = 0.  When sector ground energies agree within
-_LANCZOS_TOL * ||H||_inf (a tunnelling doublet below the solver's
+held spin-major (KroneckerHamiltonian).
+
+The parity exp(i*pi*(a^dag a + J_z + j)), the photon parity times
+(-1)**(m + j), maps a -> -a and J_x -> -J_x, so H commutes with it only
+without a drive: at omega_rabi = 0 its even sector, (photon-even x
+spin-even) + (photon-odd x spin-odd), and its odd one are solved apart
+(_spin_sectors); with a drive, the whole basis.  The spin flip F: m -> -m
+acts on the spin factor alone; it keeps J_x, a and J_z**2 and maps J_z ->
+-J_z, so H(-delta) = F H(delta) F: delta < 0 is solved at -delta, and then
+J_z -> -J_z and parity -> (-1)**N * parity.  At delta = 0 F is a second
+symmetry, and each sector splits into its flip-even and flip-odd halves, so
+the two states of a flip doublet, split by far less than the solver
+resolves, lie in different sectors (inside one sector a Lanczos run from
+one start vector would find only one combination of them).  E0 and E1 are
+the two lowest of all the kept levels, so `gap` is E1 - E0 of H.  The
+reported `parity` is the ground state's expectation value of the parity:
++-1 to rounding at omega_rabi = 0.  When sector ground energies agree
+within _LANCZOS_TOL * ||H||_inf (a tunnelling doublet below the solver's
 resolution, or an exact tie), the tie rule reports, at delta >= 0, the
 first of those sectors: the even one (the flip-even one, whose <J_z> is 0,
 where the flip splits the sectors); at delta < 0, its mirror image.  Every
-sector, of any dimension, is solved by one thick-restart Lanczos in numpy
-with full reorthogonalisation (_lowest_levels); along a converge_cutoff
-ladder each run starts from Q.T applied to the previous cutoff's
-psi0 + psi1 of every sector, zero-padded: in the photon-major order the
-new states come last.  Every cutoff is solved at unit scale, as
-_kernels_py.solve_point solves the mean field: H / 2**k is built from the
-couplings divided by 2**k, the power of two at ModelParams.hamiltonian_scale,
-so that no entry, norm or square overflows; the division is exact, and E0
-and E1 are multiplied back by 2**k.
+sector is solved by one thick-restart Lanczos in numpy with full
+reorthogonalisation (_lowest_levels); along a converge_cutoff ladder each
+run starts from the previous cutoff's psi0 + psi1 of every sector, carried
+to the photon states of the same parity and label (its projection, as the
+old basis is the first part of the new).  Every cutoff is solved at unit
+scale, as _kernels_py.solve_point solves the mean field: H / 2**k is built
+from the couplings divided by 2**k, the power of two at
+ModelParams.hamiltonian_scale, so that no entry, norm or square overflows;
+the division is exact, and E0 and E1 are multiplied back by 2**k.
 
 The mean-field energy per atom is a variational bound for E0/N as N grows;
 at finite N the bound that is rigorous for every v is the product-state
 expectation, which exceeds the thermodynamic-limit value by
-v*(1/4 - s_z**2)/N (see product_state_energy).
+v*(1/4 - s_z**2)/N (see product_state_energy).  That product state lies in
+the displaced basis at every cutoff.
 
 numpy is imported inside the functions that use it, so that importing the
 package (and every mean-field command) does not load it.  The finite-N path
-needs numpy alone: the diagonals, the sector blocks and the matrix-vector
-products are numpy arrays and array operations.  It never loads
-numpy.random (which loads hashlib and OpenSSL): the generic vectors of the
-Lanczos runs are integer hashes of their index (_generic_vector).
+never loads numpy.random (which loads hashlib and OpenSSL): the generic
+vectors of the Lanczos runs are integer hashes of their index
+(_generic_vector).
 """
 
 from __future__ import annotations
@@ -77,59 +91,79 @@ _LANCZOS_TOL = 1e-13
 _START_WEIGHT = 1e-3
 # Largest eigenpair residual ||H x - E x|| accepted, relative to ||H||_inf.
 _RESIDUAL_TOL = 1e-9
-# Largest photon number a cutoff holds, per photon of cutoff: converge_cutoff's
-# one rule for whether a ladder can converge and when it has.
+# Largest mean displaced photon number a cutoff holds, per photon of cutoff:
+# converge_cutoff's rule for when a ladder has converged.
 _HEADROOM = 0.8
+# The photon basis: the shortest remainder of a state kept by Gram-Schmidt;
+# the centres are far apart, their states orthogonal to rounding (below 1e-17
+# by the Laguerre form of <n|D(2 beta)|m>), at beta >= sqrt(n_max) + _FAR; the
+# auxiliary Fock space reaches (beta + sqrt(2 n_max + 1) + _TAIL)**2 photons,
+# and the states' amplitude there must be at most _TAIL_AMPLITUDE.
+_PRUNE = 1e-10
+_FAR = 5.0
+_TAIL = 6.0
+_TAIL_AMPLITUDE = 1e-20
 
 
-class BandedMatrix:
-    """A real symmetric matrix stored by its diagonals.
+class KroneckerHamiltonian:
+    """H on a block of spin rows x photon states, held spin-major.
 
-    `offsets` ascend, and `diagonals[i]` holds the entries at offset
-    offsets[i]: entry t of the diagonal at offset k is H[t, t + k] for
-    k >= 0 and H[t - k, t] for k < 0, so the diagonals at k and -k are one
-    array and the matrix is exactly symmetric.  `nnz` counts the nonzero
-    entries.  H @ x adds the diagonals in ascending offset order, so each
-    row is summed in column order, as a CSR matrix-vector product sums it
-    (a stored zero adds nothing to a finite sum).
+    A vector is a rows x cols array psi, flattened by rows, and
+
+        H psi = psi @ a + sd * psi + J(psi @ x),
+        J(t)[c] = h0[c] * t[c] + hdn[c] * t[c - 1] + hup[c] * t[c + 1],
+
+    with a = omega * A and x = lambda / sqrt(N) * X + omega_rabi on the
+    photon states (symmetric), sd the diagonal spin energies and h0, hdn,
+    hup the matrix elements of J_x between spin rows, per row and photon
+    state (each photon state's spin rows may be their own).  The last row
+    may hold fewer states than the others: its missing entries are the last
+    ones of the array, and a vector of the `shape` leaves them out.  `nnz`
+    counts the nonzero entries of the matrix (of a block without missing
+    entries).
     """
 
-    def __init__(self, dim: int, upper: dict[int, np.ndarray]):
-        """`upper` maps each offset k >= 0 to its diagonal (dim - k long)."""
-        ks = sorted(upper)
-        self.offsets = [-k for k in reversed(ks) if k] + ks
-        self.diagonals = [upper[abs(k)] for k in self.offsets]
+    def __init__(self, a, x, sd, h0, hdn, hup, dim: int):
+        import numpy as np
+
+        self.a, self.x, self.sd = a, x, sd
+        self.h0 = h0 if h0.any() else None  # J_x couples only other rows
+        self.hdn, self.hup = hdn[1:], hup[:-1]
         self.shape = (dim, dim)
+        self._psi = np.zeros(sd.size)  # the missing entries stay zero
 
     @property
     def nnz(self) -> int:
         import numpy as np
 
-        return sum(int(np.count_nonzero(d)) for d in self.diagonals)
+        rows, cols = self.sd.shape
+        same = np.tile(self.a.T, (rows, 1, 1))  # same[c, p, q] = H[(c, p), (c, q)]
+        if self.h0 is not None:
+            same += self.h0[:, :, None] * self.x.T
+        same[:, range(cols), range(cols)] += self.sd
+        return int(np.count_nonzero(same) + np.count_nonzero(self.hdn[:, :, None] * self.x.T)
+                   + np.count_nonzero(self.hup[:, :, None] * self.x.T))
 
-    def __abs__(self) -> BandedMatrix:
-        import numpy as np
-
-        return BandedMatrix(self.shape[0], {k: np.abs(d) for k, d in
-                                            zip(self.offsets, self.diagonals)
-                                            if k >= 0})
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        import numpy as np
-
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
         dim = self.shape[0]
-        y = np.zeros(dim)
-        for k, d in zip(self.offsets, self.diagonals):
-            if k >= 0:
-                y[:dim - k] += d * x[k:]
-            else:
-                y[-k:] += d * x[:dim + k]
-        return y
+        if dim == self._psi.size:
+            psi = v.reshape(self.sd.shape)
+        else:
+            self._psi[:dim] = v
+            psi = self._psi.reshape(self.sd.shape)
+        t = psi @ self.x
+        y = psi @ self.a
+        y += self.sd * psi
+        if self.h0 is not None:
+            y += self.h0 * t
+        y[1:] += self.hdn * t[:-1]
+        y[:-1] += self.hup * t[1:]
+        return y.ravel()[:dim]
 
 
 def _cutoff(params: ModelParams, n_max, budget: int) -> int:
     """n_max as an int: a nonnegative integer photon cutoff whose basis
-    fits the budget."""
+    fits the budget (counted per centre)."""
     nm = _integer(n_max, "photon cutoff")
     if nm < 0:
         raise ParameterError("negative photon cutoff")
@@ -138,154 +172,221 @@ def _cutoff(params: ModelParams, n_max, budget: int) -> int:
     return nm
 
 
-def build_hamiltonian(params: ModelParams, n_max: int,
-                      budget: int = DIMENSION_BUDGET) -> BandedMatrix:
-    """The Hamiltonian on the basis truncated at n_max photons, by
-    diagonals: the diagonal, +-N and +-(N+2) for the coupling, and +-1 for
-    the drive.  Refuses dimensions above budget.
-    """
-    return _hamiltonian(params, _cutoff(params, n_max, budget), 0)
+def _displaced(beta: float, nm: int) -> np.ndarray:
+    """<k|D(beta)|n> for n <= nm, in the Fock states k below a bound that
+    holds them (checked by their amplitude on the last one).
 
-
-def _hamiltonian(params: ModelParams, nm: int, k: int) -> BandedMatrix:
-    """H / 2**k at the cutoff nm, built from the couplings divided by 2**k
-    (no ModelParams: omega / 2**k can be subnormal)."""
+    <j + d|D|j> = beta**d e**(-beta**2/2) sqrt(j!/(j + d)!) L_j^(d)(beta**2)
+    and <j|D|j + d> = (-1)**d <j + d|D|j>, with the generalized Laguerre
+    polynomial's three-term recurrence in j run on these normalised values,
+    every one at most 1 (it is stable where the recurrence in n, D|n> =
+    (a^dag - beta) D|n-1> / sqrt(n), is not)."""
     import numpy as np
 
-    omega, lam, delta, rabi, v = (math.ldexp(getattr(params, a), -k) for a in AXES)
-    na = params.n_atoms
-    dim = basis_dimension(nm, na)
-    j = 0.5 * na
-    m = np.arange(na + 1) - j  # m values, ascending
+    if beta == 0.0:
+        return np.eye(nm + 1)
+    size = int((beta + math.sqrt(2 * nm + 1) + _TAIL) ** 2) + 1
+    x = beta * beta
+    d = np.arange(size, dtype=float)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(d[1:]))))
+    psi = np.empty((nm + 1, size))  # psi[j, d] = <j + d|D(beta)|j>
+    psi[0] = np.exp(d * math.log(beta) - 0.5 * x - 0.5 * log_factorial)
+    if nm:
+        psi[1] = (1.0 + d - x) / np.sqrt(d + 1.0) * psi[0]
+    for j in range(1, nm):
+        psi[j + 1] = (((2 * j + 1) + d - x) * psi[j]
+                      - np.sqrt(j * (j + d)) * psi[j - 1]) / np.sqrt((j + 1) * (j + 1 + d))
+    k = np.arange(size)[:, None]
     n = np.arange(nm + 1)
-
-    upper = {0: (omega * n[:, None] + delta * m[None, :]
-                 + (v / na) * m[None, :] ** 2).ravel()}
-
-    # <m+1|J+|m> ladder amplitudes.
-    ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
-
-    def band(cols: slice, amp: np.ndarray, k: int) -> None:
-        """Adds amp, laid out photon block by photon block at spin
-        columns `cols`, to the diagonal at offset k."""
-        d = np.zeros((nm + 1, na + 1))
-        d[:amp.shape[0], cols] = amp
-        d = d.ravel()[:dim - k]
-        # for N = 1 the drive and J- a^dag share offset 1
-        upper[k] = upper[k] + d if k in upper else d
-
-    # (omega_rabi/2) * (J+ + J-): |n, m> -> |n, m+1> in each photon block.
-    if rabi != 0.0:
-        band(slice(None, na), np.tile(0.5 * rabi * ladder, (nm + 1, 1)), 1)
-
-    # (lambda/(2*sqrt(N))) * (J+ + J-)(a^dag + a): photon +-1, spin +-1.
-    if lam != 0.0 and nm >= 1:
-        g = 0.5 * lam / np.sqrt(na)
-        photon = np.sqrt(n[1:])  # sqrt(n+1) for n = 0..nm-1
-        amp = g * photon[:, None] * ladder[None, :]
-        # J+ a^dag: |n, m> -> |n+1, m+1>; J- a^dag: |n, m+1> -> |n+1, m>
-        band(slice(None, na), amp, na + 2)
-        band(slice(1, None), amp, na)
-    return BandedMatrix(dim, upper)
+    c = psi[np.minimum(k, n), np.abs(k - n)]
+    c[(n > k) & ((n - k) % 2 == 1)] *= -1.0
+    if not np.abs(c[-1]).max() <= _TAIL_AMPLITUDE:
+        raise ConvergenceError(f"displaced photon states at beta = {beta:.6g} reach past "
+                               f"{size} Fock states")
+    return c
 
 
-def _sectors(params: ModelParams, n_max: int
-             ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The symmetry sectors the eigensolve treats separately, each as the
-    isometry Q (dimension x k, orthonormal columns) whose block of H is
-    Q.T @ H @ Q.  A sector is two arrays over the full basis: the column of
-    each state (-1 outside the sector) and its coefficient, so that
-    Q[s, col[s]] = coef[s]; each state lies in at most one column.
+def _orthonormal(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt on the columns in order, each twice against the kept
+    ones (_orthogonalise); a column whose remainder is at most _PRUNE is
+    dropped.  Returns the kept states as columns and their column indices."""
+    import numpy as np
 
-    At omega_rabi = 0 the sectors are the even and the odd sector of
-    (-1)**(n + m + j), in that order, as 0/1 selection columns; with a
-    drive, the whole basis (Q the identity).  At delta = 0 each of these
-    splits once more, into its even and its odd half (in that order) under
-    the spin flip m -> -m, whose columns are (|n, m> +- |n, -m>)/sqrt(2)
-    and |n, 0>.  For odd N without a drive the flip does not split a
-    parity sector: it anticommutes with the parity and maps each sector
-    onto the other, so every level is doubly degenerate across the two.
-    Columns are photon-major, and within a photon block ordered by m
-    (a flip column by its m >= 0 state), so each block is banded.  Empty
-    halves are left out.
+    rows = np.empty((candidates.shape[1], candidates.shape[0]))
+    kept = []
+    for i, w in enumerate(candidates.T.copy()):
+        done = rows[:len(kept)]
+        _orthogonalise(w, done, done)
+        norm = math.sqrt(w @ w)
+        if norm > _PRUNE:
+            np.divide(w, norm, out=rows[len(kept)])
+            kept.append(i)
+    return rows[:len(kept)].T, np.array(kept, dtype=int)
+
+
+def _photon_basis(beta: float, nm: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The photon basis at cutoff nm about the centres +-beta (see the module
+    docstring), photon-even states first: A, X, each state's photon parity
+    (True for odd) and its label n."""
+    import numpy as np
+
+    n = np.arange(nm + 1)
+    fock_x = np.diag(np.sqrt(n[1:]), 1)
+    fock_x += fock_x.T  # a + a^dag on |0>..|nm>
+    if beta >= math.sqrt(nm) + _FAR:
+        # (D(beta)|n> +- (-1)**n D(-beta)|n>)/sqrt(2) is orthonormal
+        a_even = a_odd = np.diag(n + beta * beta) + beta * fock_x
+        x_cross = fock_x + 2.0 * beta * np.eye(nm + 1)
+        labels = (n, n)
+    else:
+        c = _displaced(beta, nm)
+        # the photon-even (-odd) part of D(beta)|n> is its even (odd) Fock rows
+        (even, n_even), (odd, n_odd) = (_orthonormal(c[r::2]) for r in (0, 1))
+        k = np.arange(c.shape[0], dtype=float)
+        a_even = even.T @ (k[0::2, None] * even)
+        a_odd = odd.T @ (k[1::2, None] * odd)
+        a_even, a_odd = 0.5 * (a_even + a_even.T), 0.5 * (a_odd + a_odd.T)
+        # (a + a^dag) from the odd Fock states 2i -+ 1 to the even ones 2i
+        to_even = np.zeros((even.shape[0], odd.shape[1]))
+        to_even[:odd.shape[0]] += np.sqrt(k[1::2, None]) * odd
+        to_even[1:] += np.sqrt(k[2::2, None]) * odd[:even.shape[0] - 1]
+        x_cross = even.T @ to_even
+        labels = (n_even, n_odd)
+    pe = a_even.shape[0]
+    size = pe + a_odd.shape[0]
+    a = np.zeros((size, size))
+    a[:pe, :pe], a[pe:, pe:] = a_even, a_odd
+    x = np.zeros((size, size))
+    x[:pe, pe:] = x_cross
+    x[pe:, :pe] = x_cross.T
+    return a, x, np.arange(size) >= pe, np.concatenate(labels)
+
+
+def _spin_sectors(params: ModelParams) -> list[list[tuple]]:
+    """The symmetry sectors the eigensolve treats separately, each a list of
+    groups (photon parity: 0 even, 1 odd or None for every photon state;
+    spin rows).  A group's spin rows are four arrays: the row's m + j, its
+    flip partner's, and their coefficients, so that row c is
+    cr[c] |rep[c]> + cp[c] |par[c]> (cp = 0 for a row of one state).
+
+    At omega_rabi = 0 the sectors are the even and the odd sector of the
+    parity, in that order, each (photon-even x spin-even) + (photon-odd x
+    spin-odd) with the spin parity of (-1)**(m + j); with a drive, the whole
+    basis.  At delta = 0 each of these splits once more, into its even and
+    its odd half (in that order) under the spin flip m -> -m, whose rows are
+    (|m> +- |-m>)/sqrt(2) for m > 0 and |0>.  For odd N without a drive the
+    flip does not split a parity sector: it anticommutes with the parity and
+    maps each sector onto the other, so every level is doubly degenerate
+    across the two.  Rows ascend in m (a flip row by its m >= 0 state), so
+    J_x couples a row only to its own and its neighbours.  Empty groups are
+    left out.
     """
     import numpy as np
 
     na = params.n_atoms
-    dim = basis_dimension(n_max, na)
-    states = np.arange(dim)
-    k = states % (na + 1)  # k = m + j
+    ks = np.arange(na + 1)
     if params.omega_rabi != 0.0:
-        blocks = [states]
+        parities = [[(None, ks)]]
     else:
-        odd = (states // (na + 1) + k) % 2 == 1
-        blocks = [states[~odd], states[odd]]
+        parities = [[(0, ks[ks % 2 == s]), (1, ks[ks % 2 != s])] for s in (0, 1)]
     flip = params.delta == 0.0 and (params.omega_rabi != 0.0 or na % 2 == 0)
     r = math.sqrt(0.5)
     sectors = []
-    for idx in blocks:
-        # (states with one column each, sign of the flip partner's coefficient)
-        halves = ([(idx[2 * k[idx] >= na], 1.0), (idx[2 * k[idx] > na], -1.0)]
-                  if flip else [(idx, 1.0)])
-        for rep, sign in halves:
-            if not rep.size:
-                continue
-            partner = rep + na - 2 * k[rep] if flip else rep  # -m for +m
-            col = np.full(dim, -1)
-            col[partner] = col[rep] = np.arange(rep.size)
-            coef = np.zeros(dim)
-            coef[partner] = sign * r
-            # a state that is its own partner (|n, 0>, or every state of a
-            # selection column) has coefficient 1
-            coef[rep] = np.where(partner == rep, 1.0, r)
-            sectors.append((col, coef))
+    for groups in parities:
+        for sign in ((1.0, -1.0) if flip else (0.0,)):
+            sector = []
+            for parity, k in groups:
+                if sign:  # m >= 0 for the flip-even half, m > 0 for the odd one
+                    rep = k[2 * k >= na] if sign > 0.0 else k[2 * k > na]
+                    par = na - rep
+                else:
+                    rep = par = k
+                alone = par == rep
+                if rep.size:
+                    sector.append((parity, rep, par, np.where(alone, 1.0, r),
+                                   np.where(alone, 0.0, sign * r)))
+            if sector:
+                sectors.append(sector)
     return sectors
 
 
-def _sector_block(h: BandedMatrix, col: np.ndarray,
-                  coef: np.ndarray) -> BandedMatrix:
-    """Q.T @ h @ Q for the sector (col, coef) of _sectors, by diagonals.
+def _operators(params: ModelParams, k: int, a: np.ndarray, x: np.ndarray,
+               odd: np.ndarray, sectors: list[list[tuple]]) -> tuple[list, float]:
+    """The KroneckerHamiltonian of H / 2**k on each sector of _spin_sectors,
+    with its groups as (photon states, spin rows), and ||H / 2**k||_inf (the
+    largest row sum of |H| on the photon basis x the states m), for the
+    photon basis (A, X, photon parities).
 
-    Each entry H[s, t] adds coef[s] * coef[t] * H[s, t] to the block entry
-    (col[s], col[t]).  Only h's upper diagonals are read: H[s, t] and its
-    transpose H[t, s] give a block entry and its mirror, so one of the two
-    is added to the block's upper triangle (both, to its diagonal, when s
-    and t are flip partners in one column).  That triangle is summed by
-    bincount, in the order of h's diagonals, and mirrored, so the block is
-    exactly symmetric.  For 0/1 selection columns each block entry is one
-    entry of h.
+    Within a sector the groups with more spin rows come first, so the
+    missing entries of the others are the last ones (the groups of a sector
+    differ by at most one row).  The elements of J_x and of the diagonal
+    between rows are summed over the rows' states in the order of m; a
+    matrix element and its transpose are summed from the same terms, so the
+    block is exactly symmetric."""
+    import numpy as np
+
+    omega, lam, delta, rabi, v = (math.ldexp(getattr(params, f), -k) for f in AXES)
+    na = params.n_atoms
+    j = 0.5 * na
+    m = np.arange(na + 1) - j
+    diag = delta * m + (v / na) * m * m
+    ladder = 0.5 * np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))  # J_x[m, m + 1]
+    aw = omega * a
+    xs = (lam / math.sqrt(na)) * x + rabi * np.eye(odd.size)
+    jrow = np.zeros(na + 1)
+    jrow[:-1] += ladder
+    jrow[1:] += ladder
+    ad = np.diag(aw)
+    hnorm = float((np.abs(aw).sum(axis=1) - np.abs(ad) + np.abs(ad + diag[:, None])
+                   + jrow[:, None] * np.abs(xs).sum(axis=1)).max())
+    ops = []
+    for sector in sectors:
+        groups = [(np.arange(odd.size) if parity is None else np.flatnonzero(odd == parity),
+                   *rows) for parity, *rows in sector]
+        groups = sorted((g for g in groups if g[0].size), key=lambda g: -g[1].size)
+        if not groups:
+            continue
+        group = np.full(na + 1, -1)
+        row = np.zeros(na + 1, dtype=int)
+        coef = np.zeros(na + 1)
+        for g, (_, rep, par, cr, cp) in enumerate(groups):
+            group[par] = group[rep] = g
+            row[par] = row[rep] = np.arange(rep.size)
+            coef[par] = cp
+            coef[rep] = cr  # after the partner's: a row of one state keeps cr
+        inside = group >= 0
+        tab = np.zeros((4, groups[0][1].size, len(groups)))  # sd, hdn, h0, hup by row and group
+        np.add.at(tab[0], (row[inside], group[inside]), coef[inside] ** 2 * diag[inside])
+        s = np.flatnonzero(inside[:-1] & inside[1:])  # J_x[m, m + 1] inside the sector
+        val = coef[s] * coef[s + 1] * ladder[s]
+        off = row[s + 1] - row[s]
+        np.add.at(tab, (2 + off, row[s], group[s]), val)
+        np.add.at(tab, (2 - off, row[s + 1], group[s + 1]), val)
+        cols = np.concatenate([g[0] for g in groups])
+        sd, hdn, h0, hup = np.repeat(tab, [g[0].size for g in groups], axis=2)
+        ops.append((KroneckerHamiltonian(aw[np.ix_(cols, cols)], xs[np.ix_(cols, cols)],
+                                         sd, h0, hdn, hup,
+                                         sum(g[0].size * g[1].size for g in groups)), groups))
+    return ops, hnorm
+
+
+def build_hamiltonian(params: ModelParams, n_max: int,
+                      budget: int = DIMENSION_BUDGET) -> KroneckerHamiltonian:
+    """The Hamiltonian on the Fock basis truncated at n_max photons, without
+    symmetry sectors: |n, m> is entry (m + j) * (n_max + 1) + n.  A
+    reference for the solver, which works in the displaced basis.  Refuses
+    dimensions above budget.
     """
     import numpy as np
 
-    dim = h.shape[0]
-    states = np.flatnonzero(col >= 0)
-    at, cs = col[states], coef[states]
-    size = int(at.max()) + 1
-    parts: dict[int, list] = {}  # block offset -> [(block rows, values)]
-    for k, d in zip(h.offsets, h.diagonals):
-        if k < 0:
-            continue  # the transpose of the diagonal at -k
-        # the sector's states s with s + k in the basis; H[s, s + k] = d[s]
-        s = states[:np.searchsorted(states, dim - k)]
-        t = s + k
-        a, b = at[:s.size], col[t]
-        vals = d[s] * (cs[:s.size] * coef[t])
-        keep = vals != 0.0  # t in the sector, and no stored zero
-        if not keep.any():
-            continue
-        rows = np.minimum(a, b)[keep]
-        off = np.abs(b - a)[keep]
-        vals = vals[keep]
-        if k:
-            vals[off == 0] *= 2.0  # partners in one column
-        for o in range(int(off.min()), int(off.max()) + 1):
-            sel = off == o
-            if sel.any():
-                parts.setdefault(o, []).append((rows[sel], vals[sel]))
-    return BandedMatrix(size, {
-        o: np.bincount(np.concatenate([r for r, _ in ps]),
-                       np.concatenate([v for _, v in ps]), size - o)
-        for o, ps in parts.items()})
+    nm = _cutoff(params, n_max, budget)
+    n = np.arange(nm + 1.0)
+    x = np.diag(np.sqrt(n[1:]), 1)
+    ks = np.arange(params.n_atoms + 1)
+    whole = [[(None, ks, ks, np.ones(ks.size), np.zeros(ks.size))]]  # one sector, no symmetry
+    ops, _ = _operators(params, 0, np.diag(n), x + x.T, np.zeros(nm + 1, bool), whole)
+    return ops[0][0]
 
 
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the state's increment and
@@ -328,7 +429,7 @@ def _orthogonalise(w: np.ndarray, near: np.ndarray, basis: np.ndarray) -> np.nda
     return total
 
 
-def _lowest_levels(h: BandedMatrix, hnorm: float,
+def _lowest_levels(h: KroneckerHamiltonian, hnorm: float,
                    start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenpairs of one sector, ascending (one for a
     one-state sector), by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix
@@ -397,71 +498,90 @@ def _lowest_levels(h: BandedMatrix, hnorm: float,
     )
 
 
-def _solve_sectors(h: BandedMatrix,
-                   sectors: list[tuple[np.ndarray, np.ndarray]],
+def _sector_vector(full: np.ndarray, op: KroneckerHamiltonian, groups: list) -> np.ndarray:
+    """A sector's part of a vector held as spin states m x photon states."""
+    import numpy as np
+
+    psi = np.zeros(op.sd.shape)
+    at = 0
+    for cols, rep, par, cr, cp in groups:
+        psi[:rep.size, at:at + cols.size] = (cr[:, None] * full[np.ix_(rep, cols)]
+                                             + cp[:, None] * full[np.ix_(par, cols)])
+        at += cols.size
+    return psi.ravel()[:op.shape[0]]
+
+
+def _add_sector_vector(full: np.ndarray, vec: np.ndarray, op: KroneckerHamiltonian,
+                       groups: list) -> None:
+    """Adds a sector vector to `full` (spin states m x photon states), in
+    place: added to zeros, as a product sums, a -0.0 lands as 0.0."""
+    import numpy as np
+
+    psi = np.zeros(op.sd.size)
+    psi[:vec.size] = vec
+    psi = psi.reshape(op.sd.shape)
+    at = 0
+    for cols, rep, par, cr, cp in groups:
+        block = psi[:rep.size, at:at + cols.size]
+        full[np.ix_(rep, cols)] += cr[:, None] * block
+        full[np.ix_(par, cols)] += cp[:, None] * block
+        at += cols.size
+
+
+def _solve_sectors(ops: list, hnorm: float, shape: tuple[int, int],
                    start: np.ndarray | None = None, k: int = 0
                    ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """E0, E1, the ground vector and the next cutoff's start vector of
-    H = 2**k * h, solved sector by sector; `sectors` holds the (col, coef)
-    pairs that _sectors gives.  A sector that is the whole basis uses h
-    itself as its block; every other block comes from _sector_block.
-    Q.T @ x is a bincount over col, and Q @ s a gather.
+    H = 2**k * h, solved sector by sector; `ops` holds the (operator,
+    groups) pairs of _operators and hnorm ||h||_inf, and vectors are held as
+    spin states m x photon states (`shape`).
 
     E0 and E1 are the two lowest of all the sector levels, scaled back by
-    2**k.  The ground vector is the lowest sector's, Q @ s in the full
-    basis; when sector ground energies agree within _LANCZOS_TOL *
-    ||h||_inf it is the first of those sectors', so a tunnelling doublet
-    gets a definite, reproducible parity.  ||h||_inf is the largest row sum
-    of |h|.  The eigenvalue residual ||h x - E x|| is checked against
-    _RESIDUAL_TOL * ||h||_inf, and reported in the units of H.  `start`
-    (full basis, possibly shorter than h: it is zero-padded) seeds each
-    sector's Lanczos run from Q.T @ start; the returned start holds
-    psi0 + psi1 of every sector.
+    2**k.  The ground vector is the lowest sector's; when sector ground
+    energies agree within _LANCZOS_TOL * ||h||_inf it is the first of those
+    sectors', so a tunnelling doublet gets a definite, reproducible parity.
+    The eigenvalue residual ||h x - E x|| is checked against _RESIDUAL_TOL *
+    ||h||_inf, and reported in the units of H.  `start` seeds each sector's
+    Lanczos run with its part; the returned start holds psi0 + psi1 of every
+    sector.
     """
     import numpy as np
 
-    dim = h.shape[0]
-    hnorm = float((abs(h) @ np.ones(dim)).max())
-    if start is not None:
-        start = np.concatenate([start, np.zeros(dim - start.size)])
     levels = []
-    grounds = []  # (sector ground energy, vector)
-    nxt = np.zeros(dim)
-    for col, coef in sectors:
-        inside = col >= 0
-        at = col[inside]
-        size = int(at.max()) + 1
-        sub = h if size == dim else _sector_block(h, col, coef)
-        w, s = _lowest_levels(
-            sub, hnorm, None if start is None else
-            np.bincount(at, coef[inside] * start[inside], size))
-        vecs = np.zeros((dim, s.shape[1]))
-        # added to zeros, as a product sums: a -0.0 of s lands as 0.0
-        vecs[inside] += coef[inside, None] * s[at]
+    grounds = []  # (sector ground energy, operator, groups, vector)
+    nxt = np.zeros(shape)
+    for op, groups in ops:
+        w, s = _lowest_levels(op, hnorm, None if start is None else
+                              _sector_vector(start, op, groups))
         levels.extend(float(x) for x in w)
-        grounds.append((float(w[0]), vecs[:, 0]))
-        nxt += vecs.sum(axis=1)
+        grounds.append((float(w[0]), op, groups, s[:, 0]))
+        _add_sector_vector(nxt, s.sum(axis=1), op, groups)
     levels.sort()
     e0 = levels[0]
     e1 = levels[1] if len(levels) > 1 else e0
-    eg, vec = next(g for g in grounds if g[0] - e0 <= _LANCZOS_TOL * hnorm)
-    defect = float(np.linalg.norm(h @ vec - eg * vec))
+    eg, op, groups, vec = next(g for g in grounds if g[0] - e0 <= _LANCZOS_TOL * hnorm)
+    defect = float(np.linalg.norm(op @ vec - eg * vec))
     if defect > _RESIDUAL_TOL * hnorm:
         raise ConvergenceError(
             f"eigenpair residual {math.ldexp(defect, k):.3e} exceeds "
             f"{_RESIDUAL_TOL:g} * ||H|| = {math.ldexp(_RESIDUAL_TOL * hnorm, k):.3e}")
-    return math.ldexp(e0, k), math.ldexp(e1, k), vec, nxt
+    ground = np.zeros(shape)
+    _add_sector_vector(ground, vec, op, groups)
+    return math.ldexp(e0, k), math.ldexp(e1, k), ground, nxt
 
 
 @record
 class ExactSolution:
     """Ground-state observables at a photon cutoff.
 
-    energy is E0 of the truncated H and gap = E1 - E0 >= 0, over all the
-    symmetry sectors (parity at omega_rabi = 0, spin flip at delta = 0).
-    parity is the ground vector's expectation of (-1)**(n + m + j): +-1 to
-    rounding at omega_rabi = 0; on a tie between sectors, the even sector's at
-    delta >= 0 and its mirror image at delta < 0 (see the module docstring).
+    energy is E0 of H on the truncated basis and gap = E1 - E0 >= 0, over
+    all the symmetry sectors (parity at omega_rabi = 0, spin flip at
+    delta = 0).  parity is the ground vector's expectation of the parity
+    (-1)**(a^dag a + m + j): +-1 to rounding at omega_rabi = 0; on a tie
+    between sectors, the even sector's at delta >= 0 and its mirror image at
+    delta < 0 (see the module docstring).  n_max_used is the photon cutoff:
+    the largest displaced photon number n of the states D(+-beta)|n> on
+    each centre (the Fock cutoff where beta = 0).
     """
 
     energy: float
@@ -484,35 +604,57 @@ class ExactSolution:
         return self.photon_number / self.n_atoms
 
 
-def _observables(params: ModelParams, vec: np.ndarray) -> tuple[float, float, float, float]:
+def _observables(params: ModelParams, a: np.ndarray, odd: np.ndarray, labels: np.ndarray,
+                 psi: np.ndarray) -> tuple[float, float, float, float, float]:
+    """<a^dag a>, <J_z>, <J_x>, the parity and the mean displaced photon
+    number (the label n, as a photon number about the occupied centre) of a
+    vector held as spin states m x photon states."""
     import numpy as np
 
     na = params.n_atoms
     j = 0.5 * na
-    psi = vec.reshape(-1, na + 1)
-    prob = psi * psi
     m = np.arange(na + 1) - j
-    n = np.arange(psi.shape[0])
-    photon = float((prob.sum(axis=1) * n).sum())
-    jz = float((prob.sum(axis=0) * m).sum())
+    prob = psi * psi
+    photon = float((psi * (psi @ a)).sum())
+    jz = float(prob.sum(axis=1) @ m)
     ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
-    jx = float((psi[:, 1:] * psi[:, :-1] * ladder[None, :]).sum())
-    signs = (-1.0) ** (n[:, None] + np.arange(na + 1)[None, :])
+    jx = float((psi[1:] * psi[:-1]).sum(axis=1) @ ladder)
+    signs = (-1.0) ** (np.arange(na + 1)[:, None] + odd[None, :])
     parity = float((prob * signs).sum())
-    return photon, jz, jx, parity
+    return photon, jz, jx, parity, float(prob.sum(axis=0) @ labels)
 
 
-def _solve(params: ModelParams, nm: int,
-           start: np.ndarray | None) -> tuple[ExactSolution, np.ndarray]:
+def _centre(params: ModelParams) -> float:
+    """beta = sqrt(N) * |alpha|, the photon field's centre at the mean-field
+    minimum."""
+    return math.sqrt(params.n_atoms) * abs(ground_state(params).alpha)
+
+
+def _solve(params: ModelParams, nm: int, beta: float, start: tuple | None
+           ) -> tuple[ExactSolution, tuple, float]:
     """solve_at_cutoff's observables, at unit scale, at a checked cutoff nm
-    from the Lanczos start `start` (None for a cold one), and the next start;
-    at delta < 0 the starts are those of -delta (see the module docstring)."""
+    about the centres +-beta, from the Lanczos start `start` (None for a cold
+    one), then the next start and the mean displaced photon number.  A start
+    is a vector of spin states m x photon states with each photon state's
+    code 2 * label + parity; it is carried over to the photon states of this
+    cutoff with the same code.  At delta < 0 the starts are those of -delta
+    (see the module docstring)."""
+    import numpy as np
+
     mirror = params.delta < 0.0
     params = params.replace(delta=-params.delta) if mirror else params
     k = math.frexp(params.hamiltonian_scale)[1]
-    e0, e1, vec, nxt = _solve_sectors(_hamiltonian(params, nm, k), _sectors(params, nm),
-                                      start, k)
-    photon, jz, jx, parity = _observables(params, vec)
+    a, x, odd, labels = _photon_basis(beta, nm)
+    codes = 2 * labels + odd
+    shape = (params.n_atoms + 1, odd.size)
+    if start is not None:
+        old, old_codes = start
+        start = np.zeros(shape)
+        _, new_at, old_at = np.intersect1d(codes, old_codes, return_indices=True)
+        start[:, new_at] = old[:, old_at]
+    ops, hnorm = _operators(params, k, a, x, odd, _spin_sectors(params))
+    e0, e1, vec, nxt = _solve_sectors(ops, hnorm, shape, start, k)
+    photon, jz, jx, parity, displaced = _observables(params, a, odd, labels, vec)
     if mirror:
         jz, parity = 0.0 - jz, (-1) ** params.n_atoms * parity
     return ExactSolution(
@@ -526,55 +668,51 @@ def _solve(params: ModelParams, nm: int,
         n_max_used=nm,
         n_atoms=params.n_atoms,
         converged=False,
-    ), nxt
+    ), (nxt, codes), displaced
 
 
 def solve_at_cutoff(params: ModelParams, n_max: int,
                     budget: int = DIMENSION_BUDGET) -> ExactSolution:
-    """Ground-state observables at a fixed photon cutoff, from a cold
-    Lanczos start."""
-    return _solve(params, _cutoff(params, n_max, budget), None)[0]
+    """Ground-state observables at a fixed photon cutoff, in the displaced
+    basis about the mean-field centre, from a cold Lanczos start."""
+    return _solve(params, _cutoff(params, n_max, budget), _centre(params), None)[0]
 
 
 def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
                     budget: int = DIMENSION_BUDGET) -> ExactSolution:
     """Double the photon cutoff from N_MAX_START until E0 moves by at most
-    eps * max(|E0|, params.hamiltonian_scale) and the photon number
-    p = max(<a^dag a>, N * alpha**2) fits the cutoff: p < _HEADROOM * n_max.
+    eps * max(|E0|, params.hamiltonian_scale) and the mean displaced photon
+    number fits the cutoff: <b^dag b> < _HEADROOM * n_max, with b = a -+ beta
+    about the occupied centre (the photon number where beta = 0).
 
-    The mean-field N * alpha**2 is the large-N limit of <a^dag a> (Emary &
-    Brandes, PRE 67, 066203 (2003)); it counts the photons that a small
-    cutoff truncates, and where it does not fit the largest cutoff the
-    doubling reaches within the budget, the ladder cannot converge: a
-    ConvergenceError before any cutoff is solved.  So is a photon energy
+    The basis is displaced to the mean-field centre beta (see the module
+    docstring), so a cutoff holds the field's fluctuations about it, and the
+    budget counts (n_max + 1) * (N + 1) states per centre.  A photon energy
     omega at or below _LANCZOS_TOL * N * hamiltonian_scale, the solver's
-    resolution of E0: there every photon number is degenerate to that
-    resolution, and <a^dag a> is whatever the Lanczos start leaves.  A bad
-    eps, or a first cutoff above the budget, is a ParameterError from
-    check_ladder.  Returns the observables at the final cutoff; converged
-    is False when the budget stops the doubling first.
+    resolution of E0, is a ConvergenceError before any cutoff is solved:
+    there every photon number is degenerate to that resolution, and the
+    photon state is whatever the Lanczos start leaves.  A bad eps, or a
+    first cutoff above the budget, is a ParameterError from check_ladder.
+    Returns the observables at the final cutoff; converged is False when the
+    budget stops the doubling first.
     """
     eps = check_ladder(eps, (params.n_atoms,), budget)[0]
     n_top = N_MAX_START
     while basis_dimension(2 * n_top, params.n_atoms) <= budget:
         n_top *= 2
-    photons = params.n_atoms * ground_state(params).photon_density
-    if not photons < _HEADROOM * n_top:
-        raise ConvergenceError(
-            f"mean-field photon number {photons:.6g} needs a photon cutoff above "
-            f"{photons / _HEADROOM:.6g}, and the budget {budget} allows at most n_max {n_top}")
     resolution = _LANCZOS_TOL * params.n_atoms * params.hamiltonian_scale
     if not params.omega > resolution:
         raise ConvergenceError(
             f"photon energy omega = {params.omega:.6g} does not exceed the solver's resolution "
             f"{resolution:.6g} of E0 at N = {params.n_atoms}: the photon field is unresolved")
+    beta = _centre(params)
     # check_ladder checked the first cutoff and n_top bounds the rest to the budget
-    sol, start = _solve(params, N_MAX_START, None)
+    sol, start, _ = _solve(params, N_MAX_START, beta, None)
     while sol.n_max_used < n_top:
-        nxt, start = _solve(params, 2 * sol.n_max_used, start)
+        nxt, start, displaced = _solve(params, 2 * sol.n_max_used, beta, start)
         tol = eps * max(abs(nxt.energy), params.hamiltonian_scale)
         if (abs(nxt.energy - sol.energy) <= tol
-                and max(nxt.photon_number, photons) < _HEADROOM * nxt.n_max_used):
+                and displaced < _HEADROOM * nxt.n_max_used):
             return ExactSolution(**{**vars(nxt), "converged": True})
         sol = nxt
     return sol  # converged stays False: the budget stops the doubling first

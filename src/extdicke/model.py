@@ -102,7 +102,8 @@ DIMENSION_BUDGET = 400_000
 
 
 def basis_dimension(n_max: int, n_atoms: int) -> int:
-    """States at photon cutoff n_max: n_max + 1 photon numbers, N + 1 J_z."""
+    """States at photon cutoff n_max, per photon centre: n_max + 1 photon
+    numbers, N + 1 J_z."""
     return (n_max + 1) * (n_atoms + 1)
 
 

@@ -178,7 +178,7 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 12.  A changed digest is a change of
+# writes, recorded at sweep format 13.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel, parity-sector and secular-equation changes gave.  The provenance line
@@ -187,17 +187,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "76c80a40939dfc24c42e3ccda23644046a9937df5ac7f18316651a2aa1c4638a",
-      "fig2_curve1.csv": "53bd790198d8996758a54dc300ea622dd18adeb083377ae506d8f4b27b801836",
-      "fig2_curve2.csv": "c6a1accf00ab7afebf731a47f63cfb0c7acb62bd1af8b110c414d811abf13a4e"}),
+     {"fig2_curve0.csv": "88464dd0037ed678d05f59ae4f6c04b320f3b2fb8fb85892a559e575c08ce129",
+      "fig2_curve1.csv": "0108ac445582ec684c1ab2b57661d5f402cf583ede6a93b5df37ab79c9b02f52",
+      "fig2_curve2.csv": "ba335ffc925d357e474ff08b81173dc7baa09d4d6c19d589168da71d84b68176"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "15cd62d0125fd0950cb92386ec168615ce9942300b774c326b9c938b8557cfbc",
+     {"fig3_grid.csv": "819dd0b35c2d37a15831c49753705a3b99611ee14af7bb175362f5864881ae05",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "6f2c34297901da4d4b27c465346e92eeeb441e645e3c4d958d8e6266b60fd7b1",
-      "fig4_curve1.csv": "22a5a305913d8e1a2ac9cb2494b41402d8c112850f8676b1b1afe82d0afbf83f",
-      "fig4_curve2.csv": "3fe4bc655bea2107dd6ba31d4c296bff7680d5eecc235bceaa87c6210e89ae2a",
-      "fig4_curve3.csv": "e48b7ccd36d33a0f7326d2820701de3cab8a6841a65d1e06f015e536c2051f96"}),
+     {"fig4_curve0.csv": "5aadeeba2130095a69f06231bec55571deb45fa291a57a898a3c6f6e5bb8b5c3",
+      "fig4_curve1.csv": "a22379ddf2caec4c0589edfc5f40e2733bb8cb2ee5eaa7f8863eda0130ad51cd",
+      "fig4_curve2.csv": "1206512ad889af988bc3ab13d985345beafb7113c42febf8fed696c67c3845c0",
+      "fig4_curve3.csv": "7f1d1938a4abee03531b3a4ab59f879fab4b2e4f5f9edb731577cacc9e14f48a"}),
 ]
 
 
@@ -224,7 +224,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 12: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 13: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build and one
@@ -235,7 +235,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "a10a1608e73ce635be6c40c585b739fe960511435c1ff2dbf555ca9cc7286994",
+    "5b1edf91138a0f0986a276ec0699c7e8d1c2d0e756acbc5c99b47243c78d0247",
 )
 
 

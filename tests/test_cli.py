@@ -14,6 +14,7 @@ import pytest
 
 from extdicke import __version__, cli, exact
 from extdicke.exact import ExactSolution
+from extdicke.meanfield import ground_state
 from extdicke.sweep import AxisSpec, SweepConfig, parse_csv, run_sweep, serialize_csv
 
 TWO_PI = 2.0 * math.pi
@@ -427,7 +428,8 @@ def test_exact_check_warns_when_the_budget_stops_the_ladder(capsys):
 ])
 def test_exact_check_overflow_is_one_error_line(argv, code, capsys):
     # a coupling or a photon number beyond the float range raises no numpy
-    # warning: the model's domain rule and the photon-number refusal report it
+    # warning: the model's domain rule and the refusal of a photon energy
+    # below the solver's resolution report it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["exact-check", *argv]) == code
@@ -436,23 +438,26 @@ def test_exact_check_overflow_is_one_error_line(argv, code, capsys):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv, photons", [
-    (["--lambda", "1e154", "--n-list", "2"], "5e+307"),
-    (["--lambda", "1e100", "--n-list", "2"], "5e+199"),
-    (["--omega", "1e-12", "--n-list", "1"], "2.5e+23"),
-    (["--omega", "1e-12", "--v=1e-160", "--n-list", "1"], "2.5e+23"),
+@pytest.mark.parametrize("argv, resolution", [
+    (["--lambda", "1e154", "--n-list", "2"], "2e+295"),
+    (["--lambda", "1e100", "--n-list", "2"], "2e+187"),
+    (["--omega", "1e-12", "--n-list", "1"], "0.1"),
+    (["--omega", "1e-12", "--v=1e-160", "--n-list", "1"], "0.1"),
 ], ids=["lambda-1e154", "lambda-1e100", "omega-1e-12", "omega-1e-12-v"])
-def test_exact_check_refuses_a_photon_field_beyond_the_budget(argv, photons, capsys):
-    # N * alpha**2 photons need a cutoff above N * alpha**2 / 0.8, and the
-    # 400000-state budget stops the doubling at 131072 at N <= 2: one error
-    # line before any cutoff is solved, where the ladder used to run for
-    # minutes or overflow
+def test_exact_check_refuses_a_photon_field_beyond_the_budget(argv, resolution, capsys):
+    # N * alpha**2 photons from 2.5e23 to 5e307: a displaced basis holds
+    # such a field, so no cutoff budget refuses it.  What stops these ladders
+    # is the photon energy omega, below the solver's 1e-13 * N * ||H||
+    # resolution of E0 at u = lambda**2 / omega from 1e12 up: one error line
+    # before any cutoff is solved, where the ladder used to run for minutes
+    # or overflow
     start = time.perf_counter()
     assert cli.main(["exact-check", *argv]) == cli.EXIT_CONVERGENCE
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith(f"error: mean-field photon number {photons} ")
-    assert err.endswith(" allows at most n_max 131072\n")
+    assert err.startswith("error: photon energy omega = ")
+    assert err.endswith(f" does not exceed the solver's resolution {resolution} of E0 at "
+                        f"N = {argv[-1]}: the photon field is unresolved\n")
     assert len(err.splitlines()) == 1
 
 
@@ -525,17 +530,29 @@ def _couplings(scale: float) -> list[str]:
 @pytest.mark.parametrize("argv,holds", [
     (_couplings(1e-12) + ["--n-list", "28"], [True]),
     (_couplings(1.0) + ["--n-list", "28"], [True]),
-    # at N = 6 the budget stops the ladder at n_max 32, just above the
-    # 23.9 mean-field photons / 0.8, at E/N -4.2012 (x 1e-12), above the
-    # product-state bound -4.2228: a tolerance of 1e-9 in absolute terms
-    # would hide it at the small scale
+    # a ladder that the budget stops above the product-state bound, at
+    # E/N 0.02 (x 1e-12) above it: a tolerance of 1e-9 in absolute terms
+    # would hide it at the small scale.  The displaced basis holds the
+    # product state at every cutoff, so the solver no longer stops above
+    # the bound (at N = 6 and n_max 32 the Fock ladder stopped at -4.2012
+    # against -4.2228): the spoiled ladder stands in for one
     (_couplings(1e-12) + ["--n-list", "6", "--budget", "231"], [False]),
     (_couplings(1.0) + ["--n-list", "6", "--budget", "231"], [False]),
     (["--omega", "10", "--lambda", "3.1622776601683795", "--delta", "0.5",
       "--n-list", "8,16,32"], [True] * 3),  # the README example
 ], ids=["tiny", "unit", "tiny-early", "unit-early", "readme"])
 def test_exact_check_bound_tolerance_scales_with_the_couplings(argv, holds,
-                                                               capsys):
+                                                               monkeypatch, capsys):
+    if "--budget" in argv:
+        solve = exact.converge_cutoff
+
+        def stopped_early(params, eps, budget):
+            sol = solve(params, eps=eps, budget=budget)
+            bound = exact.product_state_energy(params, ground_state(params))
+            return ExactSolution(**{**vars(sol), "converged": False,
+                                    "energy_per_atom": bound + 0.02 * params.omega})
+
+        monkeypatch.setattr(exact, "converge_cutoff", stopped_early)
     assert cli.main(["exact-check", *argv]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [not r.endswith("  BOUND VIOLATED") for r in rows] == holds
@@ -546,15 +563,17 @@ def test_exact_check_bound_tolerance_scales_with_the_couplings(argv, holds,
 
 def test_exact_check_ladder_is_the_same_at_any_coupling_scale(capsys):
     # at 1e-12 the ladder used to stop at n_max 16 with E/N -2.418e-12,
-    # because its stability test was absolute below |E0| = 1
+    # because its stability test was absolute below |E0| = 1 (on the Fock
+    # basis; both scales now converge at the displaced cutoff 16, where the
+    # Fock ladder needed 512)
     rows = []
     for scale in (1.0, 1e-12):
         argv = _couplings(scale) + ["--n-list", "28", "--format", "json"]
         assert cli.main(["exact-check", *argv]) == 0
         rows.append(json.loads(capsys.readouterr().out)["rows"][0])
     unit, tiny = rows
-    assert (tiny["n_max"], tiny["converged"], tiny["bound_holds"]) == (512, True, True)
-    assert (unit["n_max"], unit["converged"]) == (512, True)
+    assert (tiny["n_max"], tiny["converged"], tiny["bound_holds"]) == (16, True, True)
+    assert (unit["n_max"], unit["converged"]) == (16, True)
     want = 1e-12 * unit["exact_energy_per_atom"]
     assert tiny["exact_energy_per_atom"] == pytest.approx(want, rel=1e-12, abs=0.0)
 

@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,11 +22,13 @@ from extdicke.exact import (
     solve_at_cutoff,
 )
 from extdicke.meanfield import ground_state
-from extdicke.model import ModelParams, ParameterError
+from extdicke.model import N_MAX_START, ModelParams, ParameterError
 
 
-def dense_reference(params: ModelParams, n_max: int) -> np.ndarray:
-    """Independent construction via Kronecker products of dense operators."""
+def dense_reference(params: ModelParams, n_max: int = 0, photon=None) -> np.ndarray:
+    """Independent construction via Kronecker products of dense operators,
+    spin-major (|n, m> at (m + j) * photons + n): on the Fock basis truncated
+    at n_max, or on a photon basis given as its (a^dag a, a + a^dag)."""
     n = params.n_atoms
     j = 0.5 * n
     ms = np.arange(-j, j + 1.0)
@@ -33,16 +36,23 @@ def dense_reference(params: ModelParams, n_max: int) -> np.ndarray:
     ladder = np.sqrt(j * (j + 1.0) - ms[:-1] * (ms[:-1] + 1.0))
     jp = np.diag(ladder, -1)  # raising operator in the m-ascending basis
     jx = 0.5 * (jp + jp.T)
-    num = np.diag(np.arange(n_max + 1.0))
-    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), 1)
-    field = a + a.T
-    eye_f = np.eye(n_max + 1)
+    if photon is None:
+        a = np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), 1)
+        photon = (a.T @ a, a + a.T)
+    num, field = photon
+    eye_f = np.eye(num.shape[0])
     eye_s = np.eye(n + 1)
-    return (params.omega * np.kron(num, eye_s)
-            + (params.lam / math.sqrt(n)) * np.kron(field, jx)
-            + params.delta * np.kron(eye_f, jz)
-            + params.omega_rabi * np.kron(eye_f, jx)
-            + (params.v / n) * np.kron(eye_f, jz @ jz))
+    return (params.omega * np.kron(eye_s, num)
+            + (params.lam / math.sqrt(n)) * np.kron(jx, field)
+            + params.delta * np.kron(jz, eye_f)
+            + params.omega_rabi * np.kron(jx, eye_f)
+            + (params.v / n) * np.kron(jz @ jz, eye_f))
+
+
+def solver_basis(params: ModelParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a^dag a, a + a^dag) on the photon basis solve_at_cutoff uses at n_max,
+    displaced about the mean-field centre."""
+    return exact._photon_basis(exact._centre(params), n_max)[:2]
 
 
 def test_basis_shape_and_validation():
@@ -58,11 +68,21 @@ def dense(op) -> np.ndarray:
     return np.column_stack([op @ e for e in np.eye(op.shape[1])])
 
 
-def dense_sector(col: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """The isometry Q[s, col[s]] = coef[s] of a sector from exact._sectors."""
-    q = np.zeros((col.size, col.max() + 1))
-    inside = np.flatnonzero(col >= 0)
-    q[inside, col[inside]] = coef[inside]
+def sector_isometry(groups: list, dim: int, photons: int, spins: int) -> np.ndarray:
+    """The isometry from a sector of exact._operators (its groups, in order)
+    to the spin-major basis, built from the layout alone: entry c * cols + at
+    + i of the sector (row c of a group at column offset at, photon state
+    cols[i]) is cr[c] |rep[c], cols[i]> + cp[c] |par[c], cols[i]>; the
+    entries past dim are missing."""
+    width = sum(g[0].size for g in groups)
+    q = np.zeros((spins * photons, dim))
+    at = 0
+    for cols, rep, par, cr, cp in groups:
+        for c in range(rep.size):
+            for i, col in enumerate(cols):
+                q[rep[c] * photons + col, c * width + at + i] += cr[c]
+                q[par[c] * photons + col, c * width + at + i] += cp[c]
+        at += cols.size
     return q
 
 
@@ -119,50 +139,51 @@ def test_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max,
     # each sector is an isometry, the sectors split the basis between them,
     # and H has no matrix element between two of them: a wrong flip
     # partner or parity label breaks one of these even where it leaves the
-    # two lowest levels alone
+    # two lowest levels alone.  On the Fock basis (beta = 0), on overlapping
+    # centres and on far-apart ones (the closed forms)
     p = ModelParams(omega=1.0, lam=0.7, delta=delta, omega_rabi=omega_rabi,
                     v=-0.4, n_atoms=n_atoms)
-    op = build_hamiltonian(p, n_max)
-    h = dense(op)
-    assert op.nnz == np.count_nonzero(h)
-    sectors = exact._sectors(p, n_max)
-    qs = [dense_sector(col, coef) for col, coef in sectors]
-    dim = h.shape[0]
-    assert all(q.shape[0] == dim and q.shape[1] >= 1 for q in qs)
-    for q in qs:
-        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-15
-    assert np.abs(sum(q @ q.T for q in qs) - np.eye(dim)).max() <= 1e-15
-    hnorm = np.abs(h).sum(axis=1).max()
-    for a, b in itertools.permutations(range(len(qs)), 2):
-        assert np.abs(qs[a].T @ qs[b]).max() <= 1e-15
-        assert np.abs(qs[a].T @ h @ qs[b]).max() <= 1e-15 * hnorm
-    # each sector is an eigenspace of the symmetries that define it: the
-    # parity without a drive, and the spin flip at delta = 0 unless it
-    # swaps the two parity sectors (odd N, no drive)
-    n, k = np.divmod(np.arange(dim), n_atoms + 1)
-    symmetries = []
-    if omega_rabi == 0.0:
-        symmetries.append(np.diag((-1.0) ** (n + k)))
-    if delta == 0.0 and (omega_rabi != 0.0 or n_atoms % 2 == 0):
-        symmetries.append(np.eye(dim)[n * (n_atoms + 1) + n_atoms - k])
-    if not symmetries:
-        assert len(qs) == 1
-    for q in qs:
-        for sym in symmetries:
-            d = q.T @ sym @ q
-            assert abs(abs(d[0, 0]) - 1.0) <= 1e-15
-            assert np.abs(d - d[0, 0] * np.eye(q.shape[1])).max() <= 1e-15
-    # each block applies Q.T H Q, is exactly symmetric and counts its
-    # nonzeros
-    rng = np.random.default_rng(n_atoms * 100 + n_max)
-    for (col, coef), q in zip(sectors, qs):
-        block = exact._sector_block(op, col, coef)
-        x = rng.standard_normal(q.shape[1])
-        assert np.abs(block @ x - q.T @ (h @ (q @ x))).max() \
-            <= 1e-15 * hnorm * np.abs(x).sum()
-        b = dense(block)
-        assert (b == b.T).all()
-        assert block.nnz == np.count_nonzero(b)
+    for beta in (0.0, 0.8, 9.0):
+        a, x, odd, _ = exact._photon_basis(beta, n_max)
+        h = dense_reference(p, photon=(a, x))
+        hnorm = np.abs(h).sum(axis=1).max()
+        ops, norm = exact._operators(p, 0, a, x, odd, exact._spin_sectors(p))
+        assert norm == pytest.approx(hnorm, rel=1e-14)
+        photons, dim = odd.size, h.shape[0]
+        qs = [sector_isometry(groups, op.shape[0], photons, n_atoms + 1) for op, groups in ops]
+        for q in qs:
+            assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-15
+        assert np.abs(sum(q @ q.T for q in qs) - np.eye(dim)).max() <= 1e-15
+        for i, j in itertools.permutations(range(len(qs)), 2):
+            assert np.abs(qs[i].T @ qs[j]).max() <= 1e-15
+            assert np.abs(qs[i].T @ h @ qs[j]).max() <= 1e-14 * hnorm
+        # each sector is an eigenspace of the symmetries that define it: the
+        # parity without a drive, and the spin flip at delta = 0 unless it
+        # swaps the two parity sectors (odd N, no drive)
+        k, photon = np.divmod(np.arange(dim), photons)
+        symmetries = []
+        if omega_rabi == 0.0:
+            symmetries.append(np.diag((-1.0) ** (k + odd[photon])))
+        if delta == 0.0 and (omega_rabi != 0.0 or n_atoms % 2 == 0):
+            symmetries.append(np.eye(dim)[(n_atoms - k) * photons + photon])
+        if not symmetries:
+            assert len(qs) == 1
+        for q in qs:
+            for sym in symmetries:
+                d = q.T @ sym @ q
+                assert abs(abs(d[0, 0]) - 1.0) <= 1e-15
+                assert np.abs(d - d[0, 0] * np.eye(q.shape[1])).max() <= 1e-15
+        # each block applies Q.T H Q and is exactly symmetric; one without
+        # missing entries counts its nonzeros
+        rng = np.random.default_rng(n_atoms * 100 + n_max)
+        for (op, _), q in zip(ops, qs):
+            v = rng.standard_normal(q.shape[1])
+            assert np.abs(op @ v - q.T @ (h @ (q @ v))).max() \
+                <= 1e-14 * hnorm * np.abs(v).sum()
+            b = dense(op)
+            assert (b == b.T).all()
+            if op.sd.size == op.shape[0]:
+                assert op.nnz == np.count_nonzero(b)
 
 
 def test_converge_cutoff_rejects_bad_ladder_settings():
@@ -215,20 +236,21 @@ def test_sparse_path_agrees_with_dense_path():
                     n_atoms=30)
     h = build_hamiltonian(p, 66)
     assert h.shape[0] == 2077
-    e_sparse, _, vec, _ = exact._solve_sectors(
-        h, [(np.arange(2077), np.ones(2077))])
-    e_dense = np.linalg.eigvalsh(dense(h))[0]
-    assert e_sparse == pytest.approx(e_dense, abs=1e-8)
-    assert np.linalg.norm(h @ vec - e_sparse * vec) < 1e-7
+    d = dense(h)
+    levels, vecs = exact._lowest_levels(h, np.abs(d).sum(axis=1).max(), None)
+    e_dense = np.linalg.eigvalsh(d)[0]
+    assert levels[0] == pytest.approx(e_dense, abs=1e-8)
+    assert np.linalg.norm(h @ vecs[:, 0] - levels[0] * vecs[:, 0]) < 1e-7
 
 
 def test_ground_pair_residual_guard():
     p = ModelParams(omega=1.0, lam=0.8, delta=0.25, n_atoms=10)
-    h = build_hamiltonian(p, 20)
-    dim = h.shape[0]
-    e0, _, vec, _ = exact._solve_sectors(h, [(np.arange(dim), np.ones(dim))])
+    a, x, odd, _ = exact._photon_basis(exact._centre(p), 20)
+    ops, hnorm = exact._operators(p, 0, a, x, odd, exact._spin_sectors(p))
+    e0, _, vec, _ = exact._solve_sectors(ops, hnorm, (11, odd.size))
+    h = dense_reference(p, photon=(a, x))
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-10
-    assert np.linalg.norm(h @ vec - e0 * vec) < 1e-8
+    assert np.linalg.norm(h @ vec.ravel() - e0 * vec.ravel()) < 1e-8
 
 
 def test_sector_solves_match_dense_reference():
@@ -245,21 +267,22 @@ def test_sector_solves_match_dense_reference():
             v=(-1.0) ** (i // 2) * rng.uniform(0.0, 2.0),
             n_atoms=1 + i % 7))
     for p in cases:
-        want = np.linalg.eigvalsh(dense_reference(p, 12))[:2]
+        want = np.linalg.eigvalsh(dense_reference(p, photon=solver_basis(p, 12)))[:2]
         sol = solve_at_cutoff(p, n_max=12)
         assert sol.energy == pytest.approx(want[0], abs=1e-10)
         assert sol.gap == pytest.approx(want[1] - want[0], abs=1e-10)
     # n_max = 0 and N = 1: two one-state sectors, one level each
     p = ModelParams(omega=1.0, lam=0.5, delta=0.3, v=0.2, n_atoms=1)
-    want = np.linalg.eigvalsh(dense_reference(p, 0))
+    want = np.linalg.eigvalsh(dense_reference(p, photon=solver_basis(p, 0)))
     sol = solve_at_cutoff(p, n_max=0)
     assert sol.energy == pytest.approx(want[0], abs=1e-12)
     assert sol.gap == pytest.approx(want[1] - want[0], abs=1e-12)
 
 
 def _dense_levels(p: ModelParams, n_max: int) -> tuple[float, float, float]:
-    """E0, E1 - E0 and ||H||_inf of the independently built dense H."""
-    h = dense_reference(p, n_max)
+    """E0, E1 - E0 and ||H||_inf of the independently built dense H on the
+    solver's photon basis at n_max."""
+    h = dense_reference(p, photon=solver_basis(p, n_max))
     w = np.linalg.eigvalsh(h)
     return w[0], w[1] - w[0], float(np.abs(h).sum(axis=1).max())
 
@@ -378,7 +401,7 @@ def test_lanczos_breakdown_finds_a_doubled_level_twice():
 # out of numpy's BLAS reductions, so the digest holds for one numpy/OpenBLAS
 # build and one OpenBLAS kernel family (recorded with numpy 2.4.6, OpenBLAS
 # 0.3.31 and the Haswell kernels that conftest.py selects on x86-64).
-_FINITE_N_BATTERY = "78eb8958a458a96bdfc9b11d66000cf75f5b55cb729eb4213ef4776545b24460"
+_FINITE_N_BATTERY = "8cd6da31a16b9b6a2629ae01809b2d7821a8861760657e02792e7f9bd7ce0216"
 
 
 def test_finite_n_answers_are_pinned_bit_for_bit():
@@ -411,9 +434,9 @@ def test_lanczos_restarts_match_dense_levels():
     (ModelParams(omega=10.0, lam=0.5 * math.sqrt(7.5), delta=0.75,
                  n_atoms=64), 240),
     (ModelParams(omega=10.0, lam=1.5 * math.sqrt(10.0), delta=0.5,
-                 n_atoms=64), 720),
+                 n_atoms=64), 360),
     (ModelParams(omega=10.0, lam=1.02 * math.sqrt(10.0), delta=0.5,
-                 omega_rabi=0.3, n_atoms=64), 290),
+                 omega_rabi=0.3, n_atoms=64), 180),
 ], ids=["normal", "superradiant", "driven"])
 def test_lanczos_work_per_ladder_is_pinned(monkeypatch, params, recorded):
     # matvecs over a whole converge_cutoff ladder, within 10 % of the count
@@ -434,14 +457,17 @@ def test_residual_guard_reports_the_bound_it_applies(monkeypatch):
     # the guard's bound is _RESIDUAL_TOL * ||H||_inf, relative at every
     # coupling scale (here ||H||_inf < 1).  It passes a pair converged to
     # the Lanczos resolution (restarted runs on two parity sectors of about
-    # 1070 states) and trips on a ground vector spoiled by 1e-6
+    # 2100 states) and trips on a ground vector spoiled by 1e-6
     q = ModelParams(omega=10.0, lam=1.5 * math.sqrt(10.0), delta=0.5, n_atoms=64)
-    h = build_hamiltonian(q, 32)
-    e0, _, vec, _ = exact._solve_sectors(h, exact._sectors(q, 32))
-    converged = np.linalg.norm(h @ vec - e0 * vec) / (abs(h) @ np.ones(h.shape[0])).max()
+    a, x, odd, _ = exact._photon_basis(exact._centre(q), 32)
+    ops, hnorm = exact._operators(q, 0, a, x, odd, exact._spin_sectors(q))
+    e0, _, vec, _ = exact._solve_sectors(ops, hnorm, (65, odd.size))
+    ks = np.arange(65)
+    (whole, _), = exact._operators(q, 0, a, x, odd,
+                                   [[(None, ks, ks, np.ones(65), np.zeros(65))]])[0]
+    converged = np.linalg.norm(whole @ vec.ravel() - e0 * vec.ravel()) / hnorm
     p = ModelParams(omega=0.05, lam=0.02, delta=0.03, v=0.01, n_atoms=2)
-    h = build_hamiltonian(p, 4)
-    hnorm = (abs(h) @ np.ones(h.shape[0])).max()
+    hnorm = np.abs(dense(build_hamiltonian(p, 4))).sum(axis=1).max()  # normal: Fock
     assert hnorm < 1.0
     lowest = exact._lowest_levels
 
@@ -517,41 +543,49 @@ def test_convergence_flag_under_budget_pressure():
 def test_photon_headroom_holds_a_ladder_whose_energy_is_stable():
     # a strong drive sets the unit of H, so E0 is stable to eps * rabi long
     # before the photon field, alpha**2 = u * N / (4 * omega) = 256 photons,
-    # fits the cutoff: only the photon headroom keeps the ladder doubling,
-    # and it stops within a few times the photon number
+    # fits a Fock cutoff.  The displaced basis holds the field about its
+    # centre, so its cutoff counts the fluctuations: the ladder stops at
+    # its second cutoff
     p = ModelParams(omega=1.0, lam=16.0, omega_rabi=1e10, n_atoms=4)
     sol = converge_cutoff(p)
     assert sol.converged and sol.photon_number == pytest.approx(256.0, rel=1e-5)
-    assert sol.n_max_used < 4.0 * sol.photon_number
+    assert sol.n_max_used == 2 * N_MAX_START
 
 
 @pytest.mark.parametrize("lam,n_atoms,photons", [(8.0, 4, 64.0), (8.0, 8, 128.0),
                                                (4.0, 8, 32.0)])
 def test_mean_field_photon_number_holds_a_truncated_field_open(lam, n_atoms, photons):
-    # as above, with N * alpha**2 = u * N / 4 photons: the field truncated
-    # at a small cutoff piles up against it, and its <a^dag a> (12.5 of 64
-    # at n_max 16) reads below 0.8 * n_max while E0 is stable to eps * rabi.
-    # The mean-field photon number keeps the ladder doubling
+    # as above, with N * alpha**2 = u * N / 4 photons: a Fock cutoff of 16
+    # truncates the field (its <a^dag a> read 12.5 of 64) while E0 is
+    # stable to eps * rabi.  The displaced basis holds the whole field
     p = ModelParams(omega=1.0, lam=lam, omega_rabi=1e10, n_atoms=n_atoms)
     sol = converge_cutoff(p)
     assert sol.converged and abs(sol.photon_number - photons) <= 1e-3
 
 
 def test_ladder_that_cannot_converge_is_refused_before_any_cutoff(monkeypatch):
-    # N * alpha**2 = 8 photons fit n_max 16 (12.8) but not n_max 8 (6.4):
-    # a budget of 17 * 3 states lets the doubling reach 16, one of 9 * 3
-    # stops it at 8, where the ladder is refused without a solve; a first
-    # cutoff above the budget stays a ParameterError
+    # N * alpha**2 = 8 photons: the displaced basis holds them at the first
+    # cutoff, so a budget of 9 * 3 states, which stops the doubling at
+    # n_max 8, returns that cutoff unconverged (a Fock cutoff of 8 could not
+    # hold them, and this ladder used to be refused), and one of 17 * 3
+    # converges at 16.  A photon energy below the solver's resolution is
+    # refused before any cutoff is solved; a first cutoff above the budget
+    # stays a ParameterError
     p = ModelParams(omega=1.0, lam=4.0, n_atoms=2)
     assert p.n_atoms * ground_state(p).photon_density == 8.0
-    assert converge_cutoff(p, budget=51).n_max_used == 16
+    ok = converge_cutoff(p, budget=51)
+    assert (ok.n_max_used, ok.converged) == (16, True)
+    starved = converge_cutoff(p, budget=27)
+    assert (starved.n_max_used, starved.converged) == (8, False)
+    assert starved.energy == pytest.approx(ok.energy, rel=1e-14)
 
     def unexpected(*args):
         raise AssertionError("a cutoff was solved")
 
     monkeypatch.setattr(exact, "_solve", unexpected)
-    with pytest.raises(ConvergenceError, match=r"photon number 8 .* n_max 8$"):
-        converge_cutoff(p, budget=27)
+    with pytest.raises(ConvergenceError, match="omega = 1 does not exceed the solver's "
+                       "resolution .* at N = 2: the photon field is unresolved$"):
+        converge_cutoff(p.replace(v=1e14))
     with pytest.raises(ParameterError, match="budget 26$"):
         converge_cutoff(p, budget=26)
 
@@ -599,3 +633,87 @@ def test_observable_ranges():
     assert sol.m_over_n == pytest.approx(2.0 * sol.jz / 8.0, abs=1e-15)
     assert sol.photon_density == pytest.approx(sol.photon_number / 8.0,
                                                abs=1e-15)
+
+
+# --- the two-centre displaced photon basis ---------------------------------
+
+@pytest.mark.parametrize("beta,n,k", [(0.3, 0, 5), (1.7, 8, 3), (1.7, 3, 20), (4.0, 16, 30),
+                                      (6.5, 12, 2), (6.5, 16, 70)])
+def test_displaced_states_match_a_60_digit_reference(beta, n, k):
+    # <k|D(beta)|n> = sqrt(n!/k!) beta**(k - n) e**(-beta**2/2) L_n^(k-n)(beta**2)
+    with mpmath.workdps(60):
+        lo, hi = sorted((k, n))
+        b = mpmath.mpf(beta)
+        want = (mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi)) * b ** (hi - lo)
+                * mpmath.exp(-b * b / 2) * mpmath.laguerre(lo, hi - lo, b * b)
+                * (-1) ** max(n - k, 0))
+    c = exact._displaced(beta, 16)
+    assert abs(c[k, n] - float(want)) <= 5e-15
+    assert np.abs(c.T @ c - np.eye(17)).max() <= 1e-13  # the tails fit
+
+
+def test_photon_basis_is_fock_at_zero_and_grows_by_prefix():
+    # at beta = 0 the basis is |0>, |2>, ... then |1>, |3>, ... exactly
+    a, x, odd, labels = exact._photon_basis(0.0, 8)
+    order = np.array([0, 2, 4, 6, 8, 1, 3, 5, 7])
+    assert (labels == order).all() and (odd == (order % 2 == 1)).all()
+    assert (a == np.diag(order.astype(float))).all()
+    fock = np.diag(np.sqrt(np.arange(1.0, 9.0)), 1)
+    assert (x == (fock + fock.T)[np.ix_(order, order)]).all()
+    # a cutoff's states are the first of the next cutoff's, state by state
+    # (so the ladder's warm start carries them over by label), and the
+    # closed forms of far-apart centres continue the Gram-Schmidt basis
+    for beta in (0.05, 1.3, 3.0, math.sqrt(8.0) + exact._FAR):
+        small, large = exact._photon_basis(beta, 8), exact._photon_basis(beta, 16)
+        for parity in (False, True):
+            i, j = np.flatnonzero(small[2] == parity), np.flatnonzero(large[2] == parity)
+            assert (large[3][j[:i.size]] == small[3][i]).all()
+            for m in (0, 1):
+                assert np.abs(large[m][np.ix_(j[:i.size], j[:i.size])]
+                              - small[m][np.ix_(i, i)]).max() <= 1e-12 * (1.0 + beta * beta)
+
+
+@pytest.mark.parametrize("params,n_ref", [
+    # a weak drive: the ground state is a cat over the wells at +-beta.  A
+    # basis about one centre cannot hold the far well, and its E0 (3.3e-6
+    # high) and J_z (2.8e-4 off) are stable between cutoffs
+    (ModelParams(omega=1.0, lam=1.0, delta=0.2, omega_rabi=1e-8, n_atoms=8), 64),
+    # finite_n's driven shape at N = 32 (beta**2 = 0.76): the two centres'
+    # states are nearly dependent, and a basis that keeps every direction
+    # put E0 53 % off
+    (ModelParams(omega=10.0, lam=1.025 * math.sqrt(10.0), delta=0.5, omega_rabi=0.3,
+                 n_atoms=32), 24),
+], ids=["weak-drive-cat", "driven-32"])
+def test_two_centre_ladder_matches_the_fock_reference(params, n_ref):
+    sol = converge_cutoff(params)
+    h = dense(build_hamiltonian(params, n_ref))
+    w, v = np.linalg.eigh(h)
+    ground = v[:, 0].reshape(params.n_atoms + 1, n_ref + 1)
+    jz = (ground * ground).sum(axis=1) @ (np.arange(params.n_atoms + 1) - 0.5 * params.n_atoms)
+    assert sol.converged
+    assert abs(sol.energy - w[0]) <= 1e-8 * max(abs(w[0]), params.hamiltonian_scale)
+    assert abs(sol.jz - jz) <= 1e-8 * params.n_atoms
+
+
+def test_ladders_agree_with_dense_fock_levels():
+    # seeded ladders over N = 1..16, no drive and drives log-uniform in
+    # [1e-10, 1] * u, both phases and points within 1 % of a lobe edge,
+    # against eigvalsh of the Fock Hamiltonian at a large cutoff
+    from extdicke.phases import delta_critical
+
+    rng = random.Random(37)
+    for i in range(12):
+        n = 1 + (5 * i) % 16
+        u = rng.uniform(0.2, 2.0)
+        v = rng.uniform(-0.5, 0.5)
+        if i % 3 == 0:
+            delta = rng.choice(delta_critical(u, v)) * (1.0 + rng.uniform(-0.01, 0.01))
+        else:
+            delta = rng.uniform(-1.0, 1.0) * (u + abs(v)) * (1.0 if i % 3 == 1 else 2.5)
+        p = ModelParams(omega=1.0, lam=math.sqrt(u), delta=delta, v=v, n_atoms=n,
+                        omega_rabi=0.0 if i % 2 else u * 10.0 ** rng.uniform(-10.0, 0.0))
+        sol = converge_cutoff(p)
+        n_ref = min(48, 2500 // (n + 1) - 1)
+        e0 = np.linalg.eigvalsh(dense(build_hamiltonian(p, n_ref)))[0]
+        assert sol.converged, p
+        assert abs(sol.energy - e0) <= 1e-8 * max(abs(e0), p.hamiltonian_scale), p

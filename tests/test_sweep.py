@@ -129,19 +129,20 @@ def test_exact_columns_appended_per_atom_number():
 
 
 def test_exact_failure_at_one_atom_number_blanks_only_its_cells():
-    # at lambda = 15 the N = 64 ladder is refused, since its 3600 mean-field
-    # photons need a cutoff above the 4096 that the 400000-state budget
-    # allows at N = 64; N = 2 and the mean-field columns still fill, and at
-    # lambda = 1 every column does
-    config = small_config(axes=(AxisSpec("lambda", 1.0, 15.0, 2),), exact_n=(2, 64))
+    # at lambda = 1e6 the N = 64 ladder is refused, since the photon energy
+    # omega = 1 is below the solver's resolution 1e-13 * N * u of E0 there
+    # (its 3600 mean-field photons at lambda = 15, refused by the Fock
+    # ladder's budget, now fit a displaced cutoff); N = 2 and the
+    # mean-field columns still fill, and at lambda = 1 every column does
+    config = small_config(axes=(AxisSpec("lambda", 1.0, 1e6, 2),), exact_n=(2, 64))
     dataset = run_sweep(config)
     cols = {name: i for i, name in enumerate(dataset.columns)}
     (ok, refused) = dataset.rows
     assert ok[cols["error"]] == ""
     assert ok[cols["exact_N64_converged"]] is True
     assert refused[cols["error"]] == (
-        "N=64 ConvergenceError: mean-field photon number 3600 needs a photon cutoff "
-        "above 4500, and the budget 400000 allows at most n_max 4096")
+        "N=64 ConvergenceError: photon energy omega = 1 does not exceed the solver's "
+        "resolution 6.4 of E0 at N = 64: the photon field is unresolved")
     assert [refused[cols[f"exact_N64_{name}"]] for name in
             ("energy_per_atom", "photon_density", "m_over_n",
              "converged")] == ["", "", "", ""]
@@ -181,7 +182,7 @@ def test_an_atom_number_beyond_the_budget_stops_the_config():
 def test_csv_round_trip_is_byte_stable():
     dataset = run_sweep(small_config())
     text = serialize_csv(dataset)
-    assert text.startswith("# extdicke sweep format 12")
+    assert text.startswith("# extdicke sweep format 13")
     again = serialize_csv(parse_csv(text))
     assert again == text
 
@@ -302,7 +303,7 @@ def test_domain_edge_scan_bytes_are_pinned():
     assert errors == {"", "ParameterError: nonpositive cavity frequency",
                       "ParameterError: negative collective coupling"}
     assert hashlib.sha256(serialize_csv(dataset).encode()).hexdigest() \
-        == "68e37002cf3da9dd83293a3ad07e609094fd62911e98f0ee54d0fe0c663103b8"
+        == "d2b5ccf2754133cc1f38350dfe80d90e9df9692a7ea9ec35bc178e1c10d48d7a"
 
 
 def _reference_csv(dataset: SweepDataset) -> str:
