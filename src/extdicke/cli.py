@@ -145,9 +145,10 @@ def cmd_solve(args) -> int:
 def cmd_exact_check(args) -> int:
     from .exact import _RESIDUAL_TOL, converge_cutoff, product_state_energy
     params = _params_from_args(args)
-    eps, n_list = check_ladder(args.eps, _parse_float_list(args.n_list, "--n-list"),
-                               args.budget, names=("--eps", "--n-list entry", "--budget"))
     mf = ground_state(params)
+    eps, n_list = check_ladder(args.eps, _parse_float_list(args.n_list, "--n-list"),
+                               args.budget, names=("--eps", "--n-list entry", "--budget"),
+                               centred=mf.alpha != 0.0)
     tol = _RESIDUAL_TOL * params.hamiltonian_scale  # the residual guard, per atom
     rows = []
     for n in n_list:
@@ -473,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=LADDER_EPS,
                    help="cutoff-doubling convergence tolerance")
     p.add_argument("--budget", type=int, default=DIMENSION_BUDGET,
-                   help="largest Hilbert-space dimension to attempt, per photon centre")
+                   help="largest Hilbert-space dimension to attempt")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_exact_check)

@@ -8,7 +8,10 @@ D(-beta)|n>, n <= n_max (the coherent-state basis of Chen, Zhang, Liu & Wang,
 PRA 78, 051801(R) (2008)): n_max counts displaced photons per centre, and a
 cutoff holds the field's fluctuations, not its N * alpha**2 photons.  At
 beta = 0 (the normal phase) the centres coincide and the basis is the Fock
-basis.  The photon parity maps D(beta)|n> to (-1)**n D(-beta)|n>, so
+basis, whose photon operators are held by diagonals past _DENSE_FOCK
+states.  A budget bounds the dimension solved and the entries of a
+displaced basis's dense photon matrices (model.basis_size).  The photon
+parity maps D(beta)|n> to (-1)**n D(-beta)|n>, so
 _photon_basis builds the photon-even states, then the photon-odd ones, from
 D(beta)|n> +- (-1)**n D(-beta)|n>, n = 0..n_max in order, by Gram-Schmidt in
 an auxiliary Fock space that holds their tails (_displaced).  A state whose
@@ -74,7 +77,7 @@ from typing import TYPE_CHECKING
 
 from .meanfield import MeanFieldSolution, ground_state
 from .model import (AXES, DIMENSION_BUDGET, LADDER_EPS, N_MAX_START, ConvergenceError,
-                    ModelParams, ParameterError, _integer, basis_dimension, check_ladder, record)
+                    ModelParams, ParameterError, _integer, basis_size, check_ladder, record)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,6 +106,16 @@ _PRUNE = 1e-10
 _FAR = 5.0
 _TAIL = 6.0
 _TAIL_AMPLITUDE = 1e-20
+# The Fock basis's photon operators are held dense up to this many states,
+# by diagonals above: a matrix product is the faster up to about 64 states
+# (2-5 times at 9-33), and the diagonals' memory grows as the states.
+_DENSE_FOCK = 64
+# _displaced's recurrence: a band whose first value is below e**_LOG_TINY,
+# about the smallest normal float 2**-1022, runs scaled, and a scaled band
+# above _BIG = 2**_BIG_EXPONENT is rescaled.
+_LOG_TINY = -708.0
+_BIG_EXPONENT = 500
+_BIG = 2.0 ** _BIG_EXPONENT
 
 
 class KroneckerHamiltonian:
@@ -110,17 +123,16 @@ class KroneckerHamiltonian:
 
     A vector is a rows x cols array psi, flattened by rows, and
 
-        H psi = psi @ a + sd * psi + J(psi @ x),
+        H psi = psi a + sd * psi + J(psi x),
         J(t)[c] = h0[c] * t[c] + hdn[c] * t[c - 1] + hup[c] * t[c + 1],
 
     with a = omega * A and x = lambda / sqrt(N) * X + omega_rabi on the
-    photon states (symmetric), sd the diagonal spin energies and h0, hdn,
-    hup the matrix elements of J_x between spin rows, per row and photon
-    state (each photon state's spin rows may be their own).  The last row
-    may hold fewer states than the others: its missing entries are the last
-    ones of the array, and a vector of the `shape` leaves them out.  `nnz`
-    counts the nonzero entries of the matrix (of a block without missing
-    entries).
+    photon states (symmetric photon operators, see _times), sd the diagonal
+    spin energies and h0, hdn, hup the matrix elements of J_x between spin
+    rows, per row and photon state (each photon state's spin rows may be
+    their own).  The last row may hold fewer states than the others: its
+    missing entries are the last ones of the array, and a vector of the
+    `shape` leaves them out.  `nnz` counts the nonzero entries of the matrix.
     """
 
     def __init__(self, a, x, sd, h0, hdn, hup, dim: int):
@@ -137,12 +149,23 @@ class KroneckerHamiltonian:
         import numpy as np
 
         rows, cols = self.sd.shape
-        same = np.tile(self.a.T, (rows, 1, 1))  # same[c, p, q] = H[(c, p), (c, q)]
-        if self.h0 is not None:
-            same += self.h0[:, :, None] * self.x.T
-        same[:, range(cols), range(cols)] += self.sd
-        return int(np.count_nonzero(same) + np.count_nonzero(self.hdn[:, :, None] * self.x.T)
-                   + np.count_nonzero(self.hup[:, :, None] * self.x.T))
+        p, q = _support(self.a, self.x)
+        av, xv = _entries(self.a, p, q), _entries(self.x, p, q)
+        width = cols - (self.sd.size - self.shape[0])  # the last row's states
+        every = np.ones(p.size, dtype=bool)
+        held = [every] * (rows - 1) + [p < width]  # (c, p) is a state, by row c
+        count = 0
+        for c in range(rows):  # H[(c, q), (c', p)] for c' = c, c - 1, c + 1
+            inside = every if c < rows - 1 else q < width
+            same = av + self.sd[c, q] * (p == q)
+            if self.h0 is not None:
+                same = same + self.h0[c, q] * xv
+            count += np.count_nonzero(same[inside & held[c]])
+            if c:
+                count += np.count_nonzero((self.hdn[c - 1, q] * xv)[inside & held[c - 1]])
+            if c < rows - 1:
+                count += np.count_nonzero((self.hup[c, q] * xv)[inside & held[c + 1]])
+        return int(count)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         dim = self.shape[0]
@@ -151,8 +174,8 @@ class KroneckerHamiltonian:
         else:
             self._psi[:dim] = v
             psi = self._psi.reshape(self.sd.shape)
-        t = psi @ self.x
-        y = psi @ self.a
+        t = _times(psi, self.x)
+        y = _times(psi, self.a)
         y += self.sd * psi
         if self.h0 is not None:
             y += self.h0 * t
@@ -161,48 +184,163 @@ class KroneckerHamiltonian:
         return y.ravel()[:dim]
 
 
-def _cutoff(params: ModelParams, n_max, budget: int) -> int:
+# A photon operator is a real symmetric matrix: a dense array, or a dict of
+# its diagonals {k: d} with d[i] = M[i, i + k] for k >= 0 (the main diagonal
+# always present), where it is banded, as on the Fock basis.
+
+
+def _diagonals(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int) -> dict:
+    """The symmetric size x size photon operator by diagonals whose entries
+    M[rows, cols] = vals give each off-diagonal pair once."""
+    import numpy as np
+
+    lo, k = np.minimum(rows, cols), np.abs(rows - cols)
+    out = {0: np.zeros(size)}
+    for off in np.unique(k).tolist():
+        d = out.setdefault(off, np.zeros(size - off))
+        np.add.at(d, lo[k == off], vals[k == off])
+    return out
+
+
+def _times(psi: np.ndarray, m) -> np.ndarray:
+    """psi @ m for a photon operator m, psi's columns being photon states."""
+    if not isinstance(m, dict):
+        return psi @ m
+    y = psi * m[0]
+    for k, d in m.items():
+        if k:
+            y[:, k:] += psi[:, :-k] * d
+            y[:, :-k] += psi[:, k:] * d
+    return y
+
+
+def _affine(m, scale: float, shift: float = 0.0):
+    """scale * m + shift * 1 for a photon operator m."""
+    import numpy as np
+
+    if not isinstance(m, dict):
+        return scale * m + shift * np.eye(len(m))
+    out = {k: scale * d for k, d in m.items()}
+    out[0] = out[0] + shift
+    return out
+
+
+def _abs_rows(m) -> np.ndarray:
+    """The row sums of |m| for a photon operator m."""
+    import numpy as np
+
+    if not isinstance(m, dict):
+        return np.abs(m).sum(axis=1)
+    return _times(np.ones((1, m[0].size)), {k: np.abs(d) for k, d in m.items()})[0]
+
+
+def _restrict(m, cols: np.ndarray):
+    """m[cols][:, cols] for a photon operator m."""
+    import numpy as np
+
+    if not isinstance(m, dict):
+        return m[np.ix_(cols, cols)]
+    size = m[0].size
+    if cols.size == size and (cols == np.arange(size)).all():
+        return m
+    at = np.full(size, -1)
+    at[cols] = np.arange(cols.size)
+    rows, other, vals = (np.concatenate(parts) for parts in zip(
+        *((at[:size - k], at[k:], d) for k, d in m.items())))
+    keep = (rows >= 0) & (other >= 0)
+    return _diagonals(rows[keep], other[keep], vals[keep], cols.size)
+
+
+def _support(a, x) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (p, q) where either photon operator may be nonzero,
+    and the diagonal."""
+    import numpy as np
+
+    if not isinstance(a, dict):
+        return np.nonzero((a != 0.0) | (x != 0.0) | np.eye(len(a), dtype=bool))
+    size = a[0].size
+    i = np.arange(size)
+    offsets = sorted(set(a) | set(x))
+    p = np.concatenate([i[:size - k] for k in offsets] + [i[k:] for k in offsets if k])
+    q = np.concatenate([i[k:] for k in offsets] + [i[:size - k] for k in offsets if k])
+    return p, q
+
+
+def _entries(m, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """m[p, q] for a photon operator m."""
+    import numpy as np
+
+    if not isinstance(m, dict):
+        return m[p, q]
+    k, lo = q - p, np.minimum(p, q)
+    out = np.zeros(p.size)
+    for off, d in m.items():
+        at = np.abs(k) == off
+        out[at] = d[lo[at]]
+    return out
+
+
+def _cutoff(params: ModelParams, n_max, budget: int, beta: float = 0.0) -> int:
     """n_max as an int: a nonnegative integer photon cutoff whose basis
-    fits the budget (counted per centre)."""
+    about the centres +-beta fits the budget, in its dimension and in the
+    entries of its dense photon matrices (basis_size)."""
     nm = _integer(n_max, "photon cutoff")
     if nm < 0:
         raise ParameterError("negative photon cutoff")
-    if (dim := basis_dimension(nm, params.n_atoms)) > budget:
+    dim, entries = basis_size(nm, params.n_atoms, beta != 0.0)
+    if dim > budget:
         raise ParameterError(f"basis dimension {dim} exceeds the memory budget {budget}")
+    if entries > budget:
+        raise ParameterError(f"photon matrices of {entries} entries exceed the memory "
+                             f"budget {budget}")
     return nm
 
 
 def _displaced(beta: float, nm: int) -> np.ndarray:
     """<k|D(beta)|n> for n <= nm, in the Fock states k below a bound that
-    holds them (checked by their amplitude on the last one).
+    holds them (checked by their amplitude on the last one, and by each
+    state's norm).
 
     <j + d|D|j> = beta**d e**(-beta**2/2) sqrt(j!/(j + d)!) L_j^(d)(beta**2)
     and <j|D|j + d> = (-1)**d <j + d|D|j>, with the generalized Laguerre
     polynomial's three-term recurrence in j run on these normalised values,
     every one at most 1 (it is stable where the recurrence in n, D|n> =
-    (a^dag - beta) D|n-1> / sqrt(n), is not)."""
+    (a^dag - beta) D|n-1> / sqrt(n), is not).  The recurrence is linear at
+    each d, so a band whose first value would underflow (beta**2 / 2 above
+    the float range's 708) runs scaled by a power of two 2**-e, exactly,
+    and is rescaled as it grows: no band starts from zero."""
     import numpy as np
 
-    if beta == 0.0:
-        return np.eye(nm + 1)
     size = int((beta + math.sqrt(2 * nm + 1) + _TAIL) ** 2) + 1
     x = beta * beta
     d = np.arange(size, dtype=float)
     log_factorial = np.concatenate(([0.0], np.cumsum(np.log(d[1:]))))
-    psi = np.empty((nm + 1, size))  # psi[j, d] = <j + d|D(beta)|j>
-    psi[0] = np.exp(d * math.log(beta) - 0.5 * x - 0.5 * log_factorial)
-    if nm:
-        psi[1] = (1.0 + d - x) / np.sqrt(d + 1.0) * psi[0]
-    for j in range(1, nm):
-        psi[j + 1] = (((2 * j + 1) + d - x) * psi[j]
-                      - np.sqrt(j * (j + d)) * psi[j - 1]) / np.sqrt((j + 1) * (j + 1 + d))
-    k = np.arange(size)[:, None]
-    n = np.arange(nm + 1)
-    c = psi[np.minimum(k, n), np.abs(k - n)]
-    c[(n > k) & ((n - k) % 2 == 1)] *= -1.0
+    log_first = d * math.log(beta) - 0.5 * x - 0.5 * log_factorial
+    e = np.where(log_first < _LOG_TINY, np.floor(log_first / math.log(2.0)), 0.0).astype(int)
+    row = np.exp(log_first - e * math.log(2.0))  # <j + d|D|j> * 2**-e at j = 0
+    prev = None
+    sign = np.where(np.arange(nm + 1) % 2 == 1, -1.0, 1.0)
+    c = np.empty((size, nm + 1))
+    for j in range(nm + 1):
+        if j:
+            nxt = (1.0 + d - x) / np.sqrt(d + 1.0) * row if j == 1 else (
+                ((2 * j - 1) + d - x) * row
+                - np.sqrt((j - 1) * (j - 1 + d)) * prev) / np.sqrt(j * (j + d))
+            big = np.abs(nxt) > _BIG
+            if big.any():
+                nxt[big] /= _BIG
+                row[big] /= _BIG
+                e[big] += _BIG_EXPONENT
+            prev, row = row, nxt
+        psi = np.ldexp(row, e)
+        c[j:, j] = psi[:size - j]
+        c[j, j + 1:] = sign[1:nm + 1 - j] * psi[1:nm + 1 - j]
     if not np.abs(c[-1]).max() <= _TAIL_AMPLITUDE:
         raise ConvergenceError(f"displaced photon states at beta = {beta:.6g} reach past "
                                f"{size} Fock states")
+    if not np.abs(np.einsum("kn,kn->n", c, c) - 1.0).max() <= _PRUNE:
+        raise ConvergenceError(f"displaced photon states at beta = {beta:.6g} lose their "
+                               f"norm in {size} Fock states")
     return c
 
 
@@ -224,14 +362,32 @@ def _orthonormal(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[:len(kept)].T, np.array(kept, dtype=int)
 
 
-def _photon_basis(beta: float, nm: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _fock_operators(labels: np.ndarray) -> tuple:
+    """a^dag a and a + a^dag on the Fock states |labels[0]>, |labels[1]>, ...
+    (the photon numbers 0..n_max in any order): dense up to _DENSE_FOCK
+    states, by diagonals above."""
+    import numpy as np
+
+    size = labels.size
+    at = np.argsort(labels)  # Fock state n is state at[n]
+    a = {0: labels.astype(float)}
+    x = _diagonals(at[:-1], at[1:], np.sqrt(np.arange(1, size)), size)
+    if size > _DENSE_FOCK:
+        return a, x
+    return _times(np.eye(size), a), _times(np.eye(size), x)
+
+
+def _photon_basis(beta: float, nm: int) -> tuple:
     """The photon basis at cutoff nm about the centres +-beta (see the module
-    docstring), photon-even states first: A, X, each state's photon parity
-    (True for odd) and its label n."""
+    docstring), photon-even states first: A, X (photon operators, by
+    diagonals on the Fock basis), each state's photon parity (True for odd)
+    and its label n."""
     import numpy as np
 
     n = np.arange(nm + 1)
+    if beta == 0.0:  # the Fock states, even photon numbers first
+        labels = np.concatenate((n[0::2], n[1::2]))
+        return (*_fock_operators(labels), labels % 2 == 1, labels)
     fock_x = np.diag(np.sqrt(n[1:]), 1)
     fock_x += fock_x.T  # a + a^dag on |0>..|nm>
     if beta >= math.sqrt(nm) + _FAR:
@@ -311,12 +467,12 @@ def _spin_sectors(params: ModelParams) -> list[list[tuple]]:
     return sectors
 
 
-def _operators(params: ModelParams, k: int, a: np.ndarray, x: np.ndarray,
-               odd: np.ndarray, sectors: list[list[tuple]]) -> tuple[list, float]:
+def _operators(params: ModelParams, k: int, a, x, odd: np.ndarray,
+               sectors: list[list[tuple]]) -> tuple[list, float]:
     """The KroneckerHamiltonian of H / 2**k on each sector of _spin_sectors,
     with its groups as (photon states, spin rows), and ||H / 2**k||_inf (the
     largest row sum of |H| on the photon basis x the states m), for the
-    photon basis (A, X, photon parities).
+    photon basis (the photon operators A and X, photon parities).
 
     Within a sector the groups with more spin rows come first, so the
     missing entries of the others are the last ones (the groups of a sector
@@ -332,14 +488,14 @@ def _operators(params: ModelParams, k: int, a: np.ndarray, x: np.ndarray,
     m = np.arange(na + 1) - j
     diag = delta * m + (v / na) * m * m
     ladder = 0.5 * np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))  # J_x[m, m + 1]
-    aw = omega * a
-    xs = (lam / math.sqrt(na)) * x + rabi * np.eye(odd.size)
+    aw = _affine(a, omega)
+    xs = _affine(x, lam / math.sqrt(na), rabi)
     jrow = np.zeros(na + 1)
     jrow[:-1] += ladder
     jrow[1:] += ladder
-    ad = np.diag(aw)
-    hnorm = float((np.abs(aw).sum(axis=1) - np.abs(ad) + np.abs(ad + diag[:, None])
-                   + jrow[:, None] * np.abs(xs).sum(axis=1)).max())
+    ad = aw[0] if isinstance(aw, dict) else np.diag(aw)
+    hnorm = float((_abs_rows(aw) - np.abs(ad) + np.abs(ad + diag[:, None])
+                   + jrow[:, None] * _abs_rows(xs)).max())
     ops = []
     for sector in sectors:
         groups = [(np.arange(odd.size) if parity is None else np.flatnonzero(odd == parity),
@@ -365,7 +521,7 @@ def _operators(params: ModelParams, k: int, a: np.ndarray, x: np.ndarray,
         np.add.at(tab, (2 - off, row[s + 1], group[s + 1]), val)
         cols = np.concatenate([g[0] for g in groups])
         sd, hdn, h0, hup = np.repeat(tab, [g[0].size for g in groups], axis=2)
-        ops.append((KroneckerHamiltonian(aw[np.ix_(cols, cols)], xs[np.ix_(cols, cols)],
+        ops.append((KroneckerHamiltonian(_restrict(aw, cols), _restrict(xs, cols),
                                          sd, h0, hdn, hup,
                                          sum(g[0].size * g[1].size for g in groups)), groups))
     return ops, hnorm
@@ -376,16 +532,17 @@ def build_hamiltonian(params: ModelParams, n_max: int,
     """The Hamiltonian on the Fock basis truncated at n_max photons, without
     symmetry sectors: |n, m> is entry (m + j) * (n_max + 1) + n.  A
     reference for the solver, which works in the displaced basis.  Refuses
-    dimensions above budget.
+    dimensions above budget; A and X are held by diagonals past
+    _DENSE_FOCK photon states, so the memory it takes grows as the
+    dimension.
     """
     import numpy as np
 
     nm = _cutoff(params, n_max, budget)
-    n = np.arange(nm + 1.0)
-    x = np.diag(np.sqrt(n[1:]), 1)
     ks = np.arange(params.n_atoms + 1)
     whole = [[(None, ks, ks, np.ones(ks.size), np.zeros(ks.size))]]  # one sector, no symmetry
-    ops, _ = _operators(params, 0, np.diag(n), x + x.T, np.zeros(nm + 1, bool), whole)
+    ops, _ = _operators(params, 0, *_fock_operators(np.arange(nm + 1)), np.zeros(nm + 1, bool),
+                        whole)
     return ops[0][0]
 
 
@@ -615,7 +772,7 @@ def _observables(params: ModelParams, a: np.ndarray, odd: np.ndarray, labels: np
     j = 0.5 * na
     m = np.arange(na + 1) - j
     prob = psi * psi
-    photon = float((psi * (psi @ a)).sum())
+    photon = float((psi * _times(psi, a)).sum())
     jz = float(prob.sum(axis=1) @ m)
     ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
     jx = float((psi[1:] * psi[:-1]).sum(axis=1) @ ladder)
@@ -675,7 +832,8 @@ def solve_at_cutoff(params: ModelParams, n_max: int,
                     budget: int = DIMENSION_BUDGET) -> ExactSolution:
     """Ground-state observables at a fixed photon cutoff, in the displaced
     basis about the mean-field centre, from a cold Lanczos start."""
-    return _solve(params, _cutoff(params, n_max, budget), _centre(params), None)[0]
+    beta = _centre(params)
+    return _solve(params, _cutoff(params, n_max, budget, beta), beta, None)[0]
 
 
 def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
@@ -686,26 +844,28 @@ def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
     about the occupied centre (the photon number where beta = 0).
 
     The basis is displaced to the mean-field centre beta (see the module
-    docstring), so a cutoff holds the field's fluctuations about it, and the
-    budget counts (n_max + 1) * (N + 1) states per centre.  A photon energy
-    omega at or below _LANCZOS_TOL * N * hamiltonian_scale, the solver's
-    resolution of E0, is a ConvergenceError before any cutoff is solved:
-    there every photon number is degenerate to that resolution, and the
-    photon state is whatever the Lanczos start leaves.  A bad eps, or a
-    first cutoff above the budget, is a ParameterError from check_ladder.
-    Returns the observables at the final cutoff; converged is False when the
-    budget stops the doubling first.
+    docstring), so a cutoff holds the field's fluctuations about it.  The
+    budget bounds the dimension solved, up to 2 * (n_max + 1) * (N + 1)
+    states about two centres, and the P**2 entries of their P dense photon
+    matrices (basis_size).  A photon energy omega at or below _LANCZOS_TOL *
+    N * hamiltonian_scale, the solver's resolution of E0, is a
+    ConvergenceError before any cutoff is solved: there every photon number
+    is degenerate to that resolution, and the photon state is whatever the
+    Lanczos start leaves.  A bad eps, or a first cutoff above the budget, is
+    a ParameterError from check_ladder.  Returns the observables at the
+    final cutoff; converged is False when the budget stops the doubling
+    first.
     """
-    eps = check_ladder(eps, (params.n_atoms,), budget)[0]
-    n_top = N_MAX_START
-    while basis_dimension(2 * n_top, params.n_atoms) <= budget:
-        n_top *= 2
+    beta = _centre(params)
+    eps = check_ladder(eps, (params.n_atoms,), budget, centred=beta != 0.0)[0]
     resolution = _LANCZOS_TOL * params.n_atoms * params.hamiltonian_scale
     if not params.omega > resolution:
         raise ConvergenceError(
             f"photon energy omega = {params.omega:.6g} does not exceed the solver's resolution "
             f"{resolution:.6g} of E0 at N = {params.n_atoms}: the photon field is unresolved")
-    beta = _centre(params)
+    n_top = N_MAX_START
+    while max(basis_size(2 * n_top, params.n_atoms, beta != 0.0)) <= budget:
+        n_top *= 2
     # check_ladder checked the first cutoff and n_top bounds the rest to the budget
     sol, start, _ = _solve(params, N_MAX_START, beta, None)
     while sol.n_max_used < n_top:

@@ -101,23 +101,34 @@ N_MAX_START = 8
 DIMENSION_BUDGET = 400_000
 
 
-def basis_dimension(n_max: int, n_atoms: int) -> int:
-    """States at photon cutoff n_max, per photon centre: n_max + 1 photon
-    numbers, N + 1 J_z."""
-    return (n_max + 1) * (n_atoms + 1)
+def basis_size(n_max: int, n_atoms: int, centred: bool = False) -> tuple[int, int]:
+    """The basis dimension at photon cutoff n_max, photon states times
+    N + 1 J_z, and the entries of a dense photon matrix.  On the Fock basis
+    (the field's centre at 0) n_max + 1 photon numbers, whose operators are
+    held by diagonals: no dense entries; about the two centres of a
+    displaced field (`centred`) at most P = 2 * (n_max + 1) photon states,
+    and P**2 entries."""
+    photons = (n_max + 1) * (2 if centred else 1)
+    return photons * (n_atoms + 1), photons * photons if centred else 0
 
 
 def check_ladder(eps, atom_numbers, budget: int = DIMENSION_BUDGET,
-                 names=("convergence tolerance", "atom number", "the memory budget")):
+                 names=("convergence tolerance", "atom number", "the memory budget"),
+                 centred: bool = False):
     """The ladder settings' rule, for converge_cutoff, SweepConfig and
     exact-check: eps a positive finite number, each atom number a positive
-    integer whose first cutoff fits the budget.  Returns (float eps, tuple
-    of int atom numbers); an error uses the caller's `names` of the three."""
+    integer whose first cutoff fits the budget (basis_size; `centred` where
+    the field is known to be displaced, on the Fock basis where it is not
+    known yet).  Returns (float eps, tuple of int atom numbers); an error
+    uses the caller's `names` of the three."""
     eps = _positive(eps, names[0])
     ns = tuple(_atoms(n, names[1]) for n in atom_numbers)
-    if ns and (need := basis_dimension(N_MAX_START, max(ns))) > budget:
-        raise ParameterError(f"{names[1]} {max(ns)} needs {need} basis states at the first "
-                             f"photon cutoff {N_MAX_START}, above {names[2]} {budget}")
+    if ns:
+        dim, entries = basis_size(N_MAX_START, max(ns), centred)
+        for need, what in ((dim, "basis states"), (entries, "photon matrix entries")):
+            if need > budget:
+                raise ParameterError(f"{names[1]} {max(ns)} needs {need} {what} at the first "
+                                     f"photon cutoff {N_MAX_START}, above {names[2]} {budget}")
     return eps, ns
 
 

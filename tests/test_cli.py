@@ -411,9 +411,10 @@ def test_exact_check_prints_no_sign_of_parity_noise(monkeypatch, capsys):
 
 
 def test_exact_check_warns_when_the_budget_stops_the_ladder(capsys):
-    # N = 4 with 60 basis states allows cutoff 8 (45 states) but not 16,
-    # short of the superradiant photon number at lambda = 2
-    argv = ["exact-check", "--lambda", "2", "--n-list", "4", "--budget", "60"]
+    # at lambda = 2 the basis has two centres: a budget of 400 allows cutoff
+    # 8 (18 photon states, 90 basis states, 18**2 photon matrix entries)
+    # but not 16 (34**2 = 1156 entries), and one cutoff cannot converge
+    argv = ["exact-check", "--lambda", "2", "--n-list", "4", "--budget", "400"]
     assert cli.main(argv) == 0
     out, err = capsys.readouterr()
     assert out.splitlines()[-1].split()[:3] == ["4", "8", "False"]
@@ -515,11 +516,24 @@ def test_exact_check_bad_budget_or_eps_names_the_flag(flag, value, capsys):
 
 
 def test_exact_check_names_the_budget_the_first_cutoff_needs(capsys):
-    # the first cutoff, 8 photons, holds 9 * (N + 1) = 81 states at N = 8
-    assert cli.main(["exact-check", "--n-list", "2,8", "--budget", "80"]) == 2
+    # the first cutoff, 8 photons, holds 9 * (N + 1) = 81 states at N = 8 on
+    # the Fock basis (lambda = 0: no field)
+    normal = ["exact-check", "--lambda", "0", "--n-list", "2,8", "--budget"]
+    assert cli.main(normal + ["80"]) == 2
     assert capsys.readouterr().err == ("error: --n-list entry 8 needs 81 basis states at "
                                        "the first photon cutoff 8, above --budget 80\n")
-    assert cli.main(["exact-check", "--n-list", "2,8", "--budget", "81"]) == 0
+    assert cli.main(normal + ["81"]) == 0
+    capsys.readouterr()
+    # about the two centres of a displaced field it holds 2 * 9 photon states:
+    # 18 * (N + 1) basis states and 18**2 = 324 photon matrix entries
+    for n_list, budget, need in (("2,8", 323, "324 photon matrix entries"),
+                                 ("2,20", 377, "378 basis states")):
+        assert cli.main(["exact-check", "--n-list", n_list, "--budget", str(budget)]) == 2
+        assert capsys.readouterr().err == (f"error: --n-list entry {n_list[2:]} needs {need} "
+                                           f"at the first photon cutoff 8, above --budget "
+                                           f"{budget}\n")
+        assert cli.main(["exact-check", "--n-list", n_list, "--budget", str(budget + 1)]) == 0
+        capsys.readouterr()
 
 
 def _couplings(scale: float) -> list[str]:
@@ -536,8 +550,8 @@ def _couplings(scale: float) -> list[str]:
     # product state at every cutoff, so the solver no longer stops above
     # the bound (at N = 6 and n_max 32 the Fock ladder stopped at -4.2012
     # against -4.2228): the spoiled ladder stands in for one
-    (_couplings(1e-12) + ["--n-list", "6", "--budget", "231"], [False]),
-    (_couplings(1.0) + ["--n-list", "6", "--budget", "231"], [False]),
+    (_couplings(1e-12) + ["--n-list", "6", "--budget", "1156"], [False]),
+    (_couplings(1.0) + ["--n-list", "6", "--budget", "1156"], [False]),
     (["--omega", "10", "--lambda", "3.1622776601683795", "--delta", "0.5",
       "--n-list", "8,16,32"], [True] * 3),  # the README example
 ], ids=["tiny", "unit", "tiny-early", "unit-early", "readme"])

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ import scipy.sparse as sp
 from extdicke import cli, exact
 from extdicke.exact import (
     ConvergenceError,
+    ExactSolution,
     build_hamiltonian,
     converge_cutoff,
     product_state_energy,
@@ -49,10 +51,19 @@ def dense_reference(params: ModelParams, n_max: int = 0, photon=None) -> np.ndar
             + (params.v / n) * np.kron(jz @ jz, eye_f))
 
 
+def photon_matrix(m) -> np.ndarray:
+    """A photon operator of exact._photon_basis as a dense matrix: it is one,
+    or it is given by its diagonals {k: m[i, i + k]}."""
+    if not isinstance(m, dict):
+        return m
+    return sum(np.diag(d, k) + (np.diag(d, -k) if k else 0.0) for k, d in m.items())
+
+
 def solver_basis(params: ModelParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(a^dag a, a + a^dag) on the photon basis solve_at_cutoff uses at n_max,
     displaced about the mean-field centre."""
-    return exact._photon_basis(exact._centre(params), n_max)[:2]
+    a, x = exact._photon_basis(exact._centre(params), n_max)[:2]
+    return photon_matrix(a), photon_matrix(x)
 
 
 def test_basis_shape_and_validation():
@@ -102,6 +113,26 @@ def test_build_rejects_bad_inputs():
         build_hamiltonian(p, 10, budget=50)
 
 
+def test_fock_hamiltonian_memory_grows_as_its_dimension():
+    # N = 1 at the cutoff that fills the budget: 2 spin states x 2000
+    # photons.  The Fock basis's a^dag a and a + a^dag are held by
+    # diagonals, so building H, applying it and counting its nonzeros stay
+    # within a few dozen vectors of the dimension (dense 2000 x 2000 photon
+    # matrices would take 32 MB each)
+    p = ModelParams(omega=1.0, lam=1.0, delta=0.3, n_atoms=1)
+    tracemalloc.start()
+    try:
+        h = build_hamiltonian(p, 1999, budget=4000)
+        h @ np.ones(h.shape[0])
+        nnz = h.nnz
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (4000, 4000)
+    assert nnz == 2 * 2000 + 2 * 2 * 1999  # the diagonal, and J_x (a + a^dag)
+    assert peak <= 40 * 8 * 4000
+
+
 @pytest.mark.parametrize("call", [
     lambda p: solve_at_cutoff(p, 2.5),
     lambda p: solve_at_cutoff(p, math.nan),
@@ -133,19 +164,22 @@ def test_integral_float_atom_number_is_the_integer_atom_number():
 
 
 @pytest.mark.parametrize("n_atoms,n_max,omega_rabi,delta", itertools.product(
-    (1, 2, 3, 4), (0, 1, 3), (0.0, 0.3), (0.0, 0.4)))
+    (1, 2, 3, 4), (0, 1, 3, exact._DENSE_FOCK), (0.0, 0.3), (0.0, 0.4)))
 def test_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max,
                                                       omega_rabi, delta):
     # each sector is an isometry, the sectors split the basis between them,
     # and H has no matrix element between two of them: a wrong flip
     # partner or parity label breaks one of these even where it leaves the
-    # two lowest levels alone.  On the Fock basis (beta = 0), on overlapping
-    # centres and on far-apart ones (the closed forms)
+    # two lowest levels alone.  On the Fock basis (beta = 0; its photon
+    # operators by diagonals at n_max = _DENSE_FOCK), on overlapping centres
+    # and on far-apart ones (the closed forms)
     p = ModelParams(omega=1.0, lam=0.7, delta=delta, omega_rabi=omega_rabi,
                     v=-0.4, n_atoms=n_atoms)
+    whole = build_hamiltonian(p, n_max)
+    assert whole.nnz == np.count_nonzero(dense(whole))
     for beta in (0.0, 0.8, 9.0):
         a, x, odd, _ = exact._photon_basis(beta, n_max)
-        h = dense_reference(p, photon=(a, x))
+        h = dense_reference(p, photon=(photon_matrix(a), photon_matrix(x)))
         hnorm = np.abs(h).sum(axis=1).max()
         ops, norm = exact._operators(p, 0, a, x, odd, exact._spin_sectors(p))
         assert norm == pytest.approx(hnorm, rel=1e-14)
@@ -156,7 +190,7 @@ def test_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max,
         assert np.abs(sum(q @ q.T for q in qs) - np.eye(dim)).max() <= 1e-15
         for i, j in itertools.permutations(range(len(qs)), 2):
             assert np.abs(qs[i].T @ qs[j]).max() <= 1e-15
-            assert np.abs(qs[i].T @ h @ qs[j]).max() <= 1e-14 * hnorm
+            assert np.abs(qs[i].T @ h @ qs[j]).max() <= 1e-15 * hnorm
         # each sector is an eigenspace of the symmetries that define it: the
         # parity without a drive, and the spin flip at delta = 0 unless it
         # swaps the two parity sectors (odd N, no drive)
@@ -173,17 +207,16 @@ def test_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max,
                 d = q.T @ sym @ q
                 assert abs(abs(d[0, 0]) - 1.0) <= 1e-15
                 assert np.abs(d - d[0, 0] * np.eye(q.shape[1])).max() <= 1e-15
-        # each block applies Q.T H Q and is exactly symmetric; one without
-        # missing entries counts its nonzeros
+        # each block applies Q.T H Q, is exactly symmetric and counts its
+        # nonzeros (a block with missing entries among them)
         rng = np.random.default_rng(n_atoms * 100 + n_max)
         for (op, _), q in zip(ops, qs):
             v = rng.standard_normal(q.shape[1])
             assert np.abs(op @ v - q.T @ (h @ (q @ v))).max() \
-                <= 1e-14 * hnorm * np.abs(v).sum()
+                <= 1e-15 * hnorm * np.abs(v).sum()
             b = dense(op)
             assert (b == b.T).all()
-            if op.sd.size == op.shape[0]:
-                assert op.nnz == np.count_nonzero(b)
+            assert op.nnz == np.count_nonzero(b)
 
 
 def test_converge_cutoff_rejects_bad_ladder_settings():
@@ -533,8 +566,10 @@ def test_parity_is_definite_for_unique_ground_state():
 
 
 def test_convergence_flag_under_budget_pressure():
+    # superradiant: the first cutoff's 18 photon states about two centres
+    # need 18**2 = 324 matrix entries and the second's 34**2 = 1156
     p = ModelParams(omega=1.0, lam=1.3, delta=0.2, n_atoms=6)
-    starved = converge_cutoff(p, budget=100)
+    starved = converge_cutoff(p, budget=400)
     assert not starved.converged
     ok = converge_cutoff(p)
     assert ok.converged and ok.n_max_used > starved.n_max_used
@@ -565,19 +600,24 @@ def test_mean_field_photon_number_holds_a_truncated_field_open(lam, n_atoms, pho
 
 def test_ladder_that_cannot_converge_is_refused_before_any_cutoff(monkeypatch):
     # N * alpha**2 = 8 photons: the displaced basis holds them at the first
-    # cutoff, so a budget of 9 * 3 states, which stops the doubling at
-    # n_max 8, returns that cutoff unconverged (a Fock cutoff of 8 could not
-    # hold them, and this ladder used to be refused), and one of 17 * 3
-    # converges at 16.  A photon energy below the solver's resolution is
-    # refused before any cutoff is solved; a first cutoff above the budget
-    # stays a ParameterError
+    # cutoff, so a budget that stops the doubling at n_max 8 returns that
+    # cutoff unconverged (a Fock cutoff of 8 could not hold them, and this
+    # ladder used to be refused), and one that reaches 16 converges there.
+    # Cutoff n about two centres has P = 2 * (n + 1) photon states, and the
+    # budget bounds both P * (N + 1) and the P**2 entries of their dense
+    # matrices: 324 at n = 8, 1156 at n = 16.  A photon energy below the
+    # solver's resolution is refused before any cutoff is solved; a first
+    # cutoff above the budget stays a ParameterError from check_ladder
     p = ModelParams(omega=1.0, lam=4.0, n_atoms=2)
     assert p.n_atoms * ground_state(p).photon_density == 8.0
-    ok = converge_cutoff(p, budget=51)
+    ok = converge_cutoff(p, budget=1156)
     assert (ok.n_max_used, ok.converged) == (16, True)
-    starved = converge_cutoff(p, budget=27)
+    starved = converge_cutoff(p, budget=1155)
+    assert (starved.n_max_used, starved.converged) == (8, False)
+    starved = converge_cutoff(p, budget=324)
     assert (starved.n_max_used, starved.converged) == (8, False)
     assert starved.energy == pytest.approx(ok.energy, rel=1e-14)
+    assert converge_cutoff(p.replace(lam=0.0), budget=27).n_max_used == N_MAX_START
 
     def unexpected(*args):
         raise AssertionError("a cutoff was solved")
@@ -586,8 +626,35 @@ def test_ladder_that_cannot_converge_is_refused_before_any_cutoff(monkeypatch):
     with pytest.raises(ConvergenceError, match="omega = 1 does not exceed the solver's "
                        "resolution .* at N = 2: the photon field is unresolved$"):
         converge_cutoff(p.replace(v=1e14))
+    with pytest.raises(ParameterError, match="atom number 2 needs 54 basis states at the "
+                       "first photon cutoff 8, above the memory budget 53$"):
+        converge_cutoff(p, budget=53)
+    with pytest.raises(ParameterError, match="atom number 2 needs 324 photon matrix entries "
+                       "at the first photon cutoff 8, above the memory budget 323$"):
+        converge_cutoff(p, budget=323)
+    # on the Fock basis (no field) the first cutoff has 9 * 3 states
     with pytest.raises(ParameterError, match="budget 26$"):
-        converge_cutoff(p, budget=26)
+        converge_cutoff(p.replace(lam=0.0), budget=26)
+
+
+@pytest.mark.parametrize("lam,top", [(4.0, 256), (0.0, 131072)], ids=["displaced", "fock"])
+def test_the_budget_bounds_every_cutoff_of_the_ladder(monkeypatch, lam, top):
+    # at N = 1 the default budget of 400000 allows Fock cutoffs up to
+    # 199999; about two centres the P = 2 * (n + 1) photon states' dense
+    # matrices stop the doubling first, at P**2 <= 400000 (n 256, P 514).
+    # A ladder whose E0 never settles climbs to the top cutoff and stops
+    p = ModelParams(omega=1.0, lam=lam, n_atoms=1)
+    sol = solve_at_cutoff(p, N_MAX_START)
+    solved = []
+
+    def drifting(params, nm, beta, start):
+        solved.append(nm)
+        return ExactSolution(**{**vars(sol), "energy": float(nm), "n_max_used": nm}), None, 0.0
+
+    monkeypatch.setattr(exact, "_solve", drifting)
+    last = converge_cutoff(p)
+    assert solved == [N_MAX_START * 2 ** i for i in range(len(solved))]
+    assert (last.n_max_used, last.converged) == (top, False)
 
 
 def test_product_state_is_an_upper_bound():
@@ -652,14 +719,29 @@ def test_displaced_states_match_a_60_digit_reference(beta, n, k):
     assert np.abs(c.T @ c - np.eye(17)).max() <= 1e-13  # the tails fit
 
 
+def test_displaced_states_keep_the_bands_whose_first_value_underflows():
+    # at beta = 40, <d|D(beta)|0> = beta**d e**(-800) / sqrt(d!) is below the
+    # float range for d <= 21, but <j + d|D(beta)|j> is of order 0.1 once
+    # j reaches about beta**2 / 4: those bands run scaled, so each state
+    # keeps its norm (started from zero they lost up to 7 % of it)
+    c = exact._displaced(40.0, 500)
+    assert np.abs(np.einsum("kn,kn->n", c, c) - 1.0).max() <= 1e-10
+    with mpmath.workdps(60):
+        b = mpmath.mpf(40)
+        want = (mpmath.sqrt(mpmath.factorial(460) / mpmath.factorial(480)) * b ** 20
+                * mpmath.exp(-b * b / 2) * mpmath.laguerre(460, 20, b * b))
+    assert abs(float(want)) > 1e-3
+    assert abs(c[480, 460] - float(want)) <= 1e-12
+
+
 def test_photon_basis_is_fock_at_zero_and_grows_by_prefix():
     # at beta = 0 the basis is |0>, |2>, ... then |1>, |3>, ... exactly
     a, x, odd, labels = exact._photon_basis(0.0, 8)
     order = np.array([0, 2, 4, 6, 8, 1, 3, 5, 7])
     assert (labels == order).all() and (odd == (order % 2 == 1)).all()
-    assert (a == np.diag(order.astype(float))).all()
+    assert (photon_matrix(a) == np.diag(order.astype(float))).all()
     fock = np.diag(np.sqrt(np.arange(1.0, 9.0)), 1)
-    assert (x == (fock + fock.T)[np.ix_(order, order)]).all()
+    assert (photon_matrix(x) == (fock + fock.T)[np.ix_(order, order)]).all()
     # a cutoff's states are the first of the next cutoff's, state by state
     # (so the ladder's warm start carries them over by label), and the
     # closed forms of far-apart centres continue the Gram-Schmidt basis
