@@ -97,11 +97,12 @@ _RESIDUAL_TOL = 1e-9
 # Largest mean displaced photon number a cutoff holds, per photon of cutoff:
 # converge_cutoff's rule for when a ladder has converged.
 _HEADROOM = 0.8
-# The photon basis: the shortest remainder of a state kept by Gram-Schmidt;
-# the centres are far apart, their states orthogonal to rounding (below 1e-17
-# by the Laguerre form of <n|D(2 beta)|m>), at beta >= sqrt(n_max) + _FAR; the
-# auxiliary Fock space reaches (beta + sqrt(2 n_max + 1) + _TAIL)**2 photons,
-# and the states' amplitude there must be at most _TAIL_AMPLITUDE.
+# The photon basis: the shortest remainder of a state kept by Gram-Schmidt,
+# also the largest error of a displaced state's norm**2; the centres are far
+# apart, their states orthogonal to rounding (below 1e-17 by the Laguerre
+# form of <n|D(2 beta)|m>), at beta >= sqrt(n_max) + _FAR; the auxiliary
+# Fock space reaches (beta + sqrt(2 n_max + 1) + _TAIL)**2 photons, and the
+# states' amplitude there must be at most _TAIL_AMPLITUDE.
 _PRUNE = 1e-10
 _FAR = 5.0
 _TAIL = 6.0
@@ -148,23 +149,18 @@ class KroneckerHamiltonian:
     def nnz(self) -> int:
         import numpy as np
 
-        rows, cols = self.sd.shape
-        p, q = _support(self.a, self.x)
-        av, xv = _entries(self.a, p, q), _entries(self.x, p, q)
-        width = cols - (self.sd.size - self.shape[0])  # the last row's states
-        every = np.ones(p.size, dtype=bool)
-        held = [every] * (rows - 1) + [p < width]  # (c, p) is a state, by row c
+        p, q, av, xv = _pairs(self.a, self.x)
+        held = np.arange(self.sd.size).reshape(self.sd.shape) < self.shape[0]
         count = 0
-        for c in range(rows):  # H[(c, q), (c', p)] for c' = c, c - 1, c + 1
-            inside = every if c < rows - 1 else q < width
+        for c in range(len(held)):  # H[(c, q), (c', p)] for c' = c, c - 1, c + 1
             same = av + self.sd[c, q] * (p == q)
             if self.h0 is not None:
                 same = same + self.h0[c, q] * xv
-            count += np.count_nonzero(same[inside & held[c]])
+            count += np.count_nonzero(same[held[c, q] & held[c, p]])
             if c:
-                count += np.count_nonzero((self.hdn[c - 1, q] * xv)[inside & held[c - 1]])
-            if c < rows - 1:
-                count += np.count_nonzero((self.hup[c, q] * xv)[inside & held[c + 1]])
+                count += np.count_nonzero((self.hdn[c - 1, q] * xv)[held[c, q] & held[c - 1, p]])
+            if c < len(held) - 1:
+                count += np.count_nonzero((self.hup[c, q] * xv)[held[c, q] & held[c + 1, p]])
         return int(count)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
@@ -241,8 +237,6 @@ def _restrict(m, cols: np.ndarray):
     if not isinstance(m, dict):
         return m[np.ix_(cols, cols)]
     size = m[0].size
-    if cols.size == size and (cols == np.arange(size)).all():
-        return m
     at = np.full(size, -1)
     at[cols] = np.arange(cols.size)
     rows, other, vals = (np.concatenate(parts) for parts in zip(
@@ -251,33 +245,20 @@ def _restrict(m, cols: np.ndarray):
     return _diagonals(rows[keep], other[keep], vals[keep], cols.size)
 
 
-def _support(a, x) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs (p, q) where either photon operator may be nonzero,
-    and the diagonal."""
+def _pairs(a, x) -> tuple:
+    """(p, q, a[p, q], x[p, q]) over the index pairs where either photon
+    operator may be nonzero, and the diagonal."""
     import numpy as np
 
     if not isinstance(a, dict):
-        return np.nonzero((a != 0.0) | (x != 0.0) | np.eye(len(a), dtype=bool))
-    size = a[0].size
-    i = np.arange(size)
-    offsets = sorted(set(a) | set(x))
-    p = np.concatenate([i[:size - k] for k in offsets] + [i[k:] for k in offsets if k])
-    q = np.concatenate([i[k:] for k in offsets] + [i[:size - k] for k in offsets if k])
-    return p, q
-
-
-def _entries(m, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """m[p, q] for a photon operator m."""
-    import numpy as np
-
-    if not isinstance(m, dict):
-        return m[p, q]
-    k, lo = q - p, np.minimum(p, q)
-    out = np.zeros(p.size)
-    for off, d in m.items():
-        at = np.abs(k) == off
-        out[at] = d[lo[at]]
-    return out
+        p, q = np.nonzero((a != 0.0) | (x != 0.0) | np.eye(len(a), dtype=bool))
+        return p, q, a[p, q], x[p, q]
+    parts = []
+    for k in sorted(set(a) | set(x)):
+        i = np.arange(a[0].size - k)
+        da, dx = (m.get(k, np.zeros(i.size)) for m in (a, x))
+        parts += [(i, i + k, da, dx)] + ([(i + k, i, da, dx)] if k else [])
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _cutoff(params: ModelParams, n_max, budget: int, beta: float = 0.0) -> int:

@@ -657,6 +657,23 @@ def test_the_budget_bounds_every_cutoff_of_the_ladder(monkeypatch, lam, top):
     assert (last.n_max_used, last.converged) == (top, False)
 
 
+def test_headroom_stops_the_ladder_at_the_first_cutoff_that_holds_the_field(monkeypatch):
+    # E0 is stable from the first cutoff on, and the mean displaced photon
+    # number is 20 at n_max 16 and 16 at 32: the ladder passes 16, where
+    # 20 >= 0.8 * 16, and stops at 32, where 16 < 0.8 * 32 (a headroom in
+    # (0.5, 1.25] stops it there)
+    p = ModelParams(omega=1.0, lam=4.0, n_atoms=2)
+    sol = solve_at_cutoff(p, N_MAX_START)
+    displaced = {8: 0.0, 16: 20.0, 32: 16.0, 64: 0.0}
+
+    def held(params, nm, beta, start):
+        return ExactSolution(**{**vars(sol), "n_max_used": nm}), None, displaced[nm]
+
+    monkeypatch.setattr(exact, "_solve", held)
+    last = converge_cutoff(p)
+    assert (last.n_max_used, last.converged) == (32, True)
+
+
 def test_product_state_is_an_upper_bound():
     rng = random.Random(21)
     for _ in range(12):
