@@ -287,9 +287,9 @@ def _displaced(beta: float, nm: int) -> np.ndarray:
     polynomial's three-term recurrence in j run on these normalised values,
     every one at most 1 (it is stable where the recurrence in n, D|n> =
     (a^dag - beta) D|n-1> / sqrt(n), is not).  The recurrence is linear at
-    each d, so a band whose first value would underflow (beta**2 / 2 above
-    the float range's 708) runs scaled by a power of two 2**-e, exactly,
-    and is rescaled as it grows: no band starts from zero."""
+    each d, so a band whose first value is below the normal floats (at
+    small d once beta**2 / 2 passes 708) runs scaled by a power of two
+    2**-e, exactly, and is rescaled as it grows: no band starts from zero."""
     import numpy as np
 
     size = int((beta + math.sqrt(2 * nm + 1) + _TAIL) ** 2) + 1
