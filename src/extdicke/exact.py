@@ -11,8 +11,8 @@ beta = 0 (the normal phase) the centres coincide and the basis is the Fock
 basis, whose photon operators are held by diagonals past _DENSE_FOCK
 states.  A budget bounds the dimension solved and the entries of a
 displaced basis's dense photon matrices (model.basis_size).  The photon
-parity maps D(beta)|n> to (-1)**n D(-beta)|n>, so
-_photon_basis builds the photon-even states, then the photon-odd ones, from
+parity maps D(beta)|n> to (-1)**n D(-beta)|n>, so _photon_basis builds
+the photon-even states, then the photon-odd ones, from
 D(beta)|n> +- (-1)**n D(-beta)|n>, n = 0..n_max in order, by Gram-Schmidt in
 an auxiliary Fock space that holds their tails (_displaced).  A state whose
 remainder is at most _PRUNE is dropped (near beta = 0 the centres' states
