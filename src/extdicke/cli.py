@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=LADDER_EPS,
                    help="cutoff-doubling convergence tolerance")
     p.add_argument("--budget", type=int, default=DIMENSION_BUDGET,
-                   help="largest Hilbert-space dimension to attempt")
+                   help="largest basis dimension and photon matrix solved")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_exact_check)

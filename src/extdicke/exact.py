@@ -8,9 +8,9 @@ D(-beta)|n>, n <= n_max (the coherent-state basis of Chen, Zhang, Liu & Wang,
 PRA 78, 051801(R) (2008)): n_max counts displaced photons per centre, and a
 cutoff holds the field's fluctuations, not its N * alpha**2 photons.  At
 beta = 0 (the normal phase) the centres coincide and the basis is the Fock
-basis, whose photon operators are held by diagonals past _DENSE_FOCK
-states.  A budget bounds the dimension solved and the entries of a
-displaced basis's dense photon matrices (model.basis_size).  The photon
+basis.  Every photon operator is a dense P x P matrix on the P photon
+states, and a budget bounds the dimension solved and the P**2 entries of
+those matrices on every basis (model.basis_size).  The photon
 parity maps D(beta)|n> to (-1)**n D(-beta)|n>, so _photon_basis builds
 the photon-even states, then the photon-odd ones, from
 D(beta)|n> +- (-1)**n D(-beta)|n>, n = 0..n_max in order, by Gram-Schmidt in
@@ -107,10 +107,6 @@ _PRUNE = 1e-10
 _FAR = 5.0
 _TAIL = 6.0
 _TAIL_AMPLITUDE = 1e-20
-# The Fock basis's photon operators are held dense up to this many states,
-# by diagonals above: a matrix product is the faster up to about 64 states
-# (2-5 times at 9-33), and the diagonals' memory grows as the states.
-_DENSE_FOCK = 64
 # _displaced's recurrence: a band whose first value is below e**_LOG_TINY,
 # about the smallest normal float 2**-1022, runs scaled, and a scaled band
 # above _BIG = 2**_BIG_EXPONENT is rescaled.
@@ -128,7 +124,7 @@ class KroneckerHamiltonian:
         J(t)[c] = h0[c] * t[c] + hdn[c] * t[c - 1] + hup[c] * t[c + 1],
 
     with a = omega * A and x = lambda / sqrt(N) * X + omega_rabi on the
-    photon states (symmetric photon operators, see _times), sd the diagonal
+    photon states (dense symmetric matrices), sd the diagonal
     spin energies and h0, hdn, hup the matrix elements of J_x between spin
     rows, per row and photon state (each photon state's spin rows may be
     their own).  The last row may hold fewer states than the others: its
@@ -149,7 +145,9 @@ class KroneckerHamiltonian:
     def nnz(self) -> int:
         import numpy as np
 
-        p, q, av, xv = _pairs(self.a, self.x)
+        a, x = self.a, self.x
+        p, q = np.nonzero((a != 0.0) | (x != 0.0) | np.eye(len(a), dtype=bool))
+        av, xv = a[p, q], x[p, q]
         held = np.arange(self.sd.size).reshape(self.sd.shape) < self.shape[0]
         count = 0
         for c in range(len(held)):  # H[(c, q), (c', p)] for c' = c, c - 1, c + 1
@@ -170,8 +168,8 @@ class KroneckerHamiltonian:
         else:
             self._psi[:dim] = v
             psi = self._psi.reshape(self.sd.shape)
-        t = _times(psi, self.x)
-        y = _times(psi, self.a)
+        t = psi @ self.x
+        y = psi @ self.a
         y += self.sd * psi
         if self.h0 is not None:
             y += self.h0 * t
@@ -180,91 +178,11 @@ class KroneckerHamiltonian:
         return y.ravel()[:dim]
 
 
-# A photon operator is a real symmetric matrix: a dense array, or a dict of
-# its diagonals {k: d} with d[i] = M[i, i + k] for k >= 0 (the main diagonal
-# always present), where it is banded, as on the Fock basis.
-
-
-def _diagonals(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int) -> dict:
-    """The symmetric size x size photon operator by diagonals whose entries
-    M[rows, cols] = vals give each off-diagonal pair once."""
-    import numpy as np
-
-    lo, k = np.minimum(rows, cols), np.abs(rows - cols)
-    out = {0: np.zeros(size)}
-    for off in np.unique(k).tolist():
-        d = out.setdefault(off, np.zeros(size - off))
-        np.add.at(d, lo[k == off], vals[k == off])
-    return out
-
-
-def _times(psi: np.ndarray, m) -> np.ndarray:
-    """psi @ m for a photon operator m, psi's columns being photon states."""
-    if not isinstance(m, dict):
-        return psi @ m
-    y = psi * m[0]
-    for k, d in m.items():
-        if k:
-            y[:, k:] += psi[:, :-k] * d
-            y[:, :-k] += psi[:, k:] * d
-    return y
-
-
-def _affine(m, scale: float, shift: float = 0.0):
-    """scale * m + shift * 1 for a photon operator m."""
-    import numpy as np
-
-    if not isinstance(m, dict):
-        return scale * m + shift * np.eye(len(m))
-    out = {k: scale * d for k, d in m.items()}
-    out[0] = out[0] + shift
-    return out
-
-
-def _abs_rows(m) -> np.ndarray:
-    """The row sums of |m| for a photon operator m."""
-    import numpy as np
-
-    if not isinstance(m, dict):
-        return np.abs(m).sum(axis=1)
-    return _times(np.ones((1, m[0].size)), {k: np.abs(d) for k, d in m.items()})[0]
-
-
-def _restrict(m, cols: np.ndarray):
-    """m[cols][:, cols] for a photon operator m."""
-    import numpy as np
-
-    if not isinstance(m, dict):
-        return m[np.ix_(cols, cols)]
-    size = m[0].size
-    at = np.full(size, -1)
-    at[cols] = np.arange(cols.size)
-    rows, other, vals = (np.concatenate(parts) for parts in zip(
-        *((at[:size - k], at[k:], d) for k, d in m.items())))
-    keep = (rows >= 0) & (other >= 0)
-    return _diagonals(rows[keep], other[keep], vals[keep], cols.size)
-
-
-def _pairs(a, x) -> tuple:
-    """(p, q, a[p, q], x[p, q]) over the index pairs where either photon
-    operator may be nonzero, and the diagonal."""
-    import numpy as np
-
-    if not isinstance(a, dict):
-        p, q = np.nonzero((a != 0.0) | (x != 0.0) | np.eye(len(a), dtype=bool))
-        return p, q, a[p, q], x[p, q]
-    parts = []
-    for k in sorted(set(a) | set(x)):
-        i = np.arange(a[0].size - k)
-        da, dx = (m.get(k, np.zeros(i.size)) for m in (a, x))
-        parts += [(i, i + k, da, dx)] + ([(i + k, i, da, dx)] if k else [])
-    return tuple(np.concatenate(part) for part in zip(*parts))
-
-
 def _cutoff(params: ModelParams, n_max, budget: int, beta: float = 0.0) -> int:
     """n_max as an int: a nonnegative integer photon cutoff whose basis
-    about the centres +-beta fits the budget, in its dimension and in the
-    entries of its dense photon matrices (basis_size)."""
+    about the centres +-beta (the Fock basis at beta = 0) fits the budget,
+    in its dimension and in the entries of its dense photon matrices
+    (basis_size)."""
     nm = _integer(n_max, "photon cutoff")
     if nm < 0:
         raise ParameterError("negative photon cutoff")
@@ -343,34 +261,26 @@ def _orthonormal(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[:len(kept)].T, np.array(kept, dtype=int)
 
 
-def _fock_operators(labels: np.ndarray) -> tuple:
-    """a^dag a and a + a^dag on the Fock states |labels[0]>, |labels[1]>, ...
-    (the photon numbers 0..n_max in any order): dense up to _DENSE_FOCK
-    states, by diagonals above."""
+def _fock_field(nm: int) -> np.ndarray:
+    """a + a^dag on the Fock states |0>..|nm>."""
     import numpy as np
 
-    size = labels.size
-    at = np.argsort(labels)  # Fock state n is state at[n]
-    a = {0: labels.astype(float)}
-    x = _diagonals(at[:-1], at[1:], np.sqrt(np.arange(1, size)), size)
-    if size > _DENSE_FOCK:
-        return a, x
-    return _times(np.eye(size), a), _times(np.eye(size), x)
+    x = np.diag(np.sqrt(np.arange(1.0, nm + 1.0)), 1)
+    return x + x.T
 
 
 def _photon_basis(beta: float, nm: int) -> tuple:
     """The photon basis at cutoff nm about the centres +-beta (see the module
-    docstring), photon-even states first: A, X (photon operators, by
-    diagonals on the Fock basis), each state's photon parity (True for odd)
-    and its label n."""
+    docstring), photon-even states first: A, X (dense photon operators),
+    each state's photon parity (True for odd) and its label n."""
     import numpy as np
 
     n = np.arange(nm + 1)
+    fock_x = _fock_field(nm)
     if beta == 0.0:  # the Fock states, even photon numbers first
         labels = np.concatenate((n[0::2], n[1::2]))
-        return (*_fock_operators(labels), labels % 2 == 1, labels)
-    fock_x = np.diag(np.sqrt(n[1:]), 1)
-    fock_x += fock_x.T  # a + a^dag on |0>..|nm>
+        return (np.diag(labels.astype(float)), fock_x[np.ix_(labels, labels)],
+                labels % 2 == 1, labels)
     if beta >= math.sqrt(nm) + _FAR:
         # (D(beta)|n> +- (-1)**n D(-beta)|n>)/sqrt(2) is orthonormal
         a_even = a_odd = np.diag(n + beta * beta) + beta * fock_x
@@ -469,14 +379,14 @@ def _operators(params: ModelParams, k: int, a, x, odd: np.ndarray,
     m = np.arange(na + 1) - j
     diag = delta * m + (v / na) * m * m
     ladder = 0.5 * np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))  # J_x[m, m + 1]
-    aw = _affine(a, omega)
-    xs = _affine(x, lam / math.sqrt(na), rabi)
+    aw = omega * a
+    xs = (lam / math.sqrt(na)) * x + rabi * np.eye(len(x))
     jrow = np.zeros(na + 1)
     jrow[:-1] += ladder
     jrow[1:] += ladder
-    ad = aw[0] if isinstance(aw, dict) else np.diag(aw)
-    hnorm = float((_abs_rows(aw) - np.abs(ad) + np.abs(ad + diag[:, None])
-                   + jrow[:, None] * _abs_rows(xs)).max())
+    ad = np.diag(aw)
+    hnorm = float((np.abs(aw).sum(axis=1) - np.abs(ad) + np.abs(ad + diag[:, None])
+                   + jrow[:, None] * np.abs(xs).sum(axis=1)).max())
     ops = []
     for sector in sectors:
         groups = [(np.arange(odd.size) if parity is None else np.flatnonzero(odd == parity),
@@ -502,7 +412,7 @@ def _operators(params: ModelParams, k: int, a, x, odd: np.ndarray,
         np.add.at(tab, (2 - off, row[s + 1], group[s + 1]), val)
         cols = np.concatenate([g[0] for g in groups])
         sd, hdn, h0, hup = np.repeat(tab, [g[0].size for g in groups], axis=2)
-        ops.append((KroneckerHamiltonian(_restrict(aw, cols), _restrict(xs, cols),
+        ops.append((KroneckerHamiltonian(aw[np.ix_(cols, cols)], xs[np.ix_(cols, cols)],
                                          sd, h0, hdn, hup,
                                          sum(g[0].size * g[1].size for g in groups)), groups))
     return ops, hnorm
@@ -513,17 +423,16 @@ def build_hamiltonian(params: ModelParams, n_max: int,
     """The Hamiltonian on the Fock basis truncated at n_max photons, without
     symmetry sectors: |n, m> is entry (m + j) * (n_max + 1) + n.  A
     reference for the solver, which works in the displaced basis.  Refuses
-    dimensions above budget; A and X are held by diagonals past
-    _DENSE_FOCK photon states, so the memory it takes grows as the
-    dimension.
+    a dimension or (n_max + 1)**2 dense photon matrix entries above budget
+    (model.basis_size), so the memory it takes is bounded by the budget.
     """
     import numpy as np
 
     nm = _cutoff(params, n_max, budget)
     ks = np.arange(params.n_atoms + 1)
     whole = [[(None, ks, ks, np.ones(ks.size), np.zeros(ks.size))]]  # one sector, no symmetry
-    ops, _ = _operators(params, 0, *_fock_operators(np.arange(nm + 1)), np.zeros(nm + 1, bool),
-                        whole)
+    ops, _ = _operators(params, 0, np.diag(np.arange(nm + 1.0)), _fock_field(nm),
+                        np.zeros(nm + 1, bool), whole)
     return ops[0][0]
 
 
@@ -753,7 +662,7 @@ def _observables(params: ModelParams, a: np.ndarray, odd: np.ndarray, labels: np
     j = 0.5 * na
     m = np.arange(na + 1) - j
     prob = psi * psi
-    photon = float((psi * _times(psi, a)).sum())
+    photon = float((psi * (psi @ a)).sum())
     jz = float(prob.sum(axis=1) @ m)
     ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
     jx = float((psi[1:] * psi[:-1]).sum(axis=1) @ ladder)
@@ -826,16 +735,16 @@ def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
 
     The basis is displaced to the mean-field centre beta (see the module
     docstring), so a cutoff holds the field's fluctuations about it.  The
-    budget bounds the dimension solved, up to 2 * (n_max + 1) * (N + 1)
-    states about two centres, and the P**2 entries of their P dense photon
-    matrices (basis_size).  A photon energy omega at or below _LANCZOS_TOL *
-    N * hamiltonian_scale, the solver's resolution of E0, is a
-    ConvergenceError before any cutoff is solved: there every photon number
-    is degenerate to that resolution, and the photon state is whatever the
-    Lanczos start leaves.  A bad eps, or a first cutoff above the budget, is
-    a ParameterError from check_ladder.  Returns the observables at the
-    final cutoff; converged is False when the budget stops the doubling
-    first.
+    budget bounds the dimension solved, P * (N + 1), and the P**2 entries
+    of the dense photon matrices, on the P photon states: n_max + 1 on the
+    Fock basis, up to 2 * (n_max + 1) about two centres (basis_size).  A
+    photon energy omega at or below _LANCZOS_TOL * N * hamiltonian_scale,
+    the solver's resolution of E0, is a ConvergenceError before any cutoff
+    is solved: there every photon number is degenerate to that resolution,
+    and the photon state is whatever the Lanczos start leaves.  A bad eps,
+    or a first cutoff above the budget, is a ParameterError from
+    check_ladder.  Returns the observables at the final cutoff; converged
+    is False when the budget stops the doubling first.
     """
     beta = _centre(params)
     eps = check_ladder(eps, (params.n_atoms,), budget, centred=beta != 0.0)[0]

@@ -102,14 +102,13 @@ DIMENSION_BUDGET = 400_000
 
 
 def basis_size(n_max: int, n_atoms: int, centred: bool = False) -> tuple[int, int]:
-    """The basis dimension at photon cutoff n_max, photon states times
-    N + 1 J_z, and the entries of a dense photon matrix.  On the Fock basis
-    (the field's centre at 0) n_max + 1 photon numbers, whose operators are
-    held by diagonals: no dense entries; about the two centres of a
-    displaced field (`centred`) at most P = 2 * (n_max + 1) photon states,
-    and P**2 entries."""
+    """The basis dimension at photon cutoff n_max, P photon states times
+    N + 1 J_z, and the P**2 entries of a dense photon matrix: P = n_max + 1
+    photon numbers on the Fock basis (the field's centre at 0), at most
+    P = 2 * (n_max + 1) about the two centres of a displaced field
+    (`centred`)."""
     photons = (n_max + 1) * (2 if centred else 1)
-    return photons * (n_atoms + 1), photons * photons if centred else 0
+    return photons * (n_atoms + 1), photons * photons
 
 
 def check_ladder(eps, atom_numbers, budget: int = DIMENSION_BUDGET,
@@ -117,10 +116,11 @@ def check_ladder(eps, atom_numbers, budget: int = DIMENSION_BUDGET,
                  centred: bool = False):
     """The ladder settings' rule, for converge_cutoff, SweepConfig and
     exact-check: eps a positive finite number, each atom number a positive
-    integer whose first cutoff fits the budget (basis_size; `centred` where
-    the field is known to be displaced, on the Fock basis where it is not
-    known yet).  Returns (float eps, tuple of int atom numbers); an error
-    uses the caller's `names` of the three."""
+    integer whose first cutoff fits the budget in its dimension and in its
+    photon matrix entries (basis_size; `centred` where the field is known
+    to be displaced, on the Fock basis where it is not known yet).  Returns
+    (float eps, tuple of int atom numbers); an error uses the caller's
+    `names` of the three."""
     eps = _positive(eps, names[0])
     ns = tuple(_atoms(n, names[1]) for n in atom_numbers)
     if ns:

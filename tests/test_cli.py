@@ -517,13 +517,17 @@ def test_exact_check_bad_budget_or_eps_names_the_flag(flag, value, capsys):
 
 def test_exact_check_names_the_budget_the_first_cutoff_needs(capsys):
     # the first cutoff, 8 photons, holds 9 * (N + 1) = 81 states at N = 8 on
-    # the Fock basis (lambda = 0: no field)
+    # the Fock basis (lambda = 0: no field), and 9**2 = 81 photon matrix
+    # entries at every N
     normal = ["exact-check", "--lambda", "0", "--n-list", "2,8", "--budget"]
     assert cli.main(normal + ["80"]) == 2
     assert capsys.readouterr().err == ("error: --n-list entry 8 needs 81 basis states at "
                                        "the first photon cutoff 8, above --budget 80\n")
     assert cli.main(normal + ["81"]) == 0
     capsys.readouterr()
+    assert cli.main(["exact-check", "--lambda", "0", "--n-list", "1", "--budget", "80"]) == 2
+    assert capsys.readouterr().err == ("error: --n-list entry 1 needs 81 photon matrix "
+                                       "entries at the first photon cutoff 8, above --budget 80\n")
     # about the two centres of a displaced field it holds 2 * 9 photon states:
     # 18 * (N + 1) basis states and 18**2 = 324 photon matrix entries
     for n_list, budget, need in (("2,8", 323, "324 photon matrix entries"),
