@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="8,16,32",
                    help="comma-separated atom numbers")
     p.add_argument("--eps", type=float, default=LADDER_EPS,
-                   help="cutoff-doubling convergence tolerance")
+                   help="largest ground-state weight above half the photon cutoff")
     p.add_argument("--budget", type=int, default=DIMENSION_BUDGET,
                    help="largest basis dimension and photon matrix solved")
     p.add_argument("--out", default=None)

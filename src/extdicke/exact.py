@@ -17,11 +17,12 @@ D(beta)|n> +- (-1)**n D(-beta)|n>, n = 0..n_max in order, by Gram-Schmidt in
 an auxiliary Fock space that holds their tails (_displaced).  A state whose
 remainder is at most _PRUNE is dropped (near beta = 0 the centres' states
 are nearly dependent), each state keeps the label n it was made from, and
-the basis at n_max is the first part of the basis at 2 * n_max.  Where the
-centres' states are orthogonal to rounding, the closed forms a^dag a + beta
-(a + a^dag) + beta**2 and a + a^dag + 2 beta on each centre replace it, so no
-array grows with beta.  With A and X the matrices of a^dag a and a + a^dag
-there, and J_x, J_z on the N + 1 states m = -j..j (j = N/2),
+the basis at n_max is the first part of the basis at 2 * n_max: the states
+labelled above n_max are those a doubling adds.  Where the centres' states
+are orthogonal to rounding, the closed forms a^dag a + beta (a + a^dag) +
+beta**2 and a + a^dag + 2 beta on each centre replace it, so no array grows
+with beta.  With A and X the matrices of a^dag a and a + a^dag there, and
+J_x, J_z on the N + 1 states m = -j..j (j = N/2),
 
     H = omega A (x) 1 + (lambda / sqrt(N) X + omega_rabi) (x) J_x
         + 1 (x) (delta J_z + (v / N) J_z**2),
@@ -94,9 +95,6 @@ _LANCZOS_TOL = 1e-13
 _START_WEIGHT = 1e-3
 # Largest eigenpair residual ||H x - E x|| accepted, relative to ||H||_inf.
 _RESIDUAL_TOL = 1e-9
-# Largest mean displaced photon number a cutoff holds, per photon of cutoff:
-# converge_cutoff's rule for when a ladder has converged.
-_HEADROOM = 0.8
 # The photon basis: the shortest remainder of a state kept by Gram-Schmidt,
 # also the largest error of a displaced state's norm**2; the centres are far
 # apart, their states orthogonal to rounding (below 1e-17 by the Laguerre
@@ -628,7 +626,9 @@ class ExactSolution:
     between sectors, the even sector's at delta >= 0 and its mirror image at
     delta < 0 (see the module docstring).  n_max_used is the photon cutoff:
     the largest displaced photon number n of the states D(+-beta)|n> on
-    each centre (the Fock cutoff where beta = 0).
+    each centre (the Fock cutoff where beta = 0).  converged says that the
+    ground vector holds at most eps above label n_max_used / 2
+    (converge_cutoff).
     """
 
     energy: float
@@ -651,11 +651,10 @@ class ExactSolution:
         return self.photon_number / self.n_atoms
 
 
-def _observables(params: ModelParams, a: np.ndarray, odd: np.ndarray, labels: np.ndarray,
+def _observables(params: ModelParams, a: np.ndarray, odd: np.ndarray, top: np.ndarray,
                  psi: np.ndarray) -> tuple[float, float, float, float, float]:
-    """<a^dag a>, <J_z>, <J_x>, the parity and the mean displaced photon
-    number (the label n, as a photon number about the occupied centre) of a
-    vector held as spin states m x photon states."""
+    """<a^dag a>, <J_z>, <J_x>, the parity and the weight on the photon
+    states marked `top` of a vector held as spin states m x photon states."""
     import numpy as np
 
     na = params.n_atoms
@@ -668,7 +667,7 @@ def _observables(params: ModelParams, a: np.ndarray, odd: np.ndarray, labels: np
     jx = float((psi[1:] * psi[:-1]).sum(axis=1) @ ladder)
     signs = (-1.0) ** (np.arange(na + 1)[:, None] + odd[None, :])
     parity = float((prob * signs).sum())
-    return photon, jz, jx, parity, float(prob.sum(axis=0) @ labels)
+    return photon, jz, jx, parity, float(prob.sum(axis=0)[top].sum())
 
 
 def _centre(params: ModelParams) -> float:
@@ -681,11 +680,11 @@ def _solve(params: ModelParams, nm: int, beta: float, start: tuple | None
            ) -> tuple[ExactSolution, tuple, float]:
     """solve_at_cutoff's observables, at unit scale, at a checked cutoff nm
     about the centres +-beta, from the Lanczos start `start` (None for a cold
-    one), then the next start and the mean displaced photon number.  A start
-    is a vector of spin states m x photon states with each photon state's
-    code 2 * label + parity; it is carried over to the photon states of this
-    cutoff with the same code.  At delta < 0 the starts are those of -delta
-    (see the module docstring)."""
+    one), then the next start and the ground vector's weight on the labels
+    above nm / 2.  A start is a vector of spin states m x photon states with
+    each photon state's code 2 * label + parity; it is carried over to the
+    photon states of this cutoff with the same code.  At delta < 0 the
+    starts are those of -delta (see the module docstring)."""
     import numpy as np
 
     mirror = params.delta < 0.0
@@ -701,7 +700,7 @@ def _solve(params: ModelParams, nm: int, beta: float, start: tuple | None
         start[:, new_at] = old[:, old_at]
     ops, hnorm = _operators(params, k, a, x, odd, _spin_sectors(params))
     e0, e1, vec, nxt = _solve_sectors(ops, hnorm, shape, start, k)
-    photon, jz, jx, parity, displaced = _observables(params, a, odd, labels, vec)
+    photon, jz, jx, parity, top = _observables(params, a, odd, 2 * labels > nm, vec)
     if mirror:
         jz, parity = 0.0 - jz, (-1) ** params.n_atoms * parity
     return ExactSolution(
@@ -715,7 +714,7 @@ def _solve(params: ModelParams, nm: int, beta: float, start: tuple | None
         n_max_used=nm,
         n_atoms=params.n_atoms,
         converged=False,
-    ), (nxt, codes), displaced
+    ), (nxt, codes), top
 
 
 def solve_at_cutoff(params: ModelParams, n_max: int,
@@ -728,23 +727,24 @@ def solve_at_cutoff(params: ModelParams, n_max: int,
 
 def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
                     budget: int = DIMENSION_BUDGET) -> ExactSolution:
-    """Double the photon cutoff from N_MAX_START until E0 moves by at most
-    eps * max(|E0|, params.hamiltonian_scale) and the mean displaced photon
-    number fits the cutoff: <b^dag b> < _HEADROOM * n_max, with b = a -+ beta
-    about the occupied centre (the photon number where beta = 0).
+    """Double the photon cutoff from N_MAX_START until the ground vector holds
+    at most eps of its weight on the photon states labelled above n_max / 2,
+    the states this cutoff added over the one before.
 
     The basis is displaced to the mean-field centre beta (see the module
-    docstring), so a cutoff holds the field's fluctuations about it.  The
-    budget bounds the dimension solved, P * (N + 1), and the P**2 entries
-    of the dense photon matrices, on the P photon states: n_max + 1 on the
-    Fock basis, up to 2 * (n_max + 1) about two centres (basis_size).  A
-    photon energy omega at or below _LANCZOS_TOL * N * hamiltonian_scale,
-    the solver's resolution of E0, is a ConvergenceError before any cutoff
-    is solved: there every photon number is degenerate to that resolution,
-    and the photon state is whatever the Lanczos start leaves.  A bad eps,
-    or a first cutoff above the budget, is a ParameterError from
-    check_ladder.  Returns the observables at the final cutoff; converged
-    is False when the budget stops the doubling first.
+    docstring), so a cutoff holds the field's fluctuations about it, and
+    they fill the labels in order (on the Fock basis, beta = 0, the labels
+    are photon numbers).  The budget bounds the dimension solved, P * (N +
+    1), and the P**2 entries of the dense photon matrices, on the P photon
+    states: n_max + 1 on the Fock basis, up to 2 * (n_max + 1) about two
+    centres (basis_size).  A photon energy omega at or below _LANCZOS_TOL *
+    N * hamiltonian_scale, the solver's resolution of E0, is a
+    ConvergenceError before any cutoff is solved: there every photon number
+    is degenerate to that resolution, and the photon state is whatever the
+    Lanczos start leaves, weight on every label.  A bad eps, or a first
+    cutoff above the budget, is a ParameterError from check_ladder.  Returns
+    the observables at the final cutoff; converged is False when the budget
+    stops the doubling first.
     """
     beta = _centre(params)
     eps = check_ladder(eps, (params.n_atoms,), budget, centred=beta != 0.0)[0]
@@ -757,15 +757,10 @@ def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
     while max(basis_size(2 * n_top, params.n_atoms, beta != 0.0)) <= budget:
         n_top *= 2
     # check_ladder checked the first cutoff and n_top bounds the rest to the budget
-    sol, start, _ = _solve(params, N_MAX_START, beta, None)
-    while sol.n_max_used < n_top:
-        nxt, start, displaced = _solve(params, 2 * sol.n_max_used, beta, start)
-        tol = eps * max(abs(nxt.energy), params.hamiltonian_scale)
-        if (abs(nxt.energy - sol.energy) <= tol
-                and displaced < _HEADROOM * nxt.n_max_used):
-            return ExactSolution(**{**vars(nxt), "converged": True})
-        sol = nxt
-    return sol  # converged stays False: the budget stops the doubling first
+    sol, start, top = _solve(params, N_MAX_START, beta, None)
+    while top > eps and sol.n_max_used < n_top:
+        sol, start, top = _solve(params, 2 * sol.n_max_used, beta, start)
+    return ExactSolution(**{**vars(sol), "converged": top <= eps})
 
 
 def product_state_energy(params: ModelParams, mf: MeanFieldSolution) -> float:

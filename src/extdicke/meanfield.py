@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from . import _kernels_py as kernels
-from .model import ModelParams, ParameterError, record
+from .model import ModelParams, ParameterError, _integer, record
 
 
 @record
@@ -111,6 +111,7 @@ def oracle_grid_minimum(params: ModelParams, n_points: int = 4096) -> MeanFieldS
     rad (its residual reflects that width); the scaling, the flat rule and
     the tie-break are ground_state's.
     """
+    n_points = _integer(n_points, "n_points")
     if n_points < 1000:
         raise ParameterError("oracle grid needs at least 1000 points")
     out = kernels.oracle_minimum(params.u, params.v, params.delta, params.omega_rabi,

@@ -33,7 +33,7 @@ from operator import attrgetter
 
 from ._kernels_py import _DISTINCT_ANGLE, coupling_scale
 from .meanfield import MeanFieldSolution, ground_state
-from .model import AXES, KEYS, ModelParams, ParameterError, record
+from .model import AXES, KEYS, ModelParams, ParameterError, _integer, _real, record
 
 # Round-off guard of the classifier on m/N and on s_x.
 _CLASSIFY_TOL = 1e-6
@@ -369,6 +369,8 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     neither (a smooth wiggle, a crossover rounded by a drive) gives no
     record.  The result is sorted by location.
     """
+    t_min, t_max = _real(t_min, "t_min"), _real(t_max, "t_max")
+    n_scan = _integer(n_scan, "n_scan")
     if not t_max > t_min:
         raise ParameterError("empty sweep range")
     if n_scan < 8:

@@ -178,7 +178,7 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 13.  A changed digest is a change of
+# writes, recorded at sweep format 14.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel, parity-sector and secular-equation changes gave.  The provenance line
@@ -187,17 +187,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "88464dd0037ed678d05f59ae4f6c04b320f3b2fb8fb85892a559e575c08ce129",
-      "fig2_curve1.csv": "0108ac445582ec684c1ab2b57661d5f402cf583ede6a93b5df37ab79c9b02f52",
-      "fig2_curve2.csv": "ba335ffc925d357e474ff08b81173dc7baa09d4d6c19d589168da71d84b68176"}),
+     {"fig2_curve0.csv": "1b0d66e37ea13b321b3fd3b26cad707651cfc1b7c1e6de2b88ba4ec63c6ab04b",
+      "fig2_curve1.csv": "23133dc1f716d1c19d0d922041eb11818ce5d2ea5e64b96f98e31d7572fd8406",
+      "fig2_curve2.csv": "685b8737310cef95f42c153083d0ba4f8bf0a2a870036d9d7dd757566b7ac97b"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "819dd0b35c2d37a15831c49753705a3b99611ee14af7bb175362f5864881ae05",
+     {"fig3_grid.csv": "14fc073da298e8c7992a68f01f6a202a6888e2c8033fc70b63b274c635374732",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "5aadeeba2130095a69f06231bec55571deb45fa291a57a898a3c6f6e5bb8b5c3",
-      "fig4_curve1.csv": "a22379ddf2caec4c0589edfc5f40e2733bb8cb2ee5eaa7f8863eda0130ad51cd",
-      "fig4_curve2.csv": "1206512ad889af988bc3ab13d985345beafb7113c42febf8fed696c67c3845c0",
-      "fig4_curve3.csv": "7f1d1938a4abee03531b3a4ab59f879fab4b2e4f5f9edb731577cacc9e14f48a"}),
+     {"fig4_curve0.csv": "c98cc7c389ad9dee4182a4fdd8e940862a4fe35f053500b37dc5be470a308748",
+      "fig4_curve1.csv": "6361162c9027c2307f5a35e8f08fb2451176b435aeadb3ca0af38c11eb644133",
+      "fig4_curve2.csv": "ef0341d2c6c7ffd1407ad54bee52d2ca882d1fcfa0b320a780d6533a4521c27a",
+      "fig4_curve3.csv": "d295acefb445b438e62d2c44bc2a5b304b4bf254ea1e200c2aebd59a3f5d922c"}),
 ]
 
 
@@ -224,7 +224,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 13: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 14: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build and one
@@ -235,7 +235,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "5b1edf91138a0f0986a276ec0699c7e8d1c2d0e756acbc5c99b47243c78d0247",
+    "694f7f40fb4dc52ea763d434152d4892f5942c3e5563a27769dc1f6de999d538",
 )
 
 

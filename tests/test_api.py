@@ -7,6 +7,7 @@ import pytest
 
 import extdicke
 from extdicke import cli
+from extdicke.meanfield import oracle_grid_minimum
 from extdicke.model import ModelParams, ParameterError, TrapSpec
 from extdicke.phases import detect_transitions
 from extdicke.sweep import AxisSpec, SweepConfig
@@ -96,6 +97,19 @@ _TRAP = dict(omega_trap=(1e3, 1e3, 1e3), rho_intra=5e-9, rho_inter=4e-9, mass=1.
 @pytest.mark.parametrize("call, message", [
     (lambda tmp: detect_transitions(ModelParams(), "delta", 0.0, 1.0, n_scan=7),
      "at least 8 points"),
+    # a count is a whole number, not truncated; a range end a finite number
+    (lambda tmp: detect_transitions(ModelParams(), "delta", 0.0, 1.0, n_scan=201.5),
+     "n_scan must be an integer, got 201.5"),
+    (lambda tmp: detect_transitions(ModelParams(), "delta", 0.0, 1.0, n_scan="201"),
+     "n_scan must be an integer, got '201'"),
+    (lambda tmp: detect_transitions(ModelParams(), "delta", "0", 1.0),
+     "t_min must be a finite number, got '0'"),
+    (lambda tmp: detect_transitions(ModelParams(), "delta", 0.0, float("inf")),
+     "t_max must be a finite number, got inf"),
+    (lambda tmp: oracle_grid_minimum(ModelParams(), n_points=4096.5),
+     "n_points must be an integer, got 4096.5"),
+    (lambda tmp: oracle_grid_minimum(ModelParams(), n_points="5000"),
+     "n_points must be an integer, got '5000'"),
     (lambda tmp: ModelParams.from_dict([1.0]), "must be a JSON object"),
     (lambda tmp: SweepConfig.from_dict(["base", "axes"]), "must be a JSON object"),
     (lambda tmp: _solve_config(tmp, "[1.0, 2.0]"), "must be a JSON object"),
@@ -115,9 +129,10 @@ _TRAP = dict(omega_trap=(1e3, 1e3, 1e3), rho_intra=5e-9, rho_inter=4e-9, mass=1.
      "trap spec needs 'omega_trap' as 3 numbers"),
     (lambda tmp: TrapSpec(**{**_TRAP, "n_atoms": 2.5}),
      "trap spec 'n_atoms' must be a positive integer, got 2.5"),
-], ids=["n_scan_7", "model_params", "sweep_config", "solve_config", "axis_count",
-        "axis_bound", "exact_eps", "exact_n", "exact_n_budget", "trap_mass",
-        "trap_frequencies", "trap_atoms"])
+], ids=["n_scan_7", "n_scan_fraction", "n_scan_string", "t_min_string", "t_max_inf",
+        "n_points_fraction", "n_points_string", "model_params", "sweep_config",
+        "solve_config", "axis_count", "axis_bound", "exact_eps", "exact_n",
+        "exact_n_budget", "trap_mass", "trap_frequencies", "trap_atoms"])
 def test_malformed_input_is_a_parameter_error(call, message, tmp_path):
     with pytest.raises(ParameterError, match=message):
         call(tmp_path)
@@ -131,3 +146,10 @@ def test_records_built_in_python_store_checked_values():
     assert type(config.axes[0].count) is int and config.exact_n == (4,)
     spec = TrapSpec(**{**_TRAP, "omega_trap": [1000, 1000, 1000], "n_atoms": 1000.0})
     assert spec.omega_trap == (1e3, 1e3, 1e3) and type(spec.n_atoms) is int
+
+
+def test_integral_float_counts_are_the_counts_they_equal():
+    p = ModelParams(lam=1.2, delta=0.3)
+    assert detect_transitions(p, "delta", -1.0, 1.0, n_scan=41.0) \
+        == detect_transitions(p, "delta", -1.0, 1.0, n_scan=41)
+    assert oracle_grid_minimum(p, n_points=1000.0) == oracle_grid_minimum(p, n_points=1000)

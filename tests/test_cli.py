@@ -411,13 +411,15 @@ def test_exact_check_prints_no_sign_of_parity_noise(monkeypatch, capsys):
 
 
 def test_exact_check_warns_when_the_budget_stops_the_ladder(capsys):
-    # at lambda = 2 the basis has two centres: a budget of 400 allows cutoff
-    # 8 (18 photon states, 90 basis states, 18**2 photon matrix entries)
-    # but not 16 (34**2 = 1156 entries), and one cutoff cannot converge
-    argv = ["exact-check", "--lambda", "2", "--n-list", "4", "--budget", "400"]
+    # superradiant near the lobe edge, so the basis has two centres: a
+    # budget of 400 allows cutoff 8 (18 photon states, 126 basis states,
+    # 18**2 photon matrix entries) but not 16 (34**2 = 1156 entries), and
+    # cutoff 8 holds 1.9e-7 of the weight above label 4, more than eps
+    argv = ["exact-check", "--lambda", "1.2", "--delta", "0.5", "--n-list", "6",
+            "--budget", "400"]
     assert cli.main(argv) == 0
     out, err = capsys.readouterr()
-    assert out.splitlines()[-1].split()[:3] == ["4", "8", "False"]
+    assert out.splitlines()[-1].split()[:3] == ["6", "8", "False"]
     assert err == ("warning: diagonalization hit the dimension budget before "
                    "reaching the requested tolerance\n")
 
@@ -581,17 +583,17 @@ def test_exact_check_bound_tolerance_scales_with_the_couplings(argv, holds,
 
 def test_exact_check_ladder_is_the_same_at_any_coupling_scale(capsys):
     # at 1e-12 the ladder used to stop at n_max 16 with E/N -2.418e-12,
-    # because its stability test was absolute below |E0| = 1 (on the Fock
-    # basis; both scales now converge at the displaced cutoff 16, where the
-    # Fock ladder needed 512)
+    # because its stability test on E0 was absolute below |E0| = 1 (on the
+    # Fock basis; both scales now converge at the displaced cutoff 8, where
+    # the Fock ladder needed 512)
     rows = []
     for scale in (1.0, 1e-12):
         argv = _couplings(scale) + ["--n-list", "28", "--format", "json"]
         assert cli.main(["exact-check", *argv]) == 0
         rows.append(json.loads(capsys.readouterr().out)["rows"][0])
     unit, tiny = rows
-    assert (tiny["n_max"], tiny["converged"], tiny["bound_holds"]) == (16, True, True)
-    assert (unit["n_max"], unit["converged"]) == (16, True)
+    assert (tiny["n_max"], tiny["converged"], tiny["bound_holds"]) == (8, True, True)
+    assert (unit["n_max"], unit["converged"]) == (8, True)
     want = 1e-12 * unit["exact_energy_per_atom"]
     assert tiny["exact_energy_per_atom"] == pytest.approx(want, rel=1e-12, abs=0.0)
 

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import mpmath
@@ -432,7 +433,7 @@ def test_lanczos_breakdown_finds_a_doubled_level_twice():
 # out of numpy's BLAS reductions, so the digest holds for one numpy/OpenBLAS
 # build and one OpenBLAS kernel family (recorded with numpy 2.4.6, OpenBLAS
 # 0.3.31 and the Haswell kernels that conftest.py selects on x86-64).
-_FINITE_N_BATTERY = "8cd6da31a16b9b6a2629ae01809b2d7821a8861760657e02792e7f9bd7ce0216"
+_FINITE_N_BATTERY = "dcbe15e915175da4792fce3507e518177ca3e27c2b3138e2db0700190f5f6994"
 
 
 def test_finite_n_answers_are_pinned_bit_for_bit():
@@ -463,11 +464,11 @@ def test_lanczos_restarts_match_dense_levels():
 
 @pytest.mark.parametrize("params,recorded", [
     (ModelParams(omega=10.0, lam=0.5 * math.sqrt(7.5), delta=0.75,
-                 n_atoms=64), 240),
+                 n_atoms=64), 180),
     (ModelParams(omega=10.0, lam=1.5 * math.sqrt(10.0), delta=0.5,
-                 n_atoms=64), 360),
+                 n_atoms=64), 300),
     (ModelParams(omega=10.0, lam=1.02 * math.sqrt(10.0), delta=0.5,
-                 omega_rabi=0.3, n_atoms=64), 180),
+                 omega_rabi=0.3, n_atoms=64), 150),
 ], ids=["normal", "superradiant", "driven"])
 def test_lanczos_work_per_ladder_is_pinned(monkeypatch, params, recorded):
     # matvecs over a whole converge_cutoff ladder, within 10 % of the count
@@ -564,33 +565,39 @@ def test_parity_is_definite_for_unique_ground_state():
 
 
 def test_convergence_flag_under_budget_pressure():
-    # superradiant: the first cutoff's 18 photon states about two centres
-    # need 18**2 = 324 matrix entries and the second's 34**2 = 1156
-    p = ModelParams(omega=1.0, lam=1.3, delta=0.2, n_atoms=6)
-    starved = converge_cutoff(p, budget=400)
-    assert not starved.converged
-    ok = converge_cutoff(p)
-    assert ok.converged and ok.n_max_used > starved.n_max_used
+    # superradiant near the lobe edge: the ground vector holds 1.9e-7 of
+    # its weight above label 4 at cutoff 8 and 9e-15 above label 8 at 16.
+    # The first cutoff's 18 photon states about two centres need 18**2 =
+    # 324 matrix entries and the second's 34**2 = 1156, so a budget below
+    # 1156 returns the first cutoff unconverged
+    p = ModelParams(omega=1.0, lam=1.2, delta=0.5, n_atoms=6)
+    ok = converge_cutoff(p, budget=1156)
+    assert (ok.n_max_used, ok.converged) == (16, True)
+    assert converge_cutoff(p) == ok
+    for budget in (324, 1155):
+        starved = converge_cutoff(p, budget=budget)
+        assert (starved.n_max_used, starved.converged) == (8, False)
+        assert starved.energy == pytest.approx(ok.energy, rel=1e-12)
 
 
-def test_photon_headroom_holds_a_ladder_whose_energy_is_stable():
-    # a strong drive sets the unit of H, so E0 is stable to eps * rabi long
-    # before the photon field, alpha**2 = u * N / (4 * omega) = 256 photons,
-    # fits a Fock cutoff.  The displaced basis holds the field about its
-    # centre, so its cutoff counts the fluctuations: the ladder stops at
-    # its second cutoff
+def test_displaced_basis_holds_a_strong_drive_field_at_the_first_cutoff():
+    # a strong drive sets the unit of H, and the photon field, alpha**2 =
+    # u * N / (4 * omega) = 256 photons, would need a Fock cutoff far above
+    # 256.  The displaced basis holds the field about its centre, so its
+    # cutoff counts the fluctuations: 2.6e-12 of the weight lies above
+    # label 4, and the ladder stops at its first cutoff
     p = ModelParams(omega=1.0, lam=16.0, omega_rabi=1e10, n_atoms=4)
     sol = converge_cutoff(p)
     assert sol.converged and sol.photon_number == pytest.approx(256.0, rel=1e-5)
-    assert sol.n_max_used == 2 * N_MAX_START
+    assert sol.n_max_used == N_MAX_START
 
 
 @pytest.mark.parametrize("lam,n_atoms,photons", [(8.0, 4, 64.0), (8.0, 8, 128.0),
                                                (4.0, 8, 32.0)])
 def test_mean_field_photon_number_holds_a_truncated_field_open(lam, n_atoms, photons):
     # as above, with N * alpha**2 = u * N / 4 photons: a Fock cutoff of 16
-    # truncates the field (its <a^dag a> read 12.5 of 64) while E0 is
-    # stable to eps * rabi.  The displaced basis holds the whole field
+    # would truncate the field (its <a^dag a> read 12.5 of 64).  The
+    # displaced basis holds the whole field
     p = ModelParams(omega=1.0, lam=lam, omega_rabi=1e10, n_atoms=n_atoms)
     sol = converge_cutoff(p)
     assert sol.converged and abs(sol.photon_number - photons) <= 1e-3
@@ -598,23 +605,18 @@ def test_mean_field_photon_number_holds_a_truncated_field_open(lam, n_atoms, pho
 
 def test_ladder_that_cannot_converge_is_refused_before_any_cutoff(monkeypatch):
     # N * alpha**2 = 8 photons: the displaced basis holds them at the first
-    # cutoff, so a budget that stops the doubling at n_max 8 returns that
-    # cutoff unconverged (a Fock cutoff of 8 could not hold them, and this
-    # ladder used to be refused), and one that reaches 16 converges there.
+    # cutoff (a Fock cutoff of 8 could not, and this ladder used to be
+    # refused), so a budget that allows only that cutoff converges there.
     # Cutoff n about two centres has P = 2 * (n + 1) photon states, and the
     # budget bounds both P * (N + 1) and the P**2 entries of their dense
-    # matrices: 324 at n = 8, 1156 at n = 16.  A photon energy below the
-    # solver's resolution is refused before any cutoff is solved; a first
-    # cutoff above the budget stays a ParameterError from check_ladder
+    # matrices: 324 at n = 8.  A photon energy below the solver's
+    # resolution is refused before any cutoff is solved; a first cutoff
+    # above the budget stays a ParameterError from check_ladder
     p = ModelParams(omega=1.0, lam=4.0, n_atoms=2)
     assert p.n_atoms * ground_state(p).photon_density == 8.0
-    ok = converge_cutoff(p, budget=1156)
-    assert (ok.n_max_used, ok.converged) == (16, True)
-    starved = converge_cutoff(p, budget=1155)
-    assert (starved.n_max_used, starved.converged) == (8, False)
-    starved = converge_cutoff(p, budget=324)
-    assert (starved.n_max_used, starved.converged) == (8, False)
-    assert starved.energy == pytest.approx(ok.energy, rel=1e-14)
+    one = converge_cutoff(p, budget=324)
+    assert (one.n_max_used, one.converged) == (N_MAX_START, True)
+    assert converge_cutoff(p) == one
     assert converge_cutoff(p.replace(lam=0.0), budget=81).n_max_used == N_MAX_START
 
     def unexpected(*args):
@@ -642,49 +644,72 @@ def test_the_budget_bounds_every_cutoff_of_the_ladder(monkeypatch, lam, top):
     # at N = 1 the P photon states' dense matrices stop the doubling before
     # the dimension does, at P**2 <= 400000: on the Fock basis P = n + 1
     # (n 512, P 513), about two centres P = 2 * (n + 1) (n 256, P 514).
-    # A ladder whose E0 never settles climbs to the top cutoff and stops
+    # A ladder whose top half never empties climbs to the top cutoff and
+    # stops
     p = ModelParams(omega=1.0, lam=lam, n_atoms=1)
     sol = solve_at_cutoff(p, N_MAX_START)
     solved = []
 
-    def drifting(params, nm, beta, start):
+    def unsettled(params, nm, beta, start):
         solved.append(nm)
-        return ExactSolution(**{**vars(sol), "energy": float(nm), "n_max_used": nm}), None, 0.0
+        return ExactSolution(**{**vars(sol), "n_max_used": nm}), None, 0.5
 
-    monkeypatch.setattr(exact, "_solve", drifting)
+    monkeypatch.setattr(exact, "_solve", unsettled)
     last = converge_cutoff(p)
     assert solved == [N_MAX_START * 2 ** i for i in range(len(solved))]
     assert (last.n_max_used, last.converged) == (top, False)
 
 
-def test_headroom_stops_the_ladder_at_the_first_cutoff_that_holds_the_field(monkeypatch):
-    # E0 is stable from the first cutoff on, and the mean displaced photon
-    # number is 20 at n_max 16 and 16 at 32: the ladder passes 16, where
-    # 20 >= 0.8 * 16, and stops at 32, where 16 < 0.8 * 32 (a headroom in
-    # (0.5, 1.25] stops it there)
+def test_ladder_stops_at_the_first_cutoff_whose_top_half_holds_at_most_eps(monkeypatch):
+    # the rule reads only the ground vector's weight above half the cutoff:
+    # E0 drifts by a whole unit at every cutoff, and the weight is 1e-3 at
+    # n_max 8, 2e-8 at 16 and exactly eps at 32, where the ladder stops
     p = ModelParams(omega=1.0, lam=4.0, n_atoms=2)
     sol = solve_at_cutoff(p, N_MAX_START)
-    displaced = {8: 0.0, 16: 20.0, 32: 16.0, 64: 0.0}
+    top = {8: 1e-3, 16: 2e-8, 32: 1e-8, 64: 0.0}
 
     def held(params, nm, beta, start):
-        return ExactSolution(**{**vars(sol), "n_max_used": nm}), None, displaced[nm]
+        return ExactSolution(**{**vars(sol), "energy": float(nm), "n_max_used": nm}), None, top[nm]
 
     monkeypatch.setattr(exact, "_solve", held)
-    last = converge_cutoff(p)
-    assert (last.n_max_used, last.converged) == (32, True)
+    last = converge_cutoff(p, eps=1e-8)
+    assert (last.n_max_used, last.energy, last.converged) == (32, 32.0, True)
 
 
-@pytest.mark.xfail(strict=True, reason="the ladder stops on a truncated normal-phase field "
-                   "where the coupling scale dwarfs omega (CHANGES.md, FOUND line 108)")
+@pytest.mark.parametrize("params,n_max,eps,moved", [
+    # the lobe edge at N = 16 holds 9.2e-5, 7.0e-8 and 3.5e-15 of its
+    # weight above half of cutoffs 8, 16 and 32
+    (ModelParams(omega=1.0, lam=0.8, delta=0.74, v=0.1, n_atoms=16), 32, 1e-7, 16),
+    # the driven onset at N = 256 holds 1.7e-9 above half of cutoff 8
+    (ModelParams(omega=10.0, lam=math.sqrt(10.0), omega_rabi=0.5, v=-1.5, n_atoms=256),
+     8, 1e-9, 16),
+], ids=["lobe-edge", "driven-onset"])
+def test_ladder_eps_window(params, n_max, eps, moved):
+    # the default eps stops both ladders where they are held, so any
+    # LADDER_EPS in [1.7e-9, 7.0e-8) gives the same cutoffs; a tenfold
+    # larger eps stops the lobe edge a cutoff early, a tenfold smaller one
+    # the onset a cutoff late
+    for tol, want in ((exact.LADDER_EPS, n_max), (eps, moved)):
+        sol = converge_cutoff(params, eps=tol)
+        assert (sol.n_max_used, sol.converged) == (want, True)
+
+
 def test_ladder_holds_a_normal_field_where_the_coupling_scale_dwarfs_omega():
     # u / delta = 1 - 3e-4 at delta = 1e10: the normal phase (alpha = 0, so
-    # the Fock basis) just inside its lobe edge.  E0 moves by omega-sized
-    # amounts between cutoffs, far below eps * max(|E0|, S) = 400, and the
-    # headroom rule reads the truncated state's own <a^dag a>: the ladder
-    # stops at n_max 16 with 1.80 photons, where a cutoff of 64 holds 7.33
+    # the Fock basis) just inside its lobe edge, where the field is
+    # squeezed.  The ground vector holds 1.7e-2 to 3.2e-2 of its weight
+    # above half of every cutoff from 8 to 128, so the ladder climbs to the
+    # budget's top cutoff, 128 here, and says it has not converged.  E0
+    # moves by omega-sized amounts between cutoffs, far below
+    # eps * max(|E0|, S) = 400, so a ladder that read E0 stopped at 16 with
+    # 1.80 photons, where a cutoff of 64 holds 7.33
     d = 1e10
     p = ModelParams(omega=1.0, lam=math.sqrt(d * (1.0 - 3e-4)), delta=d, n_atoms=8)
-    assert converge_cutoff(p).photon_number >= solve_at_cutoff(p, 64).photon_number
+    start = time.perf_counter()
+    sol = converge_cutoff(p, budget=129 ** 2)
+    assert time.perf_counter() - start < 1.0
+    assert (sol.n_max_used, sol.converged) == (128, False)
+    assert sol.photon_number >= solve_at_cutoff(p, 64).photon_number
 
 
 def test_product_state_is_an_upper_bound():

@@ -66,14 +66,17 @@ def test_lower_mode_vanishes_at_the_detected_lobe_edge():
 
 
 # second-order points where detect_transitions places a `second` record: the
-# lobe edge delta = u + v, and the onset v = -u - omega_rabi of the driven
-# superfluid from the Mott phase at delta = 0 (u = 1 at omega = 10, where
-# the ladders are shorter than at omega = 1)
+# lobe edge delta = u + v, the onset v = -u - omega_rabi of the driven
+# superfluid from the Mott phase at delta = 0, and the same onset crossed
+# along the drive, at omega_rabi = -u - v (u = 1 at omega = 10, where the
+# ladders are shorter than at omega = 1)
 _CRITICAL = {
     "lobe-edge": (dict(omega=1.0, lam=0.8, v=0.1, delta=0.74), "delta", 0.0, 1.5,
                   "photon_density"),
     "driven-onset": (dict(omega=10.0, lam=math.sqrt(10.0), omega_rabi=0.5, v=-1.5), "v",
                      -2.0, -1.1, "m_over_n"),
+    "critical-drive": (dict(omega=10.0, lam=math.sqrt(10.0), omega_rabi=1.0, v=-2.0),
+                       "omega_rabi", 0.45, 1.5, "m_over_n"),
 }
 
 
@@ -90,13 +93,14 @@ def test_gap_closes_as_n_to_the_minus_one_third_at_second_order_points(name):
         sol = converge_cutoff(ModelParams(**kw, n_atoms=n))
         assert sol.converged
         ys.append(math.log(sol.gap))
-    # least-squares slope of log gap against log N: -0.312 and -0.314
+    # least-squares slope of log gap against log N: -0.312, -0.314 and -0.315
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
              / sum((x - mx) ** 2 for x in xs))
     assert abs(slope + 1.0 / 3.0) <= 0.05
     # the slope between neighbouring N falls toward -1/3 from above:
-    # -0.307 to -0.316 at the lobe edge, -0.302 to -0.322 at the onset
+    # -0.307 to -0.316 at the lobe edge, -0.302 to -0.322 at the onset and
+    # -0.307 to -0.321 at the critical drive
     local = [(b - a) / (d - c) for a, b, c, d in zip(ys, ys[1:], xs, xs[1:])]
     assert all(a > b for a, b in zip(local, local[1:]))
     assert local[-1] > -1.0 / 3.0

@@ -182,7 +182,7 @@ def test_an_atom_number_beyond_the_budget_stops_the_config():
 def test_csv_round_trip_is_byte_stable():
     dataset = run_sweep(small_config())
     text = serialize_csv(dataset)
-    assert text.startswith("# extdicke sweep format 13")
+    assert text.startswith("# extdicke sweep format 14")
     again = serialize_csv(parse_csv(text))
     assert again == text
 
@@ -303,7 +303,7 @@ def test_domain_edge_scan_bytes_are_pinned():
     assert errors == {"", "ParameterError: nonpositive cavity frequency",
                       "ParameterError: negative collective coupling"}
     assert hashlib.sha256(serialize_csv(dataset).encode()).hexdigest() \
-        == "d2b5ccf2754133cc1f38350dfe80d90e9df9692a7ea9ec35bc178e1c10d48d7a"
+        == "df477fd6af28305172f2a6fa82f8a3c8342b5f1b69e4543e52506ccc1dbaec32"
 
 
 def _reference_csv(dataset: SweepDataset) -> str:
