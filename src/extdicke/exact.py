@@ -27,7 +27,10 @@ J_x, J_z on the N + 1 states m = -j..j (j = N/2),
     H = omega A (x) 1 + (lambda / sqrt(N) X + omega_rabi) (x) J_x
         + 1 (x) (delta J_z + (v / N) J_z**2),
 
-held spin-major (KroneckerHamiltonian).
+held spin-major (KroneckerHamiltonian): a vector is an (N + 1) x P array of
+spin states m x photon states.  Each symmetry sector's operator carries its
+embedding into that array (_operators), the one map through which a start
+vector is gathered into the sector and a sector vector is put back.
 
 The parity exp(i*pi*(a^dag a + J_z + j)), the photon parity times
 (-1)**(m + j), maps a -> -a and J_x -> -J_x, so H commutes with it only
@@ -127,13 +130,17 @@ class KroneckerHamiltonian:
     rows, per row and photon state (each photon state's spin rows may be
     their own).  The last row may hold fewer states than the others: its
     missing entries are the last ones of the array, and a vector of the
-    `shape` leaves them out.  `nnz` counts the nonzero entries of the matrix.
+    `shape` leaves them out.  `embedding` = (rep, par, cr, cp) places a
+    vector v of the `shape` in the spin states m x photon states, flattened:
+    entry e is cr[e] |rep[e]> + cp[e] |par[e]>, two flat positions of that
+    array (cp[e] = 0 where they coincide).  `nnz` counts the nonzero entries
+    of the matrix.
     """
 
-    def __init__(self, a, x, sd, h0, hdn, hup, dim: int):
+    def __init__(self, a, x, sd, h0, hdn, hup, dim: int, embedding: tuple):
         import numpy as np
 
-        self.a, self.x, self.sd = a, x, sd
+        self.a, self.x, self.sd, self.embedding = a, x, sd, embedding
         self.h0 = h0 if h0.any() else None  # J_x couples only other rows
         self.hdn, self.hup = hdn[1:], hup[:-1]
         self.shape = (dim, dim)
@@ -178,10 +185,11 @@ class KroneckerHamiltonian:
 
 def _cutoff(params: ModelParams, n_max, budget: int, beta: float = 0.0) -> int:
     """n_max as an int: a nonnegative integer photon cutoff whose basis
-    about the centres +-beta (the Fock basis at beta = 0) fits the budget,
-    in its dimension and in the entries of its dense photon matrices
-    (basis_size)."""
+    about the centres +-beta (the Fock basis at beta = 0) fits the budget
+    (an integer), in its dimension and in the entries of its dense photon
+    matrices (basis_size)."""
     nm = _integer(n_max, "photon cutoff")
+    budget = _integer(budget, "the memory budget")
     if nm < 0:
         raise ParameterError("negative photon cutoff")
     dim, entries = basis_size(nm, params.n_atoms, beta != 0.0)
@@ -359,16 +367,21 @@ def _spin_sectors(params: ModelParams) -> list[list[tuple]]:
 def _operators(params: ModelParams, k: int, a, x, odd: np.ndarray,
                sectors: list[list[tuple]]) -> tuple[list, float]:
     """The KroneckerHamiltonian of H / 2**k on each sector of _spin_sectors,
-    with its groups as (photon states, spin rows), and ||H / 2**k||_inf (the
-    largest row sum of |H| on the photon basis x the states m), for the
-    photon basis (the photon operators A and X, photon parities).
+    and ||H / 2**k||_inf (the largest row sum of |H| on the photon basis x
+    the states m), for the photon basis (the photon operators A and X,
+    photon parities).
 
-    Within a sector the groups with more spin rows come first, so the
-    missing entries of the others are the last ones (the groups of a sector
-    differ by at most one row).  The elements of J_x and of the diagonal
-    between rows are summed over the rows' states in the order of m; a
-    matrix element and its transpose are summed from the same terms, so the
-    block is exactly symmetric."""
+    A sector's entries are its spin rows x the photon states of its groups,
+    concatenated; the groups with more spin rows come first, so the missing
+    entries of the others are the last ones (the groups of a sector differ
+    by at most one row).  This layout is decided here alone and handed out
+    as each operator's embedding: for every entry, the flat positions
+    rep * P + photon and par * P + photon of its row's two spin states in
+    the (N + 1) x P array, and their coefficients cr and cp, cut at the
+    sector dimension.  The elements of J_x and of the diagonal between rows
+    are summed over the rows' states in the order of m; a matrix element and
+    its transpose are summed from the same terms, so the block is exactly
+    symmetric."""
     import numpy as np
 
     omega, lam, delta, rabi, v = (math.ldexp(getattr(params, f), -k) for f in AXES)
@@ -395,13 +408,17 @@ def _operators(params: ModelParams, k: int, a, x, odd: np.ndarray,
         group = np.full(na + 1, -1)
         row = np.zeros(na + 1, dtype=int)
         coef = np.zeros(na + 1)
+        shape = (groups[0][1].size, len(groups))
+        tab = np.zeros((6, *shape))  # sd, hdn, h0, hup, cr, cp by row and group
+        states = np.zeros((2, *shape), dtype=int)  # rep, par by row and group
         for g, (_, rep, par, cr, cp) in enumerate(groups):
             group[par] = group[rep] = g
             row[par] = row[rep] = np.arange(rep.size)
             coef[par] = cp
             coef[rep] = cr  # after the partner's: a row of one state keeps cr
+            states[:, :rep.size, g] = rep, par
+            tab[4:, :rep.size, g] = cr, cp
         inside = group >= 0
-        tab = np.zeros((4, groups[0][1].size, len(groups)))  # sd, hdn, h0, hup by row and group
         np.add.at(tab[0], (row[inside], group[inside]), coef[inside] ** 2 * diag[inside])
         s = np.flatnonzero(inside[:-1] & inside[1:])  # J_x[m, m + 1] inside the sector
         val = coef[s] * coef[s + 1] * ladder[s]
@@ -409,10 +426,13 @@ def _operators(params: ModelParams, k: int, a, x, odd: np.ndarray,
         np.add.at(tab, (2 + off, row[s], group[s]), val)
         np.add.at(tab, (2 - off, row[s + 1], group[s + 1]), val)
         cols = np.concatenate([g[0] for g in groups])
-        sd, hdn, h0, hup = np.repeat(tab, [g[0].size for g in groups], axis=2)
-        ops.append((KroneckerHamiltonian(aw[np.ix_(cols, cols)], xs[np.ix_(cols, cols)],
-                                         sd, h0, hdn, hup,
-                                         sum(g[0].size * g[1].size for g in groups)), groups))
+        sizes = [g[0].size for g in groups]
+        dim = sum(g[0].size * g[1].size for g in groups)
+        sd, hdn, h0, hup, cr, cp = np.repeat(tab, sizes, axis=2)
+        rep, par = np.repeat(states, sizes, axis=2) * odd.size + cols
+        ops.append(KroneckerHamiltonian(aw[np.ix_(cols, cols)], xs[np.ix_(cols, cols)],
+                                        sd, h0, hdn, hup, dim,
+                                        tuple(t.ravel()[:dim] for t in (rep, par, cr, cp))))
     return ops, hnorm
 
 
@@ -429,9 +449,8 @@ def build_hamiltonian(params: ModelParams, n_max: int,
     nm = _cutoff(params, n_max, budget)
     ks = np.arange(params.n_atoms + 1)
     whole = [[(None, ks, ks, np.ones(ks.size), np.zeros(ks.size))]]  # one sector, no symmetry
-    ops, _ = _operators(params, 0, np.diag(np.arange(nm + 1.0)), _fock_field(nm),
-                        np.zeros(nm + 1, bool), whole)
-    return ops[0][0]
+    return _operators(params, 0, np.diag(np.arange(nm + 1.0)), _fock_field(nm),
+                      np.zeros(nm + 1, bool), whole)[0][0]
 
 
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the state's increment and
@@ -543,43 +562,13 @@ def _lowest_levels(h: KroneckerHamiltonian, hnorm: float,
     )
 
 
-def _sector_vector(full: np.ndarray, op: KroneckerHamiltonian, groups: list) -> np.ndarray:
-    """A sector's part of a vector held as spin states m x photon states."""
-    import numpy as np
-
-    psi = np.zeros(op.sd.shape)
-    at = 0
-    for cols, rep, par, cr, cp in groups:
-        psi[:rep.size, at:at + cols.size] = (cr[:, None] * full[np.ix_(rep, cols)]
-                                             + cp[:, None] * full[np.ix_(par, cols)])
-        at += cols.size
-    return psi.ravel()[:op.shape[0]]
-
-
-def _add_sector_vector(full: np.ndarray, vec: np.ndarray, op: KroneckerHamiltonian,
-                       groups: list) -> None:
-    """Adds a sector vector to `full` (spin states m x photon states), in
-    place: added to zeros, as a product sums, a -0.0 lands as 0.0."""
-    import numpy as np
-
-    psi = np.zeros(op.sd.size)
-    psi[:vec.size] = vec
-    psi = psi.reshape(op.sd.shape)
-    at = 0
-    for cols, rep, par, cr, cp in groups:
-        block = psi[:rep.size, at:at + cols.size]
-        full[np.ix_(rep, cols)] += cr[:, None] * block
-        full[np.ix_(par, cols)] += cp[:, None] * block
-        at += cols.size
-
-
 def _solve_sectors(ops: list, hnorm: float, shape: tuple[int, int],
                    start: np.ndarray | None = None, k: int = 0
                    ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """E0, E1, the ground vector and the next cutoff's start vector of
-    H = 2**k * h, solved sector by sector; `ops` holds the (operator,
-    groups) pairs of _operators and hnorm ||h||_inf, and vectors are held as
-    spin states m x photon states (`shape`).
+    H = 2**k * h, solved sector by sector; `ops` holds the sector operators
+    of _operators and hnorm ||h||_inf, and vectors are held as spin states
+    m x photon states (`shape`).
 
     E0 and E1 are the two lowest of all the sector levels, scaled back by
     2**k.  The ground vector is the lowest sector's; when sector ground
@@ -587,31 +576,41 @@ def _solve_sectors(ops: list, hnorm: float, shape: tuple[int, int],
     sectors', so a tunnelling doublet gets a definite, reproducible parity.
     The eigenvalue residual ||h x - E x|| is checked against _RESIDUAL_TOL *
     ||h||_inf, and reported in the units of H.  `start` seeds each sector's
-    Lanczos run with its part; the returned start holds psi0 + psi1 of every
-    sector.
+    Lanczos run with its part, gathered through the sector's embedding as
+    cr * start.flat[rep] + cp * start.flat[par]; the returned start holds
+    psi0 + psi1 of every sector.  A sector vector v is put back by adding
+    cr * v at rep, then cp * v at par, onto zeros: within a sector the rep
+    positions are distinct and so are the par ones, so each position is
+    written at most once per statement and, as a product sums, a -0.0 lands
+    as 0.0.
     """
     import numpy as np
 
     levels = []
-    grounds = []  # (sector ground energy, operator, groups, vector)
+    grounds = []  # (sector ground energy, operator, vector)
     nxt = np.zeros(shape)
-    for op, groups in ops:
+    for op in ops:
+        rep, par, cr, cp = op.embedding
         w, s = _lowest_levels(op, hnorm, None if start is None else
-                              _sector_vector(start, op, groups))
+                              cr * start.flat[rep] + cp * start.flat[par])
         levels.extend(float(x) for x in w)
-        grounds.append((float(w[0]), op, groups, s[:, 0]))
-        _add_sector_vector(nxt, s.sum(axis=1), op, groups)
+        grounds.append((float(w[0]), op, s[:, 0]))
+        v = s.sum(axis=1)
+        nxt.flat[rep] += cr * v
+        nxt.flat[par] += cp * v
     levels.sort()
     e0 = levels[0]
     e1 = levels[1] if len(levels) > 1 else e0
-    eg, op, groups, vec = next(g for g in grounds if g[0] - e0 <= _LANCZOS_TOL * hnorm)
+    eg, op, vec = next(g for g in grounds if g[0] - e0 <= _LANCZOS_TOL * hnorm)
     defect = float(np.linalg.norm(op @ vec - eg * vec))
     if defect > _RESIDUAL_TOL * hnorm:
         raise ConvergenceError(
             f"eigenpair residual {math.ldexp(defect, k):.3e} exceeds "
             f"{_RESIDUAL_TOL:g} * ||H|| = {math.ldexp(_RESIDUAL_TOL * hnorm, k):.3e}")
+    rep, par, cr, cp = op.embedding
     ground = np.zeros(shape)
-    _add_sector_vector(ground, vec, op, groups)
+    ground.flat[rep] += cr * vec
+    ground.flat[par] += cp * vec
     return math.ldexp(e0, k), math.ldexp(e1, k), ground, nxt
 
 

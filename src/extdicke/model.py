@@ -116,13 +116,14 @@ def check_ladder(eps, atom_numbers, budget: int = DIMENSION_BUDGET,
                  centred: bool = False):
     """The ladder settings' rule, for converge_cutoff, SweepConfig and
     exact-check: eps a positive finite number, each atom number a positive
-    integer whose first cutoff fits the budget in its dimension and in its
-    photon matrix entries (basis_size; `centred` where the field is known
-    to be displaced, on the Fock basis where it is not known yet).  Returns
-    (float eps, tuple of int atom numbers); an error uses the caller's
-    `names` of the three."""
+    integer whose first cutoff fits the budget (an integer) in its dimension
+    and in its photon matrix entries (basis_size; `centred` where the field
+    is known to be displaced, on the Fock basis where it is not known yet).
+    Returns (float eps, tuple of int atom numbers); an error uses the
+    caller's `names` of the three."""
     eps = _positive(eps, names[0])
     ns = tuple(_atoms(n, names[1]) for n in atom_numbers)
+    budget = _integer(budget, names[2])
     if ns:
         dim, entries = basis_size(N_MAX_START, max(ns), centred)
         for need, what in ((dim, "basis states"), (entries, "photon matrix entries")):

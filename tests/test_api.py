@@ -2,11 +2,13 @@
 input."""
 
 import importlib
+import math
 
 import pytest
 
 import extdicke
 from extdicke import cli
+from extdicke.exact import build_hamiltonian, converge_cutoff, solve_at_cutoff
 from extdicke.meanfield import oracle_grid_minimum
 from extdicke.model import ModelParams, ParameterError, TrapSpec
 from extdicke.phases import detect_transitions
@@ -123,6 +125,19 @@ _TRAP = dict(omega_trap=(1e3, 1e3, 1e3), rho_intra=5e-9, rho_inter=4e-9, mass=1.
     (lambda tmp: _sweep(exact_n=(100_000,)),
      "exact_n entry 100000 needs 900009 basis states at the first photon cutoff 8, "
      "above the memory budget 400000"),
+    # the memory budget is a whole number, checked before anything is built
+    (lambda tmp: converge_cutoff(ModelParams(), budget=math.nan),
+     "the memory budget must be an integer, got nan"),
+    (lambda tmp: converge_cutoff(ModelParams(), budget=True),
+     "the memory budget must be an integer, got True"),
+    (lambda tmp: solve_at_cutoff(ModelParams(), 4, budget=math.inf),
+     "the memory budget must be an integer, got inf"),
+    (lambda tmp: solve_at_cutoff(ModelParams(), 4, budget="400000"),
+     "the memory budget must be an integer, got '400000'"),
+    (lambda tmp: build_hamiltonian(ModelParams(), 4, budget=2.5),
+     "the memory budget must be an integer, got 2.5"),
+    (lambda tmp: build_hamiltonian(ModelParams(), 4, budget=None),
+     "the memory budget must be an integer, got None"),
     (lambda tmp: TrapSpec(**{**_TRAP, "mass": "1e-25"}),
      "trap spec 'mass' must be a finite number, got '1e-25'"),
     (lambda tmp: TrapSpec(**{**_TRAP, "omega_trap": (1.0, 2.0)}),
@@ -132,7 +147,9 @@ _TRAP = dict(omega_trap=(1e3, 1e3, 1e3), rho_intra=5e-9, rho_inter=4e-9, mass=1.
 ], ids=["n_scan_7", "n_scan_fraction", "n_scan_string", "t_min_string", "t_max_inf",
         "n_points_fraction", "n_points_string", "model_params", "sweep_config",
         "solve_config", "axis_count", "axis_bound", "exact_eps", "exact_n",
-        "exact_n_budget", "trap_mass", "trap_frequencies", "trap_atoms"])
+        "exact_n_budget", "converge_budget_nan", "converge_budget_bool",
+        "solve_budget_inf", "solve_budget_string", "build_budget_fraction",
+        "build_budget_none", "trap_mass", "trap_frequencies", "trap_atoms"])
 def test_malformed_input_is_a_parameter_error(call, message, tmp_path):
     with pytest.raises(ParameterError, match=message):
         call(tmp_path)
@@ -153,3 +170,10 @@ def test_integral_float_counts_are_the_counts_they_equal():
     assert detect_transitions(p, "delta", -1.0, 1.0, n_scan=41.0) \
         == detect_transitions(p, "delta", -1.0, 1.0, n_scan=41)
     assert oracle_grid_minimum(p, n_points=1000.0) == oracle_grid_minimum(p, n_points=1000)
+    # an integral float budget is the budget it equals: 25 photon matrix
+    # entries at cutoff 4 fit 25.0 and not 24.0
+    q = ModelParams(lam=1.2, delta=0.3, n_atoms=2)
+    assert build_hamiltonian(q, 4, budget=25.0).shape == (15, 15)
+    with pytest.raises(ParameterError, match="25 entries exceed the memory budget 24$"):
+        build_hamiltonian(q, 4, budget=24.0)
+    assert converge_cutoff(q, budget=1e6) == converge_cutoff(q, budget=1_000_000)

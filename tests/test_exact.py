@@ -71,21 +71,15 @@ def dense(op) -> np.ndarray:
     return np.column_stack([op @ e for e in np.eye(op.shape[1])])
 
 
-def sector_isometry(groups: list, dim: int, photons: int, spins: int) -> np.ndarray:
-    """The isometry from a sector of exact._operators (its groups, in order)
-    to the spin-major basis, built from the layout alone: entry c * cols + at
-    + i of the sector (row c of a group at column offset at, photon state
-    cols[i]) is cr[c] |rep[c], cols[i]> + cp[c] |par[c], cols[i]>; the
-    entries past dim are missing."""
-    width = sum(g[0].size for g in groups)
-    q = np.zeros((spins * photons, dim))
-    at = 0
-    for cols, rep, par, cr, cp in groups:
-        for c in range(rep.size):
-            for i, col in enumerate(cols):
-                q[rep[c] * photons + col, c * width + at + i] += cr[c]
-                q[par[c] * photons + col, c * width + at + i] += cp[c]
-        at += cols.size
+def sector_isometry(op, photons: int, spins: int) -> np.ndarray:
+    """The isometry from a sector of exact._operators to the spin-major
+    basis, read from its embedding: sector entry i is cr[i] |rep[i]> +
+    cp[i] |par[i]>, flat positions of the spins x photons array."""
+    rep, par, cr, cp = op.embedding
+    q = np.zeros((spins * photons, op.shape[0]))
+    i = np.arange(op.shape[0])
+    q[rep, i] += cr
+    q[par, i] += cp
     return q
 
 
@@ -183,7 +177,7 @@ def test_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max,
         ops, norm = exact._operators(p, 0, a, x, odd, exact._spin_sectors(p))
         assert norm == pytest.approx(hnorm, rel=1e-14)
         photons, dim = odd.size, h.shape[0]
-        qs = [sector_isometry(groups, op.shape[0], photons, n_atoms + 1) for op, groups in ops]
+        qs = [sector_isometry(op, photons, n_atoms + 1) for op in ops]
         for q in qs:
             assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-15
         assert np.abs(sum(q @ q.T for q in qs) - np.eye(dim)).max() <= 1e-15
@@ -209,7 +203,7 @@ def test_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max,
         # each block applies Q.T H Q, is exactly symmetric and counts its
         # nonzeros (a block with missing entries among them)
         rng = np.random.default_rng(n_atoms * 100 + n_max)
-        for (op, _), q in zip(ops, qs):
+        for op, q in zip(ops, qs):
             v = rng.standard_normal(q.shape[1])
             assert np.abs(op @ v - q.T @ (h @ (q @ v))).max() \
                 <= 1e-15 * hnorm * np.abs(v).sum()
@@ -462,6 +456,23 @@ def test_lanczos_restarts_match_dense_levels():
     _check_levels(h, hnorm, levels, vecs)
 
 
+# Ladders that climb past the first cutoff, so that every later rung starts
+# warm from the one before: the lobe edge at N = 64 without a drive (cutoffs
+# 8, 16, 32) and with a weak one (8, 16).
+_WARM_LADDERS = [ModelParams(omega=1.0, lam=0.8, delta=0.74, v=0.1, omega_rabi=rabi,
+                             n_atoms=64) for rabi in (0.0, 0.01)]
+# sha256 of their repr(vars(converge_cutoff(p))), in order (the same build
+# caveat as _FINITE_N_BATTERY above)
+_WARM_LADDER_DIGEST = "e0df36808f926c45e03cf228c8611e0bced37e41218caa34d8ce139f739086c9"
+
+
+def test_warm_ladders_are_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for p in _WARM_LADDERS:
+        digest.update(repr(vars(converge_cutoff(p))).encode())
+    assert digest.hexdigest() == _WARM_LADDER_DIGEST
+
+
 @pytest.mark.parametrize("params,recorded", [
     (ModelParams(omega=10.0, lam=0.5 * math.sqrt(7.5), delta=0.75,
                  n_atoms=64), 180),
@@ -469,10 +480,14 @@ def test_lanczos_restarts_match_dense_levels():
                  n_atoms=64), 300),
     (ModelParams(omega=10.0, lam=1.02 * math.sqrt(10.0), delta=0.5,
                  omega_rabi=0.3, n_atoms=64), 150),
-], ids=["normal", "superradiant", "driven"])
+    (_WARM_LADDERS[0], 720),
+    (_WARM_LADDERS[1], 300),
+], ids=["normal", "superradiant", "driven", "lobe-edge", "lobe-edge-driven"])
 def test_lanczos_work_per_ladder_is_pinned(monkeypatch, params, recorded):
     # matvecs over a whole converge_cutoff ladder, within 10 % of the count
-    # recorded for this solver: a cheaper step must not buy more iterations
+    # recorded for this solver: a cheaper step must not buy more iterations.
+    # The first three stop at the first cutoff; on the lobe-edge ladders the
+    # warm starts save work (every rung started cold takes 860 and 360)
     counted = []
     solve = exact._lowest_levels
 
@@ -495,11 +510,11 @@ def test_residual_guard_reports_the_bound_it_applies(monkeypatch):
     ops, hnorm = exact._operators(q, 0, a, x, odd, exact._spin_sectors(q))
     e0, _, vec, _ = exact._solve_sectors(ops, hnorm, (65, odd.size))
     ks = np.arange(65)
-    (whole, _), = exact._operators(q, 0, a, x, odd,
-                                   [[(None, ks, ks, np.ones(65), np.zeros(65))]])[0]
+    whole, = exact._operators(q, 0, a, x, odd,
+                              [[(None, ks, ks, np.ones(65), np.zeros(65))]])[0]
     converged = np.linalg.norm(whole @ vec.ravel() - e0 * vec.ravel()) / hnorm
     p = ModelParams(omega=0.05, lam=0.02, delta=0.03, v=0.01, n_atoms=2)
-    hnorm = np.abs(dense(build_hamiltonian(p, 4))).sum(axis=1).max()  # normal: Fock
+    hnorm = np.abs(dense_reference(p, 4)).sum(axis=1).max()  # normal: Fock
     assert hnorm < 1.0
     lowest = exact._lowest_levels
 
@@ -546,14 +561,13 @@ def test_parity_is_definite_and_deterministic():
     assert tie.parity == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("omega_rabi", [0.0, 0.3])
-def test_warm_ladder_matches_cold_solve(omega_rabi):
+@pytest.mark.parametrize("p", _WARM_LADDERS, ids=["lobe-edge", "lobe-edge-driven"])
+def test_warm_ladder_matches_cold_solve(p):
     # converge_cutoff warm-starts each cutoff from the previous one; a plain
     # solve_at_cutoff at the final cutoff starts cold
-    p = ModelParams(omega=10.0, lam=1.02 * math.sqrt(10.0), delta=0.5,
-                    omega_rabi=omega_rabi, n_atoms=64)
     warm = converge_cutoff(p)
     cold = solve_at_cutoff(p, warm.n_max_used)
+    assert warm.n_max_used > N_MAX_START
     assert warm.energy == pytest.approx(cold.energy, rel=1e-12)
 
 
@@ -838,7 +852,7 @@ def test_photon_basis_is_fock_at_zero_and_grows_by_prefix():
 ], ids=["weak-drive-cat", "driven-32"])
 def test_two_centre_ladder_matches_the_fock_reference(params, n_ref):
     sol = converge_cutoff(params)
-    h = dense(build_hamiltonian(params, n_ref))
+    h = dense_reference(params, n_ref)
     w, v = np.linalg.eigh(h)
     ground = v[:, 0].reshape(params.n_atoms + 1, n_ref + 1)
     jz = (ground * ground).sum(axis=1) @ (np.arange(params.n_atoms + 1) - 0.5 * params.n_atoms)
@@ -866,6 +880,6 @@ def test_ladders_agree_with_dense_fock_levels():
                         omega_rabi=0.0 if i % 2 else u * 10.0 ** rng.uniform(-10.0, 0.0))
         sol = converge_cutoff(p)
         n_ref = min(48, 2500 // (n + 1) - 1)
-        e0 = np.linalg.eigvalsh(dense(build_hamiltonian(p, n_ref)))[0]
+        e0 = np.linalg.eigvalsh(dense_reference(p, n_ref))[0]
         assert sol.converged, p
         assert abs(sol.energy - e0) <= 1e-8 * max(abs(e0), p.hamiltonian_scale), p
