@@ -4,9 +4,9 @@ with a classical Rabi drive and an atom-atom interaction J_z**2 term.
 
 Thermodynamic-limit ground states reduce to a secular equation for the
 stationary points on the collective-spin circle (meanfield), cross-checked
-by brute-force scans, finite-N sparse diagonalization (exact), phase
-classification and transition detection (phases), deterministic sweep
-datasets (sweep), and a command-line interface (cli).  The scalar kernels
+by brute-force scans, finite-N exact diagonalization by a matrix-free
+Lanczos (exact), phase classification and transition detection (phases),
+deterministic sweep datasets (sweep), and a command-line interface (cli).  The scalar kernels
 behind the mean-field solver live in _kernels_py.
 
 Importing the package loads none of them: a public name is read from its
@@ -25,8 +25,8 @@ _HOMES = {
     **dict.fromkeys(("BlochPoint", "MeanFieldSolution", "energy_landscape",
                      "ground_state", "oracle_grid_minimum"), "meanfield"),
     "ConvergenceError": "model",
-    **dict.fromkeys(("ExactSolution", "build_hamiltonian", "converge_cutoff",
-                     "product_state_energy", "solve_at_cutoff"), "exact"),
+    **dict.fromkeys(("ExactSolution", "converge_cutoff", "product_state_energy",
+                     "solve_at_cutoff"), "exact"),
     **dict.fromkeys(("PhaseLabel", "TransitionRecord", "classify",
                      "critical_overlays", "delta_critical",
                      "detect_transitions", "mott_boundary_delta",

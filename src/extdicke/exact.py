@@ -87,10 +87,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 # thick-restart Lanczos: basis size, Ritz vectors kept at a restart, and the
-# number of restarts before ConvergenceError
+# number of restarts before ConvergenceError; every _GROW_EVERY restarts
+# both sizes double, the basis up to _KRYLOV_MAX vectors
 _KRYLOV_DIM = 30
 _KEPT_RITZ = 10
 _MAX_RESTARTS = 1000
+_GROW_EVERY = 50
+_KRYLOV_MAX = 120
 # Resolution relative to ||H||_inf of a Ritz residual (converged), a new
 # Lanczos vector's norm (breakdown) and sector ground energies (a tie).
 _LANCZOS_TOL = 1e-13
@@ -133,8 +136,7 @@ class KroneckerHamiltonian:
     `shape` leaves them out.  `embedding` = (rep, par, cr, cp) places a
     vector v of the `shape` in the spin states m x photon states, flattened:
     entry e is cr[e] |rep[e]> + cp[e] |par[e]>, two flat positions of that
-    array (cp[e] = 0 where they coincide).  `nnz` counts the nonzero entries
-    of the matrix.
+    array (cp[e] = 0 where they coincide).
     """
 
     def __init__(self, a, x, sd, h0, hdn, hup, dim: int, embedding: tuple):
@@ -145,26 +147,6 @@ class KroneckerHamiltonian:
         self.hdn, self.hup = hdn[1:], hup[:-1]
         self.shape = (dim, dim)
         self._psi = np.zeros(sd.size)  # the missing entries stay zero
-
-    @property
-    def nnz(self) -> int:
-        import numpy as np
-
-        a, x = self.a, self.x
-        p, q = np.nonzero((a != 0.0) | (x != 0.0) | np.eye(len(a), dtype=bool))
-        av, xv = a[p, q], x[p, q]
-        held = np.arange(self.sd.size).reshape(self.sd.shape) < self.shape[0]
-        count = 0
-        for c in range(len(held)):  # H[(c, q), (c', p)] for c' = c, c - 1, c + 1
-            same = av + self.sd[c, q] * (p == q)
-            if self.h0 is not None:
-                same = same + self.h0[c, q] * xv
-            count += np.count_nonzero(same[held[c, q] & held[c, p]])
-            if c:
-                count += np.count_nonzero((self.hdn[c - 1, q] * xv)[held[c, q] & held[c - 1, p]])
-            if c < len(held) - 1:
-                count += np.count_nonzero((self.hup[c, q] * xv)[held[c, q] & held[c + 1, p]])
-        return int(count)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         dim = self.shape[0]
@@ -183,7 +165,7 @@ class KroneckerHamiltonian:
         return y.ravel()[:dim]
 
 
-def _cutoff(params: ModelParams, n_max, budget: int, beta: float = 0.0) -> int:
+def _cutoff(params: ModelParams, n_max, budget: int, beta: float) -> int:
     """n_max as an int: a nonnegative integer photon cutoff whose basis
     about the centres +-beta (the Fock basis at beta = 0) fits the budget
     (an integer), in its dimension and in the entries of its dense photon
@@ -267,14 +249,6 @@ def _orthonormal(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[:len(kept)].T, np.array(kept, dtype=int)
 
 
-def _fock_field(nm: int) -> np.ndarray:
-    """a + a^dag on the Fock states |0>..|nm>."""
-    import numpy as np
-
-    x = np.diag(np.sqrt(np.arange(1.0, nm + 1.0)), 1)
-    return x + x.T
-
-
 def _photon_basis(beta: float, nm: int) -> tuple:
     """The photon basis at cutoff nm about the centres +-beta (see the module
     docstring), photon-even states first: A, X (dense photon operators),
@@ -282,7 +256,8 @@ def _photon_basis(beta: float, nm: int) -> tuple:
     import numpy as np
 
     n = np.arange(nm + 1)
-    fock_x = _fock_field(nm)
+    fock_a = np.diag(np.sqrt(np.arange(1.0, nm + 1.0)), 1)  # a on |0>..|nm>
+    fock_x = fock_a + fock_a.T
     if beta == 0.0:  # the Fock states, even photon numbers first
         labels = np.concatenate((n[0::2], n[1::2]))
         return (np.diag(labels.astype(float)), fock_x[np.ix_(labels, labels)],
@@ -436,23 +411,6 @@ def _operators(params: ModelParams, k: int, a, x, odd: np.ndarray,
     return ops, hnorm
 
 
-def build_hamiltonian(params: ModelParams, n_max: int,
-                      budget: int = DIMENSION_BUDGET) -> KroneckerHamiltonian:
-    """The Hamiltonian on the Fock basis truncated at n_max photons, without
-    symmetry sectors: |n, m> is entry (m + j) * (n_max + 1) + n.  A
-    reference for the solver, which works in the displaced basis.  Refuses
-    a dimension or (n_max + 1)**2 dense photon matrix entries above budget
-    (model.basis_size), so the memory it takes is bounded by the budget.
-    """
-    import numpy as np
-
-    nm = _cutoff(params, n_max, budget)
-    ks = np.arange(params.n_atoms + 1)
-    whole = [[(None, ks, ks, np.ones(ks.size), np.zeros(ks.size))]]  # one sector, no symmetry
-    return _operators(params, 0, np.diag(np.arange(nm + 1.0)), _fock_field(nm),
-                      np.zeros(nm + 1, bool), whole)[0][0]
-
-
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the state's increment and
 # the modulus of its arithmetic on Python ints
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -508,7 +466,9 @@ def _lowest_levels(h: KroneckerHamiltonian, hnorm: float,
     vector and that vector itself take both passes over the whole basis.
     Step j writes row j of the projected matrix, whose lower triangle (all
     that eigh reads, UPLO='L') is that of V^T H V.  A restart keeps the
-    _KEPT_RITZ lowest Ritz vectors.  The run stops when the residuals
+    _KEPT_RITZ lowest Ritz vectors.  A run that stalls grows: after every
+    _GROW_EVERY restarts the basis and the kept Ritz vectors double, the
+    basis up to _KRYLOV_MAX vectors.  The run stops when the residuals
     |beta * s_mi| of both lowest Ritz pairs are at most _LANCZOS_TOL * hnorm,
     or when the basis fills the sector (the Ritz values are then its exact
     spectrum).  Without `start` it begins from the flat vector plus
@@ -525,7 +485,7 @@ def _lowest_levels(h: KroneckerHamiltonian, hnorm: float,
 
     dim = h.shape[0]
     nev = min(2, dim)
-    size = min(_KRYLOV_DIM, dim)
+    size, keep = min(_KRYLOV_DIM, dim), _KEPT_RITZ
     draws = 0  # draw 0 is the cold start's; breakdowns take 1, 2, ...
     if start is None:
         start = np.full(dim, 1.0 / math.sqrt(dim)) + _START_WEIGHT * _generic_vector(dim, 0)
@@ -533,7 +493,7 @@ def _lowest_levels(h: KroneckerHamiltonian, hnorm: float,
     proj = np.zeros((size, size))  # the lower triangle of V^T H V
     np.divide(start, math.sqrt(start @ start), out=basis[0])
     j = 0
-    for _ in range(_MAX_RESTARTS + 1):
+    for cycle in range(1, _MAX_RESTARTS + 2):
         lo = 0  # the cycle's first step couples to every earlier vector
         while j < size:
             w = h @ basis[j]
@@ -552,9 +512,13 @@ def _lowest_levels(h: KroneckerHamiltonian, hnorm: float,
         theta, s = np.linalg.eigh(proj[:j, :j])
         if j == dim or np.all(np.abs(beta * s[-1, :nev]) <= _LANCZOS_TOL * hnorm):
             return theta[:nev], basis[:j].T @ s[:, :nev]
-        j = keep = _KEPT_RITZ
-        basis[:keep] = s[:, :keep].T @ basis[:size]
-        basis[keep] = basis[size]
+        old, grown = size, basis
+        if cycle % _GROW_EVERY == 0 and size < _KRYLOV_MAX:  # size < dim here
+            size, keep = min(2 * size, _KRYLOV_MAX, dim), 2 * keep
+            grown, proj = np.empty((size + 1, dim)), np.zeros((size, size))
+        grown[:keep] = s[:, :keep].T @ basis[:old]
+        grown[keep] = basis[old]
+        basis, j = grown, keep
         proj[:keep, :keep] = np.diag(theta[:keep])
     raise ConvergenceError(
         f"Lanczos did not converge at dimension {dim} within "

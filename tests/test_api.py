@@ -8,7 +8,7 @@ import pytest
 
 import extdicke
 from extdicke import cli
-from extdicke.exact import build_hamiltonian, converge_cutoff, solve_at_cutoff
+from extdicke.exact import converge_cutoff, solve_at_cutoff
 from extdicke.meanfield import oracle_grid_minimum
 from extdicke.model import ModelParams, ParameterError, TrapSpec
 from extdicke.phases import detect_transitions
@@ -29,7 +29,6 @@ HOMES = {
     "oracle_grid_minimum": "meanfield",
     "ConvergenceError": "model",
     "ExactSolution": "exact",
-    "build_hamiltonian": "exact",
     "converge_cutoff": "exact",
     "product_state_energy": "exact",
     "solve_at_cutoff": "exact",
@@ -134,9 +133,9 @@ _TRAP = dict(omega_trap=(1e3, 1e3, 1e3), rho_intra=5e-9, rho_inter=4e-9, mass=1.
      "the memory budget must be an integer, got inf"),
     (lambda tmp: solve_at_cutoff(ModelParams(), 4, budget="400000"),
      "the memory budget must be an integer, got '400000'"),
-    (lambda tmp: build_hamiltonian(ModelParams(), 4, budget=2.5),
+    (lambda tmp: solve_at_cutoff(ModelParams(), 4, budget=2.5),
      "the memory budget must be an integer, got 2.5"),
-    (lambda tmp: build_hamiltonian(ModelParams(), 4, budget=None),
+    (lambda tmp: solve_at_cutoff(ModelParams(), 4, budget=None),
      "the memory budget must be an integer, got None"),
     (lambda tmp: TrapSpec(**{**_TRAP, "mass": "1e-25"}),
      "trap spec 'mass' must be a finite number, got '1e-25'"),
@@ -148,8 +147,8 @@ _TRAP = dict(omega_trap=(1e3, 1e3, 1e3), rho_intra=5e-9, rho_inter=4e-9, mass=1.
         "n_points_fraction", "n_points_string", "model_params", "sweep_config",
         "solve_config", "axis_count", "axis_bound", "exact_eps", "exact_n",
         "exact_n_budget", "converge_budget_nan", "converge_budget_bool",
-        "solve_budget_inf", "solve_budget_string", "build_budget_fraction",
-        "build_budget_none", "trap_mass", "trap_frequencies", "trap_atoms"])
+        "solve_budget_inf", "solve_budget_string", "solve_budget_fraction",
+        "solve_budget_none", "trap_mass", "trap_frequencies", "trap_atoms"])
 def test_malformed_input_is_a_parameter_error(call, message, tmp_path):
     with pytest.raises(ParameterError, match=message):
         call(tmp_path)
@@ -170,10 +169,12 @@ def test_integral_float_counts_are_the_counts_they_equal():
     assert detect_transitions(p, "delta", -1.0, 1.0, n_scan=41.0) \
         == detect_transitions(p, "delta", -1.0, 1.0, n_scan=41)
     assert oracle_grid_minimum(p, n_points=1000.0) == oracle_grid_minimum(p, n_points=1000)
-    # an integral float budget is the budget it equals: 25 photon matrix
-    # entries at cutoff 4 fit 25.0 and not 24.0
-    q = ModelParams(lam=1.2, delta=0.3, n_atoms=2)
-    assert build_hamiltonian(q, 4, budget=25.0).shape == (15, 15)
+    # an integral float budget is the budget it equals: in the normal phase
+    # the photon basis is the Fock basis, whose 25 photon matrix entries at
+    # cutoff 4 fit 25.0 and not 24.0 (about two centres it would need 100)
+    normal = ModelParams(lam=0.3, delta=1.0, n_atoms=2)
+    assert solve_at_cutoff(normal, 4, budget=25.0) == solve_at_cutoff(normal, 4, budget=25)
     with pytest.raises(ParameterError, match="25 entries exceed the memory budget 24$"):
-        build_hamiltonian(q, 4, budget=24.0)
+        solve_at_cutoff(normal, 4, budget=24.0)
+    q = ModelParams(lam=1.2, delta=0.3, n_atoms=2)
     assert converge_cutoff(q, budget=1e6) == converge_cutoff(q, budget=1_000_000)
