@@ -6,8 +6,8 @@ Thermodynamic-limit ground states reduce to a secular equation for the
 stationary points on the collective-spin circle (meanfield), cross-checked
 by brute-force scans, finite-N exact diagonalization by a matrix-free
 Lanczos (exact), phase classification and transition detection (phases),
-deterministic sweep datasets (sweep), and a command-line interface (cli).  The scalar kernels
-behind the mean-field solver live in _kernels_py.
+deterministic sweep datasets (sweep), and a command-line interface (cli),
+on the parameters and records of model, which imports none of them.
 
 Importing the package loads none of them: a public name is read from its
 home module when first used (PEP 562 __getattr__).
@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 # public name -> module that defines it
 _HOMES = {
     **dict.fromkeys(("ModelParams", "ParameterError", "TrapEstimate",
-                     "TrapSpec", "estimate_from_trap", "omega_critical"),
-                    "model"),
+                     "TrapSpec", "estimate_from_trap"), "model"),
     **dict.fromkeys(("BlochPoint", "MeanFieldSolution", "energy_landscape",
                      "ground_state", "oracle_grid_minimum"), "meanfield"),
     "ConvergenceError": "model",
@@ -30,7 +29,7 @@ _HOMES = {
     **dict.fromkeys(("PhaseLabel", "TransitionRecord", "classify",
                      "critical_overlays", "delta_critical",
                      "detect_transitions", "mott_boundary_delta",
-                     "susceptibility_v", "v_critical"), "phases"),
+                     "omega_critical", "susceptibility_v", "v_critical"), "phases"),
     **dict.fromkeys(("AxisSpec", "SweepConfig", "SweepDataset", "parse_csv",
                      "run_sweep", "serialize_csv", "serialize_json"), "sweep"),
 }

@@ -41,7 +41,6 @@ from .model import (
     check_ladder,
     dumps_json,
     estimate_from_trap,
-    omega_critical,
 )
 
 EXIT_OK = 0
@@ -193,7 +192,7 @@ def cmd_exact_check(args) -> int:
 
 
 def cmd_boundaries(args) -> int:
-    from .phases import delta_critical, mott_boundary_delta, v_critical
+    from .phases import delta_critical, mott_boundary_delta, omega_critical, v_critical
     params = _params_from_args(args)
     u = params.u
     v = params.v
@@ -225,13 +224,16 @@ def cmd_scan(args) -> int:
 
 def _fig_base(args) -> tuple[ModelParams, float]:
     """Base parameters and the coupling scale u for the figure commands.
-    Every axis and drive is in units of u, so --u must be finite and
-    positive."""
-    _positive(args.u, "--u")
+    Every axis and drive is in units of u, so --u (1 when not given) must
+    be finite and positive.  --units mhz sets u from its preset, so it
+    takes no --u."""
     if args.units == "mhz":
+        if args.u is not None:
+            raise ParameterError("--u and --units mhz both set u: give one of them")
         base = ModelParams(omega=_MHZ_OMEGA, lam=_MHZ_LAMBDA, n_atoms=_MHZ_N_ATOMS)
     else:
-        base = ModelParams(omega=1.0, lam=math.sqrt(args.u), n_atoms=1)
+        u = 1.0 if args.u is None else _positive(args.u, "--u")
+        base = ModelParams(omega=1.0, lam=math.sqrt(u), n_atoms=1)
     return base, base.u
 
 
@@ -266,7 +268,7 @@ def _grid_count(count: int, flag: str) -> int:
 # The figure commands' options, one row per flag: its type, its choices (a
 # tuple), or None for a string the command parses; and its help, if any.
 _FIG_FLAGS = {
-    "--u": (float, "coupling u = lambda^2/omega"),
+    "--u": (float, "coupling u = lambda^2/omega (default 1; not with --units mhz)"),
     "--v": (float, "atom-atom coupling in units of u"),
     "--rabi-fracs": (None, "drive strengths in units of u, comma-separated"),
     "--rabi-frac": (float, "drive strength in units of u"),
@@ -284,16 +286,16 @@ _FIG_FLAGS = {
 # _detuning_figure plots.  fig3, with none, runs cmd_fig3.
 _FIGURES = {
     "fig2": ("energy/population curves vs detuning",
-             {"--u": 1.0, "--v": 0.0, "--rabi-fracs": "0,0.02,0.05", "--delta-span": 2.0,
+             {"--u": None, "--v": 0.0, "--rabi-fracs": "0,0.02,0.05", "--delta-span": 2.0,
               "--points": 401, "--units": "dimensionless", "--out-dir": "fig2_out"},
              (("energy per atom", "energy_per_atom"),
               ("population imbalance m/N", "m_over_n"))),
     "fig3": ("phase-diagram grid over (delta, v)",
-             {"--u": 1.0, "--rabi-frac": 0.5, "--delta-span": 3.0, "--v-min": -3.0,
+             {"--u": None, "--rabi-frac": 0.5, "--delta-span": 3.0, "--v-min": -3.0,
               "--v-max": 1.0, "--resolution": "61x41", "--units": "dimensionless",
               "--out-dir": "fig3_out"}, None),
     "fig4": ("population curves across the first-order region",
-             {"--u": 1.0, "--v": -2.0, "--rabi-fracs": "0.25,0.5,0.75,1.0",
+             {"--u": None, "--v": -2.0, "--rabi-fracs": "0.25,0.5,0.75,1.0",
               "--delta-span": 1.0, "--points": 401, "--units": "dimensionless",
               "--out-dir": "fig4_out"},
              (("population imbalance m/N", "m_over_n"),)),

@@ -56,7 +56,7 @@ reorthogonalisation (_lowest_levels); along a converge_cutoff ladder each
 run starts from the previous cutoff's psi0 + psi1 of every sector, carried
 to the photon states of the same parity and label (its projection, as the
 old basis is the first part of the new).  Every cutoff is solved at unit
-scale, as _kernels_py.solve_point solves the mean field: H / 2**k is built
+scale, as meanfield.solve_point solves the mean field: H / 2**k is built
 from the couplings divided by 2**k, the power of two at
 ModelParams.hamiltonian_scale, so that no entry, norm or square overflows;
 the division is exact, and E0 and E1 are multiplied back by 2**k.

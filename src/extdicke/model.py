@@ -19,8 +19,6 @@ import math
 import numbers
 import sys
 
-from ._kernels_py import coupling_scale
-
 # Exact SI value (h = 6.62607015e-34 J s since 2019), in J s.
 hbar = 6.62607015e-34 / (2.0 * math.pi)
 
@@ -188,6 +186,11 @@ KEYS = tuple(row[1] for row in COUPLINGS)
 _FIELD_NAMES = tuple(f"parameter {field!r}" for field in AXES)  # check_couplings' default
 
 
+def coupling_scale(u, v, delta, rabi):
+    """S, the unit of the reduced energy, which omega does not enter."""
+    return max(u, abs(v), rabi, abs(delta))
+
+
 @record
 class ModelParams:
     """Couplings of the extended Dicke Hamiltonian (angular MHz; lam is
@@ -284,12 +287,6 @@ def validate(params: ModelParams) -> ModelParams:
                     params.v)
     _atoms(params.n_atoms, "the number of atoms")
     return params
-
-
-def omega_critical(u: float, v: float) -> float:
-    """Rabi strength |u + v| above which the detuning sweep of the atomic
-    population loses its first-order jump."""
-    return abs(u + v)
 
 
 @record

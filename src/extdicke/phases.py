@@ -31,9 +31,9 @@ import warnings
 from enum import Enum
 from operator import attrgetter
 
-from ._kernels_py import _DISTINCT_ANGLE, coupling_scale
-from .meanfield import MeanFieldSolution, ground_state
-from .model import AXES, KEYS, ModelParams, ParameterError, _integer, _real, record
+from .meanfield import _DISTINCT_ANGLE, MeanFieldSolution, ground_state
+from .model import (AXES, KEYS, ModelParams, ParameterError, _integer, _real,
+                    coupling_scale, record)
 
 # Round-off guard of the classifier on m/N and on s_x.
 _CLASSIFY_TOL = 1e-6
@@ -71,6 +71,12 @@ def delta_critical(u: float, v: float) -> tuple[float, float]:
     if w < 0.0:
         raise ParameterError("no superradiant lobe: u + v < 0")
     return (-w, w)
+
+
+def omega_critical(u: float, v: float) -> float:
+    """Rabi strength |u + v| above which the detuning sweep of the atomic
+    population loses its first-order jump."""
+    return abs(u + v)
 
 
 def mott_boundary_delta(u: float, v: float, omega_rabi: float):

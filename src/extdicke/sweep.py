@@ -21,8 +21,8 @@ import itertools
 import json
 import math
 
-from . import __version__, _kernels_py
-from .meanfield import point_observables
+from . import __version__
+from .meanfield import point_observables, solve_point
 from .model import (AXES, KEYS, LADDER_EPS, ConvergenceError, ModelParams, ParameterError,
                     _integer, _real, check_couplings, check_ladder, dumps_json, record)
 from .phases import phase_label
@@ -190,7 +190,7 @@ def _solve_node(config: SweepConfig, slots: list[int], base: list,
     try:
         u = check_couplings(omega, lam, delta, rabi, v)
         s_x, s_z, e, eta, residual, degenerate, flat, n_minima = \
-            _kernels_py.solve_point(u, v, delta, rabi)
+            solve_point(u, v, delta, rabi)
         alpha, m_over_n, photon_density = point_observables(lam, omega, s_x, s_z)
         label = phase_label(flat, m_over_n, n_minima, s_x, u, v)
         row.extend((u, eta, alpha, s_x, s_z, m_over_n, photon_density, e,

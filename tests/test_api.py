@@ -21,7 +21,6 @@ HOMES = {
     "TrapEstimate": "model",
     "TrapSpec": "model",
     "estimate_from_trap": "model",
-    "omega_critical": "model",
     "BlochPoint": "meanfield",
     "MeanFieldSolution": "meanfield",
     "energy_landscape": "meanfield",
@@ -39,6 +38,7 @@ HOMES = {
     "delta_critical": "phases",
     "detect_transitions": "phases",
     "mott_boundary_delta": "phases",
+    "omega_critical": "phases",
     "susceptibility_v": "phases",
     "v_critical": "phases",
     "AxisSpec": "sweep",

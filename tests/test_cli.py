@@ -92,20 +92,20 @@ _PARSER_CONTRACT = {
     "boundaries": [*_COUPLING_OPTIONS, _OUT, _TEXT_OR_JSON],
     "scan": [(("--config",), "config", None, Path, None, True), _OUT,
              (("--format",), "format", "csv", None, ("csv", "json"), False)],
-    "fig2": [(("--u",), "u", 1.0, float, None, False),
+    "fig2": [(("--u",), "u", None, float, None, False),
              (("--v",), "v", 0.0, float, None, False),
              (("--rabi-fracs",), "rabi_fracs", "0,0.02,0.05", None, None, False),
              (("--delta-span",), "delta_span", 2.0, float, None, False),
              (("--points",), "points", 401, int, None, False),
              _UNITS, (("--out-dir",), "out_dir", "fig2_out", None, None, False)],
-    "fig3": [(("--u",), "u", 1.0, float, None, False),
+    "fig3": [(("--u",), "u", None, float, None, False),
              (("--rabi-frac",), "rabi_frac", 0.5, float, None, False),
              (("--delta-span",), "delta_span", 3.0, float, None, False),
              (("--v-min",), "v_min", -3.0, float, None, False),
              (("--v-max",), "v_max", 1.0, float, None, False),
              (("--resolution",), "resolution", "61x41", None, None, False),
              _UNITS, (("--out-dir",), "out_dir", "fig3_out", None, None, False)],
-    "fig4": [(("--u",), "u", 1.0, float, None, False),
+    "fig4": [(("--u",), "u", None, float, None, False),
              (("--v",), "v", -2.0, float, None, False),
              (("--rabi-fracs",), "rabi_fracs", "0.25,0.5,0.75,1.0", None, None, False),
              (("--delta-span",), "delta_span", 1.0, float, None, False),
@@ -143,6 +143,8 @@ def test_readme_figure_table_matches_the_parser():
         assert seen[name].keys() == defaults.keys(), name
         for flag, default in defaults.items():
             value = seen[name][flag]
+            if default is None:  # --u, read as 1 when not given
+                default = 1.0
             assert (value if isinstance(default, str) else float(value)) == default, flag
     assert {f for row in seen.values() for f in row} == set(cli._FIG_FLAGS)
 
@@ -783,6 +785,19 @@ def test_fig4_default_four_drives(tmp_path, capsys):
     for i in range(4):
         assert (out_dir / f"fig4_curve{i}.csv").is_file()
     assert "using 1:7" in (out_dir / "fig4.gp").read_text()
+
+
+def test_u_with_mhz_units_is_refused_before_any_file(tmp_path, capsys):
+    # the preset sets u, so an explicit --u would be ignored: it is an error
+    # that names both flags, even at --u 1, and no file is written
+    for u in ("5", "1"):
+        out_dir = tmp_path / u
+        rc = cli.main(["fig2", "--units", "mhz", "--u", u, "--points", "5",
+                       "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--u" in err and "--units mhz" in err
+        assert not out_dir.exists()
 
 
 def test_fig2_mhz_units_smoke(tmp_path, capsys):

@@ -13,7 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extdicke.meanfield import kernels
+from extdicke import meanfield as kernels
+from extdicke.model import coupling_scale
 from mp_reference import minima as mp_minima
 
 
@@ -505,7 +506,7 @@ def test_hard_families_agree_with_the_oracle():
         d = rng.uniform(0.0, 3.0) * u * rng.choice((1.0, 1e-300, 1e-320))
         cases.append((u, v, rng.choice((-1.0, 1.0)) * d, abs(d - (u + v))))
     for c in cases:
-        scale = kernels.coupling_scale(*c)
+        scale = coupling_scale(*c)
         sol, ora = kernels.solve_point(*c), kernels.oracle_minimum(*c, 4096)
         assert abs(sol[0] ** 2 + sol[1] ** 2 - 0.25) <= 1e-15, c
         assert abs(sol[2] - ora[2]) <= 1e-12 * scale, c

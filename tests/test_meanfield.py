@@ -10,10 +10,14 @@ import pytest
 
 from extdicke.meanfield import (
     BlochPoint,
+    bloch_from_eta,
     energy_landscape,
+    eta_from_point,
+    grad_residual,
     ground_state,
-    kernels,
     oracle_grid_minimum,
+    reduced_energy,
+    stationary_points,
 )
 from extdicke.model import ModelParams, ParameterError
 
@@ -38,7 +42,7 @@ def test_eta_angle_consistency():
     rng = random.Random(4)
     for _ in range(100):
         p = random_point(rng)
-        s_x, s_z = kernels.bloch_from_eta(kernels.eta_from_point(p.s_x, p.s_z))
+        s_x, s_z = bloch_from_eta(eta_from_point(p.s_x, p.s_z))
         assert abs(p.s_x - s_x) < 1e-12
         assert abs(p.s_z - s_z) < 1e-12
 
@@ -57,8 +61,8 @@ def test_landscape_reduces_to_circle_energy_at_optimal_field():
         assert on_circle(point)
         a = p.lam * point.s_x / p.omega
         assert energy_landscape(p, a, h) == pytest.approx(
-            kernels.reduced_energy(p.u, p.v, p.delta, p.omega_rabi,
-                                   point.s_x, point.s_z), abs=1e-12)
+            reduced_energy(p.u, p.v, p.delta, p.omega_rabi, point.s_x, point.s_z),
+            abs=1e-12)
         # any other field value costs energy
         assert energy_landscape(p, a + 0.3, h) >= energy_landscape(p, a, h)
 
@@ -78,14 +82,13 @@ def test_solve_stationarity_roots_are_stationary():
                         omega_rabi=rng.uniform(0.0, 2.0),
                         v=rng.uniform(-3.0, 3.0))
         scale = max(1.0, p.u + abs(p.v) + p.omega_rabi + abs(p.delta))
-        points = kernels.stationary_points(p.u, p.v, p.delta, p.omega_rabi)
+        points = stationary_points(p.u, p.v, p.delta, p.omega_rabi)
         assert len(points) in (2, 3, 4) and any(pt[4] for pt in points)
         # one global minimum, or at delta = 0 or rabi = 0 a mirror pair
         assert 1 <= sum(pt[5] for pt in points) <= 2 and all(pt[4] for pt in points if pt[5])
         for theta, s_x, s_z, e, minimum, lowest in points:
             assert on_circle(BlochPoint(s_x, s_z))
-            assert kernels.grad_residual(p.u, p.v, p.delta, p.omega_rabi,
-                                         s_x, s_z) < 1e-9 * scale
+            assert grad_residual(p.u, p.v, p.delta, p.omega_rabi, s_x, s_z) < 1e-9 * scale
 
 
 # --- ground states: closed forms ----------------------------------------
@@ -204,9 +207,9 @@ def test_solution_fields_are_consistent():
     assert sol.photon_density == pytest.approx(sol.alpha ** 2, abs=1e-15)
     assert sol.m_over_n == pytest.approx(2.0 * sol.point.s_z, abs=1e-15)
     assert on_circle(sol.point)
-    s_x, s_z = kernels.bloch_from_eta(sol.eta)
+    s_x, s_z = bloch_from_eta(sol.eta)
     assert abs(s_x - sol.point.s_x) < 1e-12
     assert abs(s_z - sol.point.s_z) < 1e-12
     assert sol.energy_per_atom == pytest.approx(
-        kernels.reduced_energy(p.u, p.v, p.delta, p.omega_rabi,
-                               sol.point.s_x, sol.point.s_z), abs=1e-13)
+        reduced_energy(p.u, p.v, p.delta, p.omega_rabi, sol.point.s_x, sol.point.s_z),
+        abs=1e-13)

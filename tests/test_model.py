@@ -21,10 +21,10 @@ from extdicke.model import (
     TrapEstimate,
     TrapSpec,
     estimate_from_trap,
-    omega_critical,
     record,
     validate,
 )
+from extdicke.phases import omega_critical
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,10 +146,15 @@ def test_hbar_is_exact_and_scipy_constants_is_not_imported():
 
     assert extdicke.model.hbar == hbar
     code = "import sys, extdicke; print('scipy.constants' in sys.modules)"
+    assert _fresh(code).strip() == "False"
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """The standard output of code run in a fresh interpreter on this
+    package's source."""
     src = str(Path(extdicke.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
 
 
 _MODULE_PROBE = """
@@ -181,11 +186,7 @@ def _modules_after(commands: list[list[str]]) -> list[list[list[str]]]:
     command.  The heavy ones are numpy, numpy.random (which loads hashlib
     and OpenSSL), scipy, scipy.linalg, scipy.sparse.linalg and
     statistics."""
-    src = str(Path(extdicke.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE,
-                          json.dumps(commands)], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    return json.loads(out.stdout)
+    return json.loads(_fresh(_MODULE_PROBE, json.dumps(commands)))
 
 
 def _heavy_modules_after(commands: list[list[str]]) -> list[list[str]]:
@@ -232,10 +233,18 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         return [name, *opts, "--out-dir", str(tmp_path / name)]
 
     def package(*names):
-        return sorted(["extdicke", "extdicke._kernels_py", "extdicke.cli",
-                       "extdicke.meanfield", "extdicke.model"]
+        return sorted(["extdicke", "extdicke.cli", "extdicke.meanfield", "extdicke.model"]
                       + [f"extdicke.{name}" for name in names])
 
+    # the bottom layers: model imports no module of the package, and
+    # meanfield imports model alone
+    def imported(module):
+        return json.loads(_fresh(f"import json, sys, {module}; print(json.dumps(sorted("
+                                 "m for m in sys.modules if m.split('.')[0] == 'extdicke')))"))
+
+    assert imported("extdicke.model") == ["extdicke", "extdicke.model"]
+    assert imported("extdicke.meanfield") == ["extdicke", "extdicke.meanfield",
+                                              "extdicke.model"]
     # importing the package loads no module of it
     solve = _modules_after([["solve", "--delta", "0.3", *out("s.txt")],
                             ["solve", "--format", "json", *out("s.json")],

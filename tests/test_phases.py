@@ -9,9 +9,8 @@ import pytest
 from mp_reference import minima as mp_minima
 
 from extdicke import phases
-from extdicke._kernels_py import coupling_scale
 from extdicke.meanfield import ground_state
-from extdicke.model import ModelParams, ParameterError
+from extdicke.model import ModelParams, ParameterError, coupling_scale
 from extdicke.sweep import AxisSpec, SweepConfig, run_sweep
 from extdicke.phases import (
     PhaseLabel,

@@ -45,10 +45,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from extdicke._kernels_py import coupling_scale, solve_point, stationary_points
 from extdicke.exact import converge_cutoff
-from extdicke.meanfield import ground_state
-from extdicke.model import AXES, ModelParams
+from extdicke.meanfield import ground_state, solve_point, stationary_points
+from extdicke.model import AXES, ModelParams, coupling_scale
 from extdicke.phases import (TransitionRecord, classify, detect_transitions,
                              mott_boundary_delta, susceptibility_v)
 from extdicke.sweep import AxisSpec, SweepConfig, run_sweep

@@ -11,8 +11,6 @@ from pathlib import Path
 import extdicke
 
 SRC = Path(extdicke.__file__).resolve().parent
-# the ledger's short names of package modules
-_MODULES = {"kernel": "_kernels_py"}
 
 
 def _inline_small_floats(tree: ast.Module) -> list[tuple[int, float]]:
@@ -58,12 +56,12 @@ def _ledger_names() -> list[tuple[str, str, str]]:
 
 def test_ledger_rows_name_live_constants():
     # every constant the README's ledger names exists at module level in
-    # the module it names ("kernel" is _kernels_py), with the value it
-    # gives, so a deleted or changed constant cannot leave a stale row
+    # the module it names, with the value it gives, so a deleted or changed
+    # constant cannot leave a stale row
     rows = _ledger_names()
     assert len(rows) >= 15
     for name, module, value in rows:
-        mod = importlib.import_module(f"extdicke.{_MODULES.get(module, module)}")
+        mod = importlib.import_module(f"extdicke.{module}")
         assert name in vars(mod), (name, module)
         assert isinstance(vars(mod)[name], (int, float)), (name, module)
         assert vars(mod)[name] == float(value), (name, module, value)

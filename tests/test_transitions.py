@@ -11,9 +11,8 @@ import pytest
 from mp_reference import minima as mp_minima
 
 from extdicke import phases
-from extdicke.meanfield import ground_state
+from extdicke.meanfield import _DISTINCT_ANGLE, ground_state
 from extdicke.model import ModelParams
-from extdicke._kernels_py import _DISTINCT_ANGLE
 from extdicke.phases import _argmax, _observable_fn, _refine_jump, detect_transitions
 
 
