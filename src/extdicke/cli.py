@@ -14,7 +14,7 @@ fig4         population curves vs detuning across the first-order region
 Exit codes: 0 success, 1 finite-N convergence failure, 2 bad
 configuration or parameters, 3 degenerate ground-state manifold, 4 I/O
 failure.  JSON output is strict RFC 8259: non-finite floats are null.
-Each command imports the modules it runs (exact, sweep, phases) when run.
+Each command imports what it runs when run; scan, fig2 and fig4 load no phases.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ eta = +-inf the single point (s_x, s_z) = (1/2, 0).
 from __future__ import annotations
 
 import math
+from enum import Enum
 
 from .model import ModelParams, ParameterError, _integer, coupling_scale, record
 
@@ -56,6 +57,8 @@ _TIE_EPS = 1e-10
 # Two stationary points are "the same point" below this angular separation;
 # the oracle bisects each sign change of de/dtheta to this width.
 _DISTINCT_ANGLE = 1e-8
+# Round-off guard of the phase labels on m/N and on s_x.
+_CLASSIFY_TOL = 1e-6
 
 
 def bloch_from_eta(eta):
@@ -398,6 +401,40 @@ def point_observables(lam, omega, s_x, s_z) -> tuple[float, float, float]:
     """alpha, m/N and the photon density alpha**2 at the spin point."""
     alpha = lam * s_x / omega
     return alpha, 2.0 * s_z, alpha * alpha
+
+
+class PhaseLabel(str, Enum):
+    NORMAL = "Normal"
+    SUPERRADIANT = "Superradiant"
+    MOTT = "Mott"
+    SUPERFLUID = "Superfluid"
+    DEGENERATE = "Degenerate"
+
+
+def phase_label(flat_manifold: bool, m_over_n: float, n_local_minima: int,
+                s_x: float, u: float, v: float) -> PhaseLabel:
+    """Phase label from a ground state's observables and the couplings, as
+    floats (a sweep labels its nodes with it, without a ModelParams).
+
+    Rules, in order: Degenerate on a flat manifold; Mott when m vanishes at
+    a single minimum on the attractive side of the red line (v < -u);
+    Superfluid when v < -u with a double well; Superradiant when partially
+    polarized with macroscopic photons at v >= -u (the photon density is
+    (lam s_x / omega)**2, so that is s_x off 0 with u > 0); Normal
+    otherwise.  Thresholds guard round-off only -- mean-field observables
+    are exact to solver precision.
+    """
+    if flat_manifold:
+        return PhaseLabel.DEGENERATE
+    m = abs(m_over_n)
+    if m <= _CLASSIFY_TOL and n_local_minima == 1 and v < -u:
+        return PhaseLabel.MOTT
+    if v < -u and n_local_minima == 2:
+        return PhaseLabel.SUPERFLUID
+    if (m < 1.0 - _CLASSIFY_TOL and u > 0.0 and abs(s_x) > _CLASSIFY_TOL
+            and v >= -u):
+        return PhaseLabel.SUPERRADIANT
+    return PhaseLabel.NORMAL
 
 
 def _solution(params: ModelParams, s_x, s_z, e, eta, residual,

@@ -113,14 +113,18 @@ def check_ladder(eps, atom_numbers, budget: int = DIMENSION_BUDGET,
                  names=("convergence tolerance", "atom number", "the memory budget"),
                  centred: bool = False):
     """The ladder settings' rule, for converge_cutoff, SweepConfig and
-    exact-check: eps a positive finite number, each atom number a positive
-    integer whose first cutoff fits the budget (an integer) in its dimension
-    and in its photon matrix entries (basis_size; `centred` where the field
-    is known to be displaced, on the Fock basis where it is not known yet).
+    exact-check: eps a positive finite number, each atom number a distinct
+    positive integer whose first cutoff fits the budget (an integer) in its
+    dimension and in its photon matrix entries (basis_size; `centred` where
+    the field is known to be displaced, on the Fock basis where it is not
+    known yet).
     Returns (float eps, tuple of int atom numbers); an error uses the
     caller's `names` of the three."""
     eps = _positive(eps, names[0])
     ns = tuple(_atoms(n, names[1]) for n in atom_numbers)
+    for i, n in enumerate(ns):
+        if n in ns[:i]:
+            raise ParameterError(f"{names[1]} {n} repeated")
     budget = _integer(budget, names[2])
     if ns:
         dim, entries = basis_size(N_MAX_START, max(ns), centred)

@@ -1,7 +1,8 @@
 """Phase structure of the extended Dicke model in the thermodynamic limit.
 
-Phases are named by their order parameters: Normal (fully polarized spin,
-no photons beyond fluctuations), Superradiant (macroscopic photon density,
+Phases are named by their order parameters (meanfield.phase_label, which
+classify reads off a ModelParams): Normal (fully polarized spin, no
+photons beyond fluctuations), Superradiant (macroscopic photon density,
 partial polarization), Mott (m = 0 plateau, single energy minimum, photon
 condensate locked by attractive v), and Superfluid (broken double well in
 s_z at strongly attractive v).  A flat energy manifold is labeled
@@ -28,15 +29,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from enum import Enum
 from operator import attrgetter
 
-from .meanfield import _DISTINCT_ANGLE, MeanFieldSolution, ground_state
+from .meanfield import (_DISTINCT_ANGLE, MeanFieldSolution, PhaseLabel, ground_state,
+                        phase_label)
 from .model import (AXES, KEYS, ModelParams, ParameterError, _integer, _real,
                     coupling_scale, record)
 
-# Round-off guard of the classifier on m/N and on s_x.
-_CLASSIFY_TOL = 1e-6
 # Smallest jump between coexisting minima that makes a transition first
 # order, in the observable's unit (S for the energy, (lambda/omega)**2 for
 # the photon density, 1 for the others).
@@ -55,14 +54,6 @@ _OVERLAY_POINTS = 201
 _PLAIN_OBSERVABLES = {"m_over_n": "m_over_n", "photon_density": "photon_density",
                       "s_x": "point.s_x", "s_z": "point.s_z",
                       "energy": "energy_per_atom"}
-
-
-class PhaseLabel(str, Enum):
-    NORMAL = "Normal"
-    SUPERRADIANT = "Superradiant"
-    MOTT = "Mott"
-    SUPERFLUID = "Superfluid"
-    DEGENERATE = "Degenerate"
 
 
 def delta_critical(u: float, v: float) -> tuple[float, float]:
@@ -114,32 +105,6 @@ def classify(params: ModelParams,
     return phase_label(solution.flat_manifold, solution.m_over_n,
                        solution.n_local_minima, solution.point.s_x,
                        params.u, params.v)
-
-
-def phase_label(flat_manifold: bool, m_over_n: float, n_local_minima: int,
-                s_x: float, u: float, v: float) -> PhaseLabel:
-    """Phase label from a ground state's observables and the couplings, as
-    floats (a sweep labels its nodes with it, without a ModelParams).
-
-    Rules, in order: Degenerate on a flat manifold; Mott when m vanishes at
-    a single minimum on the attractive side of the red line (v < -u);
-    Superfluid when v < -u with a double well; Superradiant when partially
-    polarized with macroscopic photons at v >= -u (the photon density is
-    (lam s_x / omega)**2, so that is s_x off 0 with u > 0); Normal
-    otherwise.  Thresholds guard round-off only -- mean-field observables
-    are exact to solver precision.
-    """
-    if flat_manifold:
-        return PhaseLabel.DEGENERATE
-    m = abs(m_over_n)
-    if m <= _CLASSIFY_TOL and n_local_minima == 1 and v < -u:
-        return PhaseLabel.MOTT
-    if v < -u and n_local_minima == 2:
-        return PhaseLabel.SUPERFLUID
-    if (m < 1.0 - _CLASSIFY_TOL and u > 0.0 and abs(s_x) > _CLASSIFY_TOL
-            and v >= -u):
-        return PhaseLabel.SUPERRADIANT
-    return PhaseLabel.NORMAL
 
 
 def susceptibility_v(params: ModelParams) -> float:

@@ -9,8 +9,9 @@ remaining cells stay empty; any other exception stops the sweep.
 JSON output is strict RFC 8259: non-finite floats are written as null.
 
 A node's mean-field cells are computed on floats and equal what
-ground_state and classify give there, error messages included; only the
-finite-N columns build a ModelParams and load the finite-N solver.
+ground_state and phases.classify give there, error messages included: its
+label is meanfield's phase_label, so a sweep loads no phases module.  Only
+the finite-N columns build a ModelParams and load the finite-N solver.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import json
 import math
 
 from . import __version__
-from .meanfield import point_observables, solve_point
+from .meanfield import phase_label, point_observables, solve_point
 from .model import (AXES, KEYS, LADDER_EPS, ConvergenceError, ModelParams, ParameterError,
                     _integer, _real, check_couplings, check_ladder, dumps_json, record)
-from .phases import phase_label
 
 MAX_NODES = 10**6  # grid nodes in a sweep: a larger grid is refused before it is built
 
@@ -306,7 +306,8 @@ def _parse_cell(text: str):
 
 def parse_csv(text: str) -> SweepDataset:
     """Inverse of serialize_csv (cell types inferred; ints and floats that
-    print identically round-trip to identical bytes)."""
+    print identically round-trip to identical bytes).  A row whose cell
+    count is not the header's is a ParameterError."""
     provenance = []
     body = []
     for line in text.splitlines():
@@ -321,5 +322,9 @@ def parse_csv(text: str) -> SweepDataset:
     reader = csv.reader(body)
     rows = list(reader)
     columns = tuple(rows[0])
+    for number, row in enumerate(rows[1:], 1):
+        if len(row) != len(columns):
+            raise ParameterError(f"dataset row {number} has {len(row)} cells, "
+                                 f"the header {len(columns)}")
     parsed = tuple(tuple(_parse_cell(c) for c in row) for row in rows[1:])
     return SweepDataset(columns=columns, rows=parsed, provenance=tuple(provenance))

@@ -19,10 +19,9 @@ import pytest
 
 from extdicke import cli
 from extdicke.exact import converge_cutoff
-from extdicke.meanfield import ground_state, oracle_grid_minimum
+from extdicke.meanfield import PhaseLabel, ground_state, oracle_grid_minimum
 from extdicke.model import ModelParams, TrapSpec, estimate_from_trap
 from extdicke.phases import (
-    PhaseLabel,
     classify,
     detect_transitions,
     susceptibility_v,

@@ -23,6 +23,7 @@ HOMES = {
     "estimate_from_trap": "model",
     "BlochPoint": "meanfield",
     "MeanFieldSolution": "meanfield",
+    "PhaseLabel": "meanfield",
     "energy_landscape": "meanfield",
     "ground_state": "meanfield",
     "oracle_grid_minimum": "meanfield",
@@ -31,7 +32,6 @@ HOMES = {
     "converge_cutoff": "exact",
     "product_state_energy": "exact",
     "solve_at_cutoff": "exact",
-    "PhaseLabel": "phases",
     "TransitionRecord": "phases",
     "classify": "phases",
     "critical_overlays": "phases",

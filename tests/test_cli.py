@@ -500,8 +500,9 @@ def test_exact_check_refuses_an_unresolved_photon_field(capsys):
 
 
 @pytest.mark.parametrize("n_list", ["8,x", "8.5", "4,nan", ",", "0", "-3",
-                                    "8,0"])
+                                    "8,0", "8,16,8.0"])
 def test_exact_check_bad_n_list_names_the_flag(n_list, capsys):
+    # a repeated N ("8,16,8.0") would be solved and printed twice
     assert cli.main(["exact-check", "--n-list", n_list]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -687,10 +688,11 @@ def test_scan_bad_axis_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [{"exact_eps": 0}, {"exact_eps": -1e-8},
-                                 {"exact_n_max_start": 0}])
+                                 {"exact_n_max_start": 0}, {"exact_n": [8, 8]}])
 def test_scan_bad_exact_settings_exit_2_before_any_node(bad, tmp_path, capsys):
     # exact_n_max_start is no longer a setting: the ladder always starts at
-    # the same cutoff, and a config that sets it names the unknown key
+    # the same cutoff, and a config that sets it names the unknown key; a
+    # repeated atom number would solve its ladder twice at each node
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({**SWEEP_JSON, "exact_n": [4], **bad}))
     out = tmp_path / "data.csv"

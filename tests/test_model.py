@@ -236,8 +236,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         return sorted(["extdicke", "extdicke.cli", "extdicke.meanfield", "extdicke.model"]
                       + [f"extdicke.{name}" for name in names])
 
-    # the bottom layers: model imports no module of the package, and
-    # meanfield imports model alone
+    # the bottom layers: model imports no module of the package, meanfield
+    # imports model alone, and sweep (which labels phases through meanfield)
+    # imports no phases
     def imported(module):
         return json.loads(_fresh(f"import json, sys, {module}; print(json.dumps(sorted("
                                  "m for m in sys.modules if m.split('.')[0] == 'extdicke')))"))
@@ -245,19 +246,23 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert imported("extdicke.model") == ["extdicke", "extdicke.model"]
     assert imported("extdicke.meanfield") == ["extdicke", "extdicke.meanfield",
                                               "extdicke.model"]
+    assert imported("extdicke.sweep") == ["extdicke", "extdicke.meanfield",
+                                          "extdicke.model", "extdicke.sweep"]
     # importing the package loads no module of it
     solve = _modules_after([["solve", "--delta", "0.3", *out("s.txt")],
                             ["solve", "--format", "json", *out("s.json")],
                             ["boundaries", "--v=-0.5", *out("b.txt")]])
     assert [ours for _, ours in solve] \
         == [["extdicke"], package(), *[package("phases")] * 3]
-    # a scan without exact_n and each figure load no finite-N solver
+    # a scan without exact_n and each figure load no finite-N solver, and
+    # only fig3 (for its critical lines) loads phases
     sweeps = _modules_after([["scan", "--config", str(tmp_path / "mf.json"),
                               *out("mf.csv")],
                              figure("fig2", "--points", "5"),
-                             figure("fig3", "--resolution", "5x4"),
-                             figure("fig4", "--points", "5")])
-    assert [ours for _, ours in sweeps[2:]] == [package("phases", "sweep")] * 4
+                             figure("fig4", "--points", "5"),
+                             figure("fig3", "--resolution", "5x4")])
+    assert [ours for _, ours in sweeps[2:]] \
+        == [*[package("sweep")] * 3, package("phases", "sweep")]
     check = _modules_after([["exact-check", "--n-list", "2", "--format", "json",
                              *out("c.json")]])
     assert check[-1][1] == package("exact")

@@ -9,11 +9,10 @@ import pytest
 from mp_reference import minima as mp_minima
 
 from extdicke import phases
-from extdicke.meanfield import ground_state
+from extdicke.meanfield import PhaseLabel, ground_state
 from extdicke.model import ModelParams, ParameterError, coupling_scale
 from extdicke.sweep import AxisSpec, SweepConfig, run_sweep
 from extdicke.phases import (
-    PhaseLabel,
     classify,
     critical_overlays,
     delta_critical,

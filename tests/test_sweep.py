@@ -177,6 +177,15 @@ def test_an_atom_number_beyond_the_budget_stops_the_config():
         small_config(exact_n=(2, 200_000))
 
 
+def test_a_repeated_atom_number_stops_the_config():
+    # a repeated entry would write its exact_N columns twice and solve its
+    # ladder twice at every node; 2.0 is the atom number 2
+    with pytest.raises(ParameterError, match="^exact_n entry 2 repeated$"):
+        small_config(exact_n=(2, 2))
+    with pytest.raises(ParameterError, match="^exact_n entry 2 repeated$"):
+        SweepConfig.from_dict({**small_config().to_dict(), "exact_n": [2, 4, 2.0]})
+
+
 # --- serialization ------------------------------------------------------
 
 def test_csv_round_trip_is_byte_stable():
@@ -351,6 +360,23 @@ def test_serialize_csv_matches_csv_writer(dataset):
 def test_parse_csv_rejects_empty_input():
     with pytest.raises(ParameterError, match="empty dataset"):
         parse_csv("")
+
+
+def test_parse_csv_refuses_a_truncated_file():
+    # a file cut inside its third row reads as a short row, not as data
+    dataset = run_sweep(small_config())
+    lines = serialize_csv(dataset).splitlines(keepends=True)  # 2 provenance lines, header
+    cut = "".join(lines[:5]) + lines[5][:40]
+    cells = len(lines[5][:40].split(","))
+    assert cells < len(dataset.columns) == 13
+    with pytest.raises(ParameterError, match=f"^dataset row 3 has {cells} cells, "
+                                             "the header 13$"):
+        parse_csv(cut)
+    # a row with too many cells is refused as well
+    with pytest.raises(ParameterError, match="^dataset row 1 has 2 cells, the header 3$"):
+        parse_csv("a,b,c\n1,2\n3,4,5,6\n")
+    with pytest.raises(ParameterError, match="^dataset row 2 has 4 cells, the header 3$"):
+        parse_csv("a,b,c\n1,2,3\n3,4,5,6\n")
 
 
 def test_parse_csv_reads_provenance_with_and_without_a_space():
