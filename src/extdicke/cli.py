@@ -101,14 +101,14 @@ def cmd_estimate(args) -> int:
     est = estimate_from_trap(spec)
     payload = {
         "v": est.v,
-        "v_cyclic_mhz": est.metadata["v_cyclic_mhz"],
-        "v_shorthand": est.metadata["v_shorthand"],
+        "v_cyclic_mhz": est.v_cyclic_mhz,
+        "v_shorthand": est.v_shorthand,
         KEYS[1]: est.lam,  # the key of lam
         "u": est.u,
         "n_crit": est.n_crit,
-        "d_x": est.metadata["d_x"],
-        "d_y": est.metadata["d_y"],
-        "d_z": est.metadata["d_z"],
+        "d_x": est.d_x,
+        "d_y": est.d_y,
+        "d_z": est.d_z,
     }
     _write_text(args.out, _format_payload(payload, args.format))
     return EXIT_OK
@@ -122,7 +122,6 @@ def cmd_solve(args) -> int:
     payload = {
         "s_x": sol.point.s_x,
         "s_z": sol.point.s_z,
-        "eta": sol.eta,
         "alpha": sol.alpha,
         "m_over_n": sol.m_over_n,
         "photon_density": sol.photon_density,

@@ -32,10 +32,7 @@ Two routes find the stationary points independently: solve_point (behind
 ground_state) from the secular equation, and oracle_minimum (behind
 oracle_grid_minimum, the cross-check) from the sign changes of de/dtheta
 on a grid of angles.  They share everything else (_solve): the scaling,
-the flat rule and the rule for the reported point (_select).  Each
-solution also reports the rational coordinate eta of its point,
-s_x = (eta**2 - 1)/(2*(eta**2 + 1)), s_z = eta/(1 + eta**2), with
-eta = +-inf the single point (s_x, s_z) = (1/2, 0).
+the flat rule and the rule for the reported point (_select).
 """
 
 from __future__ import annotations
@@ -59,23 +56,6 @@ _TIE_EPS = 1e-10
 _DISTINCT_ANGLE = 1e-8
 # Round-off guard of the phase labels on m/N and on s_x.
 _CLASSIFY_TOL = 1e-6
-
-
-def bloch_from_eta(eta):
-    """Bloch-circle point (s_x, s_z) for rational parameter eta."""
-    if math.isinf(eta):
-        return 0.5, 0.0
-    d = 1.0 + eta * eta
-    return (eta * eta - 1.0) / (2.0 * d), eta / d
-
-
-def eta_from_point(s_x, s_z):
-    """Inverse of bloch_from_eta, as a ratio that keeps the bits of a small
-    s_z (1/2 - s_x = 1/(1 + eta**2), 1/2 + s_x = eta**2/(1 + eta**2));
-    the s_x = 1/2 pole maps to +inf."""
-    if s_x <= 0.0:
-        return s_z / (0.5 - s_x)
-    return (0.5 + s_x) / s_z if s_z else math.inf
 
 
 def reduced_energy(u, v, delta, rabi, s_x, s_z):
@@ -272,25 +252,24 @@ def _solve(u, v, delta, rabi, points):
         s_x, s_z = -0.5, 0.0
         e = reduced_energy(u, v, delta, rabi, s_x, s_z)
         residual = grad_residual(u, v, delta, rabi, s_x, s_z)
-        return (s_x, s_z, math.ldexp(e, k), 0.0, math.ldexp(residual, k),
-                True, True, 0)
+        return s_x, s_z, math.ldexp(e, k), math.ldexp(residual, k), True, True, 0
 
     cands = points(u, v, delta, rabi)
     minima = [c for c in cands if c[4]]
     rep, degenerate = _select(cands, minima, scale)
     s_x, s_z = rep[1], rep[2]
     residual = grad_residual(u, v, delta, rabi, s_x, s_z)
-    return (s_x, s_z, math.ldexp(rep[3], k), eta_from_point(s_x, s_z),
-            math.ldexp(residual, k), degenerate, False, len(minima))
+    return (s_x, s_z, math.ldexp(rep[3], k), math.ldexp(residual, k),
+            degenerate, False, len(minima))
 
 
 def solve_point(u, v, delta, rabi):
     """Global minimum of the reduced energy over the Bloch circle.
 
-    Returns (s_x, s_z, energy, eta, residual, degenerate, flat, n_minima):
+    Returns (s_x, s_z, energy, residual, degenerate, flat, n_minima):
 
-    * eta is the rational coordinate of the reported point (+inf at the
-      (1/2, 0) pole), residual its on-circle gradient defect;
+    * (s_x, s_z) is the reported point and residual its on-circle gradient
+      defect;
     * the point is the global minimum that stationary_points marks (of a
       mirror pair, the one with the largest s_z, then s_x); degenerate is
       True when a second, distinct stationary point ties it within 1e-10 * S;
@@ -360,17 +339,14 @@ class BlochPoint:
 class MeanFieldSolution:
     """Ground-state data in the thermodynamic limit (energies per atom).
 
-    eta is the rational coordinate of the point (+inf at (1/2, 0)) and
-    residual its on-circle gradient defect |de/dtheta|.  The point is the
-    global minimum (of a mirror pair, the one with the larger s_z, then
-    s_x).  degenerate marks a second stationary point, not necessarily a
-    minimum, more than 1e-8 rad away and within 1e-10 * S (S the largest
-    coupling) of its energy.  flat_manifold marks a constant energy on the
-    circle.
+    point is the global minimum (of a mirror pair, the one with the larger
+    s_z, then s_x) and residual its on-circle gradient defect |de/dtheta|.
+    degenerate marks a second stationary point, not necessarily a minimum,
+    more than 1e-8 rad away and within 1e-10 * S (S the largest coupling)
+    of its energy.  flat_manifold marks a constant energy on the circle.
     """
 
     point: BlochPoint
-    eta: float
     alpha: float
     energy_per_atom: float
     m_over_n: float
@@ -437,12 +413,11 @@ def phase_label(flat_manifold: bool, m_over_n: float, n_local_minima: int,
     return PhaseLabel.NORMAL
 
 
-def _solution(params: ModelParams, s_x, s_z, e, eta, residual,
+def _solution(params: ModelParams, s_x, s_z, e, residual,
               degenerate, flat, n_minima) -> MeanFieldSolution:
     alpha, m, photons = point_observables(params.lam, params.omega, s_x, s_z)
     return MeanFieldSolution(
         point=BlochPoint(s_x, s_z),
-        eta=eta,
         alpha=alpha,
         energy_per_atom=e,
         m_over_n=m,

@@ -354,17 +354,19 @@ class TrapSpec:
 
 @record
 class TrapEstimate:
-    """Coupling scales derived from a TrapSpec (angular MHz)."""
+    """Coupling scales derived from a TrapSpec (angular MHz), with the
+    oscillator lengths d_x, d_y, d_z (m) behind v, the shorthand value of v
+    and v in cyclic MHz (see estimate_from_trap)."""
 
     v: float
     lam: float
     u: float
     n_crit: float
-    metadata: dict = None  # a fresh {} when not given
-
-    def __post_init__(self):
-        if self.metadata is None:
-            object.__setattr__(self, "metadata", {})
+    d_x: float
+    d_y: float
+    d_z: float
+    v_shorthand: float
+    v_cyclic_mhz: float
 
 
 def estimate_from_trap(spec: TrapSpec) -> TrapEstimate:
@@ -380,7 +382,8 @@ def estimate_from_trap(spec: TrapSpec) -> TrapEstimate:
 
     A common shorthand drops the factor 2 relative to this route
     (N*drho*hbar/(sqrt(2*pi)*m*dx*dy*dz)); its value, and the value of v
-    read in cyclic MHz instead of Mrad/s, are reported in the metadata.
+    read in cyclic MHz instead of Mrad/s, are the fields v_shorthand and
+    v_cyclic_mhz, beside the oscillator lengths d_x, d_y, d_z.
     The spec checked its values: the one error here is an oscillator volume
     outside the float range.
     """
@@ -396,18 +399,10 @@ def estimate_from_trap(spec: TrapSpec) -> TrapEstimate:
     drho = spec.rho_intra - spec.rho_inter
     v_si = spec.n_atoms * drho * (4.0 * math.pi * hbar / spec.mass) * overlap
     v = v_si / 1e6  # rad/s -> Mrad/s (angular MHz)
-    v_half = 0.5 * v
 
     lam = 2.0 * spec.single_coupling * math.sqrt(spec.n_atoms)
     u = lam * lam / spec.cavity_freq
     loss = spec.gamma_excited / spec.g0_max  # squared below without OverflowError
     n_crit = 0.5 * loss * loss
-
-    meta = {
-        "d_x": dx,
-        "d_y": dy,
-        "d_z": dz,
-        "v_shorthand": v_half,
-        "v_cyclic_mhz": v / (2.0 * math.pi),
-    }
-    return TrapEstimate(v=v, lam=lam, u=u, n_crit=n_crit, metadata=meta)
+    return TrapEstimate(v=v, lam=lam, u=u, n_crit=n_crit, d_x=dx, d_y=dy, d_z=dz,
+                        v_shorthand=0.5 * v, v_cyclic_mhz=v / (2.0 * math.pi))

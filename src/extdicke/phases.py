@@ -418,9 +418,9 @@ def critical_overlays(u: float, omega_rabi: float,
         vs = [lo + (min(v_start, v_hi) - lo) * k / (n - 1) for k in range(n)]
         plus, minus = [], []
         for v in vs:
-            d = mott_boundary_delta(u, v, omega_rabi)
-            if d is None:
-                continue
+            # v <= v_start, so None comes only from a last sample rounded
+            # past the cusp, which is delta = 0
+            d = mott_boundary_delta(u, v, omega_rabi) or 0.0
             if d_lo <= d <= d_hi:
                 plus.append((d, v))
             if d_lo <= -d <= d_hi:

@@ -149,7 +149,6 @@ class SweepDataset:
 
 _MF_COLUMNS = (
     "u",
-    "eta",
     "alpha",
     "s_x",
     "s_z",
@@ -189,11 +188,10 @@ def _solve_node(config: SweepConfig, slots: list[int], base: list,
     omega, lam, delta, rabi, v = couplings
     try:
         u = check_couplings(omega, lam, delta, rabi, v)
-        s_x, s_z, e, eta, residual, degenerate, flat, n_minima = \
-            solve_point(u, v, delta, rabi)
+        s_x, s_z, e, residual, degenerate, flat, n_minima = solve_point(u, v, delta, rabi)
         alpha, m_over_n, photon_density = point_observables(lam, omega, s_x, s_z)
         label = phase_label(flat, m_over_n, n_minima, s_x, u, v)
-        row.extend((u, eta, alpha, s_x, s_z, m_over_n, photon_density, e,
+        row.extend((u, alpha, s_x, s_z, m_over_n, photon_density, e,
                     label.value, residual, bool(degenerate)))
     except ParameterError as exc:  # errors are data
         row.extend([""] * (len(_MF_COLUMNS) + 4 * len(config.exact_n)))
@@ -223,7 +221,7 @@ def run_sweep(config: SweepConfig) -> SweepDataset:
     base = [getattr(config.base, name) for name in AXES]
     rows = [_solve_node(config, slots, base, node) for node in nodes]
     provenance = (
-        f"extdicke sweep format 14, version {__version__}",
+        f"extdicke sweep format 15, version {__version__}",
         "config " + json.dumps(config.to_dict(), separators=(",", ":")),
     )
     return SweepDataset(columns=_columns(config), rows=tuple(rows),

@@ -173,11 +173,11 @@ def test_trap_parameter_estimates():
     assert abs(est.u - 0.315) / 0.315 < 0.01
     assert abs(est.n_crit - 0.04) / 0.04 < 0.01
     assert abs(est.v - (-0.238)) / 0.238 < 0.05
-    assert est.metadata["v_shorthand"] == pytest.approx(est.v / 2.0, rel=1e-12)
+    assert est.v_shorthand == pytest.approx(est.v / 2.0, rel=1e-12)
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 14.  A changed digest is a change of
+# writes, recorded at sweep format 15.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel, parity-sector and secular-equation changes gave.  The provenance line
@@ -186,17 +186,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "1b0d66e37ea13b321b3fd3b26cad707651cfc1b7c1e6de2b88ba4ec63c6ab04b",
-      "fig2_curve1.csv": "23133dc1f716d1c19d0d922041eb11818ce5d2ea5e64b96f98e31d7572fd8406",
-      "fig2_curve2.csv": "685b8737310cef95f42c153083d0ba4f8bf0a2a870036d9d7dd757566b7ac97b"}),
+     {"fig2_curve0.csv": "f8af9b9a135d56c7832aa1f57d9916c9e9d262a90f241458800d6a98cfad0c6c",
+      "fig2_curve1.csv": "214a926191a1b64d7ac4a06a2cf019082d6ffd0eb2058740f1edc10eef81ab11",
+      "fig2_curve2.csv": "f12ab64a68c1dda3efa9640ff83ca9cf59ef107fa70d3c9fea01946d795a622e"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "14fc073da298e8c7992a68f01f6a202a6888e2c8033fc70b63b274c635374732",
+     {"fig3_grid.csv": "0b7861cf0cf2e931f349393fa4f3359346440fe26cc76f63b86d5f191ecb5008",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "c98cc7c389ad9dee4182a4fdd8e940862a4fe35f053500b37dc5be470a308748",
-      "fig4_curve1.csv": "6361162c9027c2307f5a35e8f08fb2451176b435aeadb3ca0af38c11eb644133",
-      "fig4_curve2.csv": "ef0341d2c6c7ffd1407ad54bee52d2ca882d1fcfa0b320a780d6533a4521c27a",
-      "fig4_curve3.csv": "d295acefb445b438e62d2c44bc2a5b304b4bf254ea1e200c2aebd59a3f5d922c"}),
+     {"fig4_curve0.csv": "aa769e312f17a78fb5a6c27ecd3d0b118c8308426b4b39ae84788187feb58eaf",
+      "fig4_curve1.csv": "283c5c4b45da6cc941a072993782d5ca4c275bc72ffdcfead62eb85faae946e4",
+      "fig4_curve2.csv": "b0ec9c752de3155b670f641734f314b9407670761755388d2ac742f48c4f3ba4",
+      "fig4_curve3.csv": "fc64bdb93e6c37775387cfa53476b660b787117dd558743d61728ff742b8035a"}),
 ]
 
 
@@ -223,7 +223,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 14: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 15: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build and one
@@ -234,7 +234,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "694f7f40fb4dc52ea763d434152d4892f5942c3e5563a27769dc1f6de999d538",
+    "572b2d548d288797991a5cdd1b231c1e2c419b74bd05fe3969005a79a2d032f2",
 )
 
 

@@ -662,19 +662,19 @@ def test_json_outputs_are_strict(tmp_path, capsys):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
-    # at delta = 0 (no drive) the ground state sits on the eta = +-inf pole
-    assert cli.main(["solve", "--omega", "1", "--lambda", "1", "--delta", "0",
-                     "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out, parse_constant=reject)["eta"] is None
+    # at omega = 1e-300 the photon density (lambda*s_x/omega)**2 overflows
+    assert cli.main(["solve", "--omega", "1e-300", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["photon_density"] is None
     config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({**SWEEP_JSON,
-                                  "base": {**SWEEP_JSON["base"], "omega_rabi": 0.0}}))
+    config.write_text(json.dumps({**SWEEP_JSON, "axes": [
+        {"name": "omega", "min": 1e-300, "max": 1.0, "count": 2}]}))
     out = tmp_path / "data.json"
     assert cli.main(["scan", "--config", str(config), "--format", "json",
                      "--out", str(out)]) == 0
     doc = json.loads(out.read_text(), parse_constant=reject)
-    eta = doc["columns"].index("eta")
-    assert [row[0] for row in doc["rows"] if row[eta] is None] == [0.0]
+    photons = doc["columns"].index("photon_density")
+    assert [row[0] for row in doc["rows"] if row[photons] is None] == [1e-300]
 
 
 def test_scan_bad_axis_exit_2(tmp_path, capsys):
@@ -759,7 +759,7 @@ def test_fig2_outputs_and_determinism(tmp_path, capsys):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     script = (d1 / "fig2.gp").read_text()
     assert "fig2_curve0.csv" in script
-    assert "using 1:9" in script and "using 1:7" in script
+    assert "using 1:8" in script and "using 1:6" in script
     dataset = parse_csv((d1 / "fig2_curve0.csv").read_text())
     assert len(dataset.rows) == 15
 
@@ -786,7 +786,7 @@ def test_fig4_default_four_drives(tmp_path, capsys):
     capsys.readouterr()
     for i in range(4):
         assert (out_dir / f"fig4_curve{i}.csv").is_file()
-    assert "using 1:7" in (out_dir / "fig4.gp").read_text()
+    assert "using 1:6" in (out_dir / "fig4.gp").read_text()
 
 
 def test_u_with_mhz_units_is_refused_before_any_file(tmp_path, capsys):

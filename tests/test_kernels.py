@@ -25,14 +25,24 @@ def companion_real_roots(coeffs, imag_tol=1e-7):
     return real
 
 
+def quartic_point(eta):
+    """The Bloch-circle point (s_x, s_z) of a root eta of the stationarity
+    quartic (the map of mp_reference): s_x = (eta**2 - 1)/(2(eta**2 + 1)),
+    s_z = eta/(1 + eta**2)."""
+    d = 1.0 + eta * eta
+    return (eta * eta - 1.0) / (2.0 * d), eta / d
+
+
 def random_params(rng):
     return (rng.uniform(0.0, 5.0), rng.uniform(-5.0, 5.0),
             rng.uniform(-3.0, 3.0), rng.uniform(0.0, 3.0))
 
 
 def test_roots_match_companion_matrix_on_generic_coefficients():
-    # the eta of each stationary point is a real root of the stationarity
-    # quartic delta*eta**4 + 2(w - rabi)*eta**3 - 2(w + rabi)*eta - delta
+    # each stationary point is the quartic_point of a real root of the
+    # stationarity quartic delta*eta**4 + 2(w - rabi)*eta**3 - 2(w + rabi)*eta
+    # - delta.  The roots run round the circle in the order of the angle
+    # atan2(s_z, -s_x), which is cut at (1/2, 0), stationary only at delta = 0
     rng = random.Random(12)
     checked = 0
     for _ in range(500):
@@ -42,11 +52,11 @@ def test_roots_match_companion_matrix_on_generic_coefficients():
         # companion eigenvalues blur clustered roots; only score clean cases
         if any(b - a < 1e-3 for a, b in zip(oracle, oracle[1:])):
             continue
-        found = sorted(kernels.eta_from_point(p[1], p[2])
-                       for p in kernels.stationary_points(u, v, d, r))
+        found = sorted((p[1:3] for p in kernels.stationary_points(u, v, d, r)),
+                       key=lambda p: math.atan2(p[1], -p[0]))
         assert len(found) == len(oracle)
-        for want, got in zip(oracle, found):
-            assert abs(want - got) < 1e-6 * (1.0 + abs(want))
+        for want, got in zip(map(quartic_point, oracle), found):
+            assert math.dist(want, got) < 1e-6
         checked += 1
     assert checked > 400
 
@@ -107,50 +117,36 @@ def test_root_finding_work_count(monkeypatch):
     assert 0 < calls / roots < 8
 
 
-def test_bloch_eta_roundtrip():
-    for eta in (-25.0, -3.0, -1.0, -0.2, 0.0, 0.4, 1.0, 7.5):
-        s_x, s_z = kernels.bloch_from_eta(eta)
-        assert abs(s_x * s_x + s_z * s_z - 0.25) < 1e-15
-        assert abs(kernels.eta_from_point(s_x, s_z) - eta) < 1e-12 * (1.0 + abs(eta))
-    s_x, s_z = kernels.bloch_from_eta(math.inf)
-    assert (s_x, s_z) == (0.5, 0.0)
-    assert kernels.eta_from_point(s_x, s_z) == math.inf
-    assert kernels.bloch_from_eta(0.0) == (-0.5, 0.0)
-    # the ratio form keeps the bits of a small s_z, where 1 + 2*s_x cancels
-    assert kernels.eta_from_point(*kernels.bloch_from_eta(1e-10)) == 1e-10
-
-
 def test_solve_point_closed_forms():
     # symmetry-broken pair below the lobe edge: s_z = -delta/(2(u+v))
-    s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, 0.0, 0.5, 0.0)
+    s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(1.0, 0.0, 0.5, 0.0)
     assert abs(s_z + 0.25) < 1e-12
     assert abs(s_x - math.sqrt(0.25 - 0.0625)) < 1e-12
     assert abs(e + 0.3125) < 1e-12
     assert deg and not flat and nmin == 2
 
     # fully polarized state beyond the lobe: |delta| > u + v
-    s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(0.3, 0.0, -1.0, 0.0)
+    s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(0.3, 0.0, -1.0, 0.0)
     assert abs(s_z - 0.5) < 1e-12 and abs(s_x) < 1e-12
     assert abs(e + 0.5) < 1e-12
     assert not deg and nmin == 1
-    assert abs(eta - 1.0) < 1e-10
 
     # attractive v, symmetric double well in s_z: m = +-sqrt(1 - rabi^2/w^2)
     u, v, r = 1.0, -2.0, 0.5
-    s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(u, v, 0.0, r)
+    s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(u, v, 0.0, r)
     w = u + v
     assert abs(abs(s_z) - 0.5 * math.sqrt(1.0 - r * r / (w * w))) < 1e-12
     assert abs(e - (r * r / (4.0 * w) + v / 4.0)) < 1e-12
     assert deg and nmin == 2
 
     # drive-pinned state: single minimum at s_x = -1/2
-    s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, -1.2, 0.0, 0.5)
+    s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(1.0, -1.2, 0.0, 0.5)
     assert abs(s_x + 0.5) < 1e-12 and abs(s_z) < 1e-12
     assert abs(e - (-1.0 / 4.0 - 0.5 / 2.0)) < 1e-12
     assert not deg and nmin == 1
 
     # flat landscape: conventional point, flag raised
-    s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(0.0, 0.0, 0.0, 0.0)
+    s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(0.0, 0.0, 0.0, 0.0)
     assert flat and (s_x, s_z) == (-0.5, 0.0)
 
 
@@ -162,7 +158,7 @@ def test_solver_matches_grid_scan():
         sol = kernels.solve_point(u, v, d, r)
         ora = kernels.oracle_minimum(u, v, d, r, 4096)
         assert abs(sol[2] - ora[2]) < 1e-8 * scale
-        assert sol[4] < 1e-9 * scale  # stationarity residual
+        assert sol[3] < 1e-9 * scale  # stationarity residual
 
 
 _MAGNITUDE = st.floats(math.log(1e-12), math.log(1e12)).map(math.exp)  # log-uniform
@@ -173,7 +169,8 @@ _SIGNED = st.tuples(st.sampled_from((-1.0, 1.0)), _MAGNITUDE).map(lambda t: t[0]
 @given(u=_MAGNITUDE, v=_SIGNED, d=_SIGNED, r=st.one_of(st.just(0.0), _MAGNITUDE),
        d_exp=st.one_of(st.none(), st.floats(-16.0, -12.0)))
 def test_solver_matches_oracle_over_full_float_range(u, v, d, r, d_exp):
-    # n_minima is not compared: the 4096-point grid can miss a shallow minimum
+    # the 4096-point grid can miss a shallow minimum, and then its count
+    # and its tie are not compared
     if d_exp is not None:
         # |delta| = S * 10**d_exp: delta is zero to rounding or nearly so
         d = math.copysign(max(u, abs(v), r) * 10.0 ** d_exp, d)
@@ -181,8 +178,18 @@ def test_solver_matches_oracle_over_full_float_range(u, v, d, r, d_exp):
     sol = kernels.solve_point(u, v, d, r)
     ora = kernels.oracle_minimum(u, v, d, r, 4096)
     assert abs(sol[2] - ora[2]) <= 1e-8 * scale
-    assert sol[4] <= 1e-9 * scale  # stationarity residual
-    assert sol[5] == ora[5]  # degenerate
+    assert sol[3] <= 1e-9 * scale  # stationarity residual
+    if ora[6] == sol[6]:
+        assert sol[4] == ora[4]  # degenerate
+    else:
+        # two minima and the maximum between them within a grid cell or two
+        # make one sign change (u = 1, v = -delta = 485165195.4097903, rabi =
+        # 0: a mirror pair 6.4e-5 rad apart), and the grid's tie is blind to
+        # the well it missed: the 60-digit minima count the wells, and a
+        # pair that ties there is degenerate
+        wells = mp_minima(u, v, d, r)
+        assert len(wells) == sol[6]
+        assert sol[4] or wells[-1][0] - wells[0][0] > 1e-10 * scale
 
 
 def test_solver_matches_oracle_where_delta_is_zero_to_rounding():
@@ -197,8 +204,8 @@ def test_solver_matches_oracle_where_delta_is_zero_to_rounding():
         d = rng.choice((-1.0, 1.0)) * max(u, abs(v), r) * 10.0 ** rng.uniform(-15.0, -13.0)
         sol = kernels.solve_point(u, v, d, r)
         ora = kernels.oracle_minimum(u, v, d, r, 4096)
-        assert sol[7] == ora[7], (u, v, d, r)  # n_minima
-        assert sol[5] == ora[5], (u, v, d, r)  # degenerate
+        assert sol[6] == ora[6], (u, v, d, r)  # n_minima
+        assert sol[4] == ora[4], (u, v, d, r)  # degenerate
         assert abs(sol[0] - ora[0]) <= 1e-6 and abs(sol[1] - ora[1]) <= 1e-6, (u, v, d, r)
 
 
@@ -217,7 +224,7 @@ def test_solver_matches_oracle_on_quasi_flat_landscapes():
         cases.append((u, rng.choice((-1.0, 1.0)) * w - u, rng.choice((-1.0, 1.0)) * d, r))
     for c in cases:
         sol, ora = kernels.solve_point(*c), kernels.oracle_minimum(*c, 4096)
-        assert (sol[7], sol[5]) == (ora[7], ora[5]), c  # n_minima, degenerate
+        assert (sol[6], sol[4]) == (ora[6], ora[4]), c  # n_minima, degenerate
 
 
 def test_oracle_reports_the_solvers_half_of_an_exact_mirror_pair():
@@ -239,7 +246,7 @@ def test_tied_wells_inside_the_driven_pitchfork_rank_by_s_z():
     # a 60-digit solve finds, on both sides of delta = 0
     for delta in (0.0, 1e-18, -1e-18):
         c = (1.0, -2.0, delta, 1.0 - 4.5e-12)
-        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(*c)
+        s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(*c)
         assert deg and nmin == 2
         if delta == 0.0:
             assert 1e-6 < s_z < 2e-6
@@ -258,7 +265,7 @@ def test_lower_of_two_wells_apart_by_rounding_is_reported():
     c = (2.200131554526787, -1.763247416745692, 0.4368835276764189, 9.625730724253378e-11)
     wells = mp_minima(*c)
     assert len(wells) == 2 and 1.5e-13 < wells[1][0] - wells[0][0] < 1.7e-13
-    s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(*c)
+    s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(*c)
     assert abs(s_x - wells[0][1]) < 1e-12 and abs(s_z - wells[0][2]) < 1e-12
     assert abs(e - wells[0][0]) < 1e-15 and deg and nmin == 2
 
@@ -276,18 +283,18 @@ def test_reported_well_lies_opposite_delta_and_rabi():
         s = max(u, abs(v))
         d = rng.choice((-1.0, 1.0)) * s * 10.0 ** rng.uniform(-18.0, 0.5)
         r = rng.choice((0.0, s * 10.0 ** rng.uniform(-16.0, 0.5)))
-        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(u, v, d, r)
+        s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(u, v, d, r)
         assert flat or (s_z * d <= 0.0 and s_x * r <= 0.0), (u, v, d, r)
 
 
 def test_mirror_wells_where_delta_is_zero_to_rounding():
     # rabi = 0 and |delta| < u + v: the minima are the pair at the pole
     # a = 0, s_z = -delta/(2(u + v)) and s_x = +-1/2 to rounding; they tie,
-    # and the one with s_x > 0 is reported, with its finite eta
+    # and the one with s_x > 0 is reported
     for u, v, d in ((1.0, 2.0, 1e-14), (1.0, 2.0, 3e-14), (1.0, -0.9, 5e-15)):
-        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(u, v, d, 0.0)
+        s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(u, v, d, 0.0)
         assert (s_x, s_z) == (0.5, -0.5 * d / (u + v))
-        assert math.isfinite(eta) and deg and nmin == 2
+        assert deg and nmin == 2
 
 
 def test_one_minimum_just_outside_the_astroid_cusp():
@@ -297,7 +304,7 @@ def test_one_minimum_just_outside_the_astroid_cusp():
     # minimum, at s_x = -1/2, and one maximum (as an 80-digit solve of the
     # quartic finds too)
     for d in (1e-14, -1e-14):
-        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, 1e-12, d, 1.0)
+        s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(1.0, 1e-12, d, 1.0)
         assert (s_x, e, nmin) == (-0.5, -0.75, 1)
         assert len(kernels.stationary_points(1.0, 1e-12, d, 1.0)) == 2
 
@@ -305,11 +312,11 @@ def test_one_minimum_just_outside_the_astroid_cusp():
 def test_flat_level_in_units_of_the_coupling_scale():
     # u + v = 5e-14 * S: the energy rises by (u + v)/4 from the minima
     # s_x = +-1/2 to s_z = +-1/2, some 200 ulps, so the landscape is not flat
-    s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, -1.0 + 5e-14, 0.0, 0.0)
+    s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(1.0, -1.0 + 5e-14, 0.0, 0.0)
     assert not flat and nmin == 2
     # delta = 5e-15 * S alone: the whole landscape spans 5e-15 * S, below
     # the flat level; it is flat, with the conventional point
-    s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, -1.0, 5e-15, 0.0)
+    s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(1.0, -1.0, 5e-15, 0.0)
     assert flat and (s_x, s_z) == (-0.5, 0.0)
 
 
@@ -318,16 +325,16 @@ def test_weak_drive_at_the_lobe_edge_has_one_minimum():
     # outside the astroid's cusp: one minimum, next to eta = 1, where the
     # stationarity quartic also has a complex pair 1e-4 off the axis
     for v in (0.0, -1e-12):
-        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, v, -1.0, 1e-12)
+        s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(1.0, v, -1.0, 1e-12)
         assert (deg, nmin) == (False, 1)
-        assert abs(eta - 0.99987) < 1e-5
+        assert math.dist((s_x, s_z), quartic_point(0.99987)) < 5e-6
 
 
 def test_selection_window_stays_below_near_critical_splitting():
     # just inside the lobe (u + v = 2e-12, delta = rabi = 0) the minima are
     # s_x = +-1/2 and the maxima s_z = +-1/2 lie (u + v)/4 = 5e-13 higher:
     # the reported point is the marked global minimum, never a maximum
-    s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, -1.0 + 2e-12, 0.0, 0.0)
+    s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(1.0, -1.0 + 2e-12, 0.0, 0.0)
     assert (s_x, s_z, e) == (0.5, 0.0, -0.25)
     assert deg and nmin == 2
 
@@ -335,8 +342,8 @@ def test_selection_window_stays_below_near_critical_splitting():
 def test_tie_window_in_units_of_the_coupling_scale():
     # the minima s_z = +-1/2 at v = -3 (S = 3) differ by delta: a tie within
     # 1e-10 * S = 3e-10, two distinct states beyond it
-    assert kernels.solve_point(1.0, -3.0, 2e-10, 0.0)[5]
-    assert not kernels.solve_point(1.0, -3.0, 2e-9, 0.0)[5]
+    assert kernels.solve_point(1.0, -3.0, 2e-10, 0.0)[4]
+    assert not kernels.solve_point(1.0, -3.0, 2e-9, 0.0)[4]
 
 
 def _astroid_count(w, d, r):
@@ -368,7 +375,7 @@ def test_minima_count_matches_the_astroid():
             points.append((a * math.sin(phi) ** 3, a * math.cos(phi) ** 3))
         d, r = rng.choice(points)
         d *= rng.choice((-1.0, 1.0))
-        assert kernels.solve_point(u, v, d, r)[7] == _astroid_count(u + v, d, r), (u, v, d, r)
+        assert kernels.solve_point(u, v, d, r)[6] == _astroid_count(u + v, d, r), (u, v, d, r)
 
 
 def test_points_just_outside_the_fold_have_one_minimum():
@@ -377,7 +384,7 @@ def test_points_just_outside_the_fold_have_one_minimum():
     # maximum: no middle root, one minimum
     for args in ((1.0, -3.25, -2.0423935614765676, 0.03515625),
                  (1.0, -5.0, -3.186647787423918, 0.2109375)):
-        assert kernels.solve_point(*args)[7] == 1
+        assert kernels.solve_point(*args)[6] == 1
 
 
 def test_mirror_minima_next_to_the_lobe_edge_are_distinct():
@@ -389,7 +396,7 @@ def test_mirror_minima_next_to_the_lobe_edge_are_distinct():
         u = math.exp(rng.uniform(-3.0, 3.0))
         v = rng.uniform(-0.9, 3.0) * u
         sol = kernels.solve_point(u, v, (u + v) * (1.0 - 4.0 * 2.0**-53), 0.0)
-        assert sol[5], (u, v)  # degenerate
+        assert sol[4], (u, v)  # degenerate
         assert abs(sol[0]) < 1e-6
 
 
@@ -401,11 +408,11 @@ def test_overflow_and_underflow_are_not_flat():
     for args in ((1.0, -1e308, 1e308, 0.0), (1e-300, -3e-300, 1e-300, 0.0),
                  (5e-324, 1e-323, -5e-324, 0.0)):
         sol, ora = kernels.solve_point(*args), kernels.oracle_minimum(*args, 4096)
-        assert not sol[6] and not ora[6], args  # flat
-        assert sol[7] == ora[7], args  # n_minima
+        assert not sol[5] and not ora[5], args  # flat
+        assert sol[6] == ora[6], args  # n_minima
         assert math.copysign(1.0, sol[2]) < 0.0 and math.isfinite(sol[2])
         assert abs(sol[2] - ora[2]) <= 1e-12 * abs(ora[2])
-        assert sol[4] == 0.0  # residual
+        assert sol[3] == 0.0  # residual
     assert kernels.solve_point(1.0, -1e308, 1e308, 0.0)[:2] == (0.0, -0.5)
     # e = v/4 + delta*s_z at s_z = -1/2
     assert kernels.solve_point(1e-300, -3e-300, 1e-300, 0.0)[1:3] == (
@@ -423,7 +430,7 @@ def test_solver_is_deterministic():
 def test_residual_zero_only_at_stationary_points():
     # at a generic non-stationary angle the normalized gradient is order one
     u, v, d, r = 1.0, 0.3, 0.4, 0.2
-    assert kernels.grad_residual(u, v, d, r, *kernels.bloch_from_eta(0.37)) > 1e-3
+    assert kernels.grad_residual(u, v, d, r, *quartic_point(0.37)) > 1e-3
     sol = kernels.solve_point(u, v, d, r)
     assert kernels.grad_residual(u, v, d, r, sol[0], sol[1]) < 1e-10
 
@@ -433,7 +440,7 @@ def test_two_minima_just_inside_the_driven_pitchfork():
     # s_x = rabi/(2(u + v)), s_z = +-sqrt(1/4 - s_x**2), are the minima, down
     # to the last float below the pitchfork rabi = |u + v|, where they merge
     assert kernels.solve_point(0.17154784088234243, -0.4542168168298747,
-                               0.0, 0.2826689759475268)[5:] == (True, False, 2)
+                               0.0, 0.2826689759475268)[4:] == (True, False, 2)
     rng = random.Random(60)
     for _ in range(1000):
         u = math.exp(rng.uniform(-3.0, 3.0))
@@ -442,7 +449,7 @@ def test_two_minima_just_inside_the_driven_pitchfork():
         steps = rng.randint(0, 16)
         for _ in range(steps):
             r = math.nextafter(r, 0.0)
-        assert kernels.solve_point(u, v, 0.0, r)[7] == (2 if steps else 1), (u, v, r)
+        assert kernels.solve_point(u, v, 0.0, r)[6] == (2 if steps else 1), (u, v, r)
 
 
 def test_exact_lobe_edges_have_one_minimum_and_no_tie():
@@ -454,13 +461,13 @@ def test_exact_lobe_edges_have_one_minimum_and_no_tie():
         u = rng.uniform(0.1, 10.0)
         v = rng.uniform(-0.9, 2.0) * u
         d = rng.choice((-1.0, 1.0)) * (u + v)
-        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(u, v, d, 0.0)
+        s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(u, v, d, 0.0)
         assert (s_x, s_z, deg, nmin) == (0.0, -math.copysign(0.5, d), False, 1), (u, v, d)
 
 
 def test_minima_mirror_exactly_next_to_the_lobe_edge():
     # up to 16 float steps either side of a lobe edge, undriven or driven
-    # by 1e-12 * u: delta -> -delta flips s_z and eta and nothing else, as
+    # by 1e-12 * u: delta -> -delta flips s_z and nothing else, as
     # the points come in an order that depends on |delta| only and the
     # reported one is the marked global minimum
     rng = random.Random(4)
@@ -472,7 +479,7 @@ def test_minima_mirror_exactly_next_to_the_lobe_edge():
             d = math.nextafter(d, rng.choice((-math.inf, math.inf)))
         r = rng.choice((0.0, 1e-12 * u))
         a, b = kernels.solve_point(u, v, d, r), kernels.solve_point(u, v, -d, r)
-        assert repr(b) == repr((a[0], -a[1], a[2], -a[3], *a[4:])), (u, v, d, r)
+        assert repr(b) == repr((a[0], -a[1], a[2], *a[3:])), (u, v, d, r)
 
 
 def _near_astroid(rng, u, v):
@@ -517,6 +524,6 @@ def test_products_of_tiny_couplings_do_not_underflow():
     # a product of two of them underflows to 0, and no such product may
     # end up as a divisor
     for r in (0.7 + 0.0001 * i for i in range(1000)):
-        s_x, s_z, e, eta, res, deg, flat, nmin = kernels.solve_point(1.0, 0.0, -1e308, r)
+        s_x, s_z, e, res, deg, flat, nmin = kernels.solve_point(1.0, 0.0, -1e308, r)
         assert (s_z, e, flat, nmin) == (0.5, -0.5e308, False, 1), r
         assert -1e-300 < s_x <= 0.0, r

@@ -10,9 +10,7 @@ import pytest
 
 from extdicke.meanfield import (
     BlochPoint,
-    bloch_from_eta,
     energy_landscape,
-    eta_from_point,
     grad_residual,
     ground_state,
     oracle_grid_minimum,
@@ -27,24 +25,10 @@ def params_u(u, delta=0.0, omega_rabi=0.0, v=0.0, omega=1.0):
                        omega_rabi=omega_rabi, v=v, n_atoms=1)
 
 
-def random_point(rng):
-    theta = rng.uniform(-math.pi, math.pi)
-    return BlochPoint(0.5 * math.cos(theta), 0.5 * math.sin(theta))
-
-
 # --- geometry -----------------------------------------------------------
 
 def on_circle(point):
     return abs(point.s_x ** 2 + point.s_z ** 2 - 0.25) < 1e-14
-
-
-def test_eta_angle_consistency():
-    rng = random.Random(4)
-    for _ in range(100):
-        p = random_point(rng)
-        s_x, s_z = bloch_from_eta(eta_from_point(p.s_x, p.s_z))
-        assert abs(p.s_x - s_x) < 1e-12
-        assert abs(p.s_z - s_z) < 1e-12
 
 
 # --- energy functions ---------------------------------------------------
@@ -207,9 +191,6 @@ def test_solution_fields_are_consistent():
     assert sol.photon_density == pytest.approx(sol.alpha ** 2, abs=1e-15)
     assert sol.m_over_n == pytest.approx(2.0 * sol.point.s_z, abs=1e-15)
     assert on_circle(sol.point)
-    s_x, s_z = bloch_from_eta(sol.eta)
-    assert abs(s_x - sol.point.s_x) < 1e-12
-    assert abs(s_z - sol.point.s_z) < 1e-12
     assert sol.energy_per_atom == pytest.approx(
         reduced_energy(p.u, p.v, p.delta, p.omega_rabi, sol.point.s_x, sol.point.s_z),
         abs=1e-13)

@@ -315,10 +315,10 @@ def _records():
     axis = AxisSpec("v", 0.0, 1.0, 2)
     return [ModelParams(2.0, 0.5, -0.25, 0.125, -1.5, 8),
             REFERENCE_SPEC,
-            TrapEstimate(1.0, 2.0, 3.0, 0.5, {"d_x": 1e-6}),
+            TrapEstimate(1.0, 2.0, 3.0, 0.5, 1e-6, 2e-6, 3e-6, 0.5, 0.125),
             BlochPoint(0.3, -0.4),
-            MeanFieldSolution(BlochPoint(0.5, 0.0), math.inf, 0.5, -0.25, 0.0,
-                              0.25, 1e-17, True, True, 2),
+            MeanFieldSolution(BlochPoint(0.5, 0.0), 0.5, -0.25, 0.0, 0.25, 1e-17,
+                              True, True, 2),
             TransitionRecord(0.5, "first", "m_over_n", 1.0, 0.0),
             axis,
             SweepConfig(ModelParams(), (axis,), (4, 8), 1e-6),
@@ -335,11 +335,7 @@ def test_records_print_compare_and_freeze_as_frozen_dataclasses():
         # by position, by keyword, and from a copy of each value
         same = cls(*[copy.copy(v) for v in values])
         assert cls(**vars(rec)) == rec == same
-        if isinstance(rec, TrapEstimate):  # a dict field: unhashable
-            with pytest.raises(TypeError):
-                hash(rec)
-        else:
-            assert hash(same) == hash(rec)
+        assert hash(same) == hash(rec)
         # a record class of the same name and fields is another class
         twin = record(type(cls.__name__, (), {"__annotations__": dict.fromkeys(cls._fields)}))
         assert twin(*values) != rec and rec != twin(*values)
@@ -371,7 +367,7 @@ def test_record_defaults_and_post_init():
 
     assert ModelParams() == ModelParams(1.0, 1.0, 0.0, 0.0, 0.0, 1)
     assert ModelParams(2.0, v=-1.0) == ModelParams(omega=2.0, v=-1.0)
-    point = (BlochPoint(0.5, 0.0), 0.0, 0.5, -0.25, 0.0, 0.25, 0.0, False)
+    point = (BlochPoint(0.5, 0.0), 0.5, -0.25, 0.0, 0.25, 0.0, False)
     assert MeanFieldSolution(*point) == MeanFieldSolution(*point, False, 0)
     axes = (AxisSpec("v", 0.0, 1.0, 2),)
     assert SweepConfig(ModelParams(), axes) == SweepConfig(ModelParams(), axes, (), 1e-8)
@@ -384,14 +380,12 @@ def test_record_defaults_and_post_init():
     with pytest.raises(ParameterError, match="exact_eps"):
         SweepConfig(base=ModelParams(), axes=axes, exact_eps=0.0)
     assert type(ModelParams(n_atoms=4.0).n_atoms) is int
-    # each estimate without metadata gets a dict of its own
-    first = TrapEstimate(1.0, 2.0, 3.0, 0.5)
-    second = TrapEstimate(v=1.0, lam=2.0, u=3.0, n_crit=0.5)
-    assert first.metadata == {} and first.metadata is not second.metadata
-    first.metadata["k"] = 1.0
-    assert second.metadata == {}
+    # an estimate has no defaults and hashes by its numbers
+    numbers = (1.0, 2.0, 3.0, 0.5, 1e-6, 2e-6, 3e-6, 0.5, 0.125)
+    estimate = TrapEstimate(*numbers)
+    assert hash(estimate) == hash(TrapEstimate(**dict(zip(TrapEstimate._fields, numbers))))
     with pytest.raises(TypeError):
-        TrapEstimate(1.0, 2.0, 3.0)
+        TrapEstimate(1.0, 2.0, 3.0, 0.5)
 
 
 def test_omega_critical_is_abs_w():
@@ -406,11 +400,10 @@ def test_estimate_matches_frozen_reference():
     assert est.lam == pytest.approx(ORACLE_LAM, rel=1e-12)
     assert est.u == pytest.approx(ORACLE_U, rel=1e-12)
     assert est.n_crit == pytest.approx(ORACLE_N_CRIT, rel=1e-12)
-    for got, want in zip((est.metadata["d_x"], est.metadata["d_y"],
-                          est.metadata["d_z"]), ORACLE_D):
+    for got, want in zip((est.d_x, est.d_y, est.d_z), ORACLE_D):
         assert got == pytest.approx(want, rel=1e-12)
-    assert est.metadata["v_shorthand"] == pytest.approx(0.5 * ORACLE_V, rel=1e-12)
-    assert est.metadata["v_cyclic_mhz"] == pytest.approx(ORACLE_V / TWO_PI, rel=1e-12)
+    assert est.v_shorthand == pytest.approx(0.5 * ORACLE_V, rel=1e-12)
+    assert est.v_cyclic_mhz == pytest.approx(ORACLE_V / TWO_PI, rel=1e-12)
 
 
 def test_estimate_scaling_properties():

@@ -372,3 +372,17 @@ def test_overlays_lie_on_their_lines_and_inside_window():
         assert v == -u
     for d, v in lines["astroid_plus"]:
         assert d == pytest.approx(mott_boundary_delta(u, v, rabi), abs=1e-12)
+
+
+def test_astroid_overlay_ends_at_its_cusp():
+    # the last v sample rounds past the cusp v = -u - rabi, where |u + v| <
+    # rabi and mott_boundary_delta has no edge: it is drawn at the cusp,
+    # delta = 0, and both astroid lines end there
+    u, rabi, v_lo = 1.7611785596585996, 1.3518952631535905, -7.675208099376349
+    lines = dict(critical_overlays(u, rabi, (-3.0 * u, 3.0 * u), (v_lo, u)))
+    v_last = lines["astroid_plus"][-1][1]
+    assert v_last == v_lo + (-u - rabi - v_lo) * 200 / 200
+    assert mott_boundary_delta(u, v_last, rabi) is None
+    assert lines["astroid_plus"][-1] == (0.0, v_last)
+    assert lines["astroid_minus"][-1] == (0.0, v_last)
+    assert len(lines["astroid_plus"]) == len(lines["astroid_minus"]) == 201

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,7 +57,6 @@ def test_single_axis_rows_match_direct_solver():
         sol = ground_state(params)
         assert row[cols["delta"]] == delta
         assert row[cols["u"]] == params.u
-        assert row[cols["eta"]] == sol.eta
         assert row[cols["alpha"]] == sol.alpha
         assert row[cols["s_x"]] == sol.point.s_x
         assert row[cols["s_z"]] == sol.point.s_z
@@ -100,7 +100,7 @@ def test_error_rows_carry_message_and_empty_cells():
     assert "nonpositive cavity frequency" in zero[-1]
     assert all(cell == "" for cell in bad[1:-1])
     assert good[-1] == ""
-    assert isinstance(good[8], float)  # energy column solved normally
+    assert isinstance(good[dataset.columns.index("energy_per_atom")], float)  # solved normally
 
 
 def test_exact_columns_appended_per_atom_number():
@@ -191,7 +191,7 @@ def test_a_repeated_atom_number_stops_the_config():
 def test_csv_round_trip_is_byte_stable():
     dataset = run_sweep(small_config())
     text = serialize_csv(dataset)
-    assert text.startswith("# extdicke sweep format 14")
+    assert text.startswith("# extdicke sweep format 15")
     again = serialize_csv(parse_csv(text))
     assert again == text
 
@@ -202,7 +202,7 @@ def test_csv_floats_survive_round_trip_exactly():
     assert parsed.columns == dataset.columns
     cols = {name: i for i, name in enumerate(dataset.columns)}
     for row, back in zip(dataset.rows, parsed.rows):
-        for key in ("eta", "alpha", "s_x", "s_z", "energy_per_atom", "residual"):
+        for key in ("alpha", "s_x", "s_z", "energy_per_atom", "residual"):
             value = row[cols[key]]
             assert float(back[cols[key]]) == value
         assert back[cols["phase_label"]] == row[cols["phase_label"]]
@@ -281,7 +281,7 @@ _EDGE_AXES = SweepConfig(base=ModelParams(omega=1.0, lam=1.0, delta=0.2,
 def _reference_row(config: SweepConfig, values: tuple) -> tuple:
     """A node's mean-field row built through ModelParams, ground_state and
     classify, with the message of whatever they raise."""
-    n_mf = 11  # the mean-field columns, u to degenerate
+    n_mf = 10  # the mean-field columns, u to degenerate
     try:
         params = config.base.replace(
             **{AXES[KEYS.index(axis.name)]: x for axis, x in zip(config.axes, values)})
@@ -289,7 +289,7 @@ def _reference_row(config: SweepConfig, values: tuple) -> tuple:
         label = classify(params, sol).value
     except Exception as exc:
         return (*values, *[""] * n_mf, f"{type(exc).__name__}: {exc}")
-    return (*values, params.u, sol.eta, sol.alpha, sol.point.s_x, sol.point.s_z,
+    return (*values, params.u, sol.alpha, sol.point.s_x, sol.point.s_z,
             sol.m_over_n, sol.photon_density, sol.energy_per_atom, label,
             sol.residual, sol.degenerate, "")
 
@@ -312,7 +312,7 @@ def test_domain_edge_scan_bytes_are_pinned():
     assert errors == {"", "ParameterError: nonpositive cavity frequency",
                       "ParameterError: negative collective coupling"}
     assert hashlib.sha256(serialize_csv(dataset).encode()).hexdigest() \
-        == "df477fd6af28305172f2a6fa82f8a3c8342b5f1b69e4543e52506ccc1dbaec32"
+        == "31ed06f0db3ed1b2dea54aa21402174c916804e70a6ae84410a9236d343f1fb3"
 
 
 def _reference_csv(dataset: SweepDataset) -> str:
@@ -368,9 +368,9 @@ def test_parse_csv_refuses_a_truncated_file():
     lines = serialize_csv(dataset).splitlines(keepends=True)  # 2 provenance lines, header
     cut = "".join(lines[:5]) + lines[5][:40]
     cells = len(lines[5][:40].split(","))
-    assert cells < len(dataset.columns) == 13
+    assert cells < len(dataset.columns) == 12
     with pytest.raises(ParameterError, match=f"^dataset row 3 has {cells} cells, "
-                                             "the header 13$"):
+                                             "the header 12$"):
         parse_csv(cut)
     # a row with too many cells is refused as well
     with pytest.raises(ParameterError, match="^dataset row 1 has 2 cells, the header 3$"):
@@ -522,3 +522,20 @@ def test_bad_exact_counts_rejected():
     text = json.dumps({**small_config(exact_n=(4,)).to_dict(), "exact_eps": "NaN"})
     with pytest.raises(ParameterError, match="exact_eps"):
         SweepConfig.from_json(text.replace('"NaN"', "NaN"))  # json.loads takes NaN
+
+
+def _stated(text: str, lead: str) -> list[str]:
+    """The comma-separated names in the backticks that follow lead."""
+    return " ".join(text.split(f"{lead} `")[1].split("`")[0].split()).split(", ")
+
+
+def test_readme_states_the_dataset_header():
+    # the README's sweep bullet names the mean-field columns and the block of
+    # each atom number once; run_sweep writes them between the axes and error
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    bullet = text.split("\n- `sweep` — ")[1].split("\n\n")[0]
+    block = _stated(bullet, "the block")
+    header = ("delta", *_stated(bullet, "mean-field columns"),
+              *(name.replace("<N>", str(n)) for n in (2, 4) for name in block), "error")
+    config = small_config(axes=(AxisSpec("delta", 0.2, 0.6, 2),), exact_n=(2, 4))
+    assert run_sweep(config).columns == header

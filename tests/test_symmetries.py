@@ -3,11 +3,11 @@ public entry point (metamorphic testing: Chen, Cheung & Yiu, HKUST-CS98-01,
 1998; Segura et al., IEEE TSE 42, 805, 2016).
 
 * MIRROR, delta -> -delta.  The reflection s_z -> -s_z of the Bloch circle
-  (theta -> -theta, eta -> -eta; s_z = 0, eta = 0 and the pole eta = inf
-  stay put) maps the landscape onto itself, so s_z, theta, eta, m/N, J_z
-  and d(m/N)/dv change sign and nothing else moves, except the finite-N
-  parity (-1)**(n + m + j), which picks up (-1)**N.  At delta = +-0 the
-  landscape is one and the same, and so is every result.  There is no
+  (theta -> -theta; the points s_z = 0 stay put) maps the landscape onto
+  itself, so s_z, theta, m/N, J_z and d(m/N)/dv change sign and nothing
+  else moves, except the finite-N parity (-1)**(n + m + j), which picks up
+  (-1)**N.  At delta = +-0 the landscape is one and the same, and so is
+  every result.  There is no
   exemption: however close two wells are, the reported one is the global
   minimum that the kernel marks, which the mirror maps onto its image, and
   exact ties (mirror pairs at delta = 0 or rabi = 0) come from the same
@@ -87,7 +87,7 @@ def _times(e):
 
 
 MIRROR = Symmetry("mirror", {"delta": operator.neg, **dict.fromkeys(
-    ("s_z", "theta", "eta", "m_over_n", "chi", "jz"), _reflect)})
+    ("s_z", "theta", "m_over_n", "chi", "jz"), _reflect)})
 
 
 def scale(k):
@@ -224,7 +224,7 @@ def test_stationary_points(sym):
 
 @pytest.mark.parametrize("sym", KERNEL, ids=repr)
 def test_solve_point(sym):
-    names = ("s_x", "s_z", "energy_per_atom", "eta", "residual", "degenerate",
+    names = ("s_x", "s_z", "energy_per_atom", "residual", "degenerate",
              "flat_manifold", "n_local_minima")
     for name, p in FAMILIES:
         c = (p.u, p.v, p.delta, p.omega_rabi)
