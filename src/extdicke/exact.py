@@ -1,57 +1,68 @@
-"""Finite-N ground states in a two-centre displaced photon basis x Dicke (spin) basis.
+"""Finite-N ground states in extended coherent states where the photon is
+fast, else in a two-centre displaced photon basis x Dicke (spin) basis.
 
-The photon field of a superradiant or driven ground state sits near the
-coherent states |+-beta>, beta = sqrt(N) * |alpha| at the mean-field minimum
-(Emary & Brandes, PRE 67, 066203 (2003)).  So the photon basis at cutoff
-n_max is the span of the displaced number states D(+beta)|n> and
-D(-beta)|n>, n <= n_max (the coherent-state basis of Chen, Zhang, Liu & Wang,
-PRA 78, 051801(R) (2008)): n_max counts displaced photons per centre, and a
-cutoff holds the field's fluctuations, not its N * alpha**2 photons.  At
-beta = 0 (the normal phase) the centres coincide and the basis is the Fock
-basis.  Every photon operator is a dense P x P matrix on the P photon
-states, and a budget bounds the dimension solved and the P**2 entries of
-those matrices on every basis (model.basis_size).  The photon
-parity maps D(beta)|n> to (-1)**n D(-beta)|n>, so _photon_basis builds
-the photon-even states, then the photon-odd ones, from
-D(beta)|n> +- (-1)**n D(-beta)|n>, n = 0..n_max in order, by Gram-Schmidt in
-an auxiliary Fock space that holds their tails (_displaced).  A state whose
-remainder is at most _PRUNE is dropped (near beta = 0 the centres' states
-are nearly dependent), each state keeps the label n it was made from, and
-the basis at n_max is the first part of the basis at 2 * n_max: the states
-labelled above n_max are those a doubling adds.  Where the centres' states
-are orthogonal to rounding, the closed forms a^dag a + beta (a + a^dag) +
-beta**2 and a + a^dag + 2 beta on each centre replace it, so no array grows
-with beta.  With A and X the matrices of a^dag a and a + a^dag there, and
-J_x, J_z on the N + 1 states m = -j..j (j = N/2),
+    H = omega a^dag a + (lambda / sqrt(N) (a + a^dag) + omega_rabi) J_x
+        + delta J_z + (v / N) J_z**2,   j = N/2.
 
-    H = omega A (x) 1 + (lambda / sqrt(N) X + omega_rabi) (x) J_x
-        + 1 (x) (delta J_z + (v / N) J_z**2),
+Where c = lambda / (omega sqrt(N)) <= _ECS_MAX_C and x = (|delta| + |v|)
+lambda / omega**2 <= _ECS_MAX_X (ratios of couplings, exact under their
+scaling), the basis is the extended coherent states (ECS) of Chen, Zhang,
+Liu & Wang, PRA 78, 051801(R) (2008): each J_x eigenstate mu = -j..j has
+its own photon states D(-c mu)|n>, n <= n_max, on which the photon energy
+and the atom-field coupling are diagonal, omega n - omega c**2 mu**2 +
+omega_rabi mu; delta J_z and (v / N) J_z**2 couple the rows mu +- 1, mu +-
+2 through fixed overlaps <n|D(-+c)|n'>, <n|D(-+2c)|n'> (_ecs_operators).
+P = n_max + 1, and no mean-field centre.  At large c the rows couple only
+through the part of <n|D(c)|n'> near n ~ c**2, far above a small cutoff,
+so the ladder's weight rule certifies a wrong answer (omega = 1, lambda =
+sqrt(999), delta = 1e3, N = 8: c = 11, 2e-27 of the weight above label 4
+at cutoff 8, E0 50 % high).  At large x the spin is fast and spread over
+mu, each row's photon sits far from its own displacement and the ladder
+climbs (N = 1024, lambda = 3.2, delta = 20.5: cutoff 256 in ECS, 32 on the
+Fock basis, 23 times the time).
 
-held spin-major (KroneckerHamiltonian): a vector is an (N + 1) x P array of
-spin states m x photon states.  Each symmetry sector's operator carries its
-embedding into that array (_operators), the one map through which a start
-vector is gathered into the sector and a sector vector is put back.
+Elsewhere the photon field of a superradiant or driven ground state sits
+near the coherent states |+-beta>, beta = sqrt(N) * |alpha| at the
+mean-field minimum (Emary & Brandes, PRE 67, 066203 (2003)), and the photon
+basis at cutoff n_max is the span of D(+beta)|n> and D(-beta)|n>, n <=
+n_max (the two-centre basis of Chen et al.): n_max counts displaced photons
+per centre, the field's fluctuations, not its N * alpha**2 photons (at beta
+= 0, the Fock basis).  _photon_basis builds the photon-even states, then the
+photon-odd ones, from D(beta)|n> +- (-1)**n D(-beta)|n>, n = 0..n_max in
+order, by Gram-Schmidt in an auxiliary Fock space that holds their tails
+(_displaced), dropping a state whose remainder is at most _PRUNE (near beta
+= 0 the centres' states are nearly dependent); each keeps the label n it
+was made from.  Where the centres' states are orthogonal to rounding, the
+closed forms a^dag a + beta (a + a^dag) + beta**2 and a + a^dag + 2 beta on
+each centre replace it, so no array grows with beta.  With A and X the
+matrices of a^dag a and a + a^dag, H = omega A (x) 1 + (lambda / sqrt(N) X
++ omega_rabi) (x) J_x + 1 (x) (delta J_z + (v / N) J_z**2) on the states m.
 
-The parity exp(i*pi*(a^dag a + J_z + j)), the photon parity times
-(-1)**(m + j), maps a -> -a and J_x -> -J_x, so H commutes with it only
-without a drive: at omega_rabi = 0 its even sector, (photon-even x
-spin-even) + (photon-odd x spin-odd), and its odd one are solved apart
-(_spin_sectors); with a drive, the whole basis.  The spin flip F: m -> -m
-acts on the spin factor alone; it keeps J_x, a and J_z**2 and maps J_z ->
--J_z, so H(-delta) = F H(delta) F: delta < 0 is solved at -delta, and then
-J_z -> -J_z and parity -> (-1)**N * parity.  At delta = 0 F is a second
-symmetry, and each sector splits into its flip-even and flip-odd halves, so
-the two states of a flip doublet, split by far less than the solver
-resolves, lie in different sectors (inside one sector a Lanczos run from
-one start vector would find only one combination of them).  E0 and E1 are
-the two lowest of all the kept levels, so `gap` is E1 - E0 of H.  The
-reported `parity` is the ground state's expectation value of the parity:
-+-1 to rounding at omega_rabi = 0.  When sector ground energies agree
-within _LANCZOS_TOL * ||H||_inf (a tunnelling doublet below the solver's
-resolution, or an exact tie), the tie rule reports, at delta >= 0, the
-first of those sectors: the even one (the flip-even one, whose <J_z> is 0,
-where the flip splits the sectors); at delta < 0, its mirror image.  Every
-sector is solved by one thick-restart Lanczos in numpy with full
+In either basis photon operators are dense P x P matrices, a budget bounds
+the dimension solved and their P**2 entries (model.basis_size), and the
+basis at n_max is the first part of the basis at 2 * n_max (the states a
+doubling adds are labelled above n_max).  H is held spin-major
+(KroneckerHamiltonian), a vector as an (N + 1) x P array of spin states x
+photon states; each sector's operator carries its embedding into that
+array, the one map that gathers a start vector and puts a solution back.
+
+The parity exp(i*pi*(a^dag a + J_z + j)) maps a -> -a and J_x -> -J_x: at
+omega_rabi = 0 its even and odd sectors are solved apart (_spin_sectors).
+The spin flip F (m -> -m on the two-centre basis) keeps J_x, a and J_z**2
+and maps J_z -> -J_z, so H(-delta) = F H(delta) F: delta < 0 is solved at
+-delta, and then J_z -> -J_z and parity -> (-1)**N * parity.  At delta = 0 F
+is a second symmetry, and each sector splits into its flip-even and
+flip-odd halves, so the two states of a flip doublet, split by far less than
+the solver resolves, lie in different sectors (inside one sector a Lanczos
+run from one start vector would find only one combination of them).  E0 and
+E1 are the two lowest of all the kept levels, so `gap` is E1 - E0 of H.
+The reported `parity` is the ground state's expectation value of the
+parity: +-1 to rounding at omega_rabi = 0.  When sector ground energies
+agree within _LANCZOS_TOL * ||H||_inf (a tunnelling doublet below the
+solver's resolution, or an exact tie), the tie rule reports, at delta >= 0,
+the first of those sectors: the even one (the flip-even one, whose <J_z> is
+0, where the flip splits the sectors); at delta < 0, its mirror image.
+Every sector is solved by one thick-restart Lanczos in numpy with full
 reorthogonalisation (_lowest_levels); along a converge_cutoff ladder each
 run starts from the previous cutoff's psi0 + psi1 of every sector, carried
 to the photon states of the same parity and label (its projection, as the
@@ -62,10 +73,10 @@ ModelParams.hamiltonian_scale, so that no entry, norm or square overflows;
 the division is exact, and E0 and E1 are multiplied back by 2**k.
 
 The mean-field energy per atom is a variational bound for E0/N as N grows;
-at finite N the bound that is rigorous for every v is the product-state
-expectation, which exceeds the thermodynamic-limit value by
-v*(1/4 - s_z**2)/N (see product_state_energy).  That product state lies in
-the displaced basis at every cutoff.
+at finite N the rigorous bound for every v is the product-state energy, the
+thermodynamic value plus v*(1/4 - s_z**2)/N (product_state_energy).  That
+state lies in the two-centre basis at every cutoff (in ECS, up to the
+weight cut off).
 
 numpy is imported inside the functions that use it, so that importing the
 package (and every mean-field command) does not load it.  The finite-N path
@@ -76,6 +87,7 @@ vectors of the Lanczos runs are integer hashes of their index
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING
 
@@ -117,6 +129,10 @@ _TAIL_AMPLITUDE = 1e-20
 _LOG_TINY = -708.0
 _BIG_EXPONENT = 500
 _BIG = 2.0 ** _BIG_EXPONENT
+# The largest c = lambda / (omega sqrt(N)) and x = (|delta| + |v|) lambda /
+# omega**2 whose ladders are solved in ECS.
+_ECS_MAX_C = 0.125
+_ECS_MAX_X = 1.0
 
 
 class KroneckerHamiltonian:
@@ -124,27 +140,33 @@ class KroneckerHamiltonian:
 
     A vector is a rows x cols array psi, flattened by rows, and
 
-        H psi = psi a + sd * psi + J(psi x),
-        J(t)[c] = h0[c] * t[c] + hdn[c] * t[c - 1] + hup[c] * t[c + 1],
+        H psi = psi a + sd * psi + sum of h * T_o(psi x),  T_o(t)[r] = t[r + o],
 
-    with a = omega * A and x = lambda / sqrt(N) * X + omega_rabi on the
-    photon states (dense symmetric matrices), sd the diagonal
-    spin energies and h0, hdn, hup the matrix elements of J_x between spin
-    rows, per row and photon state (each photon state's spin rows may be
-    their own).  The last row may hold fewer states than the others: its
-    missing entries are the last ones of the array, and a vector of the
-    `shape` leaves them out.  `embedding` = (rep, par, cr, cp) places a
-    vector v of the `shape` in the spin states m x photon states, flattened:
+    with a the photon energy (a dense symmetric matrix, or None where sd
+    holds it), sd the diagonal energies, and for each photon matrix x that
+    couples rows its bands (o, h): a row offset and the elements per row and
+    photon state (each photon state's spin rows may be their own), read only
+    where row r + o exists.  The last row may hold fewer states than the
+    others: its missing entries are the last ones of the array, and a vector
+    of the `shape` leaves them out.  `embedding` = (rep, par, cr, cp) places a
+    vector v of the `shape` in the spin states x photon states, flattened:
     entry e is cr[e] |rep[e]> + cp[e] |par[e]>, two flat positions of that
     array (cp[e] = 0 where they coincide).
     """
 
-    def __init__(self, a, x, sd, h0, hdn, hup, dim: int, embedding: tuple):
+    def __init__(self, a, sd, couplings, dim: int, embedding: tuple):
         import numpy as np
 
-        self.a, self.x, self.sd, self.embedding = a, x, sd, embedding
-        self.h0 = h0 if h0.any() else None  # J_x couples only other rows
-        self.hdn, self.hup = hdn[1:], hup[:-1]
+        self.a, self.sd, self.embedding = a, sd, embedding
+        # the photon matrices stacked, so that one product serves them all
+        self.x = np.array([x for x, _ in couplings]) if couplings else None
+        self.bands = []  # (rows of H psi, band, photon matrix, rows of psi x)
+        for i, (_, bands) in enumerate(couplings):
+            for o, h in bands:
+                held = np.flatnonzero(h.any(axis=1))  # a band may fill a few rows only
+                if held.size:
+                    lo, hi = max(-o, 0, held[0]), min(len(h) - max(o, 0), held[-1] + 1)
+                    self.bands.append((slice(lo, hi), h[lo:hi], i, slice(lo + o, hi + o)))
         self.shape = (dim, dim)
         self._psi = np.zeros(sd.size)  # the missing entries stay zero
 
@@ -155,13 +177,10 @@ class KroneckerHamiltonian:
         else:
             self._psi[:dim] = v
             psi = self._psi.reshape(self.sd.shape)
-        t = psi @ self.x
-        y = psi @ self.a
-        y += self.sd * psi
-        if self.h0 is not None:
-            y += self.h0 * t
-        y[1:] += self.hdn * t[:-1]
-        y[:-1] += self.hup * t[1:]
+        t = None if self.x is None else psi @ self.x
+        y = self.sd * psi if self.a is None else psi @ self.a + self.sd * psi
+        for rows, h, i, src in self.bands:
+            y[rows] += h * t[i, src]
         return y.ravel()[:dim]
 
 
@@ -174,7 +193,7 @@ def _cutoff(params: ModelParams, n_max, budget: int, beta: float) -> int:
     budget = _integer(budget, "the memory budget")
     if nm < 0:
         raise ParameterError("negative photon cutoff")
-    dim, entries = basis_size(nm, params.n_atoms, beta != 0.0)
+    dim, entries = basis_size(nm, params.n_atoms, bool(beta))
     if dim > budget:
         raise ParameterError(f"basis dimension {dim} exceeds the memory budget {budget}")
     if entries > budget:
@@ -291,48 +310,49 @@ def _photon_basis(beta: float, nm: int) -> tuple:
     return a, x, np.arange(size) >= pe, np.concatenate(labels)
 
 
-def _spin_sectors(params: ModelParams) -> list[list[tuple]]:
+def _spin_sectors(params: ModelParams, ecs: bool = False) -> list[list[tuple]]:
     """The symmetry sectors the eigensolve treats separately, each a list of
-    groups (photon parity: 0 even, 1 odd or None for every photon state;
-    spin rows).  A group's spin rows are four arrays: the row's m + j, its
-    flip partner's, and their coefficients, so that row c is
-    cr[c] |rep[c]> + cp[c] |par[c]> (cp = 0 for a row of one state).
-
-    At omega_rabi = 0 the sectors are the even and the odd sector of the
-    parity, in that order, each (photon-even x spin-even) + (photon-odd x
-    spin-odd) with the spin parity of (-1)**(m + j); with a drive, the whole
-    basis.  At delta = 0 each of these splits once more, into its even and
-    its odd half (in that order) under the spin flip m -> -m, whose rows are
-    (|m> +- |-m>)/sqrt(2) for m > 0 and |0>.  For odd N without a drive the
-    flip does not split a parity sector: it anticommutes with the parity and
-    maps each sector onto the other, so every level is doubly degenerate
-    across the two.  Rows ascend in m (a flip row by its m >= 0 state), so
-    J_x couples a row only to its own and its neighbours.  Empty groups are
-    left out.
+    groups (photon parity 0 or 1, or None for every photon state; spin rows
+    as four arrays: each row's spin state k = m + j (mu + j in ECS), its
+    partner's and their coefficients, row c being cr[c] |rep[c]> + cp[c]
+    |par[c]>).  The sectors are the even, then the odd one of the parity at
+    omega_rabi = 0, else the whole basis; at delta = 0 each splits into its
+    even, then its odd half under the flip F, except for odd N without a
+    drive (F maps one parity sector onto the other).  Empty groups are left
+    out.  On the two-centre basis a parity sector is
+    (photon-even x spin-even) + (photon-odd x spin-odd), the spin parity
+    (-1)**(m + j), and F pairs m with -m as (|m> +- |-m>)/sqrt(2); rows
+    ascend in m (a pair by its m >= 0).  In ECS the roles swap: the parity
+    pairs mu with -mu as (|mu, n> + s |-mu, n>)/sqrt(2), s = +-(-1)**(N +
+    n) in the even and the odd sector, and F keeps mu, with the sign
+    (-1)**(N - mu - j); rows descend in mu, so mu = 0, unpaired, is last.
     """
     import numpy as np
 
     na = params.n_atoms
-    ks = np.arange(na + 1)
-    if params.omega_rabi != 0.0:
-        parities = [[(None, ks)]]
-    else:
-        parities = [[(0, ks[ks % 2 == s]), (1, ks[ks % 2 != s])] for s in (0, 1)]
-    flip = params.delta == 0.0 and (params.omega_rabi != 0.0 or na % 2 == 0)
+    ks = np.arange(na, -1, -1) if ecs else np.arange(na + 1)
+    drive = params.omega_rabi != 0.0
+    flip = params.delta == 0.0 and (drive or na % 2 == 0)
     r = math.sqrt(0.5)
     sectors = []
-    for groups in parities:
-        for sign in ((1.0, -1.0) if flip else (0.0,)):
+    for s in (0,) if drive else (0, 1):
+        for f in (0, 1) if flip else (None,):
             sector = []
-            for parity, k in groups:
-                if sign:  # m >= 0 for the flip-even half, m > 0 for the odd one
+            for photon in (None,) if drive else (0, 1):
+                if ecs:
+                    k = ks if f is None else ks[(na - ks) % 2 == f]
+                    sign = 0.0 if drive else (-1.0) ** (s + na + photon)
+                else:
+                    k = ks if drive else ks[ks % 2 == (s + photon) % 2]
+                    sign = 0.0 if f is None else (-1.0) ** f
+                if sign:  # mu (m) >= 0 with the sign +, > 0 with the sign -
                     rep = k[2 * k >= na] if sign > 0.0 else k[2 * k > na]
                     par = na - rep
                 else:
                     rep = par = k
                 alone = par == rep
                 if rep.size:
-                    sector.append((parity, rep, par, np.where(alone, 1.0, r),
+                    sector.append((photon, rep, par, np.where(alone, 1.0, r),
                                    np.where(alone, 0.0, sign * r)))
             if sector:
                 sectors.append(sector)
@@ -405,10 +425,78 @@ def _operators(params: ModelParams, k: int, a, x, odd: np.ndarray,
         dim = sum(g[0].size * g[1].size for g in groups)
         sd, hdn, h0, hup, cr, cp = np.repeat(tab, sizes, axis=2)
         rep, par = np.repeat(states, sizes, axis=2) * odd.size + cols
-        ops.append(KroneckerHamiltonian(aw[np.ix_(cols, cols)], xs[np.ix_(cols, cols)],
-                                        sd, h0, hdn, hup, dim,
-                                        tuple(t.ravel()[:dim] for t in (rep, par, cr, cp))))
+        ops.append(KroneckerHamiltonian(aw[np.ix_(cols, cols)], sd,
+                                        [(xs[np.ix_(cols, cols)], [(0, h0), (-1, hdn), (1, hup)])],
+                                        dim, tuple(t.ravel()[:dim] for t in (rep, par, cr, cp))))
     return ops, hnorm
+
+
+def _ecs_operators(params: ModelParams, k: int, c: float, overlaps: list,
+                   sectors: list[list[tuple]]) -> tuple[list, float]:
+    """_operators in ECS, on the sectors of _spin_sectors(params, True).  sd
+    holds omega n - omega c**2 mu**2 + omega_rabi mu and the diagonal of (v /
+    N) J_z**2.  delta J_z and (v / N) J_z**2 couple mu to mu + d, d = +-1,
+    +-2, through G_d = <n|D(-c d)|n'>, and G_-d = P G_d P (photon parity P),
+    so a term to or from a row's partner |-mu, n>, signed s_n = +-(-1)**n,
+    is s_n G_-d on the row itself: a band of the photon matrix of -d.  The
+    layout is _operators', each group's rows the first of the first group's.
+    A band entry sums at most two products, each formed in one order for it
+    and its transpose, so the block is exactly symmetric."""
+    import numpy as np
+
+    omega, _, delta, rabi, v = (math.ldexp(getattr(params, f), -k) for f in AXES)
+    na = params.n_atoms
+    j = 0.5 * na
+    mu = np.arange(na + 1) - j
+    ladder = np.zeros(na + 2)  # J_z[mu - 1, mu] at mu + j, 0 past the ends
+    ladder[1:-1] = 0.5 * np.sqrt(j * (j + 1.0) - mu[:-1] * (mu[:-1] + 1.0))
+    n = np.arange(len(overlaps[0]))
+    diag = omega * n + (rabi * mu - omega * c * c * mu * mu
+                        + (v / na) * (ladder[:-1] ** 2 + ladder[1:] ** 2))[:, None]
+    spin = {1: delta * ladder[1:], 2: (v / na) * np.append(ladder[1:-1] * ladder[2:], 0.0)}
+    spin.update({-d: np.roll(s, d) for d, s in spin.items()})  # spin[d][k]: k to k + d
+    spin = {d: s for d, s in spin.items() if s.any()}
+    photon = {d: overlaps[abs(d) - 1] if d > 0 else overlaps[abs(d) - 1].T for d in spin}
+    hnorm = np.abs(diag)
+    for d, s in spin.items():
+        hnorm += np.abs(s)[:, None] * np.abs(photon[d]).sum(axis=0)
+    ops = []
+    for sector in sectors:
+        groups = sorted((g for g in sector if g[0] is None or g[0] < n.size),
+                        key=lambda g: -g[1].size)  # no photon-odd states at n_max = 0
+        if not groups:
+            continue
+        _, rep, par, cr, cp = groups[0]
+        parts = [n if g[0] is None else n[n % 2 == g[0]] for g in groups]
+        cols = np.concatenate(parts)
+        sign = np.concatenate([np.full(p.size, np.sign(g[4].sum())) for p, g in zip(parts, groups)])
+        rows = np.arange(rep.size)
+        at = np.full((2, na + 5), -1)  # the row holding spin state k as rep, as par, at k + 2
+        at[0, rep + 2], at[1, par + 2] = rows, rows
+        coef = (cr, np.abs(cp))
+        keys = list(spin)
+        place, value = [np.zeros(0, int)], [np.zeros(0)]  # terms of tab, summed by bincount
+        for a, b in itertools.product((0, 1) if cp.any() else (0,), repeat=2):
+            for d in keys:  # state a of row r to state b of row rb, d apart
+                ka = (rep, par)[a]
+                rb = at[b, ka + d + 2]
+                r = np.flatnonzero(rb >= 0)
+                place.append((((a != b) * len(keys) + keys.index(-d if b else d)) * 5
+                              + rb[r] - r + 2) * rows.size + r)
+                value.append(spin[d][ka[r]] * coef[a][r] * coef[b][rb[r]])
+        tab = np.bincount(np.concatenate(place), np.concatenate(value), 10 * len(keys) * rows.size
+                          ).reshape(2, len(keys), 5, rows.size)  # by sign, matrix, offset, row
+        used = tab.any(axis=(0, 3))
+        couplings = [(photon[d][np.ix_(cols, cols)],
+                      [(o - 2, tab[0, i, o, :, None] + tab[1, i, o, :, None] * sign)
+                       for o in np.flatnonzero(used[i])])
+                     for i, d in enumerate(keys) if used[i].any()]
+        dim = sum(g[1].size * p.size for p, g in zip(parts, groups))
+        embedding = (rep[:, None] * n.size + cols, par[:, None] * n.size + cols,
+                     np.repeat(cr[:, None], cols.size, axis=1), coef[1][:, None] * sign)
+        ops.append(KroneckerHamiltonian(None, diag[np.ix_(rep, cols)], couplings, dim,
+                                        tuple(t.ravel()[:dim] for t in embedding)))
+    return ops, float(hnorm.max())
 
 
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the state's increment and
@@ -588,10 +676,10 @@ class ExactSolution:
     (-1)**(a^dag a + m + j): +-1 to rounding at omega_rabi = 0; on a tie
     between sectors, the even sector's at delta >= 0 and its mirror image at
     delta < 0 (see the module docstring).  n_max_used is the photon cutoff:
-    the largest displaced photon number n of the states D(+-beta)|n> on
-    each centre (the Fock cutoff where beta = 0).  converged says that the
-    ground vector holds at most eps above label n_max_used / 2
-    (converge_cutoff).
+    the largest n of the states D(-c mu)|n> of each ECS row mu (see the
+    module docstring), else of the states D(+-beta)|n> on each centre (the
+    Fock cutoff where beta = 0).  converged says that the ground vector holds at
+    most eps above label n_max_used / 2 (converge_cutoff).
     """
 
     energy: float
@@ -614,10 +702,10 @@ class ExactSolution:
         return self.photon_number / self.n_atoms
 
 
-def _observables(params: ModelParams, a: np.ndarray, odd: np.ndarray, top: np.ndarray,
-                 psi: np.ndarray) -> tuple[float, float, float, float, float]:
-    """<a^dag a>, <J_z>, <J_x>, the parity and the weight on the photon
-    states marked `top` of a vector held as spin states m x photon states."""
+def _observables(params: ModelParams, a: np.ndarray, odd: np.ndarray,
+                 psi: np.ndarray) -> tuple[float, float, float, float]:
+    """<a^dag a>, <J_z>, <J_x> and the parity of a vector held as spin states
+    x photon states of the two-centre basis."""
     import numpy as np
 
     na = params.n_atoms
@@ -630,30 +718,61 @@ def _observables(params: ModelParams, a: np.ndarray, odd: np.ndarray, top: np.nd
     jx = float((psi[1:] * psi[:-1]).sum(axis=1) @ ladder)
     signs = (-1.0) ** (np.arange(na + 1)[:, None] + odd[None, :])
     parity = float((prob * signs).sum())
-    return photon, jz, jx, parity, float(prob.sum(axis=0)[top].sum())
+    return photon, jz, jx, parity
 
 
-def _centre(params: ModelParams) -> float:
-    """beta = sqrt(N) * |alpha|, the photon field's centre at the mean-field
-    minimum."""
+def _ecs_observables(params: ModelParams, c: float, overlap: np.ndarray,
+                     psi: np.ndarray) -> tuple[float, float, float, float]:
+    """_observables in ECS: a is a - c mu on row mu's photon states, J_z
+    couples mu to mu + 1 through <n|D(-c)|n'>, and the parity maps |mu, n>
+    to (-1)**(N + n) |-mu, n>."""
+    import numpy as np
+
+    j = 0.5 * params.n_atoms
+    mu = np.arange(params.n_atoms + 1) - j
+    n = np.arange(psi.shape[1])
+    x = np.diag(np.sqrt(n[1:].astype(float)), 1)
+    photon = (psi * (psi * (n + c * c * mu[:, None] ** 2) - (c * mu)[:, None] * (psi @ (x + x.T))))
+    ladder = np.sqrt(j * (j + 1.0) - mu[:-1] * (mu[:-1] + 1.0))
+    return (float(photon.sum()), float((psi[:-1] * (psi[1:] @ overlap)).sum(axis=1) @ ladder),
+            float((psi * psi).sum(axis=1) @ mu),
+            float((psi * psi[::-1] * (-1.0) ** (params.n_atoms + n)).sum()))
+
+
+def _centre(params: ModelParams) -> float | None:
+    """None where the basis is ECS (see the module docstring), else beta =
+    sqrt(N) * |alpha|, the photon field's centre at the mean-field minimum."""
+    lam, omega = params.lam, params.omega
+    if lam / (omega * math.sqrt(params.n_atoms)) <= _ECS_MAX_C and (
+            (abs(params.delta) + abs(params.v)) / omega * (lam / omega) <= _ECS_MAX_X):
+        return None
     return math.sqrt(params.n_atoms) * abs(ground_state(params).alpha)
 
 
-def _solve(params: ModelParams, nm: int, beta: float, start: tuple | None
+def _solve(params: ModelParams, nm: int, beta: float | None, start: tuple | None
            ) -> tuple[ExactSolution, tuple, float]:
     """solve_at_cutoff's observables, at unit scale, at a checked cutoff nm
-    about the centres +-beta, from the Lanczos start `start` (None for a cold
-    one), then the next start and the ground vector's weight on the labels
-    above nm / 2.  A start is a vector of spin states m x photon states with
-    each photon state's code 2 * label + parity; it is carried over to the
-    photon states of this cutoff with the same code.  At delta < 0 the
-    starts are those of -delta (see the module docstring)."""
+    about the centres +-beta (in ECS where beta is None), from the Lanczos
+    start `start` (None for a cold one), then the next start and the ground
+    vector's weight on the labels above nm / 2.  A start is a vector of spin
+    states x photon states with each photon state's code 2 * label +
+    parity; it is carried over to the photon states of this cutoff with the
+    same code.  At delta < 0 the starts are those of -delta (see the module
+    docstring)."""
     import numpy as np
 
     mirror = params.delta < 0.0
     params = params.replace(delta=-params.delta) if mirror else params
     k = math.frexp(params.hamiltonian_scale)[1]
-    a, x, odd, labels = _photon_basis(beta, nm)
+    if beta is None:  # the overlaps <k|D(c)|n>, and <k|D(2c)|n> where (v / N) J_z**2 needs them
+        c, labels = params.lam / (params.omega * math.sqrt(params.n_atoms)), np.arange(nm + 1)
+        odd = labels % 2 == 1
+        overlaps = [_displaced(d * c, nm)[:nm + 1] if c else np.eye(nm + 1)
+                    for d in ((1, 2) if params.v else (1,))]
+        ops, hnorm = _ecs_operators(params, k, c, overlaps, _spin_sectors(params, True))
+    else:
+        a, x, odd, labels = _photon_basis(beta, nm)
+        ops, hnorm = _operators(params, k, a, x, odd, _spin_sectors(params))
     codes = 2 * labels + odd
     shape = (params.n_atoms + 1, odd.size)
     if start is not None:
@@ -661,9 +780,9 @@ def _solve(params: ModelParams, nm: int, beta: float, start: tuple | None
         start = np.zeros(shape)
         _, new_at, old_at = np.intersect1d(codes, old_codes, return_indices=True)
         start[:, new_at] = old[:, old_at]
-    ops, hnorm = _operators(params, k, a, x, odd, _spin_sectors(params))
     e0, e1, vec, nxt = _solve_sectors(ops, hnorm, shape, start, k)
-    photon, jz, jx, parity, top = _observables(params, a, odd, 2 * labels > nm, vec)
+    photon, jz, jx, parity = (_ecs_observables(params, c, overlaps[0], vec) if beta is None
+                              else _observables(params, a, odd, vec))
     if mirror:
         jz, parity = 0.0 - jz, (-1) ** params.n_atoms * parity
     return ExactSolution(
@@ -677,13 +796,13 @@ def _solve(params: ModelParams, nm: int, beta: float, start: tuple | None
         n_max_used=nm,
         n_atoms=params.n_atoms,
         converged=False,
-    ), (nxt, codes), top
+    ), (nxt, codes), float((vec * vec).sum(axis=0)[2 * labels > nm].sum())
 
 
 def solve_at_cutoff(params: ModelParams, n_max: int,
                     budget: int = DIMENSION_BUDGET) -> ExactSolution:
-    """Ground-state observables at a fixed photon cutoff, in the displaced
-    basis about the mean-field centre, from a cold Lanczos start."""
+    """Ground-state observables at a fixed photon cutoff, in ECS or in the
+    displaced basis about the mean-field centre, from a cold Lanczos start."""
     beta = _centre(params)
     return _solve(params, _cutoff(params, n_max, budget, beta), beta, None)[0]
 
@@ -694,13 +813,13 @@ def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
     at most eps of its weight on the photon states labelled above n_max / 2,
     the states this cutoff added over the one before.
 
-    The basis is displaced to the mean-field centre beta (see the module
-    docstring), so a cutoff holds the field's fluctuations about it, and
-    they fill the labels in order (on the Fock basis, beta = 0, the labels
-    are photon numbers).  The budget bounds the dimension solved, P * (N +
-    1), and the P**2 entries of the dense photon matrices, on the P photon
-    states: n_max + 1 on the Fock basis, up to 2 * (n_max + 1) about two
-    centres (basis_size).  A photon energy omega at or below _LANCZOS_TOL *
+    The basis is ECS or displaced to the mean-field centre beta (see the
+    module docstring), so a cutoff holds the field's fluctuations about it,
+    and they fill the labels in order (on the Fock basis, beta = 0, the
+    labels are photon numbers).  The budget bounds the dimension solved, P *
+    (N + 1), and the P**2 entries of the dense photon matrices, on the P
+    photon states: n_max + 1 in ECS and on the Fock basis, up to 2 * (n_max
+    + 1) about two centres (basis_size).  A photon energy omega at or below _LANCZOS_TOL *
     N * hamiltonian_scale, the solver's resolution of E0, is a
     ConvergenceError before any cutoff is solved: there every photon number
     is degenerate to that resolution, and the photon state is whatever the
@@ -710,14 +829,14 @@ def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
     stops the doubling first.
     """
     beta = _centre(params)
-    eps = check_ladder(eps, (params.n_atoms,), budget, centred=beta != 0.0)[0]
+    eps = check_ladder(eps, (params.n_atoms,), budget, centred=bool(beta))[0]
     resolution = _LANCZOS_TOL * params.n_atoms * params.hamiltonian_scale
     if not params.omega > resolution:
         raise ConvergenceError(
             f"photon energy omega = {params.omega:.6g} does not exceed the solver's resolution "
             f"{resolution:.6g} of E0 at N = {params.n_atoms}: the photon field is unresolved")
     n_top = N_MAX_START
-    while max(basis_size(2 * n_top, params.n_atoms, beta != 0.0)) <= budget:
+    while max(basis_size(2 * n_top, params.n_atoms, bool(beta))) <= budget:
         n_top *= 2
     # check_ladder checked the first cutoff and n_top bounds the rest to the budget
     sol, start, top = _solve(params, N_MAX_START, beta, None)

@@ -40,10 +40,16 @@ class AxisSpec:
     count: int
 
     def values(self) -> list[float]:
+        """Node i is (min * (n - 1 - i) + max * i) / (n - 1) and the ends are
+        min and max, so a symmetric axis is odd about 0; near the float
+        maximum the products are taken at 2**-64 scale."""
         if self.count == 1:
             return [self.min]
-        step = (self.max - self.min) / (self.count - 1)
-        return [self.min + step * i for i in range(self.count)]
+        last = self.count - 1
+        k = 64 if max(abs(self.min), abs(self.max)) * last > 2.0 ** 1000 else 0
+        lo, hi = math.ldexp(self.min, -k), math.ldexp(self.max, -k)
+        inner = [math.ldexp((lo * (last - i) + hi * i) / last, k) for i in range(1, last)]
+        return [self.min, *inner, self.max]
 
 
 @record
@@ -221,7 +227,7 @@ def run_sweep(config: SweepConfig) -> SweepDataset:
     base = [getattr(config.base, name) for name in AXES]
     rows = [_solve_node(config, slots, base, node) for node in nodes]
     provenance = (
-        f"extdicke sweep format 15, version {__version__}",
+        f"extdicke sweep format 16, version {__version__}",
         "config " + json.dumps(config.to_dict(), separators=(",", ":")),
     )
     return SweepDataset(columns=_columns(config), rows=tuple(rows),

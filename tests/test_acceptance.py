@@ -177,7 +177,7 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 15.  A changed digest is a change of
+# writes, recorded at sweep format 16.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel, parity-sector and secular-equation changes gave.  The provenance line
@@ -186,17 +186,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "f8af9b9a135d56c7832aa1f57d9916c9e9d262a90f241458800d6a98cfad0c6c",
-      "fig2_curve1.csv": "214a926191a1b64d7ac4a06a2cf019082d6ffd0eb2058740f1edc10eef81ab11",
-      "fig2_curve2.csv": "f12ab64a68c1dda3efa9640ff83ca9cf59ef107fa70d3c9fea01946d795a622e"}),
+     {"fig2_curve0.csv": "b11ff133f1e8a86042b80240f0e0e7d0fd955836bac3edc7ac8602c08e32fae5",
+      "fig2_curve1.csv": "42a59a17e0b6b80e9da308e08d3be2e6bda611f64ce782ab7cf2102ead256e07",
+      "fig2_curve2.csv": "687783c2a4892b5124d1b6e69454eecf9dcc09a91877c251817d83c18b5c966f"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "0b7861cf0cf2e931f349393fa4f3359346440fe26cc76f63b86d5f191ecb5008",
+     {"fig3_grid.csv": "0851ec43d7b2a70f115e51614f2ee00b03e0f4b260ca8a54924b8e65bc4783e8",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "aa769e312f17a78fb5a6c27ecd3d0b118c8308426b4b39ae84788187feb58eaf",
-      "fig4_curve1.csv": "283c5c4b45da6cc941a072993782d5ca4c275bc72ffdcfead62eb85faae946e4",
-      "fig4_curve2.csv": "b0ec9c752de3155b670f641734f314b9407670761755388d2ac742f48c4f3ba4",
-      "fig4_curve3.csv": "fc64bdb93e6c37775387cfa53476b660b787117dd558743d61728ff742b8035a"}),
+     {"fig4_curve0.csv": "e0c73618545739c51fbf4c7cccbc4833248b0ccc89be29e1c6316aa1f4b2c9a7",
+      "fig4_curve1.csv": "f39b04718d73194d6949b0cc0d47934c948dfb70d9aa4d09ff35cd1f55fd9274",
+      "fig4_curve2.csv": "7aee2dd176c363f15f8142b7cecaebd4e773f365127f2c8cba1faef7a78bd8de",
+      "fig4_curve3.csv": "c5df4ccf6d5e12cc9b331ab954cd60a77314b555ce85f7576ae893eadda63d36"}),
 ]
 
 
@@ -223,7 +223,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 15: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 16: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build and one
@@ -234,7 +234,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "572b2d548d288797991a5cdd1b231c1e2c419b74bd05fe3969005a79a2d032f2",
+    "58d31523a757072ae86359d98eeeb76974c39c5f82de7dc2ec6cd3e7c2959861",
 )
 
 

@@ -27,17 +27,21 @@ from extdicke.meanfield import ground_state
 from extdicke.model import N_MAX_START, ModelParams, ParameterError
 
 
+def spin_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """J_z and J_x on the states m = -j..j in ascending order, j = n / 2."""
+    j = 0.5 * n
+    ms = np.arange(-j, j + 1.0)
+    ladder = np.sqrt(j * (j + 1.0) - ms[:-1] * (ms[:-1] + 1.0))
+    jp = np.diag(ladder, -1)  # raising operator in the m-ascending basis
+    return np.diag(ms), 0.5 * (jp + jp.T)
+
+
 def dense_reference(params: ModelParams, n_max: int = 0, photon=None) -> np.ndarray:
     """Independent construction via Kronecker products of dense operators,
     spin-major (|n, m> at (m + j) * photons + n): on the Fock basis truncated
     at n_max, or on a photon basis given as its (a^dag a, a + a^dag)."""
     n = params.n_atoms
-    j = 0.5 * n
-    ms = np.arange(-j, j + 1.0)
-    jz = np.diag(ms)
-    ladder = np.sqrt(j * (j + 1.0) - ms[:-1] * (ms[:-1] + 1.0))
-    jp = np.diag(ladder, -1)  # raising operator in the m-ascending basis
-    jx = 0.5 * (jp + jp.T)
+    jz, jx = spin_matrices(n)
     if photon is None:
         a = np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), 1)
         photon = (a.T @ a, a + a.T)
@@ -51,10 +55,54 @@ def dense_reference(params: ModelParams, n_max: int = 0, photon=None) -> np.ndar
             + (params.v / n) * np.kron(jz @ jz, eye_f))
 
 
-def solver_basis(params: ModelParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a^dag a, a + a^dag) on the photon basis solve_at_cutoff uses at n_max,
+def ecs_terms(params: ModelParams, n_max: int):
+    """The matrix of A (x) B on the extended coherent states |mu>_x D(-c mu)|n>,
+    n <= n_max, c = lambda / (omega sqrt(N)), held mu-major (mu ascending),
+    as a function of the spin matrix A and the Fock matrix B, and the Fock
+    operators (a^dag a, a + a^dag).  Built apart from the solver: the J_x
+    eigenvectors by eigh, phased so that <mu|J_z|mu + 1> > 0, and D(-c mu)
+    by scipy's expm on a Fock space whose top the states do not reach."""
+    from scipy.linalg import expm
+
+    n = params.n_atoms
+    jz, jx = spin_matrices(n)
+    mu, vecs = np.linalg.eigh(jx)
+    for k in range(1, n + 1):
+        if vecs[:, k - 1] @ jz @ vecs[:, k] < 0.0:
+            vecs[:, k] *= -1.0
+    c = params.lam / (params.omega * math.sqrt(n))
+    fock = n_max + 40 + int(4.0 * (c * n) ** 2)
+    a = np.diag(np.sqrt(np.arange(1.0, fock + 1.0)), 1)
+    states = np.array([expm(-c * x * (a.T - a))[:, :n_max + 1] for x in mu])
+
+    def term(spin, photon):
+        size = (n + 1) * (n_max + 1)
+        return np.einsum("kl,kfi,fg,lgo->kilo", vecs.T @ spin @ vecs, states, photon, states,
+                         optimize=True).reshape(size, size)
+
+    return term, (a.T @ a, a + a.T)
+
+
+def ecs_reference(params: ModelParams, n_max: int) -> np.ndarray:
+    """H on the extended coherent states of ecs_terms."""
+    term, (num, field) = ecs_terms(params, n_max)
+    jz, jx = spin_matrices(params.n_atoms)
+    eye_s, eye_f = np.eye(params.n_atoms + 1), np.eye(len(num))
+    return (params.omega * term(eye_s, num)
+            + (params.lam / math.sqrt(params.n_atoms)) * term(jx, field)
+            + params.delta * term(jz, eye_f)
+            + params.omega_rabi * term(jx, eye_f)
+            + (params.v / params.n_atoms) * term(jz @ jz, eye_f))
+
+
+def solver_reference(params: ModelParams, n_max: int) -> np.ndarray:
+    """The dense H on the basis solve_at_cutoff uses at n_max: the extended
+    coherent states where exact._centre gives None, else the photon basis
     displaced about the mean-field centre."""
-    return exact._photon_basis(exact._centre(params), n_max)[:2]
+    beta = exact._centre(params)
+    if beta is None:
+        return ecs_reference(params, n_max)
+    return dense_reference(params, photon=exact._photon_basis(beta, n_max)[:2])
 
 
 def test_basis_shape_and_validation():
@@ -200,6 +248,55 @@ def test_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max,
             assert (b == b.T).all()
 
 
+@pytest.mark.parametrize("n_atoms,n_max,omega_rabi,delta", itertools.product(
+    (1, 2, 3, 4, 5), (0, 1, 4, 9), (0.0, 0.3), (0.0, 0.4)))
+def test_ecs_sectors_are_orthogonal_complete_and_invariant(n_atoms, n_max, omega_rabi,
+                                                          delta):
+    # the same checks on the ECS sectors (c = 0.1 and, at lambda = 0, c = 0),
+    # against H, the parity (-1)**(a^dag a) exp(i pi (J_z + j)) and the flip
+    # m -> -m, each built on the Fock basis and carried to the extended
+    # coherent states by ecs_terms: every sector sign (the parity's pairs
+    # mu, -mu by photon parity, the flip's rows by mu + j) is checked, with
+    # the drive, v != 0 and both parities of N
+    for c in (0.1, 0.0):
+        p = ModelParams(omega=1.0, lam=c * math.sqrt(n_atoms), delta=delta,
+                        omega_rabi=omega_rabi, v=-0.4, n_atoms=n_atoms)
+        assert exact._centre(p) is None
+        term, (num, _) = ecs_terms(p, n_max)
+        h = ecs_reference(p, n_max)
+        hnorm = np.abs(h).sum(axis=1).max()
+        overlaps = [exact._displaced(d * c, n_max)[:n_max + 1] if c else np.eye(n_max + 1)
+                    for d in (1, 2)]
+        ops, norm = exact._ecs_operators(p, 0, c, overlaps, exact._spin_sectors(p, True))
+        assert norm == pytest.approx(hnorm, rel=1e-13)
+        dim = h.shape[0]
+        qs = [sector_isometry(op, n_max + 1, n_atoms + 1) for op in ops]
+        for q in qs:
+            assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-15
+        assert np.abs(sum(q @ q.T for q in qs) - np.eye(dim)).max() <= 1e-15
+        for i, j in itertools.permutations(range(len(qs)), 2):
+            assert np.abs(qs[i].T @ h @ qs[j]).max() <= 1e-13 * hnorm
+        symmetries = []
+        spins = np.arange(n_atoms + 1)
+        if omega_rabi == 0.0:
+            symmetries.append(term(np.diag((-1.0) ** spins), np.diag((-1.0) ** np.arange(len(num)))))
+        if delta == 0.0 and (omega_rabi != 0.0 or n_atoms % 2 == 0):
+            symmetries.append(term(np.eye(n_atoms + 1)[::-1], np.eye(len(num))))
+        if not symmetries:
+            assert len(qs) == 1
+        for q in qs:
+            for sym in symmetries:
+                d = q.T @ sym @ q
+                assert abs(abs(d[0, 0]) - 1.0) <= 1e-13
+                assert np.abs(d - d[0, 0] * np.eye(q.shape[1])).max() <= 1e-13
+        rng = np.random.default_rng(n_atoms * 100 + n_max)
+        for op, q in zip(ops, qs):
+            v = rng.standard_normal(q.shape[1])
+            assert np.abs(op @ v - q.T @ (h @ (q @ v))).max() <= 1e-13 * hnorm * np.abs(v).sum()
+            b = dense(op)
+            assert (b == b.T).all()
+
+
 def test_converge_cutoff_rejects_bad_ladder_settings():
     p = ModelParams(omega=1.0, lam=1.0, n_atoms=2)
     # a NaN tolerance never reads as stable and an infinite one always does
@@ -283,13 +380,13 @@ def test_sector_solves_match_dense_reference():
             v=(-1.0) ** (i // 2) * rng.uniform(0.0, 2.0),
             n_atoms=1 + i % 7))
     for p in cases:
-        want = np.linalg.eigvalsh(dense_reference(p, photon=solver_basis(p, 12)))[:2]
+        want = np.linalg.eigvalsh(solver_reference(p, 12))[:2]
         sol = solve_at_cutoff(p, n_max=12)
         assert sol.energy == pytest.approx(want[0], abs=1e-10)
         assert sol.gap == pytest.approx(want[1] - want[0], abs=1e-10)
     # n_max = 0 and N = 1: two one-state sectors, one level each
     p = ModelParams(omega=1.0, lam=0.5, delta=0.3, v=0.2, n_atoms=1)
-    want = np.linalg.eigvalsh(dense_reference(p, photon=solver_basis(p, 0)))
+    want = np.linalg.eigvalsh(solver_reference(p, 0))
     sol = solve_at_cutoff(p, n_max=0)
     assert sol.energy == pytest.approx(want[0], abs=1e-12)
     assert sol.gap == pytest.approx(want[1] - want[0], abs=1e-12)
@@ -297,8 +394,8 @@ def test_sector_solves_match_dense_reference():
 
 def _dense_levels(p: ModelParams, n_max: int) -> tuple[float, float, float]:
     """E0, E1 - E0 and ||H||_inf of the independently built dense H on the
-    solver's photon basis at n_max."""
-    h = dense_reference(p, photon=solver_basis(p, n_max))
+    solver's basis at n_max."""
+    h = solver_reference(p, n_max)
     w = np.linalg.eigvalsh(h)
     return w[0], w[1] - w[0], float(np.abs(h).sum(axis=1).max())
 
@@ -356,8 +453,12 @@ def test_exactly_degenerate_ground_level_has_zero_gap(n_atoms, n_max, v):
     # different sectors.  At (4, 3) every sector fits in the Krylov basis.
     # With v = 0 and n_max = 0, H = 0: every Lanczos step breaks down
     # (beta = 0), and only the generic restarts fill a sector
+    # (the Fock-basis H is diagonal here; the solver's ECS basis spans the
+    # same states)
     p = ModelParams(omega=1.0, lam=0.0, delta=0.0, v=v, n_atoms=n_atoms)
-    e0, gap, hnorm = _dense_levels(p, n_max)
+    h = dense_reference(p, n_max)
+    w = np.linalg.eigvalsh(h)
+    e0, gap, hnorm = w[0], w[1] - w[0], np.abs(h).sum(axis=1).max()
     assert gap == 0.0
     sol = solve_at_cutoff(p, n_max)
     assert abs(sol.energy - e0) <= 1e-9 * hnorm
@@ -412,13 +513,14 @@ def test_lanczos_breakdown_finds_a_doubled_level_twice():
 
 
 # The sha256 of 64 converge_cutoff ladders (odd and even N, the delta = 0
-# flip sectors, the drive and the J_z**2 term) and of the breakdown run
+# flip sectors, the drive and the J_z**2 term; N = 15 and 16 in extended
+# coherent states, the rest about two centres) and of the breakdown run
 # above, levels and vectors: the finite-N path bit for bit.  Its floats come
 # out of numpy's BLAS reductions, so the digest holds for one numpy/OpenBLAS
 # build, one OpenBLAS kernel family and one thread count (recorded with numpy
 # 2.4.6, OpenBLAS 0.3.31, and the Haswell kernels on one thread that
 # conftest.py selects on x86-64).
-_FINITE_N_BATTERY = "dcbe15e915175da4792fce3507e518177ca3e27c2b3138e2db0700190f5f6994"
+_FINITE_N_BATTERY = "0065c10517c219960ddb241d31ffa7fecb31d30a52c666c6abeda1e53fb640d9"
 
 
 def test_finite_n_answers_are_pinned_bit_for_bit():
@@ -460,22 +562,50 @@ def test_stalled_lanczos_grows_its_basis_and_converges():
     # cutoff 128 (a sector of 4193 states) a 30-vector basis does not
     # converge within 1000 restarts, and a grown one does in a few seconds.
     # The budget stops the ladder there with weight left above label 64
+    # (c = 6.7: on the Fock basis, with the answer it gave before ECS, bit
+    # for bit)
     p = ModelParams(omega=1.0, lam=53.98013925896088, delta=2918.0400025349118, n_atoms=64)
+    assert exact._centre(p) == 0.0
     start = time.perf_counter()
     sol = converge_cutoff(p, budget=129 ** 2)
     assert time.perf_counter() - start <= 10.0
     assert (sol.n_max_used, sol.converged) == (128, False)
     assert sol.photon_number == pytest.approx(5.700642, rel=1e-6)
+    assert repr(vars(sol)) == (
+        "{'energy': -93377.76041198906, 'energy_per_atom': -1459.027506437329, "
+        "'photon_number': 5.700642303139864, 'jz': -31.997882277181233, 'jx': 0.0, "
+        "'parity': 1.0000000000000018, 'gap': 0.04037242631602567, 'n_max_used': 128, "
+        "'n_atoms': 64, 'converged': False}")
+
+
+def test_large_c_stays_on_the_two_centre_basis():
+    # where S >> omega (c = 11) the ECS rows couple only through <n|D(c)|n'>
+    # near n ~ c**2 = 125: ECS at cutoff 8 holds 2e-27 of its weight above
+    # label 4, which the ladder would take as converged, and its E0 is 50 %
+    # high.  The ladder stays on the Fock basis (beta = 0), bit for bit as
+    # before ECS
+    p = ModelParams(omega=1.0, lam=math.sqrt(999.0), delta=1e3, n_atoms=8)
+    assert p.lam / (p.omega * math.sqrt(p.n_atoms)) > 11.0 and exact._centre(p) == 0.0
+    sol = converge_cutoff(p)
+    assert repr(vars(sol)) == (
+        "{'energy': -4000.4744383697994, 'energy_per_atom': -500.0593047962249, "
+        "'photon_number': 3.603219568816683, 'jz': -3.9959342303159615, 'jx': 0.0, "
+        "'parity': 1.0000000000000073, 'gap': 0.060843577650302905, 'n_max_used': 256, "
+        "'n_atoms': 8, 'converged': True}")
+    ecs, _, top = exact._solve(p, N_MAX_START, None, None)
+    assert top < 1e-26
+    assert ecs.energy - sol.energy > 0.49 * abs(sol.energy)
 
 
 # Ladders that climb past the first cutoff, so that every later rung starts
-# warm from the one before: the lobe edge at N = 64 without a drive (cutoffs
-# 8, 16, 32) and with a weak one (8, 16).
+# warm from the one before: the lobe edge at N = 64 (c = 0.1, in extended
+# coherent states) without a drive and with a weak one (cutoffs 8, 16).
 _WARM_LADDERS = [ModelParams(omega=1.0, lam=0.8, delta=0.74, v=0.1, omega_rabi=rabi,
                              n_atoms=64) for rabi in (0.0, 0.01)]
 # sha256 of their repr(vars(converge_cutoff(p))), in order (the same build
-# caveat as _FINITE_N_BATTERY above; on two to four threads it is e0df3680...)
-_WARM_LADDER_DIGEST = "f49da34bbb51eb83b326c3473a8c96f762572eaba478b5f80eaed7f86a2f32e5"
+# caveat as _FINITE_N_BATTERY above; recorded on one thread, and the same on
+# two)
+_WARM_LADDER_DIGEST = "52e7520af8418115f3b27310c57989444e5c40a04983e30e5b89606726d37bde"
 
 
 def test_warm_ladders_are_pinned_bit_for_bit():
@@ -489,17 +619,18 @@ def test_warm_ladders_are_pinned_bit_for_bit():
     (ModelParams(omega=10.0, lam=0.5 * math.sqrt(7.5), delta=0.75,
                  n_atoms=64), 180),
     (ModelParams(omega=10.0, lam=1.5 * math.sqrt(10.0), delta=0.5,
-                 n_atoms=64), 300),
+                 n_atoms=64), 180),
     (ModelParams(omega=10.0, lam=1.02 * math.sqrt(10.0), delta=0.5,
-                 omega_rabi=0.3, n_atoms=64), 150),
-    (_WARM_LADDERS[0], 720),
-    (_WARM_LADDERS[1], 300),
+                 omega_rabi=0.3, n_atoms=64), 110),
+    (_WARM_LADDERS[0], 400),
+    (_WARM_LADDERS[1], 260),
 ], ids=["normal", "superradiant", "driven", "lobe-edge", "lobe-edge-driven"])
 def test_lanczos_work_per_ladder_is_pinned(monkeypatch, params, recorded):
     # matvecs over a whole converge_cutoff ladder, within 10 % of the count
     # recorded for this solver: a cheaper step must not buy more iterations.
-    # The first three stop at the first cutoff; on the lobe-edge ladders the
-    # warm starts save work (every rung started cold takes 860 and 360)
+    # All five are solved in extended coherent states.  The first three stop
+    # at the first cutoff; on the lobe-edge ladders the warm starts save work
+    # (every rung started cold takes 520 and 340)
     counted = []
     solve = exact._lowest_levels
 
@@ -517,8 +648,10 @@ def test_residual_guard_reports_the_bound_it_applies(monkeypatch):
     # coupling scale (here ||H||_inf < 1).  It passes a pair converged to
     # the Lanczos resolution (restarted runs on two parity sectors of about
     # 2100 states) and trips on a ground vector spoiled by 1e-6
+    # (on the two-centre basis about the mean-field centre, which the ladder
+    # leaves for ECS at this c)
     q = ModelParams(omega=10.0, lam=1.5 * math.sqrt(10.0), delta=0.5, n_atoms=64)
-    a, x, odd, _ = exact._photon_basis(exact._centre(q), 32)
+    a, x, odd, _ = exact._photon_basis(8.0 * abs(ground_state(q).alpha), 32)
     ops, hnorm = exact._operators(q, 0, a, x, odd, exact._spin_sectors(q))
     e0, _, vec, _ = exact._solve_sectors(ops, hnorm, (65, odd.size))
     ks = np.arange(65)
@@ -706,13 +839,16 @@ def test_ladder_stops_at_the_first_cutoff_whose_top_half_holds_at_most_eps(monke
     # the lobe edge at N = 16 holds 9.2e-5, 7.0e-8 and 3.5e-15 of its
     # weight above half of cutoffs 8, 16 and 32
     (ModelParams(omega=1.0, lam=0.8, delta=0.74, v=0.1, n_atoms=16), 32, 1e-7, 16),
-    # the driven onset at N = 256 holds 1.7e-9 above half of cutoff 8
-    (ModelParams(omega=10.0, lam=math.sqrt(10.0), omega_rabi=0.5, v=-1.5, n_atoms=256),
+    # the driven onset (u = 1, v = -1.5, omega_rabi = 0.5) at omega = 3, N =
+    # 16, on the two-centre basis (c = 0.144), holds 4.7e-9 above half of
+    # cutoff 8.  (At omega = 10, N = 256 it is solved in ECS, which holds
+    # 4.8e-18 there.)
+    (ModelParams(omega=3.0, lam=math.sqrt(3.0), omega_rabi=0.5, v=-1.5, n_atoms=16),
      8, 1e-9, 16),
 ], ids=["lobe-edge", "driven-onset"])
 def test_ladder_eps_window(params, n_max, eps, moved):
     # the default eps stops both ladders where they are held, so any
-    # LADDER_EPS in [1.7e-9, 7.0e-8) gives the same cutoffs; a tenfold
+    # LADDER_EPS in [4.7e-9, 7.0e-8) gives the same cutoffs; a tenfold
     # larger eps stops the lobe edge a cutoff early, a tenfold smaller one
     # the onset a cutoff late
     for tol, want in ((exact.LADDER_EPS, n_max), (eps, moved)):
@@ -781,6 +917,68 @@ def test_observable_ranges():
     assert sol.m_over_n == pytest.approx(2.0 * sol.jz / 8.0, abs=1e-15)
     assert sol.photon_density == pytest.approx(sol.photon_number / 8.0,
                                                abs=1e-15)
+
+
+# --- extended coherent states (ECS) ----------------------------------------
+
+def two_centre_ladder(p: ModelParams) -> ExactSolution:
+    """converge_cutoff on the two-centre basis about the mean-field centre,
+    whatever c is."""
+    beta = math.sqrt(p.n_atoms) * abs(ground_state(p).alpha)
+    sol, start, top = exact._solve(p, N_MAX_START, beta, None)
+    while top > exact.LADDER_EPS and sol.n_max_used < 1024:
+        sol, start, top = exact._solve(p, 2 * sol.n_max_used, beta, start)
+    return ExactSolution(**{**vars(sol), "converged": top <= exact.LADDER_EPS})
+
+
+def _ecs_battery(count: int = 216) -> list[ModelParams]:
+    """Seeded couplings in the ECS region (c = lambda / (omega sqrt(N)) <=
+    _ECS_MAX_C, (|delta| + |v|) lambda / omega**2 <= _ECS_MAX_X): N from 1
+    to 1024, odd and even, delta = 0 and drives among them, v != 0; every
+    third point within 1 % of a lobe edge, and fig4's first-order jump (u =
+    1, v = -2, delta = 0, omega_rabi = 0.25 to 0.75)."""
+    from extdicke.phases import delta_critical
+
+    rng = random.Random(46)
+    small = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 24, 31, 32, 48, 64)
+    out = [ModelParams(omega=10.0, lam=math.sqrt(10.0), omega_rabi=rabi, v=-2.0, n_atoms=n)
+           for n, rabi in zip((7, 8, 16, 31, 64, 128), (0.25, 0.5, 0.75) * 2)]
+    while len(out) < count:
+        i = len(out)
+        n = (128, 256, 1024)[i % 3] if i % 40 == 0 else rng.choice(small)
+        omega = rng.choice((1.0, 10.0))
+        # (c >= 0.03: below it u << omega at small N, and the solver's
+        # resolution 1e-13 * ||H|| leaves the spin state 1e-8 loose)
+        lam = rng.uniform(0.03, exact._ECS_MAX_C) * omega * math.sqrt(n)
+        u = lam * lam / omega
+        v = rng.uniform(-0.8, 0.8) * u
+        if i % 3 == 0:
+            delta = rng.choice(delta_critical(u, v)) * (1.0 + rng.uniform(-0.01, 0.01))
+        else:
+            delta = rng.choice((0.0, rng.uniform(-2.0, 2.0) * u))
+        if (abs(delta) + abs(v)) * lam / omega ** 2 <= exact._ECS_MAX_X:
+            out.append(ModelParams(omega=omega, lam=lam, delta=delta, v=v, n_atoms=n,
+                                   omega_rabi=rng.choice((0.0, rng.uniform(0.0, 0.5) * u))))
+    return out
+
+
+def test_ecs_ladders_agree_with_the_two_centre_basis():
+    # E0 within eps * max(|E0|, S), photons, J_z and J_x within 1e-8 N and
+    # the same parity, wherever the two-centre ladder converges
+    agreed = 0
+    for p in _ecs_battery():
+        assert exact._centre(p) is None, p
+        ecs, two = converge_cutoff(p), two_centre_ladder(p)
+        assert ecs.converged, p
+        if not two.converged:
+            continue
+        agreed += 1
+        assert abs(ecs.energy - two.energy) <= exact.LADDER_EPS * max(
+            abs(two.energy), p.hamiltonian_scale), p
+        for name in ("photon_number", "jz", "jx"):
+            assert abs(getattr(ecs, name) - getattr(two, name)) <= 1e-8 * p.n_atoms, (p, name)
+        assert abs(ecs.parity - two.parity) <= 1e-8, p
+    assert agreed >= 200
 
 
 # --- the two-centre displaced photon basis ---------------------------------
@@ -863,14 +1061,16 @@ def test_photon_basis_is_fock_at_zero_and_grows_by_prefix():
                  n_atoms=32), 24),
 ], ids=["weak-drive-cat", "driven-32"])
 def test_two_centre_ladder_matches_the_fock_reference(params, n_ref):
-    sol = converge_cutoff(params)
+    # (converge_cutoff solves driven-32, c = 0.057, in ECS; two_centre_ladder
+    # keeps its two-centre basis under test)
     h = dense_reference(params, n_ref)
     w, v = np.linalg.eigh(h)
     ground = v[:, 0].reshape(params.n_atoms + 1, n_ref + 1)
     jz = (ground * ground).sum(axis=1) @ (np.arange(params.n_atoms + 1) - 0.5 * params.n_atoms)
-    assert sol.converged
-    assert abs(sol.energy - w[0]) <= 1e-8 * max(abs(w[0]), params.hamiltonian_scale)
-    assert abs(sol.jz - jz) <= 1e-8 * params.n_atoms
+    for sol in (converge_cutoff(params), two_centre_ladder(params)):
+        assert sol.converged
+        assert abs(sol.energy - w[0]) <= 1e-8 * max(abs(w[0]), params.hamiltonian_scale)
+        assert abs(sol.jz - jz) <= 1e-8 * params.n_atoms
 
 
 def test_ladders_agree_with_dense_fock_levels():

@@ -46,6 +46,44 @@ def test_axis_values_inclusive_endpoints():
     assert AxisSpec("v", 2.0, 2.0, 1).values() == [2.0]
 
 
+# bounds anywhere in the float range, as the axis of a config may hold them
+_AXIS_BOUND = st.floats(-1.7e308, 1.7e308)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=_AXIS_BOUND, b=_AXIS_BOUND, count=st.integers(2, 400))
+@example(-2.292, 1.515, 243)  # min + step * i ended on 1.5149999999999997
+@example(1e308, 1.7e308, 5)  # min * (count - 1) overflows
+def test_axis_ends_on_its_bounds(a, b, count):
+    lo, hi = sorted((a, b))
+    nodes = AxisSpec("delta", lo, hi, count).values()
+    assert len(nodes) == count and nodes[0] == lo and nodes[-1] == hi
+    assert all(math.isfinite(x) for x in nodes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(half=st.floats(0.0, 1.7e308), count=st.integers(2, 400))
+@example(0.11, 11)  # min + step * i put the centre on -1.39e-17
+@example(1.7e308, 401)
+def test_symmetric_axis_is_odd_about_zero(half, count):
+    nodes = AxisSpec("delta", -half, half, count).values()
+    assert all(x == -y for x, y in zip(nodes, reversed(nodes)))
+    if count % 2:
+        assert nodes[count // 2] == 0.0
+
+
+def test_symmetric_scan_gives_the_tie_rule_well_at_its_centre():
+    # at u = 1, v = -2 the wells m/N = +-1 tie at delta = 0, where the tie
+    # rule picks +1; 1.1e-16 above it the other well wins.  Node 200 of this
+    # axis was 1.1e-16 when nodes were min + step * i
+    base = ModelParams(omega=1.0, lam=1.0, v=-2.0)
+    dataset = run_sweep(SweepConfig(base, (AxisSpec("delta", -0.9, 0.9, 401),)))
+    centre = dict(zip(dataset.columns, dataset.rows[200]))
+    assert ground_state(base.replace(delta=1.1102230246251565e-16)).m_over_n == -1.0
+    assert centre["delta"] == 0.0
+    assert centre["m_over_n"] == ground_state(base).m_over_n == 1.0
+
+
 def test_single_axis_rows_match_direct_solver():
     dataset = run_sweep(small_config())
     assert dataset.columns[0] == "delta"
@@ -191,7 +229,7 @@ def test_a_repeated_atom_number_stops_the_config():
 def test_csv_round_trip_is_byte_stable():
     dataset = run_sweep(small_config())
     text = serialize_csv(dataset)
-    assert text.startswith("# extdicke sweep format 15")
+    assert text.startswith("# extdicke sweep format 16")
     again = serialize_csv(parse_csv(text))
     assert again == text
 
@@ -312,7 +350,7 @@ def test_domain_edge_scan_bytes_are_pinned():
     assert errors == {"", "ParameterError: nonpositive cavity frequency",
                       "ParameterError: negative collective coupling"}
     assert hashlib.sha256(serialize_csv(dataset).encode()).hexdigest() \
-        == "31ed06f0db3ed1b2dea54aa21402174c916804e70a6ae84410a9236d343f1fb3"
+        == "a82913eb6da5969facb81335d188c229be5cadf425aa5f44e6ca68c3ee3eb812"
 
 
 def _reference_csv(dataset: SweepDataset) -> str:

@@ -386,10 +386,19 @@ def _ladders():
             for _ in range(30)]
 
 
-# 30 seeded ladders, and one at odd N whose ground doublet the solver does not
-# resolve (gap 1.8e-15), where the tie rule must give images on the two sides
-# of the mirror
-LADDERS = _ladders() + [ModelParams(omega=1.0, lam=1.5, delta=0.2, n_atoms=17)]
+# 30 seeded ladders (8 of them in extended coherent states, c <= 1/8), one at
+# odd N whose ground doublet the solver does not resolve (gap 1.8e-15), where
+# the tie rule must give images on the two sides of the mirror, and four more
+# in extended coherent states: a superradiant doublet, odd N with a drive,
+# the delta = 0 flip sectors and v != 0
+LADDERS = _ladders() + [ModelParams(omega=1.0, lam=1.5, delta=0.2, n_atoms=17),
+                        ModelParams(omega=10.0, lam=1.5 * math.sqrt(10.0), delta=0.5,
+                                    n_atoms=64),
+                        ModelParams(omega=2.0, lam=0.5, delta=0.1, omega_rabi=0.05, v=-0.1,
+                                    n_atoms=5),
+                        ModelParams(omega=1.0, lam=0.3, delta=0.0, omega_rabi=0.1, v=-0.5,
+                                    n_atoms=8),
+                        ModelParams(omega=1.0, lam=0.4, delta=-0.05, v=0.2, n_atoms=16)]
 
 
 def _check_ladder(sym, p, a):
