@@ -38,6 +38,7 @@ from .model import (
     TrapSpec,
     _integer,
     _positive,
+    _real,
     check_ladder,
     dumps_json,
     estimate_from_trap,
@@ -141,12 +142,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exact_check(args) -> int:
-    from .exact import _RESIDUAL_TOL, converge_cutoff, product_state_energy
+    from .exact import _RESIDUAL_TOL, _centre, converge_cutoff, product_state_energy
     params = _params_from_args(args)
     mf = ground_state(params)
+    # each N's first cutoff, on the basis its ladder will use
     eps, n_list = check_ladder(args.eps, _parse_float_list(args.n_list, "--n-list"),
                                args.budget, names=("--eps", "--n-list entry", "--budget"),
-                               centred=mf.alpha != 0.0)
+                               centred=lambda n: bool(_centre(params.replace(n_atoms=n))))
     tol = _RESIDUAL_TOL * params.hamiltonian_scale  # the residual guard, per atom
     rows = []
     for n in n_list:
@@ -308,10 +310,10 @@ set grid
 
 
 def _times_u(value: float, u: float, flag: str, width: float = 1.0) -> float:
-    """A figure option given in units of u, times u.  The product, and an
-    axis `width` times it, must be finite: an overflow names --u and the
-    option before any output is written."""
-    x = value * u
+    """A figure option given in units of u, times u.  The option, the
+    product and an axis `width` times it must be finite: the error names
+    the option (and --u, for an overflow) before any output is written."""
+    x = _real(value, flag) * u
     if not math.isfinite(width * x):
         raise ParameterError(f"{flag} {value:g} times --u {u:g} overflows")
     return x
@@ -320,7 +322,7 @@ def _times_u(value: float, u: float, flag: str, width: float = 1.0) -> float:
 def _drive(frac: float, u: float, flag: str) -> float:
     """A drive given as a fraction of u, times u: the Rabi frequency must
     be nonnegative."""
-    if not frac >= 0.0:
+    if not _real(frac, flag) >= 0.0:
         raise ParameterError(f"{flag} must be nonnegative, got {frac}")
     return _times_u(frac, u, flag)
 
@@ -375,7 +377,7 @@ def cmd_fig3(args) -> int:
     base, u = _fig_base(args)
     rabi = _drive(args.rabi_frac, u, "--rabi-frac")
     d_span = _delta_span(args, u)
-    if not args.v_max > args.v_min:
+    if not _real(args.v_max, "--v-max") > _real(args.v_min, "--v-min"):
         raise ParameterError(f"--v-max must exceed --v-min, got "
                              f"{args.v_min} to {args.v_max}")
     v_lo, v_hi = args.v_min * u, args.v_max * u

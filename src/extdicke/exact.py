@@ -11,8 +11,8 @@ Liu & Wang, PRA 78, 051801(R) (2008): each J_x eigenstate mu = -j..j has
 its own photon states D(-c mu)|n>, n <= n_max, on which the photon energy
 and the atom-field coupling are diagonal, omega n - omega c**2 mu**2 +
 omega_rabi mu; delta J_z and (v / N) J_z**2 couple the rows mu +- 1, mu +-
-2 through fixed overlaps <n|D(-+c)|n'>, <n|D(-+2c)|n'> (_ecs_operators).
-P = n_max + 1, and no mean-field centre.  At large c the rows couple only
+2 through fixed overlaps <n|D(-+c)|n'>, <n|D(-+2c)|n'> (_ecs_terms).  P =
+n_max + 1, and no mean-field centre.  At large c the rows couple only
 through the part of <n|D(c)|n'> near n ~ c**2, far above a small cutoff,
 so the ladder's weight rule certifies a wrong answer (omega = 1, lambda =
 sqrt(999), delta = 1e3, N = 8: c = 11, 2e-27 of the weight above label 4
@@ -36,12 +36,16 @@ was made from.  Where the centres' states are orthogonal to rounding, the
 closed forms a^dag a + beta (a + a^dag) + beta**2 and a + a^dag + 2 beta on
 each centre replace it, so no array grows with beta.  With A and X the
 matrices of a^dag a and a + a^dag, H = omega A (x) 1 + (lambda / sqrt(N) X
-+ omega_rabi) (x) J_x + 1 (x) (delta J_z + (v / N) J_z**2) on the states m.
++ omega_rabi) (x) J_x + 1 (x) (delta J_z + (v / N) J_z**2) on the states m
+(_two_centre_terms).
 
 In either basis photon operators are dense P x P matrices, a budget bounds
 the dimension solved and their P**2 entries (model.basis_size), and the
 basis at n_max is the first part of the basis at 2 * n_max (the states a
-doubling adds are labelled above n_max).  H is held spin-major
+doubling adds are labelled above n_max).  Each basis writes H as a dense
+photon energy (none in ECS), a diagonal and terms S_d (x) M_d that move the
+spin state by d, which one assembler, _operators, projects onto the rows
+of each symmetry sector (_spin_sectors).  H is held spin-major
 (KroneckerHamiltonian), a vector as an (N + 1) x P array of spin states x
 photon states; each sector's operator carries its embedding into that
 array, the one map that gathers a start vector and puts a solution back.
@@ -87,7 +91,6 @@ vectors of the Lanczos runs are integer hashes of their index
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import TYPE_CHECKING
 
@@ -310,34 +313,28 @@ def _photon_basis(beta: float, nm: int) -> tuple:
     return a, x, np.arange(size) >= pe, np.concatenate(labels)
 
 
-def _spin_sectors(params: ModelParams, ecs: bool = False) -> list[list[tuple]]:
-    """The symmetry sectors the eigensolve treats separately, each a list of
-    groups (photon parity 0 or 1, or None for every photon state; spin rows
-    as four arrays: each row's spin state k = m + j (mu + j in ECS), its
-    partner's and their coefficients, row c being cr[c] |rep[c]> + cp[c]
-    |par[c]>).  The sectors are the even, then the odd one of the parity at
-    omega_rabi = 0, else the whole basis; at delta = 0 each splits into its
-    even, then its odd half under the flip F, except for odd N without a
-    drive (F maps one parity sector onto the other).  Empty groups are left
-    out.  On the two-centre basis a parity sector is
-    (photon-even x spin-even) + (photon-odd x spin-odd), the spin parity
-    (-1)**(m + j), and F pairs m with -m as (|m> +- |-m>)/sqrt(2); rows
-    ascend in m (a pair by its m >= 0).  In ECS the roles swap: the parity
-    pairs mu with -mu as (|mu, n> + s |-mu, n>)/sqrt(2), s = +-(-1)**(N +
-    n) in the even and the odd sector, and F keeps mu, with the sign
-    (-1)**(N - mu - j); rows descend in mu, so mu = 0, unpaired, is last.
-    """
+def _spin_sectors(params: ModelParams, ecs: bool = False) -> list[tuple]:
+    """The symmetry sectors (see the module docstring), each as its row sets
+    and its groups.  A row set is (k, c), row r being c[0, r] |k[0, r]> + s
+    c[1, r] |k[1, r]> for spin states k = m + j (mu + j in ECS), c[1, r] = 0
+    where k[0, r] has no partner; a group is (photon parity 0 or 1, or None
+    for all; its row set; how many of the set's rows it holds; the
+    partners' sign s).  On the two-centre basis a parity sector is
+    (photon-even x spin-even) + (photon-odd x spin-odd), F pairs m with -m,
+    s = +-1, and rows ascend in m.  In ECS the parity pairs mu with -mu, s =
+    +-(-1)**(N + n) in the even and the odd sector, F splits the rows by the
+    parity of N - mu - j, and rows descend in mu: mu = 0, without a partner,
+    is last, and the groups share the largest's rows.  No group is empty."""
     import numpy as np
 
     na = params.n_atoms
     ks = np.arange(na, -1, -1) if ecs else np.arange(na + 1)
     drive = params.omega_rabi != 0.0
     flip = params.delta == 0.0 and (drive or na % 2 == 0)
-    r = math.sqrt(0.5)
     sectors = []
     for s in (0,) if drive else (0, 1):
         for f in (0, 1) if flip else (None,):
-            sector = []
+            sets, groups = [], []
             for photon in (None,) if drive else (0, 1):
                 if ecs:
                     k = ks if f is None else ks[(na - ks) % 2 == f]
@@ -345,108 +342,45 @@ def _spin_sectors(params: ModelParams, ecs: bool = False) -> list[list[tuple]]:
                 else:
                     k = ks if drive else ks[ks % 2 == (s + photon) % 2]
                     sign = 0.0 if f is None else (-1.0) ** f
-                if sign:  # mu (m) >= 0 with the sign +, > 0 with the sign -
-                    rep = k[2 * k >= na] if sign > 0.0 else k[2 * k > na]
-                    par = na - rep
-                else:
-                    rep = par = k
-                alone = par == rep
+                # a pair by its mu (m) >= 0 with the sign +, > 0 with the sign -
+                rep = k[2 * k > na - (sign > 0.0)] if sign else k
+                par = na - rep if sign else rep
                 if rep.size:
-                    sector.append((photon, rep, par, np.where(alone, 1.0, r),
-                                   np.where(alone, 0.0, sign * r)))
-            if sector:
-                sectors.append(sector)
+                    sets.append((np.array([rep, par]), np.where(
+                        par == rep, [[1.0], [0.0]], math.sqrt(0.5))))
+                    groups.append((photon, len(sets) - 1, rep.size, sign))
+            if ecs and sets:  # the groups share the rows of the largest
+                sets = [max(sets, key=lambda rows: rows[0].shape[1])]
+                groups = [(photon, 0, *rest) for photon, _, *rest in groups]
+            if sets:
+                sectors.append((sets, groups))
     return sectors
 
 
-def _operators(params: ModelParams, k: int, a, x, odd: np.ndarray,
-               sectors: list[list[tuple]]) -> tuple[list, float]:
-    """The KroneckerHamiltonian of H / 2**k on each sector of _spin_sectors,
-    and ||H / 2**k||_inf (the largest row sum of |H| on the photon basis x
-    the states m), for the photon basis (the photon operators A and X,
-    photon parities).
-
-    A sector's entries are its spin rows x the photon states of its groups,
-    concatenated; the groups with more spin rows come first, so the missing
-    entries of the others are the last ones (the groups of a sector differ
-    by at most one row).  This layout is decided here alone and handed out
-    as each operator's embedding: for every entry, the flat positions
-    rep * P + photon and par * P + photon of its row's two spin states in
-    the (N + 1) x P array, and their coefficients cr and cp, cut at the
-    sector dimension.  The elements of J_x and of the diagonal between rows
-    are summed over the rows' states in the order of m; a matrix element and
-    its transpose are summed from the same terms, so the block is exactly
-    symmetric."""
+def _two_centre_terms(params: ModelParams, k: int, a: np.ndarray, x: np.ndarray) -> tuple:
+    """H / 2**k for _operators on the photon basis of the operators A and X
+    (_photon_basis): omega A, delta m + (v / N) m**2, and J_x (x) (lambda /
+    sqrt(N) X + omega_rabi) at d = +-1."""
     import numpy as np
 
     omega, lam, delta, rabi, v = (math.ldexp(getattr(params, f), -k) for f in AXES)
-    na = params.n_atoms
-    j = 0.5 * na
+    na, j = params.n_atoms, 0.5 * params.n_atoms
     m = np.arange(na + 1) - j
-    diag = delta * m + (v / na) * m * m
-    ladder = 0.5 * np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))  # J_x[m, m + 1]
-    aw = omega * a
-    xs = (lam / math.sqrt(na)) * x + rabi * np.eye(len(x))
-    jrow = np.zeros(na + 1)
-    jrow[:-1] += ladder
-    jrow[1:] += ladder
-    ad = np.diag(aw)
-    hnorm = float((np.abs(aw).sum(axis=1) - np.abs(ad) + np.abs(ad + diag[:, None])
-                   + jrow[:, None] * np.abs(xs).sum(axis=1)).max())
-    ops = []
-    for sector in sectors:
-        groups = [(np.arange(odd.size) if parity is None else np.flatnonzero(odd == parity),
-                   *rows) for parity, *rows in sector]
-        groups = sorted((g for g in groups if g[0].size), key=lambda g: -g[1].size)
-        if not groups:
-            continue
-        group = np.full(na + 1, -1)
-        row = np.zeros(na + 1, dtype=int)
-        coef = np.zeros(na + 1)
-        shape = (groups[0][1].size, len(groups))
-        tab = np.zeros((6, *shape))  # sd, hdn, h0, hup, cr, cp by row and group
-        states = np.zeros((2, *shape), dtype=int)  # rep, par by row and group
-        for g, (_, rep, par, cr, cp) in enumerate(groups):
-            group[par] = group[rep] = g
-            row[par] = row[rep] = np.arange(rep.size)
-            coef[par] = cp
-            coef[rep] = cr  # after the partner's: a row of one state keeps cr
-            states[:, :rep.size, g] = rep, par
-            tab[4:, :rep.size, g] = cr, cp
-        inside = group >= 0
-        np.add.at(tab[0], (row[inside], group[inside]), coef[inside] ** 2 * diag[inside])
-        s = np.flatnonzero(inside[:-1] & inside[1:])  # J_x[m, m + 1] inside the sector
-        val = coef[s] * coef[s + 1] * ladder[s]
-        off = row[s + 1] - row[s]
-        np.add.at(tab, (2 + off, row[s], group[s]), val)
-        np.add.at(tab, (2 - off, row[s + 1], group[s + 1]), val)
-        cols = np.concatenate([g[0] for g in groups])
-        sizes = [g[0].size for g in groups]
-        dim = sum(g[0].size * g[1].size for g in groups)
-        sd, hdn, h0, hup, cr, cp = np.repeat(tab, sizes, axis=2)
-        rep, par = np.repeat(states, sizes, axis=2) * odd.size + cols
-        ops.append(KroneckerHamiltonian(aw[np.ix_(cols, cols)], sd,
-                                        [(xs[np.ix_(cols, cols)], [(0, h0), (-1, hdn), (1, hup)])],
-                                        dim, tuple(t.ravel()[:dim] for t in (rep, par, cr, cp))))
-    return ops, hnorm
+    ladder = 0.5 * np.sqrt(j * (j + 1.0) - m * (m + 1.0))  # J_x[m, m + 1], 0 at m = j
+    xs = (lam / math.sqrt(na)) * x
+    xs.flat[::len(x) + 1] += rabi
+    diag = (delta * m + (v / na) * m * m)[:, None].repeat(len(x), axis=1)
+    return omega * a, diag, {1: (ladder, xs), -1: (np.concatenate(([0.0], ladder[:-1])), xs)}
 
 
-def _ecs_operators(params: ModelParams, k: int, c: float, overlaps: list,
-                   sectors: list[list[tuple]]) -> tuple[list, float]:
-    """_operators in ECS, on the sectors of _spin_sectors(params, True).  sd
-    holds omega n - omega c**2 mu**2 + omega_rabi mu and the diagonal of (v /
-    N) J_z**2.  delta J_z and (v / N) J_z**2 couple mu to mu + d, d = +-1,
-    +-2, through G_d = <n|D(-c d)|n'>, and G_-d = P G_d P (photon parity P),
-    so a term to or from a row's partner |-mu, n>, signed s_n = +-(-1)**n,
-    is s_n G_-d on the row itself: a band of the photon matrix of -d.  The
-    layout is _operators', each group's rows the first of the first group's.
-    A band entry sums at most two products, each formed in one order for it
-    and its transpose, so the block is exactly symmetric."""
+def _ecs_terms(params: ModelParams, k: int, c: float, overlaps: list) -> tuple:
+    """H / 2**k for _operators in ECS from the overlaps <k|D(c)|n>, <k|D(2 c)|n>
+    cut to n_max: omega n - omega c**2 mu**2 + omega_rabi mu plus the diagonal of
+    (v / N) J_z**2, and delta J_z and (v / N) J_z**2 through G_d = <n|D(-c d)|n'>."""
     import numpy as np
 
     omega, _, delta, rabi, v = (math.ldexp(getattr(params, f), -k) for f in AXES)
-    na = params.n_atoms
-    j = 0.5 * na
+    na, j = params.n_atoms, 0.5 * params.n_atoms
     mu = np.arange(na + 1) - j
     ladder = np.zeros(na + 2)  # J_z[mu - 1, mu] at mu + j, 0 past the ends
     ladder[1:-1] = 0.5 * np.sqrt(j * (j + 1.0) - mu[:-1] * (mu[:-1] + 1.0))
@@ -454,48 +388,83 @@ def _ecs_operators(params: ModelParams, k: int, c: float, overlaps: list,
     diag = omega * n + (rabi * mu - omega * c * c * mu * mu
                         + (v / na) * (ladder[:-1] ** 2 + ladder[1:] ** 2))[:, None]
     spin = {1: delta * ladder[1:], 2: (v / na) * np.append(ladder[1:-1] * ladder[2:], 0.0)}
-    spin.update({-d: np.roll(s, d) for d, s in spin.items()})  # spin[d][k]: k to k + d
-    spin = {d: s for d, s in spin.items() if s.any()}
-    photon = {d: overlaps[abs(d) - 1] if d > 0 else overlaps[abs(d) - 1].T for d in spin}
-    hnorm = np.abs(diag)
-    for d, s in spin.items():
-        hnorm += np.abs(s)[:, None] * np.abs(photon[d]).sum(axis=0)
+    spin.update({-d: np.concatenate((s[-d:], s[:-d])) for d, s in spin.items()})  # k to k + d
+    return None, diag, {d: (s, overlaps[d - 1] if d > 0 else overlaps[-d - 1].T)
+                        for d, s in spin.items() if s.any()}
+
+
+def _operators(a, diag: np.ndarray, terms: dict, odd: np.ndarray,
+               sectors: list[tuple]) -> tuple[list, float]:
+    """The KroneckerHamiltonian of H = a (x) 1 + diag + sum of S_d (x) M_d on
+    each sector of _spin_sectors, and ||H||_inf (the largest row sum of |H|
+    on the spin states x photon states of parities `odd`): a dense photon
+    energy or None, diag[k, n], and terms {d: (S_d, M_d)}, S_d[k] from spin
+    state k to k + d, M_d from photon state n' to n at [n', n], M_-d = P M_d
+    P for the partners' signs P.  A sector's entries are its rows x its
+    groups' photon states, the groups with more rows first, so the missing
+    entries are the last.  A row's diagonal is its rep's; a term from state
+    a of row r to state b of row r + o is a band of offset o, of M_d (M_-d
+    where b is a partner), times s where a != b.  bincount sums an entry's
+    at most two terms, each formed alike for the entry and its transpose:
+    the block is exactly symmetric."""
+    import numpy as np
+
+    keys, mats = list(terms), list({id(m): m for _, m in terms.values()}.values())
+    mat = [next(i for i, x in enumerate(mats) if x is m) for _, m in terms.values()]
+    hnorm = np.abs(diag) if a is None else (np.add.reduce(np.abs(a), axis=1)
+                                            - np.abs(a.diagonal()) + np.abs(a.diagonal() + diag))
+    for s, m in terms.values():
+        hnorm += np.abs(s)[:, None] * np.add.reduce(np.abs(m), axis=0)
+    span = max(map(abs, keys), default=0)  # the largest row offset
+    width = 2 * span + 1
+    # a term's band (sign, matrix) by the kinds (rep 0, par 1) of its states
+    par = [mat[keys.index(-d)] for d in keys]
+    band = np.array([[mat, [i + len(mats) for i in par]], [[i + len(mats) for i in mat], par]],
+                    dtype=int).reshape(2, 2, len(keys)) * width
+    spin = np.array([s for s, _ in terms.values()]).reshape(len(keys), len(diag))
+    term, step = np.arange(len(keys))[:, None], np.array(keys, dtype=int)[:, None] + span
     ops = []
-    for sector in sectors:
-        groups = sorted((g for g in sector if g[0] is None or g[0] < n.size),
-                        key=lambda g: -g[1].size)  # no photon-odd states at n_max = 0
+    for sets, groups in sectors:
+        groups = [(np.arange(odd.size) if photon is None else (odd == photon).nonzero()[0],
+                   *rest) for photon, *rest in groups]
+        groups = sorted((g for g in groups if g[0].size), key=lambda g: -g[2])
         if not groups:
             continue
-        _, rep, par, cr, cp = groups[0]
-        parts = [n if g[0] is None else n[n % 2 == g[0]] for g in groups]
-        cols = np.concatenate(parts)
-        sign = np.concatenate([np.full(p.size, np.sign(g[4].sum())) for p, g in zip(parts, groups)])
-        rows = np.arange(rep.size)
-        at = np.full((2, na + 5), -1)  # the row holding spin state k as rep, as par, at k + 2
-        at[0, rep + 2], at[1, par + 2] = rows, rows
-        coef = (cr, np.abs(cp))
-        keys = list(spin)
-        place, value = [np.zeros(0, int)], [np.zeros(0)]  # terms of tab, summed by bincount
-        for a, b in itertools.product((0, 1) if cp.any() else (0,), repeat=2):
-            for d in keys:  # state a of row r to state b of row rb, d apart
-                ka = (rep, par)[a]
-                rb = at[b, ka + d + 2]
-                r = np.flatnonzero(rb >= 0)
-                place.append((((a != b) * len(keys) + keys.index(-d if b else d)) * 5
-                              + rb[r] - r + 2) * rows.size + r)
-                value.append(spin[d][ka[r]] * coef[a][r] * coef[b][rb[r]])
-        tab = np.bincount(np.concatenate(place), np.concatenate(value), 10 * len(keys) * rows.size
-                          ).reshape(2, len(keys), 5, rows.size)  # by sign, matrix, offset, row
-        used = tab.any(axis=(0, 3))
-        couplings = [(photon[d][np.ix_(cols, cols)],
-                      [(o - 2, tab[0, i, o, :, None] + tab[1, i, o, :, None] * sign)
-                       for o in np.flatnonzero(used[i])])
-                     for i, d in enumerate(keys) if used[i].any()]
-        dim = sum(g[1].size * p.size for p, g in zip(parts, groups))
-        embedding = (rep[:, None] * n.size + cols, par[:, None] * n.size + cols,
-                     np.repeat(cr[:, None], cols.size, axis=1), coef[1][:, None] * sign)
-        ops.append(KroneckerHamiltonian(None, diag[np.ix_(rep, cols)], couplings, dim,
-                                        tuple(t.ravel()[:dim] for t in embedding)))
+        size, of = groups[0][2], np.array([g[1] for g in groups])  # the first holds most rows
+        held = [max([g[2] for g in groups if g[1] == i], default=0) for i in range(len(sets))]
+        sets = [(k[:, :n], c[:, :n]) for (k, c), n in zip(sets, held)]
+        # the states, reps then partners, coefficients (0 past the end), rows, places
+        k, c = (np.concatenate([rows[i] for rows in sets], axis=1) for i in (0, 1))
+        place = np.concatenate([np.arange(i * size, i * size + n) for i, n in enumerate(held)])
+        place, row, count = np.concatenate((place, place)), place % size, place.size
+        k, c, row = k.ravel(), np.concatenate((c[0], c[1], [0.0])), np.concatenate((row, row))
+        at = np.zeros(len(diag) + 2 * span, dtype=int) - 1  # the state of spin state k + span
+        at[k[count:] + span] = np.arange(count, 2 * count)
+        at[k[:count] + span] = np.arange(count)  # a state alone is its row's rep
+        to = at[k + step]  # from state e to state to[d, e], d apart; -1 for none
+        bins = ((band[np.arange(2 * count) // count, to // count, term] + row[to] - row + span)
+                * len(sets) * size + place)
+        tab = np.bincount(np.where(to < 0, 0, bins).ravel(), (spin[:, k] * c[:-1] * c[to]).ravel(),
+                          2 * len(mats) * width * len(sets) * size
+                          ).reshape(2, -1, len(sets), size)  # sign, band, row set, row
+        sign = np.array([g[3] for g in groups])
+        table = np.zeros((4 + tab.shape[1], size, len(groups)))  # rep, par, cr, s cp, bands
+        for g, i in enumerate(of):
+            table[:2, :held[i], g], table[2:4, :held[i], g] = sets[i][0] * odd.size, sets[i][1]
+        table[3] *= sign
+        table[4:] = (tab[0][:, of] + tab[1][:, of] * sign[:, None]).swapaxes(1, 2)
+        rep, par, cr, cp, *bands = table.repeat([g[0].size for g in groups], axis=2)
+        cols = np.concatenate([g[0] for g in groups])
+        rep, par = rep.astype(int) + cols, par.astype(int) + cols
+        used = np.logical_or.reduce(tab, axis=(0, 2, 3)).reshape(len(mats), width)
+        block = (slice(None),) * 2 if len(groups) == 1 and cols.size == odd.size else (
+            cols[:, None], cols)  # the photon states in order, or permuted
+        couplings = [(m[block], [(o - span, bands[i * width + o]) for o in on.nonzero()[0]])
+                     for i, (m, on) in enumerate(zip(mats, used)) if on.any()]
+        dim = sum(g[0].size * g[2] for g in groups)
+        ops.append(KroneckerHamiltonian(None if a is None else a[block], diag.ravel()[rep],
+                                        couplings, dim,
+                                        tuple(t.ravel()[:dim] for t in (rep, par, cr, cp))))
     return ops, float(hnorm.max())
 
 
@@ -769,10 +738,11 @@ def _solve(params: ModelParams, nm: int, beta: float | None, start: tuple | None
         odd = labels % 2 == 1
         overlaps = [_displaced(d * c, nm)[:nm + 1] if c else np.eye(nm + 1)
                     for d in ((1, 2) if params.v else (1,))]
-        ops, hnorm = _ecs_operators(params, k, c, overlaps, _spin_sectors(params, True))
+        terms = _ecs_terms(params, k, c, overlaps)
     else:
         a, x, odd, labels = _photon_basis(beta, nm)
-        ops, hnorm = _operators(params, k, a, x, odd, _spin_sectors(params))
+        terms = _two_centre_terms(params, k, a, x)
+    ops, hnorm = _operators(*terms, odd, _spin_sectors(params, beta is None))
     codes = 2 * labels + odd
     shape = (params.n_atoms + 1, odd.size)
     if start is not None:
@@ -829,7 +799,7 @@ def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
     stops the doubling first.
     """
     beta = _centre(params)
-    eps = check_ladder(eps, (params.n_atoms,), budget, centred=bool(beta))[0]
+    eps = check_ladder(eps, (params.n_atoms,), budget, centred=lambda n: bool(beta))[0]
     resolution = _LANCZOS_TOL * params.n_atoms * params.hamiltonian_scale
     if not params.omega > resolution:
         raise ConvergenceError(

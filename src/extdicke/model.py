@@ -111,13 +111,14 @@ def basis_size(n_max: int, n_atoms: int, centred: bool = False) -> tuple[int, in
 
 def check_ladder(eps, atom_numbers, budget: int = DIMENSION_BUDGET,
                  names=("convergence tolerance", "atom number", "the memory budget"),
-                 centred: bool = False):
+                 centred=lambda n: False):
     """The ladder settings' rule, for converge_cutoff, SweepConfig and
     exact-check: eps a positive finite number, each atom number a distinct
     positive integer whose first cutoff fits the budget (an integer) in its
-    dimension and in its photon matrix entries (basis_size; `centred` where
-    the field is known to be displaced, on the Fock basis where it is not
-    known yet).
+    dimension and in its photon matrix entries (basis_size; centred(N) says
+    whether the ladder at N holds the two centres of a displaced field, and
+    the Fock basis is counted where that is not known yet).  The largest N
+    that does not fit is reported.
     Returns (float eps, tuple of int atom numbers); an error uses the
     caller's `names` of the three."""
     eps = _positive(eps, names[0])
@@ -126,11 +127,11 @@ def check_ladder(eps, atom_numbers, budget: int = DIMENSION_BUDGET,
         if n in ns[:i]:
             raise ParameterError(f"{names[1]} {n} repeated")
     budget = _integer(budget, names[2])
-    if ns:
-        dim, entries = basis_size(N_MAX_START, max(ns), centred)
+    for n in sorted(ns, reverse=True):
+        dim, entries = basis_size(N_MAX_START, n, centred(n))
         for need, what in ((dim, "basis states"), (entries, "photon matrix entries")):
             if need > budget:
-                raise ParameterError(f"{names[1]} {max(ns)} needs {need} {what} at the first "
+                raise ParameterError(f"{names[1]} {n} needs {need} {what} at the first "
                                      f"photon cutoff {N_MAX_START}, above {names[2]} {budget}")
     return eps, ns
 

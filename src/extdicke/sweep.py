@@ -227,7 +227,7 @@ def run_sweep(config: SweepConfig) -> SweepDataset:
     base = [getattr(config.base, name) for name in AXES]
     rows = [_solve_node(config, slots, base, node) for node in nodes]
     provenance = (
-        f"extdicke sweep format 16, version {__version__}",
+        f"extdicke sweep format 17, version {__version__}",
         "config " + json.dumps(config.to_dict(), separators=(",", ":")),
     )
     return SweepDataset(columns=_columns(config), rows=tuple(rows),

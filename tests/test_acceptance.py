@@ -177,7 +177,7 @@ def test_trap_parameter_estimates():
 
 
 # Small-grid figure runs: the argv and the sha256 of each dataset file it
-# writes, recorded at sweep format 16.  A changed digest is a change of
+# writes, recorded at sweep format 17.  A changed digest is a change of
 # dataset bytes: it needs a `sweep format` bump in the provenance line and a
 # cell-level diff in CHANGES.md (how many cells moved, and by how much), as
 # the Newton-kernel, parity-sector and secular-equation changes gave.  The provenance line
@@ -186,17 +186,17 @@ def test_trap_parameter_estimates():
 _FIGURE_CASES = [
     (["fig2", "--points", "21", "--delta-span", "1.5",
       "--rabi-fracs", "0,0.02,0.05"],
-     {"fig2_curve0.csv": "b11ff133f1e8a86042b80240f0e0e7d0fd955836bac3edc7ac8602c08e32fae5",
-      "fig2_curve1.csv": "42a59a17e0b6b80e9da308e08d3be2e6bda611f64ce782ab7cf2102ead256e07",
-      "fig2_curve2.csv": "687783c2a4892b5124d1b6e69454eecf9dcc09a91877c251817d83c18b5c966f"}),
+     {"fig2_curve0.csv": "430c68adbbfac80f382a4a07ea807a656d4aa13ebaba26f54596ef73eb77308f",
+      "fig2_curve1.csv": "5737a15092a722b71609866e5c24b4d1b66009009ba0bd3f90e02d3a7b27e363",
+      "fig2_curve2.csv": "fc084c43f015cbee3dfa340c060f8ac1f5e6bdc484147e9722dcc74e01ed6133"}),
     (["fig3", "--resolution", "13x9"],
-     {"fig3_grid.csv": "0851ec43d7b2a70f115e51614f2ee00b03e0f4b260ca8a54924b8e65bc4783e8",
+     {"fig3_grid.csv": "bf9fb3bb58ab252e483672d6298732e80f32f8746b95c3581ed9e801c40aff87",
       "fig3_overlays.csv": "3485a3a65ce47df2369c5cda631f4bcd941bfd44bf895765765dd34cd213852e"}),
     (["fig4", "--points", "17"],
-     {"fig4_curve0.csv": "e0c73618545739c51fbf4c7cccbc4833248b0ccc89be29e1c6316aa1f4b2c9a7",
-      "fig4_curve1.csv": "f39b04718d73194d6949b0cc0d47934c948dfb70d9aa4d09ff35cd1f55fd9274",
-      "fig4_curve2.csv": "7aee2dd176c363f15f8142b7cecaebd4e773f365127f2c8cba1faef7a78bd8de",
-      "fig4_curve3.csv": "c5df4ccf6d5e12cc9b331ab954cd60a77314b555ce85f7576ae893eadda63d36"}),
+     {"fig4_curve0.csv": "35d04c223c5b3607f04acce85c4e4695606658f9ff78fa1c3603192f105ec68d",
+      "fig4_curve1.csv": "6273900a2a1efae08a518696b732a89835aca9e3484c95660b22060f1c12c5eb",
+      "fig4_curve2.csv": "a9d3aa0f48f7127b073d923442cd802ea7cbe9d139306501b6a36686a0a5cff5",
+      "fig4_curve3.csv": "bda0faa70d9c6a53766e65803fce7e4b299cb3d8a4c37a627ac12a52916aa94d"}),
 ]
 
 
@@ -223,7 +223,7 @@ def test_figure_dataset_bytes_are_pinned(tmp_path, capsys):
                 for name in digests} == digests
 
 
-# A small finite-N scan, recorded at sweep format 16: exact_N* cells at
+# A small finite-N scan, recorded at sweep format 17: exact_N* cells at
 # N = 2 and 4 over a detuning axis through delta = 0, where the spin flip
 # splits each parity sector.  Its float cells come out of numpy's BLAS
 # reductions, so the digest holds for one numpy/OpenBLAS build and one
@@ -234,7 +234,7 @@ _FINITE_N_SCAN = (
               "omega_rabi": 0.0, "v": -0.5},
      "axes": [{"name": "delta", "min": -0.5, "max": 0.5, "count": 3}],
      "exact_n": [2, 4]},
-    "58d31523a757072ae86359d98eeeb76974c39c5f82de7dc2ec6cd3e7c2959861",
+    "54e95cf1d4c78e30ba925c89fcf4234f3cf07c43a85e23d0eb121234b11b596b",
 )
 
 

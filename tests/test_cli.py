@@ -545,6 +545,23 @@ def test_exact_check_names_the_budget_the_first_cutoff_needs(capsys):
         capsys.readouterr()
 
 
+def test_exact_check_counts_each_first_cutoff_on_the_basis_its_ladder_uses(capsys):
+    # lambda = 1.5, delta = 0.2 (omega = 1) is superradiant, but at N = 256
+    # the ladder runs in extended coherent states (c = lambda / (omega
+    # sqrt(N)) = 0.094): 9 photon states a row, 9 * 257 = 2313 basis states,
+    # not the two centres' 18 * 257 = 4626.  c falls as N grows, so the
+    # largest N need not hold the largest first basis: N = 128 (c = 0.133)
+    # is on the two-centre basis, 18 * 129 = 2322 states
+    argv = ["exact-check", "--lambda", "1.5", "--delta", "0.2", "--budget", "2313",
+            "--n-list"]
+    assert cli.main(argv + ["256"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[2].split()[:3] == ["256", "8", "True"] and err == ""
+    assert cli.main(argv + ["128,256"]) == 2
+    assert capsys.readouterr().err == ("error: --n-list entry 128 needs 2322 basis states at "
+                                       "the first photon cutoff 8, above --budget 2313\n")
+
+
 def _couplings(scale: float) -> list[str]:
     return ["--omega", str(scale), "--lambda", str(4 * scale),
             "--delta", str(scale), "--rabi", str(0.5 * scale), f"--v={scale}"]
@@ -815,6 +832,16 @@ def test_fig2_mhz_units_smoke(tmp_path, capsys):
         2.81e4 ** 2 / 2.51e9, rel=1e-12)
 
 
+# figure options that are not finite, and the error each gives
+_NOT_FINITE = {
+    ("fig2", "--v", "nan"): "--v must be a finite number, got nan",
+    ("fig4", "--v", "inf"): "--v must be a finite number, got inf",
+    ("fig3", "--rabi-frac", "inf"): "--rabi-frac must be a finite number, got inf",
+    ("fig4", "--rabi-fracs", "0,inf"): "--rabi-fracs must be a finite number, got inf",
+    ("fig3", "--v-min=-inf"): "--v-min must be a finite number, got -inf",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["fig2", "--rabi-fracs", "a,b"],
     ["fig2", "--rabi-fracs", ""],
@@ -845,16 +872,21 @@ def test_fig2_mhz_units_smoke(tmp_path, capsys):
     # ... and the drives
     ["fig4", "--u", "1e307", "--rabi-fracs", "0,100"],
     ["fig3", "--u", "1e307", "--rabi-frac", "100"],
+    # a non-finite option is not finite, whatever --u is (_NOT_FINITE)
+    *map(list, _NOT_FINITE),
 ])
 def test_fig_bad_options_exit_2(argv, capsys, tmp_path):
     out_dir = tmp_path / "x"
     assert cli.main(argv + ["--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    flags = [arg.split("=")[0] for arg in argv]
     for flag in ("--u", "--resolution", "--points", "--delta-span", "--v-min",
                  "--v-max", "--v", "--rabi-frac", "--rabi-fracs"):
-        if flag in argv:
+        if flag in flags:
             assert flag in err
+    if tuple(argv) in _NOT_FINITE:
+        assert err == f"error: {_NOT_FINITE[tuple(argv)]}\n"
     assert not out_dir.exists()
 
 

@@ -229,7 +229,7 @@ def test_a_repeated_atom_number_stops_the_config():
 def test_csv_round_trip_is_byte_stable():
     dataset = run_sweep(small_config())
     text = serialize_csv(dataset)
-    assert text.startswith("# extdicke sweep format 16")
+    assert text.startswith("# extdicke sweep format 17")
     again = serialize_csv(parse_csv(text))
     assert again == text
 
@@ -350,7 +350,7 @@ def test_domain_edge_scan_bytes_are_pinned():
     assert errors == {"", "ParameterError: nonpositive cavity frequency",
                       "ParameterError: negative collective coupling"}
     assert hashlib.sha256(serialize_csv(dataset).encode()).hexdigest() \
-        == "a82913eb6da5969facb81335d188c229be5cadf425aa5f44e6ca68c3ee3eb812"
+        == "a473f25b71d25327db70da55020b31814be8cf2edd29d14ba68284f61ba05afe"
 
 
 def _reference_csv(dataset: SweepDataset) -> str:

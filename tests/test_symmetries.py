@@ -422,6 +422,27 @@ def test_converge_cutoff(sym, ladders):
         _check_ladder(sym, p, a)
 
 
+def test_finite_n_scan_is_its_own_mirror_image():
+    # a detuning scan symmetric about 0 with finite-N columns, N = 2 on the
+    # two-centre basis (c = 0.22) and N = 8 in extended coherent states (c =
+    # 0.112): node i is the image of node count - 1 - i, mean-field and
+    # exact_N* cells alike, bit for bit; the delta = 0 node is its own image
+    # (its finite-N m/N is rounding noise)
+    config = SweepConfig(base=ModelParams(omega=10.0, lam=math.sqrt(10.0), v=-0.5),
+                         axes=(AxisSpec("delta", -1.0, 1.0, 9),), exact_n=(2, 8))
+    rows = list(_sweep_rows(config).values())
+
+    def cells(row):  # the mean-field cells, then each N's under the mean-field names
+        yield "mean field", {k: x for k, x in row.items() if not k.startswith("exact_N")}
+        for n in config.exact_n:
+            prefix = f"exact_N{n}_"
+            yield n, {k[len(prefix):]: x for k, x in row.items() if k.startswith(prefix)}
+
+    for a, b in zip(rows, reversed(rows)):
+        for (where, x), (_, y) in zip(cells(a), cells(b)):
+            _check(MIRROR, (a["delta"], where), x, y, a["delta"])
+
+
 # order one or 0, so that every coupling times 2**-500 stays a normal float
 _ORDER_ONE = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
 _SIGNED_ORDER_ONE = st.one_of(_ORDER_ONE, st.floats(-1.0, -0.01))
