@@ -14,7 +14,7 @@ fig4         population curves vs detuning across the first-order region
 Exit codes: 0 success, 1 finite-N convergence failure, 2 bad
 configuration or parameters, 3 degenerate ground-state manifold, 4 I/O
 failure.  JSON output is strict RFC 8259: non-finite floats are null.
-Each command imports what it runs when run; scan, fig2 and fig4 load no phases.
+Each command imports what it runs when run; only boundaries and fig3 load phases.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .meanfield import ground_state
+from .meanfield import ground_state, phase_label
 from .model import (
     COUPLINGS,
     DIMENSION_BUDGET,
@@ -116,10 +116,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .phases import classify
     params = _params_from_args(args)
     sol = ground_state(params)
-    label = classify(params, sol)
+    label = phase_label(sol.flat_manifold, sol.m_over_n, sol.n_local_minima, sol.point.s_x,
+                        params.u, params.v)
     payload = {
         "s_x": sol.point.s_x,
         "s_z": sol.point.s_z,

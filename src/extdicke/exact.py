@@ -44,8 +44,11 @@ the dimension solved and their P**2 entries (model.basis_size), and the
 basis at n_max is the first part of the basis at 2 * n_max (the states a
 doubling adds are labelled above n_max).  Each basis writes H as a dense
 photon energy (none in ECS), a diagonal and terms S_d (x) M_d that move the
-spin state by d, which one assembler, _operators, projects onto the rows
-of each symmetry sector (_spin_sectors).  H is held spin-major
+spin state by d, which one assembler, _operators, projects onto the rows of
+each symmetry sector (_spin_sectors); one pass, _observables, reads the
+photon number, the parity and the spin moments off the ground vector, on
+one spin table (_spin_table): <J_z> and <J_x> on the two-centre rows m,
+<J_x> and <J_z> on the ECS rows mu.  H is held spin-major
 (KroneckerHamiltonian), a vector as an (N + 1) x P array of spin states x
 photon states; each sector's operator carries its embedding into that
 array, the one map that gathers a start vector and puts a solution back.
@@ -357,20 +360,26 @@ def _spin_sectors(params: ModelParams, ecs: bool = False) -> list[tuple]:
     return sectors
 
 
+def _spin_table(na: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spin states' m = -j..j (mu in ECS), and J_x[m - 1, m] (J_z[mu - 1,
+    mu] in ECS) at index m + j, 0 past the ends."""
+    import numpy as np
+
+    j = 0.5 * na
+    m = np.arange(na + 1) - j
+    return m, np.concatenate(([0.0], 0.5 * np.sqrt(j * (j + 1.0) - m * (m + 1.0))))
+
+
 def _two_centre_terms(params: ModelParams, k: int, a: np.ndarray, x: np.ndarray) -> tuple:
     """H / 2**k for _operators on the photon basis of the operators A and X
     (_photon_basis): omega A, delta m + (v / N) m**2, and J_x (x) (lambda /
     sqrt(N) X + omega_rabi) at d = +-1."""
-    import numpy as np
-
     omega, lam, delta, rabi, v = (math.ldexp(getattr(params, f), -k) for f in AXES)
-    na, j = params.n_atoms, 0.5 * params.n_atoms
-    m = np.arange(na + 1) - j
-    ladder = 0.5 * np.sqrt(j * (j + 1.0) - m * (m + 1.0))  # J_x[m, m + 1], 0 at m = j
+    na, (m, ladder) = params.n_atoms, _spin_table(params.n_atoms)
     xs = (lam / math.sqrt(na)) * x
     xs.flat[::len(x) + 1] += rabi
     diag = (delta * m + (v / na) * m * m)[:, None].repeat(len(x), axis=1)
-    return omega * a, diag, {1: (ladder, xs), -1: (np.concatenate(([0.0], ladder[:-1])), xs)}
+    return omega * a, diag, {1: (ladder[1:], xs), -1: (ladder[:-1], xs)}
 
 
 def _ecs_terms(params: ModelParams, k: int, c: float, overlaps: list) -> tuple:
@@ -380,10 +389,7 @@ def _ecs_terms(params: ModelParams, k: int, c: float, overlaps: list) -> tuple:
     import numpy as np
 
     omega, _, delta, rabi, v = (math.ldexp(getattr(params, f), -k) for f in AXES)
-    na, j = params.n_atoms, 0.5 * params.n_atoms
-    mu = np.arange(na + 1) - j
-    ladder = np.zeros(na + 2)  # J_z[mu - 1, mu] at mu + j, 0 past the ends
-    ladder[1:-1] = 0.5 * np.sqrt(j * (j + 1.0) - mu[:-1] * (mu[:-1] + 1.0))
+    na, (mu, ladder) = params.n_atoms, _spin_table(params.n_atoms)
     n = np.arange(len(overlaps[0]))
     diag = omega * n + (rabi * mu - omega * c * c * mu * mu
                         + (v / na) * (ladder[:-1] ** 2 + ladder[1:] ** 2))[:, None]
@@ -671,41 +677,16 @@ class ExactSolution:
         return self.photon_number / self.n_atoms
 
 
-def _observables(params: ModelParams, a: np.ndarray, odd: np.ndarray,
-                 psi: np.ndarray) -> tuple[float, float, float, float]:
-    """<a^dag a>, <J_z>, <J_x> and the parity of a vector held as spin states
-    x photon states of the two-centre basis."""
-    import numpy as np
-
-    na = params.n_atoms
-    j = 0.5 * na
-    m = np.arange(na + 1) - j
-    prob = psi * psi
-    photon = float((psi * (psi @ a)).sum())
-    jz = float(prob.sum(axis=1) @ m)
-    ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
-    jx = float((psi[1:] * psi[:-1]).sum(axis=1) @ ladder)
-    signs = (-1.0) ** (np.arange(na + 1)[:, None] + odd[None, :])
-    parity = float((prob * signs).sum())
-    return photon, jz, jx, parity
-
-
-def _ecs_observables(params: ModelParams, c: float, overlap: np.ndarray,
-                     psi: np.ndarray) -> tuple[float, float, float, float]:
-    """_observables in ECS: a is a - c mu on row mu's photon states, J_z
-    couples mu to mu + 1 through <n|D(-c)|n'>, and the parity maps |mu, n>
-    to (-1)**(N + n) |-mu, n>."""
-    import numpy as np
-
-    j = 0.5 * params.n_atoms
-    mu = np.arange(params.n_atoms + 1) - j
-    n = np.arange(psi.shape[1])
-    x = np.diag(np.sqrt(n[1:].astype(float)), 1)
-    photon = (psi * (psi * (n + c * c * mu[:, None] ** 2) - (c * mu)[:, None] * (psi @ (x + x.T))))
-    ladder = np.sqrt(j * (j + 1.0) - mu[:-1] * (mu[:-1] + 1.0))
-    return (float(photon.sum()), float((psi[:-1] * (psi[1:] @ overlap)).sum(axis=1) @ ladder),
-            float((psi * psi).sum(axis=1) @ mu),
-            float((psi * psi[::-1] * (-1.0) ** (params.n_atoms + n)).sum()))
+def _observables(psi: np.ndarray, spin: tuple, photon: np.ndarray, partner: np.ndarray
+                 ) -> tuple[float, float, float, float]:
+    """<a^dag a>, the spin moments <m> and <J> and the parity of a vector psi
+    of spin states x photon states, from the spin table (m, J of _spin_table,
+    G), J coupling row m to m + 1 through the photon matrix G (None for 1),
+    from photon = a^dag a psi and from partner = the parity applied to psi."""
+    m, ladder, g = spin
+    band = (psi[:-1] * (psi[1:] if g is None else psi[1:] @ g)).sum(axis=1)
+    return (float((psi * photon).sum()), float((psi * psi).sum(axis=1) @ m),
+            float(band @ (2.0 * ladder[1:-1])), float((psi * partner).sum()))
 
 
 def _centre(params: ModelParams) -> float | None:
@@ -751,8 +732,16 @@ def _solve(params: ModelParams, nm: int, beta: float | None, start: tuple | None
         _, new_at, old_at = np.intersect1d(codes, old_codes, return_indices=True)
         start[:, new_at] = old[:, old_at]
     e0, e1, vec, nxt = _solve_sectors(ops, hnorm, shape, start, k)
-    photon, jz, jx, parity = (_ecs_observables(params, c, overlaps[0], vec) if beta is None
-                              else _observables(params, a, odd, vec))
+    m, ladder = _spin_table(params.n_atoms)
+    if beta is None:  # a is a - c mu on row mu; the parity maps |mu, n> to (-1)**(N + n) |-mu, n>
+        fock = np.diag(np.sqrt(labels[1:].astype(float)), 1)
+        photon, jx, jz, parity = _observables(
+            vec, (m, ladder, overlaps[0]),
+            vec * (labels + c * c * m[:, None] ** 2) - (c * m)[:, None] * (vec @ (fock + fock.T)),
+            vec[::-1] * (-1.0) ** (params.n_atoms + labels))
+    else:
+        photon, jz, jx, parity = _observables(
+            vec, (m, ladder, None), vec @ a, vec * (-1.0) ** (np.arange(shape[0])[:, None] + odd))
     if mirror:
         jz, parity = 0.0 - jz, (-1) ** params.n_atoms * parity
     return ExactSolution(

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .model import ModelParams, ParameterError, _integer, coupling_scale, record
+from .model import MAX_NODES, ModelParams, ParameterError, _integer, coupling_scale, record
 
 TWO_PI = 2.0 * math.pi
 
@@ -442,12 +442,14 @@ def ground_state(params: ModelParams) -> MeanFieldSolution:
 
 def oracle_grid_minimum(params: ModelParams, n_points: int = 4096) -> MeanFieldSolution:
     """The twin of ground_state whose stationary points are the sign
-    changes of de/dtheta on n_points circle angles, each bisected to 1e-8
-    rad (its residual reflects that width); the scaling, the flat rule and
-    the tie-break are ground_state's.
+    changes of de/dtheta on n_points circle angles (1000 to
+    model.MAX_NODES), each bisected to 1e-8 rad (its residual reflects that
+    width); the scaling, the flat rule and the tie-break are ground_state's.
     """
     n_points = _integer(n_points, "n_points")
     if n_points < 1000:
         raise ParameterError("oracle grid needs at least 1000 points")
+    if n_points > MAX_NODES:
+        raise ParameterError(f"n_points must be at most MAX_NODES = {MAX_NODES}")
     out = oracle_minimum(params.u, params.v, params.delta, params.omega_rabi, n_points)
     return _solution(params, *out)

@@ -97,6 +97,9 @@ def _atoms(x, what: str) -> int:
 LADDER_EPS = 1e-8
 N_MAX_START = 8
 DIMENSION_BUDGET = 400_000
+# The most nodes of a sweep's grid, a transition scan or the oracle's circle
+# grid: a larger count is refused before anything is built.
+MAX_NODES = 10**6
 
 
 def basis_size(n_max: int, n_atoms: int, centred: bool = False) -> tuple[int, int]:

@@ -33,7 +33,7 @@ from operator import attrgetter
 
 from .meanfield import (_DISTINCT_ANGLE, MeanFieldSolution, PhaseLabel, ground_state,
                         phase_label)
-from .model import (AXES, KEYS, ModelParams, ParameterError, _integer, _real,
+from .model import (AXES, KEYS, MAX_NODES, ModelParams, ParameterError, _integer, _real,
                     coupling_scale, record)
 
 # Smallest jump between coexisting minima that makes a transition first
@@ -338,7 +338,8 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
     one scan step, or switches branch, and the limiting slope mismatch
     there exceeds its own extrapolation error.  A flag that refines to
     neither (a smooth wiggle, a crossover rounded by a drive) gives no
-    record.  The result is sorted by location.
+    record.  The result is sorted by location.  n_scan is 8 to
+    model.MAX_NODES, and t_max - t_min must be a finite float.
     """
     t_min, t_max = _real(t_min, "t_min"), _real(t_max, "t_max")
     n_scan = _integer(n_scan, "n_scan")
@@ -346,6 +347,10 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
         raise ParameterError("empty sweep range")
     if n_scan < 8:
         raise ParameterError("transition scan needs at least 8 points")
+    if n_scan > MAX_NODES:
+        raise ParameterError(f"n_scan must be at most MAX_NODES = {MAX_NODES}")
+    if not math.isfinite(t_max - t_min):
+        raise ParameterError(f"t_max - t_min overflows: {t_min!r} to {t_max!r}")
     solve_raw = _observable_fn(params, axis, observable)
     cache: dict[float, tuple[float, MeanFieldSolution, float]] = {}
 

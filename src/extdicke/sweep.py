@@ -24,10 +24,9 @@ import math
 
 from . import __version__
 from .meanfield import phase_label, point_observables, solve_point
-from .model import (AXES, KEYS, LADDER_EPS, ConvergenceError, ModelParams, ParameterError,
-                    _integer, _real, check_couplings, check_ladder, dumps_json, record)
-
-MAX_NODES = 10**6  # grid nodes in a sweep: a larger grid is refused before it is built
+from .model import (AXES, KEYS, LADDER_EPS, MAX_NODES, ConvergenceError, ModelParams,
+                    ParameterError, _integer, _real, check_couplings, check_ladder, dumps_json,
+                    record)
 
 
 @record

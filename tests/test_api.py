@@ -7,7 +7,7 @@ import math
 import pytest
 
 import extdicke
-from extdicke import cli
+from extdicke import cli, meanfield, phases
 from extdicke.exact import converge_cutoff, solve_at_cutoff
 from extdicke.meanfield import oracle_grid_minimum
 from extdicke.model import ModelParams, ParameterError, TrapSpec
@@ -107,10 +107,22 @@ _TRAP = dict(omega_trap=(1e3, 1e3, 1e3), rho_intra=5e-9, rho_inter=4e-9, mass=1.
      "t_min must be a finite number, got '0'"),
     (lambda tmp: detect_transitions(ModelParams(), "delta", 0.0, float("inf")),
      "t_max must be a finite number, got inf"),
+    # a count above MAX_NODES is refused before a node list is built, and a
+    # range whose width overflows is named by its ends
+    (lambda tmp: detect_transitions(ModelParams(), "delta", 0.0, 1.0, n_scan=1e308),
+     "n_scan must be at most MAX_NODES = 1000000"),
+    (lambda tmp: detect_transitions(ModelParams(), "delta", 0.0, 1.0, n_scan=10**6 + 1),
+     "n_scan must be at most MAX_NODES = 1000000"),
+    (lambda tmp: detect_transitions(ModelParams(), "delta", -1e308, 1e308),
+     r"t_max - t_min overflows: -1e\+308 to 1e\+308"),
     (lambda tmp: oracle_grid_minimum(ModelParams(), n_points=4096.5),
      "n_points must be an integer, got 4096.5"),
     (lambda tmp: oracle_grid_minimum(ModelParams(), n_points="5000"),
      "n_points must be an integer, got '5000'"),
+    (lambda tmp: oracle_grid_minimum(ModelParams(), n_points=1e308),
+     "n_points must be at most MAX_NODES = 1000000"),
+    (lambda tmp: oracle_grid_minimum(ModelParams(), n_points=10**6 + 1),
+     "n_points must be at most MAX_NODES = 1000000"),
     (lambda tmp: ModelParams.from_dict([1.0]), "must be a JSON object"),
     (lambda tmp: SweepConfig.from_dict(["base", "axes"]), "must be a JSON object"),
     (lambda tmp: _solve_config(tmp, "[1.0, 2.0]"), "must be a JSON object"),
@@ -144,12 +156,20 @@ _TRAP = dict(omega_trap=(1e3, 1e3, 1e3), rho_intra=5e-9, rho_inter=4e-9, mass=1.
     (lambda tmp: TrapSpec(**{**_TRAP, "n_atoms": 2.5}),
      "trap spec 'n_atoms' must be a positive integer, got 2.5"),
 ], ids=["n_scan_7", "n_scan_fraction", "n_scan_string", "t_min_string", "t_max_inf",
-        "n_points_fraction", "n_points_string", "model_params", "sweep_config",
+        "n_scan_1e308", "n_scan_above_cap", "range_overflows",
+        "n_points_fraction", "n_points_string", "n_points_1e308", "n_points_above_cap",
+        "model_params", "sweep_config",
         "solve_config", "axis_count", "axis_bound", "exact_eps", "exact_n",
         "exact_n_budget", "converge_budget_nan", "converge_budget_bool",
         "solve_budget_inf", "solve_budget_string", "solve_budget_fraction",
         "solve_budget_none", "trap_mass", "trap_frequencies", "trap_atoms"])
-def test_malformed_input_is_a_parameter_error(call, message, tmp_path):
+def test_malformed_input_is_a_parameter_error(call, message, tmp_path, monkeypatch):
+    # refused before any node of a transition scan or the oracle's grid is solved
+    def unsolved(*args):
+        raise AssertionError("a node was solved")
+
+    monkeypatch.setattr(phases, "_observable_fn", unsolved)
+    monkeypatch.setattr(meanfield, "oracle_minimum", unsolved)
     with pytest.raises(ParameterError, match=message):
         call(tmp_path)
 

@@ -1050,6 +1050,22 @@ def test_displaced_tail_check_sits_far_above_the_tails_it_keeps(monkeypatch):
     assert np.abs(exact._displaced(40.0, 0)[-1]).max() > 0.1 * exact._TAIL_AMPLITUDE
 
 
+def test_displaced_norm_check_refuses_states_cut_short(monkeypatch):
+    # an auxiliary space that ends at _TAIL = 0 cuts the displaced states
+    # short, and the tail check refuses it; past a tail check that lets
+    # every amplitude through, the norm check refuses it, also on a ladder's
+    # path (two centres at beta = 2.11)
+    monkeypatch.setattr(exact, "_TAIL", 0.0)
+    with pytest.raises(ConvergenceError, match="beta = 3 reach past 37 Fock states$"):
+        exact._displaced(3.0, 4)
+    monkeypatch.setattr(exact, "_TAIL_AMPLITUDE", 1.0)
+    with pytest.raises(ConvergenceError, match="beta = 3 lose their norm in 37 Fock states$"):
+        exact._displaced(3.0, 4)
+    with pytest.raises(ConvergenceError,
+                       match="beta = 2.11292 lose their norm in 39 Fock states$"):
+        solve_at_cutoff(ModelParams(lam=1.5, delta=0.2, n_atoms=8), 8)
+
+
 def test_photon_basis_is_fock_at_zero_and_grows_by_prefix():
     # at beta = 0 the basis is |0>, |2>, ... then |1>, |3>, ... exactly
     a, x, odd, labels = exact._photon_basis(0.0, 8)

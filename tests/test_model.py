@@ -248,12 +248,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                                               "extdicke.model"]
     assert imported("extdicke.sweep") == ["extdicke", "extdicke.meanfield",
                                           "extdicke.model", "extdicke.sweep"]
-    # importing the package loads no module of it
+    # importing the package loads no module of it; solve labels its phase
+    # through meanfield and loads no phases, boundaries loads phases
     solve = _modules_after([["solve", "--delta", "0.3", *out("s.txt")],
                             ["solve", "--format", "json", *out("s.json")],
                             ["boundaries", "--v=-0.5", *out("b.txt")]])
     assert [ours for _, ours in solve] \
-        == [["extdicke"], package(), *[package("phases")] * 3]
+        == [["extdicke"], package(), package(), package(), package("phases")]
     # a scan without exact_n and each figure load no finite-N solver, and
     # only fig3 (for its critical lines) loads phases
     sweeps = _modules_after([["scan", "--config", str(tmp_path / "mf.json"),
