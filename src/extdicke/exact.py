@@ -794,12 +794,9 @@ def converge_cutoff(params: ModelParams, eps: float = LADDER_EPS,
         raise ConvergenceError(
             f"photon energy omega = {params.omega:.6g} does not exceed the solver's resolution "
             f"{resolution:.6g} of E0 at N = {params.n_atoms}: the photon field is unresolved")
-    n_top = N_MAX_START
-    while max(basis_size(2 * n_top, params.n_atoms, bool(beta))) <= budget:
-        n_top *= 2
-    # check_ladder checked the first cutoff and n_top bounds the rest to the budget
+    # check_ladder checked the first cutoff against the budget, the loop each doubling
     sol, start, top = _solve(params, N_MAX_START, beta, None)
-    while top > eps and sol.n_max_used < n_top:
+    while top > eps and max(basis_size(2 * sol.n_max_used, params.n_atoms, bool(beta))) <= budget:
         sol, start, top = _solve(params, 2 * sol.n_max_used, beta, start)
     return ExactSolution(**{**vars(sol), "converged": top <= eps})
 

@@ -8,7 +8,8 @@ condensate locked by attractive v), and Superfluid (broken double well in
 s_z at strongly attractive v).  A flat energy manifold is labeled
 Degenerate.
 
-Critical lines in the (delta, v) plane at fixed u and omega_rabi:
+Critical lines in the (delta, v) plane at fixed u and omega_rabi, which
+critical_overlays draws as delta -> -delta mirror pairs (one helper):
 
 * lobe edge      delta = +-(u + v)                      (u + v >= 0)
 * red line       v = -u
@@ -16,17 +17,18 @@ Critical lines in the (delta, v) plane at fixed u and omega_rabi:
                                                         (|u+v| >= rabi)
 * inverse form   v_c = -u - (rabi**(2/3) + |delta|**(2/3))**(3/2)
 
-The transition detector walks an observable along one parameter axis,
-flags cells where the second difference spikes, and refines each flag: a
-jump counts only between coexisting states (two local minima, a tied pair
-of stationary points, or a flat manifold); a corner is where the ground
-state turns on the Bloch circle by more than a radian within one scan
-step, or switches branch, and its kink is the mismatch of the limiting
-one-sided slopes there.
+The transition detector walks an observable along one parameter axis (its
+solves memoised by functools.cache), flags cells where the second
+difference spikes, and refines each flag: a jump counts only between
+coexisting states (two local minima, a tied pair of stationary points, or
+a flat manifold); a corner is where the ground state turns on the Bloch
+circle by more than a radian within one scan step, or switches branch,
+and its kink is the mismatch of the limiting one-sided slopes there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from operator import attrgetter
@@ -351,15 +353,7 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
         raise ParameterError(f"n_scan must be at most MAX_NODES = {MAX_NODES}")
     if not math.isfinite(t_max - t_min):
         raise ParameterError(f"t_max - t_min overflows: {t_min!r} to {t_max!r}")
-    solve_raw = _observable_fn(params, axis, observable)
-    cache: dict[float, tuple[float, MeanFieldSolution, float]] = {}
-
-    def solve(t: float) -> tuple[float, MeanFieldSolution, float]:
-        hit = cache.get(t)
-        if hit is None:
-            hit = cache[t] = solve_raw(t)
-        return hit
-
+    solve = functools.cache(_observable_fn(params, axis, observable))  # 0.0, -0.0: one key
     spacing = (t_max - t_min) / (n_scan - 1)
     ts = [t_min + spacing * i for i in range(n_scan)]
     fs = [solve(t)[0] for t in ts]
@@ -399,39 +393,29 @@ def detect_transitions(params: ModelParams, axis: str, t_min: float,
 def critical_overlays(u: float, omega_rabi: float,
                       delta_range: tuple[float, float],
                       v_range: tuple[float, float]) -> list[tuple[str, list[tuple[float, float]]]]:
-    """Critical-line polylines clipped to the given window."""
-    d_lo, d_hi = delta_range
-    v_lo, v_hi = v_range
+    """Critical-line polylines clipped to the given window, drawn as mirror
+    pairs: a line of points (d, v), d >= 0, and its image (-d, v)."""
+    (d_lo, d_hi), (v_lo, v_hi) = delta_range, v_range
     n = _OVERLAY_POINTS
     lines = []
 
+    def mirror_pair(name, samples):  # <name>_plus, then <name>_minus, each clipped
+        for side, sign in (("plus", 1.0), ("minus", -1.0)):
+            pts = [(sign * d, v) for d, v in samples if d_lo <= sign * d <= d_hi]
+            if pts:
+                lines.append((f"{name}_{side}", pts))
+
     if v_hi >= -u:  # lobe edge exists for v >= -u
         vs = [max(v_lo, -u) + (v_hi - max(v_lo, -u)) * k / (n - 1) for k in range(n)]
-        plus = [(u + v, v) for v in vs if d_lo <= u + v <= d_hi]
-        minus = [(-(u + v), v) for v in vs if d_lo <= -(u + v) <= d_hi]
-        if plus:
-            lines.append(("lobe_plus", plus))
-        if minus:
-            lines.append(("lobe_minus", minus))
+        mirror_pair("lobe", [(u + v, v) for v in vs])
 
     if v_lo <= -u <= v_hi:
         lines.append(("red", [(d_lo, -u), (d_hi, -u)]))
 
     v_start = -u - omega_rabi  # astroid reaches delta = 0 here
     if v_start >= v_lo:
-        lo = v_lo
-        vs = [lo + (min(v_start, v_hi) - lo) * k / (n - 1) for k in range(n)]
-        plus, minus = [], []
-        for v in vs:
-            # v <= v_start, so None comes only from a last sample rounded
-            # past the cusp, which is delta = 0
-            d = mott_boundary_delta(u, v, omega_rabi) or 0.0
-            if d_lo <= d <= d_hi:
-                plus.append((d, v))
-            if d_lo <= -d <= d_hi:
-                minus.append((-d, v))
-        if plus:
-            lines.append(("astroid_plus", plus))
-        if minus:
-            lines.append(("astroid_minus", minus))
+        vs = [v_lo + (min(v_start, v_hi) - v_lo) * k / (n - 1) for k in range(n)]
+        # v <= v_start, so None comes only from a last sample rounded past
+        # the cusp, which is delta = 0
+        mirror_pair("astroid", [(mott_boundary_delta(u, v, omega_rabi) or 0.0, v) for v in vs])
     return lines

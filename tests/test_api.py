@@ -1,8 +1,11 @@
 """The package's public names, and how its entry points reject malformed
 input."""
 
+import contextlib
 import importlib
+import io
 import math
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +201,19 @@ def test_integral_float_counts_are_the_counts_they_equal():
         solve_at_cutoff(normal, 4, budget=24.0)
     q = ModelParams(lam=1.2, delta=0.3, n_atoms=2)
     assert converge_cutoff(q, budget=1e6) == converge_cutoff(q, budget=1_000_000)
+
+
+def test_readme_quickstart_runs():
+    # the first python block under "## Python quickstart", as printed
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text[text.index("## Python quickstart"):].split("```python\n", 1)[1]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block.split("```", 1)[0], {})
+    m_over_n, _, label, *records, ladder = [line.split() for line in out.getvalue().splitlines()]
+    assert abs(float(m_over_n[0]) + 0.375) <= 1e-15
+    assert label == ["Superradiant"]
+    assert [r[0] for r in records] == ["second", "second"]
+    for record, edge in zip(records, (-0.8, 0.8)):
+        assert abs(float(record[1]) - edge) <= 1e-12
+    assert ladder[1:] == ["True", "8"]

@@ -6,6 +6,8 @@ import math
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mp_reference import minima as mp_minima
 
 from extdicke import phases
@@ -386,3 +388,40 @@ def test_astroid_overlay_ends_at_its_cusp():
     assert lines["astroid_plus"][-1] == (0.0, v_last)
     assert lines["astroid_minus"][-1] == (0.0, v_last)
     assert len(lines["astroid_plus"]) == len(lines["astroid_minus"]) == 201
+
+
+_CUSP = (1.7611785596585996, 1.3518952631535905, -7.675208099376349)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(u=st.floats(0.0, 10.0), rabi=st.floats(0.0, 10.0), half=st.floats(0.0, 30.0),
+       v_ends=st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=2, unique=True))
+@example(u=_CUSP[0], rabi=_CUSP[1], half=3.0 * _CUSP[0], v_ends=[_CUSP[2], _CUSP[0]])
+def test_overlays_in_a_symmetric_window_are_mirror_pairs(u, rabi, half, v_ends):
+    # the model is symmetric under delta -> -delta: in a window symmetric
+    # about delta = 0 each minus line is its plus line mirrored, point for
+    # point and bit for bit (a delta of 0.0 turns into -0.0)
+    v_lo, v_hi = sorted(v_ends)
+    drawn = critical_overlays(u, rabi, (-half, half), (v_lo, v_hi))
+    lines = dict(drawn)
+    order = ["lobe_plus", "lobe_minus", "red", "astroid_plus", "astroid_minus"]
+    assert [name for name, _ in drawn] == [name for name in order if name in lines]
+    for name in ("lobe", "astroid"):
+        plus = lines.get(f"{name}_plus", [])
+        assert repr(lines.get(f"{name}_minus", [])) == repr([(-d, v) for d, v in plus])
+    red = [[(-half, -u), (half, -u)]] if v_lo <= -u <= v_hi else []
+    assert [pts for name, pts in drawn if name == "red"] == red
+
+
+def test_overlays_in_an_asymmetric_window_clip_each_side_on_its_own():
+    # each side is the whole line, or its mirror image, clipped to the window
+    u, rabi, window_v = 1.0, 0.5, (-3.0, 1.0)
+    whole = dict(critical_overlays(u, rabi, (-10.0, 10.0), window_v))
+    lines = dict(critical_overlays(u, rabi, (-0.5, 0.8), window_v))
+    for name in ("lobe", "astroid"):
+        line = whole[f"{name}_plus"]
+        plus = [(d, v) for d, v in line if -0.5 <= d <= 0.8]
+        minus = [(-d, v) for d, v in line if -0.5 <= -d <= 0.8]
+        assert 0 < len(plus) < len(line) and 0 < len(minus) < len(line)
+        assert lines[f"{name}_plus"] == plus
+        assert lines[f"{name}_minus"] == minus

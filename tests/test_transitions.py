@@ -191,10 +191,11 @@ CRITICAL_DRIVE = ModelParams(omega=1.0, lam=1.0, v=-2.0, omega_rabi=1.0)
 
 
 def _counting_solver(monkeypatch):
-    calls = [0]
+    """The couplings of every ground_state call the detector makes."""
+    calls = []
 
     def counted(p):
-        calls[0] += 1
+        calls.append((p.omega, p.lam, p.delta, p.omega_rabi, p.v))
         return ground_state(p)
 
     monkeypatch.setattr(phases, "ground_state", counted)
@@ -207,7 +208,28 @@ def test_critical_drive_cusp_is_refined_once(monkeypatch):
     calls = _counting_solver(monkeypatch)
     recs = detect_transitions(CRITICAL_DRIVE, "delta", -1.0, 1.0)
     assert [(r.order, r.location) for r in recs] == [("second", 0.0)]
-    assert calls[0] <= 868
+    assert len(calls) <= 868
+
+
+@pytest.mark.parametrize("params, axis, t_min, t_max, observable, orders, solves", [
+    # the two lobe edges, refined as corners
+    (params_u(1.0, v=0.2), "delta", -2.4, 2.4, "m_over_n", ["second"] * 2, 443),
+    # the wells swap at delta = 0: a jump bisected down to 1.7e-20
+    (params_u(1.0, v=-2.0, omega_rabi=0.5), "delta", -1.0, 1.0, "m_over_n", ["first"], 259),
+    # the flat manifold at v = -u, delta = 0: _refine_jump's flat window
+    (params_u(1.0, v=-1.0), "delta", -1.0, 1.0, "energy_slope", ["first"], 490),
+    # a drive scan with no flag: the scan nodes alone
+    (params_u(1.0, v=-2.0, delta=0.3), "omega_rabi", 0.0, 2.0, "s_x", [], 201),
+])
+def test_detector_solves_each_point_once(monkeypatch, params, axis, t_min, t_max,
+                                         observable, orders, solves):
+    # the scan, the bisections, the golden-section search and the secants
+    # revisit points; each distinct one is solved once
+    calls = _counting_solver(monkeypatch)
+    recs = detect_transitions(params, axis, t_min, t_max, observable=observable)
+    assert [r.order for r in recs] == orders
+    assert len(calls) == solves
+    assert len(set(calls)) == len(calls)
 
 
 def test_argmax_stops_at_the_bracket_float_spacing(monkeypatch):
@@ -217,7 +239,7 @@ def test_argmax_stops_at_the_bracket_float_spacing(monkeypatch):
     calls = _counting_solver(monkeypatch)
     t, g = _argmax(lambda t: rate(t)[2], -0.03, 0.01)
     assert abs(t) <= math.ulp(0.03) and g == math.inf
-    assert calls[0] <= 100
+    assert len(calls) <= 100
 
 
 # --- each tolerance between rounding and physics --------------------------
@@ -298,7 +320,7 @@ def test_flag_floor_sits_between_rounding_and_the_lobe_edges(monkeypatch):
     assert rounding < phases._FLAG_FLOOR * f_range < corner
     calls = _counting_solver(monkeypatch)
     assert [r.order for r in detect_transitions(p, "delta", lo, hi)] == ["second"] * 2
-    assert calls[0] <= 443
+    assert len(calls) <= 443
 
 
 def test_energy_across_the_lobe_refines_no_cell(monkeypatch):
@@ -307,7 +329,7 @@ def test_energy_across_the_lobe_refines_no_cell(monkeypatch):
     calls = _counting_solver(monkeypatch)
     assert detect_transitions(params_u(1.0, v=0.2), "delta", -2.4, 2.4,
                               observable="energy") == []
-    assert calls[0] == 201
+    assert len(calls) == 201
 
 
 def test_lobe_edges_of_s_x_are_mirror_images():
